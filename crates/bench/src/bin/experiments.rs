@@ -455,9 +455,12 @@ fn main() {
             r.serial.wall_seconds / r.sharded.wall_seconds.max(1e-9),
         );
         eprintln!(
-            "[timing] m02: wall per simulated day: serial {:.3}s, sharded {:.3}s",
+            "[timing] m02: wall per simulated day: serial {:.3}s, sharded {:.3}s; \
+             serial {:.0} ns and {:.2} key comparisons per event",
             r.serial.wall_seconds / r.params.days as f64,
             r.sharded.wall_seconds / r.params.days as f64,
+            r.serial.ns_per_event(),
+            r.serial.keys_compared_per_event(),
         );
         eprintln!(
             "[counters] m02: {} cross-shard of {} messages, barrier stall {:.3}s across {} workers",
@@ -813,6 +816,14 @@ fn main() {
             json.push_str(&format!(
                 "    \"speedup\": {:.3},\n",
                 r.serial.wall_seconds / r.sharded.wall_seconds.max(1e-9)
+            ));
+            json.push_str(&format!(
+                "    \"serial_ns_per_event\": {:.1},\n",
+                r.serial.ns_per_event()
+            ));
+            json.push_str(&format!(
+                "    \"serial_keys_compared_per_event\": {:.3},\n",
+                r.serial.keys_compared_per_event()
             ));
             json.push_str(&format!("    \"windows\": {},\n", r.serial.windows));
             json.push_str(&format!("    \"events\": {},\n", r.serial.events));

@@ -25,7 +25,8 @@ use std::time::Instant;
 use sprite_kernel::build_cluster_cells;
 use sprite_net::{CostModel, ShardLink};
 use sprite_sim::{
-    Checkpoint, ShardCounters, ShardedEngine, SimDuration, SimTime, StateDigest, WorkerCounters,
+    Checkpoint, EngineCounters, ShardCounters, ShardedEngine, SimDuration, SimTime, StateDigest,
+    WorkerCounters,
 };
 
 use crate::support::TableWriter;
@@ -95,10 +96,24 @@ pub struct M02Run {
     pub shard_counters: Vec<ShardCounters>,
     /// Per-worker barrier stalls.
     pub worker_stalls: Vec<WorkerCounters>,
+    /// Calendar-queue effort summed over shards (partition-*dependent*).
+    pub queue: EngineCounters,
     /// Cluster-wide job accounting.
     pub jobs: JobTotals,
     /// Wall-clock seconds for this drive.
     pub wall_seconds: f64,
+}
+
+impl M02Run {
+    /// Host nanoseconds per executed event.
+    pub fn ns_per_event(&self) -> f64 {
+        self.wall_seconds * 1e9 / self.events.max(1) as f64
+    }
+
+    /// Calendar key comparisons per executed event.
+    pub fn keys_compared_per_event(&self) -> f64 {
+        self.queue.keys_compared as f64 / self.events.max(1) as f64
+    }
 }
 
 /// Serial-vs-sharded comparison, the unit the gate checks.
@@ -153,6 +168,7 @@ pub fn drive(params: M02Params, shards: usize, workers: usize) -> M02Run {
         cross_messages: eng.cross_shard_messages(),
         shard_counters: eng.shard_counters(),
         worker_stalls: eng.worker_stalls().to_vec(),
+        queue: eng.queue_counters(),
         jobs,
         wall_seconds,
         audit: eng.take_audit_stream(),

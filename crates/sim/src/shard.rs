@@ -734,13 +734,7 @@ impl<C: Cell> ShardedEngine<C> {
     pub fn queue_counters(&self) -> EngineCounters {
         let mut total = EngineCounters::default();
         for s in &self.shards {
-            let c = s.engine_counters;
-            total.events_executed += c.events_executed;
-            total.handler_allocations += c.handler_allocations;
-            total.periodic_reschedules += c.periodic_reschedules;
-            total.buckets_scanned += c.buckets_scanned;
-            total.overflow_migrations += c.overflow_migrations;
-            total.resizes += c.resizes;
+            total.merge(&s.engine_counters);
         }
         total
     }

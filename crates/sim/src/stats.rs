@@ -261,22 +261,51 @@ pub struct EngineCounters {
     pub periodic_reschedules: u64,
     /// Calendar buckets inspected while searching for the next event.
     pub buckets_scanned: u64,
-    /// Events migrated from the sorted overflow list into buckets as the
-    /// calendar advanced years.
+    /// Key comparisons made to pick the next entry inside a bucket: sorting
+    /// a bucket when the cursor reaches it, plus binary-search probes for
+    /// entries pushed into that sorted bucket. O(log k) per pop for a
+    /// bucket of k entries.
+    pub keys_compared: u64,
+    /// Events migrated from the overflow heap into buckets as the calendar
+    /// advanced years.
     pub overflow_migrations: u64,
     /// Calendar rebuilds (grow, shrink, or re-anchor).
     pub resizes: u64,
+}
+
+impl EngineCounters {
+    /// Adds another queue's counters to these. Destructured exhaustively,
+    /// so a new counter cannot be left out of the sum.
+    pub fn merge(&mut self, other: &EngineCounters) {
+        let EngineCounters {
+            events_executed,
+            handler_allocations,
+            periodic_reschedules,
+            buckets_scanned,
+            keys_compared,
+            overflow_migrations,
+            resizes,
+        } = *other;
+        self.events_executed += events_executed;
+        self.handler_allocations += handler_allocations;
+        self.periodic_reschedules += periodic_reschedules;
+        self.buckets_scanned += buckets_scanned;
+        self.keys_compared += keys_compared;
+        self.overflow_migrations += overflow_migrations;
+        self.resizes += resizes;
+    }
 }
 
 impl fmt::Display for EngineCounters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "events={} allocs={} rearm={} scans={} migrations={} resizes={}",
+            "events={} allocs={} rearm={} scans={} keys={} migrations={} resizes={}",
             self.events_executed,
             self.handler_allocations,
             self.periodic_reschedules,
             self.buckets_scanned,
+            self.keys_compared,
             self.overflow_migrations,
             self.resizes
         )
@@ -416,6 +445,25 @@ mod tests {
         let mut v = Samples::new();
         v.record_duration(SimDuration::from_secs(2));
         assert_eq!(v.mean(), 2.0);
+    }
+
+    #[test]
+    fn engine_counters_merge_sums_every_field() {
+        let one = EngineCounters {
+            events_executed: 1,
+            handler_allocations: 2,
+            periodic_reschedules: 3,
+            buckets_scanned: 4,
+            keys_compared: 5,
+            overflow_migrations: 6,
+            resizes: 7,
+        };
+        let mut total = one;
+        total.merge(&one);
+        assert_eq!(
+            total.to_string(),
+            "events=2 allocs=4 rearm=6 scans=8 keys=10 migrations=12 resizes=14"
+        );
     }
 
     #[test]

@@ -52,46 +52,72 @@ fn engine_orders_by_time_then_insertion() {
 /// reference binary heap keyed on `(time, insertion seq)` would, across a
 /// mix that exercises every queue path — duplicate timestamps (tie-breaks),
 /// near-future bucket hits, far-future overflow, handler-scheduled cascades,
-/// and periodic ticks interleaved with one-shots.
+/// and periodic ticks interleaved with one-shots. Every third case is a
+/// lattice burst: hundreds to thousands of ops on at most four timestamps a
+/// simulated minute apart, like the barrier windows of the m02 cluster,
+/// where cascade children at offset 0 land in the bucket being drained.
 #[test]
 fn calendar_queue_matches_reference_heap() {
     #[derive(Clone, Copy, Debug)]
     enum Op {
         /// One-shot at `now + delay`.
         Once { delay: u64 },
-        /// One-shot that schedules `extra` more events when it fires.
-        Cascade { delay: u64, extra: u64 },
+        /// One-shot that, when it fires, schedules `same` events at its own
+        /// time and `extra` more 7, 14, … µs later.
+        Cascade { delay: u64, same: u64, extra: u64 },
         /// Periodic tick: first at `delay`, then every `period`, `reps` times.
         Periodic { delay: u64, period: u64, reps: u64 },
     }
 
+    /// Delays of a cascade's children after their parent.
+    fn child_offsets(same: u64, extra: u64) -> impl Iterator<Item = u64> {
+        (0..same).map(|_| 0).chain((1..=extra).map(|k| 7 * k))
+    }
+
+    const MINUTE: u64 = 60_000_000;
     let mut rng = DetRng::seed_from(0xD1FF);
     for case in 0..cases(48) {
-        let n = 2 + rng.pick_index(30);
+        let lattice = case % 3 == 2;
+        let (n, stamps) = if lattice {
+            (200 + rng.pick_index(2_800), 1 + rng.uniform_u64(4))
+        } else {
+            (2 + rng.pick_index(30), 0)
+        };
         let ops: Vec<Op> = (0..n)
             .map(|_| {
-                // Mix of horizons: dense near-term ties, mid-range, and
-                // far-future values that land in the overflow list.
-                let delay = match rng.pick_index(4) {
-                    0 => rng.uniform_u64(4),
-                    1 => rng.uniform_u64(1_000),
-                    2 => rng.uniform_u64(1_000_000),
-                    _ => 1_000_000_000 + rng.uniform_u64(1_000_000_000_000),
+                // Lattice cases pick a minute mark; the rest mix horizons:
+                // dense near-term ties, mid-range, and far-future values
+                // that land in the overflow heap.
+                let delay = if lattice {
+                    MINUTE * rng.uniform_u64(stamps)
+                } else {
+                    match rng.pick_index(4) {
+                        0 => rng.uniform_u64(4),
+                        1 => rng.uniform_u64(1_000),
+                        2 => rng.uniform_u64(1_000_000),
+                        _ => 1_000_000_000 + rng.uniform_u64(1_000_000_000_000),
+                    }
                 };
                 match rng.pick_index(3) {
                     0 => Op::Once { delay },
                     1 => Op::Cascade {
                         delay,
+                        same: rng.uniform_u64(3),
                         extra: 1 + rng.uniform_u64(3),
                     },
                     _ => Op::Periodic {
                         delay,
-                        period: 1 + rng.uniform_u64(500),
+                        period: if lattice {
+                            MINUTE
+                        } else {
+                            1 + rng.uniform_u64(500)
+                        },
                         reps: 1 + rng.uniform_u64(5),
                     },
                 }
             })
             .collect();
+        let nops = ops.len();
 
         // Reference model: a plain binary heap over (at, seq) replaying the
         // same operations, with cascades/periodics expanded eagerly (their
@@ -104,18 +130,20 @@ fn calendar_queue_matches_reference_heap() {
         // model is a second engine-like simulation over the heap itself:
         let mut heap: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
         let mut next_seq: u64 = 0;
-        // Payload table: what to do when entry `id` fires.
+        // Payload table: what to do when entry `id` fires, and the label it
+        // logs — its op index, or `nops + 8·parent + j` for the j-th child
+        // of cascade `parent`, the label the engine's handlers log too.
         #[derive(Clone, Copy)]
         enum Payload {
             Noop,
-            Cascade { extra: u64 },
+            Cascade { same: u64, extra: u64 },
             Tick { period: u64, remaining: u64 },
         }
-        let mut payloads: Vec<Payload> = Vec::new();
+        let mut payloads: Vec<(Payload, usize)> = Vec::new();
         for op in &ops {
             let (delay, payload) = match *op {
                 Op::Once { delay } => (delay, Payload::Noop),
-                Op::Cascade { delay, extra } => (delay, Payload::Cascade { extra }),
+                Op::Cascade { delay, same, extra } => (delay, Payload::Cascade { same, extra }),
                 Op::Periodic {
                     delay,
                     period,
@@ -129,26 +157,27 @@ fn calendar_queue_matches_reference_heap() {
                 ),
             };
             let id = payloads.len();
-            payloads.push(payload);
+            payloads.push((payload, id));
             heap.push(Reverse((delay, next_seq, id)));
             next_seq += 1;
         }
         let mut expected: Vec<(u64, usize)> = Vec::new();
         while let Some(Reverse((at, _seq, id))) = heap.pop() {
-            expected.push((at, id));
-            match payloads[id] {
+            let (payload, label) = payloads[id];
+            expected.push((at, label));
+            match payload {
                 Payload::Noop => {}
-                Payload::Cascade { extra } => {
-                    for k in 0..extra {
+                Payload::Cascade { same, extra } => {
+                    for (j, offset) in child_offsets(same, extra).enumerate() {
                         let nid = payloads.len();
-                        payloads.push(Payload::Noop);
-                        heap.push(Reverse((at + 7 * (k + 1), next_seq, nid)));
+                        payloads.push((Payload::Noop, nops + 8 * id + j));
+                        heap.push(Reverse((at + offset, next_seq, nid)));
                         next_seq += 1;
                     }
                 }
                 Payload::Tick { period, remaining } => {
                     if remaining > 1 {
-                        payloads[id] = Payload::Tick {
+                        payloads[id].0 = Payload::Tick {
                             period,
                             remaining: remaining - 1,
                         };
@@ -172,17 +201,18 @@ fn calendar_queue_matches_reference_heap() {
                         },
                     );
                 }
-                Op::Cascade { delay, extra } => {
+                Op::Cascade { delay, same, extra } => {
                     let me = id;
                     engine.schedule_at(
                         SimTime::from_micros(delay),
                         move |log: &mut Vec<_>, e: &mut Engine<_>| {
                             log.push((e.now().as_micros(), me));
-                            for k in 0..extra {
+                            for (j, offset) in child_offsets(same, extra).enumerate() {
+                                let label = nops + 8 * me + j;
                                 e.schedule_in(
-                                    SimDuration::from_micros(7 * (k + 1)),
+                                    SimDuration::from_micros(offset),
                                     move |log: &mut Vec<_>, e: &mut Engine<_>| {
-                                        log.push((e.now().as_micros(), usize::MAX));
+                                        log.push((e.now().as_micros(), label));
                                     },
                                 );
                             }
@@ -211,17 +241,18 @@ fn calendar_queue_matches_reference_heap() {
         let mut log: Vec<(u64, usize)> = Vec::new();
         engine.run(&mut log);
 
-        // Cascaded children carry a sentinel id in the engine log (their
-        // reference ids are synthetic); compare them by timestamp only.
+        // Every entry, cascade children included, logs its label, so this
+        // checks the time order and every tie-break.
         assert_eq!(log.len(), expected.len(), "case {case}: ops {ops:?}");
-        for (got, want) in log.iter().zip(expected.iter()) {
-            assert_eq!(got.0, want.0, "case {case}: time order diverged\n  ops {ops:?}\n  got {log:?}\n  want {expected:?}");
-            if got.1 != usize::MAX && want.1 < ops.len() {
-                assert_eq!(
-                    got.1, want.1,
-                    "case {case}: tie-break order diverged\n  ops {ops:?}"
-                );
-            }
+        if let Some(i) = log
+            .iter()
+            .zip(&expected)
+            .position(|(got, want)| got != want)
+        {
+            panic!(
+                "case {case}: pop {i} is {:?}, the reference pops {:?}\n  ops {ops:?}",
+                log[i], expected[i]
+            );
         }
     }
 }

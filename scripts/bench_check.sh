@@ -136,27 +136,25 @@ if ! grep -q 'sharded stream identical  *yes' "$tmp/m02_4.txt"; then
     exit 1
 fi
 
-echo "==> m02 sharded wall time within bounds for this machine"
-# With real cores the 4-shard drive must actually be faster; on a starved
-# box (CI containers are often 1-2 cores) the logical sharding still runs,
-# so the gate only bounds its overhead. Thresholds are deliberately looser
-# than the recorded full-scale numbers to keep the gate noise-proof.
-m02_serial="$(sed -n 's/.*"serial_wall_seconds": \([0-9.]*\).*/\1/p' "$tmp/m4/BENCH_experiments.json" | head -1)"
-m02_sharded="$(sed -n 's/.*"sharded_wall_seconds": \([0-9.]*\).*/\1/p' "$tmp/m4/BENCH_experiments.json" | head -1)"
-m02_cores="$(sed -n 's/.*"cores": \([0-9]*\).*/\1/p' "$tmp/m4/BENCH_experiments.json" | head -1)"
-if [[ -z "$m02_serial" || -z "$m02_sharded" || -z "$m02_cores" ]]; then
-    echo "FAIL: could not parse m02 wall times from BENCH_experiments.json" >&2
+echo "==> m02 serial ns per event vs BENCH_experiments.json baseline"
+# The engine's host cost per event in the serial (1 shard, 1 worker) drive.
+# The baseline is the full 5000-host month; this run is 2000 hosts x 3
+# days. A smaller cluster has a smaller overflow heap and a shorter bucket
+# sweep per window, so its ns per event is at most the 5000-host figure
+# and the two compare directly. The sharded/serial wall ratio is not
+# gated: on one worker it measures no parallelism, only overhead.
+m02_base="$(sed -n 's/.*"serial_ns_per_event": \([0-9.]*\).*/\1/p' BENCH_experiments.json | head -1)"
+m02_fresh="$(sed -n 's/.*"serial_ns_per_event": \([0-9.]*\).*/\1/p' "$tmp/m4/BENCH_experiments.json" | head -1)"
+if [[ -z "$m02_base" || -z "$m02_fresh" ]]; then
+    echo "FAIL: could not parse m02 serial_ns_per_event (baseline='$m02_base' fresh='$m02_fresh')" >&2
     exit 1
 fi
-awk -v s="$m02_serial" -v p="$m02_sharded" -v c="$m02_cores" 'BEGIN {
-    # >=4 cores: demand a real speedup (1.5x, below the recorded 2x so CI
-    # noise cannot flake). Fewer cores: sharding may not help, but its
-    # overhead must stay bounded (2x serial).
-    limit = (c >= 4) ? s / 1.5 : s * 2.0
-    printf "    serial %.3fs, sharded %.3fs on %d core(s), limit %.3fs\n", s, p, c, limit
-    exit !(p <= limit)
+awk -v b="$m02_base" -v f="$m02_fresh" -v k="$factor" 'BEGIN {
+    limit = b * k
+    printf "    serial %.1f ns/event, baseline %.1f ns/event, limit %.1f (factor %s)\n", f, b, limit, k
+    exit !(f <= limit)
 }' || {
-    echo "FAIL: m02 sharded wall $m02_sharded out of bounds vs serial $m02_serial on $m02_cores cores" >&2
+    echo "FAIL: m02 serial_ns_per_event $m02_fresh regressed past ${factor}x baseline $m02_base" >&2
     exit 1
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate for the Sprite migration reproduction.
 #
-#   scripts/ci.sh          # full gate: build, tests, lint, smokes, fmt, clippy, bench
+#   scripts/ci.sh          # full gate: build, tests, lint, smokes, fmt, clippy, perfbench, bench
 #   scripts/ci.sh --quick  # build, tests, lint and the experiment smokes
 #
 # Everything runs offline: the workspace has zero external dependencies, so
@@ -109,6 +109,16 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> perfbench tests and a 1 s run of each benchmark workload"
+# The benchmark exits 1 on a failed correctness check (for example engine
+# events != calendar pops), so this checks engine and layer changes against
+# the benchmark's workloads without editing perfbench/.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+for w in cell_month month_in_life pmake_build migrate_evict; do
+    cargo run --release -q --offline --manifest-path perfbench/Cargo.toml --bin benchmark -- \
+        --workload "$w" --seconds 1 > /dev/null
+done
 
 echo "==> scripts/bench_check.sh"
 scripts/bench_check.sh
