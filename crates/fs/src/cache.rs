@@ -11,9 +11,12 @@
 //! (Ch. 5.3), and a foreign process's cache footprint is part of the cost it
 //! imposes on its host.
 
+use std::collections::btree_map::{self, BTreeMap};
+
 use sprite_net::PAGE_SIZE;
 use sprite_sim::{DetHashMap, StateDigest};
 
+use crate::recency::Recency;
 use crate::FileId;
 
 /// Address of one cached block.
@@ -30,14 +33,16 @@ pub struct BlockAddr {
 struct CachedBlock {
     data: Vec<u8>,
     dirty: bool,
-    /// LRU clock at last touch.
-    touched: u64,
     /// File version this block was read under; a mismatch at open time
     /// means another host wrote the file since, and the block is stale.
     version: u64,
 }
 
 /// A write-back LRU block cache for one host.
+///
+/// Blocks are indexed by file, each file's in block order, so the
+/// per-file operations (recall, invalidation, revalidation) cost
+/// O(blocks of that file) rather than O(blocks cached on the host).
 ///
 /// # Examples
 ///
@@ -49,7 +54,9 @@ struct CachedBlock {
 /// ```
 #[derive(Debug)]
 pub struct BlockCache {
-    blocks: DetHashMap<BlockAddr, CachedBlock>,
+    files: DetHashMap<FileId, BTreeMap<u64, CachedBlock>>,
+    /// Every cached block, stamped with the LRU clock at its last touch.
+    recency: Recency<BlockAddr>,
     capacity: usize,
     clock: u64,
     hits: u64,
@@ -65,7 +72,8 @@ impl BlockCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         BlockCache {
-            blocks: DetHashMap::default(),
+            files: DetHashMap::default(),
+            recency: Recency::new(),
             capacity,
             clock: 0,
             hits: 0,
@@ -78,27 +86,40 @@ impl BlockCache {
         self.clock
     }
 
+    fn block_mut(&mut self, addr: BlockAddr) -> Option<&mut CachedBlock> {
+        self.files.get_mut(&addr.file)?.get_mut(&addr.block)
+    }
+
+    /// Drops `addr` from the file index (not from `recency`), and the
+    /// file's entry with its last block.
+    fn unindex(&mut self, addr: BlockAddr) -> CachedBlock {
+        let blocks = self.files.get_mut(&addr.file).expect("indexed file");
+        let block = blocks.remove(&addr.block).expect("indexed block");
+        if blocks.is_empty() {
+            self.files.remove(&addr.file);
+        }
+        block
+    }
+
     /// Looks up a block, updating recency. `current_version` is the file
     /// version the caller holds from the server; a version mismatch is
     /// treated as a miss and the stale block is discarded.
     pub fn lookup(&mut self, addr: BlockAddr, current_version: u64) -> Option<Vec<u8>> {
         let clock = self.tick();
-        match self.blocks.get_mut(&addr) {
-            Some(b) if b.version == current_version => {
-                b.touched = clock;
-                self.hits += 1;
-                Some(b.data.clone())
-            }
-            Some(_) => {
-                self.blocks.remove(&addr);
-                self.misses += 1;
-                None
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let Some(block) = self.block_mut(addr) else {
+            self.misses += 1;
+            return None;
+        };
+        if block.version != current_version {
+            self.unindex(addr);
+            self.recency.remove(&addr);
+            self.misses += 1;
+            return None;
         }
+        let data = block.data.clone();
+        self.recency.touch(addr, clock);
+        self.hits += 1;
+        Some(data)
     }
 
     /// Inserts a clean block fetched from the server. Returns any dirty
@@ -132,30 +153,34 @@ impl BlockCache {
     ) -> Option<(BlockAddr, Vec<u8>)> {
         debug_assert!(data.len() as u64 <= PAGE_SIZE, "block larger than a page");
         let clock = self.tick();
-        // Overwriting an existing entry keeps dirtiness sticky: a cached
-        // dirty block stays dirty even if re-written with identical bytes.
-        let was_dirty = self.blocks.get(&addr).is_some_and(|b| b.dirty);
-        self.blocks.insert(
-            addr,
-            CachedBlock {
-                data,
-                dirty: dirty || was_dirty,
-                touched: clock,
-                version,
-            },
-        );
-        if self.blocks.len() <= self.capacity {
+        match self.files.entry(addr.file).or_default().entry(addr.block) {
+            // Overwriting an existing entry keeps dirtiness sticky: a cached
+            // dirty block stays dirty even if re-written with identical bytes.
+            btree_map::Entry::Occupied(mut cached) => {
+                let b = cached.get_mut();
+                b.data = data;
+                b.dirty |= dirty;
+                b.version = version;
+            }
+            btree_map::Entry::Vacant(slot) => {
+                slot.insert(CachedBlock {
+                    data,
+                    dirty,
+                    version,
+                });
+            }
+        }
+        self.recency.touch(addr, clock);
+        if self.recency.len() <= self.capacity {
             return None;
         }
-        // Evict the least recently used *other* block.
+        // Evict the least recently used block; never `addr`, whose stamp is
+        // the newest.
         let victim = self
-            .blocks
-            .iter()
-            .filter(|(a, _)| **a != addr)
-            .min_by_key(|(_, b)| b.touched)
-            .map(|(a, _)| *a)
-            .expect("over-capacity cache has another entry");
-        let evicted = self.blocks.remove(&victim).expect("victim present");
+            .recency
+            .pop_oldest()
+            .expect("over-capacity cache has an entry");
+        let evicted = self.unindex(victim);
         if evicted.dirty {
             Some((victim, evicted.data))
         } else {
@@ -167,7 +192,7 @@ impl BlockCache {
     /// and the copy must stay scheduled for a future flush instead of being
     /// silently lost. Returns true if the block was still cached.
     pub fn mark_dirty(&mut self, addr: BlockAddr) -> bool {
-        match self.blocks.get_mut(&addr) {
+        match self.block_mut(addr) {
             Some(block) => {
                 block.dirty = true;
                 true
@@ -180,71 +205,64 @@ impl BlockCache {
     /// confirmed at open time that this host's copies are still current
     /// (it was the last writer), even though the version number advanced.
     pub fn revalidate_file(&mut self, file: FileId, version: u64) {
-        for (addr, block) in self.blocks.iter_mut() {
-            if addr.file == file {
+        if let Some(blocks) = self.files.get_mut(&file) {
+            for block in blocks.values_mut() {
                 block.version = version;
             }
         }
     }
 
     /// Removes and returns all dirty blocks of `file` (for a consistency
-    /// recall or a migration flush). Clean blocks of the file stay cached.
+    /// recall or a migration flush), in block order. Clean blocks of the
+    /// file stay cached, and so do clean copies of the flushed ones: a
+    /// recall flushes but need not invalidate.
     pub fn take_dirty_blocks(&mut self, file: FileId) -> Vec<(BlockAddr, Vec<u8>)> {
-        let addrs: Vec<BlockAddr> = self
-            .blocks
-            .iter()
-            .filter(|(a, b)| a.file == file && b.dirty)
-            .map(|(a, _)| *a)
-            .collect();
-        let mut out = Vec::with_capacity(addrs.len());
-        for addr in addrs {
-            let mut block = self.blocks.remove(&addr).expect("listed block present");
-            block.dirty = false;
-            let data = block.data.clone();
-            // Keep a clean copy: a recall flushes but need not invalidate.
-            self.blocks.insert(addr, block);
-            out.push((addr, data));
-        }
-        out.sort_by_key(|(a, _)| a.block);
-        out
+        let Some(blocks) = self.files.get_mut(&file) else {
+            return Vec::new();
+        };
+        blocks
+            .iter_mut()
+            .filter(|(_, b)| b.dirty)
+            .map(|(&block, b)| {
+                b.dirty = false;
+                (BlockAddr { file, block }, b.data.clone())
+            })
+            .collect()
     }
 
     /// Drops every block of `file` (server disabled caching, or the local
-    /// copy is known stale). Returns dirty blocks that must be written back.
+    /// copy is known stale). Returns dirty blocks that must be written
+    /// back, in block order.
     pub fn invalidate_file(&mut self, file: FileId) -> Vec<(BlockAddr, Vec<u8>)> {
-        let addrs: Vec<BlockAddr> = self
-            .blocks
-            .keys()
-            .filter(|a| a.file == file)
-            .copied()
-            .collect();
+        let Some(blocks) = self.files.remove(&file) else {
+            return Vec::new();
+        };
         let mut dirty = Vec::new();
-        for addr in addrs {
-            let block = self.blocks.remove(&addr).expect("listed block present");
-            if block.dirty {
-                dirty.push((addr, block.data));
+        for (block, b) in blocks {
+            let addr = BlockAddr { file, block };
+            self.recency.remove(&addr);
+            if b.dirty {
+                dirty.push((addr, b.data));
             }
         }
-        dirty.sort_by_key(|(a, _)| a.block);
         dirty
     }
 
     /// Count of dirty blocks held for `file`.
     pub fn dirty_block_count(&self, file: FileId) -> u64 {
-        self.blocks
-            .iter()
-            .filter(|(a, b)| a.file == file && b.dirty)
-            .count() as u64
+        self.files.get(&file).map_or(0, |blocks| {
+            blocks.values().filter(|b| b.dirty).count() as u64
+        })
     }
 
     /// Total blocks currently cached.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.recency.len()
     }
 
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.len() == 0
     }
 
     /// (hits, misses) since creation.
@@ -260,7 +278,8 @@ impl BlockCache {
     /// this model, and full payload hashing would dominate digest cost.
     pub fn digest_into(&self, d: &mut StateDigest) {
         let Self {
-            blocks,
+            files,
+            recency,
             capacity,
             clock,
             hits,
@@ -270,16 +289,21 @@ impl BlockCache {
         d.write_u64(*clock);
         d.write_u64(*hits);
         d.write_u64(*misses);
-        d.write_usize(blocks.len());
-        let mut entries: Vec<(&BlockAddr, &CachedBlock)> = blocks.iter().collect();
-        entries.sort_by_key(|(a, _)| (a.file, a.block));
-        for (addr, b) in entries {
-            d.write_u64(addr.file.raw());
-            d.write_u64(addr.block);
-            d.write_usize(b.data.len());
-            d.write_bool(b.dirty);
-            d.write_u64(b.touched);
-            d.write_u64(b.version);
+        d.write_usize(recency.len());
+        let mut ids: Vec<FileId> = files.keys().copied().collect();
+        ids.sort_unstable();
+        for file in ids {
+            for (&block, b) in &files[&file] {
+                let touched = recency
+                    .stamp(&BlockAddr { file, block })
+                    .expect("every cached block has a stamp");
+                d.write_u64(file.raw());
+                d.write_u64(block);
+                d.write_usize(b.data.len());
+                d.write_bool(b.dirty);
+                d.write_u64(touched);
+                d.write_u64(b.version);
+            }
         }
     }
 }

@@ -30,6 +30,7 @@ mod file;
 #[allow(clippy::module_inception)]
 mod fs;
 mod path;
+mod recency;
 mod replica;
 mod server;
 mod shard;

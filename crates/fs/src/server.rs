@@ -9,11 +9,10 @@
 //! name lookups and block operations queue on it, and its saturation is what
 //! limits parallel compilation (E5) exactly as Nelson predicted \[Nel88\].
 
-use std::collections::VecDeque;
-
 use sprite_net::{HostId, PAGE_SIZE};
 use sprite_sim::{DetHashMap, DetHashSet, FcfsResource, SimDuration};
 
+use crate::recency::Recency;
 use crate::{FileId, FileKind, OpenMode, SpritePath};
 
 /// One client's open instances of one file.
@@ -96,8 +95,11 @@ impl ServerFile {
     /// True if distinct hosts share the file while at least one writes —
     /// the condition under which Sprite disables caching.
     pub fn concurrently_write_shared(&self) -> bool {
-        let hosts: DetHashSet<HostId> = self.open_hosts().collect();
-        hosts.len() > 1 && self.writer_hosts().next().is_some()
+        let Some(first) = self.opens.first() else {
+            return false;
+        };
+        self.opens.iter().any(|r| r.host != first.host)
+            && self.opens.iter().any(|r| r.mode.writes())
     }
 
     fn add_open(&mut self, host: HostId, mode: OpenMode) {
@@ -180,11 +182,10 @@ pub struct ServerState {
     pub cpu: FcfsResource,
     namespace: DetHashMap<SpritePath, FileId>,
     files: DetHashMap<FileId, ServerFile>,
-    /// Server main-memory block cache residency (LRU set). Contents always
-    /// live in `files`; this set only decides whether service costs a disk
-    /// access.
-    mem_cache: DetHashSet<(FileId, u64)>,
-    mem_lru: VecDeque<(FileId, u64)>,
+    /// Server main-memory block cache residency, in LRU order. Contents
+    /// always live in `files`; this set only decides whether service costs
+    /// a disk access.
+    mem_cache: Recency<(FileId, u64)>,
     mem_capacity: usize,
     disk_reads: u64,
     queue_wait: SimDuration,
@@ -200,8 +201,7 @@ impl ServerState {
             cpu: FcfsResource::new(),
             namespace: DetHashMap::default(),
             files: DetHashMap::default(),
-            mem_cache: DetHashSet::default(),
-            mem_lru: VecDeque::new(),
+            mem_cache: Recency::new(),
             mem_capacity: mem_capacity.max(1),
             disk_reads: 0,
             queue_wait: SimDuration::ZERO,
@@ -229,7 +229,6 @@ impl ServerState {
         if let Some(id) = self.namespace.remove(path) {
             self.files.remove(&id);
             self.mem_cache.retain(|(f, _)| *f != id);
-            self.mem_lru.retain(|(f, _)| *f != id);
             true
         } else {
             false
@@ -369,25 +368,15 @@ impl ServerState {
     /// resident (no disk access needed).
     pub fn touch_block(&mut self, id: FileId, block: u64) -> bool {
         self.block_ops += 1;
-        let key = (id, block);
-        if self.mem_cache.contains(&key) {
-            // Refresh recency.
-            if let Some(pos) = self.mem_lru.iter().position(|k| *k == key) {
-                self.mem_lru.remove(pos);
-            }
-            self.mem_lru.push_back(key);
-            true
-        } else {
-            self.disk_reads += 1;
-            self.mem_cache.insert(key);
-            self.mem_lru.push_back(key);
-            while self.mem_cache.len() > self.mem_capacity {
-                if let Some(old) = self.mem_lru.pop_front() {
-                    self.mem_cache.remove(&old);
-                }
-            }
-            false
+        // `block_ops` never resets, so it doubles as the recency stamp.
+        if self.mem_cache.touch((id, block), self.block_ops) {
+            return true;
         }
+        self.disk_reads += 1;
+        while self.mem_cache.len() > self.mem_capacity {
+            self.mem_cache.pop_oldest();
+        }
+        false
     }
 }
 
@@ -509,16 +498,83 @@ mod tests {
         assert!(s.file(FileId::new(1)).unwrap().cacheable);
     }
 
+    /// A residency set plus a queue in touch order, refreshed by a linear
+    /// search: the reference for every hit, miss and victim of
+    /// `touch_block`.
+    struct ScanLru {
+        resident: DetHashSet<(FileId, u64)>,
+        order: std::collections::VecDeque<(FileId, u64)>,
+        capacity: usize,
+    }
+
+    impl ScanLru {
+        fn touch(&mut self, key: (FileId, u64)) -> bool {
+            if self.resident.contains(&key) {
+                let pos = self.order.iter().position(|k| *k == key).unwrap();
+                self.order.remove(pos);
+                self.order.push_back(key);
+                return true;
+            }
+            self.resident.insert(key);
+            self.order.push_back(key);
+            while self.resident.len() > self.capacity {
+                let old = self.order.pop_front().unwrap();
+                self.resident.remove(&old);
+            }
+            false
+        }
+
+        fn unlink(&mut self, id: FileId) {
+            self.resident.retain(|(f, _)| *f != id);
+            self.order.retain(|(f, _)| *f != id);
+        }
+    }
+
     #[test]
     fn server_memory_cache_lru() {
         let mut s = ServerState::new(h(0), 2);
         assert!(!s.touch_block(FileId::new(1), 0), "first touch misses");
         assert!(s.touch_block(FileId::new(1), 0), "second touch hits");
         s.touch_block(FileId::new(1), 1);
-        s.touch_block(FileId::new(1), 2); // evicts block 0? no: 0 touched recently
-                                          // LRU order after touches: 0 (hit), 1, 2 -> capacity 2 keeps {1,2}.
+        // LRU order after touches: 0 (hit), 1, 2 -> capacity 2 keeps {1,2}.
+        s.touch_block(FileId::new(1), 2);
         assert!(!s.touch_block(FileId::new(1), 0), "block 0 was evicted");
         assert_eq!(s.disk_reads(), 4);
+
+        // Differential: DetRng traces over four files, with unlinks that
+        // re-create the file under the same id, at capacity 8.
+        for seed in 0..32 {
+            let mut rng = sprite_sim::DetRng::seed_from(seed);
+            let mut s = ServerState::new(h(0), 8);
+            let mut reference = ScanLru {
+                resident: DetHashSet::default(),
+                order: Default::default(),
+                capacity: 8,
+            };
+            let paths: Vec<SpritePath> =
+                (0..4).map(|i| SpritePath::new(format!("/f{i}"))).collect();
+            for (i, p) in paths.iter().enumerate() {
+                s.create(p.clone(), FileId::new(i as u64), FileKind::Regular);
+            }
+            let (mut touches, mut misses) = (0, 0);
+            for op in 0..2_000 {
+                let f = rng.pick_index(4);
+                let id = FileId::new(f as u64);
+                if rng.chance(0.02) {
+                    assert!(s.unlink(&paths[f]));
+                    reference.unlink(id);
+                    s.create(paths[f].clone(), id, FileKind::Regular);
+                } else {
+                    let key = (id, rng.uniform_u64(6));
+                    let hit = s.touch_block(key.0, key.1);
+                    assert_eq!(hit, reference.touch(key), "seed {seed} op {op}: {key:?}");
+                    touches += 1;
+                    misses += u64::from(!hit);
+                }
+                assert_eq!(s.disk_reads(), misses, "seed {seed} op {op}");
+                assert_eq!(s.block_ops(), touches, "seed {seed} op {op}");
+            }
+        }
     }
 
     #[test]

@@ -1,17 +1,21 @@
-//! Property test: the write-back LRU block cache never loses dirty data,
-//! no matter the interleaving of inserts, lookups, evictions, recalls and
-//! invalidations — checked against a flat reference model.
+//! Property tests for the write-back LRU block cache.
 //!
-//! "Never loses dirty data" means: at any drain point, (bytes in dirty
-//! cache blocks) ∪ (bytes previously returned for write-back) equals the
-//! reference contents.
+//! - It never loses dirty data, no matter the interleaving of inserts,
+//!   lookups, evictions, recalls and invalidations — checked against a
+//!   flat reference model. "Never loses dirty data" means: at any drain
+//!   point, (bytes in dirty cache blocks) ∪ (bytes previously returned for
+//!   write-back) equals the reference contents.
+//! - It behaves exactly like [`FlatCache`], a flat-map reference cache
+//!   (one hash map of blocks, a linear scan per per-file operation and per
+//!   eviction): same return values, sizes, counters and digest folds after
+//!   every operation, version changes included.
 //!
 //! Cases are generated from [`DetRng`] with a fixed seed (reproducible);
 //! the `heavy-tests` feature multiplies the case count.
 
-use sprite_sim::DetHashMap;
+use sprite_sim::{DetHashMap, StateDigest};
 
-use sprite_fs::{BlockAddr, BlockCache, FileKind, OpenMode, SpriteFs, SpritePath};
+use sprite_fs::{BlockAddr, BlockCache, FileId, FileKind, OpenMode, SpriteFs, SpritePath};
 use sprite_net::HostId;
 use sprite_sim::{DetRng, SimTime};
 
@@ -25,7 +29,7 @@ fn cases(base: usize) -> usize {
 
 /// Mint distinct FileIds through a real SpriteFs (the constructor is
 /// intentionally private).
-fn mint_file_ids(n: usize) -> Vec<sprite_fs::FileId> {
+fn mint_file_ids(n: usize) -> Vec<FileId> {
     let mut net = sprite_net::Transport::new(sprite_net::CostModel::sun3(), 2);
     let mut fs = SpriteFs::new(sprite_fs::FsConfig::default(), 2);
     fs.add_server(HostId::new(0), SpritePath::new("/"));
@@ -44,34 +48,85 @@ fn mint_file_ids(n: usize) -> Vec<sprite_fs::FileId> {
         .collect()
 }
 
+/// The file version of the dirty-data mix.
+const V: u64 = 1;
+
 #[derive(Debug, Clone)]
 enum CacheOp {
-    InsertClean { file: u8, block: u8, byte: u8 },
-    InsertDirty { file: u8, block: u8, byte: u8 },
-    Lookup { file: u8, block: u8 },
-    TakeDirty { file: u8 },
-    Invalidate { file: u8 },
+    InsertClean {
+        file: u8,
+        block: u8,
+        byte: u8,
+        version: u64,
+    },
+    InsertDirty {
+        file: u8,
+        block: u8,
+        byte: u8,
+        version: u64,
+    },
+    Lookup {
+        file: u8,
+        block: u8,
+        version: u64,
+    },
+    TakeDirty {
+        file: u8,
+    },
+    Invalidate {
+        file: u8,
+    },
+    Revalidate {
+        file: u8,
+        version: u64,
+    },
+    MarkDirty {
+        file: u8,
+        block: u8,
+    },
 }
 
-fn cache_op(rng: &mut DetRng) -> CacheOp {
+/// Inserts, lookups, recalls and invalidations; inserts and lookups under
+/// `version`.
+fn cache_op(rng: &mut DetRng, version: u64) -> CacheOp {
     let file = rng.uniform_u64(3) as u8;
     match rng.pick_index(5) {
         0 => CacheOp::InsertClean {
             file,
             block: rng.uniform_u64(6) as u8,
             byte: rng.uniform_u64(256) as u8,
+            version,
         },
         1 => CacheOp::InsertDirty {
             file,
             block: rng.uniform_u64(6) as u8,
             byte: rng.uniform_u64(256) as u8,
+            version,
         },
         2 => CacheOp::Lookup {
             file,
             block: rng.uniform_u64(6) as u8,
+            version,
         },
         3 => CacheOp::TakeDirty { file },
         _ => CacheOp::Invalidate { file },
+    }
+}
+
+/// The [`cache_op`] mix under one of three versions, so lookups discard
+/// stale blocks, plus re-stamps and re-marked dirty blocks.
+fn model_op(rng: &mut DetRng) -> CacheOp {
+    let version = 1 + rng.uniform_u64(3);
+    match rng.pick_index(8) {
+        0 => CacheOp::Revalidate {
+            file: rng.uniform_u64(3) as u8,
+            version,
+        },
+        1 => CacheOp::MarkDirty {
+            file: rng.uniform_u64(3) as u8,
+            block: rng.uniform_u64(6) as u8,
+        },
+        _ => cache_op(rng, version),
     }
 }
 
@@ -80,7 +135,7 @@ fn dirty_data_is_never_lost() {
     let mut rng = DetRng::seed_from(0xCAC8E);
     for case in 0..cases(128) {
         let nops = 1 + rng.pick_index(79);
-        let ops: Vec<CacheOp> = (0..nops).map(|_| cache_op(&mut rng)).collect();
+        let ops: Vec<CacheOp> = (0..nops).map(|_| cache_op(&mut rng, V)).collect();
 
         let files = mint_file_ids(3);
         // Deliberately tiny cache so evictions are constant.
@@ -90,12 +145,11 @@ fn dirty_data_is_never_lost() {
         // must still be dirty in the cache.
         let mut latest: DetHashMap<(u8, u8), u8> = DetHashMap::default();
         let mut at_server: DetHashMap<(u8, u8), u8> = DetHashMap::default();
-        const V: u64 = 1;
 
         let note_writeback =
             |addr: BlockAddr,
              data: &[u8],
-             files: &[sprite_fs::FileId],
+             files: &[FileId],
              at_server: &mut DetHashMap<(u8, u8), u8>| {
                 let f = files.iter().position(|f| *f == addr.file).unwrap() as u8;
                 at_server.insert((f, addr.block as u8), data[0]);
@@ -103,7 +157,9 @@ fn dirty_data_is_never_lost() {
 
         for op in ops {
             match op {
-                CacheOp::InsertClean { file, block, byte } => {
+                CacheOp::InsertClean {
+                    file, block, byte, ..
+                } => {
                     // A clean insert models a fetch: only allowed if it
                     // matches the server's copy; use the at_server byte if
                     // known, else this byte becomes the server truth.
@@ -134,7 +190,9 @@ fn dirty_data_is_never_lost() {
                         latest.entry((file, block)).or_insert(b);
                     }
                 }
-                CacheOp::InsertDirty { file, block, byte } => {
+                CacheOp::InsertDirty {
+                    file, block, byte, ..
+                } => {
                     if let Some((addr, data)) = cache.insert_dirty(
                         BlockAddr {
                             file: files[file as usize],
@@ -147,7 +205,7 @@ fn dirty_data_is_never_lost() {
                     }
                     latest.insert((file, block), byte);
                 }
-                CacheOp::Lookup { file, block } => {
+                CacheOp::Lookup { file, block, .. } => {
                     let got = cache.lookup(
                         BlockAddr {
                             file: files[file as usize],
@@ -177,6 +235,9 @@ fn dirty_data_is_never_lost() {
                         note_writeback(addr, &data, &files, &mut at_server);
                     }
                 }
+                CacheOp::Revalidate { .. } | CacheOp::MarkDirty { .. } => {
+                    unreachable!("not in the dirty-data mix")
+                }
             }
         }
         // Drain everything; afterwards the server must hold every latest
@@ -192,6 +253,267 @@ fn dirty_data_is_never_lost() {
                 Some(byte),
                 "case {case}: file {file} block {block}: latest byte lost"
             );
+        }
+    }
+}
+
+/// The reference model for [`BlockCache`]: one hash map of blocks, each
+/// stamped with the LRU clock at its last touch. Per-file operations scan
+/// every cached block and eviction takes the minimum stamp over all of
+/// them.
+struct FlatCache {
+    blocks: DetHashMap<BlockAddr, FlatBlock>,
+    capacity: usize,
+    clock: u64,
+    hits: u64,
+    misses: u64,
+}
+
+struct FlatBlock {
+    data: Vec<u8>,
+    dirty: bool,
+    touched: u64,
+    version: u64,
+}
+
+type Flushed = Vec<(BlockAddr, Vec<u8>)>;
+
+impl FlatCache {
+    fn new(capacity: usize) -> Self {
+        FlatCache {
+            blocks: DetHashMap::default(),
+            capacity,
+            clock: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    fn lookup(&mut self, addr: BlockAddr, current_version: u64) -> Option<Vec<u8>> {
+        let clock = self.tick();
+        match self.blocks.get_mut(&addr) {
+            Some(b) if b.version == current_version => {
+                b.touched = clock;
+                self.hits += 1;
+                Some(b.data.clone())
+            }
+            Some(_) => {
+                self.blocks.remove(&addr);
+                self.misses += 1;
+                None
+            }
+            None => {
+                self.misses += 1;
+                None
+            }
+        }
+    }
+
+    fn insert(
+        &mut self,
+        addr: BlockAddr,
+        version: u64,
+        data: Vec<u8>,
+        dirty: bool,
+    ) -> Option<(BlockAddr, Vec<u8>)> {
+        let clock = self.tick();
+        let was_dirty = self.blocks.get(&addr).is_some_and(|b| b.dirty);
+        self.blocks.insert(
+            addr,
+            FlatBlock {
+                data,
+                dirty: dirty || was_dirty,
+                touched: clock,
+                version,
+            },
+        );
+        if self.blocks.len() <= self.capacity {
+            return None;
+        }
+        let victim = self
+            .blocks
+            .iter()
+            .filter(|(a, _)| **a != addr)
+            .min_by_key(|(_, b)| b.touched)
+            .map(|(a, _)| *a)
+            .unwrap();
+        let evicted = self.blocks.remove(&victim).unwrap();
+        evicted.dirty.then_some((victim, evicted.data))
+    }
+
+    fn mark_dirty(&mut self, addr: BlockAddr) -> bool {
+        match self.blocks.get_mut(&addr) {
+            Some(block) => {
+                block.dirty = true;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn revalidate_file(&mut self, file: FileId, version: u64) {
+        for (addr, block) in self.blocks.iter_mut() {
+            if addr.file == file {
+                block.version = version;
+            }
+        }
+    }
+
+    fn take_dirty_blocks(&mut self, file: FileId) -> Flushed {
+        let mut out: Flushed = self
+            .blocks
+            .iter_mut()
+            .filter(|(a, b)| a.file == file && b.dirty)
+            .map(|(a, b)| {
+                b.dirty = false;
+                (*a, b.data.clone())
+            })
+            .collect();
+        out.sort_by_key(|(a, _)| a.block);
+        out
+    }
+
+    fn invalidate_file(&mut self, file: FileId) -> Flushed {
+        let addrs: Vec<BlockAddr> = self
+            .blocks
+            .keys()
+            .filter(|a| a.file == file)
+            .copied()
+            .collect();
+        let mut dirty = Vec::new();
+        for addr in addrs {
+            let block = self.blocks.remove(&addr).unwrap();
+            if block.dirty {
+                dirty.push((addr, block.data));
+            }
+        }
+        dirty.sort_by_key(|(a, _)| a.block);
+        dirty
+    }
+
+    fn dirty_block_count(&self, file: FileId) -> u64 {
+        self.blocks
+            .iter()
+            .filter(|(a, b)| a.file == file && b.dirty)
+            .count() as u64
+    }
+
+    fn digest(&self) -> u64 {
+        let mut d = StateDigest::new();
+        d.write_usize(self.capacity);
+        d.write_u64(self.clock);
+        d.write_u64(self.hits);
+        d.write_u64(self.misses);
+        d.write_usize(self.blocks.len());
+        let mut entries: Vec<(&BlockAddr, &FlatBlock)> = self.blocks.iter().collect();
+        entries.sort_by_key(|(a, _)| (a.file, a.block));
+        for (addr, b) in entries {
+            d.write_u64(addr.file.raw());
+            d.write_u64(addr.block);
+            d.write_usize(b.data.len());
+            d.write_bool(b.dirty);
+            d.write_u64(b.touched);
+            d.write_u64(b.version);
+        }
+        d.finish()
+    }
+}
+
+/// What one operation returned, from either cache.
+#[derive(Debug, PartialEq)]
+enum Returned {
+    Nothing,
+    Block(Option<Vec<u8>>),
+    Evicted(Option<(BlockAddr, Vec<u8>)>),
+    Flushed(Flushed),
+    Cached(bool),
+}
+
+#[test]
+fn block_cache_matches_the_flat_reference_exactly() {
+    let files = mint_file_ids(3);
+    let mut rng = DetRng::seed_from(0xF1A7);
+    for capacity in [1, 4, 64] {
+        for case in 0..cases(96) {
+            let mut cache = BlockCache::new(capacity);
+            let mut flat = FlatCache::new(capacity);
+            let nops = 1 + rng.pick_index(199);
+            for op_index in 0..nops {
+                let op = model_op(&mut rng);
+                let at = |file: u8, block: u8| BlockAddr {
+                    file: files[file as usize],
+                    block: u64::from(block),
+                };
+                let (got, want) = match op.clone() {
+                    CacheOp::InsertClean {
+                        file,
+                        block,
+                        byte,
+                        version,
+                    } => (
+                        Returned::Evicted(cache.insert_clean(at(file, block), version, vec![byte])),
+                        Returned::Evicted(flat.insert(at(file, block), version, vec![byte], false)),
+                    ),
+                    CacheOp::InsertDirty {
+                        file,
+                        block,
+                        byte,
+                        version,
+                    } => (
+                        Returned::Evicted(cache.insert_dirty(at(file, block), version, vec![byte])),
+                        Returned::Evicted(flat.insert(at(file, block), version, vec![byte], true)),
+                    ),
+                    CacheOp::Lookup {
+                        file,
+                        block,
+                        version,
+                    } => (
+                        Returned::Block(cache.lookup(at(file, block), version)),
+                        Returned::Block(flat.lookup(at(file, block), version)),
+                    ),
+                    CacheOp::TakeDirty { file } => (
+                        Returned::Flushed(cache.take_dirty_blocks(files[file as usize])),
+                        Returned::Flushed(flat.take_dirty_blocks(files[file as usize])),
+                    ),
+                    CacheOp::Invalidate { file } => (
+                        Returned::Flushed(cache.invalidate_file(files[file as usize])),
+                        Returned::Flushed(flat.invalidate_file(files[file as usize])),
+                    ),
+                    CacheOp::Revalidate { file, version } => {
+                        cache.revalidate_file(files[file as usize], version);
+                        flat.revalidate_file(files[file as usize], version);
+                        (Returned::Nothing, Returned::Nothing)
+                    }
+                    CacheOp::MarkDirty { file, block } => (
+                        Returned::Cached(cache.mark_dirty(at(file, block))),
+                        Returned::Cached(flat.mark_dirty(at(file, block))),
+                    ),
+                };
+                let ctx = format!("capacity {capacity} case {case} op {op_index} ({op:?})");
+                assert_eq!(got, want, "{ctx}: return value");
+                assert_eq!(cache.len(), flat.blocks.len(), "{ctx}: len");
+                assert_eq!(cache.is_empty(), flat.blocks.is_empty(), "{ctx}");
+                assert_eq!(
+                    cache.hit_stats(),
+                    (flat.hits, flat.misses),
+                    "{ctx}: hit_stats"
+                );
+                for &file in &files {
+                    assert_eq!(
+                        cache.dirty_block_count(file),
+                        flat.dirty_block_count(file),
+                        "{ctx}: dirty_block_count({file})"
+                    );
+                }
+                let mut d = StateDigest::new();
+                cache.digest_into(&mut d);
+                assert_eq!(d.finish(), flat.digest(), "{ctx}: digest fold");
+            }
         }
     }
 }

@@ -103,6 +103,11 @@ impl FcfsResource {
 /// server-side parallelism (e.g. a striped file-service group) can then
 /// genuinely overlap service with wire transfers.
 ///
+/// The calendar keeps at most [`MAX_SLOTS`] intervals. Past the cap the two
+/// oldest merge into one, forfeiting the idle gap between them; that
+/// coalescing costs O(1) amortized, so a placement costs a binary search
+/// plus the walk over the busy intervals it cannot fit before.
+///
 /// # Examples
 ///
 /// ```
@@ -119,9 +124,11 @@ impl FcfsResource {
 #[derive(Debug, Clone, Default)]
 pub struct SlottedResource {
     /// Sorted, disjoint busy intervals `(start, end)`, merged when they
-    /// touch. Bounded: the oldest pair is coalesced past the cap, which
-    /// only forfeits long-dead idle gaps.
+    /// touch. The calendar is `busy[head..]`: coalescing advances `head`
+    /// instead of shifting the vector, and the dead prefix is dropped once
+    /// it reaches `MAX_SLOTS` entries.
     busy: Vec<(SimTime, SimTime)>,
+    head: usize,
     busy_time: SimDuration,
     requests: u64,
 }
@@ -142,8 +149,9 @@ impl SlottedResource {
         self.busy_time += d;
         // Find the earliest gap at or after `now` that fits `d`: skip
         // intervals wholly behind `now`, then walk the frontier.
+        let head = self.head;
         let mut start = now;
-        let mut i = self.busy.partition_point(|&(_, e)| e <= start);
+        let mut i = head + self.busy[head..].partition_point(|&(_, e)| e <= start);
         while i < self.busy.len() {
             let (s, e) = self.busy[i];
             if start + d <= s {
@@ -153,7 +161,7 @@ impl SlottedResource {
             i += 1;
         }
         let end = start + d;
-        let merge_prev = i > 0 && self.busy[i - 1].1 == start;
+        let merge_prev = i > head && self.busy[i - 1].1 == start;
         let merge_next = i < self.busy.len() && self.busy[i].0 == end;
         match (merge_prev, merge_next) {
             (true, true) => {
@@ -164,12 +172,15 @@ impl SlottedResource {
             (false, true) => self.busy[i].0 = start,
             (false, false) => self.busy.insert(i, (start, end)),
         }
-        if self.busy.len() > MAX_SLOTS {
+        if self.busy.len() - head > MAX_SLOTS {
             // Coalesce the two oldest intervals; the forfeited gap between
             // them is long past any reachable arrival time.
-            let merged = (self.busy[0].0, self.busy[1].1);
-            self.busy.drain(0..2);
-            self.busy.insert(0, merged);
+            self.busy[head + 1].0 = self.busy[head].0;
+            self.head += 1;
+            if self.head == MAX_SLOTS {
+                self.busy.drain(..MAX_SLOTS);
+                self.head = 0;
+            }
         }
         end
     }
@@ -183,7 +194,7 @@ impl SlottedResource {
     /// intervals. Exposed read-only so property tests can check the
     /// schedule's invariants differentially against a reference model.
     pub fn busy_intervals(&self) -> &[(SimTime, SimTime)] {
-        &self.busy
+        &self.busy[self.head..]
     }
 
     /// Total busy (service) time accumulated.

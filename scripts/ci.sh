@@ -113,11 +113,26 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> perfbench tests and a 1 s run of each benchmark workload"
 # The benchmark exits 1 on a failed correctness check (for example engine
 # events != calendar pops), so this checks engine and layer changes against
-# the benchmark's workloads without editing perfbench/.
+# the benchmark's workloads without editing perfbench/. Each run's digest
+# covers a fixed leading sample of simulated work, so even a 1 s run must
+# print the pinned value at the workload's default seed. A change that
+# alters simulated behaviour re-pins these and says why in CHANGES.md.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
+declare -A pinned_digest=(
+    [cell_month]=677bc3fa67135fed
+    [month_in_life]=b3af01dd51d41e5e
+    [pmake_build]=3e3d062c72e457b3
+    [migrate_evict]=513393f2ce6cab2f
+)
 for w in cell_month month_in_life pmake_build migrate_evict; do
-    cargo run --release -q --offline --manifest-path perfbench/Cargo.toml --bin benchmark -- \
-        --workload "$w" --seconds 1 > /dev/null
+    output="$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml --bin benchmark -- \
+        --workload "$w" --seconds 1)"
+    # The digest field of the first (detailed) JSON line.
+    digest="$(head -n 1 <<< "$output" | sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p')"
+    if [[ "$digest" != "${pinned_digest[$w]}" ]]; then
+        echo "FAIL: benchmark $w digest ${digest:-<missing>} != pinned ${pinned_digest[$w]}" >&2
+        exit 1
+    fi
 done
 
 echo "==> scripts/bench_check.sh"
