@@ -6,13 +6,30 @@
 //! `width` microseconds wide, covering one "year" of `nbuckets * width`
 //! microseconds (Brown 1988). Enqueue drops an entry into the bucket its
 //! timestamp maps to — O(1). When the cursor reaches a non-empty bucket,
-//! dequeue sorts it once and then drains it from the head, so a bucket of k
-//! entries costs O(log k) per pop even when all k share one timestamp (a
-//! barrier window on a one-minute lattice); a doubling/halving resize
-//! policy keeps buckets small in the common case. Entries beyond the
-//! current year wait in a binary min-heap and migrate into buckets as years
-//! advance; when every bucket is empty the queue jumps straight to the year
-//! of the next overflow entry instead of ticking through empty buckets.
+//! dequeue sorts it once into the *front* (a drain deque) and then takes
+//! entries from its head, so a bucket of k entries costs O(log k) per pop
+//! even when all k share one timestamp (a barrier window on a one-minute
+//! lattice). A push into the cursor's bucket after that is O(1) as well: it
+//! joins the front's tail when its key sorts last (the serial engine's
+//! pushes at `now`) and otherwise parks in the bucket until the next head
+//! lookup merges everything parked there (a barrier's deliveries below the
+//! tail) with one stable sort over the nearly sorted front, rather than one
+//! shift of the front per entry.
+//! Entries beyond the current year wait in a binary min-heap and migrate
+//! into buckets as years advance; when every bucket is empty the queue
+//! jumps straight to the year of the next overflow entry instead of
+//! ticking through empty buckets.
+//!
+//! Brown's queue is only fast while the bucket width tracks the spacing of
+//! the entries being dequeued. A doubling/halving resize sizes the year
+//! from the span of the pending entries, and that span is zero when they
+//! all share one timestamp (a cluster seeded at one instant), which would
+//! pin a 1 µs width. So every year advance — the one moment every bucket is
+//! empty and the width can change without re-placing anything — also
+//! measures the gap from the last dequeued entry to the next one and widens
+//! the year to [`YEAR_SPREAD_FACTOR`] such gaps if it is shorter. On a
+//! one-minute lattice this settles after the first simulated minute at a
+//! 16-minute year.
 //!
 //! The queue is generic over its entry type so that both the serial
 //! [`crate::Engine`] (closure events keyed `(time, seq)`) and the sharded
@@ -23,6 +40,7 @@
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
+use std::mem;
 
 use crate::stats::EngineCounters;
 
@@ -78,10 +96,12 @@ pub(crate) enum Pop<T> {
 
 const MIN_BUCKETS: usize = 16;
 const MAX_BUCKETS: usize = 1 << 16;
-/// The calendar year covers this multiple of the observed event spread.
-/// Steady-state periodic workloads keep a pending set spanning one period;
-/// a year many periods long means re-armed ticks almost always land inside
-/// the current year (O(1) bucket insert) instead of in the overflow heap.
+/// The calendar year covers this multiple of the observed event spread: the
+/// span of the pending entries at a rebuild, and at least this many
+/// dequeue gaps after a year advance. Steady-state periodic workloads keep
+/// a pending set spanning one period; a year many periods long means
+/// re-armed ticks almost always land inside the current year (O(1) bucket
+/// insert) instead of in the overflow heap.
 const YEAR_SPREAD_FACTOR: u64 = 16;
 /// Buckets allocated per pending entry at rebuild. Together with the factor
 /// above this targets ~2 entries per occupied bucket.
@@ -91,12 +111,14 @@ const BUCKETS_PER_EVENT: usize = 8;
 pub(crate) struct Calendar<T> {
     buckets: Vec<Vec<T>>,
     /// The cursor's bucket once a pop or peek has reached it: sorted by key
-    /// and drained from the head. While this is non-empty,
-    /// `buckets[cursor]` is empty and pushes into that bucket land here by
-    /// binary search.
+    /// and drained from the head. While this is non-empty, `buckets[cursor]`
+    /// holds only pushes parked below its tail (see `place`).
     front: VecDeque<T>,
     /// Microseconds per bucket (>= 1).
     width: u64,
+    /// Timestamp of the most recently popped entry; a year advance sizes
+    /// the width from the gap between it and the next entry.
+    last_pop_at: u64,
     /// Start of bucket 0's window for the current rotation.
     year_start: u64,
     /// Next bucket index to inspect.
@@ -116,6 +138,7 @@ impl<T: CalendarEntry> Calendar<T> {
             buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
             front: VecDeque::new(),
             width: 1_000,
+            last_pop_at: 0,
             year_start: 0,
             cursor: 0,
             overflow: BinaryHeap::new(),
@@ -158,19 +181,19 @@ impl<T: CalendarEntry> Calendar<T> {
                 self.buckets[cursor].extend(self.front.drain(..));
             }
             self.cursor = idx;
-        } else if idx == self.cursor && !self.front.is_empty() {
-            // An entry the serial engine schedules at `now` carries the
-            // largest seq, so it lands at the tail without shifting the
-            // entries still due.
-            let k = key(&ev);
-            let mut probes = 0;
-            let pos = self.front.partition_point(|e| {
-                probes += 1;
-                key(e) < k
-            });
-            counters.keys_compared += probes;
-            self.front.insert(pos, ev);
-            return;
+        } else if idx == self.cursor {
+            if let Some(tail) = self.front.back() {
+                // An entry the serial engine schedules at `now` carries the
+                // largest seq and joins the tail. Anything else parks in the
+                // bucket below until the next `head_at`, so a barrier's
+                // deliveries below the tail are merged once, not shifted in
+                // one by one.
+                counters.keys_compared += 1;
+                if key(&ev) >= key(tail) {
+                    self.front.push_back(ev);
+                    return;
+                }
+            }
         }
         self.buckets[idx].push(ev);
     }
@@ -246,8 +269,11 @@ impl<T: CalendarEntry> Calendar<T> {
         }
     }
 
-    /// Advances to the year containing the next pending entry. Caller
-    /// guarantees every bucket is empty and the overflow heap is not.
+    /// Advances to the year containing the next pending entry, widening
+    /// the buckets first if the year is shorter than [`YEAR_SPREAD_FACTOR`]
+    /// gaps between the last popped entry and the next one. Caller
+    /// guarantees every bucket is empty and the overflow heap is not, so the
+    /// width can change without re-placing anything.
     fn advance_year(&mut self, counters: &mut EngineCounters) {
         debug_assert!(self.front.is_empty());
         let next_at = self
@@ -255,10 +281,19 @@ impl<T: CalendarEntry> Calendar<T> {
             .peek()
             .map(|e| e.0.at_micros())
             .expect("pending entries beyond the drained year are in overflow");
-        let contiguous_end = self.year_end().saturating_add(self.year_len());
+        let year_end = self.year_end();
+        let contiguous_end = year_end.saturating_add(self.year_len());
+        let spread = YEAR_SPREAD_FACTOR.saturating_mul(next_at.saturating_sub(self.last_pop_at));
+        if self.year_len() < spread {
+            // The dequeued spacing outgrew the year (or a zero-span rebuild
+            // pinned a 1 µs width). Widening never shrinks the year, so a
+            // roll-forward below still reaches `next_at`.
+            let nbuckets = self.buckets.len() as u64;
+            self.width = (spread / nbuckets).clamp(1, u64::MAX / (4 * nbuckets));
+        }
         self.year_start = if next_at < contiguous_end {
             // The next entry lives in the very next year: roll forward.
-            self.year_end()
+            year_end
         } else {
             // Far-future gap: jump straight to the entry's year.
             next_at - next_at % self.width
@@ -278,16 +313,16 @@ impl<T: CalendarEntry> Calendar<T> {
 
     /// Timestamp of the earliest entry in the cursor's bucket, or `None` if
     /// that bucket is empty. The first visit to a bucket of two or more
-    /// entries sorts it into `front`; a lone entry, the common case since
-    /// rebuilds aim at ~2 entries per occupied bucket, stays where it is.
+    /// entries sorts it into `front`, and entries parked in the bucket since
+    /// are merged in here; a lone entry, the common case since rebuilds aim
+    /// at ~2 entries per occupied bucket, stays where it is.
     #[inline]
     fn head_at(&mut self, counters: &mut EngineCounters) -> Option<u64> {
-        if self.front.is_empty() {
-            match self.buckets[self.cursor].as_slice() {
-                [] => return None,
-                [lone] => return Some(lone.at_micros()),
-                _ => self.fill_front(counters),
-            }
+        match (self.front.is_empty(), self.buckets[self.cursor].as_slice()) {
+            (true, []) => return None,
+            (true, [lone]) => return Some(lone.at_micros()),
+            (false, []) => {}
+            _ => self.fill_front(counters),
         }
         self.front.front().map(T::at_micros)
     }
@@ -300,11 +335,21 @@ impl<T: CalendarEntry> Calendar<T> {
             .expect("head_at found a head")
     }
 
-    /// Moves the cursor's bucket into the empty `front`, sorted.
+    /// Moves the cursor's bucket into `front`, sorted. The bucket gives up
+    /// its buffer: an empty front takes it over, and a non-empty one drops
+    /// it once the parked entries are appended, so a bucket that held a
+    /// whole barrier window keeps no capacity for the rest of the run. The
+    /// stable sort then merges the sorted front with the parked run, which
+    /// is cheap because deliveries arrive in nearly key order.
     fn fill_front(&mut self, counters: &mut EngineCounters) {
-        self.front.extend(self.buckets[self.cursor].drain(..));
+        let bucket = mem::take(&mut self.buckets[self.cursor]);
+        if self.front.is_empty() {
+            self.front = VecDeque::from(bucket);
+        } else {
+            self.front.extend(bucket);
+        }
         let mut compared = 0;
-        self.front.make_contiguous().sort_unstable_by(|a, b| {
+        self.front.make_contiguous().sort_by(|a, b| {
             compared += 1;
             key(a).cmp(&key(b))
         });
@@ -331,6 +376,7 @@ impl<T: CalendarEntry> Calendar<T> {
                         return Pop::Parked;
                     }
                     let ev = self.take_head();
+                    self.last_pop_at = at;
                     self.len -= 1;
                     if self.len < self.shrink_at {
                         self.resize(counters);
@@ -373,11 +419,14 @@ impl<T: CalendarEntry> Calendar<T> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
+    use crate::DetRng;
 
     struct Entry {
         at: u64,
-        seq: u64,
+        tie: (u64, u64),
     }
 
     impl CalendarEntry for Entry {
@@ -385,7 +434,7 @@ mod tests {
             self.at
         }
         fn tie(&self) -> (u64, u64) {
-            (self.seq, 0)
+            self.tie
         }
     }
 
@@ -402,7 +451,13 @@ mod tests {
         // Push the burst in a scrambled seq order so the sort has work.
         for i in 0..BURST {
             let seq = (i * 7_919) % BURST;
-            cal.push(Entry { at: NOW, seq }, &mut counters);
+            cal.push(
+                Entry {
+                    at: NOW,
+                    tie: (seq, 0),
+                },
+                &mut counters,
+            );
         }
         let mut next_seq = BURST;
         let mut popped = Vec::new();
@@ -411,13 +466,13 @@ mod tests {
                 cal.push(
                     Entry {
                         at: e.at,
-                        seq: next_seq,
+                        tie: (next_seq, 0),
                     },
                     &mut counters,
                 );
                 next_seq += 1;
             }
-            popped.push((e.at, e.seq));
+            popped.push((e.at, e.tie.0));
         }
         let want: Vec<(u64, u64)> = (0..next_seq).map(|s| (NOW, s)).collect();
         assert_eq!(popped, want, "pop order is not key order");
@@ -428,5 +483,136 @@ mod tests {
             counters.keys_compared
         );
         assert!(counters.keys_compared > 0);
+    }
+
+    /// A calendar and a `BTreeSet` reference model fed the same operations,
+    /// compared after every one.
+    struct Checked {
+        cal: Calendar<Entry>,
+        reference: BTreeSet<(u64, u64, u64)>,
+        counters: EngineCounters,
+        /// The next second tie component: unique, so every key is.
+        next_b: u64,
+    }
+
+    impl Checked {
+        fn new() -> Self {
+            Checked {
+                cal: Calendar::new(),
+                reference: BTreeSet::new(),
+                counters: EngineCounters::default(),
+                next_b: 0,
+            }
+        }
+
+        fn push(&mut self, at: u64, a: u64) {
+            let b = self.next_b;
+            self.next_b += 1;
+            self.cal.push(Entry { at, tie: (a, b) }, &mut self.counters);
+            self.reference.insert((at, a, b));
+            self.check_len();
+        }
+
+        /// `pop_due`, checked against the reference; the popped key.
+        fn pop(&mut self, deadline: Option<u64>) -> Option<(u64, u64, u64)> {
+            let want = self.reference.first().copied();
+            let got = match self.cal.pop_due(deadline, &mut self.counters) {
+                Pop::Empty => {
+                    assert_eq!(want, None, "calendar empty, reference is not");
+                    None
+                }
+                Pop::Parked => {
+                    let d = deadline.expect("parked without a deadline");
+                    assert!(
+                        want.is_some_and(|k| k.0 > d),
+                        "parked at deadline {d} with {want:?} due"
+                    );
+                    None
+                }
+                Pop::Event(e) => {
+                    let k = (e.at, e.tie.0, e.tie.1);
+                    assert_eq!(Some(k), want, "popped out of key order");
+                    if let Some(d) = deadline {
+                        assert!(e.at <= d, "popped {k:?} past deadline {d}");
+                    }
+                    self.reference.pop_first();
+                    Some(k)
+                }
+            };
+            self.check_len();
+            got
+        }
+
+        /// `next_time`, checked against the reference.
+        fn peek(&mut self) -> Option<u64> {
+            let got = self.cal.next_time(&mut self.counters);
+            assert_eq!(got, self.reference.first().map(|k| k.0), "next_time");
+            self.check_len();
+            got
+        }
+
+        fn check_len(&self) {
+            assert_eq!(self.cal.len(), self.reference.len(), "len");
+        }
+    }
+
+    /// The call pattern of a `ShardedEngine` shard against a reference set.
+    /// Each case seeds a burst at one timestamp (so every rebuild sees a
+    /// zero span), then runs barrier windows: peek the next time, pop up to
+    /// the window's deadline until the queue parks with the next bucket
+    /// sorted into its front, and push the window's deliveries at the
+    /// parked timestamp with ties below the front's tail. Handlers re-arm
+    /// on the one-minute lattice, days ahead, or off the lattice, and push
+    /// at `now` both below the tail and with a fresh largest tie. What is
+    /// left drains through the serial engine's undeadlined pop.
+    #[test]
+    fn matches_a_reference_set_under_the_sharded_call_pattern() {
+        const MINUTE: u64 = 60_000_000;
+        const DAY: u64 = 1_440 * MINUTE;
+        let mut rng = DetRng::seed_from(0xCA1E);
+        for case in 0..12 {
+            let far = [0.0, 0.02, 0.2][case % 3];
+            let mut q = Checked::new();
+            let cells = 16 + rng.uniform_u64(600);
+            let start = MINUTE * (1 + rng.uniform_u64(60));
+            for i in 0..cells {
+                q.push(start, (i * 7_919) % cells);
+            }
+            let mut outbox = Vec::new();
+            for _ in 0..16 {
+                let Some(t) = q.peek() else { break };
+                let t_end = t + MINUTE;
+                while let Some((at, a, _)) = q.pop(Some(t_end - 1)) {
+                    if rng.chance(far) {
+                        q.push(at + DAY * (1 + rng.uniform_u64(3)), a);
+                    } else {
+                        match rng.pick_index(16) {
+                            0 => {}
+                            1 => q.push(at, rng.uniform_u64(cells)),
+                            2 => q.push(at, u64::MAX),
+                            3 => q.push(at + 1 + rng.uniform_u64(MINUTE), a),
+                            _ => q.push(at + MINUTE, a),
+                        }
+                    }
+                    if rng.chance(0.3) {
+                        let deliver = t_end + MINUTE * rng.uniform_u64(2);
+                        outbox.push((deliver, rng.uniform_u64(cells)));
+                    }
+                    if rng.chance(0.05) {
+                        q.peek();
+                    }
+                }
+                outbox.sort_unstable();
+                for (at, to) in outbox.drain(..) {
+                    q.push(at, to);
+                }
+            }
+            while let Some((at, ..)) = q.pop(None) {
+                if rng.chance(0.05) {
+                    q.push(at, u64::MAX);
+                }
+            }
+            assert!(q.reference.is_empty());
+        }
     }
 }

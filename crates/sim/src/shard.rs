@@ -963,6 +963,73 @@ mod tests {
         assert!(eng.queue_counters().events_executed > 0);
     }
 
+    /// The m02 shape: thousands of cells seeded at one instant, ticking
+    /// once a simulated minute and sending to a neighbour across a 60 s
+    /// lookahead. The zero-span seeding leaves the calendar at 1 µs
+    /// buckets; unless the width then follows the one-minute spacing it
+    /// dequeues, every window sweeps the whole year's empty buckets (~18
+    /// scans per event here) and every event passes through the overflow
+    /// heap.
+    #[test]
+    fn one_minute_lattice_keeps_calendar_effort_bounded() {
+        const MINUTE_US: u64 = 60_000_000;
+        struct Tick {
+            id: u32,
+            n: u32,
+            ticks: u64,
+            received: u64,
+        }
+        impl Cell for Tick {
+            type Msg = u64;
+            fn on_timer(&mut self, _now: SimTime, token: u64, ctx: &mut CellCtx<'_, u64>) {
+                self.ticks += 1;
+                if (self.ticks + u64::from(self.id)).is_multiple_of(4) {
+                    ctx.send((self.id + 1) % self.n, self.ticks);
+                }
+                ctx.timer_in(SimDuration::from_micros(MINUTE_US), token);
+            }
+            fn on_message(&mut self, _n: SimTime, _f: CellId, _m: u64, _c: &mut CellCtx<'_, u64>) {
+                self.received += 1;
+            }
+            fn digest_into(&self, d: &mut StateDigest) {
+                d.write_u64(self.ticks);
+                d.write_u64(self.received);
+            }
+        }
+        const N: u32 = 3_000;
+        const MINUTES: u64 = 30;
+        let cells = (0..N)
+            .map(|id| Tick {
+                id,
+                n: N,
+                ticks: 0,
+                received: 0,
+            })
+            .collect();
+        let mut eng = ShardedEngine::new(cells, 2, SimDuration::from_micros(MINUTE_US));
+        for id in 0..N {
+            eng.seed_timer(id, SimTime::from_micros(MINUTE_US), 0);
+        }
+        eng.run(SimTime::from_micros((MINUTES + 1) * MINUTE_US));
+        let c = eng.queue_counters();
+        let ticks: u64 = eng.cells().map(|t| t.ticks).sum();
+        let received: u64 = eng.cells().map(|t| t.received).sum();
+        assert_eq!(ticks, MINUTES * u64::from(N));
+        assert_eq!(c.events_executed, ticks + received);
+        assert!(
+            c.buckets_scanned <= 4 * c.events_executed,
+            "{} buckets scanned for {} events",
+            c.buckets_scanned,
+            c.events_executed
+        );
+        assert!(
+            c.overflow_migrations <= c.events_executed / 10,
+            "{} overflow migrations for {} events",
+            c.overflow_migrations,
+            c.events_executed
+        );
+    }
+
     #[test]
     #[should_panic(expected = "below the lookahead bound")]
     fn undercutting_the_lookahead_panics() {

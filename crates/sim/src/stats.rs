@@ -261,10 +261,13 @@ pub struct EngineCounters {
     pub periodic_reschedules: u64,
     /// Calendar buckets inspected while searching for the next event.
     pub buckets_scanned: u64,
-    /// Key comparisons made to pick the next entry inside a bucket: sorting
-    /// a bucket when the cursor reaches it, plus binary-search probes for
-    /// entries pushed into that sorted bucket. O(log k) per pop for a
-    /// bucket of k entries.
+    /// Key comparisons made to order the cursor's bucket: sorting it when
+    /// the cursor reaches it, checking a push into it against the sorted
+    /// front's tail, and merging the pushes parked below that tail (one
+    /// stable sort over the front). O(log k) per pop for a bucket of k
+    /// entries. Comparisons inside the overflow heap are not counted, so a
+    /// run that sends most events through the heap reports fewer
+    /// comparisons than it makes.
     pub keys_compared: u64,
     /// Events migrated from the overflow heap into buckets as the calendar
     /// advanced years.

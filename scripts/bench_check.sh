@@ -139,10 +139,14 @@ fi
 echo "==> m02 serial ns per event vs BENCH_experiments.json baseline"
 # The engine's host cost per event in the serial (1 shard, 1 worker) drive.
 # The baseline is the full 5000-host month; this run is 2000 hosts x 3
-# days. A smaller cluster has a smaller overflow heap and a shorter bucket
-# sweep per window, so its ns per event is at most the 5000-host figure
-# and the two compare directly. The sharded/serial wall ratio is not
-# gated: on one worker it measures no parallelism, only overhead.
+# days. At either size the calendar sizes its buckets from the dequeued
+# one-minute spacing (a 16-minute year), so a window sweeps 1/16 of the
+# buckets, under one per host, and few events pass through the overflow
+# heap. The smaller cluster sweeps a little less per event and sorts
+# smaller barrier windows, so its ns per event sits at or just below the
+# 5000-host figure and the two compare directly. The sharded/serial wall
+# ratio is not gated: on one worker it measures no parallelism, only
+# overhead.
 m02_base="$(sed -n 's/.*"serial_ns_per_event": \([0-9.]*\).*/\1/p' BENCH_experiments.json | head -1)"
 m02_fresh="$(sed -n 's/.*"serial_ns_per_event": \([0-9.]*\).*/\1/p' "$tmp/m4/BENCH_experiments.json" | head -1)"
 if [[ -z "$m02_base" || -z "$m02_fresh" ]]; then

@@ -119,7 +119,7 @@ echo "==> perfbench tests and a 1 s run of each benchmark workload"
 # alters simulated behaviour re-pins these and says why in CHANGES.md.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 declare -A pinned_digest=(
-    [cell_month]=677bc3fa67135fed
+    [cell_month]=f131c2df0fccec9a
     [month_in_life]=b3af01dd51d41e5e
     [pmake_build]=3e3d062c72e457b3
     [migrate_evict]=513393f2ce6cab2f
