@@ -1,6 +1,6 @@
 # Convenience targets; scripts/ci.sh is the canonical offline CI gate.
 
-.PHONY: ci ci-quick test bench bench-check experiments fmt clippy lint
+.PHONY: ci ci-quick test bench bench-check experiments fmt clippy
 
 ci:
 	scripts/ci.sh
@@ -25,6 +25,3 @@ fmt:
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
-
-lint:
-	cargo run -q -p sprite_lint -- crates src tests examples

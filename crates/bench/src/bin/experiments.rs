@@ -15,8 +15,6 @@
 //! (see `runner`'s determinism contract); wall-clock timings go to stderr
 //! and, with `--json`, to `BENCH_experiments.json`.
 
-#![forbid(unsafe_code)]
-
 use std::time::Instant;
 
 use sprite_bench::experiments::{e05, e10, e11, f01, f02, m01, m02};

@@ -9,7 +9,6 @@
 //! sidecar. `cargo bench -p sprite-bench` runs the std-only microbenches
 //! over the core operations and the event engine.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;

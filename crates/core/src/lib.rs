@@ -14,7 +14,6 @@
 //! location-dependent kernel call still behaves as though the process had
 //! never left home. The tests in this crate check exactly those properties.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod checkpoint;

@@ -31,7 +31,7 @@
 
 use sprite_fs::{FsError, SpritePath, StreamId};
 use sprite_kernel::{Cluster, KernelError, ProcessId};
-use sprite_net::{HostId, RpcError, RpcOp};
+use sprite_net::{HostId, RpcError, RpcOp, SendError};
 use sprite_sim::{SimDuration, SimTime};
 use sprite_vm::{transfer, TransferParams, TransferReport, VmStrategy};
 
@@ -153,6 +153,12 @@ impl From<FsError> for MigrationError {
 impl From<RpcError> for MigrationError {
     fn from(e: RpcError) -> Self {
         MigrationError::Rpc(e)
+    }
+}
+
+impl From<SendError> for MigrationError {
+    fn from(e: SendError) -> Self {
+        MigrationError::Rpc(e.into())
     }
 }
 
@@ -330,7 +336,7 @@ impl Migrator {
     /// runnable at the source as though the migration never started —
     /// "on any error the process keeps running at the source". Returns the
     /// error so call sites can `return Err(self.abort(...))`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments)]
     fn abort(
         &mut self,
         cluster: &mut Cluster,
@@ -569,7 +575,7 @@ impl Migrator {
     /// host*. "If migration occurs during an exec, the new address space is
     /// created on the destination machine so there is no virtual memory to
     /// transfer" (Ch. 4.2.1).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments)]
     pub fn exec_migrate(
         &mut self,
         cluster: &mut Cluster,

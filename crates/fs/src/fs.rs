@@ -20,7 +20,9 @@
 //! transport's per-op table attributes file traffic to opens, lookups,
 //! block reads/writes, consistency actions and paging separately.
 
-use sprite_net::{wire_size, HostId, RpcError, RpcOp, Transport, CONTROL_BYTES, PAGE_SIZE};
+use sprite_net::{
+    wire_size, HostId, RpcError, RpcOp, SendError, Transport, CONTROL_BYTES, PAGE_SIZE,
+};
 use sprite_sim::{DetHashMap, DetHashSet, SimDuration, SimTime, StateDigest};
 
 use crate::cache::{BlockAddr, BlockCache};
@@ -101,6 +103,12 @@ impl std::error::Error for FsError {}
 impl From<RpcError> for FsError {
     fn from(e: RpcError) -> Self {
         FsError::Rpc(e)
+    }
+}
+
+impl From<SendError> for FsError {
+    fn from(e: SendError) -> Self {
+        FsError::Rpc(e.into())
     }
 }
 
@@ -491,7 +499,7 @@ impl SpriteFs {
 
     /// Like [`SpriteFs::charge_typed`] but with caller-sized payloads, for
     /// ops that move variable amounts of data (block writes, page flushes).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments)]
     fn charge_sized(
         &mut self,
         net: &mut Transport,
@@ -1460,7 +1468,7 @@ impl SpriteFs {
     /// Performs one request/response round trip with the user-level server
     /// behind a pseudo-device stream \[WO88\]. `service` is the server
     /// process's think time.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments)]
     pub fn pseudo_request(
         &mut self,
         net: &mut Transport,
@@ -1504,7 +1512,6 @@ impl SpriteFs {
 
     // ----- small internal accessors ----------------------------------------
 
-    #[allow(clippy::type_complexity)]
     fn stream_info(
         &self,
         stream: StreamId,
@@ -1573,7 +1580,7 @@ impl SpriteFs {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments)]
     fn fetch_block(
         &mut self,
         net: &mut Transport,

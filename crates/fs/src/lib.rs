@@ -22,12 +22,10 @@
 //! [`CostModel`](sprite_net::CostModel) and returns its simulated completion
 //! time.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;
 mod file;
-#[allow(clippy::module_inception)]
 mod fs;
 mod path;
 mod recency;

@@ -247,6 +247,10 @@ fn dirty_data_is_never_lost() {
                 at_server.insert((f, addr.block as u8), data[0]);
             }
         }
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "each entry is checked on its own"
+        )]
         for ((file, block), byte) in &latest {
             assert_eq!(
                 at_server.get(&(*file, *block)),
@@ -357,6 +361,10 @@ impl FlatCache {
     }
 
     fn revalidate_file(&mut self, file: FileId, version: u64) {
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "every match gets the same update"
+        )]
         for (addr, block) in self.blocks.iter_mut() {
             if addr.file == file {
                 block.version = version;

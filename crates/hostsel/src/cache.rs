@@ -192,7 +192,7 @@ impl Ranker {
     /// itself excluded, hosts rejected by `keep` (already-assigned hosts,
     /// say) skipped. Stale entries are *skipped, not evicted* — the cache
     /// is untouched and a fresher observation can still revive the slot.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments)]
     pub fn rank(
         &mut self,
         cache: &LoadCache,

@@ -16,7 +16,7 @@
 //! PID order — the order every per-process cost charge relies on.
 
 use sprite_fs::{FileId, FsConfig, FsError, OpenMode, SpriteFs, SpritePath};
-use sprite_net::{CostModel, HostId, RpcError, RpcOp, Transport, PAGE_SIZE};
+use sprite_net::{CostModel, HostId, RpcError, RpcOp, SendError, Transport, PAGE_SIZE};
 use sprite_sim::{DetHashMap, FcfsResource, SimDuration, SimTime, StateDigest, Trace};
 use sprite_vm::AddressSpace;
 
@@ -139,6 +139,12 @@ impl From<FsError> for KernelError {
 impl From<RpcError> for KernelError {
     fn from(e: RpcError) -> Self {
         KernelError::Rpc(e)
+    }
+}
+
+impl From<SendError> for KernelError {
+    fn from(e: SendError) -> Self {
+        KernelError::Rpc(e.into())
     }
 }
 
@@ -748,7 +754,6 @@ impl Cluster {
     /// Waits for any zombie child of `parent`; returns the reaped child and
     /// its status, or `None` if no child is ready. Waiting is a
     /// family operation, so a foreign parent forwards it home.
-    #[allow(clippy::type_complexity)]
     pub fn wait(
         &mut self,
         now: SimTime,

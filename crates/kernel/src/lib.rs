@@ -10,7 +10,6 @@
 //! The migration mechanism itself lives in the `sprite-core` crate and
 //! drives this one through the freeze/relocate/thaw primitives.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod appendix_a;

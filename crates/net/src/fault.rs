@@ -161,6 +161,73 @@ impl std::fmt::Display for RpcError {
 
 impl std::error::Error for RpcError {}
 
+/// The error a [`Transport`](crate::Transport) send returns: an
+/// [`RpcError`] that deliberately does not implement `Debug`.
+///
+/// `Result::unwrap` and `Result::expect` need `E: Debug`, so a send whose
+/// result is unwrapped does not compile: an injected fault must take the
+/// Ch-3.6 recovery path, never panic the simulation. `?` converts it into
+/// [`RpcError`] and the error enums built on it, and `Deref` and `Display`
+/// keep `e.at()` and `{e}` working.
+///
+/// Propagating a failed send compiles:
+///
+/// ```
+/// use sprite_net::{CostModel, HostId, RpcOp, Transport};
+/// use sprite_sim::SimTime;
+///
+/// let mut net = Transport::new(CostModel::sun3(), 2);
+/// let (a, b) = (HostId::new(0), HostId::new(1));
+/// let done = net.send(RpcOp::FsOpen, SimTime::ZERO, a, b, None)?.done;
+/// # let _ = done;
+/// # Ok::<(), sprite_net::RpcError>(())
+/// ```
+///
+/// Unwrapping one does not:
+///
+/// ```compile_fail,E0277
+/// use sprite_net::{CostModel, HostId, RpcOp, Transport};
+/// use sprite_sim::SimTime;
+///
+/// let mut net = Transport::new(CostModel::sun3(), 2);
+/// let (a, b) = (HostId::new(0), HostId::new(1));
+/// let done = net.send(RpcOp::FsOpen, SimTime::ZERO, a, b, None).unwrap().done;
+/// # let _ = done;
+/// # Ok::<(), sprite_net::RpcError>(())
+/// ```
+///
+/// ```compile_fail,E0277
+/// use sprite_net::{CostModel, HostId, RpcOp, Transport};
+/// use sprite_sim::SimTime;
+///
+/// let mut net = Transport::new(CostModel::sun3(), 2);
+/// let (a, b) = (HostId::new(0), HostId::new(1));
+/// let done = net.send(RpcOp::FsOpen, SimTime::ZERO, a, b, None).expect("open").done;
+/// # let _ = done;
+/// # Ok::<(), sprite_net::RpcError>(())
+/// ```
+pub struct SendError(pub(crate) RpcError);
+
+impl std::ops::Deref for SendError {
+    type Target = RpcError;
+
+    fn deref(&self) -> &RpcError {
+        &self.0
+    }
+}
+
+impl std::fmt::Display for SendError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl From<SendError> for RpcError {
+    fn from(e: SendError) -> Self {
+        e.0
+    }
+}
+
 /// Result alias for fallible transport sends.
 pub type RpcResult<T> = Result<T, RpcError>;
 

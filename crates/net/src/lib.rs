@@ -23,7 +23,6 @@
 //! # Ok::<(), sprite_net::RpcError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cost;
@@ -37,7 +36,7 @@ mod transport;
 pub use cost::{CostModel, PAGE_SIZE};
 pub use fault::{
     backoff_after, CrashSchedule, DelayPolicy, DropPolicy, FaultPlan, FaultRow, FaultStats,
-    LinkVerdict, PartitionPolicy, RpcError, RpcFailure, RpcResult, MAX_SEND_ATTEMPTS,
+    LinkVerdict, PartitionPolicy, RpcError, RpcFailure, RpcResult, SendError, MAX_SEND_ATTEMPTS,
     RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP, RPC_TIMEOUT,
 };
 pub use host::HostId;

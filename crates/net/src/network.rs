@@ -184,7 +184,7 @@ impl Network {
     ///
     /// `extra_service` is additional server-side service time beyond the
     /// fixed RPC dispatch cost (e.g. a name lookup or a disk access).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments)]
     pub(crate) fn rpc(
         &mut self,
         now: SimTime,

@@ -34,7 +34,7 @@
 use sprite_sim::{FcfsResource, OnlineStats, SimDuration, SimTime, StateDigest, Trace};
 
 use crate::fault::{
-    backoff_after, FaultStats, LinkVerdict, RpcError, RpcFailure, RpcResult, MAX_SEND_ATTEMPTS,
+    backoff_after, FaultStats, LinkVerdict, RpcError, RpcFailure, SendError, MAX_SEND_ATTEMPTS,
     RPC_TIMEOUT,
 };
 use crate::{CostModel, Delivery, HostId, NetStats, Network, PAGE_SIZE};
@@ -513,7 +513,7 @@ impl Transport {
         from: HostId,
         to: HostId,
         server_cpu: Option<&mut FcfsResource>,
-    ) -> RpcResult<Delivery> {
+    ) -> Result<Delivery, SendError> {
         self.send_with_service(op, now, from, to, SimDuration::ZERO, server_cpu)
     }
 
@@ -526,7 +526,7 @@ impl Transport {
         to: HostId,
         extra_service: SimDuration,
         server_cpu: Option<&mut FcfsResource>,
-    ) -> RpcResult<Delivery> {
+    ) -> Result<Delivery, SendError> {
         let size = wire_size(op);
         debug_assert!(
             size.request > 0 && size.reply > 0,
@@ -552,7 +552,7 @@ impl Transport {
     /// ([`backoff_after`]) before the next try, up to [`MAX_SEND_ATTEMPTS`].
     /// Partitions and crashes fail after a single detection timeout —
     /// retrying them is futile within the window.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments)]
     pub fn send_sized(
         &mut self,
         op: RpcOp,
@@ -563,7 +563,7 @@ impl Transport {
         reply_bytes: u64,
         extra_service: SimDuration,
         mut server_cpu: Option<&mut FcfsResource>,
-    ) -> RpcResult<Delivery> {
+    ) -> Result<Delivery, SendError> {
         let before = self.net.stats();
         let wire = request_bytes + reply_bytes;
         let mut t = now;
@@ -601,7 +601,7 @@ impl Transport {
                             attempts,
                             at: t,
                         });
-                        return Err(self.fail(err, before));
+                        return Err(SendError(self.fail(err, before)));
                     }
                     self.faults.row_mut(op).retries += 1;
                     t += backoff_after(attempts);
@@ -616,7 +616,7 @@ impl Transport {
                         attempts,
                         at: lost.done + RPC_TIMEOUT,
                     });
-                    return Err(self.fail(err, before));
+                    return Err(SendError(self.fail(err, before)));
                 }
                 LinkVerdict::PeerCrashed => {
                     self.faults.row_mut(op).crashes += 1;
@@ -628,7 +628,7 @@ impl Transport {
                         attempts,
                         at: lost.done + RPC_TIMEOUT,
                     });
-                    return Err(self.fail(err, before));
+                    return Err(SendError(self.fail(err, before)));
                 }
             }
         }
@@ -644,7 +644,7 @@ impl Transport {
         from: HostId,
         to: HostId,
         bytes: u64,
-    ) -> RpcResult<Delivery> {
+    ) -> Result<Delivery, SendError> {
         let before = self.net.stats();
         let first_fragment = bytes.clamp(CONTROL_BYTES, PAGE_SIZE);
         let mut t = now;
@@ -672,7 +672,7 @@ impl Transport {
                             attempts,
                             at: t,
                         });
-                        return Err(self.fail(err, before));
+                        return Err(SendError(self.fail(err, before)));
                     }
                     self.faults.row_mut(op).retries += 1;
                     t += backoff_after(attempts);
@@ -687,7 +687,7 @@ impl Transport {
                         attempts,
                         at: lost.done + RPC_TIMEOUT,
                     });
-                    return Err(self.fail(err, before));
+                    return Err(SendError(self.fail(err, before)));
                 }
                 LinkVerdict::PeerCrashed => {
                     self.faults.row_mut(op).crashes += 1;
@@ -699,7 +699,7 @@ impl Transport {
                         attempts,
                         at: lost.done + RPC_TIMEOUT,
                     });
-                    return Err(self.fail(err, before));
+                    return Err(SendError(self.fail(err, before)));
                 }
             }
         }
@@ -716,7 +716,7 @@ impl Transport {
         from: HostId,
         to: HostId,
         bytes: u64,
-    ) -> RpcResult<Delivery> {
+    ) -> Result<Delivery, SendError> {
         let before = self.net.stats();
         match self.policy.verdict(op, now, from, Some(to), bytes) {
             LinkVerdict::Deliver(extra) => {
@@ -752,7 +752,7 @@ impl Transport {
                         RpcError::Dropped(fail)
                     }
                 };
-                Err(self.fail(err, before))
+                Err(SendError(self.fail(err, before)))
             }
         }
     }
@@ -766,7 +766,7 @@ impl Transport {
         now: SimTime,
         from: HostId,
         bytes: u64,
-    ) -> RpcResult<Delivery> {
+    ) -> Result<Delivery, SendError> {
         let before = self.net.stats();
         match self.policy.verdict(op, now, from, None, bytes) {
             LinkVerdict::Deliver(extra) => {
@@ -800,7 +800,7 @@ impl Transport {
                         RpcError::Dropped(fail)
                     }
                 };
-                Err(self.fail(err, before))
+                Err(SendError(self.fail(err, before)))
             }
         }
     }
@@ -825,7 +825,7 @@ mod tests {
 
     /// Test-only unwrap: the policies in these tests are not supposed to
     /// surface failures unless the test says so.
-    fn ok(d: RpcResult<Delivery>) -> Delivery {
+    fn ok(d: Result<Delivery, SendError>) -> Delivery {
         match d {
             Ok(d) => d,
             Err(e) => panic!("unexpected rpc failure: {e}"),
@@ -990,7 +990,7 @@ mod tests {
         let err = x
             .send(RpcOp::MigrateNegotiate, SimTime::ZERO, a(), b(), None)
             .unwrap_err();
-        match err {
+        match *err {
             RpcError::Timeout(f) => {
                 assert_eq!(f.attempts, MAX_SEND_ATTEMPTS);
                 assert_eq!(f.op, RpcOp::MigrateNegotiate);
@@ -1021,7 +1021,7 @@ mod tests {
         let err = x
             .send(RpcOp::SignalForward, SimTime::ZERO, a(), b(), None)
             .unwrap_err();
-        match err {
+        match *err {
             RpcError::PartitionUnreachable(f) => assert_eq!(f.attempts, 1),
             other => panic!("expected partition, got {other}"),
         }
@@ -1036,7 +1036,7 @@ mod tests {
         let err = x
             .send(RpcOp::ProcNotifyHome, SimTime::ZERO, a(), b(), None)
             .unwrap_err();
-        assert!(matches!(err, RpcError::PeerCrashed(f) if f.attempts == 1));
+        assert!(matches!(*err, RpcError::PeerCrashed(f) if f.attempts == 1));
         assert!(!err.is_transient());
         assert_eq!(x.fault_stats().get(RpcOp::ProcNotifyHome).crashes, 1);
     }
@@ -1054,7 +1054,7 @@ mod tests {
                 LOAD_REPORT_BYTES,
             )
             .unwrap_err();
-        assert!(matches!(err, RpcError::Dropped(f) if f.attempts == 1));
+        assert!(matches!(*err, RpcError::Dropped(f) if f.attempts == 1));
         let err = x
             .send_multicast(
                 RpcOp::HostselMulticast,
@@ -1063,7 +1063,7 @@ mod tests {
                 LOAD_REPORT_BYTES,
             )
             .unwrap_err();
-        assert!(matches!(err, RpcError::Dropped(f) if f.attempts == 1 && f.to.is_none()));
+        assert!(matches!(*err, RpcError::Dropped(f) if f.attempts == 1 && f.to.is_none()));
         // The lost frames still went out on the wire.
         assert_eq!(x.rpc_table().total_messages(), x.stats().messages);
         assert_eq!(x.rpc_table().total_bytes(), x.stats().bytes);
@@ -1086,7 +1086,7 @@ mod tests {
                     }
                     Err(e) => {
                         now = e.at();
-                        outcomes.push(Err(e));
+                        outcomes.push(Err(*e));
                     }
                 }
             }

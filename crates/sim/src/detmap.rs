@@ -11,9 +11,10 @@
 //! endianness of results (the hash is computed over little-endian words, so
 //! values are portable).
 //!
-//! The CI determinism lint (`scripts/ci.sh`) rejects
-//! `std::collections::HashMap`/`HashSet` anywhere else in the workspace;
-//! simulation state uses [`DetHashMap`] / [`DetHashSet`] instead.
+//! Clippy's `disallowed_types` (configured in the workspace's `clippy.toml`
+//! files) rejects `std::collections::HashMap`/`HashSet` and `RandomState`
+//! anywhere else in the workspace; simulation state uses [`DetHashMap`] /
+//! [`DetHashSet`] instead.
 //!
 //! Every table operation routes through [`DetState::build_hasher`], which
 //! bumps a thread-local probe counter — the data-plane analogue of
@@ -23,6 +24,10 @@
 //! aggregate this way).
 
 use std::cell::Cell;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the deterministic aliases below are the one sanctioned use"
+)]
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 
@@ -144,9 +149,17 @@ impl BuildHasher for DetState {
 /// m.insert(7, "seven");
 /// assert_eq!(m.get(&7), Some(&"seven"));
 /// ```
+#[expect(
+    clippy::disallowed_types,
+    reason = "fixed-seed hasher, not RandomState"
+)]
 pub type DetHashMap<K, V> = HashMap<K, V, DetState>;
 
 /// A `HashSet` with deterministic, fast hashing; see [`DetHashMap`].
+#[expect(
+    clippy::disallowed_types,
+    reason = "fixed-seed hasher, not RandomState"
+)]
 pub type DetHashSet<T> = HashSet<T, DetState>;
 
 #[cfg(test)]

@@ -74,7 +74,6 @@
 //! assert!(world.waits.mean() > 0.0); // 5/8 utilization => real queueing
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod calendar;

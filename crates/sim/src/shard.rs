@@ -838,7 +838,7 @@ mod tests {
         eng
     }
 
-    #[allow(clippy::type_complexity)]
+    #[expect(clippy::type_complexity)]
     fn run_case(
         n: u32,
         nshards: usize,

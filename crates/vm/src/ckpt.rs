@@ -190,7 +190,6 @@ fn seg_tag(kind: SegmentKind) -> u8 {
 /// the image file may exist but is trailerless; [`restore`] will reject
 /// it as corrupt, which is the "cleanly discarded" half of the chaos
 /// invariant.
-#[allow(clippy::too_many_arguments)]
 pub fn checkpoint(
     space: &mut AddressSpace,
     strategy: CkptStrategy,

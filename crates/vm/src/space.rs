@@ -201,7 +201,7 @@ impl AddressSpace {
     /// executable itself — which is why Sprite never has to transfer code
     /// pages during migration: any kernel can fetch them from the shared
     /// file system.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments)]
     pub fn create(
         fs: &mut SpriteFs,
         net: &mut Transport,

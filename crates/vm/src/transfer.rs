@@ -125,7 +125,7 @@ pub struct TransferReport {
 /// Propagates file-system errors from flushing and transport failures from
 /// the bulk image transfer; a failed transfer leaves every page where it
 /// was, so the caller can abort the migration cleanly.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments)]
 pub fn transfer(
     space: &mut AddressSpace,
     strategy: VmStrategy,

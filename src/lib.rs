@@ -48,7 +48,6 @@
 //! | [`pmake`] | `sprite-pmake` | dependency graphs and the parallel build engine |
 //! | [`workloads`] | `sprite-workloads` | activity traces, lifetimes, job mixes |
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Simulation substrate (re-export of `sprite-sim`).
