@@ -3,15 +3,20 @@
 //!
 //! The centralized selectors keep `BTreeMap` tables and build a fresh
 //! `Vec` of candidates per query — fine for one daemon, fatal for a
-//! per-host cache at 10 000 hosts. [`LoadCache`] is a fixed-slot array
-//! (no hashing, no allocation after construction): inserts refresh an
-//! existing entry in place or overwrite the *stalest* slot when full, and
-//! stale entries are never eagerly evicted — readers simply skip anything
-//! older than their trust horizon, the same epoch/age discipline the
-//! fault layer uses for stale load reports. [`Ranker`] is the matching
-//! query side: one reusable scratch buffer, sorted in place, with a
-//! growth counter so benchmarks can assert the steady state allocates
-//! nothing.
+//! per-host cache at 10 000 hosts. [`LoadCache`] keeps its slots as
+//! columns (host ids, age stamps, load snapshots), so finding a host scans
+//! only the 4-byte ids (256 bytes at the default 64 slots) and hashes
+//! nothing. The columns grow with the entries held, by doubling, so an
+//! empty cache allocates nothing and a full one holds room for at most
+//! the next power of two of its capacity (four at least). Inserts refresh
+//! an existing entry in place or, when the cache is full, overwrite the
+//! *stalest* slot, found by a scan of the 8-byte stamps alone; among equal
+//! stamps the victim is the first (lowest) slot. Stale entries are never
+//! eagerly evicted — readers simply skip anything older than their trust
+//! horizon, the same epoch/age discipline the fault layer uses for stale
+//! load reports. [`Ranker`] is the matching query side: one reusable
+//! scratch buffer, sorted in place, with a growth counter so benchmarks
+//! can assert the steady state allocates nothing.
 
 use sprite_net::HostId;
 use sprite_sim::{SimDuration, SimTime};
@@ -35,118 +40,162 @@ impl CacheEntry {
     }
 }
 
-/// A bounded, age-stamped load cache with fixed storage.
+/// A bounded, age-stamped load cache.
+///
+/// Slot `i` is `(hosts[i], written[i], infos[i])`. Slots fill in order and
+/// are only ever overwritten, so the occupied slots are exactly `0..len`.
+/// The host id and the stamp are keys — of every lookup and of the victim
+/// scan — so only [`insert`](Self::insert) changes them.
 #[derive(Debug, Clone)]
 pub struct LoadCache {
-    slots: Vec<Option<CacheEntry>>,
+    capacity: usize,
+    hosts: Vec<HostId>,
+    written: Vec<SimTime>,
+    /// `infos[i].host == hosts[i]` always.
+    infos: Vec<HostInfo>,
 }
 
 impl LoadCache {
-    /// A cache with `capacity` slots (at least one). All storage is
-    /// allocated here; nothing grows afterwards.
+    /// An empty cache of `capacity` slots (at least one). Nothing is
+    /// allocated until entries arrive.
     pub fn new(capacity: usize) -> Self {
         LoadCache {
-            slots: vec![None; capacity.max(1)],
+            capacity: capacity.max(1),
+            hosts: Vec::new(),
+            written: Vec::new(),
+            infos: Vec::new(),
         }
     }
 
     /// Slot count.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Occupied slots.
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.hosts.len()
     }
 
     /// True when nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(|s| s.is_none())
+        self.hosts.is_empty()
     }
 
     /// Inserts or refreshes an observation. An existing entry for the same
     /// host is replaced only by a fresher stamp (relays cannot roll time
-    /// backwards). When the cache is full the stalest slot is overwritten.
-    /// Returns whether the entry was stored.
+    /// backwards). When the cache is full the stalest slot — the first one
+    /// holding the minimum stamp — is overwritten, unless the newcomer is
+    /// staler still. Returns whether the entry was stored.
+    #[inline]
     pub fn insert(&mut self, entry: CacheEntry) -> bool {
-        let mut free: Option<usize> = None;
-        let mut stalest: Option<(usize, SimTime)> = None;
-        for (i, slot) in self.slots.iter().enumerate() {
-            match slot {
-                Some(e) if e.info.host == entry.info.host => {
-                    if entry.written >= e.written {
-                        self.slots[i] = Some(entry);
-                        return true;
-                    }
-                    return false;
-                }
-                Some(e) => {
-                    if stalest.map(|(_, w)| e.written < w).unwrap_or(true) {
-                        stalest = Some((i, e.written));
-                    }
-                }
-                None => {
-                    if free.is_none() {
-                        free = Some(i);
-                    }
-                }
-            }
-        }
-        if let Some(i) = free {
-            self.slots[i] = Some(entry);
-            return true;
-        }
-        match stalest {
-            // Never replace a fresher observation with a staler one.
-            Some((i, w)) if entry.written >= w => {
-                self.slots[i] = Some(entry);
+        match self.slot_of(entry.info.host) {
+            Some(slot) if entry.written < self.written[slot] => false,
+            Some(slot) => {
+                self.written[slot] = entry.written;
+                self.infos[slot] = entry.info;
                 true
             }
-            _ => false,
+            None => self.insert_new(entry),
         }
     }
 
-    /// The cached entry for `host`, if any (mutable, for anticipation and
-    /// release bookkeeping).
-    pub fn get_mut(&mut self, host: HostId) -> Option<&mut CacheEntry> {
-        self.slots
-            .iter_mut()
-            .flatten()
-            .find(|e| e.info.host == host)
+    /// [`insert`](Self::insert) for a host with no slot yet.
+    fn insert_new(&mut self, entry: CacheEntry) -> bool {
+        let host = entry.info.host;
+        if self.hosts.len() < self.capacity {
+            self.hosts.push(host);
+            self.written.push(entry.written);
+            self.infos.push(entry.info);
+            return true;
+        }
+        let stalest = *self.written.iter().min().expect("a full cache has slots");
+        // Never replace a fresher observation with a staler one.
+        if entry.written < stalest {
+            return false;
+        }
+        let victim = self
+            .written
+            .iter()
+            .position(|&w| w == stalest)
+            .expect("the minimum is present");
+        self.hosts[victim] = host;
+        self.written[victim] = entry.written;
+        self.infos[victim] = entry.info;
+        true
+    }
+
+    /// The cached load of `host`, mutable for anticipation and release
+    /// bookkeeping. Only the load is handed out: the host id and the stamp
+    /// are keys, which [`insert`](Self::insert) alone may change.
+    pub fn load_mut(&mut self, host: HostId) -> Option<&mut f64> {
+        let slot = self.slot_of(host)?;
+        Some(&mut self.infos[slot].load)
     }
 
     /// The cached entry for `host`, if any.
-    pub fn get(&self, host: HostId) -> Option<&CacheEntry> {
-        self.slots.iter().flatten().find(|e| e.info.host == host)
+    pub fn get(&self, host: HostId) -> Option<CacheEntry> {
+        self.slot_of(host).map(|slot| self.entry(slot))
     }
 
     /// Every occupied slot, in slot order (callers needing a deterministic
     /// ranking sort through [`Ranker`], never iterate raw slots into
     /// scheduling decisions).
-    pub fn entries(&self) -> impl Iterator<Item = &CacheEntry> {
-        self.slots.iter().flatten()
+    pub fn entries(&self) -> impl Iterator<Item = CacheEntry> + '_ {
+        self.infos
+            .iter()
+            .zip(&self.written)
+            .map(|(&info, &written)| CacheEntry { info, written })
     }
 
     /// Copies the up-to-`limit` freshest entries into `out` (freshest
-    /// first, host id breaking ties), reusing `out`'s storage. This is the
-    /// gossip batch builder: O(capacity · limit) with `limit` small, no
-    /// allocation once `out` has warmed up.
+    /// first, host id breaking ties), reusing `out`'s storage. Gossip fills
+    /// its batches this way: one pass over the slots in which a slot staler
+    /// than the batch's tail costs one stamp comparison, and no allocation
+    /// once `out` has warmed up.
     pub fn freshest_into(&self, limit: usize, out: &mut Vec<CacheEntry>) {
         out.clear();
-        for e in self.entries() {
-            // Insertion sort into the bounded batch.
+        if limit == 0 {
+            return;
+        }
+        // Does (written, host) rank ahead of `o`? Keys never tie: one slot
+        // per host.
+        let ahead = |written: SimTime, host: HostId, o: &CacheEntry| {
+            (written, o.info.host) > (o.written, host)
+        };
+        // Once the batch is full, the stamp of its tail.
+        let mut floor = SimTime::ZERO;
+        for (slot, (&written, &host)) in self.written.iter().zip(&self.hosts).enumerate() {
+            if written < floor {
+                continue;
+            }
+            if out.len() == limit {
+                if !ahead(written, host, &out[limit - 1]) {
+                    continue;
+                }
+                out.pop();
+            }
             let pos = out
                 .iter()
-                .position(|o| (e.written, o.info.host.index()) > (o.written, e.info.host.index()))
+                .position(|o| ahead(written, host, o))
                 .unwrap_or(out.len());
-            if pos < limit {
-                if out.len() == limit {
-                    out.pop();
-                }
-                out.insert(pos, *e);
+            out.insert(pos, self.entry(slot));
+            if out.len() == limit {
+                floor = out[limit - 1].written;
             }
         }
+    }
+
+    fn entry(&self, slot: usize) -> CacheEntry {
+        CacheEntry {
+            info: self.infos[slot],
+            written: self.written[slot],
+        }
+    }
+
+    #[inline]
+    fn slot_of(&self, host: HostId) -> Option<usize> {
+        self.hosts.iter().position(|&h| h == host)
     }
 }
 
@@ -211,7 +260,7 @@ impl Ranker {
                 && policy.is_available(&e.info)
                 && keep(e.info.host)
             {
-                self.scratch.push(*e);
+                self.scratch.push(e);
             }
         }
         // Both orders rank the idle key by *effective* idleness — idle time

@@ -15,8 +15,10 @@
 //!   availability flips (the same suppression the central server uses)
 //!   and otherwise at most every `refresh_every` report ticks, keeping
 //!   total bytes within a small multiple of the centralized design;
-//! * **bounded**: each host's view is a fixed-slot [`LoadCache`]; stale
-//!   entries are skipped by age at query time, never eagerly evicted;
+//! * **bounded**: each host's view is a [`LoadCache`] of at most
+//!   [`GOSSIP_CACHE_SLOTS`] entries, whose storage grows only with what it
+//!   holds; stale entries are skipped by age at query time, never eagerly
+//!   evicted;
 //! * **local**: selection ranks the requester's own cache through the
 //!   reusable [`Ranker`] — no RPC, no per-query allocation, no hashing.
 //!
@@ -210,8 +212,8 @@ impl HostSelector for GossipDissemination {
                 self.stats.info_age.record_duration(e.age(now));
                 // Anticipate load locally so this requester will not dump
                 // its next process on the same host [BSW89].
-                if let Some(c) = self.caches[requester.index()].get_mut(e.info.host) {
-                    c.info.load += 1.0;
+                if let Some(load) = self.caches[requester.index()].load_mut(e.info.host) {
+                    *load += 1.0;
                 }
                 Some(e.info.host)
             }
@@ -233,8 +235,8 @@ impl HostSelector for GossipDissemination {
         requester: HostId,
         host: HostId,
     ) -> SimTime {
-        if let Some(c) = self.caches[requester.index()].get_mut(host) {
-            c.info.load = (c.info.load - 1.0).max(0.0);
+        if let Some(load) = self.caches[requester.index()].load_mut(host) {
+            *load = (*load - 1.0).max(0.0);
         }
         now
     }

@@ -226,8 +226,8 @@ impl HostSelector for ShardedCoordinator {
                 self.assigned.insert(e.info.host, (requester, shard));
                 self.stats.info_age.record_duration(e.age(now));
                 // Anticipate load before the process lands [BSW89].
-                if let Some(c) = self.coords[shard].table.get_mut(e.info.host) {
-                    c.info.load += 1.0;
+                if let Some(load) = self.coords[shard].table.load_mut(e.info.host) {
+                    *load += 1.0;
                 }
                 self.stats.granted += 1;
                 self.stats
@@ -254,8 +254,8 @@ impl HostSelector for ShardedCoordinator {
             Some((_, shard)) => shard,
             None => self.part.shard_of(host),
         };
-        if let Some(c) = self.coords[shard].table.get_mut(host) {
-            c.info.load = (c.info.load - 1.0).max(0.0);
+        if let Some(load) = self.coords[shard].table.load_mut(host) {
+            *load = (*load - 1.0).max(0.0);
         }
         let coord_host = self.coords[shard].host;
         if requester == coord_host {

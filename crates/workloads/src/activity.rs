@@ -9,6 +9,8 @@
 //! Mutka/Livny-style long idle stretches \[ML87\] come out of the night/
 //! weekend regime automatically.
 
+use std::cell::Cell;
+
 use sprite_net::HostId;
 use sprite_sim::{DetRng, SimDuration, SimTime};
 
@@ -81,11 +83,38 @@ pub struct ActivityEvent {
 }
 
 /// A host's activity trace over a horizon.
+///
+/// Lookups move an internal cursor through a [`Cell`], so a trace is
+/// `Send` but not `Sync`: each thread queries traces of its own.
 #[derive(Debug, Clone)]
 pub struct ActivityTrace {
     /// The host this trace belongs to.
     pub host: HostId,
     events: Vec<ActivityEvent>,
+    /// The last lookup's answer. Simulations query forward in time, a
+    /// minute or so apart, so the next answer is nearly always the same
+    /// event or the one after it. Only a shortcut: a lookup's result never
+    /// depends on it.
+    cursor: Cell<Cursor>,
+}
+
+/// Where an [`ActivityTrace`] lookup landed: event `index`, which holds
+/// until `until` (µs; `u64::MAX` after the last event).
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    index: usize,
+    event: ActivityEvent,
+    until: u64,
+}
+
+impl Cursor {
+    fn at(events: &[ActivityEvent], index: usize) -> Self {
+        Cursor {
+            index,
+            event: events[index],
+            until: events.get(index + 1).map_or(u64::MAX, |e| e.at.as_micros()),
+        }
+    }
 }
 
 impl ActivityTrace {
@@ -115,7 +144,11 @@ impl ActivityTrace {
                 events.push(ActivityEvent { at: t, active });
             }
         }
-        ActivityTrace { host, events }
+        ActivityTrace {
+            host,
+            cursor: Cell::new(Cursor::at(&events, 0)),
+            events,
+        }
     }
 
     /// The transitions, in time order.
@@ -123,32 +156,52 @@ impl ActivityTrace {
         &self.events
     }
 
-    /// Index just past the last transition at or before `t` (events are
-    /// strictly ordered by time, so a binary search finds it; these lookups
-    /// run millions of times in the month-long production simulations).
-    fn last_transition_before(&self, t: SimTime) -> Option<&ActivityEvent> {
-        let i = self.events.partition_point(|e| e.at <= t);
-        if i == 0 {
-            None
-        } else {
-            Some(&self.events[i - 1])
+    /// The last transition at or before `t`. These lookups run millions of
+    /// times in the month-long production simulations, so one that lands
+    /// in the cursor's event is answered from the cursor alone (inlined
+    /// into the caller).
+    #[inline]
+    fn last_transition_before(&self, t: SimTime) -> ActivityEvent {
+        let c = self.cursor.get();
+        if c.event.at <= t && t.as_micros() < c.until {
+            return c.event;
         }
+        self.seek(t)
+    }
+
+    /// Moves the cursor to the last transition at or before `t`: the event
+    /// after the cursor's when `t` lands in it (one comparison; in
+    /// month_in_life about 1 lookup in 80, against 1 in 2,900 that jumps
+    /// further), otherwise a binary search of all the events. They are
+    /// strictly ordered by time and `generate` always records one at t = 0,
+    /// so there is one.
+    fn seek(&self, t: SimTime) -> ActivityEvent {
+        let next = self.cursor.get().index + 1;
+        let step = self.events.get(next).is_some_and(|e| e.at <= t)
+            && self.events.get(next + 1).is_none_or(|e| t < e.at);
+        let i = if step {
+            next
+        } else {
+            self.events.partition_point(|e| e.at <= t) - 1
+        };
+        self.cursor.set(Cursor::at(&self.events, i));
+        self.events[i]
     }
 
     /// Whether the user is at the console at `t`.
+    #[inline]
     pub fn active_at(&self, t: SimTime) -> bool {
-        match self.last_transition_before(t) {
-            Some(e) => e.active,
-            None => false,
-        }
+        self.last_transition_before(t).active
     }
 
     /// How long the console has been untouched at `t` (zero while active).
+    #[inline]
     pub fn idle_duration_at(&self, t: SimTime) -> SimDuration {
-        match self.last_transition_before(t) {
-            Some(e) if e.active => SimDuration::ZERO,
-            Some(e) => t.elapsed_since(e.at),
-            None => t.elapsed_since(SimTime::ZERO),
+        let e = self.last_transition_before(t);
+        if e.active {
+            SimDuration::ZERO
+        } else {
+            t.elapsed_since(e.at)
         }
     }
 }

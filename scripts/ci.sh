@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate for the Sprite migration reproduction.
 #
-#   scripts/ci.sh          # full gate: build, tests, clippy, smokes, chaos suite, fmt, perfbench, bench
+#   scripts/ci.sh          # full gate: build, tests, clippy, smokes, chaos suite, fmt, perfbench, core_ops, bench
 #   scripts/ci.sh --quick  # build, tests, clippy and the experiment smokes
 #
 # Everything runs offline: the workspace has zero external dependencies, so
@@ -95,7 +95,7 @@ if ! grep -q 'migration takes over at mtbf' "$sweep_tmp/f02_1.txt"; then
 fi
 
 if [[ "$quick" == 1 ]]; then
-    echo "==> quick gate OK (skipped chaos suite, fmt, perfbench, bench_check)"
+    echo "==> quick gate OK (skipped chaos suite, fmt, perfbench, core_ops, bench_check)"
     exit 0
 fi
 
@@ -130,6 +130,13 @@ for w in cell_month month_in_life pmake_build migrate_evict; do
         exit 1
     fi
 done
+
+echo "==> cargo bench -p sprite-bench --bench core_ops"
+# Std-only microbenches of the core operations (about a second). The
+# gossip-ranking one selects from a warm 10 000-entry load cache and
+# asserts the path probes no DetHashMap (take_hash_probes() == 0) and
+# grows no scratch (ranker_grows() == 0); a failed assert exits non-zero.
+cargo bench -q -p sprite-bench --bench core_ops
 
 echo "==> scripts/bench_check.sh"
 scripts/bench_check.sh
