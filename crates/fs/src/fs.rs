@@ -27,7 +27,7 @@ use sprite_sim::{DetHashMap, DetHashSet, SimDuration, SimTime, StateDigest};
 
 use crate::cache::{BlockAddr, BlockCache};
 use crate::replica::ReplicaTable;
-use crate::server::ServerState;
+use crate::server::{Frame, ServerState};
 use crate::shard::ShardMap;
 use crate::stream::{MoveOutcome, ReleaseOutcome, StreamId, StreamTable};
 use crate::{FileId, FileKind, OpenMode, SpritePath};
@@ -1349,16 +1349,12 @@ impl SpriteFs {
             let take_to = ((end - block_start).min(PAGE_SIZE)) as usize;
             let extra = net.cost().cache_block_op + self.disk_penalty(net, server, file, block);
             t = self.charge_typed(net, RpcOp::CkptRestore, t, host, server, extra)?;
-            let bytes = self.server_block(server, file, block);
-            let have = bytes.len().min(take_to);
-            if take_from < have {
-                data.extend_from_slice(&bytes[take_from..have]);
+            let want = (take_to - take_from) as u64;
+            if let Some(f) = self.srv(server).file(file) {
+                f.read_into(pos, want, &mut data);
             }
             // Zero-fill sparse holes within logical size.
-            let expected = take_to.saturating_sub(take_from.min(take_to));
-            while data.len() < (pos - offset) as usize + expected {
-                data.push(0);
-            }
+            data.resize((pos - offset + want) as usize, 0);
             pos = block_start + take_to as u64;
         }
         let n = data.len() as u64;
@@ -1372,7 +1368,8 @@ impl SpriteFs {
     // ----- paging (backing files) ---------------------------------------------
 
     /// Writes one page to a backing file (dirty-page flush during normal
-    /// paging or migration). Bypasses the client cache.
+    /// paging or migration). Bypasses the client cache. The file keeps a
+    /// reference to `frame`; no bytes are copied.
     pub fn page_out(
         &mut self,
         net: &mut Transport,
@@ -1380,7 +1377,7 @@ impl SpriteFs {
         host: HostId,
         file: FileId,
         page: u64,
-        bytes: &[u8],
+        frame: &Frame,
     ) -> FsResult<SimTime> {
         let home = self.backing_server(file)?;
         let io = self.paging_server(file, page).unwrap_or(home);
@@ -1391,7 +1388,7 @@ impl SpriteFs {
             now,
             host,
             io,
-            bytes.len() as u64 + CONTROL_BYTES,
+            frame.len() as u64 + CONTROL_BYTES,
             CONTROL_BYTES,
             extra,
         )?;
@@ -1403,12 +1400,14 @@ impl SpriteFs {
         self.srv_mut(home)
             .file_mut(file)
             .expect("backing file exists")
-            .write_at(page * PAGE_SIZE, bytes);
+            .put_frame(page, Frame::clone(frame));
         self.stats.pageouts += 1;
         Ok(t)
     }
 
-    /// Reads one page from a backing file (demand page-in).
+    /// Reads one page from a backing file (demand page-in). Returns the
+    /// file's stored frame, shared; only a page past the end of the file,
+    /// in a gap or in a short tail is built as a zero-filled copy.
     pub fn page_in(
         &mut self,
         net: &mut Transport,
@@ -1416,19 +1415,18 @@ impl SpriteFs {
         host: HostId,
         file: FileId,
         page: u64,
-    ) -> FsResult<(Vec<u8>, SimTime)> {
+    ) -> FsResult<(Frame, SimTime)> {
         let home = self.backing_server(file)?;
         let io = self.paging_server(file, page).unwrap_or(home);
         let extra = net.cost().cache_block_op + self.disk_penalty(net, io, file, page);
         let t = self.charge_typed(net, RpcOp::VmPageFetch, now, host, io, extra)?;
-        let srv = self.srv_mut(home);
-        let mut data = srv
+        let frame = self
+            .srv(home)
             .file(file)
             .expect("backing file exists")
-            .read_block(page);
-        data.resize(PAGE_SIZE as usize, 0);
+            .frame(page);
         self.stats.pageins += 1;
-        Ok((data, t))
+        Ok((frame, t))
     }
 
     fn backing_server(&self, file: FileId) -> FsResult<HostId> {
@@ -1616,12 +1614,9 @@ impl SpriteFs {
             }
             t
         };
-        let mut data = self.server_block(server, file, block);
-        if data.is_empty() {
-            // Sparse or unwritten region: cache a zero block so the entry
-            // exists (short tail blocks stay short).
-            data = Vec::new();
-        }
+        // Empty and short tail blocks are cached as they are; the cache
+        // digest folds their length.
+        let data = self.server_block(server, file, block);
         let addr = BlockAddr { file, block };
         if let Some((evicted, dirty)) = self.clients[host.index()].insert_clean(addr, version, data)
         {
@@ -1820,13 +1815,16 @@ mod tests {
         let (swap, t1) = fs
             .create_backing(&mut net, t0, h(1), SpritePath::new("/swap/p1"))
             .unwrap();
-        let page = vec![0xabu8; PAGE_SIZE as usize];
+        let page = Frame::from(vec![0xabu8; PAGE_SIZE as usize]);
         let t2 = fs.page_out(&mut net, t1, h(1), swap, 3, &page).unwrap();
         let (back, t3) = fs.page_in(&mut net, t2, h(1), swap, 3).unwrap();
-        assert_eq!(back, page);
+        assert!(
+            Frame::ptr_eq(&back, &page),
+            "paging moves the frame, not bytes"
+        );
         assert!(t3 > t2);
         let (zeros, _) = fs.page_in(&mut net, t3, h(1), swap, 0).unwrap();
-        assert_eq!(zeros, vec![0u8; PAGE_SIZE as usize]);
+        assert_eq!(*zeros, [0u8; PAGE_SIZE as usize]);
         assert_eq!(fs.stats().pageouts, 1);
         assert_eq!(fs.stats().pageins, 2);
     }
@@ -2116,7 +2114,7 @@ mod tests {
         // Paging traffic charges the swap server's CPU, not the root's.
         let before_root = fs.server(h(0)).unwrap().cpu.busy_time();
         let before_swap = fs.server(h(2)).unwrap().cpu.busy_time();
-        fs.page_out(&mut net, t, h(1), swap_file, 0, &[1u8; 4096])
+        fs.page_out(&mut net, t, h(1), swap_file, 0, &Frame::from([1u8; 4096]))
             .unwrap();
         assert_eq!(fs.server(h(0)).unwrap().cpu.busy_time(), before_root);
         assert!(fs.server(h(2)).unwrap().cpu.busy_time() > before_swap);
@@ -2293,7 +2291,7 @@ mod tests {
         let (swap, t1) = fs
             .create_backing(&mut net, t0, h(3), SpritePath::new("/swap/big"))
             .unwrap();
-        let page = vec![0x5au8; PAGE_SIZE as usize];
+        let page = Frame::from(vec![0x5au8; PAGE_SIZE as usize]);
         let mut t = t1;
         for p in 0..6 {
             t = fs.page_out(&mut net, t, h(3), swap, p, &page).unwrap();

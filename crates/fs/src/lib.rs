@@ -14,6 +14,8 @@
 //!   migration mechanism calls;
 //! * [`ServerState`] — per-server namespaces, authoritative file contents,
 //!   the consistency protocol \[NWO88\], and a genuinely contended server CPU;
+//! * [`Frame`] — one page of bytes, shared copy-on-write between a server's
+//!   block table and the address spaces that page through it;
 //! * [`BlockCache`] — per-client write-back block caches;
 //! * [`StreamTable`] — streams and the shadow-stream machinery \[Wel90\] that
 //!   keeps shared access positions correct across migrations.
@@ -39,6 +41,6 @@ pub use file::{FileId, FileKind, OpenMode};
 pub use fs::{FsConfig, FsError, FsResult, FsStats, ServerLoad, SpriteFs};
 pub use path::SpritePath;
 pub use replica::{ReplicaSet, ReplicaTable, HOT_THRESHOLD};
-pub use server::{ConsistencyActions, OpenRecord, ServerFile, ServerState};
+pub use server::{ConsistencyActions, Frame, OpenRecord, ServerFile, ServerState};
 pub use shard::{ShardGroup, ShardMap};
 pub use stream::{MoveOutcome, ReleaseOutcome, Stream, StreamId, StreamTable};

@@ -12,22 +12,67 @@
 //! shared text. Equality and hashing compare the symbol (one integer op),
 //! cloning is trivial, and the name caches and server namespaces in
 //! `sprite-fs` become integer-keyed tables. Ordering still compares the
-//! text, so sorted output is identical to the string days. Interned text is
-//! never freed — a simulation's working set of distinct paths is small and
-//! bounded by the workload, and [`SpritePath::interned_count`] exposes the
-//! table size for the data-plane counters report.
+//! text, so sorted output is identical to the string days.
+//!
+//! Interned text is never freed, and the table is not bounded by the
+//! workload's file set: every process an address space is built for
+//! interns two fresh swap-file names (`/swap/<tag>.heap` and `.stack`), so
+//! the table grows with every spawn of a run. The text is packed into
+//! leaked 64 KiB chunks (`CHUNK_BYTES`) rather than one allocation per
+//! name, so that growth does not scatter small blocks between the
+//! simulation's page frames on the heap. [`SpritePath::interned_count`]
+//! exposes the table size for the data-plane counters report.
 
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
 
 use sprite_sim::DetHashMap;
 
+/// Size of one leaked chunk of interned text: room for a few thousand
+/// names. A chunk is zeroed when it is allocated, so a larger one costs
+/// resident memory before names fill it.
+const CHUNK_BYTES: usize = 1 << 16;
+
+/// Append-only storage for interned text: each string is copied to the end
+/// of the current leaked chunk, and a string that does not fit opens a new
+/// chunk. A string longer than a whole chunk gets a leaked block of its
+/// own.
+struct Chunks {
+    chunk_bytes: usize,
+    /// The unused tail of the current chunk.
+    free: &'static mut [u8],
+}
+
+impl Chunks {
+    fn new(chunk_bytes: usize) -> Self {
+        Chunks {
+            chunk_bytes,
+            free: Default::default(),
+        }
+    }
+
+    fn store(&mut self, text: &str) -> &'static str {
+        let n = text.len();
+        if n > self.free.len() {
+            if n > self.chunk_bytes {
+                return Box::leak(Box::from(text));
+            }
+            self.free = Box::leak(vec![0; self.chunk_bytes].into_boxed_slice());
+        }
+        let (head, tail) = std::mem::take(&mut self.free).split_at_mut(n);
+        self.free = tail;
+        head.copy_from_slice(text.as_bytes());
+        std::str::from_utf8(head).expect("copied from a str")
+    }
+}
+
 /// The process-wide path intern table. Symbols index `strings`; `map` takes
-/// normalized text back to its symbol. Strings are leaked into `'static` so
-/// resolved text needs no lock and no copy.
+/// normalized text back to its symbol. Strings live in leaked `chunks`, so
+/// resolved text is `'static` and needs no lock and no copy.
 struct Interner {
     map: DetHashMap<&'static str, u32>,
     strings: Vec<&'static str>,
+    chunks: Chunks,
 }
 
 fn interner() -> &'static RwLock<Interner> {
@@ -36,6 +81,7 @@ fn interner() -> &'static RwLock<Interner> {
         RwLock::new(Interner {
             map: DetHashMap::default(),
             strings: Vec::new(),
+            chunks: Chunks::new(CHUNK_BYTES),
         })
     })
 }
@@ -56,7 +102,7 @@ fn intern(normalized: &str) -> (u32, &'static str) {
     if let Some((&text, &sym)) = guard.map.get_key_value(normalized) {
         return (sym, text);
     }
-    let text: &'static str = Box::leak(normalized.to_owned().into_boxed_str());
+    let text = guard.chunks.store(normalized);
     let sym = u32::try_from(guard.strings.len()).expect("interner full");
     guard.strings.push(text);
     guard.map.insert(text, sym);
@@ -238,6 +284,51 @@ mod tests {
         assert_eq!(a.symbol(), b.symbol());
         assert!(std::ptr::eq(a.as_str(), b.as_str()), "one stored copy");
         assert!(SpritePath::interned_count() > 0);
+    }
+
+    #[test]
+    fn chunks_pack_text_and_open_a_new_chunk_when_full() {
+        let mut chunks = Chunks::new(16);
+        let a = chunks.store("/abcdefghij");
+        let b = chunks.store("/klmn");
+        // Eleven plus five bytes fill the first chunk exactly: contiguous.
+        assert_eq!(a.as_ptr().wrapping_add(a.len()), b.as_ptr());
+        // Six more bytes cross the chunk boundary into a fresh chunk.
+        let c = chunks.store("/opqrs");
+        let d = chunks.store("");
+        let long = chunks.store("/a name longer than one chunk");
+        let e = chunks.store("/tuv");
+        assert_eq!(
+            [a, b, c, d, long, e],
+            [
+                "/abcdefghij",
+                "/klmn",
+                "/opqrs",
+                "",
+                "/a name longer than one chunk",
+                "/tuv"
+            ]
+        );
+        // The long name took a block of its own; the chunk it did not fit
+        // keeps filling.
+        assert_eq!(c.as_ptr().wrapping_add(c.len()), e.as_ptr());
+    }
+
+    #[test]
+    fn names_across_chunk_boundaries_keep_their_text_and_symbols() {
+        let long = format!("/long/{}", "x".repeat(CHUNK_BYTES + 7));
+        // Names of ~4 KB fill several chunks.
+        let names: Vec<String> = (0..3 * CHUNK_BYTES / 4000)
+            .map(|i| format!("/chunked/{i:03}/{}", "y".repeat(4000)))
+            .chain(std::iter::once(long))
+            .collect();
+        let paths: Vec<SpritePath> = names.iter().map(|n| SpritePath::new(n.as_str())).collect();
+        for (name, p) in names.iter().zip(&paths) {
+            assert_eq!(p.as_str(), name);
+            let again = SpritePath::new(name.as_str());
+            assert_eq!(again.symbol(), p.symbol());
+            assert!(std::ptr::eq(again.as_str(), p.as_str()));
+        }
     }
 
     #[test]

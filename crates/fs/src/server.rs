@@ -9,6 +9,8 @@
 //! name lookups and block operations queue on it, and its saturation is what
 //! limits parallel compilation (E5) exactly as Nelson predicted \[Nel88\].
 
+use std::sync::Arc;
+
 use sprite_net::{HostId, PAGE_SIZE};
 use sprite_sim::{DetHashMap, DetHashSet, FcfsResource, SimDuration};
 
@@ -26,11 +28,25 @@ pub struct OpenRecord {
     pub count: u32,
 }
 
+/// One page of bytes, shared copy-on-write between the file servers'
+/// block tables and the address spaces paging through them: handing a page
+/// between the two moves a reference, not `PAGE_SIZE` bytes. A writer
+/// copies first (`Arc::make_mut`) whenever another holder still shares it.
+pub type Frame = Arc<[u8]>;
+
 /// Server-side state for one file.
+///
+/// The authoritative contents are a block table, one optional [`Frame`]
+/// per `PAGE_SIZE` block, plus the written length. A block's frame holds
+/// only the written prefix of that block, so a short file tail stays
+/// short; bytes past a frame's end, and blocks never written, read as
+/// zeros up to the written length. Reads return exactly what one
+/// contiguous, zero-extended image would.
 #[derive(Debug)]
 pub struct ServerFile {
-    /// The authoritative contents.
-    pub data: Vec<u8>,
+    blocks: Vec<Option<Frame>>,
+    /// End of the furthest write, zero-length writes included.
+    written: u64,
     /// Bumped each time a client opens the file for writing; clients use it
     /// to detect stale cached blocks (sequential write-sharing).
     pub version: u64,
@@ -52,7 +68,8 @@ pub struct ServerFile {
 impl ServerFile {
     fn new(kind: FileKind) -> Self {
         ServerFile {
-            data: Vec::new(),
+            blocks: Vec::new(),
+            written: 0,
             version: 1,
             kind,
             cacheable: !matches!(kind, FileKind::Pseudo { .. }),
@@ -65,7 +82,7 @@ impl ServerFile {
     /// The file's logical length, counting delayed writes still cached at
     /// clients.
     pub fn logical_size(&self) -> u64 {
-        self.noted_size.max(self.data.len() as u64)
+        self.noted_size.max(self.written)
     }
 
     /// Records that a client's cached write extended the file to `end`.
@@ -136,23 +153,113 @@ impl ServerFile {
 
     /// Reads `len` bytes at `offset` (short reads at end of file).
     pub fn read_at(&self, offset: u64, len: u64) -> Vec<u8> {
-        let start = (offset as usize).min(self.data.len());
-        let end = ((offset + len) as usize).min(self.data.len());
-        self.data[start..end].to_vec()
+        let mut out = Vec::new();
+        self.read_into(offset, len, &mut out);
+        out
     }
 
-    /// Writes `bytes` at `offset`, growing the file if needed.
-    pub fn write_at(&mut self, offset: u64, bytes: &[u8]) {
-        let end = offset as usize + bytes.len();
-        if self.data.len() < end {
-            self.data.resize(end, 0);
+    /// Appends the bytes [`ServerFile::read_at`] would return to `out`.
+    pub(crate) fn read_into(&self, offset: u64, len: u64, out: &mut Vec<u8>) {
+        let end = offset.saturating_add(len).min(self.written);
+        let mut pos = offset.min(end);
+        out.reserve((end - pos) as usize);
+        while pos < end {
+            let block = pos / PAGE_SIZE;
+            let block_start = block * PAGE_SIZE;
+            let from = (pos - block_start) as usize;
+            let to = ((end - block_start).min(PAGE_SIZE)) as usize;
+            let stored = self.stored(block);
+            let bytes = &stored[from.min(stored.len())..to.min(stored.len())];
+            out.extend_from_slice(bytes);
+            out.resize(out.len() + (to - from - bytes.len()), 0);
+            pos = block_start + to as u64;
         }
-        self.data[offset as usize..end].copy_from_slice(bytes);
+    }
+
+    /// Writes `bytes` at `offset`, growing the file if needed. A write
+    /// covering a block's whole written prefix stores a fresh frame; any
+    /// other copies the block's frame on write.
+    pub fn write_at(&mut self, offset: u64, bytes: &[u8]) {
+        let end = offset + bytes.len() as u64;
+        self.written = self.written.max(end);
+        let mut pos = offset;
+        while pos < end {
+            let block = pos / PAGE_SIZE;
+            let block_start = block * PAGE_SIZE;
+            let within = (pos - block_start) as usize;
+            let upto = ((end - block_start).min(PAGE_SIZE)) as usize;
+            let src = (pos - offset) as usize;
+            let chunk = &bytes[src..src + (upto - within)];
+            let slot = self.slot(block);
+            // From the block's start over all of its written prefix: the
+            // chunk is the new frame (a whole block always is).
+            let covers = within == 0 && slot.as_ref().is_none_or(|f| f.len() <= upto);
+            match slot {
+                _ if covers => *slot = Some(Frame::from(chunk)),
+                Some(frame) if frame.len() >= upto => {
+                    Arc::make_mut(frame)[within..upto].copy_from_slice(chunk);
+                }
+                _ => {
+                    // The write runs past the frame's end: assemble the
+                    // grown prefix on the stack, then allocate it once.
+                    let old = slot.as_deref().unwrap_or_default();
+                    let kept = old.len().min(within);
+                    let mut page = [0; PAGE_SIZE as usize];
+                    page[..kept].copy_from_slice(&old[..kept]);
+                    page[within..upto].copy_from_slice(chunk);
+                    *slot = Some(Frame::from(&page[..upto]));
+                }
+            }
+            pos = block_start + upto as u64;
+        }
+    }
+
+    /// Stores `frame` as block `block` by reference, exactly as
+    /// `write_at(block * PAGE_SIZE, &frame)` would store its bytes. A frame
+    /// shorter than a page is written by copy.
+    pub fn put_frame(&mut self, block: u64, frame: Frame) {
+        if frame.len() == PAGE_SIZE as usize {
+            self.written = self.written.max((block + 1) * PAGE_SIZE);
+            *self.slot(block) = Some(frame);
+        } else {
+            self.write_at(block * PAGE_SIZE, &frame);
+        }
+    }
+
+    /// Block `block` as a full page: the stored frame itself when the block
+    /// was written whole, a zero-filled copy for a short tail, a gap or a
+    /// block past the end of the file.
+    pub fn frame(&self, block: u64) -> Frame {
+        match self.block_frame(block) {
+            Some(frame) if frame.len() == PAGE_SIZE as usize => Arc::clone(frame),
+            _ => {
+                let mut page = self.read_block(block);
+                page.resize(PAGE_SIZE as usize, 0);
+                Frame::from(page)
+            }
+        }
     }
 
     /// Reads one whole block (short at end of file).
     pub fn read_block(&self, block: u64) -> Vec<u8> {
         self.read_at(block * PAGE_SIZE, PAGE_SIZE)
+    }
+
+    fn block_frame(&self, block: u64) -> Option<&Frame> {
+        self.blocks.get(block as usize)?.as_ref()
+    }
+
+    /// The written prefix of block `block` (empty if never written).
+    fn stored(&self, block: u64) -> &[u8] {
+        self.block_frame(block).map_or(&[], |f| f)
+    }
+
+    fn slot(&mut self, block: u64) -> &mut Option<Frame> {
+        let i = block as usize;
+        if self.blocks.len() <= i {
+            self.blocks.resize(i + 1, None);
+        }
+        &mut self.blocks[i]
     }
 }
 
@@ -412,7 +519,7 @@ mod tests {
     fn read_write_round_trip() {
         let mut f = ServerFile::new(FileKind::Regular);
         f.write_at(10, b"hello");
-        assert_eq!(f.data.len(), 15);
+        assert_eq!(f.logical_size(), 15);
         assert_eq!(f.read_at(10, 5), b"hello");
         assert_eq!(f.read_at(12, 100), b"llo");
         assert_eq!(f.read_at(100, 5), b"");

@@ -11,10 +11,19 @@
 //! bytes through the simulated file system, so tests can check that a
 //! process observes byte-identical memory before and after any sequence of
 //! migrations.
+//!
+//! A resident page is a shared, copy-on-write [`Frame`]. Flushing a page
+//! hands its frame to the backing file, a page-in takes the file's frame
+//! back, and a forked child and a checkpoint snapshot share the frames
+//! they copy; each moves a reference, not the page's bytes, and the
+//! simulated costs are charged exactly as if the bytes moved. A write to a
+//! frame some other holder still shares copies it first, so no holder ever
+//! sees another's writes.
 
 use std::fmt;
+use std::sync::Arc;
 
-use sprite_fs::{FileId, FsResult, SpriteFs};
+use sprite_fs::{FileId, Frame, FsResult, SpriteFs};
 use sprite_net::{HostId, RpcOp, Transport, PAGE_SIZE};
 use sprite_sim::SimTime;
 
@@ -70,7 +79,7 @@ impl VirtAddr {
 /// Where a non-resident page's current bytes live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PageHome {
-    /// In this address space's `data` (page is resident in local memory).
+    /// In this address space's `frame` (page is resident in local memory).
     Resident,
     /// In the segment's backing file on a file server.
     BackingFile,
@@ -85,7 +94,9 @@ enum PageHome {
 struct PageState {
     home: PageHome,
     dirty: bool,
-    data: Vec<u8>,
+    /// The page's bytes (`PAGE_SIZE` long) while resident, and while left
+    /// behind on a copy-on-reference source.
+    frame: Option<Frame>,
 }
 
 impl PageState {
@@ -93,9 +104,20 @@ impl PageState {
         PageState {
             home: PageHome::Zero,
             dirty: false,
-            data: Vec::new(),
+            frame: None,
         }
     }
+
+    /// The resident page's bytes.
+    fn bytes(&self) -> &Frame {
+        self.frame.as_ref().expect("resident page has a frame")
+    }
+}
+
+/// A fresh zero-filled page.
+fn zero_frame() -> Frame {
+    static ZEROS: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+    Frame::from(&ZEROS[..])
 }
 
 /// One segment's pages plus its backing file.
@@ -144,8 +166,9 @@ pub struct CkptPage {
     pub segment: SegmentKind,
     /// Page index within the segment.
     pub page: u64,
-    /// The page's bytes (always `PAGE_SIZE` long).
-    pub data: Vec<u8>,
+    /// The page's bytes (always `PAGE_SIZE` long), shared with the
+    /// address space until either side writes.
+    pub data: Frame,
 }
 
 /// Statistics for one address space.
@@ -232,7 +255,7 @@ impl AddressSpace {
                 .map(|_| PageState {
                     home,
                     dirty: false,
-                    data: Vec::new(),
+                    frame: None,
                 })
                 .collect(),
         };
@@ -253,13 +276,15 @@ impl AddressSpace {
     }
 
     /// Copies this address space for a forked child: heap and stack get
-    /// fresh backing files and deep-copied contents; code pages keep
-    /// demand-paging from the same executable. Pages the parent holds only
-    /// in a backing file are paged in first (fork must capture a snapshot).
+    /// fresh backing files and copies of the parent's contents; code pages
+    /// keep demand-paging from the same executable. Pages the parent holds
+    /// only in a backing file are paged in first (fork must capture a
+    /// snapshot).
     ///
-    /// Sprite used copy-on-write where hardware allowed; an eager copy has
-    /// identical semantics and a cost model matching the Sun-3 port, which
-    /// also copied eagerly.
+    /// Sprite used copy-on-write where hardware allowed; the Sun-3 port
+    /// copied eagerly, and the simulated cost charges that eager copy. On
+    /// the host, the child shares the parent's frames copy-on-write, which
+    /// has identical semantics.
     pub fn fork_copy(
         &mut self,
         fs: &mut SpriteFs,
@@ -296,14 +321,14 @@ impl AddressSpace {
                     PageHome::Zero => pages.push(PageState::zero()),
                     _ => {
                         t = this.fault_in(fs, net, t, host, kind, i as u64)?;
-                        let data = this.segment(kind).pages[i].data.clone();
+                        let frame = this.segment(kind).pages[i].frame.clone();
                         copied_pages += 1;
                         pages.push(PageState {
                             home: PageHome::Resident,
                             // The child's backing file is empty, so its
                             // copied pages are dirty with respect to it.
                             dirty: kind.writable(),
-                            data,
+                            frame,
                         });
                     }
                 }
@@ -331,7 +356,7 @@ impl AddressSpace {
                 .map(|p| PageState {
                     home: p.home,
                     dirty: false,
-                    data: p.data.clone(),
+                    frame: p.frame.clone(),
                 })
                 .collect(),
         };
@@ -418,22 +443,21 @@ impl AddressSpace {
         match home {
             PageHome::Resident => Ok(now),
             PageHome::Zero => {
-                self.stats.faults += 1;
+                let t = self.zero_fill_fault(net, now);
                 let seg = self.segment_mut(segment);
                 let p = &mut seg.pages[page as usize];
-                p.data = vec![0; PAGE_SIZE as usize];
+                p.frame = Some(zero_frame());
                 p.home = PageHome::Resident;
-                // Zero-fill costs a page of copying plus the fault trap.
-                Ok(now + net.cost().context_switch + net.cost().page_copy)
+                Ok(t)
             }
             PageHome::BackingFile => {
                 self.stats.faults += 1;
                 self.stats.pageins += 1;
                 let t = now + net.cost().context_switch;
-                let (data, t) = fs.page_in(net, t, host, backing, page)?;
+                let (frame, t) = fs.page_in(net, t, host, backing, page)?;
                 let seg = self.segment_mut(segment);
                 let p = &mut seg.pages[page as usize];
-                p.data = data;
+                p.frame = Some(frame);
                 p.home = PageHome::Resident;
                 Ok(t)
             }
@@ -451,14 +475,19 @@ impl AddressSpace {
                 };
                 let seg = self.segment_mut(segment);
                 let p = &mut seg.pages[page as usize];
-                // Bytes were kept in `data` when the page was left behind.
-                if p.data.is_empty() {
-                    p.data = vec![0; PAGE_SIZE as usize];
-                }
+                // Bytes were kept in `frame` when the page was left behind.
+                p.frame.get_or_insert_with(zero_frame);
                 p.home = PageHome::Resident;
                 Ok(t)
             }
         }
+    }
+
+    /// Counts the fault a first touch of a zero-fill page takes and returns
+    /// when it completes: the fault trap plus a page of copying.
+    fn zero_fill_fault(&mut self, net: &Transport, now: SimTime) -> SimTime {
+        self.stats.faults += 1;
+        now + net.cost().context_switch + net.cost().page_copy
     }
 
     /// Reads `len` bytes at `addr` from `host`.
@@ -490,7 +519,7 @@ impl AddressSpace {
             let p = &seg.pages[page as usize];
             let within = (pos % PAGE_SIZE) as usize;
             let upto = ((end - page * PAGE_SIZE).min(PAGE_SIZE)) as usize;
-            out.extend_from_slice(&p.data[within..upto]);
+            out.extend_from_slice(&p.bytes()[within..upto]);
             pos = page * PAGE_SIZE + upto as u64;
         }
         Ok((out, t))
@@ -525,13 +554,29 @@ impl AddressSpace {
         let end = addr.offset + bytes.len() as u64;
         while pos < end {
             let page = pos / PAGE_SIZE;
-            t = self.fault_in(fs, net, t, host, addr.segment, page)?;
-            let seg = self.segment_mut(addr.segment);
-            let p = &mut seg.pages[page as usize];
             let within = (pos % PAGE_SIZE) as usize;
             let upto = ((end - page * PAGE_SIZE).min(PAGE_SIZE)) as usize;
             let src_from = (pos - addr.offset) as usize;
-            p.data[within..upto].copy_from_slice(&bytes[src_from..src_from + (upto - within)]);
+            let chunk = &bytes[src_from..src_from + (upto - within)];
+            let whole_page = chunk.len() == PAGE_SIZE as usize;
+            let seg = self.segment(addr.segment);
+            if whole_page && seg.pages.get(page as usize).map(|p| p.home) == Some(PageHome::Zero) {
+                // The write replaces the zero fill, so none is built; the
+                // fault is charged as `fault_in` charges it.
+                t = self.zero_fill_fault(net, t);
+            } else {
+                t = self.fault_in(fs, net, t, host, addr.segment, page)?;
+            }
+            let p = &mut self.segment_mut(addr.segment).pages[page as usize];
+            if whole_page {
+                // Every byte is new: build the frame from them rather than
+                // copy a shared frame only to overwrite it.
+                p.frame = Some(Frame::from(chunk));
+            } else {
+                let frame = p.frame.as_mut().expect("resident page has a frame");
+                Arc::make_mut(frame)[within..upto].copy_from_slice(chunk);
+            }
+            p.home = PageHome::Resident;
             p.dirty = true;
             pos = page * PAGE_SIZE + upto as u64;
         }
@@ -548,22 +593,20 @@ impl AddressSpace {
         host: HostId,
     ) -> FsResult<SimTime> {
         let mut t = now;
-        for kind in SegmentKind::ALL {
-            let backing = self.segment(kind).backing;
-            let dirty: Vec<u64> = {
-                let seg = self.segment(kind);
-                seg.pages
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.dirty)
-                    .map(|(i, _)| i as u64)
-                    .collect()
-            };
-            for page in dirty {
-                let data = self.segment(kind).pages[page as usize].data.clone();
-                t = fs.page_out(net, t, host, backing, page, &data)?;
-                self.segment_mut(kind).pages[page as usize].dirty = false;
-                self.stats.pageouts += 1;
+        let AddressSpace {
+            code,
+            heap,
+            stack,
+            stats,
+        } = self;
+        for seg in [code, heap, stack] {
+            for (page, p) in seg.pages.iter_mut().enumerate() {
+                if !p.dirty {
+                    continue;
+                }
+                t = fs.page_out(net, t, host, seg.backing, page as u64, p.bytes())?;
+                p.dirty = false;
+                stats.pageouts += 1;
             }
         }
         Ok(t)
@@ -585,10 +628,10 @@ impl AddressSpace {
                 assert!(!p.dirty, "drop_residency with dirty pages would lose data");
                 if p.home == PageHome::Resident {
                     p.home = PageHome::BackingFile;
-                    // Keep a copy in the backing file semantics: the bytes
-                    // were flushed there already (clean), or the page was
-                    // never written (code from executable).
-                    p.data = Vec::new();
+                    // The backing file holds the bytes: they were flushed
+                    // there already (clean), or the page was never written
+                    // (code from executable).
+                    p.frame = None;
                 }
             }
         }
@@ -670,8 +713,7 @@ impl AddressSpace {
                     continue;
                 }
                 t = self.fault_in(fs, net, t, host, kind, i as u64)?;
-                let mut data = self.segment(kind).pages[i].data.clone();
-                data.resize(PAGE_SIZE as usize, 0);
+                let data = self.segment(kind).pages[i].bytes().clone();
                 out.push(CkptPage {
                     segment: kind,
                     page: i as u64,
@@ -697,7 +739,7 @@ impl AddressSpace {
             for p in &mut self.segment_mut(kind).pages {
                 if p.home == PageHome::RemoteSource(dead) {
                     p.home = PageHome::Zero;
-                    p.data = Vec::new();
+                    p.frame = None;
                     p.dirty = false;
                     lost += 1;
                 }
@@ -882,6 +924,132 @@ mod tests {
         child.drop_residency();
         let (c2, _) = child.read(&mut fs, &mut net, t, h(2), a, 7).unwrap();
         assert_eq!(c2, b"childs!");
+    }
+
+    /// Page `page` of the heap as the address space holds it.
+    fn heap_frame(s: &AddressSpace, page: usize) -> Frame {
+        s.heap.pages[page].bytes().clone()
+    }
+
+    /// Page `page` of the heap's backing file, as stored on the server.
+    fn backing_frame(fs: &SpriteFs, s: &AddressSpace, page: u64) -> Frame {
+        let file = s.segment(SegmentKind::Heap).backing();
+        fs.server(h(0)).unwrap().file(file).unwrap().frame(page)
+    }
+
+    #[test]
+    fn a_flushed_page_shares_its_frame_until_written() {
+        let (mut net, mut fs) = setup();
+        let (mut s, t) = space(&mut fs, &mut net, "cow1");
+        let a = VirtAddr::new(SegmentKind::Heap, 2 * PAGE_SIZE);
+        let t = s.write(&mut fs, &mut net, t, h(1), a, b"flushed").unwrap();
+        let t = s.flush_dirty(&mut fs, &mut net, t, h(1)).unwrap();
+        assert!(
+            Arc::ptr_eq(&heap_frame(&s, 2), &backing_frame(&fs, &s, 2)),
+            "a flush hands the file the page's own frame"
+        );
+        let t = s.write(&mut fs, &mut net, t, h(1), a, b"changed").unwrap();
+        assert!(!Arc::ptr_eq(&heap_frame(&s, 2), &backing_frame(&fs, &s, 2)));
+        // What a page-in returns is still the flushed page.
+        let file = s.segment(SegmentKind::Heap).backing();
+        let (paged, _) = fs.page_in(&mut net, t, h(2), file, 2).unwrap();
+        assert_eq!(&paged[..7], b"flushed");
+        let (mine, _) = s.read(&mut fs, &mut net, t, h(1), a, 7).unwrap();
+        assert_eq!(mine, b"changed");
+    }
+
+    #[test]
+    fn a_write_after_page_in_leaves_the_backing_file_alone() {
+        let (mut net, mut fs) = setup();
+        let (mut s, t) = space(&mut fs, &mut net, "cow2");
+        let a = VirtAddr::new(SegmentKind::Heap, 0);
+        let two_pages = 2 * PAGE_SIZE;
+        let t = s
+            .write(&mut fs, &mut net, t, h(1), a, &vec![7; two_pages as usize])
+            .unwrap();
+        let t = s.flush_dirty(&mut fs, &mut net, t, h(1)).unwrap();
+        s.drop_residency();
+        // Demand page on another host: the page-in shares the file's frames.
+        let (back, t) = s.read(&mut fs, &mut net, t, h(2), a, two_pages).unwrap();
+        assert_eq!(back, vec![7; two_pages as usize]);
+        for page in 0..2 {
+            assert!(Arc::ptr_eq(
+                &heap_frame(&s, page),
+                &backing_frame(&fs, &s, page as u64)
+            ));
+        }
+        // A partial write to page 0 copies its frame; a whole-page write to
+        // page 1 replaces its frame.
+        let t = s.write(&mut fs, &mut net, t, h(2), a, &[9; 100]).unwrap();
+        let b = VirtAddr::new(SegmentKind::Heap, PAGE_SIZE);
+        s.write(&mut fs, &mut net, t, h(2), b, &[8; PAGE_SIZE as usize])
+            .unwrap();
+        assert_eq!(*backing_frame(&fs, &s, 0), [7; PAGE_SIZE as usize]);
+        assert_eq!(*backing_frame(&fs, &s, 1), [7; PAGE_SIZE as usize]);
+        assert_eq!(
+            heap_frame(&s, 0)[..101],
+            [[9; 100].as_slice(), &[7]].concat()
+        );
+        assert_eq!(*heap_frame(&s, 1), [8; PAGE_SIZE as usize]);
+    }
+
+    #[test]
+    fn forked_and_cloned_children_diverge_from_their_parent() {
+        let (mut net, mut fs) = setup();
+        let (mut parent, t) = space(&mut fs, &mut net, "cow3");
+        let a = VirtAddr::new(SegmentKind::Stack, 10);
+        let t = parent
+            .write(&mut fs, &mut net, t, h(1), a, b"origin")
+            .unwrap();
+        let (mut forked, t) = parent
+            .fork_copy(&mut fs, &mut net, t, h(1), "cow3.child")
+            .unwrap();
+        let mut cloned = parent.clone();
+        assert!(Arc::ptr_eq(
+            forked.stack.pages[0].bytes(),
+            parent.stack.pages[0].bytes()
+        ));
+        let t = parent
+            .write(&mut fs, &mut net, t, h(1), a, b"parent")
+            .unwrap();
+        let t = forked
+            .write(&mut fs, &mut net, t, h(1), a, b"forked")
+            .unwrap();
+        let t = cloned
+            .write(&mut fs, &mut net, t, h(1), a, b"cloned")
+            .unwrap();
+        for (s, want) in [
+            (&mut parent, b"parent"),
+            (&mut forked, b"forked"),
+            (&mut cloned, b"cloned"),
+        ] {
+            let (got, _) = s.read(&mut fs, &mut net, t, h(1), a, 6).unwrap();
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn a_whole_page_write_to_zero_fill_costs_a_zero_fill_fault() {
+        let (mut net, mut fs) = setup();
+        let (mut whole, t) = space(&mut fs, &mut net, "cow4");
+        let (mut split, _) = space(&mut fs, &mut net, "cow5");
+        let page = vec![3; PAGE_SIZE as usize];
+        let a = VirtAddr::new(SegmentKind::Heap, PAGE_SIZE);
+        let t1 = whole.write(&mut fs, &mut net, t, h(1), a, &page).unwrap();
+        // The same bytes in two writes take the zero-fill path.
+        let half = PAGE_SIZE / 2;
+        let t2 = split
+            .write(&mut fs, &mut net, t, h(1), a, &page[..half as usize])
+            .unwrap();
+        let b = VirtAddr::new(SegmentKind::Heap, PAGE_SIZE + half);
+        let t2b = split
+            .write(&mut fs, &mut net, t2, h(1), b, &page[half as usize..])
+            .unwrap();
+        assert_eq!(t1, t2, "same charge as fault_in's zero fill");
+        assert_eq!(t2b, t2);
+        assert_eq!(whole.stats(), split.stats());
+        assert_eq!(whole.dirty_pages(), 1);
+        assert_eq!(*heap_frame(&whole, 1), *heap_frame(&split, 1));
     }
 
     #[test]
