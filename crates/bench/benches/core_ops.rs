@@ -138,7 +138,9 @@ fn bench_fs_and_eviction() {
         let t = cluster.write_fd(t, pid, fd, &[7u8; 65536]).unwrap();
         let stream = cluster.pcb(pid).unwrap().fd(fd).unwrap();
         cluster.fs.seek(stream, 0).unwrap();
-        black_box(cluster.read_fd(t, pid, fd, 65536).unwrap());
+        let mut data = Vec::new();
+        black_box(cluster.read_fd(t, pid, fd, 65536, &mut data).unwrap());
+        black_box(data);
     });
     bench("evict_4_foreign_processes", 100, || {
         let hosts = 7;

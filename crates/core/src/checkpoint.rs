@@ -151,9 +151,16 @@ pub fn checkpoint_restart(
         .fs
         .open(&mut cluster.net, t, to, ckpt_path.clone(), OpenMode::Read)
         .map_err(KernelError::Fs)?;
-    let (_, t) = cluster
+    let t = cluster
         .fs
-        .read(&mut cluster.net, t, to, ckpt_r, image_bytes)
+        .read(
+            &mut cluster.net,
+            t,
+            to,
+            ckpt_r,
+            image_bytes,
+            &mut Vec::new(),
+        )
         .map_err(KernelError::Fs)?;
     let mut t = cluster
         .fs

@@ -113,7 +113,8 @@ mod tests {
             .unwrap();
         let stream = c.pcb(pid).unwrap().fd(fd).unwrap();
         c.fs.seek(stream, 0).unwrap();
-        let (data, _) = c.read_fd(t, pid, fd, 64).unwrap();
+        let mut data = Vec::new();
+        c.read_fd(t, pid, fd, 64, &mut data).unwrap();
         assert_eq!(&data, b"before-migration after-migration");
         assert_eq!(report.streams_moved, 1);
         assert_eq!(report.shadows_created, 0, "sole reference: no shadow");

@@ -10,6 +10,12 @@
 //! dirty blocks must be flushed to the server before its open files move
 //! (Ch. 5.3), and a foreign process's cache footprint is part of the cost it
 //! imposes on its host.
+//!
+//! A cached block is a [`Frame`], shared copy-on-write with the file
+//! server's block table: a fetch caches the server's frame, a write-back
+//! stores the client's, and a hit hands out a reference. Only the caller's
+//! read buffer, or a write that keeps some of a shared frame's bytes,
+//! copies them.
 
 use std::collections::btree_map::{self, BTreeMap};
 
@@ -17,6 +23,7 @@ use sprite_net::PAGE_SIZE;
 use sprite_sim::{DetHashMap, StateDigest};
 
 use crate::recency::Recency;
+use crate::server::Frame;
 use crate::FileId;
 
 /// Address of one cached block.
@@ -31,7 +38,7 @@ pub struct BlockAddr {
 /// One cached block's data and state.
 #[derive(Debug, Clone)]
 struct CachedBlock {
-    data: Vec<u8>,
+    data: Frame,
     dirty: bool,
     /// File version this block was read under; a mismatch at open time
     /// means another host wrote the file since, and the block is stale.
@@ -101,10 +108,11 @@ impl BlockCache {
         block
     }
 
-    /// Looks up a block, updating recency. `current_version` is the file
-    /// version the caller holds from the server; a version mismatch is
-    /// treated as a miss and the stale block is discarded.
-    pub fn lookup(&mut self, addr: BlockAddr, current_version: u64) -> Option<Vec<u8>> {
+    /// Looks up a block, updating recency, and returns its frame by
+    /// reference. `current_version` is the file version the caller holds
+    /// from the server; a version mismatch is treated as a miss and the
+    /// stale block is discarded.
+    pub fn lookup(&mut self, addr: BlockAddr, current_version: u64) -> Option<Frame> {
         let clock = self.tick();
         let Some(block) = self.block_mut(addr) else {
             self.misses += 1;
@@ -116,7 +124,7 @@ impl BlockCache {
             self.misses += 1;
             return None;
         }
-        let data = block.data.clone();
+        let data = Frame::clone(&block.data);
         self.recency.touch(addr, clock);
         self.hits += 1;
         Some(data)
@@ -128,8 +136,8 @@ impl BlockCache {
         &mut self,
         addr: BlockAddr,
         version: u64,
-        data: Vec<u8>,
-    ) -> Option<(BlockAddr, Vec<u8>)> {
+        data: Frame,
+    ) -> Option<(BlockAddr, Frame)> {
         self.insert(addr, version, data, false)
     }
 
@@ -139,8 +147,8 @@ impl BlockCache {
         &mut self,
         addr: BlockAddr,
         version: u64,
-        data: Vec<u8>,
-    ) -> Option<(BlockAddr, Vec<u8>)> {
+        data: Frame,
+    ) -> Option<(BlockAddr, Frame)> {
         self.insert(addr, version, data, true)
     }
 
@@ -148,9 +156,9 @@ impl BlockCache {
         &mut self,
         addr: BlockAddr,
         version: u64,
-        data: Vec<u8>,
+        data: Frame,
         dirty: bool,
-    ) -> Option<(BlockAddr, Vec<u8>)> {
+    ) -> Option<(BlockAddr, Frame)> {
         debug_assert!(data.len() as u64 <= PAGE_SIZE, "block larger than a page");
         let clock = self.tick();
         match self.files.entry(addr.file).or_default().entry(addr.block) {
@@ -216,7 +224,7 @@ impl BlockCache {
     /// recall or a migration flush), in block order. Clean blocks of the
     /// file stay cached, and so do clean copies of the flushed ones: a
     /// recall flushes but need not invalidate.
-    pub fn take_dirty_blocks(&mut self, file: FileId) -> Vec<(BlockAddr, Vec<u8>)> {
+    pub fn take_dirty_blocks(&mut self, file: FileId) -> Vec<(BlockAddr, Frame)> {
         let Some(blocks) = self.files.get_mut(&file) else {
             return Vec::new();
         };
@@ -225,7 +233,7 @@ impl BlockCache {
             .filter(|(_, b)| b.dirty)
             .map(|(&block, b)| {
                 b.dirty = false;
-                (BlockAddr { file, block }, b.data.clone())
+                (BlockAddr { file, block }, Frame::clone(&b.data))
             })
             .collect()
     }
@@ -233,7 +241,7 @@ impl BlockCache {
     /// Drops every block of `file` (server disabled caching, or the local
     /// copy is known stale). Returns dirty blocks that must be written
     /// back, in block order.
-    pub fn invalidate_file(&mut self, file: FileId) -> Vec<(BlockAddr, Vec<u8>)> {
+    pub fn invalidate_file(&mut self, file: FileId) -> Vec<(BlockAddr, Frame)> {
         let Some(blocks) = self.files.remove(&file) else {
             return Vec::new();
         };
@@ -312,6 +320,10 @@ impl BlockCache {
 mod tests {
     use super::*;
 
+    fn f(bytes: Vec<u8>) -> Frame {
+        Frame::from(bytes)
+    }
+
     fn addr(f: u64, b: u64) -> BlockAddr {
         BlockAddr {
             file: FileId::new(f),
@@ -322,15 +334,15 @@ mod tests {
     #[test]
     fn hit_after_insert() {
         let mut c = BlockCache::new(4);
-        c.insert_clean(addr(1, 0), 1, vec![7; 16]);
-        assert_eq!(c.lookup(addr(1, 0), 1), Some(vec![7; 16]));
+        c.insert_clean(addr(1, 0), 1, f(vec![7; 16]));
+        assert_eq!(c.lookup(addr(1, 0), 1), Some(f(vec![7; 16])));
         assert_eq!(c.hit_stats(), (1, 0));
     }
 
     #[test]
     fn version_mismatch_is_a_miss_and_discards() {
         let mut c = BlockCache::new(4);
-        c.insert_clean(addr(1, 0), 1, vec![7; 16]);
+        c.insert_clean(addr(1, 0), 1, f(vec![7; 16]));
         assert_eq!(c.lookup(addr(1, 0), 2), None);
         assert_eq!(c.len(), 0);
         assert_eq!(c.hit_stats(), (0, 1));
@@ -339,11 +351,11 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut c = BlockCache::new(2);
-        c.insert_clean(addr(1, 0), 1, vec![0]);
-        c.insert_clean(addr(1, 1), 1, vec![1]);
+        c.insert_clean(addr(1, 0), 1, f(vec![0]));
+        c.insert_clean(addr(1, 1), 1, f(vec![1]));
         // Touch block 0 so block 1 becomes LRU.
         c.lookup(addr(1, 0), 1);
-        let evicted = c.insert_clean(addr(1, 2), 1, vec![2]);
+        let evicted = c.insert_clean(addr(1, 2), 1, f(vec![2]));
         assert!(evicted.is_none(), "clean eviction returns nothing");
         assert!(c.lookup(addr(1, 1), 1).is_none(), "LRU block evicted");
         assert!(c.lookup(addr(1, 0), 1).is_some());
@@ -352,30 +364,30 @@ mod tests {
     #[test]
     fn dirty_eviction_returns_writeback() {
         let mut c = BlockCache::new(1);
-        c.insert_dirty(addr(1, 0), 1, vec![9]);
-        let evicted = c.insert_clean(addr(1, 1), 1, vec![2]);
-        assert_eq!(evicted, Some((addr(1, 0), vec![9])));
+        c.insert_dirty(addr(1, 0), 1, f(vec![9]));
+        let evicted = c.insert_clean(addr(1, 1), 1, f(vec![2]));
+        assert_eq!(evicted, Some((addr(1, 0), f(vec![9]))));
     }
 
     #[test]
     fn overwrite_keeps_dirtiness_sticky() {
         let mut c = BlockCache::new(2);
-        c.insert_dirty(addr(1, 0), 1, vec![1]);
-        c.insert_clean(addr(1, 0), 1, vec![2]);
+        c.insert_dirty(addr(1, 0), 1, f(vec![1]));
+        c.insert_clean(addr(1, 0), 1, f(vec![2]));
         assert_eq!(c.dirty_block_count(FileId::new(1)), 1);
     }
 
     #[test]
     fn take_dirty_flushes_but_keeps_clean_copies() {
         let mut c = BlockCache::new(8);
-        c.insert_dirty(addr(1, 2), 1, vec![2]);
-        c.insert_dirty(addr(1, 0), 1, vec![0]);
-        c.insert_clean(addr(1, 1), 1, vec![1]);
-        c.insert_dirty(addr(2, 0), 1, vec![9]);
+        c.insert_dirty(addr(1, 2), 1, f(vec![2]));
+        c.insert_dirty(addr(1, 0), 1, f(vec![0]));
+        c.insert_clean(addr(1, 1), 1, f(vec![1]));
+        c.insert_dirty(addr(2, 0), 1, f(vec![9]));
         let flushed = c.take_dirty_blocks(FileId::new(1));
         assert_eq!(
             flushed,
-            vec![(addr(1, 0), vec![0]), (addr(1, 2), vec![2])],
+            vec![(addr(1, 0), f(vec![0])), (addr(1, 2), f(vec![2]))],
             "dirty blocks of file 1 in block order"
         );
         assert_eq!(c.dirty_block_count(FileId::new(1)), 0);
@@ -386,10 +398,10 @@ mod tests {
     #[test]
     fn invalidate_drops_everything_and_returns_dirty() {
         let mut c = BlockCache::new(8);
-        c.insert_dirty(addr(1, 0), 1, vec![0]);
-        c.insert_clean(addr(1, 1), 1, vec![1]);
+        c.insert_dirty(addr(1, 0), 1, f(vec![0]));
+        c.insert_clean(addr(1, 1), 1, f(vec![1]));
         let dirty = c.invalidate_file(FileId::new(1));
-        assert_eq!(dirty, vec![(addr(1, 0), vec![0])]);
+        assert_eq!(dirty, vec![(addr(1, 0), f(vec![0]))]);
         assert!(c.is_empty());
     }
 

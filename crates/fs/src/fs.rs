@@ -27,7 +27,7 @@ use sprite_sim::{DetHashMap, DetHashSet, SimDuration, SimTime, StateDigest};
 
 use crate::cache::{BlockAddr, BlockCache};
 use crate::replica::ReplicaTable;
-use crate::server::{Frame, ServerState};
+use crate::server::{write_frame, Frame, ServerState};
 use crate::shard::ShardMap;
 use crate::stream::{MoveOutcome, ReleaseOutcome, StreamId, StreamTable};
 use crate::{FileId, FileKind, OpenMode, SpritePath};
@@ -195,7 +195,8 @@ pub struct ServerLoad {
 /// let (stream, t2) = fs.open(&mut net, t1, client, SpritePath::new("/tmp/x"), OpenMode::ReadWrite)?;
 /// let t3 = fs.write(&mut net, t2, client, stream, b"hello sprite")?;
 /// fs.seek(stream, 0)?;
-/// let (data, _t4) = fs.read(&mut net, t3, client, stream, 12)?;
+/// let mut data = Vec::new();
+/// let _t4 = fs.read(&mut net, t3, client, stream, 12, &mut data)?;
 /// assert_eq!(data, b"hello sprite");
 /// # Ok(())
 /// # }
@@ -536,17 +537,18 @@ impl SpriteFs {
         }
     }
 
-    /// Flushes one dirty block to its server, charging transfer + service.
-    /// If the write-back RPC fails, the block is re-marked dirty in the
-    /// client's cache (its clean copy stayed resident), so the bytes remain
-    /// scheduled for a future flush rather than silently lost.
+    /// Flushes one dirty block to its server, charging transfer + service;
+    /// the server stores the client's frame by reference. If the write-back
+    /// RPC fails, the block is re-marked dirty in the client's cache (its
+    /// clean copy stayed resident), so the bytes remain scheduled for a
+    /// future flush rather than silently lost.
     fn write_back_block(
         &mut self,
         net: &mut Transport,
         now: SimTime,
         from: HostId,
         addr: BlockAddr,
-        data: Vec<u8>,
+        data: Frame,
     ) -> FsResult<SimTime> {
         let server = self.home_of(addr.file).expect("file has a home");
         let extra = net.cost().cache_block_op;
@@ -569,7 +571,7 @@ impl SpriteFs {
         let srv = self.srv_mut(server);
         srv.touch_block(addr.file, addr.block);
         if let Some(file) = srv.file_mut(addr.file) {
-            file.write_at(addr.block * PAGE_SIZE, &data);
+            file.put_frame(addr.block, data);
         }
         self.stats.block_writebacks += 1;
         Ok(done)
@@ -967,7 +969,9 @@ impl SpriteFs {
         Ok(())
     }
 
-    /// Reads up to `len` bytes from `stream` at its access position.
+    /// Reads up to `len` bytes from `stream` at its access position into
+    /// `buf`, which is cleared first. Cached blocks are copied from their
+    /// frames straight into `buf`.
     pub fn read(
         &mut self,
         net: &mut Transport,
@@ -975,7 +979,9 @@ impl SpriteFs {
         host: HostId,
         stream: StreamId,
         len: u64,
-    ) -> FsResult<(Vec<u8>, SimTime)> {
+        buf: &mut Vec<u8>,
+    ) -> FsResult<SimTime> {
+        buf.clear();
         let (file, server, mode, kind, shadowed, offset) = self.stream_info(stream, host)?;
         if !mode.reads() {
             return Err(FsError::BadMode(stream));
@@ -996,51 +1002,48 @@ impl SpriteFs {
             )?;
             self.stats.shadow_ops += 1;
         }
-        let cacheable = self.server_file_cacheable(server, file);
-        let version = self.server_file_version(server, file);
-        let logical = self.server_file_len(server, file);
-        let end = (offset + len).min(logical);
-        let mut data = Vec::with_capacity(len as usize);
+        let (cacheable, version, logical) = self.file_state(server, file);
+        let end = offset.saturating_add(len).min(logical);
+        buf.reserve(end.saturating_sub(offset) as usize);
         let mut pos = offset;
         while pos < end {
             let block = pos / PAGE_SIZE;
             let block_start = block * PAGE_SIZE;
             let take_from = (pos - block_start) as usize;
             let take_to = ((end - block_start).min(PAGE_SIZE)) as usize;
-            let bytes = if cacheable {
+            if cacheable {
                 let addr = BlockAddr { file, block };
-                match self.clients[host.index()].lookup(addr, version) {
-                    Some(b) => b,
+                let frame = match self.clients[host.index()].lookup(addr, version) {
+                    Some(frame) => frame,
                     None => {
                         t = self.fetch_block(net, t, host, server, file, block, version)?;
                         self.clients[host.index()]
                             .lookup(addr, version)
                             .expect("block just inserted")
                     }
+                };
+                let have = frame.len().min(take_to);
+                if take_from < have {
+                    buf.extend_from_slice(&frame[take_from..have]);
                 }
             } else {
                 self.stats.uncached_ops += 1;
                 let extra = net.cost().cache_block_op + self.disk_penalty(net, server, file, block);
                 t = self.charge_typed(net, RpcOp::FsBlockRead, t, host, server, extra)?;
-                self.server_block(server, file, block)
-            };
-            let have = bytes.len().min(take_to);
-            if take_from < have {
-                data.extend_from_slice(&bytes[take_from..have]);
+                if let Some(f) = self.srv(server).file(file) {
+                    f.read_into(pos, (take_to - take_from) as u64, buf);
+                }
             }
             // Zero-fill sparse holes within logical size.
-            let expected = take_to.saturating_sub(take_from.min(take_to));
-            while data.len() < (pos - offset) as usize + expected {
-                data.push(0);
-            }
             pos = block_start + take_to as u64;
+            buf.resize((pos - offset) as usize, 0);
         }
-        let n = data.len() as u64;
+        let n = buf.len() as u64;
         if let Some(s) = self.streams.get_mut(stream) {
             s.advance(n);
         }
         self.stats.bytes_read += n;
-        Ok((data, t))
+        Ok(t)
     }
 
     /// Writes `bytes` at the stream's access position.
@@ -1071,8 +1074,7 @@ impl SpriteFs {
             )?;
             self.stats.shadow_ops += 1;
         }
-        let cacheable = self.server_file_cacheable(server, file);
-        let version = self.server_file_version(server, file);
+        let (cacheable, version, _) = self.file_state(server, file);
         let end = offset + bytes.len() as u64;
         let mut pos = offset;
         while pos < end {
@@ -1083,14 +1085,14 @@ impl SpriteFs {
             let chunk = &bytes[(pos - offset) as usize..(pos - offset) as usize + (upto - within)];
             if cacheable {
                 let addr = BlockAddr { file, block };
-                // Read-modify-write for partial blocks.
+                // Read-modify-write for partial blocks, on the cached frame
+                // or else the server's; either is copied only if the write
+                // keeps some of its bytes.
                 let mut current = self.clients[host.index()]
                     .lookup(addr, version)
-                    .unwrap_or_else(|| self.server_block(server, file, block));
-                if current.len() < upto {
-                    current.resize(upto, 0);
-                }
-                current[within..upto].copy_from_slice(chunk);
+                    .or_else(|| self.server_block_frame(server, file, block));
+                write_frame(&mut current, within, chunk);
+                let current = current.expect("a write leaves a frame");
                 if let Some((evicted, data)) =
                     self.clients[host.index()].insert_dirty(addr, version, current)
                 {
@@ -1339,8 +1341,8 @@ impl SpriteFs {
         }
         let mut t = now + net.cost().local_kernel_call;
         let logical = self.server_file_len(server, file);
-        let end = (offset + len).min(logical);
-        let mut data = Vec::with_capacity(len as usize);
+        let end = offset.saturating_add(len).min(logical);
+        let mut data = Vec::with_capacity(end.saturating_sub(offset) as usize);
         let mut pos = offset;
         while pos < end {
             let block = pos / PAGE_SIZE;
@@ -1533,11 +1535,12 @@ impl SpriteFs {
         self.srv(server).file(file).map(|f| f.version).unwrap_or(0)
     }
 
-    fn server_file_cacheable(&self, server: HostId, file: FileId) -> bool {
-        self.srv(server)
-            .file(file)
-            .map(|f| f.cacheable)
-            .unwrap_or(false)
+    /// A server file's `(cacheable, version, logical size)` from one
+    /// lookup; `(false, 0, 0)` for a file the server no longer stores.
+    fn file_state(&self, server: HostId, file: FileId) -> (bool, u64, u64) {
+        self.srv(server).file(file).map_or((false, 0, 0), |f| {
+            (f.cacheable, f.version, f.logical_size())
+        })
     }
 
     fn server_file_len(&self, server: HostId, file: FileId) -> u64 {
@@ -1547,11 +1550,8 @@ impl SpriteFs {
             .unwrap_or(0)
     }
 
-    fn server_block(&self, server: HostId, file: FileId, block: u64) -> Vec<u8> {
-        self.srv(server)
-            .file(file)
-            .map(|f| f.read_block(block))
-            .unwrap_or_default()
+    fn server_block_frame(&self, server: HostId, file: FileId, block: u64) -> Option<Frame> {
+        self.srv(server).file(file)?.read_block_frame(block)
     }
 
     fn note_size(&mut self, server: HostId, file: FileId, end: u64) {
@@ -1614,9 +1614,12 @@ impl SpriteFs {
             }
             t
         };
-        // Empty and short tail blocks are cached as they are; the cache
-        // digest folds their length.
-        let data = self.server_block(server, file, block);
+        // The server's frame is cached by reference when it holds exactly
+        // the block's bytes. Empty and short tail blocks are cached as they
+        // are; the cache digest folds their length.
+        let data = self
+            .server_block_frame(server, file, block)
+            .unwrap_or_else(|| Frame::from([]));
         let addr = BlockAddr { file, block };
         if let Some((evicted, dirty)) = self.clients[host.index()].insert_clean(addr, version, data)
         {
@@ -1664,8 +1667,9 @@ mod tests {
         let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
         let t3 = fs.write(&mut net, t2, h(1), s, &payload).unwrap();
         fs.seek(s, 0).unwrap();
-        let (back, t4) = fs
-            .read(&mut net, t3, h(1), s, payload.len() as u64)
+        let mut back = Vec::new();
+        let t4 = fs
+            .read(&mut net, t3, h(1), s, payload.len() as u64, &mut back)
             .unwrap();
         assert_eq!(back, payload);
         assert!(t4 > t0);
@@ -1706,7 +1710,8 @@ mod tests {
         let (s3, t8) = fs
             .open(&mut net, t7, h(2), SpritePath::new("/f"), OpenMode::Read)
             .unwrap();
-        let (data, _) = fs.read(&mut net, t8, h(2), s3, 16).unwrap();
+        let mut data = Vec::new();
+        fs.read(&mut net, t8, h(2), s3, 16, &mut data).unwrap();
         assert_eq!(&data, b"WRITTEN by host1");
         assert_eq!(fs.client_cache(h(1)).dirty_block_count(id), 0);
     }
@@ -1727,13 +1732,15 @@ mod tests {
             .open(&mut net, t2, h(2), SpritePath::new("/f"), OpenMode::Read)
             .unwrap();
         assert!(fs.stats().cache_disables >= 1);
-        let (data, _) = fs.read(&mut net, t3, h(2), s2, 5).unwrap();
+        let mut data = Vec::new();
+        fs.read(&mut net, t3, h(2), s2, 5, &mut data).unwrap();
         assert_eq!(&data, b"dirty");
         // Writer's further writes go through to the server immediately.
         let t4 = fs.write(&mut net, t3, h(1), s1, b" more").unwrap();
         assert!(fs.stats().uncached_ops > 0);
         fs.seek(s2, 0).unwrap();
-        let (data2, _) = fs.read(&mut net, t4, h(2), s2, 10).unwrap();
+        let mut data2 = Vec::new();
+        fs.read(&mut net, t4, h(2), s2, 10, &mut data2).unwrap();
         assert_eq!(&data2, b"dirty more");
     }
 
@@ -1759,11 +1766,13 @@ mod tests {
         assert!(outcome.shadowed);
         let before = fs.stats().shadow_ops;
         fs.seek(s, 0).unwrap();
-        let (data, _) = fs.read(&mut net, t3, h(2), s, 4).unwrap();
+        let mut data = Vec::new();
+        fs.read(&mut net, t3, h(2), s, 4, &mut data).unwrap();
         assert_eq!(&data, b"0123");
         assert_eq!(fs.stats().shadow_ops, before + 1);
         // The shared access position is visible from the home host too.
-        let (data2, _) = fs.read(&mut net, t3, h(1), s, 3).unwrap();
+        let mut data2 = Vec::new();
+        fs.read(&mut net, t3, h(1), s, 3, &mut data2).unwrap();
         assert_eq!(&data2, b"456");
     }
 
@@ -1858,7 +1867,7 @@ mod tests {
         assert!(t2.elapsed_since(t1) >= net.cost().small_rpc_round_trip());
         // Reads and writes are meaningless on pseudo-devices.
         assert!(matches!(
-            fs.read(&mut net, t2, h(1), s, 4),
+            fs.read(&mut net, t2, h(1), s, 4, &mut Vec::new()),
             Err(FsError::WrongKind(_))
         ));
         assert_eq!(fs.stats().pseudo_requests, 1);
@@ -1940,7 +1949,7 @@ mod tests {
         ));
         // A host that holds no reference cannot use the stream.
         assert!(matches!(
-            fs.read(&mut net, t1, h(0), s, 1),
+            fs.read(&mut net, t1, h(0), s, 1, &mut Vec::new()),
             Err(FsError::BadStream(_))
         ));
         let fs2 = SpriteFs::new(FsConfig::default(), 2);
@@ -1991,11 +2000,12 @@ mod tests {
         let t2 = fs.write(&mut net, t1, h(1), s, &[1u8; 8192]).unwrap();
         let fetches_before = fs.stats().block_fetches;
         fs.seek(s, 0).unwrap();
-        let (_, t3) = fs.read(&mut net, t2, h(1), s, 8192).unwrap();
+        let mut buf = Vec::new();
+        let t3 = fs.read(&mut net, t2, h(1), s, 8192, &mut buf).unwrap();
         // All blocks are dirty in the local cache: no fetches.
         assert_eq!(fs.stats().block_fetches, fetches_before);
         fs.seek(s, 0).unwrap();
-        let (_, _t4) = fs.read(&mut net, t3, h(1), s, 8192).unwrap();
+        fs.read(&mut net, t3, h(1), s, 8192, &mut buf).unwrap();
         assert_eq!(fs.stats().block_fetches, fetches_before);
         let (hits, _) = fs.client_cache(h(1)).hit_stats();
         assert!(hits >= 4);
@@ -2039,9 +2049,11 @@ mod tests {
             .unwrap();
         let t2 = fs.write(&mut net, t1, h(1), s, b"abc").unwrap();
         fs.seek(s, 0).unwrap();
-        let (data, _) = fs.read(&mut net, t2, h(1), s, 100).unwrap();
+        let mut data = Vec::new();
+        fs.read(&mut net, t2, h(1), s, 100, &mut data).unwrap();
         assert_eq!(&data, b"abc");
-        let (empty, _) = fs.read(&mut net, t2, h(1), s, 100).unwrap();
+        let mut empty = Vec::new();
+        fs.read(&mut net, t2, h(1), s, 100, &mut empty).unwrap();
         assert!(empty.is_empty());
     }
 
@@ -2140,7 +2152,8 @@ mod tests {
             .unlink(&mut net, t2, h(1), &SpritePath::new("/u"))
             .unwrap();
         fs.seek(s, 0).unwrap();
-        let (data, _) = fs.read(&mut net, t3, h(1), s, 16).unwrap();
+        let mut data = Vec::new();
+        fs.read(&mut net, t3, h(1), s, 16, &mut data).unwrap();
         assert!(
             data.is_empty(),
             "documented divergence: unlinked file reads EOF"
@@ -2249,8 +2262,9 @@ mod tests {
             let (r, t4) = fs
                 .open(&mut net, t, reader, SpritePath::new("/hot"), OpenMode::Read)
                 .unwrap();
-            let (data, t5) = fs
-                .read(&mut net, t4, reader, r, payload.len() as u64)
+            let mut data = Vec::new();
+            let t5 = fs
+                .read(&mut net, t4, reader, r, payload.len() as u64, &mut data)
                 .unwrap();
             assert_eq!(data, payload);
             t = fs.close(&mut net, t5, reader, r).unwrap();
@@ -2280,7 +2294,8 @@ mod tests {
         let (r2, t9) = fs
             .open(&mut net, t8, h(4), SpritePath::new("/hot"), OpenMode::Read)
             .unwrap();
-        let (head, _) = fs.read(&mut net, t9, h(4), r2, 3).unwrap();
+        let mut head = Vec::new();
+        fs.read(&mut net, t9, h(4), r2, 3, &mut head).unwrap();
         assert_eq!(&head, b"NEW");
     }
 
@@ -2332,6 +2347,159 @@ mod tests {
     }
 
     #[test]
+    fn reads_to_the_end_of_the_offset_range_stop_at_eof() {
+        let (mut net, mut fs) = setup(2);
+        let t0 = SimTime::ZERO;
+        for name in ["/f", "/img"] {
+            fs.create(&mut net, t0, h(1), SpritePath::new(name))
+                .unwrap();
+        }
+        let (s, t1) = fs
+            .open(
+                &mut net,
+                t0,
+                h(1),
+                SpritePath::new("/f"),
+                OpenMode::ReadWrite,
+            )
+            .unwrap();
+        let t2 = fs.write(&mut net, t1, h(1), s, b"abcdef").unwrap();
+        fs.seek(s, 3).unwrap();
+        // `u64::MAX` asks for the rest of the file: `offset + len` passes
+        // the end of the offset range.
+        let mut rest = Vec::new();
+        fs.read(&mut net, t2, h(1), s, u64::MAX, &mut rest).unwrap();
+        assert_eq!(rest, b"def");
+        let (img, t3) = fs
+            .open(
+                &mut net,
+                t2,
+                h(1),
+                SpritePath::new("/img"),
+                OpenMode::ReadWrite,
+            )
+            .unwrap();
+        let t4 = fs.ckpt_write(&mut net, t3, h(1), img, b"abcdef").unwrap();
+        fs.seek(img, 3).unwrap();
+        let (image, _) = fs.ckpt_read(&mut net, t4, h(1), img, u64::MAX).unwrap();
+        assert_eq!(image, b"def");
+    }
+
+    /// Host `host`'s cached frame of `file`'s block `block`, under the
+    /// file's current version.
+    fn cached(fs: &mut SpriteFs, host: HostId, file: FileId, block: u64) -> Frame {
+        let version = fs.server_file_version(h(0), file);
+        fs.clients[host.index()]
+            .lookup(BlockAddr { file, block }, version)
+            .expect("block cached")
+    }
+
+    /// The server's frame of whole-page block `block`.
+    fn stored(fs: &SpriteFs, file: FileId, block: u64) -> Frame {
+        fs.srv(h(0)).file(file).unwrap().frame(block)
+    }
+
+    #[test]
+    fn client_caches_share_frames_with_the_server_until_written() {
+        let (mut net, mut fs) = setup(4);
+        let path = SpritePath::new("/shared");
+        let (id, t) = fs
+            .create(&mut net, SimTime::ZERO, h(1), path.clone())
+            .unwrap();
+        let page: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 251) as u8).collect();
+        let (w, t) = fs
+            .open(&mut net, t, h(1), path.clone(), OpenMode::Write)
+            .unwrap();
+        let t = fs.write(&mut net, t, h(1), w, &page).unwrap();
+        let written = cached(&mut fs, h(1), id, 0);
+        let mut t = fs.close(&mut net, t, h(1), w).unwrap();
+        // The write-back stored the writer's frame by reference.
+        assert!(Frame::ptr_eq(&stored(&fs, id, 0), &written));
+        // A remote fetch caches the server's frame, and a hit hands it out.
+        let mut buf = Vec::new();
+        for reader in [h(2), h(3)] {
+            let (r, t1) = fs
+                .open(&mut net, t, reader, path.clone(), OpenMode::Read)
+                .unwrap();
+            let t2 = fs
+                .read(&mut net, t1, reader, r, PAGE_SIZE, &mut buf)
+                .unwrap();
+            assert_eq!(buf, page);
+            t = fs.close(&mut net, t2, reader, r).unwrap();
+            assert!(Frame::ptr_eq(&cached(&mut fs, reader, id, 0), &written));
+        }
+        let other_reader = cached(&mut fs, h(3), id, 0);
+        // A partial write copies the shared frame: the server's frame and
+        // the other reader's cached copy keep their bytes until write-back.
+        let (w2, t) = fs
+            .open(&mut net, t, h(2), path.clone(), OpenMode::Write)
+            .unwrap();
+        fs.seek(w2, 10).unwrap();
+        let t = fs.write(&mut net, t, h(2), w2, b"XYZ").unwrap();
+        let mut edited = page.clone();
+        edited[10..13].copy_from_slice(b"XYZ");
+        let dirty = cached(&mut fs, h(2), id, 0);
+        assert_eq!(*dirty, edited[..]);
+        assert!(Frame::ptr_eq(&stored(&fs, id, 0), &written));
+        assert_eq!(*written, page[..]);
+        assert_eq!(*other_reader, page[..]);
+        let t = fs.close(&mut net, t, h(2), w2).unwrap();
+        assert!(Frame::ptr_eq(&stored(&fs, id, 0), &dirty));
+        // The writer's clean copy is the server's frame now; writing it
+        // again copies it rather than changing the server's bytes.
+        let (w3, t) = fs.open(&mut net, t, h(2), path, OpenMode::Write).unwrap();
+        fs.seek(w3, 20).unwrap();
+        fs.write(&mut net, t, h(2), w3, b"!").unwrap();
+        assert_eq!(*stored(&fs, id, 0), edited[..]);
+        assert_eq!(*other_reader, page[..]);
+    }
+
+    #[test]
+    fn fetched_blocks_are_cached_at_read_block_length() {
+        let (mut net, mut fs) = setup(3);
+        let path = SpritePath::new("/tail");
+        let (id, t) = fs
+            .create(&mut net, SimTime::ZERO, h(1), path.clone())
+            .unwrap();
+        let write = |fs: &mut SpriteFs, net: &mut Transport, t, at: u64, len: usize| {
+            let (w, t) = fs
+                .open(net, t, h(1), path.clone(), OpenMode::Write)
+                .unwrap();
+            fs.seek(w, at).unwrap();
+            let t = fs.write(net, t, h(1), w, &vec![7; len]).unwrap();
+            fs.close(net, t, h(1), w).unwrap()
+        };
+        let read_all = |fs: &mut SpriteFs, net: &mut Transport, t| {
+            let (r, t) = fs.open(net, t, h(2), path.clone(), OpenMode::Read).unwrap();
+            let t = fs.read(net, t, h(2), r, u64::MAX, &mut Vec::new()).unwrap();
+            fs.close(net, t, h(2), r).unwrap()
+        };
+        let expect_block = |fs: &mut SpriteFs, block: u64| {
+            let want = fs.srv(h(0)).file(id).unwrap().read_block(block);
+            assert_eq!(*cached(fs, h(2), id, block), want[..], "block {block}");
+        };
+        // A whole block and a 100-byte written tail: the tail's frame is
+        // shared at its own length.
+        let t = write(&mut fs, &mut net, t, 0, PAGE_SIZE as usize + 100);
+        let t = read_all(&mut fs, &mut net, t);
+        expect_block(&mut fs, 1);
+        let tail = cached(&mut fs, h(2), id, 1);
+        assert_eq!(tail.len(), 100);
+        let stored_tail = fs.srv(h(0)).file(id).unwrap().read_block_frame(1);
+        assert!(Frame::ptr_eq(&tail, &stored_tail.unwrap()));
+        // A write two blocks on leaves block 1's stored prefix shorter than
+        // the written length and block 2 a gap: both are cached as copies
+        // zero-filled to a whole block.
+        let t = write(&mut fs, &mut net, t, 3 * PAGE_SIZE, 5);
+        read_all(&mut fs, &mut net, t);
+        for block in 0..4 {
+            expect_block(&mut fs, block);
+        }
+        assert_eq!(cached(&mut fs, h(2), id, 1).len(), PAGE_SIZE as usize);
+        assert_eq!(cached(&mut fs, h(2), id, 3).len(), 5);
+    }
+
+    #[test]
     fn sparse_writes_read_back_zero_filled() {
         let (mut net, mut fs) = setup(2);
         let t0 = SimTime::ZERO;
@@ -2349,10 +2517,13 @@ mod tests {
         fs.seek(s, 3 * PAGE_SIZE).unwrap();
         let t2 = fs.write(&mut net, t1, h(1), s, b"tail").unwrap();
         fs.seek(s, PAGE_SIZE).unwrap();
-        let (data, _) = fs.read(&mut net, t2, h(1), s, PAGE_SIZE).unwrap();
+        let mut data = Vec::new();
+        fs.read(&mut net, t2, h(1), s, PAGE_SIZE, &mut data)
+            .unwrap();
         assert_eq!(data, vec![0u8; PAGE_SIZE as usize]);
         fs.seek(s, 3 * PAGE_SIZE).unwrap();
-        let (tail, _) = fs.read(&mut net, t2, h(1), s, 4).unwrap();
+        let mut tail = Vec::new();
+        fs.read(&mut net, t2, h(1), s, 4, &mut tail).unwrap();
         assert_eq!(&tail, b"tail");
     }
 }

@@ -128,18 +128,19 @@ pub struct SpritePath {
 
 impl SpritePath {
     /// Creates a path, normalizing to a single leading slash and no
-    /// trailing slash.
+    /// trailing slash. Already-normal text is interned as it is, with no
+    /// copy.
     ///
     /// # Panics
     ///
     /// Panics if `path` is empty.
-    pub fn new(path: impl Into<String>) -> Self {
-        let raw = path.into();
+    pub fn new(path: impl AsRef<str>) -> Self {
+        let raw = path.as_ref();
         assert!(!raw.is_empty(), "empty pathname");
         let already_normal =
             raw == "/" || (raw.starts_with('/') && !raw.ends_with('/') && !raw.contains("//"));
         let (sym, text) = if already_normal {
-            intern(&raw)
+            intern(raw)
         } else {
             let trimmed = raw.trim_matches('/');
             intern(&format!("/{trimmed}"))

@@ -29,10 +29,36 @@ pub struct OpenRecord {
 }
 
 /// One page of bytes, shared copy-on-write between the file servers'
-/// block tables and the address spaces paging through them: handing a page
-/// between the two moves a reference, not `PAGE_SIZE` bytes. A writer
-/// copies first (`Arc::make_mut`) whenever another holder still shares it.
+/// block tables, the client block caches and the address spaces paging
+/// through them: handing a page between any two moves a reference, not
+/// `PAGE_SIZE` bytes. A writer copies first (`Arc::make_mut`) whenever
+/// another holder still shares it.
 pub type Frame = Arc<[u8]>;
+
+/// Writes `chunk` at byte `within` of a block whose written prefix is
+/// `slot` (`None` reads as empty), copying at most once. A write from the
+/// block's start over all of the prefix makes the chunk the new frame (a
+/// whole block always is); one inside the prefix copies the frame only if
+/// another holder shares it; one past its end assembles the grown prefix on
+/// the stack, then allocates it once.
+pub(crate) fn write_frame(slot: &mut Option<Frame>, within: usize, chunk: &[u8]) {
+    let upto = within + chunk.len();
+    let covers = within == 0 && slot.as_ref().is_none_or(|f| f.len() <= upto);
+    match slot {
+        _ if covers => *slot = Some(Frame::from(chunk)),
+        Some(frame) if frame.len() >= upto => {
+            Arc::make_mut(frame)[within..upto].copy_from_slice(chunk);
+        }
+        _ => {
+            let old = slot.as_deref().unwrap_or_default();
+            let kept = old.len().min(within);
+            let mut page = [0; PAGE_SIZE as usize];
+            page[..kept].copy_from_slice(&old[..kept]);
+            page[within..upto].copy_from_slice(chunk);
+            *slot = Some(Frame::from(&page[..upto]));
+        }
+    }
+}
 
 /// Server-side state for one file.
 ///
@@ -178,7 +204,7 @@ impl ServerFile {
 
     /// Writes `bytes` at `offset`, growing the file if needed. A write
     /// covering a block's whole written prefix stores a fresh frame; any
-    /// other copies the block's frame on write.
+    /// other copies the block's frame on write (see [`write_frame`]).
     pub fn write_at(&mut self, offset: u64, bytes: &[u8]) {
         let end = offset + bytes.len() as u64;
         self.written = self.written.max(end);
@@ -189,27 +215,7 @@ impl ServerFile {
             let within = (pos - block_start) as usize;
             let upto = ((end - block_start).min(PAGE_SIZE)) as usize;
             let src = (pos - offset) as usize;
-            let chunk = &bytes[src..src + (upto - within)];
-            let slot = self.slot(block);
-            // From the block's start over all of its written prefix: the
-            // chunk is the new frame (a whole block always is).
-            let covers = within == 0 && slot.as_ref().is_none_or(|f| f.len() <= upto);
-            match slot {
-                _ if covers => *slot = Some(Frame::from(chunk)),
-                Some(frame) if frame.len() >= upto => {
-                    Arc::make_mut(frame)[within..upto].copy_from_slice(chunk);
-                }
-                _ => {
-                    // The write runs past the frame's end: assemble the
-                    // grown prefix on the stack, then allocate it once.
-                    let old = slot.as_deref().unwrap_or_default();
-                    let kept = old.len().min(within);
-                    let mut page = [0; PAGE_SIZE as usize];
-                    page[..kept].copy_from_slice(&old[..kept]);
-                    page[within..upto].copy_from_slice(chunk);
-                    *slot = Some(Frame::from(&page[..upto]));
-                }
-            }
+            write_frame(self.slot(block), within, &bytes[src..src + (upto - within)]);
             pos = block_start + upto as u64;
         }
     }
@@ -243,6 +249,30 @@ impl ServerFile {
     /// Reads one whole block (short at end of file).
     pub fn read_block(&self, block: u64) -> Vec<u8> {
         self.read_at(block * PAGE_SIZE, PAGE_SIZE)
+    }
+
+    /// The bytes [`ServerFile::read_block`] returns, as a frame, or `None`
+    /// when they are empty. The stored frame itself when it holds exactly
+    /// those bytes (a whole block, or a written short tail); a copy when
+    /// they run past it into zeros (a gap, or a stored prefix shorter than
+    /// the written length).
+    pub(crate) fn read_block_frame(&self, block: u64) -> Option<Frame> {
+        let len = self
+            .written
+            .saturating_sub(block * PAGE_SIZE)
+            .min(PAGE_SIZE) as usize;
+        if len == 0 {
+            return None;
+        }
+        match self.block_frame(block) {
+            Some(frame) if frame.len() == len => Some(Arc::clone(frame)),
+            _ => {
+                let stored = self.stored(block);
+                let mut page = [0; PAGE_SIZE as usize];
+                page[..stored.len()].copy_from_slice(stored);
+                Some(Frame::from(&page[..len]))
+            }
+        }
     }
 
     fn block_frame(&self, block: u64) -> Option<&Frame> {

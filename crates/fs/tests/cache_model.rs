@@ -6,8 +6,9 @@
 //!   point, (bytes in dirty cache blocks) ∪ (bytes previously returned for
 //!   write-back) equals the reference contents.
 //! - It behaves exactly like [`FlatCache`], a flat-map reference cache
-//!   (one hash map of blocks, a linear scan per per-file operation and per
-//!   eviction): same return values, sizes, counters and digest folds after
+//!   (one hash map of `Vec<u8>` blocks, a linear scan per per-file
+//!   operation and per eviction): same return values (the bytes of the
+//!   frames the cache hands back), sizes, counters and digest folds after
 //!   every operation, version changes included.
 //!
 //! Cases are generated from [`DetRng`] with a fixed seed (reproducible);
@@ -15,7 +16,7 @@
 
 use sprite_sim::{DetHashMap, StateDigest};
 
-use sprite_fs::{BlockAddr, BlockCache, FileId, FileKind, OpenMode, SpriteFs, SpritePath};
+use sprite_fs::{BlockAddr, BlockCache, FileId, FileKind, Frame, OpenMode, SpriteFs, SpritePath};
 use sprite_net::HostId;
 use sprite_sim::{DetRng, SimTime};
 
@@ -183,7 +184,7 @@ fn dirty_data_is_never_lost() {
                                 block: block as u64,
                             },
                             V,
-                            vec![b; 8],
+                            Frame::from([b; 8]),
                         ) {
                             note_writeback(addr, &data, &files, &mut at_server);
                         }
@@ -199,7 +200,7 @@ fn dirty_data_is_never_lost() {
                             block: block as u64,
                         },
                         V,
-                        vec![byte; 8],
+                        Frame::from([byte; 8]),
                     ) {
                         note_writeback(addr, &data, &files, &mut at_server);
                     }
@@ -281,6 +282,19 @@ struct FlatBlock {
 }
 
 type Flushed = Vec<(BlockAddr, Vec<u8>)>;
+
+/// The bytes of blocks [`BlockCache`] returned, for comparison with the
+/// reference's.
+fn evicted(block: Option<(BlockAddr, Frame)>) -> Option<(BlockAddr, Vec<u8>)> {
+    block.map(|(addr, frame)| (addr, frame.to_vec()))
+}
+
+fn flushed(blocks: Vec<(BlockAddr, Frame)>) -> Flushed {
+    blocks
+        .into_iter()
+        .map(|(addr, frame)| (addr, frame.to_vec()))
+        .collect()
+}
 
 impl FlatCache {
     fn new(capacity: usize) -> Self {
@@ -464,7 +478,11 @@ fn block_cache_matches_the_flat_reference_exactly() {
                         byte,
                         version,
                     } => (
-                        Returned::Evicted(cache.insert_clean(at(file, block), version, vec![byte])),
+                        Returned::Evicted(evicted(cache.insert_clean(
+                            at(file, block),
+                            version,
+                            Frame::from([byte]),
+                        ))),
                         Returned::Evicted(flat.insert(at(file, block), version, vec![byte], false)),
                     ),
                     CacheOp::InsertDirty {
@@ -473,7 +491,11 @@ fn block_cache_matches_the_flat_reference_exactly() {
                         byte,
                         version,
                     } => (
-                        Returned::Evicted(cache.insert_dirty(at(file, block), version, vec![byte])),
+                        Returned::Evicted(evicted(cache.insert_dirty(
+                            at(file, block),
+                            version,
+                            Frame::from([byte]),
+                        ))),
                         Returned::Evicted(flat.insert(at(file, block), version, vec![byte], true)),
                     ),
                     CacheOp::Lookup {
@@ -481,15 +503,15 @@ fn block_cache_matches_the_flat_reference_exactly() {
                         block,
                         version,
                     } => (
-                        Returned::Block(cache.lookup(at(file, block), version)),
+                        Returned::Block(cache.lookup(at(file, block), version).map(|f| f.to_vec())),
                         Returned::Block(flat.lookup(at(file, block), version)),
                     ),
                     CacheOp::TakeDirty { file } => (
-                        Returned::Flushed(cache.take_dirty_blocks(files[file as usize])),
+                        Returned::Flushed(flushed(cache.take_dirty_blocks(files[file as usize]))),
                         Returned::Flushed(flat.take_dirty_blocks(files[file as usize])),
                     ),
                     CacheOp::Invalidate { file } => (
-                        Returned::Flushed(cache.invalidate_file(files[file as usize])),
+                        Returned::Flushed(flushed(cache.invalidate_file(files[file as usize]))),
                         Returned::Flushed(flat.invalidate_file(files[file as usize])),
                     ),
                     CacheOp::Revalidate { file, version } => {

@@ -659,7 +659,9 @@ impl Cluster {
         let (stream, t) =
             self.fs
                 .open(&mut self.net, now, host, program.clone(), OpenMode::Read)?;
-        let (_, t) = self.fs.read(&mut self.net, t, host, stream, 512)?;
+        let t = self
+            .fs
+            .read(&mut self.net, t, host, stream, 512, &mut Vec::new())?;
         let t = self.fs.close(&mut self.net, t, host, stream)?;
         let tag = self.fresh_swap_tag(pid);
         let (space, t) = AddressSpace::create(
@@ -1075,21 +1077,23 @@ impl Cluster {
         Ok((p.install_fd(stream), t))
     }
 
-    /// Reads from a descriptor.
+    /// Reads up to `len` bytes from a descriptor into `buf`, which is
+    /// cleared first.
     pub fn read_fd(
         &mut self,
         now: SimTime,
         pid: ProcessId,
         fd: usize,
         len: u64,
-    ) -> KernelResult<(Vec<u8>, SimTime)> {
+        buf: &mut Vec<u8>,
+    ) -> KernelResult<SimTime> {
         let host = self.current_of(pid)?;
         let stream = self
             .procs
             .get(pid)
             .and_then(|p| p.fd(fd))
             .ok_or(KernelError::BadFd(fd))?;
-        Ok(self.fs.read(&mut self.net, now, host, stream, len)?)
+        Ok(self.fs.read(&mut self.net, now, host, stream, len, buf)?)
     }
 
     /// Writes to a descriptor.

@@ -288,7 +288,8 @@ mod tests {
         let t = c.write_fd(t, pid, fd, b"+post").unwrap();
         let stream = c.pcb(pid).unwrap().fd(fd).unwrap();
         c.fs.seek(stream, 0).unwrap();
-        let (data, _t) = c.read_fd(t, pid, fd, 32).unwrap();
+        let mut data = Vec::new();
+        c.read_fd(t, pid, fd, 32, &mut data).unwrap();
         assert_eq!(&data, b"pre-exec+post");
     }
 
@@ -332,11 +333,12 @@ mod tests {
         let t = c.write_fd(t, pid, fd, b"kernel io").unwrap();
         let stream = c.pcb(pid).unwrap().fd(fd).unwrap();
         c.fs.seek(stream, 0).unwrap();
-        let (data, t) = c.read_fd(t, pid, fd, 9).unwrap();
+        let mut data = Vec::new();
+        let t = c.read_fd(t, pid, fd, 9, &mut data).unwrap();
         assert_eq!(data, b"kernel io");
         let t = c.close_fd(t, pid, fd).unwrap();
         assert!(matches!(
-            c.read_fd(t, pid, fd, 1),
+            c.read_fd(t, pid, fd, 1, &mut data),
             Err(KernelError::BadFd(_))
         ));
     }

@@ -118,7 +118,9 @@ impl DepGraph {
     }
 
     /// Targets whose dependencies are all in `done`, excluding `done` ones,
-    /// in index order (deterministic scheduling).
+    /// in index order (deterministic scheduling). This scans the whole
+    /// graph; [`run_build`](crate::run_build) readies targets by count
+    /// instead, in the same order.
     pub fn ready(&self, done: &DetHashSet<usize>) -> Vec<usize> {
         self.targets
             .iter()
@@ -175,15 +177,15 @@ impl DepGraph {
     }
 
     /// Builds the standard two-level compile-then-link graph from a
-    /// workload's jobs.
-    pub fn from_compile_jobs(jobs: &[CompileJob], link_cpu: SimDuration) -> Self {
+    /// workload's jobs, which the compile targets take over.
+    pub fn from_compile_jobs(jobs: Vec<CompileJob>, link_cpu: SimDuration) -> Self {
         let mut g = DepGraph::new();
         let mut objs = Vec::with_capacity(jobs.len());
         let mut inputs = Vec::with_capacity(jobs.len());
         for j in jobs {
-            inputs.push(j.obj.clone());
-            let idx = g.add_target(&j.obj, Action::Compile(j.clone()), &[]);
-            objs.push(idx);
+            let obj = j.obj.clone();
+            objs.push(g.add_target(&obj, Action::Compile(j), &[]));
+            inputs.push(obj);
         }
         g.add_target(
             "/src/prog",
@@ -199,7 +201,56 @@ impl DepGraph {
 
     /// Convenience: graph straight from a workload description.
     pub fn from_workload(w: &CompileWorkload, rng: &mut sprite_sim::DetRng) -> Self {
-        Self::from_compile_jobs(&w.jobs(rng), w.link_cpu)
+        Self::from_compile_jobs(w.jobs(rng), w.link_cpu)
+    }
+}
+
+/// Count-based readiness for one build: each target's number of unbuilt
+/// dependencies and the targets that depend on it, built once. A
+/// completion readies exactly the dependents whose count reaches zero, in
+/// index order — the targets [`DepGraph::ready`] would newly list, in its
+/// order, without a scan of the graph.
+#[derive(Debug)]
+pub(crate) struct Readiness {
+    /// Unbuilt dependencies per target, a repeated dependency counted once
+    /// per mention.
+    unmet: Vec<usize>,
+    /// Per target, the targets that list it as a dependency, in index
+    /// order (once per mention).
+    dependents: Vec<Vec<usize>>,
+}
+
+impl Readiness {
+    pub(crate) fn new(graph: &DepGraph) -> Self {
+        let mut unmet = Vec::with_capacity(graph.len());
+        let mut dependents = vec![Vec::new(); graph.len()];
+        for (i, t) in graph.targets.iter().enumerate() {
+            unmet.push(t.deps.len());
+            for &d in &t.deps {
+                dependents[d].push(i);
+            }
+        }
+        Readiness { unmet, dependents }
+    }
+
+    /// Targets with no dependencies, in index order.
+    pub(crate) fn initial(&self) -> impl Iterator<Item = usize> + '_ {
+        self.unmet
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n == 0)
+            .map(|(i, _)| i)
+    }
+
+    /// Records that `target` was built and appends the targets it readied
+    /// to `ready`, in index order.
+    pub(crate) fn complete(&mut self, target: usize, ready: &mut Vec<usize>) {
+        for &d in &self.dependents[target] {
+            self.unmet[d] -= 1;
+            if self.unmet[d] == 0 {
+                ready.push(d);
+            }
+        }
     }
 }
 
@@ -315,6 +366,50 @@ mod tests {
         let t = |s| SimTime::ZERO + SimDuration::from_secs(s);
         let built: DetHashMap<usize, SimTime> = [(a, t(1)), (b, t(2))].into_iter().collect();
         assert!(g.stale_subgraph(&built).is_empty());
+    }
+
+    /// A random multi-level DAG: each target depends on up to four earlier
+    /// ones, sometimes the same one twice, so chains, diamonds, wide
+    /// fan-ins and fan-outs all occur.
+    fn random_dag(rng: &mut DetRng, n: usize) -> DepGraph {
+        let mut g = DepGraph::new();
+        for i in 0..n {
+            let fan_in = if i == 0 { 0 } else { rng.uniform_u64(5) };
+            let deps: Vec<usize> = (0..fan_in).map(|_| rng.pick_index(i)).collect();
+            phony(&mut g, &format!("t{i}"), &deps);
+        }
+        g
+    }
+
+    #[test]
+    fn count_based_readiness_matches_rescanning_the_graph() {
+        for seed in 0..300 {
+            let mut rng = DetRng::seed_from(seed);
+            let n = 1 + rng.pick_index(60);
+            let g = random_dag(&mut rng, n);
+            let mut readiness = Readiness::new(&g);
+            let mut done = DetHashSet::default();
+            let mut started: Vec<usize> = readiness.initial().collect();
+            assert_eq!(started, g.ready(&done), "seed {seed}: first wave");
+            // Launched targets finish in a random order; each completion
+            // must ready exactly what a rescan newly lists, in its order.
+            let mut running = started.clone();
+            while !running.is_empty() {
+                let tgt = running.swap_remove(rng.pick_index(running.len()));
+                done.insert(tgt);
+                let mut got = Vec::new();
+                readiness.complete(tgt, &mut got);
+                let want: Vec<usize> = g
+                    .ready(&done)
+                    .into_iter()
+                    .filter(|t| !started.contains(t))
+                    .collect();
+                assert_eq!(got, want, "seed {seed}: after target {tgt} finished");
+                started.extend(&got);
+                running.extend(&got);
+            }
+            assert_eq!(done.len(), n, "seed {seed}: every target built");
+        }
     }
 
     #[test]

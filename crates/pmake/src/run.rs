@@ -15,7 +15,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use sprite_sim::{DetHashMap, DetHashSet};
+use sprite_sim::DetHashMap;
 
 use sprite_core::{MigrationError, Migrator};
 use sprite_fs::{FsError, OpenMode, SpritePath};
@@ -24,7 +24,7 @@ use sprite_kernel::{Cluster, KernelError, ProcessId};
 use sprite_net::HostId;
 use sprite_sim::{SimDuration, SimTime};
 
-use crate::graph::{Action, DepGraph};
+use crate::graph::{Action, DepGraph, Readiness};
 
 /// Build-engine tunables.
 #[derive(Debug, Clone)]
@@ -138,8 +138,9 @@ pub fn prepare_sources(
     now: SimTime,
 ) -> Result<SimTime, PmakeError> {
     let mut t = now;
-    if cluster.program(&SpritePath::new("/bin/cc")).is_none() {
-        t = cluster.install_program(t, SpritePath::new("/bin/cc"), 48 * 1024)?;
+    let cc = SpritePath::new("/bin/cc");
+    if cluster.program(&cc).is_none() {
+        t = cluster.install_program(t, cc, 48 * 1024)?;
     }
     let write_file = |cluster: &mut Cluster,
                       t: SimTime,
@@ -165,9 +166,8 @@ pub fn prepare_sources(
     };
     for i in 0..graph.len() {
         if let Action::Compile(job) = &graph.target(i).action {
-            let (src, headers, src_bytes) = (job.src.clone(), job.headers.clone(), job.src_bytes);
-            t = write_file(cluster, t, &src, src_bytes)?;
-            for hdr in &headers {
+            t = write_file(cluster, t, &job.src, job.src_bytes)?;
+            for hdr in &job.headers {
                 t = write_file(cluster, t, hdr, 8 * 1024)?;
             }
         }
@@ -207,7 +207,9 @@ struct RunningJob {
     remote: bool,
     phase: Phase,
     fd: Option<usize>,
-    read_remaining: Vec<String>,
+    /// Inputs still to open, popped from the back: the source first, then
+    /// the headers in reverse.
+    read_remaining: Vec<SpritePath>,
 }
 
 /// Runs `graph` to completion. See the module docs for the execution model.
@@ -226,10 +228,9 @@ pub fn run_build(
     config: &PmakeConfig,
     start: SimTime,
 ) -> Result<PmakeReport, PmakeError> {
-    let mut done: DetHashSet<usize> = DetHashSet::default();
-    let mut built_at: DetHashMap<usize, SimTime> = DetHashMap::default();
-    let mut started: DetHashSet<usize> = DetHashSet::default();
-    let mut waiting: Vec<usize> = Vec::new();
+    let mut readiness = Readiness::new(graph);
+    let mut waiting: Vec<usize> = readiness.initial().collect();
+    let mut built = 0usize;
     let mut jobs: DetHashMap<usize, RunningJob> = DetHashMap::default();
     let mut queue: BinaryHeap<Reverse<(SimTime, u64, usize)>> = BinaryHeap::new();
     let mut seq: u64 = 0;
@@ -239,20 +240,17 @@ pub fn run_build(
     let mut local_in_flight = 0usize;
     let mut total_cpu = SimDuration::ZERO;
     let mut finished_at = start;
+    let cc = SpritePath::new("/bin/cc");
+    // Every read of the build fills this one buffer.
+    let mut buf = Vec::new();
 
-    // Collect newly-ready targets into the waiting queue, then place as
-    // many waiting jobs as hosts (or local slots) allow. Unplaceable jobs
-    // stay queued until a completion frees capacity — pmake's job window.
-    macro_rules! launch_ready {
+    // Place as many waiting (ready) jobs as hosts (or local slots) allow.
+    // Unplaceable jobs stay queued until a completion frees capacity —
+    // pmake's job window.
+    macro_rules! launch_waiting {
         ($now:expr) => {{
             let now: SimTime = $now;
             controller_free = controller_free.max_of(now);
-            for tgt in graph.ready(&done) {
-                if !started.contains(&tgt) {
-                    started.insert(tgt);
-                    waiting.push(tgt);
-                }
-            }
             while let Some(&tgt) = waiting.first() {
                 if jobs.len() >= config.max_parallel {
                     break;
@@ -274,20 +272,13 @@ pub fn run_build(
                     break;
                 }
                 waiting.remove(0);
-                let (pid, t1) = cluster.spawn(t_sel, home, &SpritePath::new("/bin/cc"), 64, 16)?;
+                let (pid, t1) = cluster.spawn(t_sel, home, &cc, 64, 16)?;
                 let mut host = home;
                 let mut remote = false;
                 let mut t_placed = t1;
                 if let Some(target_host) = placement {
-                    let report = migrator.exec_migrate(
-                        cluster,
-                        t1,
-                        pid,
-                        target_host,
-                        &SpritePath::new("/bin/cc"),
-                        64,
-                        16,
-                    )?;
+                    let report =
+                        migrator.exec_migrate(cluster, t1, pid, target_host, &cc, 64, 16)?;
                     host = target_host;
                     remote = true;
                     t_placed = report.resumed_at;
@@ -301,12 +292,13 @@ pub fn run_build(
                     }
                 }
                 let read_remaining = match &graph.target(tgt).action {
-                    Action::Compile(job) => {
-                        let mut inputs = job.headers.clone();
-                        inputs.push(job.src.clone());
-                        inputs
-                    }
-                    Action::Link { inputs, .. } => inputs.clone(),
+                    Action::Compile(job) => job
+                        .headers
+                        .iter()
+                        .chain([&job.src])
+                        .map(SpritePath::new)
+                        .collect(),
+                    Action::Link { inputs, .. } => inputs.iter().map(SpritePath::new).collect(),
                     Action::Phony => Vec::new(),
                 };
                 jobs.insert(
@@ -327,7 +319,7 @@ pub fn run_build(
         }};
     }
 
-    launch_ready!(start);
+    launch_waiting!(start);
 
     while let Some(Reverse((t, _, tgt))) = queue.pop() {
         let job = jobs.get_mut(&tgt).expect("queued job exists");
@@ -335,12 +327,7 @@ pub fn run_build(
         match job.phase {
             Phase::ReadOpen => match job.read_remaining.pop() {
                 Some(path) => {
-                    let (fd, t2) = cluster.open_fd(
-                        t,
-                        job.pid,
-                        SpritePath::new(path.as_str()),
-                        OpenMode::Read,
-                    )?;
+                    let (fd, t2) = cluster.open_fd(t, job.pid, path, OpenMode::Read)?;
                     job.fd = Some(fd);
                     job.phase = Phase::ReadChunk;
                     next_time = t2;
@@ -352,8 +339,8 @@ pub fn run_build(
             },
             Phase::ReadChunk => {
                 let fd = job.fd.expect("input open");
-                let (data, t2) = cluster.read_fd(t, job.pid, fd, 16 * 1024)?;
-                if data.is_empty() {
+                let t2 = cluster.read_fd(t, job.pid, fd, 16 * 1024, &mut buf)?;
+                if buf.is_empty() {
                     job.phase = Phase::ReadClose;
                 }
                 next_time = t2;
@@ -380,13 +367,13 @@ pub fn run_build(
             }
             Phase::WriteOpen => {
                 let out_path = match &graph.target(tgt).action {
-                    Action::Compile(j) => Some(j.obj.clone()),
-                    Action::Link { output, .. } => Some(output.clone()),
+                    Action::Compile(j) => Some(&j.obj),
+                    Action::Link { output, .. } => Some(output),
                     Action::Phony => None,
                 };
                 match out_path {
                     Some(path) => {
-                        let sp = SpritePath::new(path.as_str());
+                        let sp = SpritePath::new(path);
                         let mut t2 = t;
                         match cluster
                             .fs
@@ -431,10 +418,10 @@ pub fn run_build(
                     local_in_flight = local_in_flight.saturating_sub(1);
                 }
                 jobs.remove(&tgt);
-                done.insert(tgt);
-                built_at.insert(tgt, t2);
+                built += 1;
                 finished_at = finished_at.max_of(t2);
-                launch_ready!(t2);
+                readiness.complete(tgt, &mut waiting);
+                launch_waiting!(t2);
                 continue;
             }
         }
@@ -442,7 +429,7 @@ pub fn run_build(
         queue.push(Reverse((next_time, seq, tgt)));
     }
 
-    debug_assert_eq!(done.len(), graph.len(), "all targets built");
+    debug_assert_eq!(built, graph.len(), "all targets built");
     let makespan = finished_at.elapsed_since(start);
     let effective_parallelism = if makespan.is_zero() {
         0.0
@@ -452,7 +439,7 @@ pub fn run_build(
     Ok(PmakeReport {
         makespan,
         finished_at,
-        targets_built: done.len(),
+        targets_built: built,
         remote_builds,
         local_builds,
         total_cpu,

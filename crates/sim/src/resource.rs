@@ -105,8 +105,12 @@ impl FcfsResource {
 ///
 /// The calendar keeps at most [`MAX_SLOTS`] intervals. Past the cap the two
 /// oldest merge into one, forfeiting the idle gap between them; that
-/// coalescing costs O(1) amortized, so a placement costs a binary search
-/// plus the walk over the busy intervals it cannot fit before.
+/// coalescing costs O(1) amortized. A placement gallops back from the
+/// newest interval (1, 2, 4, … intervals at a time) to the bracket holding
+/// the arrival time, bisects only that bracket, then walks the busy
+/// intervals it cannot fit before. Most arrivals land at or near the
+/// frontier, so the search costs a probe or two rather than a bisection of
+/// the whole calendar; an arrival `k` intervals back costs O(log k).
 ///
 /// # Examples
 ///
@@ -151,7 +155,7 @@ impl SlottedResource {
         // intervals wholly behind `now`, then walk the frontier.
         let head = self.head;
         let mut start = now;
-        let mut i = head + self.busy[head..].partition_point(|&(_, e)| e <= start);
+        let mut i = self.first_ending_after(now);
         while i < self.busy.len() {
             let (s, e) = self.busy[i];
             if start + d <= s {
@@ -183,6 +187,35 @@ impl SlottedResource {
             }
         }
         end
+    }
+
+    /// The index of the first live interval ending after `now` (the
+    /// calendar's length if none does): the `partition_point` of
+    /// `e <= now` over `busy[head..]`, found by galloping back from the
+    /// newest interval. Ends increase along the calendar, so the probes
+    /// bracket the point and a bisection of the bracket finds it.
+    fn first_ending_after(&self, now: SimTime) -> usize {
+        // Every interval at or past `hi` ends after `now`.
+        let mut hi = self.busy.len();
+        let mut step = 1;
+        let lo = loop {
+            if hi < self.head + step {
+                break self.head;
+            }
+            let probe = hi - step;
+            if self.busy[probe].1 <= now {
+                break probe + 1;
+            }
+            hi = probe;
+            step *= 2;
+        };
+        let i = lo + self.busy[lo..hi].partition_point(|&(_, e)| e <= now);
+        debug_assert_eq!(
+            i,
+            self.head + self.busy[self.head..].partition_point(|&(_, e)| e <= now),
+            "the gallop missed the partition point"
+        );
+        i
     }
 
     /// The end of the last scheduled transmission (the busy horizon).

@@ -75,7 +75,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t = cluster.write_fd(t, pid, fd, b"continued on an idle host\n")?;
     let stream = cluster.pcb(pid).unwrap().fd(fd).unwrap();
     cluster.fs.seek(stream, 0)?;
-    let (log, t) = cluster.read_fd(t, pid, fd, 128)?;
+    let mut log = Vec::new();
+    let t = cluster.read_fd(t, pid, fd, 128, &mut log)?;
     print!("log file reads back:\n{}", String::from_utf8_lossy(&log));
 
     // ...and location-dependent kernel calls still behave as if at home —

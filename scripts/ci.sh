@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate for the Sprite migration reproduction.
 #
-#   scripts/ci.sh          # full gate: build, tests, clippy, smokes, chaos suite, fmt, perfbench runs, core_ops, bench
+#   scripts/ci.sh          # full gate: build, tests, clippy, smokes, chaos suite, heavy model suites, fmt, perfbench runs, core_ops, bench
 #   scripts/ci.sh --quick  # build, tests (perfbench's too), clippy and the experiment smokes
 #
 # Everything runs offline: the workspace has zero external dependencies, so
@@ -101,13 +101,21 @@ if ! grep -q 'migration takes over at mtbf' "$sweep_tmp/f02_1.txt"; then
 fi
 
 if [[ "$quick" == 1 ]]; then
-    echo "==> quick gate OK (skipped chaos suite, fmt, perfbench runs, core_ops, bench_check)"
+    echo "==> quick gate OK (skipped chaos suite, heavy model suites, fmt, perfbench runs, core_ops, bench_check)"
     exit 0
 fi
 
 echo "==> cargo test -q --test fault_properties"
 # The deterministic chaos suite: 50 fault seeds x 3 drop rates, replayed.
 cargo test -q --test fault_properties
+
+echo "==> model suites at full size (heavy-tests)"
+# The differential models of the client block cache, the server block
+# table and the address space, at 8x their default case counts (a few
+# seconds in release).
+cargo test -q --release -p sprite-fs -p sprite-vm \
+    --features sprite-fs/heavy-tests,sprite-vm/heavy-tests \
+    --test cache_model --test server_file_model --test space_model
 
 echo "==> cargo fmt --check"
 cargo fmt --check

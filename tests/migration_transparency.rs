@@ -91,7 +91,8 @@ fn tour_of_the_cluster_preserves_everything() {
     // File: one coherent log, in order.
     let stream = c.pcb(pid).unwrap().fd(fd).unwrap();
     c.fs.seek(stream, 0).unwrap();
-    let (log, t) = c.read_fd(t, pid, fd, 4096).unwrap();
+    let mut log = Vec::new();
+    let t = c.read_fd(t, pid, fd, 4096, &mut log).unwrap();
     assert_eq!(log, expected_file);
 
     c.exit(t, pid, 0).unwrap();
@@ -226,7 +227,8 @@ fn shadow_streams_keep_shared_offsets_exact_across_three_hosts() {
     let stream = c.pcb(parent).unwrap().fd(fd).unwrap();
     assert!(c.fs.streams().get(stream).unwrap().is_shadowed());
     c.fs.seek(stream, 0).unwrap();
-    let (data, _) = c.read_fd(t, parent, fd, 4096).unwrap();
+    let mut data = Vec::new();
+    c.read_fd(t, parent, fd, 4096, &mut data).unwrap();
     let text = String::from_utf8(data).unwrap();
     // No interleaving corruption: the writes appear back to back.
     assert_eq!(text.matches('[').count(), 9);

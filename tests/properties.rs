@@ -148,8 +148,10 @@ fn fs_matches_flat_model() {
                     }
                     let (sid, mi) = live[stream as usize % live.len()];
                     let (file, offset, host) = model.streams[mi];
-                    let (got, t2) = fs.read(&mut net, t, h(host), sid, len as u64).unwrap();
-                    t = t2;
+                    let mut got = Vec::new();
+                    t = fs
+                        .read(&mut net, t, h(host), sid, len as u64, &mut got)
+                        .unwrap();
                     let f = &model.files[file];
                     let start = (offset as usize).min(f.len());
                     let end = (offset as usize + len as usize).min(f.len());
@@ -201,8 +203,16 @@ fn fs_matches_flat_model() {
                 let (sid, t2) = fs
                     .open(&mut net, t, h(reader), path(i), OpenMode::Read)
                     .unwrap();
-                let (data, t3) = fs
-                    .read(&mut net, t2, h(reader), sid, expect.len() as u64 + 64)
+                let mut data = Vec::new();
+                let t3 = fs
+                    .read(
+                        &mut net,
+                        t2,
+                        h(reader),
+                        sid,
+                        expect.len() as u64 + 64,
+                        &mut data,
+                    )
                     .unwrap();
                 t = fs.close(&mut net, t3, h(reader), sid).unwrap();
                 assert_eq!(
@@ -342,8 +352,9 @@ fn process_state_survives_arbitrary_migrations() {
             file_model.len() as u64
         );
         cluster.fs.seek(stream, 0).unwrap();
-        let (data, _) = cluster
-            .read_fd(t, pid, fd, file_model.len() as u64 + 16)
+        let mut data = Vec::new();
+        cluster
+            .read_fd(t, pid, fd, file_model.len() as u64 + 16, &mut data)
             .unwrap();
         assert_eq!(data, file_model, "case {case}");
     }

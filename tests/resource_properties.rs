@@ -2,15 +2,18 @@
 //! calendar behind the shared Ethernet.
 //!
 //! The implementation keeps a sorted vector of busy intervals, places each
-//! demand with a `partition_point` plus a frontier walk, merges touching
-//! neighbours in four cases, and coalesces the two oldest intervals when
-//! the calendar outgrows [`MAX_SLOTS`]. Each of those steps is easy to get
-//! subtly wrong, so this suite checks the structure differentially: a
-//! naive O(n²) reference model re-derives every placement by scanning all
-//! candidate gaps, then merges touching intervals and coalesces the oldest
-//! pair past the cap the obvious way. Under DetRng-generated out-of-order
-//! schedules long enough to pass the cap, the two must agree
-//! completion-time for completion-time and interval for interval.
+//! demand with a search that gallops back from the newest interval plus a
+//! frontier walk, merges touching neighbours in four cases, and coalesces
+//! the two oldest intervals when the calendar outgrows [`MAX_SLOTS`]. Each
+//! of those steps is easy to get subtly wrong, so this suite checks the
+//! structure differentially: a naive O(n²) reference model re-derives every
+//! placement by scanning all candidate gaps, then merges touching intervals
+//! and coalesces the oldest pair past the cap the obvious way. Under
+//! DetRng-generated out-of-order schedules long enough to pass the cap, the
+//! two must agree completion-time for completion-time and interval for
+//! interval. Two schedule shapes feed that comparison: one jumps the
+//! frontier forward, the other sits on a coarse grid with arrivals sent
+//! back before the oldest interval, the two edges of the gallop.
 //! Structural invariants — intervals sorted, disjoint and non-touching; a
 //! placement never starting before its arrival; accumulated busy time
 //! exactly tiling the calendar until the first coalesce — are asserted
@@ -104,6 +107,34 @@ fn schedule(seed: u64, ops: usize) -> Vec<(SimTime, SimDuration)> {
         .collect()
 }
 
+/// A DetRng schedule for the gallop's edges. Times sit on a 100 µs grid,
+/// so arrivals often fall exactly on an interval's end (the `e <= now` tie
+/// at a bracket edge), and one arrival in twenty is sent back to time zero,
+/// before every live interval ends (where the gallop must stop at the
+/// calendar's head).
+fn edge_schedule(seed: u64, ops: usize) -> Vec<(SimTime, SimDuration)> {
+    let mut rng = DetRng::seed_from(seed ^ 0xed9e);
+    let mut base = 0u64;
+    (0..ops)
+        .map(|_| {
+            if rng.chance(0.3) {
+                base += 100 * (20 + rng.uniform_u64(200));
+            }
+            let now = if rng.chance(0.05) {
+                0
+            } else {
+                base + 100 * rng.uniform_u64(80)
+            };
+            let d = 100 * (1 + rng.uniform_u64(30));
+            (SimTime::from_micros(now), SimDuration::from_micros(d))
+        })
+        .collect()
+}
+
+/// The schedule shapes the placement comparison runs.
+type Shape = (&'static str, fn(u64, usize) -> Vec<(SimTime, SimDuration)>);
+const SHAPES: [Shape; 2] = [("frontier", schedule), ("edges", edge_schedule)];
+
 /// Asserts the calendar's structural invariants: strictly ordered,
 /// disjoint, non-touching (touching neighbours must have merged),
 /// non-empty intervals.
@@ -134,25 +165,28 @@ fn calendar_span(r: &SlottedResource) -> SimDuration {
 
 #[test]
 fn slotted_placements_match_the_naive_reference_model() {
-    let seeds: Vec<u64> = (0..SEEDS).collect();
-    common::sweep(&seeds, 4, |&seed| {
+    let cases: Vec<(Shape, u64)> = SHAPES
+        .iter()
+        .flat_map(|&shape| (0..SEEDS).map(move |seed| (shape, seed)))
+        .collect();
+    common::sweep(&cases, 4, |&((shape, make), seed)| {
         let mut fast = SlottedResource::new();
         let mut naive = NaiveCalendar::default();
         let mut total = SimDuration::ZERO;
-        for (op, &(now, d)) in schedule(seed, COALESCE_OPS).iter().enumerate() {
+        for (op, &(now, d)) in make(seed, COALESCE_OPS).iter().enumerate() {
             let got = fast.acquire(now, d);
             let want = naive.acquire(now, d);
             assert_eq!(
                 got, want,
-                "seed {seed} op {op}: placement diverged from the reference \
-                 (arrival {now}, demand {d})"
+                "{shape} seed {seed} op {op}: placement diverged from the \
+                 reference (arrival {now}, demand {d})"
             );
             assert!(
                 got.elapsed_since(now) >= d,
-                "seed {seed} op {op}: service started before its arrival"
+                "{shape} seed {seed} op {op}: service started before its arrival"
             );
             total += d;
-            let ctx = format!("seed {seed} op {op}");
+            let ctx = format!("{shape} seed {seed} op {op}");
             assert_calendar_well_formed(&fast, &ctx);
             assert_eq!(
                 fast.busy_intervals(),
@@ -175,9 +209,13 @@ fn slotted_placements_match_the_naive_reference_model() {
         }
         assert!(
             naive.coalesced > 0,
-            "seed {seed}: the schedule never reached MAX_SLOTS"
+            "{shape} seed {seed}: the schedule never reached MAX_SLOTS"
         );
-        assert_eq!(fast.busy_time(), total, "seed {seed}: busy_time drifted");
+        assert_eq!(
+            fast.busy_time(),
+            total,
+            "{shape} seed {seed}: busy_time drifted"
+        );
     });
 }
 

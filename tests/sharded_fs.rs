@@ -91,8 +91,9 @@ fn drive(seed: u64, shards: usize) -> Vec<u64> {
             let (sid, t1) =
                 c.fs.open(&mut c.net, t, host, file_path(i), OpenMode::Read)
                     .unwrap();
-            let (got, t1) =
-                c.fs.read(&mut c.net, t1, host, sid, want.len() as u64)
+            let mut got = Vec::new();
+            let t1 =
+                c.fs.read(&mut c.net, t1, host, sid, want.len() as u64, &mut got)
                     .unwrap();
             assert_eq!(
                 got.len(),
@@ -172,8 +173,9 @@ fn replica_reads_after_remote_write_are_never_stale() {
         let (sid, t1) =
             c.fs.open(&mut c.net, t, host, path.clone(), OpenMode::Read)
                 .unwrap();
-        let (got, t1) =
-            c.fs.read(&mut c.net, t1, host, sid, v1.len() as u64)
+        let mut got = Vec::new();
+        let t1 =
+            c.fs.read(&mut c.net, t1, host, sid, v1.len() as u64, &mut got)
                 .unwrap();
         assert_eq!(got, v1, "warm-up host {i}: wrong v1 bytes");
         t = c.fs.close(&mut c.net, t1, host, sid).unwrap();
@@ -184,8 +186,9 @@ fn replica_reads_after_remote_write_are_never_stale() {
         let (sid, t1) =
             c.fs.open(&mut c.net, t, host, path.clone(), OpenMode::Read)
                 .unwrap();
-        let (got, t1) =
-            c.fs.read(&mut c.net, t1, host, sid, v1.len() as u64)
+        let mut got = Vec::new();
+        let t1 =
+            c.fs.read(&mut c.net, t1, host, sid, v1.len() as u64, &mut got)
                 .unwrap();
         assert_eq!(got, v1, "fresh host {i}: wrong v1 bytes");
         t = c.fs.close(&mut c.net, t1, host, sid).unwrap();
@@ -208,8 +211,9 @@ fn replica_reads_after_remote_write_are_never_stale() {
         let (sid, t1) =
             c.fs.open(&mut c.net, t, host, path.clone(), OpenMode::Read)
                 .unwrap();
-        let (got, t1) =
-            c.fs.read(&mut c.net, t1, host, sid, v2.len() as u64)
+        let mut got = Vec::new();
+        let t1 =
+            c.fs.read(&mut c.net, t1, host, sid, v2.len() as u64, &mut got)
                 .unwrap();
         assert_eq!(got, v2, "host {i} read stale bytes after the remote write");
         t = c.fs.close(&mut c.net, t1, host, sid).unwrap();
