@@ -461,11 +461,17 @@ fn main() {
             r.serial.keys_compared_per_event(),
         );
         eprintln!(
-            "[counters] m02: {} cross-shard of {} messages, barrier stall {:.3}s across {} workers",
+            "[counters] m02: {} cross-shard of {} messages, barrier stall {:.3}s across {} workers ({})",
             r.sharded.cross_messages,
             r.sharded.messages,
             m02::total_stall_ns(&r.sharded) as f64 / 1e9,
             r.sharded.workers,
+            r.sharded
+                .worker_stalls
+                .iter()
+                .map(m02::worker_split)
+                .collect::<Vec<_>>()
+                .join(", "),
         );
         for s in &r.sharded.shard_counters {
             eprintln!(
@@ -876,8 +882,10 @@ fn main() {
             json.push_str("    \"worker_stalls\": [\n");
             for (i, w) in r.sharded.worker_stalls.iter().enumerate() {
                 json.push_str(&format!(
-                    "      {{\"worker\": {}, \"stall_ns\": {}}}{}\n",
+                    "      {{\"worker\": {}, \"execute_ns\": {}, \"merge_ns\": {}, \"stall_ns\": {}}}{}\n",
                     w.worker,
+                    w.execute_ns,
+                    w.merge_ns,
                     w.stall_ns,
                     if i + 1 == r.sharded.worker_stalls.len() {
                         ""

@@ -94,7 +94,7 @@ pub struct M02Run {
     pub audit: Vec<Checkpoint>,
     /// Per-shard effort.
     pub shard_counters: Vec<ShardCounters>,
-    /// Per-worker barrier stalls.
+    /// Per-worker wall time split into execute, merge and barrier wait.
     pub worker_stalls: Vec<WorkerCounters>,
     /// Calendar-queue effort summed over shards (partition-*dependent*).
     pub queue: EngineCounters,
@@ -254,6 +254,18 @@ pub fn render(r: &M02Report) -> String {
 /// Total barrier-stall nanoseconds across a drive's workers.
 pub fn total_stall_ns(run: &M02Run) -> u64 {
     run.worker_stalls.iter().map(|w| w.stall_ns).sum()
+}
+
+/// One worker's time split, in seconds: "w0 exec 1.234s merge 0.123s wait
+/// 0.012s".
+pub fn worker_split(w: &WorkerCounters) -> String {
+    format!(
+        "w{} exec {:.3}s merge {:.3}s wait {:.3}s",
+        w.worker,
+        w.execute_ns as f64 / 1e9,
+        w.merge_ns as f64 / 1e9,
+        w.stall_ns as f64 / 1e9
+    )
 }
 
 #[cfg(test)]

@@ -9,9 +9,9 @@
 //! too (serial reference runs single-threaded, sharded runs auto-detect),
 //! so the thread schedule itself is exercised where the machine allows.
 
-use sprite_kernel::build_cluster_cells;
+use sprite_kernel::{build_cluster_cells, HostCell};
 use sprite_net::{CostModel, ShardLink};
-use sprite_sim::{Checkpoint, ShardedEngine, SimTime};
+use sprite_sim::{Checkpoint, EngineCounters, ShardCounters, ShardedEngine, SimTime};
 
 #[path = "../../../tests/common/mod.rs"]
 mod common;
@@ -21,16 +21,30 @@ const SIM_MINUTES: u64 = 10 * 60; // ten simulated hours
 const SEEDS: [u64; 10] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89];
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn drive(seed: u64, nshards: usize, workers: usize) -> (Vec<Checkpoint>, u64, u64) {
+/// Builds a `hosts`-cell cluster from `seed`, every host's first tick at
+/// minute one, and runs it for `minutes` simulated minutes.
+fn run_cluster(
+    hosts: u32,
+    seed: u64,
+    nshards: usize,
+    workers: usize,
+    audit_every: u64,
+    minutes: u64,
+) -> ShardedEngine<HostCell> {
     let link = ShardLink::new(CostModel::sun3(), sprite_sim::SimDuration::from_secs(60));
-    let cells = build_cluster_cells(HOSTS, seed);
+    let cells = build_cluster_cells(hosts, seed);
     let mut eng = ShardedEngine::new(cells, nshards, link.lookahead());
     eng.set_workers(workers);
-    eng.audit_every_windows(30);
-    for id in 0..HOSTS {
+    eng.audit_every_windows(audit_every);
+    for id in 0..hosts {
         eng.seed_timer(id, SimTime::from_micros(60_000_000), 0);
     }
-    eng.run(SimTime::from_micros(SIM_MINUTES * 60_000_000));
+    eng.run(SimTime::from_micros(minutes * 60_000_000));
+    eng
+}
+
+fn drive(seed: u64, nshards: usize, workers: usize) -> (Vec<Checkpoint>, u64, u64) {
+    let mut eng = run_cluster(HOSTS, seed, nshards, workers, 30, SIM_MINUTES);
     let events = eng.events_executed();
     let messages = eng.messages_delivered();
     (eng.take_audit_stream(), events, messages)
@@ -74,9 +88,9 @@ fn digest_stream_is_seed_by_seed_identical_across_shard_counts() {
 #[test]
 fn explicit_worker_counts_cannot_change_the_stream() {
     // Same partitioning, different thread counts: 4 shards on 1, 2 and 4
-    // workers must agree exactly (the engine clamps to the machine, so on
-    // a small box some of these collapse to the same schedule — the
-    // assertion is still meaningful on any machine with >= 2 cores).
+    // workers must agree exactly. The engine clamps workers only to the
+    // shard count, so each count runs its own thread schedule even where
+    // the machine has fewer cores.
     let worker_counts = [1usize, 2, 4];
     let streams = common::sweep(&worker_counts, 2, |&w| drive(7, 4, w).0);
     for (workers, stream) in worker_counts.iter().zip(&streams).skip(1) {
@@ -85,4 +99,46 @@ fn explicit_worker_counts_cannot_change_the_stream() {
             "digest stream diverged at 4 shards / {workers} workers"
         );
     }
+}
+
+/// The calendar effort of one drive: queue counters summed over shards,
+/// per-shard counters, and barrier windows.
+fn effort(nshards: usize, workers: usize) -> (EngineCounters, Vec<ShardCounters>, u64) {
+    let eng = run_cluster(64, 9, nshards, workers, 0, 24 * 60);
+    (eng.queue_counters(), eng.shard_counters(), eng.windows())
+}
+
+#[test]
+fn calendar_effort_is_worker_invariant_and_pinned_for_one_shard() {
+    // Every shard runs execute, push merged mail, then ready its next
+    // window, in that order, whichever worker owns it. Calling the next
+    // window's lookup before the mail is pushed, or merging into another
+    // worker's shards in a different order, moves these counters; the
+    // one-shard values also pin the single-worker calendar work that the
+    // cell_month benchmark digest folds.
+    for nshards in [1, 2, 4] {
+        let reference = effort(nshards, 1);
+        for workers in [2, 4] {
+            assert_eq!(
+                effort(nshards, workers),
+                reference,
+                "calendar effort diverged at {nshards} shards / {workers} workers"
+            );
+        }
+    }
+    let (queue, shards, windows) = effort(1, 1);
+    assert_eq!(
+        queue,
+        EngineCounters {
+            events_executed: 39_719,
+            handler_allocations: 0,
+            periodic_reschedules: 0,
+            buckets_scanned: 44_334,
+            keys_compared: 196_540,
+            overflow_migrations: 97,
+            resizes: 2,
+        }
+    );
+    assert_eq!(shards[0].events, 39_719);
+    assert_eq!(windows, 1_439);
 }

@@ -88,8 +88,9 @@ impl<T: CalendarEntry> Ord for Soonest<T> {
 pub(crate) enum Pop<T> {
     /// Nothing pending at all.
     Empty,
-    /// The next entry lies beyond the deadline; it stays queued.
-    Parked,
+    /// The next entry, at this timestamp, lies beyond the deadline; it
+    /// stays queued.
+    Parked(u64),
     /// The earliest entry, removed from the queue.
     Event(T),
 }
@@ -373,7 +374,7 @@ impl<T: CalendarEntry> Calendar<T> {
                 // buckets and in overflow; its head is the global minimum.
                 if let Some(at) = self.head_at(counters) {
                     if deadline.is_some_and(|d| at > d) {
-                        return Pop::Parked;
+                        return Pop::Parked(at);
                     }
                     let ev = self.take_head();
                     self.last_pop_at = at;
@@ -387,8 +388,9 @@ impl<T: CalendarEntry> Calendar<T> {
             }
             // Every bucket drained; the remaining entries are all overflow.
             if let Some(d) = deadline {
-                if self.overflow.peek().is_some_and(|e| e.0.at_micros() > d) {
-                    return Pop::Parked;
+                let next_at = self.overflow.peek().map(|e| e.0.at_micros());
+                if let Some(at) = next_at.filter(|&at| at > d) {
+                    return Pop::Parked(at);
                 }
             }
             self.advance_year(counters);
@@ -521,12 +523,10 @@ mod tests {
                     assert_eq!(want, None, "calendar empty, reference is not");
                     None
                 }
-                Pop::Parked => {
+                Pop::Parked(at) => {
                     let d = deadline.expect("parked without a deadline");
-                    assert!(
-                        want.is_some_and(|k| k.0 > d),
-                        "parked at deadline {d} with {want:?} due"
-                    );
+                    assert!(at > d, "parked at deadline {d} with {want:?} due");
+                    assert_eq!(Some(at), want.map(|k| k.0), "parked head time");
                     None
                 }
                 Pop::Event(e) => {

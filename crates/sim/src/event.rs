@@ -287,7 +287,7 @@ impl<S> Engine<S> {
             .pop_due(self.deadline.map(|d| d.as_micros()), &mut self.counters)
         {
             Pop::Empty => false,
-            Pop::Parked => {
+            Pop::Parked(_) => {
                 // Leave the event queued; the clock parks at the deadline.
                 let deadline = self.deadline.expect("parked without a deadline");
                 self.now = self.now.max_of(deadline);

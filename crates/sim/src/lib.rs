@@ -27,8 +27,10 @@
 //!   bisectable;
 //! * [`ShardedEngine`] / [`Cell`] — a conservative parallel (PDES) engine:
 //!   cells partitioned across shards, per-shard calendar queues, barrier
-//!   windows one lookahead wide, and a deterministic merge that keeps the
-//!   digest stream byte-identical for any shard or worker count;
+//!   windows one lookahead wide, and one window loop at every worker count
+//!   in which each worker merges its own shards' mail in a sorted order
+//!   that keeps the digest stream byte-identical for any shard or worker
+//!   count;
 //! * [`Trace`] — an optional bounded narrative log for examples and debugging.
 //!
 //! Nothing in this crate (or anything built on it) consults the wall clock:
@@ -36,8 +38,8 @@
 //! benchmark table is reproducible bit for bit. The sharded engine spawns
 //! worker threads, but they are invisible to results — partitioning is
 //! logical, and the merge order is a pure function of the workload (wall
-//! time enters only through an explicitly injected stall-accounting clock
-//! that never feeds back into simulation state).
+//! time enters only through an explicitly injected clock that splits each
+//! worker's time and never feeds back into simulation state).
 //!
 //! # Examples
 //!

@@ -11,9 +11,9 @@
 //! window a shard executes its own events without any coordination; every
 //! message a cell sends carries a latency of at least `lookahead`, so a
 //! message sent in window *k* can only be delivered in window *k+1* or
-//! later. At the end of each window all shards meet at a barrier and a
-//! single merge step routes the accumulated messages into the destination
-//! shards' queues.
+//! later. At the end of each window the workers meet at a barrier, and
+//! each then merges the messages addressed to its own shards into their
+//! queues.
 //!
 //! # Why the digest stream cannot depend on the shard count
 //!
@@ -28,16 +28,16 @@
 //!   `(time, cell, seq)`; the subsequence belonging to one cell is ordered
 //!   by `(time, seq)` with seq numbers drawn from per-cell counters —
 //!   timers get theirs when the cell requests them (in the cell's own
-//!   deterministic execution order), deliveries get theirs at the barrier
-//!   merge.
-//! * **The merge is sorted.** At each barrier the outboxes of all shards
-//!   are concatenated and sorted by `(deliver_time, sender, sender_seq)` —
-//!   a key that does not mention shards — before destination seq numbers
-//!   are assigned. Whichever shard a sender lived on, the deliveries to any
-//!   given cell arrive in the same order.
-//! * **Windows are global.** The next window always starts at the globally
-//!   earliest pending event, so the sequence of barrier times — and with it
-//!   the checkpoint stream — is a pure function of the workload.
+//!   deterministic execution order), deliveries get theirs at the merge.
+//! * **The merge is sorted.** After each barrier the receiving worker
+//!   sorts the mail bound for its shards by `(deliver_time, sender,
+//!   sender_seq)` — a key that mentions neither shards nor workers — before
+//!   destination seq numbers are assigned. Whichever shard a sender lived
+//!   on, the deliveries to any given cell arrive in the same order.
+//! * **Windows are global.** The next window starts at the globally
+//!   earliest pending event, the minimum of every worker's proposal, so the
+//!   sequence of window times — and with it the checkpoint stream — is a
+//!   pure function of the workload.
 //!
 //! Digest checkpoints ([`Checkpoint`]) are sampled every N windows by
 //! folding every cell's [`Cell::digest_into`] contribution **in cell-ID
@@ -49,15 +49,18 @@
 //! # Threads
 //!
 //! This is the one place in the workspace that spawns threads, and they are
-//! invisible to results: [`std::thread::scope`] workers own disjoint shard
-//! sets, meet at a [`std::sync::Barrier`] twice per window (once after
-//! execution, once after the leader's merge), and never race on anything
-//! the digest can observe. Wall-clock stall accounting is injected by the
-//! bench harness through [`ShardedEngine::set_stall_clock`] — this crate
-//! still never reads ambient time itself.
+//! invisible to results. Worker `w` owns shards `w, w+W, …`; worker 0 is
+//! the calling thread, so one worker spawns no thread and never waits.
+//! Each window a worker executes its shards, posts their mail and its
+//! proposal for the next window to one slot per receiver (two sets of
+//! slots, by window parity), waits at one [`std::sync::Barrier`], and
+//! merges its own mail. Only audit windows add a second wait, around
+//! worker 0's digest fold. Wall time enters only through the clock
+//! injected with [`ShardedEngine::set_stall_clock`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::mem;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 use crate::calendar::{Calendar, CalendarEntry, Pop};
 use crate::digest::{Checkpoint, StateDigest};
@@ -175,7 +178,7 @@ impl<M> CellCtx<'_, M> {
     }
 }
 
-/// A message waiting for the barrier merge.
+/// A message waiting for the receiving worker's merge.
 struct OutMsg<M> {
     deliver_at: u64,
     from: CellId,
@@ -223,14 +226,20 @@ pub struct ShardCounters {
     pub messages_sent: u64,
     /// Messages delivered into this shard at barriers.
     pub messages_in: u64,
+    /// The part of `messages_in` sent by cells on other shards.
+    pub cross_in: u64,
 }
 
-/// Per-worker-thread barrier-stall accounting. All zero unless a stall
+/// Per-worker wall time, split by window phase. All zero unless a stall
 /// clock was injected with [`ShardedEngine::set_stall_clock`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerCounters {
     /// Worker index (worker `w` owns shards `w, w+workers, …`).
     pub worker: usize,
+    /// Nanoseconds executing the worker's shards and posting their mail.
+    pub execute_ns: u64,
+    /// Nanoseconds merging the worker's mail (and worker 0's audit folds).
+    pub merge_ns: u64,
     /// Nanoseconds spent waiting at window barriers.
     pub stall_ns: u64,
 }
@@ -255,8 +264,9 @@ struct Shard<C: Cell> {
 }
 
 impl<C: Cell> Shard<C> {
-    /// Executes every local event strictly before `t_end_us`.
-    fn execute_window(&mut self, t_end_us: u64, lookahead: SimDuration) {
+    /// Executes every local event strictly before `t_end_us`; returns the
+    /// time of the earliest event left queued, if any.
+    fn execute_window(&mut self, t_end_us: u64, lookahead: SimDuration) -> Option<u64> {
         let deadline = t_end_us - 1;
         loop {
             let ev = match self
@@ -264,13 +274,13 @@ impl<C: Cell> Shard<C> {
                 .pop_due(Some(deadline), &mut self.engine_counters)
             {
                 Pop::Event(ev) => ev,
-                Pop::Parked | Pop::Empty => break,
+                Pop::Parked(at) => return Some(at),
+                Pop::Empty => return None,
             };
             self.engine_counters.events_executed += 1;
             self.counters.events += 1;
             let local = ev.cell as usize / self.nshards;
             let now = SimTime::from_micros(ev.at);
-            let before_out = self.outbox.len();
             {
                 let slot = &mut self.cells[local];
                 let mut ctx = CellCtx {
@@ -287,49 +297,220 @@ impl<C: Cell> Shard<C> {
                     EventKind::Msg { from, msg } => slot.cell.on_message(now, from, msg, &mut ctx),
                 }
             }
-            self.counters.messages_sent += (self.outbox.len() - before_out) as u64;
             self.counters.timers_set += self.timers_scratch.len() as u64;
-            let cell = ev.cell;
-            for (at, token) in self.timers_scratch.drain(..) {
-                let slot = &mut self.cells[local];
-                let seq = slot.seq;
-                slot.seq += 1;
-                self.queue.push(
-                    ShardEvent {
-                        at,
-                        cell,
-                        seq,
-                        kind: EventKind::Timer(token),
-                    },
-                    &mut self.engine_counters,
-                );
+            let mut timers = mem::take(&mut self.timers_scratch);
+            for (at, token) in timers.drain(..) {
+                self.enqueue(local, at, ev.cell, EventKind::Timer(token));
+            }
+            self.timers_scratch = timers;
+        }
+    }
+
+    /// Queues an event for the cell at index `local` of this shard (cell
+    /// `cell`), giving it the cell's next seq.
+    fn enqueue(&mut self, local: usize, at: u64, cell: CellId, kind: EventKind<C::Msg>) {
+        let slot = &mut self.cells[local];
+        let ev = ShardEvent {
+            at,
+            cell,
+            seq: slot.seq,
+            kind,
+        };
+        slot.seq += 1;
+        self.queue.push(ev, &mut self.engine_counters);
+    }
+
+    /// Moves the window's outgoing messages into `out`, the sending
+    /// worker's slot for each receiving worker, and returns their earliest
+    /// delivery time.
+    fn post(&mut self, out: &mut [MutexGuard<'_, Mail<C::Msg>>]) -> Option<u64> {
+        self.counters.messages_sent += self.outbox.len() as u64;
+        let earliest = self.outbox.iter().map(|m| m.deliver_at).min();
+        if let [only] = out {
+            only.msgs.append(&mut self.outbox);
+        } else {
+            for m in self.outbox.drain(..) {
+                out[m.to as usize % self.nshards % out.len()].msgs.push(m);
+            }
+        }
+        earliest
+    }
+
+    /// The time of the earliest queued event; readies it to pop.
+    fn next_time(&mut self) -> Option<u64> {
+        self.queue.next_time(&mut self.engine_counters)
+    }
+
+    /// Queues a delivery to one of this shard's cells.
+    fn deliver(&mut self, m: OutMsg<C::Msg>) {
+        self.counters.messages_in += 1;
+        self.counters.cross_in += u64::from(m.from as usize % self.nshards != self.counters.shard);
+        let kind = EventKind::Msg {
+            from: m.from,
+            msg: m.msg,
+        };
+        self.enqueue(m.to as usize / self.nshards, m.deliver_at, m.to, kind);
+    }
+}
+
+/// The injected wall-clock for the per-worker time split: returns
+/// monotonic nanoseconds. Supplied by the bench harness; simulation
+/// results never depend on it.
+pub type StallClock = Arc<dyn Fn() -> u64 + Send + Sync>;
+
+/// The messages one worker's cells sent to another worker's cells in one
+/// window, with the sender's proposal for the next window: the earliest
+/// time its shards still hold or just sent (`u64::MAX` for none).
+struct Mail<M> {
+    msgs: Vec<OutMsg<M>>,
+    next: u64,
+}
+
+const POISONED: &str = "a worker thread panicked";
+
+/// Locks a mutex the workers share.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect(POISONED)
+}
+
+/// What the workers of one run share.
+struct Exchange<C: Cell> {
+    /// Worker `w` owns shards `w, w+W, …`.
+    shards: Vec<Mutex<Shard<C>>>,
+    /// `mail[parity][from * W + to]`, one set per window parity.
+    mail: [Vec<Mutex<Mail<C::Msg>>>; 2],
+    barrier: Barrier,
+    arrived: AtomicUsize,
+    workers: usize,
+    lookahead: SimDuration,
+    horizon_us: u64,
+    audit_every: u64,
+    clock: Option<StallClock>,
+}
+
+impl<C: Cell> Exchange<C> {
+    /// Waits for every other worker; a lone worker never waits. The
+    /// workers of a window usually arrive microseconds apart, sooner than
+    /// a blocked thread wakes, so each first spins until all have arrived
+    /// (the count only ends the spin; the barrier orders the mail).
+    fn wait(&self) {
+        if self.workers > 1 {
+            let arrival = self.arrived.fetch_add(1, Ordering::Relaxed) + 1;
+            let all = arrival.next_multiple_of(self.workers);
+            for _ in 0..1 << 11 {
+                if self.arrived.load(Ordering::Relaxed) >= all {
+                    break;
+                }
+                std::hint::spin_loop();
+            }
+            self.barrier.wait();
+        }
+    }
+
+    /// Folds every cell's digest in cell-ID order. Only worker 0 calls
+    /// this, while every other worker waits at the barrier.
+    fn checkpoint(&self, at_us: u64) -> Checkpoint {
+        let shards: Vec<_> = self.shards.iter().map(lock).collect();
+        let mut d = StateDigest::new();
+        for id in 0..shards[0].ncells as usize {
+            let slot = &shards[id % shards.len()].cells[id / shards.len()];
+            slot.cell.digest_into(&mut d);
+        }
+        Checkpoint {
+            events: shards.iter().map(|s| s.counters.events).sum(),
+            at: SimTime::from_micros(at_us),
+            digest: d.finish(),
+        }
+    }
+
+    /// Runs one worker's side of every window, the first starting at
+    /// `t_min`, until the horizon or until every queue is dry, booking its
+    /// time split into `counters`. Returns the window count at the end and
+    /// the audit checkpoints it folded (worker 0's only).
+    fn work(
+        &self,
+        counters: &mut WorkerCounters,
+        mut t_min: u64,
+        mut windows: u64,
+    ) -> (u64, Vec<Checkpoint>) {
+        let (w, workers, nshards) = (counters.worker, self.workers, self.shards.len());
+        let now = || self.clock.as_ref().map_or(0, |c| c());
+        let mut last = now();
+        let mut lap = |phase: &mut u64| {
+            let t = now();
+            *phase += t.saturating_sub(last);
+            last = t;
+        };
+        let own = || self.shards.iter().skip(w).step_by(workers).map(lock);
+        let mut audit = Vec::new();
+        let mut outgoing = Vec::with_capacity(workers);
+        let mut mine = Vec::with_capacity(nshards.div_ceil(workers));
+        loop {
+            let t_end_us = t_min
+                .saturating_add(self.lookahead.as_micros())
+                .min(self.horizon_us);
+            let parity = (windows % 2) as usize;
+            windows += 1;
+            // Receivers read this parity's slots before the last barrier
+            // and read them next after this window's.
+            let slots = &self.mail[parity][w * workers..(w + 1) * workers];
+            outgoing.extend(slots.iter().map(lock));
+            let mut next = u64::MAX;
+            for mut shard in own() {
+                let parked = shard.execute_window(t_end_us, self.lookahead);
+                let sent = shard.post(&mut outgoing);
+                next = [parked, sent].into_iter().flatten().fold(next, u64::min);
+            }
+            for mut mail in outgoing.drain(..) {
+                mail.next = next;
+            }
+            lap(&mut counters.execute_ns);
+            self.wait();
+            lap(&mut counters.stall_ns);
+            if self.audit_every != 0 && windows.is_multiple_of(self.audit_every) {
+                if w == 0 {
+                    audit.push(self.checkpoint(t_end_us));
+                    lap(&mut counters.merge_ns);
+                }
+                self.wait();
+                lap(&mut counters.stall_ns);
+            }
+            // Worker 0's slot to this worker gathers all of its mail.
+            let mut incoming = self.mail[parity].iter().skip(w).step_by(workers).map(lock);
+            let mut inbox = incoming.next().expect("at least one worker");
+            t_min = inbox.next;
+            for mut mail in incoming {
+                t_min = t_min.min(mail.next);
+                inbox.msgs.append(&mut mail.msgs);
+            }
+            // The sort key never mentions shards or workers: deliveries to
+            // any cell land in the same order for every partition.
+            inbox
+                .msgs
+                .sort_unstable_by_key(|m| (m.deliver_at, m.from, m.from_seq));
+            mine.extend(own());
+            for m in inbox.msgs.drain(..) {
+                debug_assert!(m.deliver_at >= t_end_us, "delivery inside its own window");
+                mine[m.to as usize % nshards / workers].deliver(m);
+            }
+            // Execute, push merged mail, then ready the next head: the same
+            // calendar calls in the same order at every worker count.
+            for shard in &mut mine {
+                shard.next_time();
+            }
+            mine.clear();
+            lap(&mut counters.merge_ns);
+            if t_min >= self.horizon_us {
+                return (windows, audit);
             }
         }
     }
 }
 
-/// The injected wall-clock for barrier-stall accounting: returns
-/// monotonic nanoseconds. Supplied by the bench harness; simulation
-/// results never depend on it.
-pub type StallClock = Arc<dyn Fn() -> u64 + Send + Sync>;
-
-/// Cross-window bookkeeping owned by whichever thread runs the merge.
-struct Coordinator<M> {
-    scratch: Vec<OutMsg<M>>,
-    audit_stream: Vec<Checkpoint>,
-    audit_every: u64,
-    windows: u64,
-    messages: u64,
-    cross_messages: u64,
-    lookahead_us: u64,
-    horizon_us: u64,
-    ncells: u32,
-}
-
 /// The sharded conservative-parallel engine.
 ///
 /// Shards are a *logical* partition: `--shards 4` with one worker thread
-/// runs the same barriers, the same merges, and produces the same digest
+/// runs the same windows, the same merges, and produces the same digest
 /// stream as `--shards 4` with four workers. Construct with [`Self::new`],
 /// seed initial timers with [`Self::seed_timer`] (in cell order, so seq
 /// assignment is reproducible), then [`Self::run`].
@@ -343,8 +524,6 @@ pub struct ShardedEngine<C: Cell> {
     clock: Option<StallClock>,
     audit_stream: Vec<Checkpoint>,
     windows: u64,
-    messages: u64,
-    cross_messages: u64,
     worker_stalls: Vec<WorkerCounters>,
 }
 
@@ -394,8 +573,6 @@ impl<C: Cell> ShardedEngine<C> {
             clock: None,
             audit_stream: Vec::new(),
             windows: 0,
-            messages: 0,
-            cross_messages: 0,
             worker_stalls: Vec::new(),
         }
     }
@@ -413,8 +590,8 @@ impl<C: Cell> ShardedEngine<C> {
         self.audit_every = every;
     }
 
-    /// Injects a monotonic nanosecond clock for barrier-stall accounting.
-    /// Without one, [`WorkerCounters::stall_ns`] stays zero.
+    /// Injects a monotonic nanosecond clock for the per-worker time split.
+    /// Without one, every [`WorkerCounters`] time stays zero.
     pub fn set_stall_clock(&mut self, clock: StallClock) {
         self.clock = Some(clock);
     }
@@ -429,20 +606,9 @@ impl<C: Cell> ShardedEngine<C> {
     pub fn seed_timer(&mut self, cell: CellId, at: SimTime, token: u64) {
         assert!(cell < self.ncells, "seed_timer: cell {cell} out of range");
         let shard = &mut self.shards[cell as usize % self.nshards];
-        let local = cell as usize / self.nshards;
-        let slot = &mut shard.cells[local];
-        let seq = slot.seq;
-        slot.seq += 1;
         shard.counters.timers_set += 1;
-        shard.queue.push(
-            ShardEvent {
-                at: at.as_micros(),
-                cell,
-                seq,
-                kind: EventKind::Timer(token),
-            },
-            &mut shard.engine_counters,
-        );
+        let local = cell as usize / self.nshards;
+        shard.enqueue(local, at.as_micros(), cell, EventKind::Timer(token));
     }
 
     fn effective_workers(&self) -> usize {
@@ -456,227 +622,60 @@ impl<C: Cell> ShardedEngine<C> {
         auto.clamp(1, self.nshards)
     }
 
-    /// Picks the next barrier window `[t_min, t_end)` or `None` when the
-    /// horizon is reached / all queues are dry.
-    fn next_window(shards: &mut [&mut Shard<C>], coord: &Coordinator<C::Msg>) -> Option<u64> {
-        let mut t_min: Option<u64> = None;
-        for s in shards.iter_mut() {
-            if let Some(t) = s.queue.next_time(&mut s.engine_counters) {
-                t_min = Some(t_min.map_or(t, |m| m.min(t)));
-            }
-        }
-        let t_min = t_min?;
-        if t_min >= coord.horizon_us {
-            return None;
-        }
-        Some(
-            t_min
-                .saturating_add(coord.lookahead_us)
-                .min(coord.horizon_us),
-        )
-    }
-
-    /// The barrier: merges every shard's outbox into the destination
-    /// queues in deterministic order, samples the audit checkpoint, and
-    /// picks the next window.
-    fn merge_and_advance(
-        shards: &mut [&mut Shard<C>],
-        coord: &mut Coordinator<C::Msg>,
-        t_end_us: u64,
-    ) -> Option<u64> {
-        coord.windows += 1;
-        coord.scratch.clear();
-        for s in shards.iter_mut() {
-            coord.scratch.append(&mut s.outbox);
-        }
-        // The sort key never mentions shards: deliveries to any cell land
-        // in the same order for every partition.
-        coord
-            .scratch
-            .sort_unstable_by_key(|m| (m.deliver_at, m.from, m.from_seq));
-        let nshards = shards.len();
-        for m in coord.scratch.drain(..) {
-            debug_assert!(m.deliver_at >= t_end_us, "delivery inside its own window");
-            let to_shard = m.to as usize % nshards;
-            if m.from as usize % nshards != to_shard {
-                coord.cross_messages += 1;
-            }
-            coord.messages += 1;
-            let sh = &mut *shards[to_shard];
-            let slot = &mut sh.cells[m.to as usize / nshards];
-            let seq = slot.seq;
-            slot.seq += 1;
-            sh.counters.messages_in += 1;
-            sh.queue.push(
-                ShardEvent {
-                    at: m.deliver_at,
-                    cell: m.to,
-                    seq,
-                    kind: EventKind::Msg {
-                        from: m.from,
-                        msg: m.msg,
-                    },
-                },
-                &mut sh.engine_counters,
-            );
-        }
-        if coord.audit_every != 0 && coord.windows.is_multiple_of(coord.audit_every) {
-            let events: u64 = shards.iter().map(|s| s.counters.events).sum();
-            let mut d = StateDigest::new();
-            for id in 0..coord.ncells {
-                shards[id as usize % nshards].cells[id as usize / nshards]
-                    .cell
-                    .digest_into(&mut d);
-            }
-            coord.audit_stream.push(Checkpoint {
-                events,
-                at: SimTime::from_micros(t_end_us),
-                digest: d.finish(),
-            });
-        }
-        Self::next_window(shards, coord)
-    }
-
     /// Runs the simulation to `horizon` (events at or after it stay
-    /// queued). May be called once per engine.
+    /// queued). Call it again with a later horizon to continue: the window
+    /// count, the audit cadence and the digest stream carry across calls,
+    /// so runs split where no window spans the split audit like one run.
     pub fn run(&mut self, horizon: SimTime) {
         let workers = self.effective_workers();
-        let mut coord = Coordinator {
-            scratch: Vec::new(),
-            audit_stream: Vec::new(),
-            audit_every: self.audit_every,
-            windows: 0,
-            messages: 0,
-            cross_messages: 0,
-            lookahead_us: self.lookahead.as_micros(),
-            horizon_us: horizon.as_micros(),
-            ncells: self.ncells,
-        };
-        if workers <= 1 {
-            self.run_single_threaded(&mut coord);
-            self.worker_stalls = vec![WorkerCounters {
-                worker: 0,
-                stall_ns: 0,
-            }];
-        } else {
-            self.run_threaded(&mut coord, workers);
+        self.worker_stalls = vec![WorkerCounters::default(); workers];
+        for (worker, counters) in self.worker_stalls.iter_mut().enumerate() {
+            counters.worker = worker;
         }
-        self.audit_stream.append(&mut coord.audit_stream);
-        self.windows += coord.windows;
-        self.messages += coord.messages;
-        self.cross_messages += coord.cross_messages;
-    }
-
-    fn run_single_threaded(&mut self, coord: &mut Coordinator<C::Msg>) {
-        let lookahead = self.lookahead;
-        let mut refs: Vec<&mut Shard<C>> = self.shards.iter_mut().collect();
-        let Some(mut t_end) = Self::next_window(&mut refs, coord) else {
+        // Each window's merge readies every queue's head for the next
+        // window; the first window needs the same.
+        let t_min = self.shards.iter_mut().filter_map(Shard::next_time).min();
+        let horizon_us = horizon.as_micros();
+        let Some(t_min) = t_min.filter(|&t| t < horizon_us) else {
             return;
         };
-        loop {
-            for s in refs.iter_mut() {
-                s.execute_window(t_end, lookahead);
+        let slots = || {
+            (0..workers * workers)
+                .map(|_| {
+                    Mutex::new(Mail {
+                        msgs: Vec::new(),
+                        next: u64::MAX,
+                    })
+                })
+                .collect()
+        };
+        let exchange = Exchange {
+            shards: self.shards.drain(..).map(Mutex::new).collect(),
+            mail: [slots(), slots()],
+            barrier: Barrier::new(workers),
+            arrived: AtomicUsize::new(0),
+            workers,
+            lookahead: self.lookahead,
+            horizon_us,
+            audit_every: self.audit_every,
+            clock: self.clock.clone(),
+        };
+        let start = self.windows;
+        let (lead, rest) = self.worker_stalls.split_first_mut().expect("a worker");
+        let (windows, mut audit) = std::thread::scope(|scope| {
+            let x = &exchange;
+            for counters in rest {
+                scope.spawn(move || x.work(counters, t_min, start));
             }
-            match Self::merge_and_advance(&mut refs, coord, t_end) {
-                Some(next) => t_end = next,
-                None => break,
-            }
-        }
-    }
-
-    fn run_threaded(&mut self, coord: &mut Coordinator<C::Msg>, workers: usize) {
-        let lookahead = self.lookahead;
-        let nshards = self.nshards;
-        let shard_locks: Vec<Mutex<Shard<C>>> = self.shards.drain(..).map(Mutex::new).collect();
-        let barrier = Barrier::new(workers);
-        // The published end of the current window; u64::MAX means stop.
-        let window = AtomicU64::new(u64::MAX);
-        {
-            let mut guards: Vec<_> = shard_locks.iter().map(|m| m.lock().unwrap()).collect();
-            let mut refs: Vec<&mut Shard<C>> = guards.iter_mut().map(|g| &mut **g).collect();
-            if let Some(t) = Self::next_window(&mut refs, coord) {
-                window.store(t, Ordering::SeqCst);
-            }
-        }
-        let mut coord_slot = Some(std::mem::replace(
-            coord,
-            Coordinator {
-                scratch: Vec::new(),
-                audit_stream: Vec::new(),
-                audit_every: 0,
-                windows: 0,
-                messages: 0,
-                cross_messages: 0,
-                lookahead_us: 0,
-                horizon_us: 0,
-                ncells: 0,
-            },
-        ));
-        let results = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let shard_locks = &shard_locks;
-                let barrier = &barrier;
-                let window = &window;
-                let clock = self.clock.clone();
-                let mut leader_coord = if w == 0 { coord_slot.take() } else { None };
-                handles.push(scope.spawn(move || {
-                    let mut wc = WorkerCounters {
-                        worker: w,
-                        stall_ns: 0,
-                    };
-                    loop {
-                        let t_end = window.load(Ordering::SeqCst);
-                        if t_end == u64::MAX {
-                            break;
-                        }
-                        for s in (w..nshards).step_by(workers) {
-                            let mut shard = shard_locks[s].lock().unwrap();
-                            shard.execute_window(t_end, lookahead);
-                        }
-                        // First rendezvous: every shard has finished the
-                        // window; the leader may merge.
-                        let t0 = clock.as_ref().map(|c| c());
-                        barrier.wait();
-                        if let (Some(c), Some(t0)) = (&clock, t0) {
-                            wc.stall_ns += c().saturating_sub(t0);
-                        }
-                        if w == 0 {
-                            let coord = leader_coord.as_mut().expect("leader owns coordinator");
-                            let mut guards: Vec<_> =
-                                shard_locks.iter().map(|m| m.lock().unwrap()).collect();
-                            let mut refs: Vec<&mut Shard<C>> =
-                                guards.iter_mut().map(|g| &mut **g).collect();
-                            let next = Self::merge_and_advance(&mut refs, coord, t_end);
-                            window.store(next.unwrap_or(u64::MAX), Ordering::SeqCst);
-                        }
-                        // Second rendezvous: the merged queues and the next
-                        // window are visible to everyone.
-                        let t1 = clock.as_ref().map(|c| c());
-                        barrier.wait();
-                        if let (Some(c), Some(t1)) = (&clock, t1) {
-                            wc.stall_ns += c().saturating_sub(t1);
-                        }
-                    }
-                    (leader_coord, wc)
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect::<Vec<_>>()
+            x.work(lead, t_min, start)
         });
-        self.shards = shard_locks
+        self.windows = windows;
+        self.audit_stream.append(&mut audit);
+        self.shards = exchange
+            .shards
             .into_iter()
-            .map(|m| m.into_inner().unwrap())
+            .map(|s| s.into_inner().expect(POISONED))
             .collect();
-        for (leader_coord, wc) in results {
-            if let Some(c) = leader_coord {
-                *coord = c;
-            }
-            self.worker_stalls.push(wc);
-        }
-        self.worker_stalls.sort_by_key(|w| w.worker);
     }
 
     /// The accumulated digest checkpoint stream (empty unless
@@ -702,12 +701,12 @@ impl<C: Cell> ShardedEngine<C> {
 
     /// Messages delivered through barrier merges.
     pub fn messages_delivered(&self) -> u64 {
-        self.messages
+        self.shards.iter().map(|s| s.counters.messages_in).sum()
     }
 
     /// Messages whose sender and receiver lived on different shards.
     pub fn cross_shard_messages(&self) -> u64 {
-        self.cross_messages
+        self.shards.iter().map(|s| s.counters.cross_in).sum()
     }
 
     /// The shard count.
@@ -725,7 +724,7 @@ impl<C: Cell> ShardedEngine<C> {
         self.shards.iter().map(|s| s.counters).collect()
     }
 
-    /// Per-worker barrier-stall counters from the last run.
+    /// Per-worker time split from the last run, in worker order.
     pub fn worker_stalls(&self) -> &[WorkerCounters] {
         &self.worker_stalls
     }
@@ -757,6 +756,8 @@ impl<C: Cell> ShardedEngine<C> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     use super::*;
 
     /// A ping-pong lattice cell: ticks with a per-cell period, every third
@@ -930,18 +931,58 @@ mod tests {
     }
 
     #[test]
-    fn stall_clock_is_observed_by_threaded_runs() {
+    fn stall_clock_splits_each_workers_time_per_run() {
         let fake_ns = Arc::new(AtomicU64::new(0));
         let fake = Arc::clone(&fake_ns);
         let mut eng = build(8, 4, 2);
         eng.set_stall_clock(Arc::new(move || fake.fetch_add(7, Ordering::Relaxed)));
+        eng.run(SimTime::from_micros(HORIZON_US / 2));
         eng.run(SimTime::from_micros(HORIZON_US));
+        // The split covers the last run only, one entry per worker.
         let stalls = eng.worker_stalls();
-        assert_eq!(stalls.len(), 2);
-        assert!(
-            stalls.iter().any(|w| w.stall_ns > 0),
-            "fake clock advanced, some stall must be recorded"
-        );
+        assert_eq!(stalls.iter().map(|w| w.worker).collect::<Vec<_>>(), [0, 1]);
+        for w in stalls {
+            assert!(
+                w.execute_ns > 0 && w.merge_ns > 0 && w.stall_ns > 0,
+                "fake clock advanced, every phase must be booked: {w:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_run_split_on_the_window_lattice_audits_like_one_run() {
+        // Every event sits on the 250 µs lattice of windows, so no window
+        // spans the split; the split falls after 39 windows, off the
+        // 4-window audit cadence.
+        let lattice = || {
+            let cells: Vec<Ping> = (0..6)
+                .map(|id| Ping {
+                    id,
+                    n: 6,
+                    period_us: 250,
+                    horizon_us: HORIZON_US,
+                    ticks: 0,
+                    received: 0,
+                    acc: u64::from(id),
+                })
+                .collect();
+            let mut eng = ShardedEngine::new(cells, 2, SimDuration::from_micros(250));
+            eng.set_workers(2);
+            eng.audit_every_windows(4);
+            for id in 0..6 {
+                eng.seed_timer(id, SimTime::from_micros(250), 0);
+            }
+            eng
+        };
+        let mut whole = lattice();
+        whole.run(SimTime::from_micros(20_000));
+        let mut split = lattice();
+        split.run(SimTime::from_micros(10_000));
+        assert_eq!(split.windows(), 39);
+        split.run(SimTime::from_micros(20_000));
+        assert_eq!(split.windows(), whole.windows());
+        assert!(whole.audit_stream().len() > 10);
+        assert_eq!(split.audit_stream(), whole.audit_stream());
     }
 
     #[test]

@@ -119,9 +119,21 @@ echo "==> m02 sharded digest stream identical across --shards 1 and 4"
 # on divergence). On top of that, the stdout block prints only partition-
 # invariant facts, so the bytes must match across --shards values — the
 # same contract the golden tables have for --jobs.
+# Each drive takes about a second; the timeout turns a window-barrier
+# deadlock into a failure instead of a stalled gate.
 mkdir -p "$tmp/m1" "$tmp/m4"
-(cd "$tmp/m1" && "$OLDPWD/$bin" e01 --m02=2000:3 --shards 1 --json > ../m02_1.txt 2> /dev/null)
-(cd "$tmp/m4" && "$OLDPWD/$bin" e01 --m02=2000:3 --shards 4 --json > ../m02_4.txt 2> /dev/null)
+for shards in 1 4; do
+    m02_status=0
+    (cd "$tmp/m$shards" && timeout 600 "$OLDPWD/$bin" e01 --m02=2000:3 --shards "$shards" --json \
+        > "../m02_$shards.txt" 2> /dev/null) || m02_status=$?
+    if [[ "$m02_status" == 124 ]]; then
+        echo "FAIL: m02 --shards $shards still running after 600 s (deadlocked at a window barrier?)" >&2
+        exit 1
+    elif [[ "$m02_status" != 0 ]]; then
+        echo "FAIL: m02 --shards $shards exited with status $m02_status" >&2
+        exit 1
+    fi
+done
 if ! cmp -s "$tmp/m02_1.txt" "$tmp/m02_4.txt"; then
     echo "FAIL: m02 stdout diverged between --shards 1 and --shards 4" >&2
     diff "$tmp/m02_1.txt" "$tmp/m02_4.txt" | head -40 >&2 || true

@@ -44,8 +44,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> m02 smoke (200 hosts, 1 simulated day, 2 shards)"
 # The partitioned-parallel engine compares its sharded digest stream
 # against the serial reference in-process and exits 1 on divergence; one
-# small run keeps the determinism contract in even the quick gate.
-target/release/experiments e01 --m02=200:1 --shards 2 > /dev/null
+# small run keeps the determinism contract in even the quick gate. The
+# run takes about a second; the timeout turns a window-barrier deadlock
+# into a failure instead of a stalled gate.
+m02_status=0
+timeout 600 target/release/experiments e01 --m02=200:1 --shards 2 > /dev/null || m02_status=$?
+if [[ "$m02_status" == 124 ]]; then
+    echo "FAIL: m02 smoke still running after 600 s (deadlocked at a window barrier?)" >&2
+    exit 1
+elif [[ "$m02_status" != 0 ]]; then
+    echo "FAIL: m02 smoke exited with status $m02_status" >&2
+    exit 1
+fi
 
 echo "==> e10-sweep smoke (200 hosts, central vs sharded vs gossip)"
 # The decentralization sweep fans its cells over worker threads; its table
