@@ -11,7 +11,9 @@
 //! it in place.
 //!
 //! Prints events/sec for both engines, the throughput ratio, and the
-//! calendar engine's effort counters (proving the allocation reduction).
+//! calendar engine's effort counters, and exits non-zero unless both
+//! engines executed the same events, the calendar boxed one handler per
+//! daemon and every later tick re-armed it.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -217,4 +219,13 @@ fn main() {
         counters.handler_allocations
     );
     assert_eq!(ref_events, cal_events, "engines must execute the same work");
+    assert_eq!(
+        counters.handler_allocations, DAEMONS,
+        "one boxed handler per daemon"
+    );
+    assert_eq!(
+        counters.periodic_reschedules,
+        cal_events - DAEMONS,
+        "every tick but each daemon's first is a re-arm"
+    );
 }

@@ -134,7 +134,7 @@ fn calendar_effort_is_worker_invariant_and_pinned_for_one_shard() {
             handler_allocations: 0,
             periodic_reschedules: 0,
             buckets_scanned: 44_334,
-            keys_compared: 196_540,
+            keys_compared: 50_576,
             overflow_migrations: 97,
             resizes: 2,
         }

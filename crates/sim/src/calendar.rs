@@ -7,14 +7,13 @@
 //! microseconds (Brown 1988). Enqueue drops an entry into the bucket its
 //! timestamp maps to — O(1). When the cursor reaches a non-empty bucket,
 //! dequeue sorts it once into the *front* (a drain deque) and then takes
-//! entries from its head, so a bucket of k entries costs O(log k) per pop
-//! even when all k share one timestamp (a barrier window on a one-minute
-//! lattice). A push into the cursor's bucket after that is O(1) as well: it
-//! joins the front's tail when its key sorts last (the serial engine's
-//! pushes at `now`) and otherwise parks in the bucket until the next head
-//! lookup merges everything parked there (a barrier's deliveries below the
-//! tail) with one stable sort over the nearly sorted front, rather than one
-//! shift of the front per entry.
+//! entries from its head. A push into the cursor's bucket after that is
+//! O(1) as well: it joins the front's tail when its time is not before the
+//! tail's (on a one-minute lattice, every push at `now` and a barrier's
+//! deliveries at the window's timestamp) and otherwise parks in the bucket
+//! until the next head lookup merges everything parked there with one
+//! stable sort over the nearly sorted front, rather than one shift of the
+//! front per entry.
 //! Entries beyond the current year wait in a binary min-heap and migrate
 //! into buckets as years advance; when every bucket is empty the queue
 //! jumps straight to the year of the next overflow entry instead of
@@ -31,11 +30,12 @@
 //! one-minute lattice this settles after the first simulated minute at a
 //! 16-minute year.
 //!
-//! The queue is generic over its entry type so that both the serial
-//! [`crate::Engine`] (closure events keyed `(time, seq)`) and the sharded
-//! conservative-parallel engine in [`crate::shard`] (data events keyed
-//! `(time, cell, seq)`) share one implementation — and one set of effort
-//! counters ([`EngineCounters`]).
+//! The queue stamps every push from its own counter and pops in `(time,
+//! stamp)` order, so ties break by push order for both the serial
+//! [`crate::Engine`] and the sharded engine in [`crate::shard`], which
+//! share it and its effort counters ([`EngineCounters`]). A bucket holds
+//! its entries in push order, so k entries at one timestamp sort in k − 1
+//! comparisons; any bucket costs O(log k) comparisons per pop.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
@@ -44,43 +44,41 @@ use std::mem;
 
 use crate::stats::EngineCounters;
 
-/// An entry the calendar can hold: a timestamp plus a tie-break key. The
-/// triple `(at_micros, tie.0, tie.1)` must totally order entries; the queue
-/// pops them in ascending order of that triple.
-pub(crate) trait CalendarEntry {
-    /// Absolute simulated time of the entry, in microseconds.
-    fn at_micros(&self) -> u64;
-    /// Tie-break key applied after the timestamp.
-    fn tie(&self) -> (u64, u64);
+/// A queued item with its timestamp (microseconds) and push stamp.
+struct Entry<T> {
+    at: u64,
+    stamp: u64,
+    item: T,
 }
 
-/// Full ordering key of an entry.
-fn key<T: CalendarEntry>(e: &T) -> (u64, u64, u64) {
-    let (a, b) = e.tie();
-    (e.at_micros(), a, b)
+impl<T> Entry<T> {
+    /// The pop-order key: time, then push order.
+    fn key(&self) -> (u64, u64) {
+        (self.at, self.stamp)
+    }
 }
 
 /// An overflow entry, ordered by reversed key so that the max-heap
 /// [`BinaryHeap`] yields the soonest entry first.
-struct Soonest<T>(T);
+struct Soonest<T>(Entry<T>);
 
-impl<T: CalendarEntry> PartialEq for Soonest<T> {
+impl<T> PartialEq for Soonest<T> {
     fn eq(&self, other: &Self) -> bool {
-        key(&self.0) == key(&other.0)
+        self.0.key() == other.0.key()
     }
 }
 
-impl<T: CalendarEntry> Eq for Soonest<T> {}
+impl<T> Eq for Soonest<T> {}
 
-impl<T: CalendarEntry> PartialOrd for Soonest<T> {
+impl<T> PartialOrd for Soonest<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<T: CalendarEntry> Ord for Soonest<T> {
+impl<T> Ord for Soonest<T> {
     fn cmp(&self, other: &Self) -> Ordering {
-        key(&other.0).cmp(&key(&self.0))
+        other.0.key().cmp(&self.0.key())
     }
 }
 
@@ -91,8 +89,8 @@ pub(crate) enum Pop<T> {
     /// The next entry, at this timestamp, lies beyond the deadline; it
     /// stays queued.
     Parked(u64),
-    /// The earliest entry, removed from the queue.
-    Event(T),
+    /// The earliest entry, removed from the queue, with its timestamp.
+    Event(u64, T),
 }
 
 const MIN_BUCKETS: usize = 16;
@@ -110,11 +108,11 @@ const BUCKETS_PER_EVENT: usize = 8;
 
 /// The bucketed pending-event set. All times are in microseconds.
 pub(crate) struct Calendar<T> {
-    buckets: Vec<Vec<T>>,
+    buckets: Vec<Vec<Entry<T>>>,
     /// The cursor's bucket once a pop or peek has reached it: sorted by key
     /// and drained from the head. While this is non-empty, `buckets[cursor]`
     /// holds only pushes parked below its tail (see `place`).
-    front: VecDeque<T>,
+    front: VecDeque<Entry<T>>,
     /// Microseconds per bucket (>= 1).
     width: u64,
     /// Timestamp of the most recently popped entry; a year advance sizes
@@ -131,9 +129,11 @@ pub(crate) struct Calendar<T> {
     grow_at: usize,
     /// Rebuild when `len` drops below this (1/4 the size at last rebuild).
     shrink_at: usize,
+    /// The stamp of the next push.
+    next_stamp: u64,
 }
 
-impl<T: CalendarEntry> Calendar<T> {
+impl<T> Calendar<T> {
     pub(crate) fn new() -> Self {
         Calendar {
             buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
@@ -146,6 +146,7 @@ impl<T: CalendarEntry> Calendar<T> {
             len: 0,
             grow_at: 32,
             shrink_at: 0,
+            next_stamp: 0,
         }
     }
 
@@ -163,8 +164,8 @@ impl<T: CalendarEntry> Calendar<T> {
     }
 
     /// Inserts without resize bookkeeping.
-    fn place(&mut self, ev: T, counters: &mut EngineCounters) {
-        let at = ev.at_micros();
+    fn place(&mut self, ev: Entry<T>, counters: &mut EngineCounters) {
+        let at = ev.at;
         debug_assert!(at >= self.year_start, "entry behind the calendar year");
         if at >= self.year_end() {
             self.overflow.push(Soonest(ev));
@@ -184,13 +185,14 @@ impl<T: CalendarEntry> Calendar<T> {
             self.cursor = idx;
         } else if idx == self.cursor {
             if let Some(tail) = self.front.back() {
-                // An entry the serial engine schedules at `now` carries the
-                // largest seq and joins the tail. Anything else parks in the
-                // bucket below until the next `head_at`, so a barrier's
-                // deliveries below the tail are merged once, not shifted in
-                // one by one.
+                // Only a push meets a non-empty front, and it carries the
+                // newest stamp, so it sorts after the tail unless its time
+                // is earlier. Earlier entries park in the bucket below until
+                // the next `head_at`, so a run of them is merged once, not
+                // shifted in one by one.
+                debug_assert!(ev.stamp > tail.stamp, "only a push meets the front");
                 counters.keys_compared += 1;
-                if key(&ev) >= key(tail) {
+                if at >= tail.at {
                     self.front.push_back(ev);
                     return;
                 }
@@ -199,8 +201,12 @@ impl<T: CalendarEntry> Calendar<T> {
         self.buckets[idx].push(ev);
     }
 
-    pub(crate) fn push(&mut self, ev: T, counters: &mut EngineCounters) {
-        let at = ev.at_micros();
+    /// Queues `item` at `at` (microseconds), stamped after every earlier
+    /// push: of two entries at one time, the one pushed first pops first.
+    pub(crate) fn push(&mut self, at: u64, item: T, counters: &mut EngineCounters) {
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        let ev = Entry { at, stamp, item };
         if self.len == 0 {
             // Re-anchor the calendar on the first entry after an idle spell
             // so `cursor`/`year_start` never have to run backwards.
@@ -223,8 +229,8 @@ impl<T: CalendarEntry> Calendar<T> {
     }
 
     /// Drains every pending entry into one unordered list.
-    fn gather(&mut self) -> Vec<T> {
-        let mut events: Vec<T> = Vec::with_capacity(self.len);
+    fn gather(&mut self) -> Vec<Entry<T>> {
+        let mut events = Vec::with_capacity(self.len);
         events.extend(self.front.drain(..));
         for b in &mut self.buckets {
             events.append(b);
@@ -240,7 +246,8 @@ impl<T: CalendarEntry> Calendar<T> {
         self.rebuild(events, counters);
     }
 
-    fn rebuild(&mut self, events: Vec<T>, counters: &mut EngineCounters) {
+    /// Re-places `events` with the stamps they hold, so pop order survives.
+    fn rebuild(&mut self, events: Vec<Entry<T>>, counters: &mut EngineCounters) {
         counters.resizes += 1;
         let n = events.len();
         self.grow_at = (2 * n).max(32);
@@ -256,8 +263,8 @@ impl<T: CalendarEntry> Calendar<T> {
         if events.is_empty() {
             return;
         }
-        let min = events.iter().map(|e| e.at_micros()).min().unwrap();
-        let max = events.iter().map(|e| e.at_micros()).max().unwrap();
+        let min = events.iter().map(|e| e.at).min().unwrap();
+        let max = events.iter().map(|e| e.at).max().unwrap();
         // Size the year to several times the occupied span (see
         // YEAR_SPREAD_FACTOR); clamp so `width * nbuckets` stays far from
         // u64 overflow.
@@ -280,7 +287,7 @@ impl<T: CalendarEntry> Calendar<T> {
         let next_at = self
             .overflow
             .peek()
-            .map(|e| e.0.at_micros())
+            .map(|e| e.0.at)
             .expect("pending entries beyond the drained year are in overflow");
         let year_end = self.year_end();
         let contiguous_end = year_end.saturating_add(self.year_len());
@@ -302,12 +309,12 @@ impl<T: CalendarEntry> Calendar<T> {
         self.cursor = 0;
         let year_end = self.year_end();
         while let Some(top) = self.overflow.peek_mut() {
-            if top.0.at_micros() >= year_end {
+            if top.0.at >= year_end {
                 break;
             }
             let ev = PeekMut::pop(top).0;
             counters.overflow_migrations += 1;
-            let idx = ((ev.at_micros() - self.year_start) / self.width) as usize;
+            let idx = ((ev.at - self.year_start) / self.width) as usize;
             self.buckets[idx].push(ev);
         }
     }
@@ -321,15 +328,15 @@ impl<T: CalendarEntry> Calendar<T> {
     fn head_at(&mut self, counters: &mut EngineCounters) -> Option<u64> {
         match (self.front.is_empty(), self.buckets[self.cursor].as_slice()) {
             (true, []) => return None,
-            (true, [lone]) => return Some(lone.at_micros()),
+            (true, [lone]) => return Some(lone.at),
             (false, []) => {}
             _ => self.fill_front(counters),
         }
-        self.front.front().map(T::at_micros)
+        self.front.front().map(|e| e.at)
     }
 
     /// Removes the entry [`Calendar::head_at`] reported.
-    fn take_head(&mut self) -> T {
+    fn take_head(&mut self) -> Entry<T> {
         self.front
             .pop_front()
             .or_else(|| self.buckets[self.cursor].pop())
@@ -341,7 +348,8 @@ impl<T: CalendarEntry> Calendar<T> {
     /// it once the parked entries are appended, so a bucket that held a
     /// whole barrier window keeps no capacity for the rest of the run. The
     /// stable sort then merges the sorted front with the parked run, which
-    /// is cheap because deliveries arrive in nearly key order.
+    /// is cheap because a bucket holds its entries in push order: sorted
+    /// already where they share a timestamp.
     fn fill_front(&mut self, counters: &mut EngineCounters) {
         let bucket = mem::take(&mut self.buckets[self.cursor]);
         if self.front.is_empty() {
@@ -352,7 +360,7 @@ impl<T: CalendarEntry> Calendar<T> {
         let mut compared = 0;
         self.front.make_contiguous().sort_by(|a, b| {
             compared += 1;
-            key(a).cmp(&key(b))
+            a.key().cmp(&b.key())
         });
         counters.keys_compared += compared;
     }
@@ -382,13 +390,13 @@ impl<T: CalendarEntry> Calendar<T> {
                     if self.len < self.shrink_at {
                         self.resize(counters);
                     }
-                    return Pop::Event(ev);
+                    return Pop::Event(at, ev.item);
                 }
                 self.cursor += 1;
             }
             // Every bucket drained; the remaining entries are all overflow.
             if let Some(d) = deadline {
-                let next_at = self.overflow.peek().map(|e| e.0.at_micros());
+                let next_at = self.overflow.peek().map(|e| e.0.at);
                 if let Some(at) = next_at.filter(|&at| at > d) {
                     return Pop::Parked(at);
                 }
@@ -426,75 +434,83 @@ mod tests {
     use super::*;
     use crate::DetRng;
 
-    struct Entry {
-        at: u64,
-        tie: (u64, u64),
-    }
-
-    impl CalendarEntry for Entry {
-        fn at_micros(&self) -> u64 {
-            self.at
-        }
-        fn tie(&self) -> (u64, u64) {
-            self.tie
-        }
-    }
-
-    /// A same-timestamp burst drains in key order at O(log k) comparisons
-    /// per pop, including entries re-pushed at `now` mid-drain (they land
-    /// in the sorted bucket). Picking each minimum by a scan would compare
-    /// about k/2 keys per pop here.
+    /// A one-timestamp burst drains in push order, entries re-pushed at
+    /// `now` mid-drain included: they join the sorted front's tail after
+    /// one comparison each. The bucket sits in push order, so sorting it
+    /// when the cursor arrives takes one comparison per entry too, where a
+    /// burst sorted by any other tie key costs O(log k) per pop. Each
+    /// rebuild as the queue shrinks re-sorts what is left, under a quarter
+    /// of what the previous one held, so those re-sorts add under a third.
     #[test]
-    fn same_timestamp_burst_drains_in_order_at_log_cost() {
+    fn same_timestamp_burst_drains_in_push_order_at_one_comparison_per_pop() {
         const BURST: u64 = 10_000;
         const NOW: u64 = 60_000_000;
         let mut counters = EngineCounters::default();
         let mut cal = Calendar::new();
-        // Push the burst in a scrambled seq order so the sort has work.
         for i in 0..BURST {
-            let seq = (i * 7_919) % BURST;
-            cal.push(
-                Entry {
-                    at: NOW,
-                    tie: (seq, 0),
-                },
-                &mut counters,
-            );
+            cal.push(NOW, i, &mut counters);
         }
-        let mut next_seq = BURST;
+        let mut next = BURST;
         let mut popped = Vec::new();
-        while let Pop::Event(e) = cal.pop_due(None, &mut counters) {
-            if popped.len() % 3 == 0 && next_seq < 2 * BURST {
-                cal.push(
-                    Entry {
-                        at: e.at,
-                        tie: (next_seq, 0),
-                    },
-                    &mut counters,
-                );
-                next_seq += 1;
+        while let Pop::Event(at, i) = cal.pop_due(None, &mut counters) {
+            if popped.len() % 3 == 0 {
+                cal.push(at, next, &mut counters);
+                next += 1;
             }
-            popped.push((e.at, e.tie.0));
+            popped.push((at, i));
         }
-        let want: Vec<(u64, u64)> = (0..next_seq).map(|s| (NOW, s)).collect();
-        assert_eq!(popped, want, "pop order is not key order");
+        let want: Vec<(u64, u64)> = (0..next).map(|i| (NOW, i)).collect();
+        assert_eq!(popped, want, "pop order is not push order");
         let pops = popped.len() as u64;
         assert!(
-            counters.keys_compared <= 32 * pops,
+            counters.keys_compared <= pops + pops / 3,
             "{} key comparisons for {pops} pops",
             counters.keys_compared
         );
         assert!(counters.keys_compared > 0);
     }
 
-    /// A calendar and a `BTreeSet` reference model fed the same operations,
-    /// compared after every one.
+    /// One bucket holding several timestamps, pushed latest first, drains
+    /// in `(time, push)` order at O(log k) comparisons per pop: the front
+    /// sorts on time before stamp.
+    #[test]
+    fn descending_times_in_one_bucket_drain_in_time_then_push_order() {
+        const NOW: u64 = 60_000_000;
+        const DAY: u64 = 1_440 * NOW;
+        const K: u64 = 4_096;
+        const STAMPS: u64 = 64;
+        let mut counters = EngineCounters::default();
+        let mut cal = Calendar::new();
+        // A far entry keeps every rebuild's buckets wider than the burst.
+        cal.push(NOW + DAY, K, &mut counters);
+        for i in 0..K {
+            cal.push(NOW + STAMPS - 1 - i / (K / STAMPS), i, &mut counters);
+        }
+        assert_eq!(cal.next_time(&mut counters), Some(NOW));
+        assert_eq!(cal.front.len() as u64, K, "the burst shares one bucket");
+        let mut popped = Vec::new();
+        while let Pop::Event(at, i) = cal.pop_due(Some(NOW + DAY - 1), &mut counters) {
+            popped.push((at, i));
+        }
+        let mut want = popped.clone();
+        want.sort_unstable();
+        assert_eq!(popped, want, "pop order is not (time, push) order");
+        assert_eq!(popped.len() as u64, K);
+        let compared = counters.keys_compared;
+        assert!(
+            compared <= u64::from(K.ilog2()) * K,
+            "{compared} key comparisons for {K} pops"
+        );
+    }
+
+    /// A calendar and a `BTreeSet` reference model keyed on `(time, push
+    /// index)` fed the same operations, compared after every one. Each
+    /// entry's item is its push index.
     struct Checked {
-        cal: Calendar<Entry>,
-        reference: BTreeSet<(u64, u64, u64)>,
+        cal: Calendar<u64>,
+        reference: BTreeSet<(u64, u64)>,
         counters: EngineCounters,
-        /// The next second tie component: unique, so every key is.
-        next_b: u64,
+        pushes: u64,
     }
 
     impl Checked {
@@ -503,20 +519,20 @@ mod tests {
                 cal: Calendar::new(),
                 reference: BTreeSet::new(),
                 counters: EngineCounters::default(),
-                next_b: 0,
+                pushes: 0,
             }
         }
 
-        fn push(&mut self, at: u64, a: u64) {
-            let b = self.next_b;
-            self.next_b += 1;
-            self.cal.push(Entry { at, tie: (a, b) }, &mut self.counters);
-            self.reference.insert((at, a, b));
+        fn push(&mut self, at: u64) {
+            let i = self.pushes;
+            self.pushes += 1;
+            self.cal.push(at, i, &mut self.counters);
+            self.reference.insert((at, i));
             self.check_len();
         }
 
-        /// `pop_due`, checked against the reference; the popped key.
-        fn pop(&mut self, deadline: Option<u64>) -> Option<(u64, u64, u64)> {
+        /// `pop_due`, checked against the reference; the popped time.
+        fn pop(&mut self, deadline: Option<u64>) -> Option<u64> {
             let want = self.reference.first().copied();
             let got = match self.cal.pop_due(deadline, &mut self.counters) {
                 Pop::Empty => {
@@ -529,14 +545,13 @@ mod tests {
                     assert_eq!(Some(at), want.map(|k| k.0), "parked head time");
                     None
                 }
-                Pop::Event(e) => {
-                    let k = (e.at, e.tie.0, e.tie.1);
-                    assert_eq!(Some(k), want, "popped out of key order");
+                Pop::Event(at, i) => {
+                    assert_eq!(Some((at, i)), want, "popped out of (time, push) order");
                     if let Some(d) = deadline {
-                        assert!(e.at <= d, "popped {k:?} past deadline {d}");
+                        assert!(at <= d, "popped {i} at {at} past deadline {d}");
                     }
                     self.reference.pop_first();
-                    Some(k)
+                    Some(at)
                 }
             };
             self.check_len();
@@ -560,11 +575,11 @@ mod tests {
     /// Each case seeds a burst at one timestamp (so every rebuild sees a
     /// zero span), then runs barrier windows: peek the next time, pop up to
     /// the window's deadline until the queue parks with the next bucket
-    /// sorted into its front, and push the window's deliveries at the
-    /// parked timestamp with ties below the front's tail. Handlers re-arm
-    /// on the one-minute lattice, days ahead, or off the lattice, and push
-    /// at `now` both below the tail and with a fresh largest tie. What is
-    /// left drains through the serial engine's undeadlined pop.
+    /// sorted into its front, and push the window's deliveries in time
+    /// order. Handlers re-arm on the one-minute lattice, days ahead, or off
+    /// the lattice, and push at `now`, which parks below the front's tail
+    /// whenever the front holds a later time. What is left drains through
+    /// the serial engine's undeadlined pop.
     #[test]
     fn matches_a_reference_set_under_the_sharded_call_pattern() {
         const MINUTE: u64 = 60_000_000;
@@ -575,41 +590,39 @@ mod tests {
             let mut q = Checked::new();
             let cells = 16 + rng.uniform_u64(600);
             let start = MINUTE * (1 + rng.uniform_u64(60));
-            for i in 0..cells {
-                q.push(start, (i * 7_919) % cells);
+            for _ in 0..cells {
+                q.push(start);
             }
             let mut outbox = Vec::new();
             for _ in 0..16 {
                 let Some(t) = q.peek() else { break };
                 let t_end = t + MINUTE;
-                while let Some((at, a, _)) = q.pop(Some(t_end - 1)) {
+                while let Some(at) = q.pop(Some(t_end - 1)) {
                     if rng.chance(far) {
-                        q.push(at + DAY * (1 + rng.uniform_u64(3)), a);
+                        q.push(at + DAY * (1 + rng.uniform_u64(3)));
                     } else {
                         match rng.pick_index(16) {
                             0 => {}
-                            1 => q.push(at, rng.uniform_u64(cells)),
-                            2 => q.push(at, u64::MAX),
-                            3 => q.push(at + 1 + rng.uniform_u64(MINUTE), a),
-                            _ => q.push(at + MINUTE, a),
+                            1 | 2 => q.push(at),
+                            3 => q.push(at + 1 + rng.uniform_u64(MINUTE)),
+                            _ => q.push(at + MINUTE),
                         }
                     }
                     if rng.chance(0.3) {
-                        let deliver = t_end + MINUTE * rng.uniform_u64(2);
-                        outbox.push((deliver, rng.uniform_u64(cells)));
+                        outbox.push(t_end + MINUTE * rng.uniform_u64(2));
                     }
                     if rng.chance(0.05) {
                         q.peek();
                     }
                 }
                 outbox.sort_unstable();
-                for (at, to) in outbox.drain(..) {
-                    q.push(at, to);
+                for at in outbox.drain(..) {
+                    q.push(at);
                 }
             }
-            while let Some((at, ..)) = q.pop(None) {
+            while let Some(at) = q.pop(None) {
                 if rng.chance(0.05) {
-                    q.push(at, u64::MAX);
+                    q.push(at);
                 }
             }
             assert!(q.reference.is_empty());

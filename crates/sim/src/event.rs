@@ -15,8 +15,9 @@
 //! Month-long runs execute millions of events, the vast majority of them
 //! recurring daemon ticks, so the pending-event set lives in the calendar
 //! queue of [`crate::calendar`] — O(1) amortized push/pop, shared with the
-//! sharded conservative-parallel engine in [`crate::shard`]. This engine's
-//! entries are closures keyed `(time, seq)`: ties break by insertion order.
+//! sharded conservative-parallel engine in [`crate::shard`]. The calendar
+//! stamps each push, so events at one time run in the order they were
+//! scheduled.
 //!
 //! Recurring work uses [`Engine::schedule_periodic`]: the handler is boxed
 //! **once** and re-armed in place after each tick, so a month of load-daemon
@@ -25,7 +26,7 @@
 //! `periodic_reschedules` counts the allocations avoided and
 //! `buckets_scanned` the calendar's search effort.
 
-use crate::calendar::{Calendar, CalendarEntry, Pop};
+use crate::calendar::{Calendar, Pop};
 use crate::digest::Checkpoint;
 use crate::stats::EngineCounters;
 use crate::{SimDuration, SimTime};
@@ -43,21 +44,6 @@ enum Action<S> {
         every: SimDuration,
         tick: PeriodicHandler<S>,
     },
-}
-
-struct Scheduled<S> {
-    at: SimTime,
-    seq: u64,
-    action: Action<S>,
-}
-
-impl<S> CalendarEntry for Scheduled<S> {
-    fn at_micros(&self) -> u64 {
-        self.at.as_micros()
-    }
-    fn tie(&self) -> (u64, u64) {
-        (self.seq, 0)
-    }
 }
 
 /// The replay-audit seam: a state-hash function sampled every `every`
@@ -108,8 +94,7 @@ struct Audit<S> {
 /// ```
 pub struct Engine<S> {
     now: SimTime,
-    seq: u64,
-    queue: Calendar<Scheduled<S>>,
+    queue: Calendar<Action<S>>,
     deadline: Option<SimTime>,
     counters: EngineCounters,
     audit: Option<Audit<S>>,
@@ -126,7 +111,6 @@ impl<S> Engine<S> {
     pub fn new() -> Self {
         Engine {
             now: SimTime::ZERO,
-            seq: 0,
             queue: Calendar::new(),
             deadline: None,
             counters: EngineCounters::default(),
@@ -192,12 +176,6 @@ impl<S> Engine<S> {
         self.deadline = Some(at);
     }
 
-    fn next_seq(&mut self) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        seq
-    }
-
     /// Schedules `handler` to run at absolute time `at`.
     ///
     /// # Panics
@@ -208,14 +186,10 @@ impl<S> Engine<S> {
         F: FnOnce(&mut S, &mut Engine<S>) + 'static,
     {
         assert!(at >= self.now, "cannot schedule into the past");
-        let seq = self.next_seq();
         self.counters.handler_allocations += 1;
         self.queue.push(
-            Scheduled {
-                at,
-                seq,
-                action: Action::Once(Box::new(handler)),
-            },
+            at.as_micros(),
+            Action::Once(Box::new(handler)),
             &mut self.counters,
         );
     }
@@ -233,9 +207,8 @@ impl<S> Engine<S> {
     /// boxed once and re-armed in place — a month of daemon ticks costs one
     /// allocation.
     ///
-    /// A tick that schedules follow-on events at its own timestamp runs
-    /// before its next occurrence but after those events' seq numbers are
-    /// assigned; ties at later timestamps resolve by that insertion order.
+    /// Each tick re-arms after its handler returns, so events the handler
+    /// schedules for the next occurrence's timestamp run before it.
     ///
     /// # Panics
     ///
@@ -246,17 +219,11 @@ impl<S> Engine<S> {
     {
         assert!(first >= self.now, "cannot schedule into the past");
         assert!(!every.is_zero(), "periodic events need a positive period");
-        let seq = self.next_seq();
         self.counters.handler_allocations += 1;
+        let tick = Box::new(tick);
         self.queue.push(
-            Scheduled {
-                at: first,
-                seq,
-                action: Action::Periodic {
-                    every,
-                    tick: Box::new(tick),
-                },
-            },
+            first.as_micros(),
+            Action::Periodic { every, tick },
             &mut self.counters,
         );
     }
@@ -293,22 +260,19 @@ impl<S> Engine<S> {
                 self.now = self.now.max_of(deadline);
                 false
             }
-            Pop::Event(ev) => {
-                debug_assert!(ev.at >= self.now, "event queue went backwards");
-                self.now = ev.at;
+            Pop::Event(at, action) => {
+                let at = SimTime::from_micros(at);
+                debug_assert!(at >= self.now, "event queue went backwards");
+                self.now = at;
                 self.counters.events_executed += 1;
-                match ev.action {
+                match action {
                     Action::Once(run) => run(state, self),
                     Action::Periodic { every, mut tick } => {
                         if tick(state, self) {
                             self.counters.periodic_reschedules += 1;
-                            let seq = self.next_seq();
                             self.queue.push(
-                                Scheduled {
-                                    at: ev.at + every,
-                                    seq,
-                                    action: Action::Periodic { every, tick },
-                                },
+                                (at + every).as_micros(),
+                                Action::Periodic { every, tick },
                                 &mut self.counters,
                             );
                         }
@@ -466,7 +430,7 @@ mod tests {
         let mut log = Vec::new();
         engine.run(&mut log);
         // The periodic event was inserted first, so it wins the t=2 tie; its
-        // re-arm at t=4 carries a later seq than the pre-scheduled oneshot.
+        // re-arm at t=4 is pushed after the pre-scheduled oneshot.
         assert_eq!(log, vec!["tick", "oneshot@2", "oneshot@4", "tick", "tick"]);
     }
 

@@ -22,18 +22,22 @@
 //!
 //! * **Cells are isolated.** A cell's state is touched only by its own
 //!   timers and by messages addressed to it; there is no shared state
-//!   between cells, so the interleaving of *different* cells' events within
-//!   a window is unobservable.
-//! * **Per-cell event order is fixed.** Each shard's queue orders events by
-//!   `(time, cell, seq)`; the subsequence belonging to one cell is ordered
-//!   by `(time, seq)` with seq numbers drawn from per-cell counters —
-//!   timers get theirs when the cell requests them (in the cell's own
-//!   deterministic execution order), deliveries get theirs at the merge.
+//!   between cells. A handler arms timers only on its own cell and sends
+//!   only into later windows, so no cell can observe how *different*
+//!   cells' events at one timestamp interleave.
+//! * **Per-cell event order is push order.** Each shard's calendar pops
+//!   in `(time, push order)`, the serial [`crate::Engine`]'s rule too.
+//!   Restricted to one cell, push order is the order of that cell's own
+//!   pushes: its timers as its handlers arm them, and after each window
+//!   the deliveries addressed to it. Neither depends on the other cells of
+//!   its shard, so the cell's events run in the same order under every
+//!   partition; only the interleaving with other cells' events moves.
 //! * **The merge is sorted.** After each barrier the receiving worker
 //!   sorts the mail bound for its shards by `(deliver_time, sender,
-//!   sender_seq)` — a key that mentions neither shards nor workers — before
-//!   destination seq numbers are assigned. Whichever shard a sender lived
-//!   on, the deliveries to any given cell arrive in the same order.
+//!   position in the sender's outbox)` and pushes it in that order. The
+//!   outbox position breaks ties among one sender's messages only, where
+//!   it is send order, so the deliveries to any given cell are pushed in
+//!   the same order whichever shards the senders lived on.
 //! * **Windows are global.** The next window starts at the globally
 //!   earliest pending event, the minimum of every worker's proposal, so the
 //!   sequence of window times — and with it the checkpoint stream — is a
@@ -58,11 +62,10 @@
 //! worker 0's digest fold. Wall time enters only through the clock
 //! injected with [`ShardedEngine::set_stall_clock`].
 
-use std::mem;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
-use crate::calendar::{Calendar, CalendarEntry, Pop};
+use crate::calendar::{Calendar, Pop};
 use crate::digest::{Checkpoint, StateDigest};
 use crate::stats::EngineCounters;
 use crate::{SimDuration, SimTime};
@@ -104,9 +107,11 @@ pub struct CellCtx<'a, M> {
     me: CellId,
     ncells: u32,
     lookahead: SimDuration,
-    timers: &'a mut Vec<(u64, u64)>,
+    /// The executing shard's queue and its effort counters.
+    queue: &'a mut Calendar<ShardEvent<M>>,
+    counters: &'a mut EngineCounters,
+    timers_set: &'a mut u64,
     out: &'a mut Vec<OutMsg<M>>,
-    send_seq: &'a mut u64,
 }
 
 impl<M> CellCtx<'_, M> {
@@ -138,7 +143,12 @@ impl<M> CellCtx<'_, M> {
     /// Panics if `at` is in the simulated past.
     pub fn timer_at(&mut self, at: SimTime, token: u64) {
         assert!(at >= self.now, "cannot arm a timer in the past");
-        self.timers.push((at.as_micros(), token));
+        *self.timers_set += 1;
+        let ev = ShardEvent {
+            cell: self.me,
+            kind: EventKind::Timer(token),
+        };
+        self.queue.push(at.as_micros(), ev, self.counters);
     }
 
     /// Arms a timer on this cell `delay` from now.
@@ -166,12 +176,10 @@ impl<M> CellCtx<'_, M> {
             self.lookahead
         );
         assert!(to < self.ncells, "send to cell {to} out of range");
-        let seq = *self.send_seq;
-        *self.send_seq += 1;
         self.out.push(OutMsg {
             deliver_at: (self.now + latency).as_micros(),
             from: self.me,
-            from_seq: seq,
+            posted: self.out.len(),
             to,
             msg,
         });
@@ -182,7 +190,9 @@ impl<M> CellCtx<'_, M> {
 struct OutMsg<M> {
     deliver_at: u64,
     from: CellId,
-    from_seq: u64,
+    /// Its index in the sending shard's outbox, which is drained every
+    /// window: among one sender's messages of a window, send order.
+    posted: usize,
     to: CellId,
     msg: M,
 }
@@ -192,23 +202,10 @@ enum EventKind<M> {
     Msg { from: CellId, msg: M },
 }
 
-/// One queued event. The tie key `(cell, seq)` makes the per-shard pop
-/// order — and through it every cell's event order — independent of the
-/// partition (see the module docs).
+/// One queued event: the cell it runs on and what it carries.
 struct ShardEvent<M> {
-    at: u64,
     cell: CellId,
-    seq: u64,
     kind: EventKind<M>,
-}
-
-impl<M> CalendarEntry for ShardEvent<M> {
-    fn at_micros(&self) -> u64 {
-        self.at
-    }
-    fn tie(&self) -> (u64, u64) {
-        (u64::from(self.cell), self.seq)
-    }
 }
 
 /// Per-shard effort counters, reported by the m02 macrobench.
@@ -244,21 +241,12 @@ pub struct WorkerCounters {
     pub stall_ns: u64,
 }
 
-struct Slot<C> {
-    cell: C,
-    /// Next event seq for this cell (timers and deliveries share it).
-    seq: u64,
-    /// Next send seq for this cell (orders its outgoing messages).
-    send_seq: u64,
-}
-
 struct Shard<C: Cell> {
     nshards: usize,
     ncells: u32,
-    cells: Vec<Slot<C>>,
+    cells: Vec<C>,
     queue: Calendar<ShardEvent<C::Msg>>,
     outbox: Vec<OutMsg<C::Msg>>,
-    timers_scratch: Vec<(u64, u64)>,
     counters: ShardCounters,
     engine_counters: EngineCounters,
 }
@@ -269,55 +257,33 @@ impl<C: Cell> Shard<C> {
     fn execute_window(&mut self, t_end_us: u64, lookahead: SimDuration) -> Option<u64> {
         let deadline = t_end_us - 1;
         loop {
-            let ev = match self
+            let (at, ev) = match self
                 .queue
                 .pop_due(Some(deadline), &mut self.engine_counters)
             {
-                Pop::Event(ev) => ev,
+                Pop::Event(at, ev) => (at, ev),
                 Pop::Parked(at) => return Some(at),
                 Pop::Empty => return None,
             };
             self.engine_counters.events_executed += 1;
             self.counters.events += 1;
-            let local = ev.cell as usize / self.nshards;
-            let now = SimTime::from_micros(ev.at);
-            {
-                let slot = &mut self.cells[local];
-                let mut ctx = CellCtx {
-                    now,
-                    me: ev.cell,
-                    ncells: self.ncells,
-                    lookahead,
-                    timers: &mut self.timers_scratch,
-                    out: &mut self.outbox,
-                    send_seq: &mut slot.send_seq,
-                };
-                match ev.kind {
-                    EventKind::Timer(token) => slot.cell.on_timer(now, token, &mut ctx),
-                    EventKind::Msg { from, msg } => slot.cell.on_message(now, from, msg, &mut ctx),
-                }
+            let now = SimTime::from_micros(at);
+            let cell = &mut self.cells[ev.cell as usize / self.nshards];
+            let mut ctx = CellCtx {
+                now,
+                me: ev.cell,
+                ncells: self.ncells,
+                lookahead,
+                queue: &mut self.queue,
+                counters: &mut self.engine_counters,
+                timers_set: &mut self.counters.timers_set,
+                out: &mut self.outbox,
+            };
+            match ev.kind {
+                EventKind::Timer(token) => cell.on_timer(now, token, &mut ctx),
+                EventKind::Msg { from, msg } => cell.on_message(now, from, msg, &mut ctx),
             }
-            self.counters.timers_set += self.timers_scratch.len() as u64;
-            let mut timers = mem::take(&mut self.timers_scratch);
-            for (at, token) in timers.drain(..) {
-                self.enqueue(local, at, ev.cell, EventKind::Timer(token));
-            }
-            self.timers_scratch = timers;
         }
-    }
-
-    /// Queues an event for the cell at index `local` of this shard (cell
-    /// `cell`), giving it the cell's next seq.
-    fn enqueue(&mut self, local: usize, at: u64, cell: CellId, kind: EventKind<C::Msg>) {
-        let slot = &mut self.cells[local];
-        let ev = ShardEvent {
-            at,
-            cell,
-            seq: slot.seq,
-            kind,
-        };
-        slot.seq += 1;
-        self.queue.push(ev, &mut self.engine_counters);
     }
 
     /// Moves the window's outgoing messages into `out`, the sending
@@ -345,11 +311,14 @@ impl<C: Cell> Shard<C> {
     fn deliver(&mut self, m: OutMsg<C::Msg>) {
         self.counters.messages_in += 1;
         self.counters.cross_in += u64::from(m.from as usize % self.nshards != self.counters.shard);
-        let kind = EventKind::Msg {
-            from: m.from,
-            msg: m.msg,
+        let ev = ShardEvent {
+            cell: m.to,
+            kind: EventKind::Msg {
+                from: m.from,
+                msg: m.msg,
+            },
         };
-        self.enqueue(m.to as usize / self.nshards, m.deliver_at, m.to, kind);
+        self.queue.push(m.deliver_at, ev, &mut self.engine_counters);
     }
 }
 
@@ -413,8 +382,7 @@ impl<C: Cell> Exchange<C> {
         let shards: Vec<_> = self.shards.iter().map(lock).collect();
         let mut d = StateDigest::new();
         for id in 0..shards[0].ncells as usize {
-            let slot = &shards[id % shards.len()].cells[id / shards.len()];
-            slot.cell.digest_into(&mut d);
+            shards[id % shards.len()].cells[id / shards.len()].digest_into(&mut d);
         }
         Checkpoint {
             events: shards.iter().map(|s| s.counters.events).sum(),
@@ -483,11 +451,13 @@ impl<C: Cell> Exchange<C> {
                 t_min = t_min.min(mail.next);
                 inbox.msgs.append(&mut mail.msgs);
             }
-            // The sort key never mentions shards or workers: deliveries to
-            // any cell land in the same order for every partition.
+            // `posted` only orders one sender's messages, in send order, so
+            // deliveries to any cell land in the same order for every
+            // partition. A stable sort on the first two fields would drop
+            // `posted`, but it allocates a buffer every window.
             inbox
                 .msgs
-                .sort_unstable_by_key(|m| (m.deliver_at, m.from, m.from_seq));
+                .sort_unstable_by_key(|m| (m.deliver_at, m.from, m.posted));
             mine.extend(own());
             for m in inbox.msgs.drain(..) {
                 debug_assert!(m.deliver_at >= t_end_us, "delivery inside its own window");
@@ -512,8 +482,7 @@ impl<C: Cell> Exchange<C> {
 /// Shards are a *logical* partition: `--shards 4` with one worker thread
 /// runs the same windows, the same merges, and produces the same digest
 /// stream as `--shards 4` with four workers. Construct with [`Self::new`],
-/// seed initial timers with [`Self::seed_timer`] (in cell order, so seq
-/// assignment is reproducible), then [`Self::run`].
+/// seed initial timers with [`Self::seed_timer`], then [`Self::run`].
 pub struct ShardedEngine<C: Cell> {
     shards: Vec<Shard<C>>,
     ncells: u32,
@@ -525,6 +494,9 @@ pub struct ShardedEngine<C: Cell> {
     audit_stream: Vec<Checkpoint>,
     windows: u64,
     worker_stalls: Vec<WorkerCounters>,
+    /// The latest horizon passed to [`Self::run`]: every event before it
+    /// has run.
+    ran_to: SimTime,
 }
 
 impl<C: Cell> ShardedEngine<C> {
@@ -545,7 +517,6 @@ impl<C: Cell> ShardedEngine<C> {
                 cells: Vec::with_capacity(cells.len() / nshards + 1),
                 queue: Calendar::new(),
                 outbox: Vec::new(),
-                timers_scratch: Vec::new(),
                 counters: ShardCounters {
                     shard: index,
                     ..ShardCounters::default()
@@ -554,11 +525,7 @@ impl<C: Cell> ShardedEngine<C> {
             })
             .collect();
         for (id, cell) in cells.into_iter().enumerate() {
-            shards[id % nshards].cells.push(Slot {
-                cell,
-                seq: 0,
-                send_seq: 0,
-            });
+            shards[id % nshards].cells.push(cell);
         }
         for s in &mut shards {
             s.counters.cells = s.cells.len();
@@ -574,6 +541,7 @@ impl<C: Cell> ShardedEngine<C> {
             audit_stream: Vec::new(),
             windows: 0,
             worker_stalls: Vec::new(),
+            ran_to: SimTime::ZERO,
         }
     }
 
@@ -596,19 +564,31 @@ impl<C: Cell> ShardedEngine<C> {
         self.clock = Some(clock);
     }
 
-    /// Pre-run scheduling of a cell's first timer. Call in ascending cell
-    /// order so seq assignment (and with it the event order) is a pure
-    /// function of the scenario.
+    /// Arms a timer on `cell` from outside the run: before the first
+    /// [`Self::run`] or between runs, at or after the horizon the last run
+    /// reached. Seeds on one cell at one time fire in the order they were
+    /// made; the order of seeds on different cells is unobservable.
     ///
     /// # Panics
     ///
-    /// Panics if `cell` is out of range.
+    /// Panics if `cell` is out of range or `at` lies before the horizon of
+    /// an earlier run, where the cell may already have run later events.
     pub fn seed_timer(&mut self, cell: CellId, at: SimTime, token: u64) {
         assert!(cell < self.ncells, "seed_timer: cell {cell} out of range");
+        assert!(
+            at >= self.ran_to,
+            "seed_timer: {at} is before the engine's horizon {}",
+            self.ran_to
+        );
         let shard = &mut self.shards[cell as usize % self.nshards];
         shard.counters.timers_set += 1;
-        let local = cell as usize / self.nshards;
-        shard.enqueue(local, at.as_micros(), cell, EventKind::Timer(token));
+        let ev = ShardEvent {
+            cell,
+            kind: EventKind::Timer(token),
+        };
+        shard
+            .queue
+            .push(at.as_micros(), ev, &mut shard.engine_counters);
     }
 
     fn effective_workers(&self) -> usize {
@@ -627,6 +607,7 @@ impl<C: Cell> ShardedEngine<C> {
     /// count, the audit cadence and the digest stream carry across calls,
     /// so runs split where no window spans the split audit like one run.
     pub fn run(&mut self, horizon: SimTime) {
+        self.ran_to = self.ran_to.max_of(horizon);
         let workers = self.effective_workers();
         self.worker_stalls = vec![WorkerCounters::default(); workers];
         for (worker, counters) in self.worker_stalls.iter_mut().enumerate() {
@@ -750,15 +731,17 @@ impl<C: Cell> ShardedEngine<C> {
     /// Panics if `id` is out of range.
     pub fn cell(&self, id: CellId) -> &C {
         assert!(id < self.ncells, "cell {id} out of range");
-        &self.shards[id as usize % self.nshards].cells[id as usize / self.nshards].cell
+        &self.shards[id as usize % self.nshards].cells[id as usize / self.nshards]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
 
     use super::*;
+    use crate::DetRng;
 
     /// A ping-pong lattice cell: ticks with a per-cell period, every third
     /// tick sends to the right neighbour, folds everything it sees into a
@@ -818,17 +801,23 @@ mod tests {
 
     const HORIZON_US: u64 = 400_000;
 
-    fn build(n: u32, nshards: usize, workers: usize) -> ShardedEngine<Ping> {
-        let cells: Vec<Ping> = (0..n)
-            .map(|id| Ping {
+    impl Ping {
+        fn new(id: u32, n: u32, period_us: u64) -> Self {
+            Ping {
                 id,
                 n,
-                period_us: 90 + 13 * u64::from(id % 11),
+                period_us,
                 horizon_us: HORIZON_US,
                 ticks: 0,
                 received: 0,
                 acc: u64::from(id),
-            })
+            }
+        }
+    }
+
+    fn build(n: u32, nshards: usize, workers: usize) -> ShardedEngine<Ping> {
+        let cells: Vec<Ping> = (0..n)
+            .map(|id| Ping::new(id, n, 90 + 13 * u64::from(id % 11)))
             .collect();
         let mut eng = ShardedEngine::new(cells, nshards, SimDuration::from_micros(250));
         eng.set_workers(workers);
@@ -844,9 +833,14 @@ mod tests {
         n: u32,
         nshards: usize,
         workers: usize,
+        horizon_us: u64,
+        clock: Option<StallClock>,
     ) -> (Vec<Checkpoint>, Vec<(u64, u64, u64)>, u64, u64) {
         let mut eng = build(n, nshards, workers);
-        eng.run(SimTime::from_micros(HORIZON_US));
+        if let Some(clock) = clock {
+            eng.set_stall_clock(clock);
+        }
+        eng.run(SimTime::from_micros(horizon_us));
         let finals = eng.cells().map(|c| (c.ticks, c.received, c.acc)).collect();
         (
             eng.take_audit_stream(),
@@ -858,14 +852,14 @@ mod tests {
 
     #[test]
     fn digest_stream_is_invariant_to_shard_and_worker_counts() {
-        let reference = run_case(13, 1, 1);
+        let reference = run_case(13, 1, 1, HORIZON_US, None);
         assert!(
             !reference.0.is_empty(),
             "reference run produced no checkpoints"
         );
         assert!(reference.3 > 0, "reference run delivered no messages");
         for (nshards, workers) in [(2, 1), (2, 2), (3, 2), (4, 1), (4, 4), (8, 3), (13, 13)] {
-            let got = run_case(13, nshards, workers);
+            let got = run_case(13, nshards, workers, HORIZON_US, None);
             assert_eq!(
                 got.0, reference.0,
                 "digest stream diverged at {nshards} shards / {workers} workers"
@@ -873,6 +867,46 @@ mod tests {
             assert_eq!(got.1, reference.1, "final cell states diverged");
             assert_eq!(got.2, reference.2, "event totals diverged");
             assert_eq!(got.3, reference.3, "message totals diverged");
+        }
+    }
+
+    /// A stall clock that delays the worker calling it: each call spins,
+    /// yields or sleeps for up to a few tens of µs, as a hash of the call
+    /// count and `seed` picks. The engine calls it after a worker executes
+    /// and posts, after it leaves a barrier and after it merges, so the
+    /// workers reach each step in the orders a loaded machine produces.
+    fn jittery_clock(seed: u64) -> StallClock {
+        let calls = AtomicU64::new(0);
+        Arc::new(move || {
+            let call = calls.fetch_add(1, Ordering::Relaxed);
+            let mut rng = DetRng::seed_from(seed ^ call.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            match rng.pick_index(3) {
+                0 => {
+                    for _ in 0..rng.uniform_u64(2_000) {
+                        std::hint::spin_loop();
+                    }
+                }
+                1 => std::thread::yield_now(),
+                _ => std::thread::sleep(Duration::from_micros(rng.uniform_u64(40))),
+            }
+            call
+        })
+    }
+
+    #[test]
+    fn perturbed_window_schedules_keep_the_serial_stream() {
+        // 397 windows per run, every 16th audited.
+        const HORIZON: u64 = HORIZON_US / 4;
+        let reference = run_case(13, 1, 1, HORIZON, None);
+        for seed in 1..=3 {
+            for (nshards, workers) in [(2, 2), (4, 2), (4, 4), (8, 3)] {
+                let clock = Some(jittery_clock(seed));
+                let got = run_case(13, nshards, workers, HORIZON, clock);
+                assert_eq!(
+                    got, reference,
+                    "seed {seed}: run diverged at {nshards} shards / {workers} workers"
+                );
+            }
         }
     }
 
@@ -955,17 +989,7 @@ mod tests {
         // spans the split; the split falls after 39 windows, off the
         // 4-window audit cadence.
         let lattice = || {
-            let cells: Vec<Ping> = (0..6)
-                .map(|id| Ping {
-                    id,
-                    n: 6,
-                    period_us: 250,
-                    horizon_us: HORIZON_US,
-                    ticks: 0,
-                    received: 0,
-                    acc: u64::from(id),
-                })
-                .collect();
+            let cells: Vec<Ping> = (0..6).map(|id| Ping::new(id, 6, 250)).collect();
             let mut eng = ShardedEngine::new(cells, 2, SimDuration::from_micros(250));
             eng.set_workers(2);
             eng.audit_every_windows(4);
@@ -1103,6 +1127,22 @@ mod tests {
         let mut eng = ShardedEngine::new(vec![Bad], 1, SimDuration::from_micros(100));
         eng.seed_timer(0, SimTime::from_micros(5), 0);
         eng.run(SimTime::from_micros(1_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "seed_timer: 5.000ms is before the engine's horizon 10.000ms")]
+    fn seeds_between_runs_cannot_reach_behind_the_horizon() {
+        // A run to 10 ms leaves the 1 ms ticker having run at 9 ms; a seed
+        // at 10 ms is still its future, a seed at 5 ms is its past.
+        let mut eng = ShardedEngine::new(
+            vec![Ping::new(0, 1, 1_000)],
+            1,
+            SimDuration::from_micros(250),
+        );
+        eng.seed_timer(0, SimTime::from_micros(1_000), 0);
+        eng.run(SimTime::from_micros(10_000));
+        eng.seed_timer(0, SimTime::from_micros(10_000), 1);
+        eng.seed_timer(0, SimTime::from_micros(5_000), 2);
     }
 
     #[test]

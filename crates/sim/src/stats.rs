@@ -261,13 +261,15 @@ pub struct EngineCounters {
     pub periodic_reschedules: u64,
     /// Calendar buckets inspected while searching for the next event.
     pub buckets_scanned: u64,
-    /// Key comparisons made to order the cursor's bucket: sorting it when
-    /// the cursor reaches it, checking a push into it against the sorted
-    /// front's tail, and merging the pushes parked below that tail (one
-    /// stable sort over the front). O(log k) per pop for a bucket of k
-    /// entries. Comparisons inside the overflow heap are not counted, so a
-    /// run that sends most events through the heap reports fewer
-    /// comparisons than it makes.
+    /// Key comparisons made to order the cursor's bucket on `(time, push
+    /// stamp)`: sorting it when the cursor reaches it, checking a push
+    /// into it against the sorted front's tail (times only, as a push
+    /// carries the newest stamp), and merging the pushes parked below that
+    /// tail (one stable sort over the front). O(log k) per pop for a
+    /// bucket of k entries, and one per entry when they share a timestamp,
+    /// since a bucket holds them in push order. Comparisons inside the
+    /// overflow heap are not counted, so a run that sends most events
+    /// through the heap reports fewer comparisons than it makes.
     pub keys_compared: u64,
     /// Events migrated from the overflow heap into buckets as the calendar
     /// advanced years.

@@ -49,7 +49,7 @@ fn engine_orders_by_time_then_insertion() {
 }
 
 /// Differential test: the calendar queue pops events in exactly the order a
-/// reference binary heap keyed on `(time, insertion seq)` would, across a
+/// reference binary heap keyed on `(time, push index)` would, across a
 /// mix that exercises every queue path — duplicate timestamps (tie-breaks),
 /// near-future bucket hits, far-future overflow, handler-scheduled cascades,
 /// and periodic ticks interleaved with one-shots. Every third case is a
@@ -119,15 +119,12 @@ fn calendar_queue_matches_reference_heap() {
             .collect();
         let nops = ops.len();
 
-        // Reference model: a plain binary heap over (at, seq) replaying the
-        // same operations, with cascades/periodics expanded eagerly (their
-        // timing is a pure function of the installation, so eager expansion
-        // yields the same (at, seq) keys the engine assigns lazily — the
-        // engine assigns periodic re-arm seqs at tick execution time, which
-        // the model mirrors by tracking a per-event seq counter in pop order).
-        //
-        // Because re-arm seqs depend on execution order, the simplest exact
-        // model is a second engine-like simulation over the heap itself:
+        // Reference model: a plain binary heap over (at, push index)
+        // replaying the same operations. The engine's calendar stamps a
+        // periodic re-arm or a cascade child when the tick or parent runs,
+        // so push indices depend on execution order, and the simplest
+        // exact model is a second engine-like simulation over the heap
+        // itself, counting pushes as it pops:
         let mut heap: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
         let mut next_seq: u64 = 0;
         // Payload table: what to do when entry `id` fires, and the label it

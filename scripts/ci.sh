@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate for the Sprite migration reproduction.
 #
-#   scripts/ci.sh          # full gate: build, tests, clippy, smokes, chaos suite, heavy model suites, fmt, perfbench runs, core_ops, bench
+#   scripts/ci.sh          # full gate: build, tests, clippy, smokes, chaos suite, heavy model suites, fmt, perfbench runs, core_ops, engine_throughput, bench
 #   scripts/ci.sh --quick  # build, tests (perfbench's too), clippy and the experiment smokes
 #
 # Everything runs offline: the workspace has zero external dependencies, so
@@ -111,7 +111,7 @@ if ! grep -q 'migration takes over at mtbf' "$sweep_tmp/f02_1.txt"; then
 fi
 
 if [[ "$quick" == 1 ]]; then
-    echo "==> quick gate OK (skipped chaos suite, heavy model suites, fmt, perfbench runs, core_ops, bench_check)"
+    echo "==> quick gate OK (skipped chaos suite, heavy model suites, fmt, perfbench runs, core_ops, engine_throughput, bench_check)"
     exit 0
 fi
 
@@ -160,6 +160,13 @@ echo "==> cargo bench -p sprite-bench --bench core_ops"
 # asserts the path probes no DetHashMap (take_hash_probes() == 0) and
 # grows no scratch (ranker_grows() == 0); a failed assert exits non-zero.
 cargo bench -q -p sprite-bench --bench core_ops
+
+echo "==> cargo bench -p sprite-bench --bench engine_throughput"
+# The serial engine's calendar against a re-boxing binary heap on 50
+# periodic daemons (about a second). It asserts both executed the same
+# events, that the calendar boxed one handler per daemon and re-armed it
+# for every later tick; its timing ratio is printed, not gated.
+cargo bench -q -p sprite-bench --bench engine_throughput
 
 echo "==> scripts/bench_check.sh"
 scripts/bench_check.sh
