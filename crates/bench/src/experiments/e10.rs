@@ -10,7 +10,7 @@
 
 use sprite_hostsel::{
     AvailabilityPolicy, CentralServer, GossipDissemination, HostInfo, HostSelector, MulticastQuery,
-    Probabilistic, ShardedCoordinator, SharedFileBoard,
+    Probabilistic, SharedFileBoard,
 };
 use sprite_net::{CostModel, HostId, Transport};
 use sprite_sim::{DetRng, OnlineStats, SimDuration, SimTime};
@@ -79,9 +79,10 @@ pub fn drive(
             })
             .collect()
     };
-    let mut held: Vec<(SimTime, HostId, HostId)> = Vec::new(); // (release_at, requester, host)
-                                                               // Placement quality is judged against the same default policy every E10
-                                                               // cell hands its selector.
+    // (release_at, requester, host) for every host out on loan.
+    let mut held: Vec<(SimTime, HostId, HostId)> = Vec::new();
+    // Placement quality is judged against the same default policy every E10
+    // cell hands its selector.
     let policy = AvailabilityPolicy::default();
     let mut quality = OnlineStats::new();
     let report_every = SimDuration::from_secs(5);
@@ -167,7 +168,7 @@ pub enum ArchKind {
     Probabilistic,
     /// Multicast query.
     Multicast,
-    /// Hosts hashed across `c` coordinator daemons.
+    /// The central daemon spread over `c` hosts.
     Sharded,
     /// Batched load-vector gossip with local allocation-free selection.
     Gossip,
@@ -183,8 +184,8 @@ pub const ARCHS: [ArchKind; 6] = [
     ArchKind::Gossip,
 ];
 
-/// Coordinator-daemon count for a sharded cell: one per 64 hosts, at least
-/// two (so sharding actually happens), at most 64, never more than hosts.
+/// Daemon count for a sharded cell: one per 64 hosts, at least two (so
+/// sharding actually happens), at most 64, never more than hosts.
 pub fn sharded_coordinators(hosts: usize) -> usize {
     (hosts / 64).clamp(2, 64).min(hosts)
 }
@@ -209,7 +210,7 @@ pub fn drive_kind(kind: ArchKind, hosts: usize, duration: SimDuration, seed: u64
         ArchKind::SharedFile => Box::new(SharedFileBoard::new(HostId::new(0), policy)),
         ArchKind::Probabilistic => Box::new(Probabilistic::new(hosts, 4, policy, seed ^ 0x9e37)),
         ArchKind::Multicast => Box::new(MulticastQuery::new(policy)),
-        ArchKind::Sharded => Box::new(ShardedCoordinator::new(
+        ArchKind::Sharded => Box::new(CentralServer::sharded(
             hosts,
             sharded_coordinators(hosts),
             policy,

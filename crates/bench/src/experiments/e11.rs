@@ -312,7 +312,6 @@ fn run_inner(
         sprite_net::RpcOp::HostselReport,
         sprite_net::RpcOp::HostselRelease,
         sprite_net::RpcOp::HostselGossip,
-        sprite_net::RpcOp::HostselShardQuery,
     ]
     .iter()
     .map(|&op| report.rpc.get(op).bytes)

@@ -40,7 +40,7 @@ pub const MACRO_REPS: usize = 2;
 pub const MACRO_SIM_JOBS: usize = 100;
 /// Master seed.
 pub const MACRO_SEED: u64 = 47;
-/// Coordinator daemons the batch workload shards its hosts across.
+/// Host-selection daemons the batch workload spreads its hosts across.
 pub const MACRO_COORDINATORS: usize = 4;
 /// File-server daemons striping the batch workload's root domain.
 pub const MACRO_FS_SHARDS: usize = 2;
@@ -175,7 +175,7 @@ pub fn run() -> MacroReport {
     let batch_net = cluster.net.stats();
 
     // Host-selection totals: the month's gossip placements plus the batch's
-    // sharded-coordinator queries, latency weighted by request count.
+    // sharded daemon's queries, latency weighted by request count.
     let batch_sel = selector.stats();
     let hostsel_requests = month.hostsel_requests + batch_sel.requests;
     let hostsel_select_mean_ms = if hostsel_requests == 0 {
@@ -191,7 +191,6 @@ pub fn run() -> MacroReport {
             sprite_net::RpcOp::HostselReport,
             sprite_net::RpcOp::HostselRelease,
             sprite_net::RpcOp::HostselGossip,
-            sprite_net::RpcOp::HostselShardQuery,
         ]
         .iter()
         .map(|&op| cluster.net.rpc_table().get(op).bytes)

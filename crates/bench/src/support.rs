@@ -2,9 +2,7 @@
 
 use sprite_core::{MigrationConfig, Migrator};
 use sprite_fs::SpritePath;
-use sprite_hostsel::{
-    AvailabilityPolicy, CentralServer, HostInfo, HostSelector, ShardedCoordinator,
-};
+use sprite_hostsel::{AvailabilityPolicy, CentralServer, HostInfo, HostSelector};
 use sprite_kernel::Cluster;
 use sprite_net::{CostModel, HostId, PAGE_SIZE};
 use sprite_sim::{SimDuration, SimTime};
@@ -67,34 +65,28 @@ pub fn standard_migrator(hosts: usize) -> Migrator {
 /// A central-server selector already told that hosts `first..hosts` are
 /// idle (hosts below `first` are reserved: server, home, ...).
 pub fn warmed_selector(cluster: &mut Cluster, hosts: usize, first: u32) -> CentralServer {
-    let mut sel = CentralServer::new(h(0), AvailabilityPolicy::default());
-    for i in 0..hosts as u32 {
-        let info = if i < first {
-            HostInfo {
-                host: h(i),
-                load: 2.0,
-                idle: SimDuration::ZERO,
-                console_active: true,
-                speed: 1.0,
-            }
-        } else {
-            HostInfo::idle_host(h(i), SimDuration::from_secs(3600))
-        };
-        sel.report(&mut cluster.net, SimTime::ZERO, info);
-    }
-    sel
+    warm(
+        cluster,
+        CentralServer::new(h(0), AvailabilityPolicy::default()),
+        hosts,
+        first,
+    )
 }
 
-/// A sharded-coordinator selector (hosts hashed across `coordinators`
-/// daemons) warmed the same way as [`warmed_selector`]: hosts below `first`
-/// reported busy, the rest idle for an hour.
+/// The central daemon spread over `daemons` hosts, warmed the same way as
+/// [`warmed_selector`]: hosts below `first` reported busy, the rest idle
+/// for an hour.
 pub fn warmed_sharded_selector(
     cluster: &mut Cluster,
     hosts: usize,
-    coordinators: usize,
+    daemons: usize,
     first: u32,
-) -> ShardedCoordinator {
-    let mut sel = ShardedCoordinator::new(hosts, coordinators, AvailabilityPolicy::default());
+) -> CentralServer {
+    let sel = CentralServer::sharded(hosts, daemons, AvailabilityPolicy::default());
+    warm(cluster, sel, hosts, first)
+}
+
+fn warm(cluster: &mut Cluster, mut sel: CentralServer, hosts: usize, first: u32) -> CentralServer {
     for i in 0..hosts as u32 {
         let info = if i < first {
             HostInfo {

@@ -6,7 +6,7 @@
 //! servers instead of one: names inside a striped domain are spread across
 //! the group by hashing the path **text**. The hash feeds the same
 //! [`HostPartition`] round-robin the sharded simulation engine and the
-//! sharded host-selection coordinators use, so every layer that partitions
+//! sharded host-selection daemon use, so every layer that partitions
 //! by ID agrees on the mapping.
 //!
 //! Determinism note: the hash is FNV-1a over [`SpritePath::as_str`], never

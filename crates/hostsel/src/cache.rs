@@ -1,12 +1,10 @@
 //! Bounded, age-stamped load caches and the allocation-free ranking fast
-//! path shared by the decentralized selection architectures.
+//! path every stateful selection architecture ranks through.
 //!
-//! The centralized selectors keep `BTreeMap` tables and build a fresh
-//! `Vec` of candidates per query — fine for one daemon, fatal for a
-//! per-host cache at 10 000 hosts. [`LoadCache`] keeps its slots as
-//! columns (host ids, age stamps, load snapshots), so finding a host scans
-//! only the 4-byte ids (256 bytes at the default 64 slots) and hashes
-//! nothing. The columns grow with the entries held, by doubling, so an
+//! A per-host cache must stay small at 10 000 hosts. [`LoadCache`] keeps
+//! its slots as columns (host ids, age stamps, load snapshots), so finding
+//! a host scans only the 4-byte ids (256 bytes at the default 64 slots)
+//! and hashes nothing. The columns grow with the entries held, by doubling, so an
 //! empty cache allocates nothing and a full one holds room for at most
 //! the next power of two of its capacity (four at least). Inserts refresh
 //! an existing entry in place or, when the cache is full, overwrite the
@@ -14,9 +12,11 @@
 //! stamps the victim is the first (lowest) slot. Stale entries are never
 //! eagerly evicted — readers simply skip anything older than their trust
 //! horizon, the same epoch/age discipline the fault layer uses for stale
-//! load reports. [`Ranker`] is the matching query side: one reusable
-//! scratch buffer, sorted in place, with a growth counter so benchmarks
-//! can assert the steady state allocates nothing.
+//! load reports. [`Ranker`] is the query side for any table of
+//! [`CacheEntry`]s — these caches, the central daemon's host table, the
+//! shared file's board: one reusable scratch buffer, sorted in place, with
+//! a growth counter so benchmarks can assert the steady state allocates
+//! nothing.
 
 use sprite_net::HostId;
 use sprite_sim::{SimDuration, SimTime};
@@ -148,12 +148,13 @@ impl LoadCache {
             .map(|(&info, &written)| CacheEntry { info, written })
     }
 
-    /// Copies the up-to-`limit` freshest entries into `out` (freshest
-    /// first, host id breaking ties), reusing `out`'s storage. Gossip fills
-    /// its batches this way: one pass over the slots in which a slot staler
+    /// Copies the up-to-`limit` freshest entries of hosts other than
+    /// `except` into `out` (freshest first, host id breaking ties), reusing
+    /// `out`'s storage. Gossip fills its batches this way, behind the
+    /// sender's own entry: one pass over the slots in which a slot staler
     /// than the batch's tail costs one stamp comparison, and no allocation
     /// once `out` has warmed up.
-    pub fn freshest_into(&self, limit: usize, out: &mut Vec<CacheEntry>) {
+    pub fn freshest_into(&self, limit: usize, except: HostId, out: &mut Vec<CacheEntry>) {
         out.clear();
         if limit == 0 {
             return;
@@ -166,7 +167,7 @@ impl LoadCache {
         // Once the batch is full, the stamp of its tail.
         let mut floor = SimTime::ZERO;
         for (slot, (&written, &host)) in self.written.iter().zip(&self.hosts).enumerate() {
-            if written < floor {
+            if written < floor || host == except {
                 continue;
             }
             if out.len() == limit {
@@ -202,17 +203,17 @@ impl LoadCache {
 /// How [`Ranker::rank`] orders surviving candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RankOrder {
-    /// Freshest observation first (gossip: distrust old news), then
-    /// longest idle, then lowest host id.
+    /// Freshest observation first (MOSIX aging: recent reports weigh more
+    /// \[BS85\]), then longest idle, then lowest host id.
     FreshestFirst,
-    /// Longest idle first (coordinator tables: Mutka/Livny \[ML87\]), then
-    /// lowest host id.
+    /// Longest idle first (Mutka and Livny: long-idle hosts stay idle
+    /// \[ML87\]), then lowest host id.
     IdlestFirst,
 }
 
 /// The allocation-free ranking fast path: one reusable scratch buffer,
-/// sorted in place with `sort_unstable_by` (itself allocation-free for
-/// `Copy` elements), plus a growth counter so benchmarks can assert the
+/// sorted in place by an unstable sort (itself allocation-free for `Copy`
+/// elements), plus a growth counter so benchmarks can assert the
 /// warmed-up path never reallocates.
 #[derive(Debug, Default)]
 pub struct Ranker {
@@ -236,29 +237,28 @@ impl Ranker {
         self.grows
     }
 
-    /// Ranks `cache`'s trustworthy candidates for `requester`: entries no
-    /// older than `max_age` that `policy` calls available, `requester`
-    /// itself excluded, hosts rejected by `keep` (already-assigned hosts,
-    /// say) skipped. Stale entries are *skipped, not evicted* — the cache
-    /// is untouched and a fresher observation can still revive the slot.
-    #[expect(clippy::too_many_arguments)]
+    /// Ranks the trustworthy `candidates` for `requester`: entries no
+    /// older than `max_age` (any age when `None`) that `policy` calls
+    /// available, `requester` itself excluded. Anything else a caller
+    /// rules out (hosts already assigned, say) it filters from the
+    /// iterator. Stale entries are *skipped, not evicted* — the table the
+    /// candidates come from is untouched, and a fresher observation can
+    /// still revive the entry.
     pub fn rank(
         &mut self,
-        cache: &LoadCache,
+        candidates: impl IntoIterator<Item = CacheEntry>,
         now: SimTime,
-        max_age: SimDuration,
+        max_age: Option<SimDuration>,
         requester: HostId,
         policy: &AvailabilityPolicy,
         order: RankOrder,
-        mut keep: impl FnMut(HostId) -> bool,
     ) -> &[CacheEntry] {
         let cap_before = self.scratch.capacity();
         self.scratch.clear();
-        for e in cache.entries() {
+        for e in candidates {
             if e.info.host != requester
-                && e.age(now) <= max_age
+                && max_age.is_none_or(|max_age| e.age(now) <= max_age)
                 && policy.is_available(&e.info)
-                && keep(e.info.host)
             {
                 self.scratch.push(e);
             }
@@ -341,9 +341,17 @@ mod tests {
             c.insert(entry(host, w, 60));
         }
         let mut batch = Vec::new();
-        c.freshest_into(3, &mut batch);
-        let hosts: Vec<u32> = batch.iter().map(|e| e.info.host.index() as u32).collect();
-        assert_eq!(hosts, vec![2, 3, 4], "freshest three, freshest first");
+        let hosts = |batch: &[CacheEntry]| -> Vec<u32> {
+            batch.iter().map(|e| e.info.host.index() as u32).collect()
+        };
+        c.freshest_into(3, h(9), &mut batch);
+        assert_eq!(
+            hosts(&batch),
+            vec![2, 3, 4],
+            "freshest three, freshest first"
+        );
+        c.freshest_into(3, h(3), &mut batch);
+        assert_eq!(hosts(&batch), vec![2, 4, 1], "the excepted host is skipped");
     }
 
     #[test]
@@ -355,13 +363,12 @@ mod tests {
         let now = t(110);
         let max_age = SimDuration::from_secs(30);
         let ranked = r.rank(
-            &c,
+            c.entries(),
             now,
-            max_age,
+            Some(max_age),
             h(9),
             &AvailabilityPolicy::default(),
             RankOrder::FreshestFirst,
-            |_| true,
         );
         assert_eq!(ranked.len(), 1);
         assert_eq!(ranked[0].info.host, h(2));
@@ -377,38 +384,50 @@ mod tests {
         c.insert(entry(3, 50, 300));
         let mut r = Ranker::with_capacity(8);
         let now = t(55);
-        let age = SimDuration::from_secs(60);
+        let age = Some(SimDuration::from_secs(60));
         let policy = AvailabilityPolicy::default();
-        let idle: Vec<HostId> = r
-            .rank(&c, now, age, h(9), &policy, RankOrder::IdlestFirst, |_| {
-                true
-            })
-            .iter()
-            .map(|e| e.info.host)
-            .collect();
-        assert_eq!(idle, vec![h(2), h(3), h(1)]);
-        let kept: Vec<HostId> = r
-            .rank(
-                &c,
+        let mut ranked = |requester: u32, skip: u32| -> Vec<HostId> {
+            let candidates = c.entries().filter(|e| e.info.host != h(skip));
+            r.rank(
+                candidates,
                 now,
                 age,
+                h(requester),
+                &policy,
+                RankOrder::IdlestFirst,
+            )
+            .iter()
+            .map(|e| e.info.host)
+            .collect()
+        };
+        assert_eq!(ranked(9, 9), vec![h(2), h(3), h(1)]);
+        assert_eq!(
+            ranked(9, 2),
+            vec![h(3), h(1)],
+            "callers filter the candidates"
+        );
+        assert_eq!(
+            ranked(2, 9),
+            vec![h(3), h(1)],
+            "requester never self-selects"
+        );
+        let old: Vec<HostId> = r
+            .rank(
+                c.entries(),
+                t(200),
+                None,
                 h(9),
                 &policy,
                 RankOrder::IdlestFirst,
-                |host| host != h(2),
             )
             .iter()
             .map(|e| e.info.host)
             .collect();
-        assert_eq!(kept, vec![h(3), h(1)], "keep-filter drops assigned hosts");
-        let no_self: Vec<HostId> = r
-            .rank(&c, now, age, h(2), &policy, RankOrder::IdlestFirst, |_| {
-                true
-            })
-            .iter()
-            .map(|e| e.info.host)
-            .collect();
-        assert_eq!(no_self, vec![h(3), h(1)], "requester never self-selects");
+        assert_eq!(
+            old,
+            vec![h(2), h(3), h(1)],
+            "no age limit trusts everything"
+        );
     }
 
     #[test]
@@ -420,13 +439,12 @@ mod tests {
         let mut r = Ranker::with_capacity(c.capacity());
         for _ in 0..100 {
             let ranked = r.rank(
-                &c,
+                c.entries(),
                 t(55),
-                SimDuration::from_secs(60),
+                Some(SimDuration::from_secs(60)),
                 h(999),
                 &AvailabilityPolicy::default(),
                 RankOrder::FreshestFirst,
-                |_| true,
             );
             assert_eq!(ranked.len(), 64);
         }

@@ -7,10 +7,11 @@
 //! O(hosts) update traffic per interval and O(hosts²) cache memory.
 //! [`GossipDissemination`] is the production shape of the same idea:
 //!
-//! * **batched**: one `hostsel-gossip` message carries the sender's
-//!   freshest `f` cache entries ([`GOSSIP_ENTRY_BYTES`] each behind a
-//!   [`CONTROL_BYTES`] header), so second-hand news rides along and load
-//!   traffic is O(k·f) per host-interval instead of O(hosts) queries;
+//! * **batched**: one `hostsel-gossip` message carries the sender's own
+//!   entry and its `f − 1` freshest others ([`GOSSIP_ENTRY_BYTES`] each
+//!   behind a [`CONTROL_BYTES`] header), so second-hand news rides along
+//!   and load traffic is O(k·f) per host-interval instead of O(hosts)
+//!   queries;
 //! * **transition-triggered with a refresh floor**: a host pushes when its
 //!   availability flips (the same suppression the central server uses)
 //!   and otherwise at most every `refresh_every` report ticks, keeping
@@ -60,8 +61,8 @@ pub struct GossipDissemination {
 
 impl GossipDissemination {
     /// Creates the gossip fabric for `hosts` hosts: each push goes to
-    /// `fanout` DetRng-chosen peers and carries the sender's freshest
-    /// `batch` entries. Defaults: gossip on every report
+    /// `fanout` DetRng-chosen peers and carries the sender's own entry and
+    /// its `batch − 1` freshest others. Defaults: gossip on every report
     /// (`refresh_every` 1), trust entries up to 15 minutes old, cache
     /// [`GOSSIP_CACHE_SLOTS`] entries per host.
     pub fn new(
@@ -145,9 +146,11 @@ impl HostSelector for GossipDissemination {
         }
         self.reports_since_gossip[h] = 0;
         self.last_gossiped_available[h] = Some(avail);
-        // One batch serves every peer this round: the sender's freshest
-        // entries, its own (just refreshed) state guaranteed aboard.
-        self.caches[h].freshest_into(self.batch, &mut self.batch_scratch);
+        // One batch serves every peer this round: the sender's own (just
+        // refreshed) state first, then its freshest entries about others.
+        self.caches[h].freshest_into(self.batch - 1, info.host, &mut self.batch_scratch);
+        self.batch_scratch
+            .insert(0, CacheEntry { info, written: now });
         let bytes = CONTROL_BYTES + self.batch_scratch.len() as u64 * GOSSIP_ENTRY_BYTES;
         let mut t = now;
         for _ in 0..self.fanout {
@@ -190,13 +193,12 @@ impl HostSelector for GossipDissemination {
         // is bounded by `max_age`, and within that window the longest-idle
         // host is the best bet, as for the server designs [ML87].
         let ranked = self.ranker.rank(
-            &self.caches[requester.index()],
+            self.caches[requester.index()].entries(),
             now,
-            self.max_age,
+            Some(self.max_age),
             requester,
             &self.policy,
             RankOrder::IdlestFirst,
-            |_| true,
         );
         let mut chosen: Option<CacheEntry> = None;
         for e in ranked {
@@ -288,6 +290,26 @@ mod tests {
             "O(k*f) bytes per report"
         );
         assert!(row.bytes >= row.calls * (CONTROL_BYTES + GOSSIP_ENTRY_BYTES));
+    }
+
+    /// A push carries its sender's own state even when the sender already
+    /// caches a full batch of same-stamp entries from lower-id hosts: here
+    /// every host reports at one instant, so only a host's own push can
+    /// tell anyone about the highest-id hosts.
+    #[test]
+    fn every_push_carries_its_senders_own_entry() {
+        let world = idle_world(8);
+        let mut s = GossipDissemination::new(8, 3, 2, AvailabilityPolicy::default(), 7);
+        let mut n = net(8);
+        for info in &world {
+            s.report(&mut n, SimTime::ZERO, *info);
+        }
+        for sender in 0..8 {
+            let heard = (0..8)
+                .filter(|&peer| peer != sender)
+                .any(|peer| s.caches[peer].get(h(sender as u32)).is_some());
+            assert!(heard, "no peer heard of host {sender}");
+        }
     }
 
     #[test]

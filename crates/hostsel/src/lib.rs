@@ -9,11 +9,13 @@
 //! stateless queries) — behind one [`HostSelector`] trait so experiment E10
 //! can race them on identical workloads.
 //!
-//! Two decentralized architectures scale the answer past the thesis's
-//! clusters: [`ShardedCoordinator`] hashes hosts across `c` coordinator
-//! daemons, and [`GossipDissemination`] batches load vectors to DetRng-
-//! chosen peers so selection becomes a local, allocation-free lookup over
-//! a bounded age-stamped [`LoadCache`].
+//! Two designs scale the answer past the thesis's clusters:
+//! [`CentralServer::sharded`] spreads the same daemon over `c` hosts, each
+//! serving the hosts [`HostPartition`](sprite_net::HostPartition) assigns
+//! it, and [`GossipDissemination`] batches load vectors to DetRng-chosen
+//! peers so selection becomes a local, allocation-free lookup over a
+//! bounded age-stamped [`LoadCache`]. Every selector that keeps state
+//! ranks its candidates through one [`Ranker`].
 
 #![warn(missing_docs)]
 
@@ -21,7 +23,6 @@ mod cache;
 mod gossip;
 mod load;
 mod selectors;
-mod sharded;
 
 pub use cache::{CacheEntry, LoadCache, RankOrder, Ranker};
 pub use gossip::{GossipDissemination, GOSSIP_CACHE_SLOTS};
@@ -29,4 +30,3 @@ pub use load::{AvailabilityPolicy, HostInfo, LoadAverage};
 pub use selectors::{
     CentralServer, HostSelector, MulticastQuery, Probabilistic, SelectorStats, SharedFileBoard,
 };
-pub use sharded::ShardedCoordinator;

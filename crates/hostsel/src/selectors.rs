@@ -24,9 +24,12 @@
 
 use std::collections::BTreeMap;
 
-use sprite_net::{HostId, RpcError, RpcOp, Transport, CONTROL_BYTES, LOAD_REPORT_BYTES};
+use sprite_net::{
+    HostId, HostPartition, RpcError, RpcOp, Transport, CONTROL_BYTES, LOAD_REPORT_BYTES,
+};
 use sprite_sim::{DetRng, FcfsResource, OnlineStats, SimDuration, SimTime};
 
+use crate::cache::{CacheEntry, RankOrder, Ranker};
 use crate::load::{AvailabilityPolicy, HostInfo};
 
 /// Counters every selector keeps.
@@ -125,46 +128,98 @@ pub(crate) fn truth_available(
 // Central server (migd)
 // ---------------------------------------------------------------------------
 
-/// The centralized migration daemon, Sprite's final architecture.
+/// One daemon process: its host and its CPU.
+#[derive(Debug)]
+struct Daemon {
+    host: HostId,
+    cpu: FcfsResource,
+}
+
+/// What the daemons know about one host.
+#[derive(Debug, Clone, Copy, Default)]
+struct HostRecord {
+    /// The host's state as last reported to its daemon, stamped with the
+    /// report's time, so grants can report the information age they acted
+    /// on.
+    state: Option<CacheEntry>,
+    /// The availability the host last got through to its daemon, to
+    /// suppress no-change traffic.
+    reported_available: Option<bool>,
+    /// The requester the host is assigned to while it is out.
+    holder: Option<HostId>,
+    /// Hosts this host holds as a requester (for fair allocation).
+    holding: u32,
+}
+
+/// The migration daemon `migd`, Sprite's final architecture: one daemon
+/// ([`new`](Self::new)) or the same daemon spread over `c` hosts
+/// ([`sharded`](Self::sharded)).
+///
+/// Each host reports its idle/busy transitions to its own daemon. A
+/// selection asks the requester's home daemon first and walks the ring of
+/// the others only while each comes up empty; select and release each cost
+/// one `hostsel-query` round trip per daemon asked. The host table is one
+/// table indexed by host id (daemon `s` keeps the hosts whose index is
+/// `≡ s (mod c)`, as [`HostPartition`] assigns them), so a report costs
+/// O(1) at any cluster size, and the assignments in it are global: no
+/// daemon hands out a host another daemon granted.
 #[derive(Debug)]
 pub struct CentralServer {
-    server: HostId,
     policy: AvailabilityPolicy,
-    /// Host state plus the stamp of its last refresh, so grants can report
-    /// the information age they acted on.
-    table: BTreeMap<HostId, (HostInfo, SimTime)>,
-    assigned: BTreeMap<HostId, HostId>,
-    /// What each host last told the server, to suppress no-change traffic.
-    last_reported_available: BTreeMap<HostId, bool>,
-    /// Hosts currently held, per requester (for fair allocation).
-    holdings: BTreeMap<HostId, u32>,
+    part: HostPartition,
+    /// `daemons[s]` serves the hosts of shard `s`.
+    daemons: Vec<Daemon>,
+    /// `table[i]` describes host `i`; it grows as hosts appear.
+    table: Vec<HostRecord>,
     /// Cap on hosts one requester may hold at once, if fairness is on.
     fair_share: Option<u32>,
-    cpu: FcfsResource,
     per_request_service: SimDuration,
+    ranker: Ranker,
     stats: SelectorStats,
 }
 
 impl CentralServer {
     /// Creates the daemon on `server`.
     pub fn new(server: HostId, policy: AvailabilityPolicy) -> Self {
+        Self::with_daemons(HostPartition::new(1, 1), [server], 0, policy)
+    }
+
+    /// Spreads the daemon over `daemons` hosts of a `hosts`-host cluster
+    /// (clamped like [`HostPartition`]): daemon `s` runs on host `s` and
+    /// serves the hosts of shard `s`.
+    pub fn sharded(hosts: usize, daemons: usize, policy: AvailabilityPolicy) -> Self {
+        let part = HostPartition::new(hosts.max(1) as u32, daemons);
+        let servers = (0..part.nshards() as u32).map(HostId::new);
+        Self::with_daemons(part, servers, hosts, policy)
+    }
+
+    fn with_daemons(
+        part: HostPartition,
+        servers: impl IntoIterator<Item = HostId>,
+        hosts: usize,
+        policy: AvailabilityPolicy,
+    ) -> Self {
         CentralServer {
-            server,
             policy,
-            table: BTreeMap::new(),
-            assigned: BTreeMap::new(),
-            last_reported_available: BTreeMap::new(),
-            holdings: BTreeMap::new(),
+            part,
+            daemons: servers
+                .into_iter()
+                .map(|host| Daemon {
+                    host,
+                    cpu: FcfsResource::new(),
+                })
+                .collect(),
+            table: vec![HostRecord::default(); hosts],
             fair_share: None,
-            cpu: FcfsResource::new(),
             per_request_service: SimDuration::from_micros(500),
+            ranker: Ranker::default(),
             stats: SelectorStats::default(),
         }
     }
 
     /// Hosts currently assigned out.
     pub fn assigned_count(&self) -> usize {
-        self.assigned.len()
+        self.table.iter().filter(|r| r.holder.is_some()).count()
     }
 
     /// Caps how many hosts one requester may hold at once. The thesis's
@@ -176,18 +231,30 @@ impl CentralServer {
 
     /// Hosts `requester` currently holds.
     pub fn held_by(&self, requester: HostId) -> u32 {
-        self.holdings.get(&requester).copied().unwrap_or(0)
+        self.table.get(requester.index()).map_or(0, |r| r.holding)
     }
 
+    fn record_mut(&mut self, host: HostId) -> &mut HostRecord {
+        let i = host.index();
+        if i >= self.table.len() {
+            self.table.resize(i + 1, HostRecord::default());
+        }
+        &mut self.table[i]
+    }
+
+    /// One `hostsel-query` round trip from `from` to daemon `shard` (a
+    /// local acquire of its CPU when `from` hosts it).
     fn round_trip(
         &mut self,
         net: &mut Transport,
         now: SimTime,
         from: HostId,
+        shard: usize,
     ) -> Result<SimTime, RpcError> {
         self.stats.messages += 2;
-        if from == self.server {
-            Ok(self.cpu.acquire(
+        let daemon = &mut self.daemons[shard];
+        if from == daemon.host {
+            Ok(daemon.cpu.acquire(
                 now + net.cost().context_switch * 2,
                 self.per_request_service,
             ))
@@ -197,18 +264,63 @@ impl CentralServer {
                     RpcOp::HostselQuery,
                     now,
                     from,
-                    self.server,
+                    daemon.host,
                     self.per_request_service,
-                    Some(&mut self.cpu),
+                    Some(&mut daemon.cpu),
                 )?
                 .done)
         }
+    }
+
+    /// Daemon `shard`'s search: its longest-idle available host not
+    /// already assigned out (Mutka and Livny say long-idle hosts stay idle
+    /// \[ML87\]), checked against ground truth.
+    fn grant(
+        &mut self,
+        now: SimTime,
+        shard: usize,
+        requester: HostId,
+        truth: &[HostInfo],
+    ) -> Option<HostId> {
+        let own = self.table.iter().skip(shard).step_by(self.daemons.len());
+        let ranked = self.ranker.rank(
+            own.filter(|r| r.holder.is_none()).filter_map(|r| r.state),
+            now,
+            None,
+            requester,
+            &self.policy,
+            RankOrder::IdlestFirst,
+        );
+        let mut chosen = None;
+        for e in ranked {
+            if truth_available(truth, &self.policy, e.info.host) {
+                chosen = Some(*e);
+                break;
+            }
+            // The daemon's table said available but the world moved on.
+            self.stats.conflicts += 1;
+        }
+        let e = chosen?;
+        self.stats.info_age.record_duration(e.age(now));
+        let record = &mut self.table[e.info.host.index()];
+        record.holder = Some(requester);
+        // Flood prevention: count the incoming process against the host's
+        // load before it arrives [BSW89].
+        if let Some(state) = &mut record.state {
+            state.info.load += 1.0;
+        }
+        self.record_mut(requester).holding += 1;
+        Some(e.info.host)
     }
 }
 
 impl HostSelector for CentralServer {
     fn name(&self) -> &'static str {
-        "central-server"
+        if self.daemons.len() == 1 {
+            "central-server"
+        } else {
+            "sharded"
+        }
     }
 
     fn report(&mut self, net: &mut Transport, now: SimTime, info: HostInfo) -> SimTime {
@@ -216,40 +328,33 @@ impl HostSelector for CentralServer {
         // showed a central server scales to thousands of clients when
         // updates are limited this way [TL88].
         let avail = self.policy.is_available(&info);
-        let changed = self
-            .last_reported_available
-            .get(&info.host)
-            .map(|prev| *prev != avail)
-            .unwrap_or(true);
-        if !changed {
-            // Still refresh our own table silently (the daemon's timer
-            // fires locally on the reporting host at no network cost).
-            self.table.insert(info.host, (info, now));
-            return now;
-        }
-        if info.host == self.server {
-            self.last_reported_available.insert(info.host, avail);
-            self.table.insert(info.host, (info, now));
-            return now;
-        }
-        self.stats.messages += 1;
-        match net.send_datagram(
-            RpcOp::HostselReport,
-            now,
-            info.host,
-            self.server,
-            LOAD_REPORT_BYTES,
-        ) {
-            Ok(d) => {
-                self.last_reported_available.insert(info.host, avail);
-                self.table.insert(info.host, (info, now));
-                d.done
+        let daemon = self.daemons[self.part.shard_of(info.host)].host;
+        let changed = self.record_mut(info.host).reported_available != Some(avail);
+        let done = if changed && info.host != daemon {
+            self.stats.messages += 1;
+            match net.send_datagram(
+                RpcOp::HostselReport,
+                now,
+                info.host,
+                daemon,
+                LOAD_REPORT_BYTES,
+            ) {
+                Ok(d) => d.done,
+                // The transition report never reached the daemon: its
+                // table keeps the stale entry, and the host will
+                // re-announce the (still unacknowledged) transition on
+                // its next timer tick.
+                Err(e) => return e.at(),
             }
-            // The transition report never reached the daemon: its table
-            // keeps the stale entry, and the host will re-announce the
-            // (still unacknowledged) transition on its next timer tick.
-            Err(e) => e.at(),
-        }
+        } else {
+            // No change, or the daemon's own host: the table refreshes
+            // locally at no network cost.
+            now
+        };
+        let record = self.record_mut(info.host);
+        record.reported_available = Some(avail);
+        record.state = Some(CacheEntry { info, written: now });
+        done
     }
 
     fn select(
@@ -260,72 +365,41 @@ impl HostSelector for CentralServer {
         truth: &[HostInfo],
     ) -> (Option<HostId>, SimTime) {
         self.stats.requests += 1;
-        let t = match self.round_trip(net, now, requester) {
-            Ok(t) => t,
-            // The daemon is unreachable: the request is denied outright.
-            Err(e) => {
-                self.stats.denied += 1;
-                let t = e.at();
-                self.stats
-                    .select_latency
-                    .record_duration(t.elapsed_since(now));
-                return (None, t);
-            }
-        };
-        // Fair allocation: a requester at its share gets denied before the
-        // server even searches.
-        if let Some(limit) = self.fair_share {
-            if self.held_by(requester) >= limit {
-                self.stats.denied += 1;
-                self.stats
-                    .select_latency
-                    .record_duration(t.elapsed_since(now));
-                return (None, t);
-            }
-        }
-        // Longest-idle available host not already assigned out; Mutka and
-        // Livny say long-idle hosts stay idle [ML87].
-        let mut candidates: Vec<(HostInfo, SimTime)> = self
-            .table
-            .values()
-            .filter(|(i, _)| {
-                i.host != requester
-                    && self.policy.is_available(i)
-                    && !self.assigned.contains_key(&i.host)
-            })
-            .copied()
-            .collect();
-        candidates.sort_by(|a, b| {
-            b.0.effective_idle()
-                .total_cmp(&a.0.effective_idle())
-                .then(a.0.host.cmp(&b.0.host))
-        });
-        for (c, written) in candidates {
-            if truth_available(truth, &self.policy, c.host) {
-                self.assigned.insert(c.host, requester);
-                *self.holdings.entry(requester).or_insert(0) += 1;
-                // Flood prevention: count the incoming process against the
-                // host's load before it arrives [BSW89].
-                if let Some((e, _)) = self.table.get_mut(&c.host) {
-                    e.load += 1.0;
+        let home = self.part.shard_of(requester);
+        let mut t = now;
+        let mut picked = None;
+        for shard in (home..self.daemons.len()).chain(0..home) {
+            match self.round_trip(net, t, requester, shard) {
+                Ok(done) => t = done,
+                // This daemon is unreachable: the walk moves on, and the
+                // request is denied once no daemon is left to ask.
+                Err(e) => {
+                    t = e.at();
+                    continue;
                 }
-                self.stats
-                    .info_age
-                    .record_duration(now.saturating_elapsed_since(written));
-                self.stats.granted += 1;
-                self.stats
-                    .select_latency
-                    .record_duration(t.elapsed_since(now));
-                return (Some(c.host), t);
             }
-            // The central table said available but the world moved on.
-            self.stats.conflicts += 1;
+            // Fair allocation: a requester at its share gets denied before
+            // the daemon even searches.
+            if self
+                .fair_share
+                .is_some_and(|limit| self.held_by(requester) >= limit)
+            {
+                break;
+            }
+            picked = self.grant(now, shard, requester, truth);
+            if picked.is_some() {
+                break;
+            }
         }
-        self.stats.denied += 1;
+        if picked.is_some() {
+            self.stats.granted += 1;
+        } else {
+            self.stats.denied += 1;
+        }
         self.stats
             .select_latency
             .record_duration(t.elapsed_since(now));
-        (None, t)
+        (picked, t)
     }
 
     fn release(
@@ -335,18 +409,20 @@ impl HostSelector for CentralServer {
         requester: HostId,
         host: HostId,
     ) -> SimTime {
-        let t = match self.round_trip(net, now, requester) {
+        let t = match self.round_trip(net, now, requester, self.part.shard_of(host)) {
             Ok(t) => t,
             // A lost release leaves the daemon's table stale: the host
-            // stays assigned out until somebody reaches the server again.
+            // stays assigned out until somebody reaches the daemon again.
             Err(e) => return e.at(),
         };
-        self.assigned.remove(&host);
-        if let Some(held) = self.holdings.get_mut(&requester) {
-            *held = held.saturating_sub(1);
+        let record = self.record_mut(host);
+        let holder = record.holder.take();
+        if let Some(state) = &mut record.state {
+            state.info.load = (state.info.load - 1.0).max(0.0);
         }
-        if let Some((e, _)) = self.table.get_mut(&host) {
-            e.load = (e.load - 1.0).max(0.0);
+        if let Some(holder) = holder {
+            let held = &mut self.record_mut(holder).holding;
+            *held = held.saturating_sub(1);
         }
         t
     }
@@ -365,10 +441,11 @@ impl HostSelector for CentralServer {
 pub struct SharedFileBoard {
     file_server: HostId,
     policy: AvailabilityPolicy,
-    entries: BTreeMap<HostId, (HostInfo, SimTime)>,
+    entries: BTreeMap<HostId, CacheEntry>,
     assigned: BTreeMap<HostId, HostId>,
     server_cpu: FcfsResource,
     entry_bytes: u64,
+    ranker: Ranker,
     stats: SelectorStats,
 }
 
@@ -382,6 +459,7 @@ impl SharedFileBoard {
             assigned: BTreeMap::new(),
             server_cpu: FcfsResource::new(),
             entry_bytes: CONTROL_BYTES,
+            ranker: Ranker::default(),
             stats: SelectorStats::default(),
         }
     }
@@ -447,25 +525,19 @@ impl SharedFileBoard {
                 sprite_net::PAGE_SIZE,
             )?;
         }
-        let mut candidates: Vec<HostInfo> = self
-            .entries
-            .values()
-            .map(|(i, _)| *i)
-            .filter(|i| {
-                i.host != requester
-                    && self.policy.is_available(i)
-                    && !self.assigned.contains_key(&i.host)
-            })
-            .collect();
-        candidates.sort_by(|a, b| {
-            b.effective_idle()
-                .total_cmp(&a.effective_idle())
-                .then(a.host.cmp(&b.host))
-        });
+        let assigned = &self.assigned;
+        let ranked = self.ranker.rank(
+            (self.entries.values().copied()).filter(|e| !assigned.contains_key(&e.info.host)),
+            now,
+            None,
+            requester,
+            &self.policy,
+            RankOrder::IdlestFirst,
+        );
         let mut chosen = None;
-        for c in candidates {
-            if truth_available(truth, &self.policy, c.host) {
-                chosen = Some(c.host);
+        for e in ranked {
+            if truth_available(truth, &self.policy, e.info.host) {
+                chosen = Some(e.info.host);
                 break;
             }
             self.stats.conflicts += 1;
@@ -513,7 +585,8 @@ impl HostSelector for SharedFileBoard {
             CONTROL_BYTES,
         ) {
             Ok(t) => {
-                self.entries.insert(info.host, (info, now));
+                self.entries
+                    .insert(info.host, CacheEntry { info, written: now });
                 t
             }
             // The write never reached the board: the file keeps the host's
@@ -589,10 +662,11 @@ pub struct Probabilistic {
     hosts: usize,
     fanout: usize,
     /// tables[h] = what host h believes about its peers.
-    tables: Vec<BTreeMap<HostId, (HostInfo, SimTime)>>,
+    tables: Vec<BTreeMap<HostId, CacheEntry>>,
     rng: DetRng,
     /// Entries older than this are distrusted entirely.
     max_age: SimDuration,
+    ranker: Ranker,
     stats: SelectorStats,
 }
 
@@ -607,6 +681,7 @@ impl Probabilistic {
             tables: vec![BTreeMap::new(); hosts],
             rng: DetRng::seed_from(seed),
             max_age: SimDuration::from_secs(20),
+            ranker: Ranker::default(),
             stats: SelectorStats::default(),
         }
     }
@@ -628,7 +703,7 @@ impl HostSelector for Probabilistic {
             match net.send_datagram(RpcOp::HostselReport, t, info.host, peer, LOAD_REPORT_BYTES) {
                 Ok(d) => {
                     t = d.done;
-                    self.tables[peer.index()].insert(info.host, (info, now));
+                    self.tables[peer.index()].insert(info.host, CacheEntry { info, written: now });
                 }
                 // The gossip packet vanished: the peer keeps its old entry,
                 // which will age out if no later round gets through.
@@ -648,35 +723,29 @@ impl HostSelector for Probabilistic {
         let _ = net; // selection is purely local
         self.stats.requests += 1;
         let t = now + SimDuration::from_micros(200); // table scan
-        let table = &mut self.tables[requester.index()];
-        let mut candidates: Vec<(HostInfo, SimTime)> = table
-            .values()
-            .filter(|(i, written)| {
-                i.host != requester
-                    && now.saturating_elapsed_since(*written) <= self.max_age
-                    && self.policy.is_available(i)
-            })
-            .map(|(i, w)| (*i, *w))
-            .collect();
-        // Prefer fresher data, then idler hosts: aging gives more weight to
-        // recent reports, exactly as Barak and Shiloh describe [BS85].
-        candidates.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then(b.0.effective_idle().total_cmp(&a.0.effective_idle()))
-                .then(a.0.host.cmp(&b.0.host))
-        });
-        for (c, _) in candidates {
-            if truth_available(truth, &self.policy, c.host) {
+                                                     // Prefer fresher data, then idler hosts: aging gives more weight to
+                                                     // recent reports, exactly as Barak and Shiloh describe [BS85].
+        let ranked = self.ranker.rank(
+            self.tables[requester.index()].values().copied(),
+            now,
+            Some(self.max_age),
+            requester,
+            &self.policy,
+            RankOrder::FreshestFirst,
+        );
+        for e in ranked {
+            if truth_available(truth, &self.policy, e.info.host) {
                 // Anticipate load locally so this requester will not dump
                 // its next process on the same host.
-                if let Some((e, _)) = table.get_mut(&c.host) {
-                    e.load += 1.0;
+                let host = e.info.host;
+                if let Some(e) = self.tables[requester.index()].get_mut(&host) {
+                    e.info.load += 1.0;
                 }
                 self.stats.granted += 1;
                 self.stats
                     .select_latency
                     .record_duration(t.elapsed_since(now));
-                return (Some(c.host), t);
+                return (Some(host), t);
             }
             self.stats.conflicts += 1;
         }
@@ -694,8 +763,8 @@ impl HostSelector for Probabilistic {
         requester: HostId,
         host: HostId,
     ) -> SimTime {
-        if let Some((e, _)) = self.tables[requester.index()].get_mut(&host) {
-            e.load = (e.load - 1.0).max(0.0);
+        if let Some(e) = self.tables[requester.index()].get_mut(&host) {
+            e.info.load = (e.info.load - 1.0).max(0.0);
         }
         now
     }
@@ -874,7 +943,7 @@ mod tests {
             Box::new(SharedFileBoard::new(h(0), policy)),
             Box::new(Probabilistic::new(n, 4, policy, 42)),
             Box::new(MulticastQuery::new(policy)),
-            Box::new(crate::ShardedCoordinator::new(n, 2, policy)),
+            Box::new(CentralServer::sharded(n, 2, policy)),
             Box::new(crate::GossipDissemination::new(n, 4, 8, policy, 42)),
         ]
     }
@@ -885,7 +954,7 @@ mod tests {
     /// by idle time; with the classes equalized the same architectures all
     /// fall back to the raw-idle order and pick h2, proving the shift comes
     /// from the hardware class and nothing else. Both contenders sit in the
-    /// same shard (even hosts, 2 shards) so the sharded coordinator's probe
+    /// same shard (even hosts, 2 daemons) so the sharded daemon's walk
     /// order cannot decide for it.
     #[test]
     fn fast_recently_idle_beats_slow_long_idle() {
@@ -909,7 +978,7 @@ mod tests {
         let ranking: Vec<Box<dyn Fn() -> Box<dyn HostSelector>>> = vec![
             Box::new(move || Box::new(CentralServer::new(h(0), policy))),
             Box::new(move || Box::new(SharedFileBoard::new(h(0), policy))),
-            Box::new(move || Box::new(crate::ShardedCoordinator::new(6, 2, policy))),
+            Box::new(move || Box::new(CentralServer::sharded(6, 2, policy))),
             Box::new(move || Box::new(crate::GossipDissemination::new(6, 4, 8, policy, 42))),
         ];
         for (world, expect, label) in [
@@ -1100,30 +1169,93 @@ mod tests {
     #[test]
     fn fair_share_prevents_host_hogging() {
         let world = truth(12); // 11 available hosts
-        let mut s = CentralServer::new(h(0), AvailabilityPolicy::default());
-        s.set_fair_share(3);
-        let mut n = net(12);
-        feed_reports(&mut s, &mut n, &world);
-        let mut t = SimTime::ZERO;
-        let mut got = Vec::new();
-        // Requester h1 asks for everything.
-        for _ in 0..6 {
-            let (pick, t2) = s.select(&mut n, t, h(1), &world);
-            t = t2;
-            if let Some(p) = pick {
-                got.push(p);
+        for c in 1..=3 {
+            let mut s = CentralServer::sharded(12, c, AvailabilityPolicy::default());
+            s.set_fair_share(3);
+            let mut n = net(12);
+            feed_reports(&mut s, &mut n, &world);
+            let mut t = SimTime::ZERO;
+            let mut got = Vec::new();
+            // Requester h1 asks for everything.
+            for _ in 0..6 {
+                let (pick, t2) = s.select(&mut n, t, h(1), &world);
+                t = t2;
+                if let Some(p) = pick {
+                    got.push(p);
+                }
             }
+            assert_eq!(got.len(), 3, "c = {c}: capped at the fair share");
+            assert_eq!(s.held_by(h(1)), 3, "c = {c}");
+            // A second requester is unaffected.
+            let (pick, t2) = s.select(&mut n, t, h(2), &world);
+            assert!(pick.is_some(), "c = {c}");
+            // Releasing makes room under the cap again.
+            let t3 = s.release(&mut n, t2, h(1), got[0]);
+            let (pick2, _) = s.select(&mut n, t3, h(1), &world);
+            assert!(pick2.is_some(), "c = {c}");
+            assert_eq!(s.held_by(h(1)), 3, "c = {c}");
         }
-        assert_eq!(got.len(), 3, "capped at the fair share");
-        assert_eq!(s.held_by(h(1)), 3);
-        // A second requester is unaffected.
-        let (pick, t2) = s.select(&mut n, t, h(2), &world);
-        assert!(pick.is_some());
-        // Releasing makes room under the cap again.
-        let t3 = s.release(&mut n, t2, h(1), got[0]);
-        let (pick2, _) = s.select(&mut n, t3, h(1), &world);
-        assert!(pick2.is_some());
-        assert_eq!(s.held_by(h(1)), 3);
+    }
+
+    /// A release is a round trip, as in `migd`: one that cannot reach the
+    /// daemon leaves the host assigned, so nobody else is handed it.
+    #[test]
+    fn a_lost_release_leaves_the_host_assigned() {
+        use sprite_net::PartitionPolicy;
+
+        // Only host 4 is available; requesters 3 and 5 host no daemon.
+        let mut world = truth(6);
+        for info in &mut world {
+            info.console_active = info.host != h(4);
+        }
+        for c in 1..=3 {
+            let mut s = CentralServer::sharded(6, c, AvailabilityPolicy::default());
+            let mut n = net(6);
+            feed_reports(&mut s, &mut n, &world);
+            let (pick, t) = s.select(&mut n, SimTime::ZERO, h(5), &world);
+            assert_eq!(pick, Some(h(4)), "c = {c}");
+            // Cut the requester off from every daemon, then give the host back.
+            n.set_policy(Box::new(PartitionPolicy::new(
+                vec![h(5)],
+                t,
+                t + SimDuration::from_secs(3600),
+            )));
+            let t = s.release(&mut n, t, h(5), h(4));
+            assert_eq!(s.assigned_count(), 1, "c = {c}: the release never arrived");
+            let (again, _) = s.select(&mut n, t, h(3), &world);
+            assert_eq!(again, None, "c = {c}: the host is still out");
+        }
+    }
+
+    #[test]
+    fn daemons_split_the_report_fanin() {
+        let world = truth(40);
+        let mut s = CentralServer::sharded(40, 4, AvailabilityPolicy::default());
+        let mut n = net(40);
+        feed_reports(&mut s, &mut n, &world);
+        // Every host reported its first transition to its own daemon;
+        // daemons 0..4 report locally.
+        assert_eq!(n.rpc_table().get(RpcOp::HostselReport).calls, 36);
+    }
+
+    #[test]
+    fn selection_asks_the_home_daemon_first_then_walks_the_ring() {
+        // Only host 1, in shard 1, is available: a shard-0 requester must
+        // miss at home and find it at the next daemon.
+        let mut world = truth(8);
+        for info in &mut world {
+            info.console_active = info.host != h(1);
+        }
+        let mut s = CentralServer::sharded(8, 4, AvailabilityPolicy::default());
+        let mut n = net(8);
+        feed_reports(&mut s, &mut n, &world);
+        let (pick, _) = s.select(&mut n, SimTime::ZERO, h(4), &world);
+        assert_eq!(pick, Some(h(1)), "found at the second daemon");
+        assert_eq!(
+            n.rpc_table().get(RpcOp::HostselQuery).calls,
+            2,
+            "one round trip to the home daemon on h0, one to shard 1's on h1"
+        );
     }
 
     #[test]

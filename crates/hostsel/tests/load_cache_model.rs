@@ -7,7 +7,8 @@
 //! the minimum stamp. The column-stored [`LoadCache`] must agree with it
 //! after every operation: the same `insert` results, `len`, `get`
 //! for every host, slot-order `entries()` (so the same victims) and the
-//! same `freshest_into` batches for every limit from 0 to 8.
+//! same `freshest_into` batches for every limit from 0 to 8, each leaving
+//! out one host.
 //!
 //! Cases are generated from [`DetRng`] with fixed seeds. They cover
 //! capacities 1, 2, 3, 8 and 64, host pools smaller and larger than the
@@ -103,9 +104,9 @@ impl SlotScan {
         self.slots.iter().flatten()
     }
 
-    fn freshest_into(&self, limit: usize, out: &mut Vec<CacheEntry>) {
+    fn freshest_into(&self, limit: usize, except: HostId, out: &mut Vec<CacheEntry>) {
         out.clear();
-        for e in self.entries() {
+        for e in self.entries().filter(|e| e.info.host != except) {
             let pos = out
                 .iter()
                 .position(|o| (e.written, o.info.host.index()) > (o.written, e.info.host.index()))
@@ -151,12 +152,14 @@ fn assert_same(model: &SlotScan, cache: &LoadCache, pool: u32, ctx: &str) {
     }
     let (mut want, mut got) = (Vec::new(), Vec::new());
     for limit in 0..=8 {
-        model.freshest_into(limit, &mut want);
-        cache.freshest_into(limit, &mut got);
+        // Cycle the excepted host through the pool and one host outside it.
+        let except = HostId::new(limit as u32 % (pool + 1));
+        model.freshest_into(limit, except, &mut want);
+        cache.freshest_into(limit, except, &mut got);
         assert_eq!(
             keys(got.iter()),
             keys(want.iter()),
-            "{ctx}: freshest_into({limit})"
+            "{ctx}: freshest_into({limit}, {except})"
         );
     }
 }

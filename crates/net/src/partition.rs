@@ -4,7 +4,7 @@
 //! shard `i % nshards`. [`HostPartition`] is the cluster-layer view of that
 //! same mapping, expressed in terms of [`HostId`]s, so code that reasons
 //! about the cluster (the m02 macrobench, the sharded host-selection
-//! coordinators, diagnostics, per-shard accounting) and the engine can
+//! daemon, diagnostics, per-shard accounting) and the engine can
 //! never disagree about where a host lives. It lives in `sprite_net`
 //! because both the kernel and the host-selection layer hash hosts with
 //! it — the ID space it partitions is the network's.

@@ -160,8 +160,6 @@ rpc_ops! {
     /// (header plus `f` [`GOSSIP_ENTRY_BYTES`] entries, caller-sized).
     // Caller-sized one-way: header + f gossip entries per message.
     HostselGossip => "hostsel-gossip", (0, 0);
-    /// Selection round trip with one of `c` sharded coordinator daemons.
-    HostselShardQuery => "hostsel-shard-query", (HANDLE_BYTES, HANDLE_BYTES);
     /// First-contact round trip that teaches a client which server of a
     /// striped FS domain owns a name (prefix-table fetch).
     FsShardRedirect => "fs-shard-redirect", (HANDLE_BYTES, HANDLE_BYTES);
@@ -1127,7 +1125,7 @@ mod tests {
         }
         assert_eq!(wire_size(RpcOp::FsBlockRead).reply, PAGE_REPLY_BYTES);
         assert_eq!(wire_size(RpcOp::HostselReport).request, LOAD_REPORT_BYTES);
-        // Gossip is caller-sized (header + entries); the shard query is a
+        // Gossip is caller-sized (header + entries); a daemon query is a
         // normal handle-sized round trip.
         assert_eq!(
             wire_size(RpcOp::HostselGossip),
@@ -1136,7 +1134,7 @@ mod tests {
                 reply: 0
             }
         );
-        assert_eq!(wire_size(RpcOp::HostselShardQuery).reply, HANDLE_BYTES);
+        assert_eq!(wire_size(RpcOp::HostselQuery).reply, HANDLE_BYTES);
         const { assert!(GOSSIP_ENTRY_BYTES < CONTROL_BYTES) };
     }
 

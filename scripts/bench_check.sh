@@ -148,24 +148,21 @@ if ! grep -q 'sharded stream identical  *yes' "$tmp/m02_4.txt"; then
     exit 1
 fi
 
-echo "==> m02 serial ns per event vs BENCH_experiments.json baseline"
-# The engine's host cost per event in the serial (1 shard, 1 worker) drive.
-# The baseline is the full 5000-host month; this run is 2000 hosts x 3
-# days. At either size the calendar sizes its buckets from the dequeued
-# one-minute spacing (a 16-minute year), so a window sweeps 1/16 of the
-# buckets, under one per host, and few events pass through the overflow
-# heap, and a window's bucket holds its events in push order, so it sorts
-# in one comparison per event. The smaller cluster sweeps less per event
-# and keeps a smaller working set, so its ns per event sits well below
-# the 5000-host figure (72-95 against 139 on one core of a 2-vCPU VM):
-# the gate catches a regression of about twice its factor, not a small
-# one. The sharded/serial wall
-# ratio is not gated: on one worker it measures no parallelism, only
-# overhead.
-m02_base="$(sed -n 's/.*"serial_ns_per_event": \([0-9.]*\).*/\1/p' BENCH_experiments.json | head -1)"
+echo "==> m02 serial ns per event vs the same drive's recorded baseline"
+# The engine's host cost per event in the serial (1 shard, 1 worker) pass
+# of the --m02=2000:3 drive above. The baseline is the slowest of 12 runs
+# of this same drive (`e01 --m02=2000:3 --shards 4 --json`, unpinned) on a
+# 2-vCPU VM, which read 88.8-110.5 ns per event, median 100.0. Runs of one
+# build spread ~25%, so with the factor a per-event slowdown of about 1.5x
+# fails the gate and a smaller one can pass. The full 5000-host month in
+# BENCH_experiments.json runs ~40% more ns per event (a larger working
+# set), so it is recorded there but not compared with this run. The
+# sharded/serial wall ratio is not gated: on one worker it measures no
+# parallelism, only overhead.
+m02_base=110.5
 m02_fresh="$(sed -n 's/.*"serial_ns_per_event": \([0-9.]*\).*/\1/p' "$tmp/m4/BENCH_experiments.json" | head -1)"
-if [[ -z "$m02_base" || -z "$m02_fresh" ]]; then
-    echo "FAIL: could not parse m02 serial_ns_per_event (baseline='$m02_base' fresh='$m02_fresh')" >&2
+if [[ -z "$m02_fresh" ]]; then
+    echo "FAIL: could not parse m02 serial_ns_per_event from the fresh run" >&2
     exit 1
 fi
 awk -v b="$m02_base" -v f="$m02_fresh" -v k="$factor" 'BEGIN {

@@ -137,11 +137,14 @@ echo "==> a 1 s run of each benchmark workload"
 # covers a fixed leading sample of simulated work, so even a 1 s run must
 # print the pinned value at the workload's default seed. A change that
 # alters simulated behaviour re-pins these and says why in CHANGES.md.
+# The digests fold every row of the per-op RPC table, so removing the
+# `hostsel-shard-query` op (the sharded daemon now charges `hostsel-query`)
+# re-pinned all four with no change in simulated behaviour.
 declare -A pinned_digest=(
-    [cell_month]=f131c2df0fccec9a
-    [month_in_life]=b3af01dd51d41e5e
-    [pmake_build]=3e3d062c72e457b3
-    [migrate_evict]=513393f2ce6cab2f
+    [cell_month]=9b164923489a9f9a
+    [month_in_life]=95fa52b4e85d2bd9
+    [pmake_build]=065f577bb3ebe80b
+    [migrate_evict]=9a0e7fca0ff6c23b
 )
 for w in cell_month month_in_life pmake_build migrate_evict; do
     output="$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml --bin benchmark -- \

@@ -360,8 +360,9 @@ fn process_state_survives_arbitrary_migrations() {
     }
 }
 
-/// The central server never double-assigns a host, never assigns a
-/// console-active host, and release makes hosts grantable again.
+/// The central server, on one daemon or spread over two or three, never
+/// double-assigns a host, never assigns a console-active host, and release
+/// makes hosts grantable again.
 #[test]
 fn central_server_assignment_invariants() {
     let mut rng = DetRng::seed_from(0xCE27);
@@ -372,9 +373,6 @@ fn central_server_assignment_invariants() {
         let requests: Vec<(u8, bool)> = (0..nreq)
             .map(|_| (rng.uniform_u64(8) as u8, rng.chance(0.5)))
             .collect();
-
-        let mut net = Transport::new(CostModel::sun3(), hosts);
-        let mut sel = CentralServer::new(h(0), AvailabilityPolicy::default());
         let truth: Vec<HostInfo> = (0..hosts as u32)
             .map(|i| HostInfo {
                 host: h(i),
@@ -388,49 +386,52 @@ fn central_server_assignment_invariants() {
                 speed: 1.0,
             })
             .collect();
-        let mut t = SimTime::ZERO;
-        for info in &truth {
-            t = sel.report(&mut net, t, *info);
-        }
-        let mut granted: Vec<(HostId, HostId)> = Vec::new(); // (host, requester)
-        for (req, give_back) in requests {
-            let requester = h(req as u32);
-            let (pick, t2) = sel.select(&mut net, t, requester, &truth);
-            t = t2;
-            if let Some(host) = pick {
-                assert!(
-                    !console[host.index()],
-                    "case {case}: granted a console-active host"
-                );
-                assert_ne!(host, requester, "case {case}: granted the requester itself");
-                assert!(
-                    !granted.iter().any(|(g, _)| *g == host),
-                    "case {case}: double-assigned {host}"
-                );
-                granted.push((host, requester));
+        for daemons in 1..=3 {
+            let case = format!("case {case}, {daemons} daemon(s)");
+            let mut net = Transport::new(CostModel::sun3(), hosts);
+            let mut sel = CentralServer::sharded(hosts, daemons, AvailabilityPolicy::default());
+            let mut t = SimTime::ZERO;
+            for info in &truth {
+                t = sel.report(&mut net, t, *info);
             }
-            if give_back {
-                if let Some((host, owner)) = granted.pop() {
-                    t = sel.release(&mut net, t, owner, host);
+            let mut granted: Vec<(HostId, HostId)> = Vec::new(); // (host, requester)
+            for &(req, give_back) in &requests {
+                let requester = h(req as u32);
+                let (pick, t2) = sel.select(&mut net, t, requester, &truth);
+                t = t2;
+                if let Some(host) = pick {
+                    assert!(
+                        !console[host.index()],
+                        "{case}: granted a console-active host"
+                    );
+                    assert_ne!(host, requester, "{case}: granted the requester itself");
+                    assert!(
+                        !granted.iter().any(|(g, _)| *g == host),
+                        "{case}: double-assigned {host}"
+                    );
+                    granted.push((host, requester));
                 }
+                if give_back {
+                    if let Some((host, owner)) = granted.pop() {
+                        t = sel.release(&mut net, t, owner, host);
+                    }
+                }
+                assert_eq!(sel.assigned_count(), granted.len(), "{case}");
             }
-        }
-        // Everything released becomes grantable again.
-        while let Some((host, owner)) = granted.pop() {
-            t = sel.release(&mut net, t, owner, host);
-        }
-        let idle_count = console.iter().filter(|c| !**c).count();
-        if idle_count > 1 {
-            // Request from an active host (so it is not excluded as self).
-            let requester = (0..8u32)
-                .find(|i| console[*i as usize])
-                .map(h)
-                .unwrap_or(h(0));
-            let (pick, _) = sel.select(&mut net, t, requester, &truth);
-            assert!(
-                pick.is_some(),
-                "case {case}: released hosts must be selectable"
-            );
+            // Everything released becomes grantable again.
+            while let Some((host, owner)) = granted.pop() {
+                t = sel.release(&mut net, t, owner, host);
+            }
+            let idle_count = console.iter().filter(|c| !**c).count();
+            if idle_count > 1 {
+                // Request from an active host (so it is not excluded as self).
+                let requester = (0..8u32)
+                    .find(|i| console[*i as usize])
+                    .map(h)
+                    .unwrap_or(h(0));
+                let (pick, _) = sel.select(&mut net, t, requester, &truth);
+                assert!(pick.is_some(), "{case}: released hosts must be selectable");
+            }
         }
     }
 }
