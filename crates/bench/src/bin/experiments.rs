@@ -717,10 +717,9 @@ fn main() {
             let rows: Vec<_> = r.faults.rows().collect();
             for (i, (op, row)) in rows.iter().enumerate() {
                 json.push_str(&format!(
-                    "      {{\"op\": \"{}\", \"drops\": {}, \"delays\": {}, \"partitions\": {}, \"crashes\": {}, \"retries\": {}, \"giveups\": {}}}{}\n",
+                    "      {{\"op\": \"{}\", \"drops\": {}, \"partitions\": {}, \"crashes\": {}, \"retries\": {}, \"giveups\": {}}}{}\n",
                     op.label(),
                     row.drops,
-                    row.delays,
                     row.partitions,
                     row.crashes,
                     row.retries,

@@ -359,7 +359,8 @@ pub fn render_sweep(rows: &[ArchRow]) -> String {
     }
     t.note("gossip selects locally in microseconds on slightly staler state; the sharded");
     t.note("coordinators keep central-grade freshness while splitting the daemon's load;");
-    t.note("the central server's queue is the scaling wall the thesis never had to hit");
+    t.note("both slow alike at scale: their round trips queue on the one shared Ethernet");
+    t.note("behind the load reports, the scaling wall the thesis never had to hit");
     t.render()
 }
 
@@ -432,8 +433,8 @@ mod tests {
             gossip.staleness_s,
             central.staleness_s
         );
-        // Sharded keeps server-grade freshness while splitting the queue,
-        // so its round trip stays in the central server's ballpark.
+        // Sharded keeps server-grade freshness, and its round trip crosses
+        // the same shared wire, so it stays in the central server's ballpark.
         assert!(
             sharded.mean_latency_ms < 1.5 * central.mean_latency_ms,
             "sharded {} ms vs central {} ms",

@@ -87,7 +87,7 @@ pub fn run(seed: u64, rate: f64) -> (FaultSweepRow, FaultStats) {
             )
             .with_crash(h(CRASHED_HOST), start + SimDuration::from_secs(8));
     }
-    let mut crashes: Vec<(HostId, SimTime)> = plan.crash_schedule().entries().to_vec();
+    let mut crashes: Vec<(HostId, SimTime)> = plan.crashes().to_vec();
     cluster.net.set_policy(Box::new(plan));
 
     let mut row = FaultSweepRow {

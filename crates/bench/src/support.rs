@@ -238,21 +238,12 @@ pub fn rpc_table_text(title: &str, table: &sprite_net::RpcTable) -> String {
 pub fn fault_table_text(title: &str, table: &sprite_net::FaultStats) -> String {
     let mut t = TableWriter::new(
         title,
-        &[
-            "op",
-            "drops",
-            "delays",
-            "partitions",
-            "crashes",
-            "retries",
-            "giveups",
-        ],
+        &["op", "drops", "partitions", "crashes", "retries", "giveups"],
     );
     for (op, row) in table.rows() {
         t.row(&[
             op.label().into(),
             row.drops.to_string(),
-            row.delays.to_string(),
             row.partitions.to_string(),
             row.crashes.to_string(),
             row.retries.to_string(),

@@ -204,7 +204,7 @@ impl ServerFile {
 
     /// Writes `bytes` at `offset`, growing the file if needed. A write
     /// covering a block's whole written prefix stores a fresh frame; any
-    /// other copies the block's frame on write (see [`write_frame`]).
+    /// other copies the block's frame on write (see `write_frame`).
     pub fn write_at(&mut self, offset: u64, bytes: &[u8]) {
         let end = offset + bytes.len() as u64;
         self.written = self.written.max(end);

@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 
 use sprite_net::{
-    HostId, HostPartition, RpcError, RpcOp, Transport, CONTROL_BYTES, LOAD_REPORT_BYTES,
+    wire_size, HostId, HostPartition, RpcError, RpcOp, Transport, CONTROL_BYTES, LOAD_REPORT_BYTES,
 };
 use sprite_sim::{DetRng, FcfsResource, OnlineStats, SimDuration, SimTime};
 
@@ -259,12 +259,15 @@ impl CentralServer {
                 self.per_request_service,
             ))
         } else {
+            let size = wire_size(RpcOp::HostselQuery);
             Ok(net
-                .send_with_service(
+                .send_sized(
                     RpcOp::HostselQuery,
                     now,
                     from,
                     daemon.host,
+                    size.request,
+                    size.reply,
                     self.per_request_service,
                     Some(&mut daemon.cpu),
                 )?
@@ -1201,7 +1204,7 @@ mod tests {
     /// daemon leaves the host assigned, so nobody else is handed it.
     #[test]
     fn a_lost_release_leaves_the_host_assigned() {
-        use sprite_net::PartitionPolicy;
+        use sprite_net::FaultPlan;
 
         // Only host 4 is available; requesters 3 and 5 host no daemon.
         let mut world = truth(6);
@@ -1215,7 +1218,7 @@ mod tests {
             let (pick, t) = s.select(&mut n, SimTime::ZERO, h(5), &world);
             assert_eq!(pick, Some(h(4)), "c = {c}");
             // Cut the requester off from every daemon, then give the host back.
-            n.set_policy(Box::new(PartitionPolicy::new(
+            n.set_policy(Box::new(FaultPlan::new(0, 0.0).with_partition(
                 vec![h(5)],
                 t,
                 t + SimDuration::from_secs(3600),
@@ -1260,7 +1263,7 @@ mod tests {
 
     #[test]
     fn lost_load_reports_leave_the_central_table_stale() {
-        use sprite_net::PartitionPolicy;
+        use sprite_net::FaultPlan;
 
         let mut world = truth(4);
         world[2].idle = SimDuration::from_secs(600); // most attractive host
@@ -1270,7 +1273,7 @@ mod tests {
 
         // Cut host 2 off, then have it report that its owner came back.
         let start = SimTime::ZERO + SimDuration::from_secs(1);
-        n.set_policy(Box::new(PartitionPolicy::new(
+        n.set_policy(Box::new(FaultPlan::new(0, 0.0).with_partition(
             vec![h(2)],
             start,
             start + SimDuration::from_secs(3600),

@@ -81,9 +81,9 @@ pub enum HostMsg {
     Probe,
     /// Answer to [`HostMsg::Probe`]: the sender's run-queue length.
     LoadReply(u32),
-    /// Unsolicited load-vector push: up to [`GOSSIP_BATCH`] `(host, load)`
-    /// pairs (the sender's own load first), merged into the receiver's
-    /// cache with no reply.
+    /// Unsolicited load-vector push: up to `GOSSIP_BATCH` (4) `(host,
+    /// load)` pairs (the sender's own load first), merged into the
+    /// receiver's cache with no reply.
     Gossip([(CellId, u32); GOSSIP_BATCH], u8),
     /// Migrate a job to the receiver: tag plus remaining CPU minutes.
     Place(JobTag, u64),

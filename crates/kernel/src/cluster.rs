@@ -1195,9 +1195,10 @@ impl Cluster {
     ///
     /// Only local state changes — a dead host can neither send nor receive,
     /// so no RPCs are charged. The caller is expected to have installed a
-    /// matching [`sprite_net::CrashSchedule`] so the transport refuses
-    /// traffic to `dead` from the same instant. Returns the number of
-    /// processes killed.
+    /// [`sprite_net::FaultPlan`] with the matching crash
+    /// ([`FaultPlan::with_crash`](sprite_net::FaultPlan::with_crash)) so
+    /// the transport refuses traffic to `dead` from the same instant.
+    /// Returns the number of processes killed.
     pub fn crash_host(&mut self, now: SimTime, dead: HostId) -> usize {
         let live: Vec<ProcessId> = self
             .procs

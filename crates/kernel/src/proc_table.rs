@@ -242,7 +242,7 @@ mod tests {
         use crate::cluster::Cluster;
         use crate::proc::{ProcState, Signal};
         use sprite_fs::{OpenMode, SpritePath};
-        use sprite_net::{CostModel, PartitionPolicy};
+        use sprite_net::{CostModel, FaultPlan};
         use sprite_sim::SimDuration;
 
         let mut c = Cluster::new(CostModel::sun3(), 3);
@@ -264,11 +264,12 @@ mod tests {
         // Cut the file server off just before the kill: signal hops
         // between hosts 1 and 2 still deliver, but the member's stream
         // close cannot reach its server.
-        c.net.set_policy(Box::new(PartitionPolicy::new(
-            vec![h(0)],
-            t,
-            t + SimDuration::from_secs(3600),
-        )));
+        c.net
+            .set_policy(Box::new(FaultPlan::new(0, 0.0).with_partition(
+                vec![h(0)],
+                t,
+                t + SimDuration::from_secs(3600),
+            )));
         let pgrp = c.pcb(leader).unwrap().pgrp;
         c.kill_pgrp(t, h(1), h(1), pgrp, Signal::Kill).expect(
             "kill_pgrp is fail-stop local: the group dies even when closes cannot reach the server",

@@ -13,11 +13,13 @@
 //! * a crashed peer is detected by timeout and reported as
 //!   [`RpcError::PeerCrashed`] so the kernel can run its kill/abort paths.
 //!
-//! Every policy here draws from the in-repo deterministic [`DetRng`], so **a
-//! fault schedule is a seed**: replaying the same seed reproduces the same
-//! drops, delays and outcomes byte-for-byte, on any `--jobs` value. All
-//! timeout and backoff waiting is charged through the *simulated* clock, so
-//! fault runs stay exactly as deterministic as ideal ones.
+//! [`FaultPlan`] is the one fault policy: random drops at a rate, partition
+//! windows and fail-stop crashes. Its drops come from the in-repo
+//! deterministic [`DetRng`], so **a fault schedule is a seed**: replaying
+//! the same seed reproduces the same drops and outcomes byte-for-byte, on
+//! any `--jobs` value. All timeout and backoff waiting is charged through
+//! the *simulated* clock, so fault runs stay exactly as deterministic as
+//! ideal ones.
 
 use sprite_sim::{DetRng, SimDuration, SimTime, StateDigest};
 
@@ -51,8 +53,8 @@ pub fn backoff_after(attempt: u32) -> SimDuration {
 /// A [`LinkPolicy`](crate::LinkPolicy)'s ruling on one send attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkVerdict {
-    /// Deliver the message after the given extra injected latency.
-    Deliver(SimDuration),
+    /// Deliver the message.
+    Deliver,
     /// The message is lost on the wire; the sender times out and may retry.
     Drop,
     /// Sender and receiver are on opposite sides of a partition; retrying
@@ -234,10 +236,8 @@ pub type RpcResult<T> = Result<T, RpcError>;
 /// Per-op fault counters accumulated by a [`Transport`](crate::Transport).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultRow {
-    /// Attempts lost on the wire (each charged a timeout).
+    /// Attempts lost on the wire.
     pub drops: u64,
-    /// Sends that reached the peer but with injected extra latency.
-    pub delays: u64,
     /// Attempts refused because a partition separated the endpoints.
     pub partitions: u64,
     /// Attempts refused because the peer had crashed.
@@ -310,19 +310,25 @@ impl FaultStats {
         self.rows.iter().map(|r| r.giveups).sum()
     }
 
-    /// Folds every row's counters into `d`, in table order.
+    /// Folds the counters of each row that saw a fault event into `d`, in
+    /// table order, each row led by its op's label, so ops without faults
+    /// fold nothing.
     pub fn digest_into(&self, d: &mut StateDigest) {
         let Self { rows } = self;
-        for row in rows {
+        for (op, row) in RpcOp::ALL.iter().zip(rows) {
             let FaultRow {
                 drops,
-                delays,
                 partitions,
                 crashes,
                 retries,
                 giveups,
             } = *row;
-            for v in [drops, delays, partitions, crashes, retries, giveups] {
+            let counters = [drops, partitions, crashes, retries, giveups];
+            if counters == [0; 5] {
+                continue;
+            }
+            d.write_str(op.label());
+            for v in counters {
                 d.write_u64(v);
             }
         }
@@ -334,14 +340,12 @@ impl FaultStats {
         for (mine, theirs) in rows.iter_mut().zip(&other.rows) {
             let FaultRow {
                 drops,
-                delays,
                 partitions,
                 crashes,
                 retries,
                 giveups,
             } = *theirs;
             mine.drops += drops;
-            mine.delays += delays;
             mine.partitions += partitions;
             mine.crashes += crashes;
             mine.retries += retries;
@@ -354,195 +358,42 @@ impl FaultStats {
     }
 }
 
-/// Injects jittered extra latency on every message, dropping nothing — the
-/// "slow but healthy" network.
+/// A window during which `island` is cut off from every other host.
 #[derive(Debug)]
-pub struct DelayPolicy {
-    rng: DetRng,
-    mean: SimDuration,
-    sigma: SimDuration,
-}
-
-impl DelayPolicy {
-    /// Latency with the given mean and jitter, scheduled by `seed`.
-    pub fn new(seed: u64, mean: SimDuration, sigma: SimDuration) -> Self {
-        DelayPolicy {
-            rng: DetRng::seed_from(seed),
-            mean,
-            sigma,
-        }
-    }
-}
-
-impl crate::LinkPolicy for DelayPolicy {
-    fn verdict(
-        &mut self,
-        _op: RpcOp,
-        _now: SimTime,
-        _from: HostId,
-        _to: Option<HostId>,
-        _bytes: u64,
-    ) -> LinkVerdict {
-        LinkVerdict::Deliver(self.rng.jittered(self.mean, self.sigma))
-    }
-}
-
-/// Loses each message independently with probability `rate`. At `rate` 0 the
-/// policy never drops and adds zero delay, so timing is identical to
-/// [`Ideal`](crate::Ideal) — the zero-fault regression gate depends on this.
-#[derive(Debug)]
-pub struct DropPolicy {
-    rng: DetRng,
-    rate: f64,
-}
-
-impl DropPolicy {
-    /// Drop each message with probability `rate`, scheduled by `seed`.
-    pub fn new(seed: u64, rate: f64) -> Self {
-        DropPolicy {
-            rng: DetRng::seed_from(seed),
-            rate,
-        }
-    }
-}
-
-impl crate::LinkPolicy for DropPolicy {
-    fn verdict(
-        &mut self,
-        _op: RpcOp,
-        _now: SimTime,
-        _from: HostId,
-        _to: Option<HostId>,
-        _bytes: u64,
-    ) -> LinkVerdict {
-        if self.rng.chance(self.rate) {
-            LinkVerdict::Drop
-        } else {
-            LinkVerdict::Deliver(SimDuration::ZERO)
-        }
-    }
-}
-
-/// Cuts an island of hosts off from the rest of the cluster for one time
-/// window. Messages crossing the cut during `[from, until)` are refused with
-/// [`LinkVerdict::Partitioned`]; traffic within either side flows normally.
-#[derive(Debug)]
-pub struct PartitionPolicy {
+struct Partition {
     island: Vec<HostId>,
     from: SimTime,
     until: SimTime,
 }
 
-impl PartitionPolicy {
-    /// Isolates `island` from every other host during `[from, until)`.
-    pub fn new(mut island: Vec<HostId>, from: SimTime, until: SimTime) -> Self {
-        island.sort_unstable();
-        island.dedup();
-        PartitionPolicy {
-            island,
-            from,
-            until,
-        }
-    }
-
-    fn isolated(&self, host: HostId) -> bool {
-        self.island.binary_search(&host).is_ok()
-    }
-
-    fn active(&self, now: SimTime) -> bool {
-        now >= self.from && now < self.until
-    }
-
+impl Partition {
     fn severed(&self, now: SimTime, from: HostId, to: Option<HostId>) -> bool {
-        if !self.active(now) {
+        if now < self.from || now >= self.until {
             return false;
         }
+        let isolated = |host: HostId| self.island.binary_search(&host).is_ok();
         match to {
             // Unicast is cut iff the endpoints sit on opposite sides.
-            Some(to) => self.isolated(from) != self.isolated(to),
+            Some(to) => isolated(from) != isolated(to),
             // A multicast from an isolated host cannot reach the majority.
-            None => self.isolated(from),
+            None => isolated(from),
         }
     }
 }
 
-impl crate::LinkPolicy for PartitionPolicy {
-    fn verdict(
-        &mut self,
-        _op: RpcOp,
-        now: SimTime,
-        from: HostId,
-        to: Option<HostId>,
-        _bytes: u64,
-    ) -> LinkVerdict {
-        if self.severed(now, from, to) {
-            LinkVerdict::Partitioned
-        } else {
-            LinkVerdict::Deliver(SimDuration::ZERO)
-        }
-    }
-}
-
-/// Fail-stop crash times per host: from its crash instant on, a host neither
-/// receives nor sends. The schedule is plain data, so an experiment can apply
-/// the matching kernel-side cleanup (`Cluster::crash_host`) at the same time.
-#[derive(Debug, Clone)]
-pub struct CrashSchedule {
-    crashes: Vec<(HostId, SimTime)>,
-}
-
-impl CrashSchedule {
-    /// Hosts and the times at which they fail-stop.
-    pub fn new(mut crashes: Vec<(HostId, SimTime)>) -> Self {
-        crashes.sort_unstable_by_key(|(h, t)| (*h, *t));
-        crashes.dedup_by_key(|(h, _)| *h);
-        CrashSchedule { crashes }
-    }
-
-    /// True if `host` has crashed by `now`.
-    pub fn crashed(&self, host: HostId, now: SimTime) -> bool {
-        self.crashes
-            .binary_search_by_key(&host, |(h, _)| *h)
-            .map(|i| now >= self.crashes[i].1)
-            .unwrap_or(false)
-    }
-
-    /// The scheduled crashes, sorted by host.
-    pub fn entries(&self) -> &[(HostId, SimTime)] {
-        &self.crashes
-    }
-}
-
-impl crate::LinkPolicy for CrashSchedule {
-    fn verdict(
-        &mut self,
-        _op: RpcOp,
-        now: SimTime,
-        from: HostId,
-        to: Option<HostId>,
-        _bytes: u64,
-    ) -> LinkVerdict {
-        let dead_end = match to {
-            Some(to) => self.crashed(to, now) || self.crashed(from, now),
-            None => self.crashed(from, now),
-        };
-        if dead_end {
-            LinkVerdict::PeerCrashed
-        } else {
-            LinkVerdict::Deliver(SimDuration::ZERO)
-        }
-    }
-}
-
-/// The composite policy behind `experiments --faults seed:rate`: random drops
-/// at `rate`, plus optional partition windows and host crashes. Checked in
-/// severity order — a crashed peer reads as crashed even during a partition.
+/// The fault policy behind `experiments --faults seed:rate` and the chaos
+/// suite: random message loss at `rate`, plus optional partition windows
+/// and fail-stop host crashes. Checked in severity order — a crashed peer
+/// reads as crashed even during a partition. At `rate` 0 with no windows
+/// or crashes it delivers everything, so timing is identical to
+/// [`Ideal`](crate::Ideal); the zero-fault regression gate depends on this.
 #[derive(Debug)]
 pub struct FaultPlan {
     rng: DetRng,
     rate: f64,
-    partitions: Vec<PartitionPolicy>,
-    crashes: CrashSchedule,
+    partitions: Vec<Partition>,
+    /// Each host's crash instant, sorted by host.
+    crashes: Vec<(HostId, SimTime)>,
 }
 
 impl FaultPlan {
@@ -553,47 +404,62 @@ impl FaultPlan {
             rng: DetRng::seed_from(seed),
             rate,
             partitions: Vec::new(),
-            crashes: CrashSchedule::new(Vec::new()),
+            crashes: Vec::new(),
         }
     }
 
-    /// Adds a partition window isolating `island` during `[from, until)`.
-    pub fn with_partition(mut self, island: Vec<HostId>, from: SimTime, until: SimTime) -> Self {
-        self.partitions
-            .push(PartitionPolicy::new(island, from, until));
+    /// Adds a partition window isolating `island` during `[from, until)`:
+    /// messages crossing the cut are refused with
+    /// [`LinkVerdict::Partitioned`]; traffic within either side flows.
+    pub fn with_partition(
+        mut self,
+        mut island: Vec<HostId>,
+        from: SimTime,
+        until: SimTime,
+    ) -> Self {
+        island.sort_unstable();
+        island.dedup();
+        self.partitions.push(Partition {
+            island,
+            from,
+            until,
+        });
         self
     }
 
-    /// Adds a fail-stop crash of `host` at `at`.
+    /// Adds a fail-stop crash of `host` at `at`: from then on the host
+    /// neither receives nor sends. A host crashes once, at its earliest
+    /// scheduled instant.
     pub fn with_crash(mut self, host: HostId, at: SimTime) -> Self {
-        let mut entries = self.crashes.entries().to_vec();
-        entries.push((host, at));
-        self.crashes = CrashSchedule::new(entries);
+        self.crashes.push((host, at));
+        self.crashes.sort_unstable_by_key(|(h, t)| (*h, *t));
+        self.crashes.dedup_by_key(|(h, _)| *h);
         self
     }
 
-    /// The crash schedule, so the driving experiment can apply kernel-side
-    /// crash semantics at the same simulated instants.
-    pub fn crash_schedule(&self) -> &CrashSchedule {
+    /// The scheduled crashes, sorted by host, so the driving experiment can
+    /// apply kernel-side crash semantics (`Cluster::crash_host`) at the
+    /// same simulated instants.
+    pub fn crashes(&self) -> &[(HostId, SimTime)] {
         &self.crashes
+    }
+
+    fn crashed(&self, host: HostId, now: SimTime) -> bool {
+        self.crashes
+            .binary_search_by_key(&host, |(h, _)| *h)
+            .is_ok_and(|i| now >= self.crashes[i].1)
     }
 }
 
 impl crate::LinkPolicy for FaultPlan {
     fn verdict(
         &mut self,
-        op: RpcOp,
+        _op: RpcOp,
         now: SimTime,
         from: HostId,
         to: Option<HostId>,
-        bytes: u64,
     ) -> LinkVerdict {
-        let _ = (op, bytes);
-        let dead = match to {
-            Some(to) => self.crashes.crashed(to, now) || self.crashes.crashed(from, now),
-            None => self.crashes.crashed(from, now),
-        };
-        if dead {
+        if self.crashed(from, now) || to.is_some_and(|to| self.crashed(to, now)) {
             return LinkVerdict::PeerCrashed;
         }
         if self.partitions.iter().any(|p| p.severed(now, from, to)) {
@@ -602,7 +468,7 @@ impl crate::LinkPolicy for FaultPlan {
         if self.rng.chance(self.rate) {
             LinkVerdict::Drop
         } else {
-            LinkVerdict::Deliver(SimDuration::ZERO)
+            LinkVerdict::Deliver
         }
     }
 }
@@ -625,25 +491,26 @@ mod tests {
         assert_eq!(backoff_after(40), RETRY_BACKOFF_CAP);
     }
 
+    fn verdict(p: &mut FaultPlan, now: SimTime, from: u32, to: u32) -> LinkVerdict {
+        p.verdict(RpcOp::FsOpen, now, h(from), Some(h(to)))
+    }
+
     #[test]
-    fn drop_policy_rate_zero_never_drops() {
-        let mut p = DropPolicy::new(7, 0.0);
+    fn fault_plan_rate_zero_never_drops() {
+        let mut p = FaultPlan::new(7, 0.0);
         for _ in 0..1000 {
-            assert_eq!(
-                p.verdict(RpcOp::FsOpen, SimTime::ZERO, h(0), Some(h(1)), 64),
-                LinkVerdict::Deliver(SimDuration::ZERO)
-            );
+            assert_eq!(verdict(&mut p, SimTime::ZERO, 0, 1), LinkVerdict::Deliver);
         }
     }
 
     #[test]
-    fn drop_policy_is_replayable_from_its_seed() {
-        let mut a = DropPolicy::new(42, 0.3);
-        let mut b = DropPolicy::new(42, 0.3);
+    fn fault_plan_is_replayable_from_its_seed() {
+        let mut a = FaultPlan::new(42, 0.3);
+        let mut b = FaultPlan::new(42, 0.3);
         for _ in 0..500 {
             assert_eq!(
-                a.verdict(RpcOp::FsOpen, SimTime::ZERO, h(0), Some(h(1)), 64),
-                b.verdict(RpcOp::FsOpen, SimTime::ZERO, h(0), Some(h(1)), 64)
+                verdict(&mut a, SimTime::ZERO, 0, 1),
+                verdict(&mut b, SimTime::ZERO, 0, 1)
             );
         }
     }
@@ -652,56 +519,47 @@ mod tests {
     fn partition_cuts_only_across_the_island_boundary() {
         let w0 = SimTime::from_micros(1_000);
         let w1 = SimTime::from_micros(2_000);
-        let mut p = PartitionPolicy::new(vec![h(2), h(3)], w0, w1);
+        let mut p = FaultPlan::new(1, 0.0).with_partition(vec![h(3), h(2), h(3)], w0, w1);
         let inside = SimTime::from_micros(1_500);
         // Across the cut, both directions.
-        assert_eq!(
-            p.verdict(RpcOp::FsOpen, inside, h(0), Some(h(2)), 64),
-            LinkVerdict::Partitioned
-        );
-        assert_eq!(
-            p.verdict(RpcOp::FsOpen, inside, h(3), Some(h(1)), 64),
-            LinkVerdict::Partitioned
-        );
+        assert_eq!(verdict(&mut p, inside, 0, 2), LinkVerdict::Partitioned);
+        assert_eq!(verdict(&mut p, inside, 3, 1), LinkVerdict::Partitioned);
         // Within one side.
-        assert_eq!(
-            p.verdict(RpcOp::FsOpen, inside, h(2), Some(h(3)), 64),
-            LinkVerdict::Deliver(SimDuration::ZERO)
-        );
-        assert_eq!(
-            p.verdict(RpcOp::FsOpen, inside, h(0), Some(h(1)), 64),
-            LinkVerdict::Deliver(SimDuration::ZERO)
-        );
+        assert_eq!(verdict(&mut p, inside, 2, 3), LinkVerdict::Deliver);
+        assert_eq!(verdict(&mut p, inside, 0, 1), LinkVerdict::Deliver);
         // Outside the window everything flows.
+        assert_eq!(verdict(&mut p, SimTime::ZERO, 0, 2), LinkVerdict::Deliver);
+        assert_eq!(verdict(&mut p, w1, 0, 2), LinkVerdict::Deliver);
+        // A multicast is cut only when its sender is on the island.
         assert_eq!(
-            p.verdict(RpcOp::FsOpen, SimTime::ZERO, h(0), Some(h(2)), 64),
-            LinkVerdict::Deliver(SimDuration::ZERO)
+            p.verdict(RpcOp::HostselMulticast, inside, h(2), None),
+            LinkVerdict::Partitioned
         );
         assert_eq!(
-            p.verdict(RpcOp::FsOpen, w1, h(0), Some(h(2)), 64),
-            LinkVerdict::Deliver(SimDuration::ZERO)
+            p.verdict(RpcOp::HostselMulticast, inside, h(0), None),
+            LinkVerdict::Deliver
         );
     }
 
     #[test]
-    fn crash_schedule_is_fail_stop_from_the_crash_instant() {
+    fn crashes_are_fail_stop_from_the_crash_instant() {
         let t = SimTime::from_micros(5_000);
-        let mut c = CrashSchedule::new(vec![(h(1), t)]);
-        assert_eq!(
-            c.verdict(RpcOp::FsOpen, SimTime::ZERO, h(0), Some(h(1)), 64),
-            LinkVerdict::Deliver(SimDuration::ZERO)
-        );
-        assert_eq!(
-            c.verdict(RpcOp::FsOpen, t, h(0), Some(h(1)), 64),
-            LinkVerdict::PeerCrashed
-        );
+        let later = SimTime::from_micros(9_000);
+        let mut c = FaultPlan::new(1, 0.0)
+            .with_crash(h(4), later)
+            .with_crash(h(1), later)
+            .with_crash(h(1), t);
+        // Sorted by host; a host crashes at its earliest instant.
+        assert_eq!(c.crashes(), &[(h(1), t), (h(4), later)]);
+        assert_eq!(verdict(&mut c, SimTime::ZERO, 0, 1), LinkVerdict::Deliver);
+        assert_eq!(verdict(&mut c, t, 0, 1), LinkVerdict::PeerCrashed);
         // The dead host cannot send either.
+        assert_eq!(verdict(&mut c, t, 1, 0), LinkVerdict::PeerCrashed);
         assert_eq!(
-            c.verdict(RpcOp::FsOpen, t, h(1), Some(h(0)), 64),
+            c.verdict(RpcOp::HostselMulticast, t, h(1), None),
             LinkVerdict::PeerCrashed
         );
-        assert!(c.crashed(h(1), t));
-        assert!(!c.crashed(h(0), t));
+        assert_eq!(verdict(&mut c, t, 0, 4), LinkVerdict::Deliver);
     }
 
     #[test]
@@ -710,19 +568,10 @@ mod tests {
         let mut plan = FaultPlan::new(9, 1.0)
             .with_partition(vec![h(2)], SimTime::ZERO, SimTime::from_micros(10_000))
             .with_crash(h(3), SimTime::ZERO);
-        assert_eq!(
-            plan.verdict(RpcOp::FsOpen, t, h(0), Some(h(3)), 64),
-            LinkVerdict::PeerCrashed
-        );
-        assert_eq!(
-            plan.verdict(RpcOp::FsOpen, t, h(0), Some(h(2)), 64),
-            LinkVerdict::Partitioned
-        );
+        assert_eq!(verdict(&mut plan, t, 0, 3), LinkVerdict::PeerCrashed);
+        assert_eq!(verdict(&mut plan, t, 0, 2), LinkVerdict::Partitioned);
         // rate 1.0: everything else drops.
-        assert_eq!(
-            plan.verdict(RpcOp::FsOpen, t, h(0), Some(h(1)), 64),
-            LinkVerdict::Drop
-        );
+        assert_eq!(verdict(&mut plan, t, 0, 1), LinkVerdict::Drop);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`sim`] | `sprite-sim` | simulated clock, event engine, RNG, statistics |
-//! | [`net`] | `sprite-net` | shared Ethernet, RPC transport, cost model |
+//! | [`net`] | `sprite-net` | shared Ethernet and the RPC transport over it, fault plan, cost model |
 //! | [`fs`] | `sprite-fs` | distributed FS: servers, caches, streams, pseudo-devices |
 //! | [`vm`] | `sprite-vm` | address spaces, demand paging, VM transfer strategies |
 //! | [`kernel`] | `sprite-kernel` | processes, kernel calls, the cluster |
@@ -55,7 +55,8 @@ pub mod sim {
     pub use sprite_sim::*;
 }
 
-/// Network and cost model (re-export of `sprite-net`).
+/// Shared wire, RPC transport, fault plan and cost model (re-export of
+/// `sprite-net`).
 pub mod net {
     pub use sprite_net::*;
 }
