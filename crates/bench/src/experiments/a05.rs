@@ -2,15 +2,17 @@
 //!
 //! The related-work baseline (Smith/Ioannidis \[SI89\], Alonso/Kyrimis
 //! \[AK88\], Condor's batch model \[LLM88\]): dump the image to a file, start a
-//! fresh process elsewhere, read it back. Costs roughly twice the image in
-//! server traffic and — the thesis's real objection — breaks transparency:
-//! new PID, severed family, dropped descriptors.
+//! fresh process elsewhere, read it back. Measured with
+//! [`checkpoint_move`], the same checkpoint mechanism F2 and the benchmark
+//! measure. It costs at least twice the image in server traffic and — the
+//! thesis's real objection — breaks transparency: new PID, severed family,
+//! dropped descriptors.
 
-use sprite_core::checkpoint_restart;
+use sprite_core::checkpoint_move;
 use sprite_fs::{OpenMode, SpritePath};
-use sprite_net::PAGE_SIZE;
+use sprite_kernel::{Cluster, ProcessId};
 use sprite_sim::SimDuration;
-use sprite_vm::{SegmentKind, VirtAddr};
+use sprite_vm::{CkptStrategy, SegmentKind, VirtAddr};
 
 use crate::support::{h, pages_for_mb, secs, standard_cluster, standard_migrator, TableWriter};
 
@@ -39,7 +41,7 @@ pub fn run(sizes_mb: &[f64]) -> Vec<AlternativeRow> {
         let mut migrator = standard_migrator(5);
         let pages = pages_for_mb(mb);
         let dirty = vec![0x5cu8; (mb * 1024.0 * 1024.0) as usize];
-        let make = |cluster: &mut sprite_kernel::Cluster, t, tag: usize| {
+        let make = |cluster: &mut Cluster, t, tag: usize| {
             let (pid, t) = cluster
                 .spawn(t, h(1), &SpritePath::new("/bin/sim"), pages, 8)
                 .expect("spawn");
@@ -68,16 +70,24 @@ pub fn run(sizes_mb: &[f64]) -> Vec<AlternativeRow> {
         let (a, t) = make(&mut cluster, t, 0);
         let (b, t) = make(&mut cluster, t, 1);
         let real = migrator.migrate(&mut cluster, t, a, h(2)).expect("migrate");
-        let ckpt = checkpoint_restart(&mut cluster, real.resumed_at, b, h(3)).expect("ckpt");
+        let fds = |cluster: &Cluster, pid: ProcessId| cluster.pcb(pid).unwrap().open_fds().count();
+        let fds_before = fds(&cluster, b);
+        let ckpt = checkpoint_move(
+            &mut cluster,
+            real.resumed_at,
+            b,
+            h(3),
+            CkptStrategy::FullImage,
+        )
+        .expect("ckpt");
         rows.push(AlternativeRow {
             image_mb: mb,
             migration: real.total_time,
             checkpoint: ckpt.total_time,
             ratio: ckpt.total_time.as_secs_f64() / real.total_time.as_secs_f64(),
-            descriptors_lost: ckpt.descriptors_lost,
+            descriptors_lost: fds_before - fds(&cluster, ckpt.new_pid),
             pid_preserved: ckpt.new_pid == b,
         });
-        let _ = PAGE_SIZE;
     }
     rows
 }
@@ -108,7 +118,10 @@ pub fn table() -> String {
     }
     t.note("checkpoint/restart ships the image through the server twice and boots a");
     t.note("fresh process — and 'migration' this way loses the PID, the parent and");
-    t.note("every open descriptor (the thesis's 'restricted' migration, Ch. 2.2)");
+    t.note("every open descriptor (the thesis's 'restricted' migration, Ch. 2.2);");
+    t.note("each 4,105-byte page record (tag, index, page) straddles two 4 KB blocks,");
+    t.note("so the dump and the restore each pay two block RPCs per page, whatever");
+    t.note("the image size");
     t.render()
 }
 

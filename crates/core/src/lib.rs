@@ -3,10 +3,14 @@
 //!
 //! [`Migrator`] implements the full migration protocol (negotiate, freeze,
 //! per-module state transfer, commit, resume) over the kernel, file-system,
-//! VM and network substrates; [`Migrator::exec_migrate`] implements the
-//! cheap exec-time path Sprite steers most remote execution through; and
-//! [`Migrator::evict_all`] implements the eviction that reclaims a
-//! workstation for its returning owner.
+//! VM and network substrates, one implementation per phase.
+//! [`Migrator::migrate`] moves a running process with its memory;
+//! [`Migrator::exec_migrate`] runs the same phases without the VM transfer,
+//! the cheap exec-time path Sprite steers most remote execution through;
+//! and [`Migrator::evict_all`] migrates every guest home to reclaim a
+//! workstation for its returning owner. [`checkpoint_move`] and
+//! [`restart_from_image`] are the one checkpoint/restart path, the
+//! alternative [`preferred_mechanism`] weighs against migration.
 //!
 //! Transparency is the design requirement: after any sequence of
 //! migrations a process keeps its PID, its open files and their access
@@ -16,11 +20,9 @@
 
 #![warn(missing_docs)]
 
-mod checkpoint;
 mod protocol;
 mod reclaim;
 
-pub use checkpoint::{checkpoint_restart, CheckpointReport};
 pub use protocol::{
     MigrationConfig, MigrationError, MigrationReport, MigrationResult, MigrationTotals, Migrator,
     PhaseBreakdown, EVICTION_RETRY_LIMIT,
@@ -211,6 +213,25 @@ mod tests {
             m.migrate(&mut c, t, pid, h(2)),
             Err(MigrationError::TargetRefused(_))
         ));
+        // The owner's own process coming home is no guest: with the owner
+        // at the home console, both kinds of migration home succeed.
+        let away = m.migrate(&mut c, t, pid, h(3)).unwrap();
+        c.host_mut(h(1)).console_active = true;
+        let home = m.migrate(&mut c, away.resumed_at, pid, h(1)).unwrap();
+        assert_eq!(c.pcb(pid).unwrap().current, h(1));
+        let away = m.migrate(&mut c, home.resumed_at, pid, h(3)).unwrap();
+        m.exec_migrate(
+            &mut c,
+            away.resumed_at,
+            pid,
+            h(1),
+            &SpritePath::new("/bin/sim"),
+            16,
+            4,
+        )
+        .unwrap();
+        assert_eq!(c.pcb(pid).unwrap().current, h(1));
+        assert_eq!(m.totals().failures, 1);
     }
 
     #[test]

@@ -22,12 +22,20 @@
 //! 5. **commit** — the kernels atomically rebind the process to the target,
 //!    and the home kernel's forwarding entry is updated so signals and
 //!    location-dependent calls keep working.
-//! 6. **resume** — the target thaws the process.
+//! 6. **resume** — the target thaws the process; a best-effort notice tells
+//!    the home kernel when neither endpoint is home.
 //!
-//! Exec-time migration ([`Migrator::exec_migrate`]) short-circuits step 4's
-//! VM transfer entirely: the old image is discarded and the new program
-//! demand-pages on the target, which is why Sprite steers most migrations
-//! through `exec` (Ch. 4.2.1).
+//! Each phase has one implementation, a private `Migrator` helper, and the
+//! entry points are straight-line sequences of those helpers.
+//! [`Migrator::migrate`] adds the VM transfer to step 4 and the context
+//! switch to step 6. Exec-time migration ([`Migrator::exec_migrate`])
+//! skips the VM transfer entirely: the old image is discarded at the commit
+//! and the new program demand-pages on the target, which is why Sprite
+//! steers most migrations through `exec` (Ch. 4.2.1). A failure before the
+//! commit leaves the process runnable at the source; an exec that fails
+//! after it kills the process, whose old image is gone. Eviction
+//! ([`Migrator::evict_all`], [`Migrator::evict_all_reselecting`]) is a
+//! migration home (Ch. 8.3) that retries a transient loss.
 
 use sprite_fs::{FsError, SpritePath, StreamId};
 use sprite_kernel::{Cluster, KernelError, ProcessId};
@@ -49,8 +57,6 @@ pub struct MigrationConfig {
     pub vm_strategy: VmStrategy,
     /// Workload assumptions for the VM transfer.
     pub transfer_params: TransferParams,
-    /// Refuse to migrate onto a host whose owner is at the console.
-    pub respect_console: bool,
 }
 
 impl Default for MigrationConfig {
@@ -58,13 +64,14 @@ impl Default for MigrationConfig {
         MigrationConfig {
             vm_strategy: VmStrategy::SpriteFlush,
             transfer_params: TransferParams::default(),
-            respect_console: true,
         }
     }
 }
 
-/// Why a migration failed. Failures leave the process runnable at the
-/// source — migration is all-or-nothing from the process's viewpoint.
+/// Why a migration failed. Failures before the commit leave the process
+/// runnable at the source — migration is all-or-nothing from the process's
+/// viewpoint. Only an exec that fails after an exec-time migration's commit
+/// kills the process, as a failed exec past its point of no return would.
 #[derive(Debug)]
 pub enum MigrationError {
     /// The two kernels implement different migration protocols.
@@ -74,7 +81,8 @@ pub enum MigrationError {
         /// Target host and its version.
         to: (HostId, u32),
     },
-    /// The target declined (owner at console, or capacity policy).
+    /// The target declined (owner at console, or capacity policy). A
+    /// process's own home never refuses it.
     TargetRefused(HostId),
     /// Migrating to the host the process is already on.
     AlreadyThere(ProcessId),
@@ -318,7 +326,9 @@ impl Migrator {
                 "shares writable memory with another process",
             ));
         }
-        if self.config.respect_console && cluster.host(to).console_active {
+        // An owner at the console refuses guests, but not the user's own
+        // process coming back home.
+        if cluster.host(to).console_active && to != pid.home() {
             return Err(MigrationError::TargetRefused(to));
         }
         Ok(from)
@@ -331,23 +341,131 @@ impl Migrator {
         1024 + 256 * pcb.open_fds().count() as u64 + 64 * pcb.pending_signals.len() as u64
     }
 
-    /// Aborts a migration that failed after the freeze point: streams
-    /// already moved to the target come back, the process thaws, and it is
-    /// runnable at the source as though the migration never started —
-    /// "on any error the process keeps running at the source". Returns the
-    /// error so call sites can `return Err(self.abort(...))`.
-    #[expect(clippy::too_many_arguments)]
-    fn abort(
+    /// Validates the move, asks the target to accept the process, and
+    /// freezes it at a safe point. A failure counts once and leaves nothing
+    /// to undo: the process never froze.
+    fn negotiate_and_freeze(
         &mut self,
         cluster: &mut Cluster,
         now: SimTime,
         pid: ProcessId,
-        from: HostId,
         to: HostId,
+    ) -> MigrationResult<Move> {
+        let negotiated = self.validate(cluster, pid, to).and_then(|from| {
+            let d = cluster
+                .net
+                .send(RpcOp::MigrateNegotiate, now, from, to, None)?;
+            Ok((from, d.done))
+        });
+        let (from, frozen_at) = negotiated.inspect_err(|_| self.totals.failures += 1)?;
+        cluster.freeze(pid)?;
+        Ok(Move {
+            pid,
+            from,
+            to,
+            started: now,
+            frozen_at,
+            phases: PhaseBreakdown {
+                negotiate: frozen_at.elapsed_since(now),
+                ..PhaseBreakdown::default()
+            },
+            vm: None,
+            streams_moved: 0,
+            shadows_created: 0,
+        })
+    }
+
+    /// Moves the virtual memory by the configured strategy. The address
+    /// space is taken out of the PCB while the transfer engine works on it,
+    /// then reinstalled — mirroring how Sprite's VM module encapsulated its
+    /// own state independent of the process module. A failed transfer
+    /// leaves every page where it was (see [`sprite_vm::transfer`]), so the
+    /// abort has no VM state to undo.
+    fn transfer_vm(&mut self, cluster: &mut Cluster, mv: &mut Move) -> MigrationResult<SimTime> {
+        let t = mv.frozen_at;
+        let Some(mut space) = cluster.pcb_mut(mv.pid).expect("validated").space.take() else {
+            return Ok(t);
+        };
+        let moved = transfer(
+            &mut space,
+            self.config.vm_strategy,
+            &mut cluster.fs,
+            &mut cluster.net,
+            t,
+            mv.from,
+            mv.to,
+            &self.config.transfer_params,
+        );
+        cluster.pcb_mut(mv.pid).expect("validated").space = Some(space);
+        let report = moved.map_err(|e| self.abort(cluster, t, mv, &[], e.into()))?;
+        mv.phases.virtual_memory = report.resumed_at.elapsed_since(t);
+        mv.vm = Some(report);
+        Ok(report.resumed_at)
+    }
+
+    /// Moves the open streams, one I/O-server update each, then ships the
+    /// process module's own state plus `extra_bytes`. A failed stream
+    /// aborts with the streams moved so far, and a failed state transfer
+    /// aborts with all of them.
+    fn move_streams_and_state(
+        &mut self,
+        cluster: &mut Cluster,
+        mv: &mut Move,
+        start: SimTime,
+        extra_bytes: u64,
+    ) -> MigrationResult<SimTime> {
+        let fds: Vec<StreamId> = cluster
+            .pcb(mv.pid)
+            .expect("validated")
+            .open_fds()
+            .map(|(_, s)| s)
+            .collect();
+        let mut t = start;
+        for (i, &stream) in fds.iter().enumerate() {
+            match cluster
+                .fs
+                .migrate_stream(&mut cluster.net, t, stream, mv.from, mv.to, 1)
+            {
+                Ok((outcome, t2)) => {
+                    mv.shadows_created += u64::from(outcome.shadowed);
+                    t = t2;
+                }
+                Err(e) => return Err(self.abort(cluster, t, mv, &fds[..i], e.into())),
+            }
+        }
+        mv.phases.streams = t.elapsed_since(start);
+        mv.streams_moved = fds.len() as u64;
+
+        let state_start = t;
+        let bytes = Self::process_state_bytes(cluster, mv.pid) + extra_bytes;
+        let pack = cluster.net.cost().process_state_pack;
+        let t = match cluster
+            .net
+            .stream_bulk(RpcOp::MigrateState, t + pack, mv.from, mv.to, bytes)
+        {
+            Ok(d) => d.done + pack,
+            Err(e) => return Err(self.abort(cluster, t, mv, &fds, e.into())),
+        };
+        mv.phases.process_state = t.elapsed_since(state_start);
+        Ok(t)
+    }
+
+    /// Aborts a migration that failed after the freeze point: streams
+    /// already moved to the target come back, the process thaws, and it is
+    /// runnable at the source as though the migration never started —
+    /// "on any error the process keeps running at the source". The undo
+    /// starts when the failed send gave up (`now` if no send failed).
+    /// Returns the error so call sites can `return Err(self.abort(...))`.
+    fn abort(
+        &mut self,
+        cluster: &mut Cluster,
+        now: SimTime,
+        mv: &Move,
         moved_streams: &[StreamId],
         err: MigrationError,
     ) -> MigrationError {
-        let mut t = now;
+        let Move { pid, from, to, .. } = *mv;
+        let mut t = err.rpc_failure().map_or(now, RpcError::at);
         for stream in moved_streams {
             // Moving a stream back crosses the same faulty network. If the
             // undo is lost too, the I/O server keeps the target-side open
@@ -378,6 +496,56 @@ impl Migrator {
         err
     }
 
+    /// Commits the move: the local atomic rebind (which updates the home
+    /// kernel's forwarding pointer with it), the thaw, and then the
+    /// commit notice to the home kernel when neither endpoint is home. A
+    /// lost notice only delays the home kernel's bookkeeping, so it is
+    /// best-effort.
+    fn commit(cluster: &mut Cluster, mv: &Move, t: SimTime) -> MigrationResult<SimTime> {
+        let Move { pid, from, to, .. } = *mv;
+        cluster.relocate(pid, to)?;
+        cluster.thaw(pid)?;
+        let home = pid.home();
+        if to == home || from == home {
+            return Ok(t);
+        }
+        match cluster.net.send(RpcOp::MigrateCommit, t, to, home, None) {
+            Ok(d) => Ok(d.done),
+            Err(e) => {
+                let t = e.at();
+                cluster.trace.record(t, "fault", || {
+                    format!("{pid} commit notify to {home} lost: {e}")
+                });
+                Ok(t)
+            }
+        }
+    }
+
+    /// Counts the finished move and builds its report. The process ran
+    /// during pre-copy rounds, so only the final round (plus everything
+    /// after it) counts as frozen.
+    fn finish(&mut self, mv: Move, t: SimTime) -> MigrationReport {
+        let ran = mv
+            .vm
+            .as_ref()
+            .map_or(SimDuration::ZERO, |r| r.total_time - r.freeze_time);
+        let freeze_time = t.elapsed_since(mv.frozen_at) - ran;
+        self.totals.migrations += 1;
+        self.totals.total_freeze += freeze_time;
+        MigrationReport {
+            pid: mv.pid,
+            from: mv.from,
+            to: mv.to,
+            freeze_time,
+            total_time: t.elapsed_since(mv.started),
+            phases: mv.phases,
+            vm: mv.vm,
+            streams_moved: mv.streams_moved,
+            shadows_created: mv.shadows_created,
+            resumed_at: t,
+        }
+    }
+
     /// Migrates `pid` to `to`, moving its entire execution state.
     ///
     /// # Errors
@@ -391,123 +559,9 @@ impl Migrator {
         pid: ProcessId,
         to: HostId,
     ) -> MigrationResult<MigrationReport> {
-        let from = match self.validate(cluster, pid, to) {
-            Ok(f) => f,
-            Err(e) => {
-                self.totals.failures += 1;
-                return Err(e);
-            }
-        };
-        let mut phases = PhaseBreakdown::default();
-
-        // Phase 1: negotiation — will the target take it? A transport
-        // failure here costs nothing to undo: the process never froze.
-        let t = match cluster
-            .net
-            .send(RpcOp::MigrateNegotiate, now, from, to, None)
-        {
-            Ok(d) => d.done,
-            Err(e) => {
-                self.totals.failures += 1;
-                return Err(e.into());
-            }
-        };
-        phases.negotiate = t.elapsed_since(now);
-
-        // Phase 2: freeze at a safe point. From here on, every failure
-        // goes through [`Migrator::abort`] so the process thaws runnable
-        // at the source.
-        cluster.freeze(pid)?;
-        let frozen_at = t;
-
-        // Phase 3: virtual memory, by the configured strategy. The address
-        // space is taken out of the PCB while the transfer engine works on
-        // it, then reinstalled — mirroring how Sprite's VM module
-        // encapsulated its own state independent of the process module. A
-        // failed transfer leaves every page where it was (see
-        // [`sprite_vm::transfer`]), so the abort has no VM state to undo.
-        let space = cluster.pcb_mut(pid).expect("validated").space.take();
-        let (vm_report, t) = match space {
-            Some(mut sp) => {
-                let r = transfer(
-                    &mut sp,
-                    self.config.vm_strategy,
-                    &mut cluster.fs,
-                    &mut cluster.net,
-                    t,
-                    from,
-                    to,
-                    &self.config.transfer_params,
-                );
-                cluster.pcb_mut(pid).expect("validated").space = Some(sp);
-                match r {
-                    Ok(r) => {
-                        let done = r.resumed_at;
-                        (Some(r), done)
-                    }
-                    Err(e) => {
-                        let at = match &e {
-                            FsError::Rpc(rpc) => rpc.at(),
-                            _ => t,
-                        };
-                        return Err(self.abort(cluster, at, pid, from, to, &[], e.into()));
-                    }
-                }
-            }
-            None => (None, t),
-        };
-        phases.virtual_memory = t.elapsed_since(frozen_at);
-
-        // Phase 4: open streams, one I/O-server update each. On failure,
-        // streams that already moved come back in the abort.
-        let fds: Vec<_> = cluster
-            .pcb(pid)
-            .expect("validated")
-            .open_fds()
-            .map(|(_, s)| s)
-            .collect();
-        let streams_start = t;
-        let mut t = t;
-        let mut shadows = 0u64;
-        let mut moved: Vec<StreamId> = Vec::new();
-        for stream in &fds {
-            match cluster
-                .fs
-                .migrate_stream(&mut cluster.net, t, *stream, from, to, 1)
-            {
-                Ok((outcome, t2)) => {
-                    if outcome.shadowed {
-                        shadows += 1;
-                    }
-                    t = t2;
-                    moved.push(*stream);
-                }
-                Err(e) => {
-                    let at = match &e {
-                        FsError::Rpc(rpc) => rpc.at(),
-                        _ => t,
-                    };
-                    return Err(self.abort(cluster, at, pid, from, to, &moved, e.into()));
-                }
-            }
-        }
-        phases.streams = t.elapsed_since(streams_start);
-
-        // Phase 5: the process module's own state.
-        let state_start = t;
-        let bytes = Self::process_state_bytes(cluster, pid);
-        let pack = cluster.net.cost().process_state_pack;
-        let t = match cluster
-            .net
-            .stream_bulk(RpcOp::MigrateState, t + pack, from, to, bytes)
-        {
-            Ok(d) => d.done + pack,
-            Err(e) => {
-                let at = e.at();
-                return Err(self.abort(cluster, at, pid, from, to, &fds, e.into()));
-            }
-        };
-        phases.process_state = t.elapsed_since(state_start);
+        let mut mv = self.negotiate_and_freeze(cluster, now, pid, to)?;
+        let t = self.transfer_vm(cluster, &mut mv)?;
+        let t = self.move_streams_and_state(cluster, &mut mv, t, 0)?;
 
         // A move across hardware classes pays a kernel-state translation
         // surcharge before the process may resume: machine-dependent state
@@ -520,61 +574,31 @@ impl Migrator {
             .space
             .as_ref()
             .map_or(0, |s| s.resident_pages());
-        let t = t + cluster.translation_surcharge(from, to, resident);
+        let commit_start = t + cluster.translation_surcharge(mv.from, to, resident);
+        let t = Self::commit(cluster, &mv, commit_start)? + cluster.net.cost().context_switch;
+        mv.phases.commit = t.elapsed_since(commit_start);
 
-        // Phase 6: commit — rebind the process, tell the home kernel, resume.
-        // Relocation is the local atomic rebind (it updates the home
-        // kernel's forwarding pointer with it); a lost commit notification
-        // only delays the home kernel's bookkeeping, so it is best-effort.
-        let commit_start = t;
-        cluster.relocate(pid, to)?;
-        let home = pid.home();
-        let mut t = t;
-        if to != home && from != home {
-            // Neither endpoint is the home kernel; it learns by RPC.
-            match cluster.net.send(RpcOp::MigrateCommit, t, to, home, None) {
-                Ok(d) => t = d.done,
-                Err(e) => {
-                    t = e.at();
-                    cluster.trace.record(t, "fault", || {
-                        format!("{pid} commit notify to {home} lost: {e}")
-                    });
-                }
-            }
-        }
-        t += cluster.net.cost().context_switch;
-        cluster.thaw(pid)?;
-        phases.commit = t.elapsed_since(commit_start);
-
-        let freeze_time = match &vm_report {
-            // The process ran during pre-copy rounds; only the final round
-            // (plus everything after it) counts as frozen.
-            Some(r) => t.elapsed_since(frozen_at) - (r.total_time - r.freeze_time),
-            None => t.elapsed_since(frozen_at),
-        };
-        self.totals.migrations += 1;
-        self.totals.total_freeze += freeze_time;
+        let report = self.finish(mv, t);
         cluster.trace.record(t, "migrate", || {
-            format!("{pid} migrated {from} -> {to} (froze {freeze_time})")
+            format!(
+                "{pid} migrated {} -> {to} (froze {})",
+                report.from, report.freeze_time
+            )
         });
-        Ok(MigrationReport {
-            pid,
-            from,
-            to,
-            freeze_time,
-            total_time: t.elapsed_since(now),
-            phases,
-            vm: vm_report,
-            streams_moved: fds.len() as u64,
-            shadows_created: shadows,
-            resumed_at: t,
-        })
+        Ok(report)
     }
 
     /// Exec-time migration: replace the image with `program` *on another
     /// host*. "If migration occurs during an exec, the new address space is
     /// created on the destination machine so there is no virtual memory to
     /// transfer" (Ch. 4.2.1).
+    ///
+    /// # Errors
+    ///
+    /// See [`MigrationError`]. A failure before the commit leaves the
+    /// process running its old image at the source. Past the commit the old
+    /// image is gone, so an exec that then fails kills the process, as a
+    /// failed exec past its point of no return does on any Unix.
     #[expect(clippy::too_many_arguments)]
     pub fn exec_migrate(
         &mut self,
@@ -586,184 +610,59 @@ impl Migrator {
         heap_pages: u64,
         stack_pages: u64,
     ) -> MigrationResult<MigrationReport> {
-        let from = match self.validate(cluster, pid, to) {
-            Ok(f) => f,
+        let mut mv = self.negotiate_and_freeze(cluster, now, pid, to)?;
+        // The old image is kept until the streams and process state have
+        // safely crossed: the exec has not happened yet, so an aborted
+        // exec-migration must leave the process able to keep running (and
+        // exec locally) at the source. Streams survive exec (modulo
+        // close-on-exec, not modelled) and must follow the process; the
+        // state carries the exec arguments and environment.
+        let frozen_at = mv.frozen_at;
+        let t = self.move_streams_and_state(cluster, &mut mv, frozen_at, EXEC_ARGS_BYTES)?;
+
+        // The point of no return: discard the image, rebind, resume on
+        // the target, where the exec itself now runs.
+        let commit_start = t;
+        cluster.pcb_mut(pid).expect("validated").space = None;
+        let t = Self::commit(cluster, &mv, t)?;
+        let t = match cluster.exec(t, pid, program, heap_pages, stack_pages) {
+            Ok(t) => t,
             Err(e) => {
+                let e = MigrationError::from(e);
+                let at = e.rpc_failure().map_or(t, RpcError::at);
+                // Exit is fail-stop local: the process dies here whatever
+                // the network does, with the status a crash kill uses.
+                let _ = cluster.exit(at, pid, 128 + 9);
                 self.totals.failures += 1;
                 return Err(e);
             }
         };
-        let mut phases = PhaseBreakdown::default();
-        let t = match cluster
-            .net
-            .send(RpcOp::MigrateNegotiate, now, from, to, None)
-        {
-            Ok(d) => d.done,
-            Err(e) => {
-                self.totals.failures += 1;
-                return Err(e.into());
-            }
-        };
-        phases.negotiate = t.elapsed_since(now);
-        cluster.freeze(pid)?;
-        let frozen_at = t;
+        mv.phases.commit = t.elapsed_since(commit_start);
 
-        // The old image is kept until the streams and process state have
-        // safely crossed: the exec has not happened yet, so an aborted
-        // exec-migration must leave the process able to keep running (and
-        // exec locally) at the source. Discarding it here used to make
-        // mid-protocol faults unrecoverable.
-        phases.virtual_memory = SimDuration::ZERO;
-
-        // Streams survive exec (modulo close-on-exec, not modelled) and
-        // must follow the process.
-        let fds: Vec<_> = cluster
-            .pcb(pid)
-            .expect("validated")
-            .open_fds()
-            .map(|(_, s)| s)
-            .collect();
-        let mut t = t;
-        let mut shadows = 0u64;
-        let mut moved: Vec<StreamId> = Vec::new();
-        for stream in &fds {
-            match cluster
-                .fs
-                .migrate_stream(&mut cluster.net, t, *stream, from, to, 1)
-            {
-                Ok((outcome, t2)) => {
-                    if outcome.shadowed {
-                        shadows += 1;
-                    }
-                    t = t2;
-                    moved.push(*stream);
-                }
-                Err(e) => {
-                    let at = match &e {
-                        FsError::Rpc(rpc) => rpc.at(),
-                        _ => t,
-                    };
-                    return Err(self.abort(cluster, at, pid, from, to, &moved, e.into()));
-                }
-            }
-        }
-        phases.streams = t.elapsed_since(frozen_at);
-
-        let state_start = t;
-        let bytes = Self::process_state_bytes(cluster, pid) + 2048; // plus exec arguments/environment
-        let pack = cluster.net.cost().process_state_pack;
-        let t = match cluster
-            .net
-            .stream_bulk(RpcOp::MigrateState, t + pack, from, to, bytes)
-        {
-            Ok(d) => d.done + pack,
-            Err(e) => {
-                let at = e.at();
-                return Err(self.abort(cluster, at, pid, from, to, &fds, e.into()));
-            }
-        };
-        phases.process_state = t.elapsed_since(state_start);
-
-        // The point of no return: discard the image, rebind, resume on
-        // the target. The commit notification is best-effort, as in
-        // [`Migrator::migrate`].
-        let commit_start = t;
-        cluster.pcb_mut(pid).expect("validated").space = None;
-        cluster.relocate(pid, to)?;
-        cluster.thaw(pid)?;
-        let home = pid.home();
-        let mut t = t;
-        if to != home && from != home {
-            match cluster.net.send(RpcOp::MigrateCommit, t, to, home, None) {
-                Ok(d) => t = d.done,
-                Err(e) => {
-                    t = e.at();
-                    cluster.trace.record(t, "fault", || {
-                        format!("{pid} commit notify to {home} lost: {e}")
-                    });
-                }
-            }
-        }
-        // The exec itself now runs on the target host.
-        let t = match cluster.exec(t, pid, program, heap_pages, stack_pages) {
-            Ok(t) => t,
-            Err(e) => {
-                // Post-commit: the process is already rebound to the
-                // target; a failed exec surfaces like a local exec failure
-                // there, with the process alive and imageless.
-                self.totals.failures += 1;
-                return Err(e.into());
-            }
-        };
-        phases.commit = t.elapsed_since(commit_start);
-
-        let freeze_time = t.elapsed_since(frozen_at);
-        self.totals.migrations += 1;
+        let report = self.finish(mv, t);
         self.totals.exec_migrations += 1;
-        self.totals.total_freeze += freeze_time;
         cluster.trace.record(t, "migrate", || {
-            format!("{pid} exec-migrated {from} -> {to} running {program}")
+            format!(
+                "{pid} exec-migrated {} -> {to} running {program}",
+                report.from
+            )
         });
-        Ok(MigrationReport {
-            pid,
-            from,
-            to,
-            freeze_time,
-            total_time: t.elapsed_since(now),
-            phases,
-            vm: None,
-            streams_moved: fds.len() as u64,
-            shadows_created: shadows,
-            resumed_at: t,
-        })
+        Ok(report)
     }
 
     /// Evicts every foreign process from `host`, migrating each back to its
     /// home machine — what happens when a workstation's owner returns
     /// (Ch. 8.3). Returns the individual reports; the host is foreign-free
-    /// afterwards.
+    /// afterwards. This is [`Migrator::evict_all_reselecting`] with no
+    /// candidates.
     pub fn evict_all(
         &mut self,
         cluster: &mut Cluster,
         now: SimTime,
         host: HostId,
     ) -> MigrationResult<Vec<MigrationReport>> {
-        let foreign: Vec<_> = cluster.foreign_on(host).collect();
-        let mut reports = Vec::with_capacity(foreign.len());
-        let mut t = now;
-        for pid in foreign {
-            let home = pid.home();
-            let mut attempts = 0u32;
-            let report = loop {
-                // Eviction must succeed even if the owner is at the home
-                // console — it is the user's own process coming back.
-                let respect = std::mem::replace(&mut self.config.respect_console, false);
-                let r = self.migrate(cluster, t, pid, home);
-                self.config.respect_console = respect;
-                match r {
-                    Ok(report) => break report,
-                    Err(e) => {
-                        attempts += 1;
-                        // Transient losses retry (the abort already rolled
-                        // the process back to runnable here); persistent
-                        // faults and non-transport errors surface.
-                        if attempts >= EVICTION_RETRY_LIMIT || !e.is_transient() {
-                            return Err(e);
-                        }
-                        if let Some(rpc) = e.rpc_failure() {
-                            t = rpc.at();
-                        }
-                        cluster.trace.record(t, "fault", || {
-                            format!("eviction of {pid} retrying after {e}")
-                        });
-                    }
-                }
-            };
-            t = report.resumed_at;
-            self.totals.evictions += 1;
-            reports.push(report);
-        }
-        Ok(reports)
+        self.evict_all_reselecting(cluster, now, host, &[])
+            .map(|(reports, _)| reports)
     }
 
     /// Eviction with re-selection: instead of sending every evicted process
@@ -774,9 +673,12 @@ impl Migrator {
     /// the home machine (Ch. 8.3).
     ///
     /// `candidates` is the eviction-time pick order (typically from the
-    /// host-selection facility); hosts that refuse (console active, version
-    /// skew) are skipped. Returns the reports plus how many processes found
-    /// a new foreign host rather than going home.
+    /// host-selection facility), shared by all the evicted processes in
+    /// turn; hosts that refuse (console active, version skew) are skipped.
+    /// The trip home retries a transient loss up to
+    /// [`EVICTION_RETRY_LIMIT`] times, and is accepted even with the owner
+    /// at the home console. Returns the reports plus how many processes
+    /// found a new foreign host rather than going home.
     pub fn evict_all_reselecting(
         &mut self,
         cluster: &mut Cluster,
@@ -788,12 +690,10 @@ impl Migrator {
         let mut reports = Vec::with_capacity(foreign.len());
         let mut resettled = 0usize;
         let mut t = now;
-        let mut next_candidate = 0usize;
+        let mut candidates = candidates.iter().copied();
         for pid in foreign {
             let mut placed = None;
-            while next_candidate < candidates.len() {
-                let target = candidates[next_candidate];
-                next_candidate += 1;
+            for target in candidates.by_ref() {
                 if target == host || target == pid.home() {
                     continue;
                 }
@@ -803,16 +703,13 @@ impl Migrator {
                         break;
                     }
                     Err(MigrationError::TargetRefused(_))
-                    | Err(MigrationError::VersionMismatch { .. }) => continue,
+                    | Err(MigrationError::VersionMismatch { .. }) => {}
                     // A candidate behind a lossy or severed link is as
                     // useless as one that refused; try the next.
-                    Err(e) if e.rpc_failure().is_some() => {
-                        if let Some(rpc) = e.rpc_failure() {
-                            t = rpc.at();
-                        }
-                        continue;
-                    }
-                    Err(other) => return Err(other),
+                    Err(e) => match e.rpc_failure() {
+                        Some(rpc) => t = rpc.at(),
+                        None => return Err(e),
+                    },
                 }
             }
             let report = match placed {
@@ -820,12 +717,7 @@ impl Migrator {
                     resettled += 1;
                     r
                 }
-                None => {
-                    let respect = std::mem::replace(&mut self.config.respect_console, false);
-                    let r = self.migrate(cluster, t, pid, pid.home());
-                    self.config.respect_console = respect;
-                    r?
-                }
+                None => self.migrate_home(cluster, t, pid)?,
             };
             t = report.resumed_at;
             self.totals.evictions += 1;
@@ -833,4 +725,51 @@ impl Migrator {
         }
         Ok((reports, resettled))
     }
+
+    /// Migrates `pid` home for an eviction. The owner wants the
+    /// workstation back, so a transient loss (the abort already rolled the
+    /// process back to runnable here) retries from when it gave up;
+    /// persistent faults and non-transport errors surface.
+    fn migrate_home(
+        &mut self,
+        cluster: &mut Cluster,
+        mut t: SimTime,
+        pid: ProcessId,
+    ) -> MigrationResult<MigrationReport> {
+        let mut attempts = 0u32;
+        loop {
+            let e = match self.migrate(cluster, t, pid, pid.home()) {
+                Ok(report) => return Ok(report),
+                Err(e) => e,
+            };
+            attempts += 1;
+            if attempts >= EVICTION_RETRY_LIMIT || !e.is_transient() {
+                return Err(e);
+            }
+            if let Some(rpc) = e.rpc_failure() {
+                t = rpc.at();
+            }
+            cluster.trace.record(t, "fault", || {
+                format!("eviction of {pid} retrying after {e}")
+            });
+        }
+    }
+}
+
+/// Bytes of exec arguments and environment that ride along with the
+/// process state of an exec-time migration.
+const EXEC_ARGS_BYTES: u64 = 2048;
+
+/// One migration in flight: who moves where, when it started and froze,
+/// and what each phase has cost and moved so far.
+struct Move {
+    pid: ProcessId,
+    from: HostId,
+    to: HostId,
+    started: SimTime,
+    frozen_at: SimTime,
+    phases: PhaseBreakdown,
+    vm: Option<TransferReport>,
+    streams_moved: u64,
+    shadows_created: u64,
 }

@@ -213,34 +213,11 @@ pub fn checkpoint_move(
 
     // The image is durable: the original's job is done. From here the
     // computation's only embodiment is the image (plus the replacement
-    // being built from it) — the same loss of identity the a05 baseline
-    // measures, but with typed, shard-routed I/O underneath.
+    // being built from it): a new PID and home, no parent and no
+    // descriptors, the thesis's "restricted" migration (Ch. 2.2).
     let t = cluster.exit(t, pid, 0)?;
-    let (new_pid, t) = cluster.spawn(t, to, &program, heap_pages, stack_pages)?;
-    let mut fresh = cluster
-        .pcb_mut(new_pid)
-        .expect("just spawned")
-        .space
-        .take()
-        .expect("spawned with a space");
-    let restored = restore(&mut fresh, &mut cluster.fs, &mut cluster.net, t, to, &path);
-    let restore_report = match restored {
-        Ok(r) => {
-            cluster.pcb_mut(new_pid).expect("spawned").space = Some(fresh);
-            r
-        }
-        Err(e) => {
-            // The replacement may be half-restored: it must never run.
-            // Discard it; the image stays for a retry after the fault.
-            let at = match &e {
-                CkptError::Fs(fs) => fs_err_at(fs, t),
-                CkptError::Corrupt { .. } => t,
-            };
-            cluster.pcb_mut(new_pid).expect("spawned").space = Some(fresh);
-            let _ = cluster.exit(at, new_pid, 1);
-            return Err(ckpt_err_into(new_pid, e));
-        }
-    };
+    let (new_pid, restore_report) =
+        restart_from_image(cluster, t, to, &program, heap_pages, stack_pages, &path)?;
     let t = restore_report.resumed_at
         + cluster.translation_surcharge(from, to, restore_report.pages_restored);
 
@@ -308,6 +285,7 @@ pub fn restart_from_image(
 mod tests {
     use super::*;
     use sprite_fs::OpenMode;
+    use sprite_kernel::ProcState;
     use sprite_net::{CostModel, PAGE_SIZE};
     use sprite_vm::VirtAddr;
 
@@ -351,9 +329,10 @@ mod tests {
     #[test]
     fn checkpoint_move_transfers_memory_and_cleans_up() {
         let (mut c, t) = setup();
-        let (pid, t) = c
+        let (parent, t) = c
             .spawn(t, h(1), &SpritePath::new("/bin/sim"), 16, 4)
             .unwrap();
+        let (pid, t) = c.fork(t, parent).unwrap();
         let mut sp = c.pcb_mut(pid).unwrap().space.take().unwrap();
         let t = sp
             .write(
@@ -366,11 +345,15 @@ mod tests {
             )
             .unwrap();
         c.pcb_mut(pid).unwrap().space = Some(sp);
+        c.fs.create(&mut c.net, t, h(1), SpritePath::new("/doomed"))
+            .unwrap();
+        let (_, t) = c
+            .open_fd(t, pid, SpritePath::new("/doomed"), OpenMode::ReadWrite)
+            .unwrap();
 
         let report = checkpoint_move(&mut c, t, pid, h(2), CkptStrategy::FullImage).unwrap();
         assert_eq!(report.from, h(1));
         assert_eq!(report.to, h(2));
-        assert_ne!(report.new_pid, pid);
         let mut sp = c.pcb_mut(report.new_pid).unwrap().space.take().unwrap();
         let (mem, _) = sp
             .read(
@@ -395,6 +378,15 @@ mod tests {
                 OpenMode::Read
             )
             .is_err());
+        // But everything the thesis calls "transparency" broke: a new PID
+        // and home, no parent, no descriptors, and the original is a
+        // zombie its parent will reap, never to run again.
+        assert_ne!(report.new_pid, pid);
+        assert_ne!(report.new_pid.home(), pid.home());
+        let replacement = c.pcb(report.new_pid).unwrap();
+        assert!(replacement.parent.is_none());
+        assert_eq!(replacement.open_fds().count(), 0);
+        assert_eq!(c.pcb(pid).map(|p| p.state), Some(ProcState::Zombie));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Offline CI gate for the Sprite migration reproduction.
 #
-#   scripts/ci.sh          # full gate: build, tests, clippy, rustdoc, smokes, chaos suite, heavy model suites, fmt, perfbench runs, core_ops, engine_throughput, bench
-#   scripts/ci.sh --quick  # build, tests (perfbench's too), clippy, rustdoc and the experiment smokes
+#   scripts/ci.sh          # full gate: build, tests, clippy, rustdoc, smokes, examples, chaos suite, heavy model suites, fmt, perfbench runs, core_ops, engine_throughput, bench
+#   scripts/ci.sh --quick  # build, tests (perfbench's too), clippy, rustdoc, the experiment smokes and the examples
 #
 # Everything runs offline: the workspace has zero external dependencies, so
 # no network access (and no pre-populated registry cache) is required.
@@ -115,6 +115,20 @@ if ! grep -q 'migration takes over at mtbf' "$sweep_tmp/f02_1.txt"; then
     echo "FAIL: f02 smoke grid reported no crossover" >&2
     exit 1
 fi
+
+echo "==> examples (build and run each)"
+# `cargo test` only builds the six examples. They drive migrate,
+# exec_migrate (through pmake and the month drive) and evict_all end to
+# end and `?`/`expect` every step, so running them (about 0.1 s together)
+# fails the gate when any step errors.
+cargo build --release --examples
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    if ! "target/release/examples/$name" > /dev/null; then
+        echo "FAIL: example $name exited non-zero" >&2
+        exit 1
+    fi
+done
 
 if [[ "$quick" == 1 ]]; then
     echo "==> quick gate OK (skipped chaos suite, heavy model suites, fmt, perfbench runs, core_ops, engine_throughput, bench_check)"

@@ -1,0 +1,317 @@
+//! One fault at every send attempt of every migration entry point.
+//!
+//! Each entry point first runs on a clean link, which counts its send
+//! attempts `N`. Then, for every `n` in `0..N`, it runs again with one
+//! fault injected at attempt `n`: a timeout (every retry of that send
+//! lost), a partition, or a crashed peer. Every case must leave the
+//! cluster in a state the paper's recovery semantics allow (Ch. 3.6), and
+//! the whole table folds into one pinned digest per entry point, so a
+//! change in how any single case ends moves that entry point's pin.
+
+use std::cell::Cell;
+use std::rc::Rc;
+
+use sprite::fs::{OpenMode, SpritePath, StreamId};
+use sprite::kernel::{Cluster, ProcState, ProcessId};
+use sprite::migration::{checkpoint_move, MigrationConfig, MigrationTotals, Migrator};
+use sprite::net::{
+    CostModel, HostId, LinkPolicy, LinkVerdict, RpcOp, MAX_SEND_ATTEMPTS, PAGE_SIZE,
+};
+use sprite::sim::{SimTime, StateDigest};
+use sprite::vm::{CkptStrategy, SegmentKind, VirtAddr};
+
+fn h(i: u32) -> HostId {
+    HostId::new(i)
+}
+
+fn program() -> SpritePath {
+    SpritePath::new("/bin/app")
+}
+
+/// The single fault a case injects.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// `MAX_SEND_ATTEMPTS` drops in a row: the send times out.
+    Timeout,
+    /// One attempt lands across a partition.
+    Partitioned,
+    /// One attempt finds its peer crashed.
+    Crashed,
+}
+
+const FAULTS: [Fault; 3] = [Fault::Timeout, Fault::Partitioned, Fault::Crashed];
+
+/// Counts every send attempt through a counter the test keeps, and rules
+/// `fault` on attempt `at` (on `at..at + MAX_SEND_ATTEMPTS` for a timeout).
+#[derive(Debug)]
+struct OneFault {
+    attempts: Rc<Cell<u32>>,
+    fault: Option<(u32, Fault)>,
+}
+
+impl LinkPolicy for OneFault {
+    fn verdict(&mut self, _: RpcOp, _: SimTime, _: HostId, _: Option<HostId>) -> LinkVerdict {
+        let n = self.attempts.get();
+        self.attempts.set(n + 1);
+        match self.fault {
+            Some((at, Fault::Timeout)) if (at..at + MAX_SEND_ATTEMPTS).contains(&n) => {
+                LinkVerdict::Drop
+            }
+            Some((at, Fault::Partitioned)) if n == at => LinkVerdict::Partitioned,
+            Some((at, Fault::Crashed)) if n == at => LinkVerdict::PeerCrashed,
+            _ => LinkVerdict::Deliver,
+        }
+    }
+}
+
+/// The entry points under test. `Migrate`, `ExecMigrate` and
+/// `CheckpointMove` move the process homed on host 1 from home to host 5;
+/// the evictions empty host 3, where both processes are guests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Entry {
+    Migrate,
+    ExecMigrate,
+    EvictAll,
+    EvictReselecting,
+    CheckpointMove,
+}
+
+impl Entry {
+    fn evicts(self) -> bool {
+        matches!(self, Entry::EvictAll | Entry::EvictReselecting)
+    }
+}
+
+struct World {
+    c: Cluster,
+    m: Migrator,
+    t: SimTime,
+    pids: [ProcessId; 2],
+}
+
+/// Six hosts and a file server on host 0. Two processes, homed on hosts 1
+/// and 2, each with 3 dirty heap pages and one open read-write file with a
+/// dirty cached block, which the stream transfer flushes. For
+/// the evictions both first migrate to host 3, whose owner then returns;
+/// host 4's owner is at the console, so host 4 refuses as a candidate.
+fn world(entry: Entry) -> World {
+    let mut c = Cluster::new(CostModel::sun3(), 6);
+    c.add_file_server(h(0), SpritePath::new("/"));
+    let mut t = c
+        .install_program(SimTime::ZERO, program(), 24 * 1024)
+        .unwrap();
+    let mut m = Migrator::new(MigrationConfig::default(), 6);
+    let mut pids = Vec::new();
+    for home in [1, 2] {
+        let (pid, t1) = c.spawn(t, h(home), &program(), 16, 4).unwrap();
+        let mut sp = c.pcb_mut(pid).unwrap().space.take().unwrap();
+        let dirty = vec![home as u8; 3 * PAGE_SIZE as usize];
+        let t2 = sp
+            .write(
+                &mut c.fs,
+                &mut c.net,
+                t1,
+                h(home),
+                VirtAddr::new(SegmentKind::Heap, 0),
+                &dirty,
+            )
+            .unwrap();
+        c.pcb_mut(pid).unwrap().space = Some(sp);
+        let path = SpritePath::new(format!("/data/{home}"));
+        let (_, t3) = c.fs.create(&mut c.net, t2, h(home), path.clone()).unwrap();
+        let (fd, t4) = c.open_fd(t3, pid, path, OpenMode::ReadWrite).unwrap();
+        t = c.write_fd(t4, pid, fd, b"dirty block").unwrap();
+        pids.push(pid);
+    }
+    if entry.evicts() {
+        for &pid in &pids {
+            t = m.migrate(&mut c, t, pid, h(3)).unwrap().resumed_at;
+        }
+        c.host_mut(h(3)).console_active = true;
+        c.host_mut(h(4)).console_active = true;
+    }
+    World {
+        c,
+        m,
+        t,
+        pids: [pids[0], pids[1]],
+    }
+}
+
+/// Runs `entry` once: the `resumed_at` of each move it made, or its error.
+fn run(entry: Entry, w: &mut World) -> Result<Vec<SimTime>, String> {
+    let World { c, m, t, pids } = w;
+    let (c, t, pid) = (c, *t, pids[0]);
+    match entry {
+        Entry::Migrate => m.migrate(c, t, pid, h(5)).map(|r| vec![r.resumed_at]),
+        Entry::ExecMigrate => m
+            .exec_migrate(c, t, pid, h(5), &program(), 16, 4)
+            .map(|r| vec![r.resumed_at]),
+        Entry::EvictAll => m
+            .evict_all(c, t, h(3))
+            .map(|rs| rs.iter().map(|r| r.resumed_at).collect()),
+        Entry::EvictReselecting => m
+            .evict_all_reselecting(c, t, h(3), &[h(4), h(5)])
+            .map(|(rs, _)| rs.iter().map(|r| r.resumed_at).collect()),
+        Entry::CheckpointMove => {
+            checkpoint_move(c, t, pid, h(5), CkptStrategy::FullImage).map(|r| vec![r.resumed_at])
+        }
+    }
+    .map_err(|e| e.to_string())
+}
+
+/// Every live process is `Active`, has an address space, and is resident
+/// on exactly one host, the one its PCB names.
+fn check_live_processes(c: &Cluster, case: &str) {
+    for p in c.processes().filter(|p| p.state != ProcState::Zombie) {
+        assert_eq!(p.state, ProcState::Active, "{case}: {} not active", p.pid);
+        assert!(p.space.is_some(), "{case}: {} has no address space", p.pid);
+        let on: Vec<usize> = (0..c.host_count())
+            .filter(|&i| c.host(h(i as u32)).resident().contains(&p.pid))
+            .collect();
+        assert_eq!(on, vec![p.current.index()], "{case}: {} residency", p.pid);
+    }
+}
+
+/// The moving process and the failure count before the call, which a
+/// failed `migrate` or `exec_migrate` is checked against.
+struct Before {
+    from: HostId,
+    migrations: u32,
+    streams: Vec<StreamId>,
+    failures: u64,
+}
+
+/// A failed `migrate` or `exec_migrate` counts one failure, and one that
+/// failed before its commit left the process at the source, holding its
+/// streams there. `migrate` has no step after its commit that can fail.
+fn check_single_move(
+    entry: Entry,
+    w: &World,
+    before: &Before,
+    result: &Result<Vec<SimTime>, String>,
+    case: &str,
+) {
+    let failures = w.m.totals().failures - before.failures;
+    assert_eq!(failures, u64::from(result.is_err()), "{case}: failures");
+    if result.is_ok() {
+        return;
+    }
+    let pcb = w.c.pcb(w.pids[0]);
+    let committed = pcb.is_none_or(|p| p.migrations > before.migrations);
+    assert!(
+        !(committed && entry == Entry::Migrate),
+        "{case}: failed after commit"
+    );
+    if committed {
+        return;
+    }
+    let p = pcb.unwrap();
+    assert_eq!(p.current, before.from, "{case}: not at the source");
+    for &stream in &before.streams {
+        let refs = w.c.fs.streams().get(stream).unwrap().refs_on(before.from);
+        assert!(refs >= 1, "{case}: stream {stream:?} lost its source ref");
+    }
+}
+
+/// Runs one case: returns the number of attempts the run made and folds
+/// its outcome into `d`.
+fn case(entry: Entry, fault: Option<(u32, Fault)>, d: &mut StateDigest) -> u32 {
+    let label = format!("{entry:?} {fault:?}");
+    let mut w = world(entry);
+    let pcb = w.c.pcb(w.pids[0]).unwrap();
+    let before = Before {
+        from: pcb.current,
+        migrations: pcb.migrations,
+        streams: pcb.open_fds().map(|(_, s)| s).collect(),
+        failures: w.m.totals().failures,
+    };
+    let attempts = Rc::new(Cell::new(0));
+    w.c.net.set_policy(Box::new(OneFault {
+        attempts: Rc::clone(&attempts),
+        fault,
+    }));
+    let result = run(entry, &mut w);
+
+    check_live_processes(&w.c, &label);
+    if matches!(entry, Entry::Migrate | Entry::ExecMigrate) {
+        check_single_move(entry, &w, &before, &result, &label);
+    }
+    // Eviction retries a transient loss, so one lost send never leaves a
+    // guest behind on the owner's workstation.
+    if entry.evicts() && matches!(fault, None | Some((_, Fault::Timeout))) {
+        assert!(result.is_ok(), "{label}: {result:?}");
+        assert_eq!(w.c.foreign_on(h(3)).count(), 0, "{label}: guests left");
+    }
+
+    match &result {
+        Ok(resumed) => {
+            d.write_usize(resumed.len());
+            for t in resumed {
+                d.write_u64(t.as_micros());
+            }
+        }
+        Err(e) => d.write_str(e),
+    }
+    let MigrationTotals {
+        migrations,
+        exec_migrations,
+        evictions,
+        failures,
+        aborts,
+        total_freeze,
+    } = w.m.totals();
+    for v in [
+        migrations,
+        exec_migrations,
+        evictions,
+        failures,
+        aborts,
+        total_freeze.as_micros(),
+    ] {
+        d.write_u64(v);
+    }
+    d.write_u64(w.c.digest());
+    attempts.get()
+}
+
+/// Runs an entry point's whole table: the clean run, then every fault at
+/// every attempt. Returns the clean run's attempt count and the digest.
+fn table(entry: Entry) -> (u32, u64) {
+    let mut d = StateDigest::new();
+    let n = case(entry, None, &mut d);
+    for at in 0..n {
+        for fault in FAULTS {
+            case(entry, Some((at, fault)), &mut d);
+        }
+    }
+    (n, d.finish())
+}
+
+/// Each entry point's clean attempt count and the digest of its table.
+/// A change that alters how any case ends re-pins its entry point here
+/// and says why in CHANGES.md.
+const PINS: [(Entry, u32, u64); 5] = [
+    (Entry::Migrate, 7, 0x1785_d890_b74f_e67b),
+    // Attempts 4-8 are the exec's own I/O on the target, after the
+    // commit: a fault there kills the process, whose old image is gone.
+    (Entry::ExecMigrate, 9, 0x11b3_3368_30fe_9379),
+    (Entry::EvictAll, 6, 0x71bf_ef65_2c25_68ca),
+    // Attempts 0-3 move the first guest to host 5 (host 4 refuses);
+    // 4-6 are the second guest's trip home, which retries a timeout.
+    (Entry::EvictReselecting, 7, 0xa052_a2be_61cc_0440),
+    (Entry::CheckpointMove, 27, 0xd2ae_c9d6_dd87_9be3),
+];
+
+#[test]
+fn one_fault_at_every_send_attempt_of_every_entry_point() {
+    let moved: Vec<String> = PINS
+        .iter()
+        .filter_map(|&(entry, pinned_n, pinned)| {
+            let (n, digest) = table(entry);
+            ((n, digest) != (pinned_n, pinned))
+                .then(|| format!("{entry:?}: {n} attempts, digest {digest:#018x}"))
+        })
+        .collect();
+    assert!(moved.is_empty(), "moved pins:\n{}", moved.join("\n"));
+}
