@@ -119,9 +119,9 @@ pub fn table() -> String {
     t.note("checkpoint/restart ships the image through the server twice and boots a");
     t.note("fresh process — and 'migration' this way loses the PID, the parent and");
     t.note("every open descriptor (the thesis's 'restricted' migration, Ch. 2.2);");
-    t.note("each 4,105-byte page record (tag, index, page) straddles two 4 KB blocks,");
-    t.note("so the dump and the restore each pay two block RPCs per page, whatever");
-    t.note("the image size");
+    t.note("the image is block-aligned (index blocks, then one block per page), so");
+    t.note("the dump and the restore each make one block RPC per page: 2.2x at every");
+    t.note("size");
     t.render()
 }
 

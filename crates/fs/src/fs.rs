@@ -1263,19 +1263,25 @@ impl SpriteFs {
 
     // ----- checkpoint images ---------------------------------------------------
 
-    /// Writes one checkpoint record at the stream's access position,
-    /// charged as [`RpcOp::CkptWrite`]. Same block mechanics as an
-    /// uncacheable [`SpriteFs::write`] — checkpoint streams are sequential
-    /// bulk the client will never re-read, so they bypass the client cache
-    /// — but typed so `--rpc-table` breaks checkpoint traffic out from
-    /// regular file writes.
-    pub fn ckpt_write(
+    /// Writes `frame` as the next whole block of a checkpoint image, the
+    /// first block boundary at or after the stream's access position, and
+    /// moves the stream to the boundary after it. One
+    /// [`RpcOp::CkptWrite`] carries the block, sized by the frame, and the
+    /// server stores the frame itself, so no bytes are copied. Checkpoint
+    /// streams are sequential bulk the client never re-reads, so they
+    /// bypass the client cache; the op is typed so `--rpc-table` breaks
+    /// checkpoint traffic out from regular file writes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is longer than one block.
+    pub fn ckpt_write_block(
         &mut self,
         net: &mut Transport,
         now: SimTime,
         host: HostId,
         stream: StreamId,
-        bytes: &[u8],
+        frame: &Frame,
     ) -> FsResult<SimTime> {
         let (file, server, mode, kind, _, offset) = self.stream_info(stream, host)?;
         if !mode.writes() {
@@ -1284,54 +1290,45 @@ impl SpriteFs {
         if matches!(kind, FileKind::Pseudo { .. }) {
             return Err(FsError::WrongKind(file));
         }
-        let mut t = now + net.cost().local_kernel_call;
-        let end = offset + bytes.len() as u64;
-        let mut pos = offset;
-        while pos < end {
-            let block = pos / PAGE_SIZE;
-            let block_start = block * PAGE_SIZE;
-            let within = (pos - block_start) as usize;
-            let upto = ((end - block_start).min(PAGE_SIZE)) as usize;
-            let chunk = &bytes[(pos - offset) as usize..(pos - offset) as usize + (upto - within)];
-            let extra = net.cost().cache_block_op;
-            t = self.charge_sized(
-                net,
-                RpcOp::CkptWrite,
-                t,
-                host,
-                server,
-                chunk.len() as u64 + CONTROL_BYTES,
-                CONTROL_BYTES,
-                extra,
-            )?;
-            let srv = self.srv_mut(server);
-            srv.touch_block(file, block);
-            if let Some(f) = srv.file_mut(file) {
-                f.write_at(block_start + within as u64, chunk);
-            }
-            pos = block_start + upto as u64;
+        let len = frame.len() as u64;
+        assert!(len <= PAGE_SIZE, "a checkpoint block holds at most a page");
+        let block = offset.div_ceil(PAGE_SIZE);
+        let extra = net.cost().cache_block_op;
+        let t = self.charge_sized(
+            net,
+            RpcOp::CkptWrite,
+            now + net.cost().local_kernel_call,
+            host,
+            server,
+            len + CONTROL_BYTES,
+            CONTROL_BYTES,
+            extra,
+        )?;
+        let srv = self.srv_mut(server);
+        srv.touch_block(file, block);
+        if let Some(f) = srv.file_mut(file) {
+            f.put_frame(block, Frame::clone(frame));
         }
-        let n = bytes.len() as u64;
-        if let Some(s) = self.streams.get_mut(stream) {
-            s.advance(n);
-        }
-        self.stats.bytes_written += n;
+        self.end_ckpt_block(stream, block);
+        self.stats.bytes_written += len;
         Ok(t)
     }
 
-    /// Reads up to `len` bytes of a checkpoint image at the stream's
-    /// access position during restart-elsewhere, charged as
-    /// [`RpcOp::CkptRestore`]. Uncached for the same reason as
-    /// [`SpriteFs::ckpt_write`]; a short read means the image ends early
-    /// (e.g. a checkpoint died mid-write) and the caller must discard it.
-    pub fn ckpt_read(
+    /// Reads the next whole block of a checkpoint image during
+    /// restart-elsewhere, the first block boundary at or after the
+    /// stream's access position, and moves the stream to the boundary
+    /// after it. One [`RpcOp::CkptRestore`] carries the block, and the
+    /// reply is the server's stored frame, shared rather than copied; a
+    /// short last block comes back as short as it was written. Returns
+    /// `None`, with no RPC, at or past the end of the file: an image that
+    /// ends early (a checkpoint died mid-write) must be discarded.
+    pub fn ckpt_read_block(
         &mut self,
         net: &mut Transport,
         now: SimTime,
         host: HostId,
         stream: StreamId,
-        len: u64,
-    ) -> FsResult<(Vec<u8>, SimTime)> {
+    ) -> FsResult<(Option<Frame>, SimTime)> {
         let (file, server, mode, kind, _, offset) = self.stream_info(stream, host)?;
         if !mode.reads() {
             return Err(FsError::BadMode(stream));
@@ -1339,32 +1336,26 @@ impl SpriteFs {
         if matches!(kind, FileKind::Pseudo { .. }) {
             return Err(FsError::WrongKind(file));
         }
-        let mut t = now + net.cost().local_kernel_call;
-        let logical = self.server_file_len(server, file);
-        let end = offset.saturating_add(len).min(logical);
-        let mut data = Vec::with_capacity(end.saturating_sub(offset) as usize);
-        let mut pos = offset;
-        while pos < end {
-            let block = pos / PAGE_SIZE;
-            let block_start = block * PAGE_SIZE;
-            let take_from = (pos - block_start) as usize;
-            let take_to = ((end - block_start).min(PAGE_SIZE)) as usize;
-            let extra = net.cost().cache_block_op + self.disk_penalty(net, server, file, block);
-            t = self.charge_typed(net, RpcOp::CkptRestore, t, host, server, extra)?;
-            let want = (take_to - take_from) as u64;
-            if let Some(f) = self.srv(server).file(file) {
-                f.read_into(pos, want, &mut data);
-            }
-            // Zero-fill sparse holes within logical size.
-            data.resize((pos - offset + want) as usize, 0);
-            pos = block_start + take_to as u64;
+        let t = now + net.cost().local_kernel_call;
+        let block = offset.div_ceil(PAGE_SIZE);
+        if block >= self.server_file_len(server, file).div_ceil(PAGE_SIZE) {
+            return Ok((None, t));
         }
-        let n = data.len() as u64;
+        let extra = net.cost().cache_block_op + self.disk_penalty(net, server, file, block);
+        let t = self.charge_typed(net, RpcOp::CkptRestore, t, host, server, extra)?;
+        let frame = self
+            .server_block_frame(server, file, block)
+            .unwrap_or_else(|| Frame::from([]));
+        self.end_ckpt_block(stream, block);
+        self.stats.bytes_read += frame.len() as u64;
+        Ok((Some(frame), t))
+    }
+
+    /// Moves a checkpoint stream to the block boundary after `block`.
+    fn end_ckpt_block(&mut self, stream: StreamId, block: u64) {
         if let Some(s) = self.streams.get_mut(stream) {
-            s.advance(n);
+            s.set_offset((block + 1) * PAGE_SIZE);
         }
-        self.stats.bytes_read += n;
-        Ok((data, t))
     }
 
     // ----- paging (backing files) ---------------------------------------------
@@ -2379,10 +2370,20 @@ mod tests {
                 OpenMode::ReadWrite,
             )
             .unwrap();
-        let t4 = fs.ckpt_write(&mut net, t3, h(1), img, b"abcdef").unwrap();
-        fs.seek(img, 3).unwrap();
-        let (image, _) = fs.ckpt_read(&mut net, t4, h(1), img, u64::MAX).unwrap();
-        assert_eq!(image, b"def");
+        let t4 = fs
+            .ckpt_write_block(&mut net, t3, h(1), img, &Frame::from(&b"abcdef"[..]))
+            .unwrap();
+        // A block read at the last block of the offset range: finding the
+        // block must not overflow, and past the end it finds none, with
+        // no RPC charged.
+        fs.seek(img, u64::MAX).unwrap();
+        let calls = net.rpc_table().get(RpcOp::CkptRestore).calls;
+        let (none, t5) = fs.ckpt_read_block(&mut net, t4, h(1), img).unwrap();
+        assert_eq!(none, None);
+        assert_eq!(net.rpc_table().get(RpcOp::CkptRestore).calls, calls);
+        fs.seek(img, 0).unwrap();
+        let (image, _) = fs.ckpt_read_block(&mut net, t5, h(1), img).unwrap();
+        assert_eq!(image.as_deref(), Some(&b"abcdef"[..]));
     }
 
     /// Host `host`'s cached frame of `file`'s block `block`, under the

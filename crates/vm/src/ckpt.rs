@@ -18,23 +18,40 @@
 //! typed as [`RpcOp::CkptWrite`]/[`RpcOp::CkptRestore`] so `--rpc-table`
 //! accounts for it separately from regular file I/O.
 //!
-//! The image is self-contained *in the simulated file system*: real bytes
-//! with a header, per-page records and a trailer, so a restore can detect
-//! a checkpoint that died mid-write (missing trailer, short record) and
-//! cleanly discard it — the property the chaos suite gates on.
+//! The image is self-contained *in the simulated file system*, laid out
+//! in whole 4 KB blocks, like CRIU's `pagemap` index beside its
+//! page-aligned `pages` image:
+//!
+//! 1. the header (magic, record count, heap and stack sizes, the frozen
+//!    kernel record), then one `(segment tag, page index)` entry per
+//!    captured page, padded to a block boundary;
+//! 2. one block per captured page, in index order;
+//! 3. the trailer block (magic and record count), written last.
+//!
+//! Each block is one [`SpriteFs::ckpt_write_block`] or
+//! [`SpriteFs::ckpt_read_block`] RPC, and the blocks are page frames
+//! moved by reference: the image shares the captured pages' frames and a
+//! restored space shares the image's, so neither side copies a page. A
+//! restore validates the header and every index entry before it reads a
+//! page, and the trailer after the last one, so an image cut short by a
+//! checkpoint that died mid-write (no trailer) or damaged in its header,
+//! index or trailer is discarded, never half-run — the property the chaos
+//! suite gates on.
 //!
 //! [`VmStrategy`]: crate::VmStrategy
 //! [`transfer`]: crate::transfer
 //! [`RpcOp::CkptWrite`]: sprite_net::RpcOp::CkptWrite
 //! [`RpcOp::CkptRestore`]: sprite_net::RpcOp::CkptRestore
+//! [`SpriteFs::ckpt_write_block`]: sprite_fs::SpriteFs::ckpt_write_block
+//! [`SpriteFs::ckpt_read_block`]: sprite_fs::SpriteFs::ckpt_read_block
 
 use std::fmt;
 
-use sprite_fs::{FsError, OpenMode, SpriteFs, SpritePath};
+use sprite_fs::{Frame, FsError, OpenMode, SpriteFs, SpritePath, StreamId};
 use sprite_net::{HostId, Transport, PAGE_SIZE};
 use sprite_sim::{SimDuration, SimTime};
 
-use crate::space::{AddressSpace, SegmentKind};
+use crate::space::{AddressSpace, CkptPage, SegmentKind};
 
 /// How much of the address space a checkpoint captures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,8 +133,30 @@ pub const CKPT_KERNEL_RECORD_BYTES: u64 = 256;
 /// kernel record.
 pub const CKPT_HEADER_BYTES: u64 = 4 + 4 + 8 + 8 + CKPT_KERNEL_RECORD_BYTES;
 
-/// Per-page record length: segment tag + page index + the page bytes.
-const RECORD_BYTES: u64 = 1 + 8 + PAGE_SIZE;
+/// Index entry length: segment tag + page index.
+const INDEX_ENTRY_BYTES: u64 = 1 + 8;
+
+/// Trailer length: magic + record count.
+const TRAILER_BYTES: usize = 4 + 4;
+
+/// Blocks the header and the index of a `pages`-page image fill.
+fn index_blocks(pages: u64) -> u64 {
+    (CKPT_HEADER_BYTES + pages * INDEX_ENTRY_BYTES).div_ceil(PAGE_SIZE)
+}
+
+/// Length of a `pages`-page image: the index blocks, a block per page and
+/// the trailer.
+fn image_bytes(pages: u64) -> u64 {
+    (index_blocks(pages) + pages) * PAGE_SIZE + TRAILER_BYTES as u64
+}
+
+/// The trailer of a `count`-page image: the magic, then the count again.
+fn trailer(count: u32) -> [u8; TRAILER_BYTES] {
+    let mut bytes = [0; TRAILER_BYTES];
+    bytes[..4].copy_from_slice(&TRAILER_MAGIC);
+    bytes[4..].copy_from_slice(&count.to_le_bytes());
+    bytes
+}
 
 /// Descriptor for a written checkpoint image. Everything here is also in
 /// the image header — the descriptor just spares reopeners a header parse.
@@ -130,9 +169,10 @@ pub struct CkptImage {
     pub heap_pages: u64,
     /// Stack segment size of the checkpointed process, in pages.
     pub stack_pages: u64,
-    /// Page records in the image.
+    /// Pages in the image.
     pub pages: u64,
-    /// Total image length in bytes (header + records + trailer).
+    /// Total image length in bytes (index blocks + page blocks +
+    /// trailer).
     pub image_bytes: u64,
     /// When the checkpoint froze the process.
     pub taken_at: SimTime,
@@ -143,7 +183,7 @@ pub struct CkptImage {
 pub struct CkptReport {
     /// The strategy used.
     pub strategy: CkptStrategy,
-    /// Page records written.
+    /// Pages written.
     pub pages_written: u64,
     /// Total bytes written to the image file.
     pub image_bytes: u64,
@@ -157,7 +197,7 @@ pub struct CkptReport {
 /// What one restart-elsewhere cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestoreReport {
-    /// Page records restored into the fresh space.
+    /// Pages restored into the fresh space.
     pub pages_restored: u64,
     /// Bytes read back from the image file.
     pub image_bytes: u64,
@@ -209,41 +249,53 @@ pub fn checkpoint(
         Err(_) => t,
     };
     let (_, t) = fs.create(net, t, host, path.clone())?;
-    let (stream, t) = fs.open(net, t, host, path.clone(), OpenMode::Write)?;
-    let mut header = Vec::with_capacity(CKPT_HEADER_BYTES as usize);
-    header.extend_from_slice(&HEADER_MAGIC);
-    header.extend_from_slice(&(pages.len() as u32).to_le_bytes());
-    header.extend_from_slice(&space.segment(SegmentKind::Heap).page_count().to_le_bytes());
-    header.extend_from_slice(&space.segment(SegmentKind::Stack).page_count().to_le_bytes());
-    header.resize(CKPT_HEADER_BYTES as usize, 0);
-    let mut t = fs.ckpt_write(net, t, host, stream, &header)?;
-    let mut record = Vec::with_capacity(RECORD_BYTES as usize);
-    for p in &pages {
-        record.clear();
-        record.push(seg_tag(p.segment));
-        record.extend_from_slice(&p.page.to_le_bytes());
-        record.extend_from_slice(&p.data);
-        t = fs.ckpt_write(net, t, host, stream, &record)?;
+    let (stream, mut t) = fs.open(net, t, host, path.clone(), OpenMode::Write)?;
+    let count = u32::try_from(pages.len()).expect("a checkpoint captures under 2^32 pages");
+    let heap_pages = space.segment(SegmentKind::Heap).page_count();
+    let stack_pages = space.segment(SegmentKind::Stack).page_count();
+    for block in index(&pages, count, heap_pages, stack_pages).chunks(PAGE_SIZE as usize) {
+        t = fs.ckpt_write_block(net, t, host, stream, &Frame::from(block))?;
     }
-    t = fs.ckpt_write(net, t, host, stream, &TRAILER_MAGIC)?;
+    for p in &pages {
+        t = fs.ckpt_write_block(net, t, host, stream, &p.data)?;
+    }
+    t = fs.ckpt_write_block(net, t, host, stream, &Frame::from(trailer(count)))?;
     let t = fs.close(net, t, host, stream)?;
-    let image_bytes = CKPT_HEADER_BYTES + pages.len() as u64 * RECORD_BYTES + 4;
+    let image_bytes = image_bytes(count.into());
     let image = CkptImage {
         path,
-        heap_pages: space.segment(SegmentKind::Heap).page_count(),
-        stack_pages: space.segment(SegmentKind::Stack).page_count(),
-        pages: pages.len() as u64,
+        heap_pages,
+        stack_pages,
+        pages: count.into(),
         image_bytes,
         taken_at: now,
     };
     let report = CkptReport {
         strategy,
-        pages_written: pages.len() as u64,
+        pages_written: count.into(),
         image_bytes,
         freeze_time: t.elapsed_since(now),
         completed_at: t,
     };
     Ok((image, report))
+}
+
+/// The header and the index of an image of `pages` (`count` of them),
+/// zero-padded to whole blocks.
+fn index(pages: &[CkptPage], count: u32, heap_pages: u64, stack_pages: u64) -> Vec<u8> {
+    let len = (index_blocks(count.into()) * PAGE_SIZE) as usize;
+    let mut index = Vec::with_capacity(len);
+    index.extend_from_slice(&HEADER_MAGIC);
+    index.extend_from_slice(&count.to_le_bytes());
+    index.extend_from_slice(&heap_pages.to_le_bytes());
+    index.extend_from_slice(&stack_pages.to_le_bytes());
+    index.resize(CKPT_HEADER_BYTES as usize, 0);
+    for p in pages {
+        index.push(seg_tag(p.segment));
+        index.extend_from_slice(&p.page.to_le_bytes());
+    }
+    index.resize(len, 0);
+    index
 }
 
 /// Restores a checkpoint image from `path` into `space` — a *fresh*
@@ -252,9 +304,13 @@ pub fn checkpoint(
 ///
 /// Opening `path` routes through the namespace's `ShardGroup` exactly like
 /// any other open: restart-elsewhere needs no knowledge of which server
-/// daemon holds the image. Every record is validated (magic, segment tag,
-/// page range) and the trailer must be present; any mismatch returns
-/// [`CkptError::Corrupt`].
+/// daemon holds the image. The header (magic, segment sizes, a record
+/// count the space can hold) and every index entry (segment tag, page
+/// range, strictly increasing order) are checked before any page is read,
+/// every block must be whole and the trailer must close the image with
+/// the header's record count; any mismatch returns
+/// [`CkptError::Corrupt`]. Each page is installed as the image block's
+/// frame, shared until either side writes.
 ///
 /// # Errors
 ///
@@ -270,77 +326,95 @@ pub fn restore(
     host: HostId,
     path: &SpritePath,
 ) -> CkptResult<RestoreReport> {
-    let (stream, t) = fs.open(net, now, host, path.clone(), OpenMode::Read)?;
-    let (header, mut t) = fs.ckpt_read(net, t, host, stream, CKPT_HEADER_BYTES)?;
-    if header.len() < CKPT_HEADER_BYTES as usize {
-        let _ = fs.close(net, t, host, stream);
-        return Err(CkptError::Corrupt {
-            detail: "short header",
-        });
+    let (stream, mut t) = fs.open(net, now, host, path.clone(), OpenMode::Read)?;
+    match restore_pages(space, fs, net, &mut t, host, stream) {
+        Ok(pages) => {
+            let t = fs.close(net, t, host, stream)?;
+            Ok(RestoreReport {
+                pages_restored: pages,
+                image_bytes: image_bytes(pages),
+                total_time: t.elapsed_since(now),
+                resumed_at: t,
+            })
+        }
+        Err(e @ CkptError::Corrupt { .. }) => {
+            let _ = fs.close(net, t, host, stream);
+            Err(e)
+        }
+        Err(e) => Err(e),
     }
-    if header[0..4] != HEADER_MAGIC {
-        let _ = fs.close(net, t, host, stream);
-        return Err(CkptError::Corrupt {
-            detail: "bad header magic",
-        });
+}
+
+/// Reads the image behind `stream` into `space`, moving `t` past each
+/// block read, and returns the pages restored.
+fn restore_pages(
+    space: &mut AddressSpace,
+    fs: &mut SpriteFs,
+    net: &mut Transport,
+    t: &mut SimTime,
+    host: HostId,
+    stream: StreamId,
+) -> CkptResult<u64> {
+    let next = |fs: &mut SpriteFs, net: &mut Transport, t: &mut SimTime| {
+        let (block, t1) = fs.ckpt_read_block(net, *t, host, stream)?;
+        *t = t1;
+        Ok::<_, CkptError>(block)
+    };
+    let corrupt = |detail| CkptError::Corrupt { detail };
+    let whole = |block: Option<Frame>, detail| {
+        block
+            .filter(|b| b.len() as u64 == PAGE_SIZE)
+            .ok_or(corrupt(detail))
+    };
+    let first = whole(next(fs, net, t)?, "short header")?;
+    if first[0..4] != HEADER_MAGIC {
+        return Err(corrupt("bad header magic"));
     }
-    let count = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as u64;
-    let heap_pages = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-    let stack_pages = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
+    let count = u32::from_le_bytes(first[4..8].try_into().expect("4 bytes"));
+    let pages = u64::from(count);
+    let word = |at: usize| u64::from_le_bytes(first[at..at + 8].try_into().expect("8 bytes"));
+    let (heap_pages, stack_pages) = (word(8), word(16));
     if heap_pages != space.segment(SegmentKind::Heap).page_count()
         || stack_pages != space.segment(SegmentKind::Stack).page_count()
     {
-        let _ = fs.close(net, t, host, stream);
-        return Err(CkptError::Corrupt {
-            detail: "segment sizes do not match the restart space",
-        });
+        return Err(corrupt("segment sizes do not match the restart space"));
     }
-    let mut restored = 0u64;
-    for _ in 0..count {
-        let (record, t1) = fs.ckpt_read(net, t, host, stream, RECORD_BYTES)?;
-        t = t1;
-        if record.len() < RECORD_BYTES as usize {
-            let _ = fs.close(net, t, host, stream);
-            return Err(CkptError::Corrupt {
-                detail: "truncated page record",
-            });
-        }
-        let (segment, limit) = match record[0] {
+    if pages > heap_pages + stack_pages {
+        return Err(corrupt("more pages than the restart space holds"));
+    }
+    let mut index = vec![first];
+    for _ in 1..index_blocks(pages) {
+        index.push(whole(next(fs, net, t)?, "truncated index")?);
+    }
+    let byte = |at: u64| index[(at / PAGE_SIZE) as usize][(at % PAGE_SIZE) as usize];
+    let mut entries: Vec<(SegmentKind, u64)> = Vec::with_capacity(pages as usize);
+    for i in 0..pages {
+        let at = CKPT_HEADER_BYTES + i * INDEX_ENTRY_BYTES;
+        let (segment, limit) = match byte(at) {
             1 => (SegmentKind::Heap, heap_pages),
             2 => (SegmentKind::Stack, stack_pages),
-            _ => {
-                let _ = fs.close(net, t, host, stream);
-                return Err(CkptError::Corrupt {
-                    detail: "bad segment tag",
-                });
-            }
+            _ => return Err(corrupt("bad segment tag")),
         };
-        let page = u64::from_le_bytes(record[1..9].try_into().expect("8 bytes"));
+        let page = u64::from_le_bytes(std::array::from_fn(|k| byte(at + 1 + k as u64)));
         if page >= limit {
-            let _ = fs.close(net, t, host, stream);
-            return Err(CkptError::Corrupt {
-                detail: "page index out of range",
-            });
+            return Err(corrupt("page index out of range"));
         }
-        let addr = crate::VirtAddr::new(segment, page * PAGE_SIZE);
-        t = space.write(fs, net, t, host, addr, &record[9..])?;
-        restored += 1;
+        if entries
+            .last()
+            .is_some_and(|&(s, p)| (seg_tag(s), p) >= (seg_tag(segment), page))
+        {
+            return Err(corrupt("index out of order"));
+        }
+        entries.push((segment, page));
     }
-    let (trailer, t1) = fs.ckpt_read(net, t, host, stream, 4)?;
-    t = t1;
-    if trailer != TRAILER_MAGIC {
-        let _ = fs.close(net, t, host, stream);
-        return Err(CkptError::Corrupt {
-            detail: "missing trailer (checkpoint died mid-write)",
-        });
+    for (segment, page) in entries {
+        let frame = whole(next(fs, net, t)?, "truncated page block")?;
+        *t = space.install_page(fs, net, *t, host, segment, page, frame)?;
     }
-    let t = fs.close(net, t, host, stream)?;
-    Ok(RestoreReport {
-        pages_restored: restored,
-        image_bytes: CKPT_HEADER_BYTES + count * RECORD_BYTES + 4,
-        total_time: t.elapsed_since(now),
-        resumed_at: t,
-    })
+    if next(fs, net, t)?.as_deref() != Some(&trailer(count)[..]) {
+        return Err(corrupt("missing trailer (checkpoint died mid-write)"));
+    }
+    Ok(pages)
 }
 
 #[cfg(test)]
@@ -432,24 +506,116 @@ mod tests {
         }
     }
 
+    /// A space on host 1 whose first `pages` heap pages each hold one byte
+    /// value, and the time the writes finished.
+    fn written_space(
+        fs: &mut SpriteFs,
+        net: &mut Transport,
+        tag: &str,
+        pages: u64,
+    ) -> (AddressSpace, SimTime) {
+        let (prog, t) = fs
+            .create(
+                net,
+                SimTime::ZERO,
+                h(1),
+                SpritePath::new(format!("/bin/{tag}")),
+            )
+            .unwrap();
+        let (mut s, mut t) =
+            AddressSpace::create(fs, net, t, h(1), tag, prog, 4, pages + 16, 8).unwrap();
+        for page in 0..pages {
+            let a = VirtAddr::new(SegmentKind::Heap, page * PAGE_SIZE);
+            t = s
+                .write(fs, net, t, h(1), a, &[page as u8; PAGE_SIZE as usize])
+                .unwrap();
+        }
+        (s, t)
+    }
+
+    /// A fresh space on `host` shaped like `written_space(.., pages)`.
+    fn fresh_space(
+        fs: &mut SpriteFs,
+        net: &mut Transport,
+        t: SimTime,
+        host: HostId,
+        tag: &str,
+        pages: u64,
+    ) -> (AddressSpace, SimTime) {
+        let (prog, t) = fs
+            .create(net, t, host, SpritePath::new(format!("/bin/{tag}")))
+            .unwrap();
+        AddressSpace::create(fs, net, t, host, tag, prog, 4, pages + 16, 8).unwrap()
+    }
+
+    /// The frames of `s`'s dirty pages, in index order.
+    fn dirty_frames(
+        s: &mut AddressSpace,
+        fs: &mut SpriteFs,
+        net: &mut Transport,
+        t: SimTime,
+    ) -> Vec<Frame> {
+        let (pages, _) = s.ckpt_snapshot(fs, net, t, h(1), true).unwrap();
+        pages.into_iter().map(|p| p.data).collect()
+    }
+
+    /// Block `block` of the image at `path`, as the server stores it.
+    fn image_block(fs: &SpriteFs, path: &SpritePath, block: u64) -> Frame {
+        let server = fs.server(h(0)).unwrap();
+        let id = server.lookup(path).unwrap();
+        server.file(id).unwrap().frame(block)
+    }
+
     #[test]
     fn checkpoint_traffic_is_typed() {
-        let (mut net, mut fs) = setup(3);
-        let (mut s, t) = space(&mut fs, &mut net, "c2");
-        let t = s
-            .write(
+        // 3 pages fit the index in one block; 430 spill it into a second.
+        for (pages, blocks) in [(3, 5), (430, 433)] {
+            let (mut net, mut fs) = setup(3);
+            let (mut s, t) = written_space(&mut fs, &mut net, "c2", pages);
+            let path = SpritePath::new("/ckpt/c2.img");
+            let (image, rep) = checkpoint(
+                &mut s,
+                CkptStrategy::DirtyOnly,
                 &mut fs,
                 &mut net,
                 t,
                 h(1),
-                VirtAddr::new(SegmentKind::Heap, 0),
-                &[9u8; 4096],
+                path.clone(),
             )
             .unwrap();
-        let path = SpritePath::new("/ckpt/c2.img");
+            assert_eq!(
+                index_blocks(pages) + pages + 1,
+                blocks,
+                "index, pages, trailer"
+            );
+            assert_eq!(image.image_bytes, (blocks - 1) * PAGE_SIZE + 8);
+            let writes = net.rpc_table().get(RpcOp::CkptWrite);
+            assert_eq!(writes.calls, blocks, "{pages} pages");
+            let (mut fresh, t2) =
+                fresh_space(&mut fs, &mut net, rep.completed_at, h(2), "c2r", pages);
+            let rr = restore(&mut fresh, &mut fs, &mut net, t2, h(2), &path).unwrap();
+            assert_eq!(rr.image_bytes, image.image_bytes);
+            assert_eq!(
+                net.rpc_table().get(RpcOp::CkptRestore).calls,
+                blocks,
+                "{pages} pages"
+            );
+            assert_eq!(
+                net.rpc_table().total_bytes(),
+                net.stats().bytes,
+                "typed totals must still equal raw wire counters"
+            );
+        }
+    }
+
+    #[test]
+    fn images_share_page_frames_and_stay_checkpoint_time_copies() {
+        let (mut net, mut fs) = setup(4);
+        let (mut s, t) = written_space(&mut fs, &mut net, "c5", 3);
+        let path = SpritePath::new("/ckpt/c5.img");
         let (_, rep) = checkpoint(
             &mut s,
-            CkptStrategy::DirtyOnly,
+            CkptStrategy::FullImage,
             &mut fs,
             &mut net,
             t,
@@ -457,25 +623,39 @@ mod tests {
             path.clone(),
         )
         .unwrap();
-        let writes = net.rpc_table().get(RpcOp::CkptWrite).calls;
-        assert!(writes >= 3, "header + record + trailer, got {writes}");
-        let (prog2, t2) = fs
-            .create(
-                &mut net,
-                rep.completed_at,
-                h(2),
-                SpritePath::new("/bin/c2r"),
-            )
+        // One index block, then the pages' own frames.
+        let captured = dirty_frames(&mut s, &mut fs, &mut net, rep.completed_at);
+        for (i, frame) in captured.iter().enumerate() {
+            assert!(Frame::ptr_eq(&image_block(&fs, &path, 1 + i as u64), frame));
+        }
+        // The source writes after the dump; the image keeps the old bytes.
+        let a = VirtAddr::new(SegmentKind::Heap, PAGE_SIZE + 10);
+        let t = s
+            .write(&mut fs, &mut net, rep.completed_at, h(1), a, b"later")
             .unwrap();
-        let (mut fresh, t2) =
-            AddressSpace::create(&mut fs, &mut net, t2, h(2), "c2r", prog2, 4, 32, 8).unwrap();
-        restore(&mut fresh, &mut fs, &mut net, t2, h(2), &path).unwrap();
-        assert!(net.rpc_table().get(RpcOp::CkptRestore).calls >= 3);
-        assert_eq!(
-            net.rpc_table().total_bytes(),
-            net.stats().bytes,
-            "typed totals must still equal raw wire counters"
-        );
+        let (mut fresh, t) = fresh_space(&mut fs, &mut net, t, h(2), "c5r", 3);
+        let rr = restore(&mut fresh, &mut fs, &mut net, t, h(2), &path).unwrap();
+        let restored = dirty_frames(&mut fresh, &mut fs, &mut net, rr.resumed_at);
+        assert_eq!(restored.len(), 3);
+        for (i, frame) in restored.iter().enumerate() {
+            assert!(Frame::ptr_eq(&image_block(&fs, &path, 1 + i as u64), frame));
+            assert_eq!(**frame, [i as u8; PAGE_SIZE as usize]);
+        }
+        // The restored space writes; a second restore still reads the
+        // checkpoint-time bytes.
+        let t = fresh
+            .write(&mut fs, &mut net, rr.resumed_at, h(2), a, b"again")
+            .unwrap();
+        let (mut again, t) = fresh_space(&mut fs, &mut net, t, h(3), "c5s", 3);
+        let rr = restore(&mut again, &mut fs, &mut net, t, h(3), &path).unwrap();
+        let (back, _) = again
+            .read(&mut fs, &mut net, rr.resumed_at, h(3), a, 5)
+            .unwrap();
+        assert_eq!(back, [1; 5]);
+        let (mine, _) = fresh.read(&mut fs, &mut net, t, h(2), a, 5).unwrap();
+        assert_eq!(mine, b"again");
+        let (source, _) = s.read(&mut fs, &mut net, t, h(1), a, 5).unwrap();
+        assert_eq!(source, b"later");
     }
 
     #[test]
@@ -530,23 +710,23 @@ mod tests {
                 &[7u8; 4096],
             )
             .unwrap();
-        // Hand-write a trailerless image: header claims one record, then
-        // the record, then... nothing (the checkpointing host died).
+        // Hand-write a trailerless image: the index names one page, then
+        // the page, then... nothing (the checkpointing host died).
         let path = SpritePath::new("/ckpt/c4.img");
         fs.create(&mut net, t, h(1), path.clone()).unwrap();
         let (st, t1) = fs
             .open(&mut net, t, h(1), path.clone(), OpenMode::Write)
             .unwrap();
-        let mut partial = Vec::new();
-        partial.extend_from_slice(&HEADER_MAGIC);
-        partial.extend_from_slice(&1u32.to_le_bytes());
-        partial.extend_from_slice(&32u64.to_le_bytes());
-        partial.extend_from_slice(&8u64.to_le_bytes());
-        partial.resize(CKPT_HEADER_BYTES as usize, 0);
-        partial.push(1);
-        partial.extend_from_slice(&0u64.to_le_bytes());
-        partial.extend_from_slice(&vec![7u8; PAGE_SIZE as usize]);
-        let t1 = fs.ckpt_write(&mut net, t1, h(1), st, &partial).unwrap();
+        let page = CkptPage {
+            segment: SegmentKind::Heap,
+            page: 0,
+            data: Frame::from([7u8; PAGE_SIZE as usize]),
+        };
+        let index = Frame::from(index(std::slice::from_ref(&page), 1, 32, 8));
+        let mut t1 = t1;
+        for block in [&index, &page.data] {
+            t1 = fs.ckpt_write_block(&mut net, t1, h(1), st, block).unwrap();
+        }
         let t1 = fs.close(&mut net, t1, h(1), st).unwrap();
         let (prog2, t2) = fs
             .create(&mut net, t1, h(2), SpritePath::new("/bin/c4r"))

@@ -558,28 +558,63 @@ impl AddressSpace {
             let upto = ((end - page * PAGE_SIZE).min(PAGE_SIZE)) as usize;
             let src_from = (pos - addr.offset) as usize;
             let chunk = &bytes[src_from..src_from + (upto - within)];
-            let whole_page = chunk.len() == PAGE_SIZE as usize;
-            let seg = self.segment(addr.segment);
-            if whole_page && seg.pages.get(page as usize).map(|p| p.home) == Some(PageHome::Zero) {
-                // The write replaces the zero fill, so none is built; the
-                // fault is charged as `fault_in` charges it.
-                t = self.zero_fill_fault(net, t);
-            } else {
-                t = self.fault_in(fs, net, t, host, addr.segment, page)?;
-            }
-            let p = &mut self.segment_mut(addr.segment).pages[page as usize];
-            if whole_page {
+            if chunk.len() == PAGE_SIZE as usize {
                 // Every byte is new: build the frame from them rather than
                 // copy a shared frame only to overwrite it.
-                p.frame = Some(Frame::from(chunk));
+                t = self.install_page(fs, net, t, host, addr.segment, page, Frame::from(chunk))?;
             } else {
+                t = self.fault_in(fs, net, t, host, addr.segment, page)?;
+                let p = &mut self.segment_mut(addr.segment).pages[page as usize];
                 let frame = p.frame.as_mut().expect("resident page has a frame");
                 Arc::make_mut(frame)[within..upto].copy_from_slice(chunk);
+                p.home = PageHome::Resident;
+                p.dirty = true;
             }
-            p.home = PageHome::Resident;
-            p.dirty = true;
             pos = page * PAGE_SIZE + upto as u64;
         }
+        Ok(t)
+    }
+
+    /// Makes `frame` page `page` of `segment`, dirty, by reference:
+    /// charged exactly as a [`AddressSpace::write`] of the whole page.
+    ///
+    /// # Errors
+    ///
+    /// Propagates file-system errors from demand paging.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is not one page long, if `page` is past the end
+    /// of the segment, or if the segment is read-only (code).
+    #[expect(clippy::too_many_arguments)]
+    pub(crate) fn install_page(
+        &mut self,
+        fs: &mut SpriteFs,
+        net: &mut Transport,
+        now: SimTime,
+        host: HostId,
+        segment: SegmentKind,
+        page: u64,
+        frame: Frame,
+    ) -> FsResult<SimTime> {
+        assert!(segment.writable(), "write to read-only {segment} segment");
+        assert_eq!(frame.len() as u64, PAGE_SIZE, "a page frame is one page");
+        let home = self
+            .segment(segment)
+            .pages
+            .get(page as usize)
+            .map(|p| p.home);
+        let t = if home == Some(PageHome::Zero) {
+            // The frame replaces the zero fill, so none is built; the
+            // fault is charged as `fault_in` charges it.
+            self.zero_fill_fault(net, now)
+        } else {
+            self.fault_in(fs, net, now, host, segment, page)?
+        };
+        let p = &mut self.segment_mut(segment).pages[page as usize];
+        p.frame = Some(frame);
+        p.home = PageHome::Resident;
+        p.dirty = true;
         Ok(t)
     }
 

@@ -7,18 +7,25 @@
 //! cluster in a state the paper's recovery semantics allow (Ch. 3.6), and
 //! the whole table folds into one pinned digest per entry point, so a
 //! change in how any single case ends moves that entry point's pin.
+//!
+//! `restart_from_image` restores a finished image, so a failed case must
+//! also leave no runnable replacement, and the kept image must restore on
+//! a fault-free retry.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
-use sprite::fs::{OpenMode, SpritePath, StreamId};
-use sprite::kernel::{Cluster, ProcState, ProcessId};
-use sprite::migration::{checkpoint_move, MigrationConfig, MigrationTotals, Migrator};
+use sprite::fs::{FsError, OpenMode, SpritePath, StreamId};
+use sprite::kernel::{Cluster, KernelError, ProcState, ProcessId};
+use sprite::migration::{
+    checkpoint_move, image_path, restart_from_image, MigrationConfig, MigrationError,
+    MigrationTotals, Migrator,
+};
 use sprite::net::{
     CostModel, HostId, LinkPolicy, LinkVerdict, RpcOp, MAX_SEND_ATTEMPTS, PAGE_SIZE,
 };
 use sprite::sim::{SimTime, StateDigest};
-use sprite::vm::{CkptStrategy, SegmentKind, VirtAddr};
+use sprite::vm::{checkpoint, CkptStrategy, SegmentKind, VirtAddr};
 
 fn h(i: u32) -> HostId {
     HostId::new(i)
@@ -66,7 +73,9 @@ impl LinkPolicy for OneFault {
 
 /// The entry points under test. `Migrate`, `ExecMigrate` and
 /// `CheckpointMove` move the process homed on host 1 from home to host 5;
-/// the evictions empty host 3, where both processes are guests.
+/// the evictions empty host 3, where both processes are guests;
+/// `RestartFromImage` rebuilds that process on host 5 from the image a
+/// clean checkpoint wrote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Entry {
     Migrate,
@@ -74,6 +83,7 @@ enum Entry {
     EvictAll,
     EvictReselecting,
     CheckpointMove,
+    RestartFromImage,
 }
 
 impl Entry {
@@ -89,11 +99,16 @@ struct World {
     pids: [ProcessId; 2],
 }
 
+/// Pages in the image `RestartFromImage` restores: the 3 dirty heap pages.
+const IMAGE_PAGES: u64 = 3;
+
 /// Six hosts and a file server on host 0. Two processes, homed on hosts 1
 /// and 2, each with 3 dirty heap pages and one open read-write file with a
 /// dirty cached block, which the stream transfer flushes. For
 /// the evictions both first migrate to host 3, whose owner then returns;
-/// host 4's owner is at the console, so host 4 refuses as a candidate.
+/// host 4's owner is at the console, so host 4 refuses as a candidate. For
+/// `RestartFromImage` the first process's image is written on a clean
+/// link; the process keeps running at home.
 fn world(entry: Entry) -> World {
     let mut c = Cluster::new(CostModel::sun3(), 6);
     c.add_file_server(h(0), SpritePath::new("/"));
@@ -130,6 +145,23 @@ fn world(entry: Entry) -> World {
         c.host_mut(h(3)).console_active = true;
         c.host_mut(h(4)).console_active = true;
     }
+    if entry == Entry::RestartFromImage {
+        let pid = pids[0];
+        let mut sp = c.pcb_mut(pid).unwrap().space.take().unwrap();
+        let (image, report) = checkpoint(
+            &mut sp,
+            CkptStrategy::FullImage,
+            &mut c.fs,
+            &mut c.net,
+            t,
+            h(1),
+            image_path(pid),
+        )
+        .unwrap();
+        c.pcb_mut(pid).unwrap().space = Some(sp);
+        assert_eq!(image.pages, IMAGE_PAGES);
+        t = report.completed_at;
+    }
     World {
         c,
         m,
@@ -138,8 +170,18 @@ fn world(entry: Entry) -> World {
     }
 }
 
+/// Restores the first process's image on host 5 at `t`.
+fn restart(
+    c: &mut Cluster,
+    t: SimTime,
+    pid: ProcessId,
+) -> Result<(ProcessId, u64, SimTime), MigrationError> {
+    restart_from_image(c, t, h(5), &program(), 16, 4, &image_path(pid))
+        .map(|(new_pid, r)| (new_pid, r.pages_restored, r.resumed_at))
+}
+
 /// Runs `entry` once: the `resumed_at` of each move it made, or its error.
-fn run(entry: Entry, w: &mut World) -> Result<Vec<SimTime>, String> {
+fn run(entry: Entry, w: &mut World) -> Result<Vec<SimTime>, MigrationError> {
     let World { c, m, t, pids } = w;
     let (c, t, pid) = (c, *t, pids[0]);
     match entry {
@@ -156,8 +198,57 @@ fn run(entry: Entry, w: &mut World) -> Result<Vec<SimTime>, String> {
         Entry::CheckpointMove => {
             checkpoint_move(c, t, pid, h(5), CkptStrategy::FullImage).map(|r| vec![r.resumed_at])
         }
+        Entry::RestartFromImage => restart(c, t, pid).map(|(_, _, at)| vec![at]),
     }
-    .map_err(|e| e.to_string())
+}
+
+/// When a failed call gave up: the instant of the send that failed, or
+/// `t` when no send did.
+fn gave_up_at(e: &MigrationError, t: SimTime) -> SimTime {
+    match e {
+        MigrationError::Rpc(rpc) | MigrationError::Kernel(KernelError::Fs(FsError::Rpc(rpc))) => {
+            rpc.at()
+        }
+        _ => t,
+    }
+}
+
+/// The processes that are not zombies, in PID order.
+fn live(c: &Cluster) -> Vec<ProcessId> {
+    c.processes()
+        .filter(|p| p.state != ProcState::Zombie)
+        .map(|p| p.pid)
+        .collect()
+}
+
+/// A restore adds one live process, on host 5, or none when it fails;
+/// a failed one leaves the image whole, so a fault-free retry restores
+/// every page of it. Folds the retry's outcome into `d`.
+fn check_restart(
+    w: &mut World,
+    before: &[ProcessId],
+    result: &Result<Vec<SimTime>, MigrationError>,
+    case: &str,
+    d: &mut StateDigest,
+) {
+    let after = live(&w.c);
+    let Err(e) = result else {
+        let added: Vec<_> = after.iter().filter(|p| !before.contains(p)).collect();
+        assert_eq!(added.len(), 1, "{case}: {added:?} added");
+        assert_eq!(w.c.pcb(*added[0]).unwrap().current, h(5), "{case}");
+        return;
+    };
+    assert_eq!(after, before, "{case}: a failed restore left a replacement");
+    w.c.net.set_policy(Box::new(OneFault {
+        attempts: Rc::new(Cell::new(0)),
+        fault: None,
+    }));
+    let at = gave_up_at(e, w.t);
+    let (_, pages, resumed) = restart(&mut w.c, at, w.pids[0])
+        .unwrap_or_else(|e| panic!("{case}: the retry failed: {e}"));
+    assert_eq!(pages, IMAGE_PAGES, "{case}: retry restored {pages} pages");
+    check_live_processes(&w.c, case);
+    d.write_u64(resumed.as_micros());
 }
 
 /// Every live process is `Active`, has an address space, and is resident
@@ -189,7 +280,7 @@ fn check_single_move(
     entry: Entry,
     w: &World,
     before: &Before,
-    result: &Result<Vec<SimTime>, String>,
+    result: &Result<Vec<SimTime>, MigrationError>,
     case: &str,
 ) {
     let failures = w.m.totals().failures - before.failures;
@@ -226,6 +317,7 @@ fn case(entry: Entry, fault: Option<(u32, Fault)>, d: &mut StateDigest) -> u32 {
         streams: pcb.open_fds().map(|(_, s)| s).collect(),
         failures: w.m.totals().failures,
     };
+    let live_before = live(&w.c);
     let attempts = Rc::new(Cell::new(0));
     w.c.net.set_policy(Box::new(OneFault {
         attempts: Rc::clone(&attempts),
@@ -251,7 +343,7 @@ fn case(entry: Entry, fault: Option<(u32, Fault)>, d: &mut StateDigest) -> u32 {
                 d.write_u64(t.as_micros());
             }
         }
-        Err(e) => d.write_str(e),
+        Err(e) => d.write_str(&e.to_string()),
     }
     let MigrationTotals {
         migrations,
@@ -272,7 +364,11 @@ fn case(entry: Entry, fault: Option<(u32, Fault)>, d: &mut StateDigest) -> u32 {
         d.write_u64(v);
     }
     d.write_u64(w.c.digest());
-    attempts.get()
+    let attempts = attempts.get();
+    if entry == Entry::RestartFromImage {
+        check_restart(&mut w, &live_before, &result, &label, d);
+    }
+    attempts
 }
 
 /// Runs an entry point's whole table: the clean run, then every fault at
@@ -291,7 +387,7 @@ fn table(entry: Entry) -> (u32, u64) {
 /// Each entry point's clean attempt count and the digest of its table.
 /// A change that alters how any case ends re-pins its entry point here
 /// and says why in CHANGES.md.
-const PINS: [(Entry, u32, u64); 5] = [
+const PINS: [(Entry, u32, u64); 6] = [
     (Entry::Migrate, 7, 0x1785_d890_b74f_e67b),
     // Attempts 4-8 are the exec's own I/O on the target, after the
     // commit: a fault there kills the process, whose old image is gone.
@@ -300,7 +396,13 @@ const PINS: [(Entry, u32, u64); 5] = [
     // Attempts 0-3 move the first guest to host 5 (host 4 refuses);
     // 4-6 are the second guest's trip home, which retries a timeout.
     (Entry::EvictReselecting, 7, 0xa052_a2be_61cc_0440),
-    (Entry::CheckpointMove, 27, 0xd2ae_c9d6_dd87_9be3),
+    // Block-aligned images: one block RPC per image block each way (an
+    // index block, 3 page blocks and the trailer). With 4,105-byte page
+    // records straddling blocks, the same move made 27 attempts.
+    (Entry::CheckpointMove, 21, 0xc229_eb6b_f1eb_9679),
+    // Two backing-file creates, the open, 5 block reads, the close; 12
+    // attempts when page records straddled blocks.
+    (Entry::RestartFromImage, 9, 0x17cf_92e2_3279_75c1),
 ];
 
 #[test]
