@@ -125,8 +125,9 @@ mod tests {
         let off = &rows[0];
         let on = &rows[1];
         assert!(on.cache_hits > 30, "hits {}", on.cache_hits);
-        // Creates (object files, per-process swap files) still pay full
-        // lookups, so the drop is on the open path only.
+        // Creates (object files) still pay full lookups, so the drop is on
+        // the open path only; a build's processes never page out, so they
+        // create no swap files.
         assert!(
             (on.lookups as f64) < 0.85 * off.lookups as f64,
             "lookups {} vs {}",

@@ -3,8 +3,9 @@
 //! Welch's thesis asks how Sprite scales when servers handle many more
 //! clients \[Wel90\], and the migration thesis names the file server as the
 //! resource migration stresses first. Splitting the swap/paging domain
-//! onto its own server offloads the root server and lifts the parallel
-//! build's ceiling.
+//! onto its own server can offload only paging: a swap file exists once
+//! its segment pages out, and a parallel build, whose compiles migrate at
+//! exec, never pages out, so the split leaves the root's load unchanged.
 
 use sprite_fs::SpritePath;
 use sprite_net::HostId;
@@ -98,8 +99,8 @@ pub fn table() -> String {
             format!("{:.1}%", r.swap_util * 100.0),
         ]);
     }
-    t.note("exec-time migration pages programs and swap through /swap; moving that");
-    t.note("domain off the root server sheds load exactly where migration adds it");
+    t.note("a pmake build never pages out: each compile migrates at exec and a swap file");
+    t.note("exists only once its segment pages out, so /swap idles and the split sheds nothing");
     t.render()
 }
 

@@ -620,10 +620,11 @@ impl Migrator {
         let frozen_at = mv.frozen_at;
         let t = self.move_streams_and_state(cluster, &mut mv, frozen_at, EXEC_ARGS_BYTES)?;
 
-        // The point of no return: discard the image, rebind, resume on
-        // the target, where the exec itself now runs.
+        // The point of no return: free the old image at the source (which
+        // unlinks any swap files it created), rebind, resume on the
+        // target, where the exec itself now runs.
         let commit_start = t;
-        cluster.pcb_mut(pid).expect("validated").space = None;
+        let t = cluster.free_space(t, pid);
         let t = Self::commit(cluster, &mv, t)?;
         let t = match cluster.exec(t, pid, program, heap_pages, stack_pages) {
             Ok(t) => t,

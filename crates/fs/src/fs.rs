@@ -447,6 +447,15 @@ impl SpriteFs {
         self.file_home.get(file.raw() as usize).copied().flatten()
     }
 
+    /// Every backing (swap) file the servers store, in id order.
+    pub fn backing_files(&self) -> impl Iterator<Item = FileId> + '_ {
+        self.file_home.iter().enumerate().filter_map(|(i, home)| {
+            let id = FileId::new(i as u64);
+            let file = self.srv((*home)?).file(id)?;
+            matches!(file.kind, FileKind::Backing).then_some(id)
+        })
+    }
+
     // ----- internal helpers ------------------------------------------------
 
     fn srv(&self, host: HostId) -> &ServerState {
@@ -2104,6 +2113,7 @@ mod tests {
         // Each file lives on its own server.
         assert_eq!(fs.home_of(swap_file), Some(h(2)));
         assert_eq!(fs.home_of(root_file), Some(h(0)));
+        assert_eq!(fs.backing_files().collect::<Vec<_>>(), [swap_file]);
         assert!(fs
             .server(h(2))
             .unwrap()

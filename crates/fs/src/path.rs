@@ -15,9 +15,10 @@
 //! text, so sorted output is identical to the string days.
 //!
 //! Interned text is never freed, and the table is not bounded by the
-//! workload's file set: every process an address space is built for
-//! interns two fresh swap-file names (`/swap/<tag>.heap` and `.stack`), so
-//! the table grows with every spawn of a run. The text is packed into
+//! workload's file set: every segment that pages out interns a fresh
+//! swap-file name (`/swap/<tag>.heap` or `.stack`) when its file is
+//! created, and keeps it after the file is unlinked, so the table grows
+//! with every process of a run that pages out. The text is packed into
 //! leaked 64 KiB chunks (`CHUNK_BYTES`) rather than one allocation per
 //! name, so that growth does not scatter small blocks between the
 //! simulation's page frames on the heap. [`SpritePath::interned_count`]

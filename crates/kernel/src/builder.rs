@@ -172,15 +172,23 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(cluster.fs.fs_shards(), 2);
-        // Processes spawn and run off the striped service transparently.
+        // Processes spawn and exec off the striped service transparently:
+        // a spawn touches no file, and an exec reads the program's header.
         let (pid, t) = cluster
             .spawn(t, HostId::new(3), &SpritePath::new("/bin/a"), 16, 4)
             .unwrap();
+        let t = cluster
+            .exec(t, pid, &SpritePath::new("/bin/b"), 16, 4)
+            .unwrap();
         assert!(cluster.pcb(pid).is_some());
-        let (pid2, _t) = cluster
+        let (pid2, t) = cluster
             .spawn(t, HostId::new(4), &SpritePath::new("/bin/b"), 16, 4)
             .unwrap();
+        cluster
+            .exec(t, pid2, &SpritePath::new("/bin/a"), 16, 4)
+            .unwrap();
         assert!(cluster.pcb(pid2).is_some());
+        assert_eq!(cluster.stats().execs, 2);
         // Non-member hosts paid their one-time prefix-table fetch.
         assert!(cluster.fs.stats().shard_redirects >= 1);
     }

@@ -516,19 +516,9 @@ impl Cluster {
         let seq = self.next_seq[host.index()];
         self.next_seq[host.index()] += 1;
         // Provisional (handle-less) PID: only its Display feeds the swap
-        // tag; the slab mints the real handle after the fallible VM work.
+        // tag; the slab mints the real handle below.
         let tag = self.fresh_swap_tag(ProcessId::new(host, seq));
-        let (space, t) = AddressSpace::create(
-            &mut self.fs,
-            &mut self.net,
-            now,
-            host,
-            &tag,
-            prog.file,
-            prog.code_pages,
-            heap_pages,
-            stack_pages,
-        )?;
+        let space = AddressSpace::create(&tag, prog.file, prog.code_pages, heap_pages, stack_pages);
         let pid = self.procs.insert(host, seq, |pid| {
             let mut pcb = Pcb::new(pid, None, host, now);
             pcb.space = Some(space);
@@ -537,7 +527,7 @@ impl Cluster {
         });
         self.hosts[host.index()].add(pid);
         self.stats.created += 1;
-        let t = t + self.net.cost().context_switch;
+        let t = now + self.net.cost().context_switch;
         self.trace
             .record(t, "proc", || format!("{pid} spawned on {host} ({program})"));
         Ok((pid, t))
@@ -634,7 +624,8 @@ impl Cluster {
 
     /// Replaces `pid`'s image with `program` (exec). Only the executable's
     /// header is read eagerly; text demand-pages from the file, which is
-    /// why exec-time migration is nearly free (Ch. 4.2.1).
+    /// why exec-time migration is nearly free (Ch. 4.2.1). The old image
+    /// is freed through [`Cluster::free_space`].
     pub fn exec(
         &mut self,
         now: SimTime,
@@ -663,18 +654,9 @@ impl Cluster {
             .fs
             .read(&mut self.net, t, host, stream, 512, &mut Vec::new())?;
         let t = self.fs.close(&mut self.net, t, host, stream)?;
+        let t = self.free_space(t, pid);
         let tag = self.fresh_swap_tag(pid);
-        let (space, t) = AddressSpace::create(
-            &mut self.fs,
-            &mut self.net,
-            t,
-            host,
-            &tag,
-            prog.file,
-            prog.code_pages,
-            heap_pages,
-            stack_pages,
-        )?;
+        let space = AddressSpace::create(&tag, prog.file, prog.code_pages, heap_pages, stack_pages);
         let p = self.procs.get_mut(pid).expect("checked above");
         p.space = Some(space);
         p.program = Some(program.clone());
@@ -685,9 +667,10 @@ impl Cluster {
         Ok(t)
     }
 
-    /// Terminates `pid` with `status`. Streams close, the image is
-    /// discarded, and the PCB lingers as a zombie until the parent waits
-    /// (or is reaped immediately if no parent remains).
+    /// Terminates `pid` with `status`. Streams close, the image is freed
+    /// through [`Cluster::free_space`], and the PCB lingers as a zombie
+    /// until the parent waits (or is reaped immediately if no parent
+    /// remains).
     pub fn exit(&mut self, now: SimTime, pid: ProcessId, status: i32) -> KernelResult<SimTime> {
         let (pid, host, home, parent) = {
             let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess(pid))?;
@@ -720,10 +703,10 @@ impl Cluster {
                 }
             }
         }
+        t = self.free_space(t, pid);
         {
             let p = self.procs.get_mut(pid).expect("checked above");
             p.fds.clear();
-            p.space = None;
             p.state = ProcState::Zombie;
             p.exit_status = Some(status);
             // The home kernel drops its forwarding entry.
@@ -751,6 +734,38 @@ impl Cluster {
             self.reap(pid);
         }
         Ok(t)
+    }
+
+    /// Frees `pid`'s address space: the PCB drops it, and the current host
+    /// unlinks each swap file the space created (see
+    /// [`AddressSpace::swap_files`]). Exit, exec and exec-time migration's
+    /// discard of the old image all free it here. The unlinks are
+    /// best-effort, like exit's closes: a lost unlink counts one
+    /// `notify_losses` and leaves its file on the server, and an unlink
+    /// that finds no file has nothing to do. Returns when the last unlink
+    /// completes — `now` for a space that never paged out.
+    pub fn free_space(&mut self, now: SimTime, pid: ProcessId) -> SimTime {
+        let Some(p) = self.procs.get_mut(pid) else {
+            return now;
+        };
+        let host = p.current;
+        let Some(space) = p.space.take() else {
+            return now;
+        };
+        let mut t = now;
+        for path in space.swap_files() {
+            match self.fs.unlink(&mut self.net, t, host, &path) {
+                Ok(done) => t = done,
+                Err(FsError::Rpc(e)) => {
+                    t = e.at();
+                    self.stats.notify_losses += 1;
+                    self.trace
+                        .record(t, "fault", || format!("{pid}: unlink of {path} lost: {e}"));
+                }
+                Err(_) => {}
+            }
+        }
+        t
     }
 
     /// Waits for any zombie child of `parent`; returns the reaped child and
@@ -1230,9 +1245,10 @@ impl Cluster {
     }
 
     /// Kills `pid` locally because `dead` crashed: the state transition of
-    /// [`Cluster::exit`] without any stream closes or home notification —
-    /// the peer those RPCs would talk to is gone, and fail-stop recovery
-    /// must not block on an unreachable host.
+    /// [`Cluster::exit`] without any stream closes, swap-file unlinks or
+    /// home notification — the peer those RPCs would talk to may be gone,
+    /// and fail-stop recovery must not block on an unreachable host. So
+    /// the swap files a killed process created stay on their servers.
     fn fault_kill(&mut self, now: SimTime, pid: ProcessId, dead: HostId) {
         let Some(p) = self.procs.get_mut(pid) else {
             return;

@@ -315,9 +315,9 @@ fn index(pages: &[CkptPage], count: u32, heap_pages: u64, stack_pages: u64) -> V
 /// # Errors
 ///
 /// On *any* error, `space` may hold a partial restore — the caller must
-/// discard the process rather than run it. The image file itself is never
-/// modified by a failed restore, so a transient failure (partition) can
-/// be retried once the network heals.
+/// discard the process rather than run it. The image stream is closed
+/// and the image file itself is never modified by a failed restore, so a
+/// transient failure (partition) can be retried once the network heals.
 pub fn restore(
     space: &mut AddressSpace,
     fs: &mut SpriteFs,
@@ -337,11 +337,12 @@ pub fn restore(
                 resumed_at: t,
             })
         }
-        Err(e @ CkptError::Corrupt { .. }) => {
+        Err(e) => {
+            // The stream is released even when the close's RPC is lost, so
+            // a failed restore never leaves its image stream open.
             let _ = fs.close(net, t, host, stream);
             Err(e)
         }
-        Err(e) => Err(e),
     }
 }
 
@@ -453,7 +454,7 @@ mod tests {
                 SpritePath::new(format!("/bin/{tag}")),
             )
             .unwrap();
-        AddressSpace::create(fs, net, t, h(1), tag, prog, 4, 32, 8).unwrap()
+        (AddressSpace::create(tag, prog, 4, 32, 8), t)
     }
 
     #[test]
@@ -487,8 +488,7 @@ mod tests {
                     SpritePath::new("/bin/c1r"),
                 )
                 .unwrap();
-            let (mut fresh, t2) =
-                AddressSpace::create(&mut fs, &mut net, t2, h(2), "c1r", prog2, 4, 32, 8).unwrap();
+            let mut fresh = AddressSpace::create("c1r", prog2, 4, 32, 8);
             let rr = restore(&mut fresh, &mut fs, &mut net, t2, h(2), &img_path).unwrap();
             assert_eq!(rr.pages_restored, 3);
             assert_eq!(rr.image_bytes, image.image_bytes);
@@ -514,7 +514,7 @@ mod tests {
         tag: &str,
         pages: u64,
     ) -> (AddressSpace, SimTime) {
-        let (prog, t) = fs
+        let (prog, mut t) = fs
             .create(
                 net,
                 SimTime::ZERO,
@@ -522,8 +522,7 @@ mod tests {
                 SpritePath::new(format!("/bin/{tag}")),
             )
             .unwrap();
-        let (mut s, mut t) =
-            AddressSpace::create(fs, net, t, h(1), tag, prog, 4, pages + 16, 8).unwrap();
+        let mut s = AddressSpace::create(tag, prog, 4, pages + 16, 8);
         for page in 0..pages {
             let a = VirtAddr::new(SegmentKind::Heap, page * PAGE_SIZE);
             t = s
@@ -545,7 +544,7 @@ mod tests {
         let (prog, t) = fs
             .create(net, t, host, SpritePath::new(format!("/bin/{tag}")))
             .unwrap();
-        AddressSpace::create(fs, net, t, host, tag, prog, 4, pages + 16, 8).unwrap()
+        (AddressSpace::create(tag, prog, 4, pages + 16, 8), t)
     }
 
     /// The frames of `s`'s dirty pages, in index order.
@@ -689,8 +688,7 @@ mod tests {
         let (prog2, t2) = fs
             .create(&mut net, t, h(2), SpritePath::new("/bin/c3r"))
             .unwrap();
-        let (mut fresh, t2) =
-            AddressSpace::create(&mut fs, &mut net, t2, h(2), "c3r", prog2, 4, 32, 8).unwrap();
+        let mut fresh = AddressSpace::create("c3r", prog2, 4, 32, 8);
         restore(&mut fresh, &mut fs, &mut net, t2, h(2), &path).unwrap();
         let (back, _) = fresh.read(&mut fs, &mut net, t2, h(2), a, 8192).unwrap();
         assert_eq!(back, vec![3u8; 8192], "flushed pages survived via widening");
@@ -731,8 +729,7 @@ mod tests {
         let (prog2, t2) = fs
             .create(&mut net, t1, h(2), SpritePath::new("/bin/c4r"))
             .unwrap();
-        let (mut fresh, t2) =
-            AddressSpace::create(&mut fs, &mut net, t2, h(2), "c4r", prog2, 4, 32, 8).unwrap();
+        let mut fresh = AddressSpace::create("c4r", prog2, 4, 32, 8);
         let err = restore(&mut fresh, &mut fs, &mut net, t2, h(2), &path).unwrap_err();
         assert!(
             matches!(err, CkptError::Corrupt { .. }),
@@ -753,9 +750,7 @@ mod tests {
             let (prog, t1) = fs
                 .create(&mut net, t, h(3), SpritePath::new(format!("/bin/r{i}")))
                 .unwrap();
-            let (mut s, t1) =
-                AddressSpace::create(&mut fs, &mut net, t1, h(3), &format!("r{i}"), prog, 4, 8, 4)
-                    .unwrap();
+            let mut s = AddressSpace::create(&format!("r{i}"), prog, 4, 8, 4);
             let t1 = s
                 .write(
                     &mut fs,
@@ -785,18 +780,7 @@ mod tests {
                     SpritePath::new(format!("/bin/rr{i}")),
                 )
                 .unwrap();
-            let (mut fresh, t2) = AddressSpace::create(
-                &mut fs,
-                &mut net,
-                t2,
-                h(4),
-                &format!("rr{i}"),
-                prog2,
-                4,
-                8,
-                4,
-            )
-            .unwrap();
+            let mut fresh = AddressSpace::create(&format!("rr{i}"), prog2, 4, 8, 4);
             let rr = restore(&mut fresh, &mut fs, &mut net, t2, h(4), &path).unwrap();
             let (back, _) = fresh
                 .read(

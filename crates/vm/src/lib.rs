@@ -23,7 +23,7 @@
 //! let src = HostId::new(1);
 //! let dst = HostId::new(2);
 //! let (program, t) = fs.create(&mut net, SimTime::ZERO, src, SpritePath::new("/bin/p9"))?;
-//! let (mut space, t) = AddressSpace::create(&mut fs, &mut net, t, src, "p9", program, 4, 64, 8)?;
+//! let mut space = AddressSpace::create("p9", program, 4, 64, 8);
 //! let t = space.write(&mut fs, &mut net, t, src, VirtAddr::new(SegmentKind::Heap, 0), &[7u8; 4096])?;
 //! let report = transfer(&mut space, VmStrategy::SpriteFlush, &mut fs, &mut net, t, src, dst,
 //!                       &TransferParams::default())?;

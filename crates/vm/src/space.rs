@@ -7,10 +7,22 @@
 //! a process over the network already exists" (Ch. 3.2) — Sprite's whole VM
 //! transfer strategy falls out of this design, and so does ours.
 //!
+//! A heap or stack segment's backing file lives exactly as long as the
+//! pages it holds, as in Sprite's VM: creating an address space touches no
+//! file, [`AddressSpace::flush_dirty`] (the only page-out) creates the
+//! segment's `/swap/<tag>.heap` or `/swap/<tag>.stack` file just before the
+//! segment's first page-out, and the kernel unlinks the files a space
+//! created when it frees the space ([`AddressSpace::swap_files`]). A
+//! process that never pages out never costs its file server a lookup.
+//!
 //! Pages hold real bytes. Migration, flushing and demand paging move those
 //! bytes through the simulated file system, so tests can check that a
 //! process observes byte-identical memory before and after any sequence of
-//! migrations.
+//! migrations. A page is *clean* only when its bytes are in the backing
+//! file or it is a zero page; every other page is dirty, wherever it is —
+//! resident, or left behind on a copy-on-reference source. So a clean page
+//! in a segment that has no backing file yet is a zero page, and dropping
+//! its residency makes it zero-fill rather than page-in.
 //!
 //! A resident page is a shared, copy-on-write [`Frame`]. Flushing a page
 //! hands its frame to the backing file, a page-in takes the file's frame
@@ -23,7 +35,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use sprite_fs::{FileId, Frame, FsResult, SpriteFs};
+use sprite_fs::{FileId, Frame, FsResult, SpriteFs, SpritePath};
 use sprite_net::{HostId, RpcOp, Transport, PAGE_SIZE};
 use sprite_sim::SimTime;
 
@@ -93,6 +105,9 @@ enum PageHome {
 #[derive(Debug, Clone)]
 struct PageState {
     home: PageHome,
+    /// The page's bytes are neither in the backing file nor a zero page.
+    /// A page left on a copy-on-reference source keeps its flag, so the
+    /// fetch that brings it back does not make it clean.
     dirty: bool,
     /// The page's bytes (`PAGE_SIZE` long) while resident, and while left
     /// behind on a copy-on-reference source.
@@ -124,7 +139,9 @@ fn zero_frame() -> Frame {
 #[derive(Debug, Clone)]
 pub struct Segment {
     kind: SegmentKind,
-    backing: FileId,
+    /// The executable for code; for heap and stack, the swap file created
+    /// at the segment's first page-out, `None` until then.
+    backing: Option<FileId>,
     pages: Vec<PageState>,
 }
 
@@ -147,13 +164,16 @@ impl Segment {
             .count() as u64
     }
 
-    /// Resident pages with modifications not yet in the backing file.
+    /// Pages whose bytes are not yet in the backing file: resident pages
+    /// written since their last page-out, and such pages still owed by a
+    /// copy-on-reference source.
     pub fn dirty_pages(&self) -> u64 {
         self.pages.iter().filter(|p| p.dirty).count() as u64
     }
 
-    /// The backing file.
-    pub fn backing(&self) -> FileId {
+    /// The backing file: the executable for code, and for heap and stack
+    /// the swap file, which exists only once the segment has paged out.
+    pub fn backing(&self) -> Option<FileId> {
         self.backing
     }
 }
@@ -200,9 +220,7 @@ pub struct VmStats {
 /// fs.add_server(HostId::new(0), SpritePath::new("/"));
 /// let host = HostId::new(1);
 /// let (program, t) = fs.create(&mut net, SimTime::ZERO, host, SpritePath::new("/bin/a.out"))?;
-/// let (mut space, t) = AddressSpace::create(
-///     &mut fs, &mut net, t, host, "pid1", program, 4, 16, 4,
-/// )?;
+/// let mut space = AddressSpace::create("pid1", program, 4, 16, 4);
 /// let addr = VirtAddr::new(SegmentKind::Heap, 100);
 /// let t = space.write(&mut fs, &mut net, t, host, addr, b"hello")?;
 /// let (data, _) = space.read(&mut fs, &mut net, t, host, addr, 5)?;
@@ -212,6 +230,8 @@ pub struct VmStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
+    /// Names the swap files: `/swap/<tag>.heap` and `/swap/<tag>.stack`.
+    tag: Box<str>,
     code: Segment,
     heap: Segment,
     stack: Segment,
@@ -219,67 +239,51 @@ pub struct AddressSpace {
 }
 
 impl AddressSpace {
-    /// Creates an address space. Heap and stack get fresh backing files
-    /// under `/swap/<tag>.*`; code pages demand-page from `code_file`, the
+    /// Creates an address space. Heap and stack start as zero-fill with no
+    /// backing file; each gets its swap file, named from `tag`, at its
+    /// first page-out. Code pages demand-page from `code_file`, the
     /// executable itself — which is why Sprite never has to transfer code
     /// pages during migration: any kernel can fetch them from the shared
     /// file system.
-    #[expect(clippy::too_many_arguments)]
     pub fn create(
-        fs: &mut SpriteFs,
-        net: &mut Transport,
-        now: SimTime,
-        host: HostId,
         tag: &str,
         code_file: FileId,
         code_pages: u64,
         heap_pages: u64,
         stack_pages: u64,
-    ) -> FsResult<(AddressSpace, SimTime)> {
-        let (heap_file, t1) = fs.create_backing(
-            net,
-            now,
-            host,
-            sprite_fs::SpritePath::new(format!("/swap/{tag}.heap")),
-        )?;
-        let (stack_file, t2) = fs.create_backing(
-            net,
-            t1,
-            host,
-            sprite_fs::SpritePath::new(format!("/swap/{tag}.stack")),
-        )?;
-        let segment = |kind: SegmentKind, backing: FileId, pages: u64, home: PageHome| Segment {
-            kind,
-            backing,
-            pages: (0..pages)
-                .map(|_| PageState {
-                    home,
-                    dirty: false,
-                    frame: None,
-                })
-                .collect(),
-        };
-        Ok((
-            AddressSpace {
-                code: segment(
-                    SegmentKind::Code,
-                    code_file,
-                    code_pages,
-                    PageHome::BackingFile,
-                ),
-                heap: segment(SegmentKind::Heap, heap_file, heap_pages, PageHome::Zero),
-                stack: segment(SegmentKind::Stack, stack_file, stack_pages, PageHome::Zero),
-                stats: VmStats::default(),
-            },
-            t2,
-        ))
+    ) -> AddressSpace {
+        let segment =
+            |kind: SegmentKind, backing: Option<FileId>, pages: u64, home: PageHome| Segment {
+                kind,
+                backing,
+                pages: (0..pages)
+                    .map(|_| PageState {
+                        home,
+                        dirty: false,
+                        frame: None,
+                    })
+                    .collect(),
+            };
+        AddressSpace {
+            tag: tag.into(),
+            code: segment(
+                SegmentKind::Code,
+                Some(code_file),
+                code_pages,
+                PageHome::BackingFile,
+            ),
+            heap: segment(SegmentKind::Heap, None, heap_pages, PageHome::Zero),
+            stack: segment(SegmentKind::Stack, None, stack_pages, PageHome::Zero),
+            stats: VmStats::default(),
+        }
     }
 
-    /// Copies this address space for a forked child: heap and stack get
-    /// fresh backing files and copies of the parent's contents; code pages
-    /// keep demand-paging from the same executable. Pages the parent holds
-    /// only in a backing file are paged in first (fork must capture a
-    /// snapshot).
+    /// Copies this address space for a forked child named by `tag`: heap
+    /// and stack get copies of the parent's contents, dirty, and no backing
+    /// file until their first page-out; code pages keep demand-paging from
+    /// the same executable. Pages the parent holds only in a backing file
+    /// or on a copy-on-reference source are paged in first (fork must
+    /// capture a snapshot).
     ///
     /// Sprite used copy-on-write where hardware allowed; the Sun-3 port
     /// copied eagerly, and the simulated cost charges that eager copy. On
@@ -293,23 +297,10 @@ impl AddressSpace {
         host: HostId,
         tag: &str,
     ) -> FsResult<(AddressSpace, SimTime)> {
-        let (heap_file, t1) = fs.create_backing(
-            net,
-            now,
-            host,
-            sprite_fs::SpritePath::new(format!("/swap/{tag}.heap")),
-        )?;
-        let (stack_file, t2) = fs.create_backing(
-            net,
-            t1,
-            host,
-            sprite_fs::SpritePath::new(format!("/swap/{tag}.stack")),
-        )?;
-        let mut t = t2;
+        let mut t = now;
         let mut copied_pages = 0u64;
         let mut copy_segment = |this: &mut AddressSpace,
                                 kind: SegmentKind,
-                                backing: FileId,
                                 t_in: SimTime|
          -> FsResult<(Segment, SimTime)> {
             let mut t = t_in;
@@ -325,9 +316,9 @@ impl AddressSpace {
                         copied_pages += 1;
                         pages.push(PageState {
                             home: PageHome::Resident,
-                            // The child's backing file is empty, so its
-                            // copied pages are dirty with respect to it.
-                            dirty: kind.writable(),
+                            // The child has no backing file, so its copied
+                            // pages are dirty with respect to it.
+                            dirty: true,
                             frame,
                         });
                     }
@@ -336,14 +327,14 @@ impl AddressSpace {
             Ok((
                 Segment {
                     kind,
-                    backing,
+                    backing: None,
                     pages,
                 },
                 t,
             ))
         };
-        let (heap, t3) = copy_segment(self, SegmentKind::Heap, heap_file, t)?;
-        let (stack, t4) = copy_segment(self, SegmentKind::Stack, stack_file, t3)?;
+        let (heap, t3) = copy_segment(self, SegmentKind::Heap, t)?;
+        let (stack, t4) = copy_segment(self, SegmentKind::Stack, t3)?;
         t = t4;
         // Code: share the executable; copy residency state only.
         let code = Segment {
@@ -363,6 +354,7 @@ impl AddressSpace {
         t += net.cost().copy_time(copied_pages * PAGE_SIZE);
         Ok((
             AddressSpace {
+                tag: tag.into(),
                 code,
                 heap,
                 stack,
@@ -370,6 +362,20 @@ impl AddressSpace {
             },
             t,
         ))
+    }
+
+    /// The path of `kind`'s swap file. Only heap and stack have one.
+    fn swap_path(&self, kind: SegmentKind) -> SpritePath {
+        SpritePath::new(format!("/swap/{}.{kind}", self.tag))
+    }
+
+    /// The paths of the swap files this space has created, heap first:
+    /// what the kernel unlinks when it frees the space.
+    pub fn swap_files(&self) -> impl Iterator<Item = SpritePath> + '_ {
+        [SegmentKind::Heap, SegmentKind::Stack]
+            .into_iter()
+            .filter(|&kind| self.segment(kind).backing.is_some())
+            .map(|kind| self.swap_path(kind))
     }
 
     /// Access a segment.
@@ -454,6 +460,7 @@ impl AddressSpace {
                 self.stats.faults += 1;
                 self.stats.pageins += 1;
                 let t = now + net.cost().context_switch;
+                let backing = backing.expect("a paged-out page has a backing file");
                 let (frame, t) = fs.page_in(net, t, host, backing, page)?;
                 let seg = self.segment_mut(segment);
                 let p = &mut seg.pages[page as usize];
@@ -619,7 +626,11 @@ impl AddressSpace {
     }
 
     /// Flushes all dirty pages to backing files (Sprite's migration VM
-    /// strategy, also used by eviction). Pages stay resident but clean.
+    /// strategy, also used by eviction) and returns when the last page-out
+    /// completes. This is the only page-out: a segment's swap file is
+    /// created just before the segment's first page-out, and a dirty page
+    /// still owed by a copy-on-reference source is fetched first. Pages
+    /// stay resident but clean.
     pub fn flush_dirty(
         &mut self,
         fs: &mut SpriteFs,
@@ -628,29 +639,36 @@ impl AddressSpace {
         host: HostId,
     ) -> FsResult<SimTime> {
         let mut t = now;
-        let AddressSpace {
-            code,
-            heap,
-            stack,
-            stats,
-        } = self;
-        for seg in [code, heap, stack] {
-            for (page, p) in seg.pages.iter_mut().enumerate() {
-                if !p.dirty {
+        for kind in [SegmentKind::Heap, SegmentKind::Stack] {
+            for page in 0..self.segment(kind).page_count() {
+                if !self.segment(kind).pages[page as usize].dirty {
                     continue;
                 }
-                t = fs.page_out(net, t, host, seg.backing, page as u64, p.bytes())?;
+                t = self.fault_in(fs, net, t, host, kind, page)?;
+                let file = match self.segment(kind).backing {
+                    Some(file) => file,
+                    None => {
+                        let (file, created) =
+                            fs.create_backing(net, t, host, self.swap_path(kind))?;
+                        t = created;
+                        self.segment_mut(kind).backing = Some(file);
+                        file
+                    }
+                };
+                let p = &mut self.segment_mut(kind).pages[page as usize];
+                t = fs.page_out(net, t, host, file, page, p.bytes())?;
                 p.dirty = false;
-                stats.pageouts += 1;
+                self.stats.pageouts += 1;
             }
         }
         Ok(t)
     }
 
-    /// Discards residency for every page: clean pages revert to their
-    /// backing file (or zero-fill if never written there), so future touches
-    /// demand-page. Used after a flush-based migration: the *target* host
-    /// starts with nothing resident.
+    /// Discards residency for every page, so future touches demand-page.
+    /// Used after a flush-based migration: the *target* host starts with
+    /// nothing resident. A clean page's bytes are in its backing file, or
+    /// it is a zero page: it reverts to page-in from the file, or to
+    /// zero-fill when its segment has no file.
     ///
     /// # Panics
     ///
@@ -659,13 +677,16 @@ impl AddressSpace {
     /// depends on.
     pub fn drop_residency(&mut self) {
         for kind in SegmentKind::ALL {
-            for p in &mut self.segment_mut(kind).pages {
+            let seg = self.segment_mut(kind);
+            let home = if seg.backing.is_some() {
+                PageHome::BackingFile
+            } else {
+                PageHome::Zero
+            };
+            for p in &mut seg.pages {
                 assert!(!p.dirty, "drop_residency with dirty pages would lose data");
                 if p.home == PageHome::Resident {
-                    p.home = PageHome::BackingFile;
-                    // The backing file holds the bytes: they were flushed
-                    // there already (clean), or the page was never written
-                    // (code from executable).
+                    p.home = home;
                     p.frame = None;
                 }
             }
@@ -674,13 +695,13 @@ impl AddressSpace {
 
     /// Marks all resident pages as left behind on `source` (copy-on-
     /// reference migration): bytes stay in place, future touches fetch them
-    /// across the network.
+    /// across the network. A dirty page stays dirty: its bytes are on
+    /// `source`, not in the backing file.
     pub fn leave_at_source(&mut self, source: HostId) {
         for kind in SegmentKind::ALL {
             for p in &mut self.segment_mut(kind).pages {
                 if p.home == PageHome::Resident {
                     p.home = PageHome::RemoteSource(source);
-                    p.dirty = false;
                 }
             }
         }
@@ -703,8 +724,8 @@ impl AddressSpace {
     /// True when some writable page's only current copy sits in a backing
     /// file (the process flushed and dropped residency earlier). A
     /// dirty-only checkpoint image restored into a *fresh* address space —
-    /// which pages from fresh, empty backing files — would lose those
-    /// pages, so checkpoints must widen to a full image.
+    /// which has no backing files — would lose those pages, so checkpoints
+    /// must widen to a full image.
     pub fn has_flushed_writable_pages(&self) -> bool {
         [SegmentKind::Heap, SegmentKind::Stack].iter().any(|&k| {
             self.segment(k)
@@ -811,7 +832,7 @@ mod tests {
                 SpritePath::new(format!("/bin/{tag}")),
             )
             .unwrap();
-        AddressSpace::create(fs, net, t, h(1), tag, prog, 4, 32, 8).unwrap()
+        (AddressSpace::create(tag, prog, 4, 32, 8), t)
     }
 
     #[test]
@@ -918,8 +939,7 @@ mod tests {
             .unwrap();
         let t = fs.write(&mut net, t, h(1), ps, &[0x90u8; 128]).unwrap();
         let t = fs.close(&mut net, t, h(1), ps).unwrap();
-        let (mut s, t) =
-            AddressSpace::create(&mut fs, &mut net, t, h(1), "p6", prog, 4, 8, 4).unwrap();
+        let mut s = AddressSpace::create("p6", prog, 4, 8, 4);
         let (text, _) = s
             .read(
                 &mut fs,
@@ -968,7 +988,7 @@ mod tests {
 
     /// Page `page` of the heap's backing file, as stored on the server.
     fn backing_frame(fs: &SpriteFs, s: &AddressSpace, page: u64) -> Frame {
-        let file = s.segment(SegmentKind::Heap).backing();
+        let file = s.segment(SegmentKind::Heap).backing().unwrap();
         fs.server(h(0)).unwrap().file(file).unwrap().frame(page)
     }
 
@@ -986,7 +1006,7 @@ mod tests {
         let t = s.write(&mut fs, &mut net, t, h(1), a, b"changed").unwrap();
         assert!(!Arc::ptr_eq(&heap_frame(&s, 2), &backing_frame(&fs, &s, 2)));
         // What a page-in returns is still the flushed page.
-        let file = s.segment(SegmentKind::Heap).backing();
+        let file = s.segment(SegmentKind::Heap).backing().unwrap();
         let (paged, _) = fs.page_in(&mut net, t, h(2), file, 2).unwrap();
         assert_eq!(&paged[..7], b"flushed");
         let (mine, _) = s.read(&mut fs, &mut net, t, h(1), a, 7).unwrap();
@@ -1100,6 +1120,39 @@ mod tests {
             VirtAddr::new(SegmentKind::Code, 0),
             b"x",
         );
+    }
+
+    #[test]
+    fn a_swap_file_is_created_at_its_segments_first_page_out() {
+        let (mut net, mut fs) = setup();
+        let (mut s, t) = space(&mut fs, &mut net, "lazy");
+        let lookups = fs.stats().lookups;
+        // A zero page read in, flushed and dropped is zero-fill again: no
+        // file, no lookup, no page-in.
+        let stack = VirtAddr::new(SegmentKind::Stack, 0);
+        let (_, t) = s.read(&mut fs, &mut net, t, h(1), stack, 8).unwrap();
+        let t = s.flush_dirty(&mut fs, &mut net, t, h(1)).unwrap();
+        s.drop_residency();
+        let (zeros, t) = s.read(&mut fs, &mut net, t, h(2), stack, 8).unwrap();
+        assert_eq!(zeros, [0; 8]);
+        assert_eq!(s.stats().pageins, 0);
+        assert_eq!(s.swap_files().count(), 0);
+        assert_eq!(fs.stats().lookups, lookups);
+        // The heap's first page-out creates its file, and only it.
+        let heap = VirtAddr::new(SegmentKind::Heap, 0);
+        let t = s.write(&mut fs, &mut net, t, h(2), heap, b"paged").unwrap();
+        let t = s.flush_dirty(&mut fs, &mut net, t, h(2)).unwrap();
+        assert_eq!(
+            s.swap_files().collect::<Vec<_>>(),
+            [SpritePath::new("/swap/lazy.heap")]
+        );
+        assert!(s.segment(SegmentKind::Stack).backing().is_none());
+        assert_eq!(fs.stats().lookups, lookups + 1);
+        // Later page-outs reuse it.
+        let t = s.write(&mut fs, &mut net, t, h(2), heap, b"again").unwrap();
+        s.flush_dirty(&mut fs, &mut net, t, h(2)).unwrap();
+        assert_eq!(fs.stats().lookups, lookups + 1);
+        assert_eq!(s.stats().pageouts, 2);
     }
 
     #[test]

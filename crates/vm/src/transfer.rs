@@ -306,7 +306,7 @@ mod tests {
         tag: &str,
         touched: u64,
     ) -> (AddressSpace, SimTime) {
-        let (prog, t0) = fs
+        let (prog, t) = fs
             .create(
                 net,
                 SimTime::ZERO,
@@ -314,8 +314,7 @@ mod tests {
                 SpritePath::new(format!("/bin/{tag}")),
             )
             .unwrap();
-        let (mut s, t) =
-            AddressSpace::create(fs, net, t0, h(1), tag, prog, 4, touched.max(1), 4).unwrap();
+        let mut s = AddressSpace::create(tag, prog, 4, touched.max(1), 4);
         let data = vec![0x5a; (touched * PAGE_SIZE) as usize];
         let t = s
             .write(fs, net, t, h(1), VirtAddr::new(SegmentKind::Heap, 0), &data)
@@ -506,11 +505,10 @@ mod tests {
     #[test]
     fn sprite_flush_preserves_full_image_across_hosts() {
         let (mut net, mut fs) = setup();
-        let (prog, t0) = fs
+        let (prog, t) = fs
             .create(&mut net, SimTime::ZERO, h(1), SpritePath::new("/bin/img"))
             .unwrap();
-        let (mut a, t) =
-            AddressSpace::create(&mut fs, &mut net, t0, h(1), "img", prog, 2, 64, 8).unwrap();
+        let mut a = AddressSpace::create("img", prog, 2, 64, 8);
         let pattern: Vec<u8> = (0..64 * PAGE_SIZE).map(|i| (i * 7 % 253) as u8).collect();
         let t = a
             .write(

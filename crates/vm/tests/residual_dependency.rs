@@ -34,7 +34,7 @@ fn migrated_space(
             SpritePath::new(format!("/bin/{tag}")),
         )
         .unwrap();
-    let (mut space, t) = AddressSpace::create(fs, net, t, h(1), tag, prog, 2, 32, 4).unwrap();
+    let mut space = AddressSpace::create(tag, prog, 2, 32, 4);
     let payload: Vec<u8> = (0..8 * PAGE_SIZE).map(|i| (i % 241) as u8).collect();
     let t = space
         .write(

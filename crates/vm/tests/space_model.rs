@@ -1,7 +1,7 @@
-//! Property test: an address space driven by arbitrary writes, flushes,
-//! residency drops and copy-on-reference hand-offs always reads back the
-//! bytes a flat reference model predicts — no matter which host touches it
-//! next. This is the memory-integrity half of migration transparency,
+//! Property test: an address space driven by arbitrary writes, reads,
+//! flushes, residency drops and copy-on-reference hand-offs always reads
+//! back the bytes a flat reference model predicts — no matter which host
+//! touches it next. This is the memory-integrity half of migration transparency,
 //! exercised harder than any single protocol run does.
 //!
 //! Cases come from [`DetRng`] with a fixed seed; `heavy-tests` multiplies
@@ -30,6 +30,9 @@ enum VmOp {
         byte: u8,
         len: u8,
     },
+    Read {
+        page: u8,
+    },
     FlushDirty,
     FlushAndDrop,
     LeaveAtSource,
@@ -37,9 +40,8 @@ enum VmOp {
 }
 
 fn vm_op(rng: &mut DetRng) -> VmOp {
-    // Writes weighted 4:1 against each transfer/flush op, as in the
-    // original distribution.
-    match rng.pick_index(8) {
+    // Writes weighted 4:1 against reads and each transfer/flush op.
+    match rng.pick_index(9) {
         0..=3 => VmOp::Write {
             page: rng.uniform_u64(HEAP_PAGES) as u8,
             off: rng.uniform_u64(4000) as u16,
@@ -49,6 +51,9 @@ fn vm_op(rng: &mut DetRng) -> VmOp {
         4 => VmOp::FlushDirty,
         5 => VmOp::FlushAndDrop,
         6 => VmOp::LeaveAtSource,
+        7 => VmOp::Read {
+            page: rng.uniform_u64(HEAP_PAGES) as u8,
+        },
         _ => VmOp::HopHost,
     }
 }
@@ -71,18 +76,8 @@ fn memory_matches_flat_model_under_any_transfer_mix() {
                 SpritePath::new("/bin/pm"),
             )
             .unwrap();
-        let (mut space, mut t) = AddressSpace::create(
-            &mut fs,
-            &mut net,
-            t0,
-            HostId::new(1),
-            "pm",
-            prog,
-            2,
-            HEAP_PAGES,
-            4,
-        )
-        .unwrap();
+        let mut space = AddressSpace::create("pm", prog, 2, HEAP_PAGES, 4);
+        let mut t = t0;
         let mut model = vec![0u8; (HEAP_PAGES * PAGE_SIZE) as usize];
         let mut host = HostId::new(1);
 
@@ -108,6 +103,24 @@ fn memory_matches_flat_model_under_any_transfer_mix() {
                         )
                         .unwrap();
                     model[offset as usize..(offset + len) as usize].fill(byte);
+                }
+                VmOp::Read { page } => {
+                    // A read pulls a page home from wherever it is; it
+                    // must not make a written page look clean.
+                    let offset = page as u64 * PAGE_SIZE;
+                    let (got, t1) = space
+                        .read(
+                            &mut fs,
+                            &mut net,
+                            t,
+                            host,
+                            VirtAddr::new(SegmentKind::Heap, offset),
+                            PAGE_SIZE,
+                        )
+                        .unwrap();
+                    t = t1;
+                    let want = &model[offset as usize..(offset + PAGE_SIZE) as usize];
+                    assert_eq!(got, want, "case {case}: page {page}");
                 }
                 VmOp::FlushDirty => {
                     t = space.flush_dirty(&mut fs, &mut net, t, host).unwrap();

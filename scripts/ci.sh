@@ -165,12 +165,17 @@ echo "==> a 1 s run of each benchmark workload"
 # table. Laying checkpoint images out in whole blocks (an index block, one
 # block per page, the trailer block) halved the image RPCs of
 # `migrate_evict`'s checkpoint moves and re-pinned it alone: the other
-# three workloads never checkpoint.
+# three workloads never checkpoint. Creating a segment's swap file at its
+# first page-out and unlinking it when the space is freed, instead of
+# creating two files at every spawn, fork and exec, re-pinned the three
+# workloads that run a `Cluster` (month_in_life d00d11719a7aa120,
+# pmake_build d9b70ed44bfc63c0, migrate_evict be5df8739b6d1173);
+# `cell_month` runs `HostCell`s, which have no address spaces.
 declare -A pinned_digest=(
     [cell_month]=6fb99dc88353669a
-    [month_in_life]=d00d11719a7aa120
-    [pmake_build]=d9b70ed44bfc63c0
-    [migrate_evict]=be5df8739b6d1173
+    [month_in_life]=dbaa7b7dcf0e31f5
+    [pmake_build]=3a69a566c5619bbc
+    [migrate_evict]=f7ab7baa1c021cad
 )
 for w in cell_month month_in_life pmake_build migrate_evict; do
     output="$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml --bin benchmark -- \

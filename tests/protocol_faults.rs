@@ -9,13 +9,17 @@
 //! change in how any single case ends moves that entry point's pin.
 //!
 //! `restart_from_image` restores a finished image, so a failed case must
-//! also leave no runnable replacement, and the kept image must restore on
-//! a fault-free retry.
+//! also leave no runnable replacement and no open image stream, and the
+//! kept image must restore on a fault-free retry.
+//!
+//! `exit` is fail-stop local: the process exits whatever the fault, and
+//! the one send a fault costs (a stream close, a swap-file unlink or the
+//! home notification) counts exactly one `notify_losses`.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
-use sprite::fs::{FsError, OpenMode, SpritePath, StreamId};
+use sprite::fs::{FileId, FsError, OpenMode, SpritePath, StreamId};
 use sprite::kernel::{Cluster, KernelError, ProcState, ProcessId};
 use sprite::migration::{
     checkpoint_move, image_path, restart_from_image, MigrationConfig, MigrationError,
@@ -49,25 +53,41 @@ enum Fault {
 const FAULTS: [Fault; 3] = [Fault::Timeout, Fault::Partitioned, Fault::Crashed];
 
 /// Counts every send attempt through a counter the test keeps, and rules
-/// `fault` on attempt `at` (on `at..at + MAX_SEND_ATTEMPTS` for a timeout).
+/// `fault` on attempt `at` (on `at..at + MAX_SEND_ATTEMPTS` for a timeout),
+/// recording the op of the send the fault hit.
 #[derive(Debug)]
 struct OneFault {
     attempts: Rc<Cell<u32>>,
     fault: Option<(u32, Fault)>,
+    hit: Rc<Cell<Option<RpcOp>>>,
+}
+
+impl OneFault {
+    fn clean() -> Self {
+        OneFault {
+            attempts: Rc::new(Cell::new(0)),
+            fault: None,
+            hit: Rc::new(Cell::new(None)),
+        }
+    }
 }
 
 impl LinkPolicy for OneFault {
-    fn verdict(&mut self, _: RpcOp, _: SimTime, _: HostId, _: Option<HostId>) -> LinkVerdict {
+    fn verdict(&mut self, op: RpcOp, _: SimTime, _: HostId, _: Option<HostId>) -> LinkVerdict {
         let n = self.attempts.get();
         self.attempts.set(n + 1);
-        match self.fault {
+        let verdict = match self.fault {
             Some((at, Fault::Timeout)) if (at..at + MAX_SEND_ATTEMPTS).contains(&n) => {
                 LinkVerdict::Drop
             }
             Some((at, Fault::Partitioned)) if n == at => LinkVerdict::Partitioned,
             Some((at, Fault::Crashed)) if n == at => LinkVerdict::PeerCrashed,
             _ => LinkVerdict::Deliver,
+        };
+        if verdict != LinkVerdict::Deliver {
+            self.hit.set(Some(op));
         }
+        verdict
     }
 }
 
@@ -75,7 +95,8 @@ impl LinkPolicy for OneFault {
 /// `CheckpointMove` move the process homed on host 1 from home to host 5;
 /// the evictions empty host 3, where both processes are guests;
 /// `RestartFromImage` rebuilds that process on host 5 from the image a
-/// clean checkpoint wrote.
+/// clean checkpoint wrote; `Exit` ends that process on host 5, after a
+/// migration there paged its heap out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Entry {
     Migrate,
@@ -84,6 +105,7 @@ enum Entry {
     EvictReselecting,
     CheckpointMove,
     RestartFromImage,
+    Exit,
 }
 
 impl Entry {
@@ -108,7 +130,8 @@ const IMAGE_PAGES: u64 = 3;
 /// the evictions both first migrate to host 3, whose owner then returns;
 /// host 4's owner is at the console, so host 4 refuses as a candidate. For
 /// `RestartFromImage` the first process's image is written on a clean
-/// link; the process keeps running at home.
+/// link; the process keeps running at home. For `Exit` the first process
+/// migrates to host 5, which creates its heap's swap file.
 fn world(entry: Entry) -> World {
     let mut c = Cluster::new(CostModel::sun3(), 6);
     c.add_file_server(h(0), SpritePath::new("/"));
@@ -162,6 +185,10 @@ fn world(entry: Entry) -> World {
         assert_eq!(image.pages, IMAGE_PAGES);
         t = report.completed_at;
     }
+    if entry == Entry::Exit {
+        t = m.migrate(&mut c, t, pids[0], h(5)).unwrap().resumed_at;
+        assert_eq!(c.fs.backing_files().count(), 1);
+    }
     World {
         c,
         m,
@@ -199,6 +226,7 @@ fn run(entry: Entry, w: &mut World) -> Result<Vec<SimTime>, MigrationError> {
             checkpoint_move(c, t, pid, h(5), CkptStrategy::FullImage).map(|r| vec![r.resumed_at])
         }
         Entry::RestartFromImage => restart(c, t, pid).map(|(_, _, at)| vec![at]),
+        Entry::Exit => c.exit(t, pid, 0).map(|at| vec![at]).map_err(Into::into),
     }
 }
 
@@ -222,27 +250,33 @@ fn live(c: &Cluster) -> Vec<ProcessId> {
 }
 
 /// A restore adds one live process, on host 5, or none when it fails;
-/// a failed one leaves the image whole, so a fault-free retry restores
-/// every page of it. Folds the retry's outcome into `d`.
+/// a failed one closes the image stream it opened and leaves the image
+/// whole, so a fault-free retry restores every page of it. Folds the
+/// retry's outcome into `d`.
 fn check_restart(
     w: &mut World,
-    before: &[ProcessId],
+    before: &Before,
     result: &Result<Vec<SimTime>, MigrationError>,
     case: &str,
     d: &mut StateDigest,
 ) {
     let after = live(&w.c);
     let Err(e) = result else {
-        let added: Vec<_> = after.iter().filter(|p| !before.contains(p)).collect();
+        let added: Vec<_> = after.iter().filter(|p| !before.live.contains(p)).collect();
         assert_eq!(added.len(), 1, "{case}: {added:?} added");
         assert_eq!(w.c.pcb(*added[0]).unwrap().current, h(5), "{case}");
         return;
     };
-    assert_eq!(after, before, "{case}: a failed restore left a replacement");
-    w.c.net.set_policy(Box::new(OneFault {
-        attempts: Rc::new(Cell::new(0)),
-        fault: None,
-    }));
+    assert_eq!(
+        after, before.live,
+        "{case}: a failed restore left a replacement"
+    );
+    assert_eq!(
+        w.c.fs.streams().len(),
+        before.open_streams,
+        "{case}: a failed restore left its image stream open"
+    );
+    w.c.net.set_policy(Box::new(OneFault::clean()));
     let at = gave_up_at(e, w.t);
     let (_, pages, resumed) = restart(&mut w.c, at, w.pids[0])
         .unwrap_or_else(|e| panic!("{case}: the retry failed: {e}"));
@@ -264,13 +298,18 @@ fn check_live_processes(c: &Cluster, case: &str) {
     }
 }
 
-/// The moving process and the failure count before the call, which a
-/// failed `migrate` or `exec_migrate` is checked against.
+/// The cluster before the call, which a failed call is checked against:
+/// the moving process, the failure and loss counts, the live processes,
+/// the open streams and the swap files.
 struct Before {
     from: HostId,
     migrations: u32,
     streams: Vec<StreamId>,
     failures: u64,
+    notify_losses: u64,
+    live: Vec<ProcessId>,
+    open_streams: usize,
+    swap_files: Vec<FileId>,
 }
 
 /// A failed `migrate` or `exec_migrate` counts one failure, and one that
@@ -305,6 +344,26 @@ fn check_single_move(
     }
 }
 
+/// The process exits whatever the fault, and the one send a fault costs
+/// counts one `notify_losses`. The process's swap file is gone unless the
+/// lost send was its unlink (a `fs-lookup`), which leaves it behind.
+fn check_exit(w: &World, before: &Before, hit: Option<RpcOp>, case: &str) {
+    assert!(
+        !live(&w.c).contains(&w.pids[0]),
+        "{case}: the process survived its exit"
+    );
+    let losses = w.c.stats().notify_losses - before.notify_losses;
+    assert_eq!(losses, u64::from(hit.is_some()), "{case}: notify_losses");
+    let left: Vec<FileId> = w.c.fs.backing_files().collect();
+    let unlink_lost = hit == Some(RpcOp::FsLookup);
+    let want = if unlink_lost {
+        &before.swap_files[..]
+    } else {
+        &[]
+    };
+    assert_eq!(left, want, "{case}: swap files after exit ({hit:?} lost)");
+}
+
 /// Runs one case: returns the number of attempts the run made and folds
 /// its outcome into `d`.
 fn case(entry: Entry, fault: Option<(u32, Fault)>, d: &mut StateDigest) -> u32 {
@@ -316,13 +375,17 @@ fn case(entry: Entry, fault: Option<(u32, Fault)>, d: &mut StateDigest) -> u32 {
         migrations: pcb.migrations,
         streams: pcb.open_fds().map(|(_, s)| s).collect(),
         failures: w.m.totals().failures,
+        notify_losses: w.c.stats().notify_losses,
+        live: live(&w.c),
+        open_streams: w.c.fs.streams().len(),
+        swap_files: w.c.fs.backing_files().collect(),
     };
-    let live_before = live(&w.c);
-    let attempts = Rc::new(Cell::new(0));
-    w.c.net.set_policy(Box::new(OneFault {
-        attempts: Rc::clone(&attempts),
+    let policy = OneFault {
         fault,
-    }));
+        ..OneFault::clean()
+    };
+    let (attempts, hit) = (Rc::clone(&policy.attempts), Rc::clone(&policy.hit));
+    w.c.net.set_policy(Box::new(policy));
     let result = run(entry, &mut w);
 
     check_live_processes(&w.c, &label);
@@ -334,6 +397,10 @@ fn case(entry: Entry, fault: Option<(u32, Fault)>, d: &mut StateDigest) -> u32 {
     if entry.evicts() && matches!(fault, None | Some((_, Fault::Timeout))) {
         assert!(result.is_ok(), "{label}: {result:?}");
         assert_eq!(w.c.foreign_on(h(3)).count(), 0, "{label}: guests left");
+    }
+    if entry == Entry::Exit {
+        assert!(result.is_ok(), "{label}: {result:?}");
+        check_exit(&w, &before, hit.get(), &label);
     }
 
     match &result {
@@ -366,7 +433,7 @@ fn case(entry: Entry, fault: Option<(u32, Fault)>, d: &mut StateDigest) -> u32 {
     d.write_u64(w.c.digest());
     let attempts = attempts.get();
     if entry == Entry::RestartFromImage {
-        check_restart(&mut w, &live_before, &result, &label, d);
+        check_restart(&mut w, &before, &result, &label, d);
     }
     attempts
 }
@@ -386,23 +453,36 @@ fn table(entry: Entry) -> (u32, u64) {
 
 /// Each entry point's clean attempt count and the digest of its table.
 /// A change that alters how any case ends re-pins its entry point here
-/// and says why in CHANGES.md.
-const PINS: [(Entry, u32, u64); 6] = [
-    (Entry::Migrate, 7, 0x1785_d890_b74f_e67b),
-    // Attempts 4-8 are the exec's own I/O on the target, after the
-    // commit: a fault there kills the process, whose old image is gone.
-    (Entry::ExecMigrate, 9, 0x11b3_3368_30fe_9379),
-    (Entry::EvictAll, 6, 0x71bf_ef65_2c25_68ca),
+/// and says why in CHANGES.md. Swap files are created at a segment's
+/// first page-out and unlinked when the space is freed, not created at
+/// every spawn, fork and exec: that moved every digest, since each case's
+/// cluster stores fewer files and its setup made fewer lookups.
+const PINS: [(Entry, u32, u64); 7] = [
+    // The flush is the heap's first page-out, so it creates the heap file
+    // inside the freeze: one attempt more than the 7 made when spawn
+    // created the swap files.
+    (Entry::Migrate, 8, 0x4802_826c_07c6_e616),
+    // Attempts 4-6 are the exec's own I/O on the target (the header's
+    // open, read and close), after the commit: a fault there kills the
+    // process, whose old image is gone. The old image never paged out,
+    // so freeing it sends nothing; 9 attempts when the exec created two
+    // swap files.
+    (Entry::ExecMigrate, 7, 0x4f59_62c3_3005_2e8b),
+    (Entry::EvictAll, 6, 0xc0c2_07e9_126b_0760),
     // Attempts 0-3 move the first guest to host 5 (host 4 refuses);
     // 4-6 are the second guest's trip home, which retries a timeout.
-    (Entry::EvictReselecting, 7, 0xa052_a2be_61cc_0440),
+    (Entry::EvictReselecting, 7, 0x2346_a5e0_86e8_2738),
     // Block-aligned images: one block RPC per image block each way (an
-    // index block, 3 page blocks and the trailer). With 4,105-byte page
-    // records straddling blocks, the same move made 27 attempts.
-    (Entry::CheckpointMove, 21, 0xc229_eb6b_f1eb_9679),
-    // Two backing-file creates, the open, 5 block reads, the close; 12
-    // attempts when page records straddled blocks.
-    (Entry::RestartFromImage, 9, 0x17cf_92e2_3279_75c1),
+    // index block, 3 page blocks and the trailer). The restore's spawn
+    // creates no swap files, which took 2 attempts of the 21 before; with
+    // 4,105-byte page records straddling blocks, the move made 27.
+    (Entry::CheckpointMove, 19, 0xe2ae_edc6_7b76_fdbc),
+    // The open, 5 block reads, the close; 9 attempts when the spawn
+    // created two swap files, 12 when page records straddled blocks.
+    (Entry::RestartFromImage, 7, 0x85db_0977_074a_e70d),
+    // The stream's close, the heap file's unlink and the home
+    // notification: each is best-effort, so the process exits anyway.
+    (Entry::Exit, 3, 0xbf7c_6459_0621_0dff),
 ];
 
 #[test]
