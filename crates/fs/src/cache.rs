@@ -196,6 +196,24 @@ impl BlockCache {
         }
     }
 
+    /// The dirty block that caching `addr` would evict, marked clean and
+    /// left cached: the least recently used block, when `addr` is not
+    /// cached, the cache is full and that block is dirty. The caller
+    /// writes it back before the insert, and re-marks it dirty if the
+    /// write-back fails.
+    pub fn take_dirty_victim(&mut self, addr: BlockAddr) -> Option<(BlockAddr, Frame)> {
+        if self.recency.len() < self.capacity || self.recency.stamp(&addr).is_some() {
+            return None;
+        }
+        let victim = self.recency.oldest()?;
+        let block = self.block_mut(victim).expect("indexed block");
+        if !block.dirty {
+            return None;
+        }
+        block.dirty = false;
+        Some((victim, Frame::clone(&block.data)))
+    }
+
     /// Re-marks a cached block dirty — used when a write-back RPC failed
     /// and the copy must stay scheduled for a future flush instead of being
     /// silently lost. Returns true if the block was still cached.

@@ -19,6 +19,13 @@
 //! result. Each server interaction is tagged with its [`RpcOp`] so the
 //! transport's per-op table attributes file traffic to opens, lookups,
 //! block reads/writes, consistency actions and paging separately.
+//!
+//! A block crosses between a client and a server through one helper each
+//! way, and every flush (fsync, close, recall, cache disable, stream
+//! migration, eviction) writes back through one loop under one rule: a
+//! cached block stops being dirty only once its server has stored it. A
+//! write-back that fails leaves its block, and every block after it,
+//! dirty in the client's cache for the next flush.
 
 use sprite_net::{
     wire_size, HostId, RpcError, RpcOp, SendError, Transport, CONTROL_BYTES, PAGE_SIZE,
@@ -32,7 +39,9 @@ use crate::shard::ShardMap;
 use crate::stream::{MoveOutcome, ReleaseOutcome, StreamId, StreamTable};
 use crate::{FileId, FileKind, OpenMode, SpritePath};
 
-/// Tunables for the file system.
+/// Tunables for the file system. A host always flushes its dirty blocks
+/// of a file when it drops its last reference to it (see
+/// [`SpriteFs::close`]); that is not a setting.
 #[derive(Debug, Clone)]
 pub struct FsConfig {
     /// Client block-cache capacity, in blocks (Sprite workstations devoted a
@@ -40,10 +49,6 @@ pub struct FsConfig {
     pub client_cache_blocks: usize,
     /// Server block-cache capacity, in blocks.
     pub server_cache_blocks: usize,
-    /// Flush a host's dirty blocks for a file when the host drops its last
-    /// stream to it (Sprite used 30-second delayed writes; flushing on final
-    /// close is the same traffic, scheduled deterministically).
-    pub flush_on_close: bool,
     /// Cache name-to-file translations at clients, skipping the server's
     /// per-component lookup work on repeat opens. Sprite did NOT have this
     /// (the consistency of name caches is hard), and Nelson estimated adding
@@ -58,7 +63,6 @@ impl Default for FsConfig {
         FsConfig {
             client_cache_blocks: 1024, // 4 MB
             server_cache_blocks: 8192, // 32 MB
-            flush_on_close: true,
             client_name_caching: false,
         }
     }
@@ -214,10 +218,10 @@ pub struct SpriteFs {
     shard_known: Vec<DetHashSet<SpritePath>>,
     replicas: ReplicaTable,
     streams: StreamTable,
-    /// Dense file→server table indexed by the file's sequential id.
-    file_home: Vec<Option<HostId>>,
-    /// Shard-group index each file was created under (same indexing).
-    file_group: Vec<Option<u16>>,
+    /// Dense placement table indexed by the file's sequential id: the
+    /// server storing each live file and the shard group it was created
+    /// under.
+    placement: Vec<Option<(HostId, u16)>>,
     next_file: u64,
     stats: FsStats,
     config: FsConfig,
@@ -237,8 +241,7 @@ impl SpriteFs {
             shard_known: vec![DetHashSet::default(); hosts],
             replicas: ReplicaTable::new(),
             streams: StreamTable::new(),
-            file_home: Vec::new(),
-            file_group: Vec::new(),
+            placement: Vec::new(),
             next_file: 1,
             stats: FsStats::default(),
             config,
@@ -315,8 +318,7 @@ impl SpriteFs {
             shard_known,
             replicas,
             streams,
-            file_home,
-            file_group,
+            placement,
             next_file,
             stats,
             config: _, // immutable run parameters
@@ -398,20 +400,15 @@ impl SpriteFs {
                 d.write_str(p.as_str());
             }
         }
-        // File placement tables grow as files are created; a divergent
+        // The placement table grows as files are created; a divergent
         // creation order shows up here even before any I/O touches it.
-        d.write_usize(file_home.len());
-        for home in file_home {
-            match home {
-                Some(h) => d.write_usize(h.index() + 1),
-                None => d.write_usize(0),
-            }
+        // Homes fold first, then groups.
+        d.write_usize(placement.len());
+        for place in placement {
+            d.write_usize(place.map_or(0, |(home, _)| home.index() + 1));
         }
-        for group in file_group {
-            match group {
-                Some(g) => d.write_u32(u32::from(*g) + 1),
-                None => d.write_u32(0),
-            }
+        for place in placement {
+            d.write_u32(place.map_or(0, |(_, group)| u32::from(group) + 1));
         }
     }
 
@@ -444,14 +441,14 @@ impl SpriteFs {
 
     /// The server host storing `file`.
     pub fn home_of(&self, file: FileId) -> Option<HostId> {
-        self.file_home.get(file.raw() as usize).copied().flatten()
+        self.placed(file).map(|(home, _)| home)
     }
 
     /// Every backing (swap) file the servers store, in id order.
     pub fn backing_files(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.file_home.iter().enumerate().filter_map(|(i, home)| {
+        self.placement.iter().enumerate().filter_map(|(i, place)| {
             let id = FileId::new(i as u64);
-            let file = self.srv((*home)?).file(id)?;
+            let file = self.srv(place.as_ref()?.0).file(id)?;
             matches!(file.kind, FileKind::Backing).then_some(id)
         })
     }
@@ -466,18 +463,9 @@ impl SpriteFs {
         self.servers[host.index()].as_mut().expect("known server")
     }
 
-    fn set_home(&mut self, file: FileId, server: HostId) {
-        let i = file.raw() as usize;
-        if self.file_home.len() <= i {
-            self.file_home.resize(i + 1, None);
-        }
-        self.file_home[i] = Some(server);
-    }
-
-    fn clear_home(&mut self, file: FileId) {
-        if let Some(slot) = self.file_home.get_mut(file.raw() as usize) {
-            *slot = None;
-        }
+    /// The server storing `file` and the shard group it was created under.
+    fn placed(&self, file: FileId) -> Option<(HostId, u16)> {
+        self.placement.get(file.raw() as usize).copied().flatten()
     }
 
     /// Charges one client→server service interaction at the op's canonical
@@ -508,7 +496,8 @@ impl SpriteFs {
     }
 
     /// Like [`SpriteFs::charge_typed`] but with caller-sized payloads, for
-    /// ops that move variable amounts of data (block writes, page flushes).
+    /// ops that move variable amounts of data: a block to a server (only
+    /// through [`SpriteFs::block_to_server`]) or a whole replica copy.
     #[expect(clippy::too_many_arguments)]
     fn charge_sized(
         &mut self,
@@ -546,48 +535,129 @@ impl SpriteFs {
         }
     }
 
-    /// Flushes one dirty block to its server, charging transfer + service;
-    /// the server stores the client's frame by reference. If the write-back
-    /// RPC fails, the block is re-marked dirty in the client's cache (its
-    /// clean copy stayed resident), so the bytes remain scheduled for a
-    /// future flush rather than silently lost.
+    /// Carries `len` bytes of `file`'s block `block` from `host` to the
+    /// server `io` as one `op` RPC, then touches the block in `io`'s
+    /// memory cache. The caller stores the bytes.
+    #[expect(clippy::too_many_arguments)]
+    fn block_to_server(
+        &mut self,
+        net: &mut Transport,
+        op: RpcOp,
+        now: SimTime,
+        host: HostId,
+        io: HostId,
+        file: FileId,
+        block: u64,
+        len: u64,
+    ) -> FsResult<SimTime> {
+        let extra = net.cost().cache_block_op;
+        let reply = CONTROL_BYTES;
+        let t = self.charge_sized(net, op, now, host, io, len + CONTROL_BYTES, reply, extra)?;
+        self.srv_mut(io).touch_block(file, block);
+        Ok(t)
+    }
+
+    /// Serves `file`'s block `block` from the server `io` to `host` as one
+    /// `op` RPC, paying a disk access when the block is not in `io`'s
+    /// memory cache. The caller takes the bytes.
+    #[expect(clippy::too_many_arguments)]
+    fn block_from_server(
+        &mut self,
+        net: &mut Transport,
+        op: RpcOp,
+        now: SimTime,
+        host: HostId,
+        io: HostId,
+        file: FileId,
+        block: u64,
+    ) -> FsResult<SimTime> {
+        let disk = if self.srv_mut(io).touch_block(file, block) {
+            SimDuration::ZERO
+        } else {
+            net.cost().disk_access
+        };
+        let extra = net.cost().cache_block_op + disk;
+        self.charge_typed(net, op, now, host, io, extra)
+    }
+
+    /// Writes one dirty block of `host`'s cache back to the file's home
+    /// server, which stores the client's frame by reference. If the RPC
+    /// fails, the block is re-marked dirty: its copy stayed cached, and it
+    /// stays scheduled for the next flush.
     fn write_back_block(
         &mut self,
         net: &mut Transport,
         now: SimTime,
-        from: HostId,
+        host: HostId,
         addr: BlockAddr,
         data: Frame,
     ) -> FsResult<SimTime> {
-        let server = self.home_of(addr.file).expect("file has a home");
-        let extra = net.cost().cache_block_op;
-        let done = match self.charge_sized(
-            net,
-            RpcOp::FsBlockWrite,
-            now,
-            from,
-            server,
-            data.len() as u64 + CONTROL_BYTES,
-            CONTROL_BYTES,
-            extra,
-        ) {
+        let BlockAddr { file, block } = addr;
+        let server = self.home_of(file).expect("file has a home");
+        let len = data.len() as u64;
+        let op = RpcOp::FsBlockWrite;
+        let done = match self.block_to_server(net, op, now, host, server, file, block, len) {
             Ok(done) => done,
             Err(e) => {
-                self.clients[from.index()].mark_dirty(addr);
+                self.clients[host.index()].mark_dirty(addr);
                 return Err(e);
             }
         };
-        let srv = self.srv_mut(server);
-        srv.touch_block(addr.file, addr.block);
-        if let Some(file) = srv.file_mut(addr.file) {
-            file.put_frame(addr.block, data);
+        if let Some(f) = self.srv_mut(server).file_mut(file) {
+            f.put_frame(block, data);
         }
         self.stats.block_writebacks += 1;
         Ok(done)
     }
 
+    /// Writes `host`'s dirty blocks of `file` back to its server, in block
+    /// order: the one flush loop. A block stops being dirty only once its
+    /// server has stored it, so a failed write-back leaves that block and
+    /// every later one dirty.
+    fn flush_file(
+        &mut self,
+        net: &mut Transport,
+        now: SimTime,
+        host: HostId,
+        file: FileId,
+    ) -> FsResult<SimTime> {
+        let mut dirty = self.clients[host.index()]
+            .take_dirty_blocks(file)
+            .into_iter();
+        let mut t = now;
+        while let Some((addr, data)) = dirty.next() {
+            t = match self.write_back_block(net, t, host, addr, data) {
+                Ok(done) => done,
+                Err(e) => {
+                    for (later, _) in dirty {
+                        self.clients[host.index()].mark_dirty(later);
+                    }
+                    return Err(e);
+                }
+            };
+        }
+        Ok(t)
+    }
+
+    /// Writes back the dirty block that caching `addr` on `host` would
+    /// evict, before the insert, so the block stays cached and dirty if
+    /// the write-back fails.
+    fn make_room(
+        &mut self,
+        net: &mut Transport,
+        now: SimTime,
+        host: HostId,
+        addr: BlockAddr,
+    ) -> FsResult<SimTime> {
+        match self.clients[host.index()].take_dirty_victim(addr) {
+            Some((victim, data)) => self.write_back_block(net, now, host, victim, data),
+            None => Ok(now),
+        }
+    }
+
     /// Recalls all dirty blocks of `file` from `host` (server-initiated
-    /// flush). Returns completion time.
+    /// flush): one consistency notice, then the flush. Returns completion
+    /// time.
     fn recall_dirty(
         &mut self,
         net: &mut Transport,
@@ -595,27 +665,25 @@ impl SpriteFs {
         host: HostId,
         file: FileId,
     ) -> FsResult<SimTime> {
-        let server = self.home_of(file).expect("file has a home");
-        let dirty = self.clients[host.index()].take_dirty_blocks(file);
-        if dirty.is_empty() {
+        if self.clients[host.index()].dirty_block_count(file) == 0 {
             return Ok(now);
         }
+        let server = self.home_of(file).expect("file has a home");
         // The recall request itself.
-        let mut t = if host == server {
+        let t = if host == server {
             now
         } else {
             net.send(RpcOp::FsConsistency, now, server, host, None)?
                 .done
         };
-        for (addr, data) in dirty {
-            t = self.write_back_block(net, t, host, addr, data)?;
-        }
+        let t = self.flush_file(net, t, host, file)?;
         self.stats.consistency_recalls += 1;
         Ok(t)
     }
 
-    /// Drops every cached block of `file` on `host`, writing dirty ones
-    /// back first (caching got disabled).
+    /// Flushes `host`'s dirty blocks of `file`, then drops every cached
+    /// block of it (caching got disabled, or the copies may be stale). A
+    /// failed flush drops nothing.
     fn invalidate_on_host(
         &mut self,
         net: &mut Transport,
@@ -623,11 +691,8 @@ impl SpriteFs {
         host: HostId,
         file: FileId,
     ) -> FsResult<SimTime> {
-        let dirty = self.clients[host.index()].invalidate_file(file);
-        let mut t = now;
-        for (addr, data) in dirty {
-            t = self.write_back_block(net, t, host, addr, data)?;
-        }
+        let t = self.flush_file(net, now, host, file)?;
+        self.clients[host.index()].invalidate_file(file);
         Ok(t)
     }
 
@@ -678,11 +743,8 @@ impl SpriteFs {
     /// The shard-group peers of `home` for `file`, or empty when the file
     /// lives in a single-server domain.
     fn group_peers(&self, file: FileId, home: HostId) -> Vec<HostId> {
-        self.file_group
-            .get(file.raw() as usize)
-            .copied()
-            .flatten()
-            .and_then(|gi| self.shards.group(gi as usize))
+        self.placed(file)
+            .and_then(|(_, gi)| self.shards.group(gi as usize))
             .map(|g| g.servers.iter().copied().filter(|&s| s != home).collect())
             .unwrap_or_default()
     }
@@ -838,19 +900,20 @@ impl SpriteFs {
         match srv.create(path.clone(), id, kind) {
             Some(id) => {
                 self.next_file += 1;
-                self.set_home(id, server);
                 let i = id.raw() as usize;
-                if self.file_group.len() <= i {
-                    self.file_group.resize(i + 1, None);
+                if self.placement.len() <= i {
+                    self.placement.resize(i + 1, None);
                 }
-                self.file_group[i] = Some(group);
+                self.placement[i] = Some((server, group));
                 Ok((id, done))
             }
             None => Err(FsError::AlreadyExists(path)),
         }
     }
 
-    /// Removes a name. Fails if the file does not exist.
+    /// Removes a name. Fails if the file does not exist. Every host's
+    /// cached blocks of the file go with it, dirty ones included, at no
+    /// modelled cost, like the name caches.
     ///
     /// Divergence from UNIX: streams still open on the file read end-of-file
     /// afterwards rather than retaining the old contents until close.
@@ -876,11 +939,10 @@ impl SpriteFs {
         done = self.invalidate_replicas(net, done, id)?;
         self.replicas.forget(id);
         self.srv_mut(server).unlink(path);
-        self.clear_home(id);
-        if let Some(slot) = self.file_group.get_mut(id.raw() as usize) {
-            *slot = None;
+        self.placement[id.raw() as usize] = None;
+        for cache in &mut self.clients {
+            cache.invalidate_file(id);
         }
-        self.clients[host.index()].invalidate_file(id);
         for cache in &mut self.name_caches {
             cache.remove(path);
         }
@@ -947,7 +1009,7 @@ impl SpriteFs {
             && !actions.invalidate_on.contains(&host)
             && actions.opener_cache_current
         {
-            let version = self.server_file_version(server, id);
+            let (_, version, _) = self.file_state(server, id);
             self.clients[host.index()].revalidate_file(id, version);
         }
         if self.config.client_name_caching {
@@ -991,26 +1053,8 @@ impl SpriteFs {
         buf: &mut Vec<u8>,
     ) -> FsResult<SimTime> {
         buf.clear();
-        let (file, server, mode, kind, shadowed, offset) = self.stream_info(stream, host)?;
-        if !mode.reads() {
-            return Err(FsError::BadMode(stream));
-        }
-        if matches!(kind, FileKind::Pseudo { .. }) {
-            return Err(FsError::WrongKind(file));
-        }
-        let mut t = now + net.cost().local_kernel_call;
-        if shadowed {
-            // The access position lives at the I/O server.
-            t = self.charge_typed(
-                net,
-                RpcOp::FsShadowStream,
-                t,
-                host,
-                server,
-                SimDuration::ZERO,
-            )?;
-            self.stats.shadow_ops += 1;
-        }
+        let (file, server, shadowed, offset) = self.data_stream(stream, host, OpenMode::reads)?;
+        let mut t = self.start_transfer(net, now, host, server, shadowed)?;
         let (cacheable, version, logical) = self.file_state(server, file);
         let end = offset.saturating_add(len).min(logical);
         buf.reserve(end.saturating_sub(offset) as usize);
@@ -1037,8 +1081,8 @@ impl SpriteFs {
                 }
             } else {
                 self.stats.uncached_ops += 1;
-                let extra = net.cost().cache_block_op + self.disk_penalty(net, server, file, block);
-                t = self.charge_typed(net, RpcOp::FsBlockRead, t, host, server, extra)?;
+                let op = RpcOp::FsBlockRead;
+                t = self.block_from_server(net, op, t, host, server, file, block)?;
                 if let Some(f) = self.srv(server).file(file) {
                     f.read_into(pos, (take_to - take_from) as u64, buf);
                 }
@@ -1064,25 +1108,8 @@ impl SpriteFs {
         stream: StreamId,
         bytes: &[u8],
     ) -> FsResult<SimTime> {
-        let (file, server, mode, kind, shadowed, offset) = self.stream_info(stream, host)?;
-        if !mode.writes() {
-            return Err(FsError::BadMode(stream));
-        }
-        if matches!(kind, FileKind::Pseudo { .. }) {
-            return Err(FsError::WrongKind(file));
-        }
-        let mut t = now + net.cost().local_kernel_call;
-        if shadowed {
-            t = self.charge_typed(
-                net,
-                RpcOp::FsShadowStream,
-                t,
-                host,
-                server,
-                SimDuration::ZERO,
-            )?;
-            self.stats.shadow_ops += 1;
-        }
+        let (file, server, shadowed, offset) = self.data_stream(stream, host, OpenMode::writes)?;
+        let mut t = self.start_transfer(net, now, host, server, shadowed)?;
         let (cacheable, version, _) = self.file_state(server, file);
         let end = offset + bytes.len() as u64;
         let mut pos = offset;
@@ -1102,31 +1129,18 @@ impl SpriteFs {
                     .or_else(|| self.server_block_frame(server, file, block));
                 write_frame(&mut current, within, chunk);
                 let current = current.expect("a write leaves a frame");
-                if let Some((evicted, data)) =
-                    self.clients[host.index()].insert_dirty(addr, version, current)
-                {
-                    t = self.write_back_block(net, t, host, evicted, data)?;
-                }
+                t = self.make_room(net, t, host, addr)?;
+                let evicted = self.clients[host.index()].insert_dirty(addr, version, current);
+                debug_assert!(evicted.is_none(), "make_room wrote the victim back");
                 // Metadata-only size update rides along with the next RPC in
                 // the real system; the logical size must grow now so reads
                 // see the right end of file.
                 self.note_size(server, file, block_start + upto as u64);
             } else {
                 self.stats.uncached_ops += 1;
-                let extra = net.cost().cache_block_op;
-                t = self.charge_sized(
-                    net,
-                    RpcOp::FsBlockWrite,
-                    t,
-                    host,
-                    server,
-                    chunk.len() as u64 + CONTROL_BYTES,
-                    CONTROL_BYTES,
-                    extra,
-                )?;
-                let srv = self.srv_mut(server);
-                srv.touch_block(file, block);
-                if let Some(f) = srv.file_mut(file) {
+                let (op, len) = (RpcOp::FsBlockWrite, chunk.len() as u64);
+                t = self.block_to_server(net, op, t, host, server, file, block, len)?;
+                if let Some(f) = self.srv_mut(server).file_mut(file) {
                     f.write_at(block_start + within as u64, chunk);
                 }
             }
@@ -1149,15 +1163,14 @@ impl SpriteFs {
         stream: StreamId,
     ) -> FsResult<SimTime> {
         let (file, _, _, _, _, _) = self.stream_info(stream, host)?;
-        let dirty = self.clients[host.index()].take_dirty_blocks(file);
-        let mut t = now;
-        for (addr, data) in dirty {
-            t = self.write_back_block(net, t, host, addr, data)?;
-        }
-        Ok(t)
+        self.flush_file(net, now, host, file)
     }
 
-    /// Closes one reference to `stream` held by `host`.
+    /// Closes one reference to `stream` held by `host`. When that was the
+    /// host's last reference to the file, the host flushes its dirty
+    /// blocks of the file and then tells the server it closed. (Sprite
+    /// used 30-second delayed writes; flushing when the last reference
+    /// goes is the same traffic, scheduled deterministically.)
     pub fn close(
         &mut self,
         net: &mut Transport,
@@ -1167,38 +1180,20 @@ impl SpriteFs {
     ) -> FsResult<SimTime> {
         let (file, server, mode, _, _, _) = self.stream_info(stream, host)?;
         let mut t = now + net.cost().local_kernel_call;
-        match self.streams.release(stream, host) {
+        let dropped_file_ref = match self.streams.release(stream, host) {
             ReleaseOutcome::UnknownStream | ReleaseOutcome::NotAHolder => {
                 return Err(FsError::BadStream(stream))
             }
-            ReleaseOutcome::StreamClosed => {
-                if self.config.flush_on_close {
-                    let dirty = self.clients[host.index()].take_dirty_blocks(file);
-                    for (addr, data) in dirty {
-                        t = self.write_back_block(net, t, host, addr, data)?;
-                    }
-                }
-                t = self.charge_typed(net, RpcOp::FsClose, t, host, server, SimDuration::ZERO)?;
-                let srv = self.srv_mut(server);
-                srv.close(file, host, mode);
-            }
+            ReleaseOutcome::StreamClosed => true,
             ReleaseOutcome::StillOpen {
                 host_dropped_file_ref,
                 ..
-            } => {
-                if host_dropped_file_ref {
-                    if self.config.flush_on_close {
-                        let dirty = self.clients[host.index()].take_dirty_blocks(file);
-                        for (addr, data) in dirty {
-                            t = self.write_back_block(net, t, host, addr, data)?;
-                        }
-                    }
-                    t =
-                        self.charge_typed(net, RpcOp::FsClose, t, host, server, SimDuration::ZERO)?;
-                    let srv = self.srv_mut(server);
-                    srv.close(file, host, mode);
-                }
-            }
+            } => host_dropped_file_ref,
+        };
+        if dropped_file_ref {
+            t = self.flush_file(net, t, host, file)?;
+            t = self.charge_typed(net, RpcOp::FsClose, t, host, server, SimDuration::ZERO)?;
+            self.srv_mut(server).close(file, host, mode);
         }
         self.stats.closes += 1;
         Ok(t)
@@ -1222,20 +1217,13 @@ impl SpriteFs {
         let (file, server, mode, _, _, _) = self.stream_info(stream, from)?;
         // 1. Flush the source's dirty blocks so the target (and server) see
         //    current data.
-        let dirty = self.clients[from.index()].take_dirty_blocks(file);
-        let mut t = now;
-        for (addr, data) in dirty {
-            t = self.write_back_block(net, t, from, addr, data)?;
-        }
+        let mut t = self.flush_file(net, now, from, file)?;
         // 2. The arriving host may hold stale cached blocks for this file
         //    from an earlier visit; migration acts like an open for
         //    consistency purposes, so those copies are dropped (dirty ones
         //    written back first) and reads on the target refetch current
         //    data from the server.
-        let stale_dirty = self.clients[to.index()].invalidate_file(file);
-        for (addr, data) in stale_dirty {
-            t = self.write_back_block(net, t, to, addr, data)?;
-        }
+        t = self.invalidate_on_host(net, t, to, file)?;
         // 3. One RPC to the I/O server to move the open records; the server
         //    is the single synchronization point, which is what made
         //    Sprite's stream migration safe in the presence of sharing.
@@ -1246,14 +1234,14 @@ impl SpriteFs {
             .move_refs(stream, from, to, nrefs)
             .ok_or(FsError::BadStream(stream))?;
         let srv = self.srv_mut(server);
-        if outcome.from_dropped_file_ref {
-            srv.move_open(file, from, to, mode);
-        } else {
-            srv.open_for_migration(file, to, mode);
+        let from_record = outcome.from_dropped_file_ref.then_some(from);
+        if !srv.move_open(file, from_record, to, mode) {
+            // Unlinked while open: the server keeps no records to move.
+            return Ok((outcome, t));
         }
         // 4. Concurrent write-sharing created by the move disables caching.
         let (cacheable, holders) = {
-            let f = srv.file(file).expect("file exists");
+            let f = srv.file(file).expect("moved file");
             (f.cacheable, f.open_hosts().collect::<Vec<_>>())
         };
         if mode.writes() {
@@ -1292,30 +1280,14 @@ impl SpriteFs {
         stream: StreamId,
         frame: &Frame,
     ) -> FsResult<SimTime> {
-        let (file, server, mode, kind, _, offset) = self.stream_info(stream, host)?;
-        if !mode.writes() {
-            return Err(FsError::BadMode(stream));
-        }
-        if matches!(kind, FileKind::Pseudo { .. }) {
-            return Err(FsError::WrongKind(file));
-        }
+        let (file, server, shadowed, offset) = self.data_stream(stream, host, OpenMode::writes)?;
         let len = frame.len() as u64;
         assert!(len <= PAGE_SIZE, "a checkpoint block holds at most a page");
         let block = offset.div_ceil(PAGE_SIZE);
-        let extra = net.cost().cache_block_op;
-        let t = self.charge_sized(
-            net,
-            RpcOp::CkptWrite,
-            now + net.cost().local_kernel_call,
-            host,
-            server,
-            len + CONTROL_BYTES,
-            CONTROL_BYTES,
-            extra,
-        )?;
-        let srv = self.srv_mut(server);
-        srv.touch_block(file, block);
-        if let Some(f) = srv.file_mut(file) {
+        let t = self.start_transfer(net, now, host, server, shadowed)?;
+        let op = RpcOp::CkptWrite;
+        let t = self.block_to_server(net, op, t, host, server, file, block, len)?;
+        if let Some(f) = self.srv_mut(server).file_mut(file) {
             f.put_frame(block, Frame::clone(frame));
         }
         self.end_ckpt_block(stream, block);
@@ -1338,20 +1310,15 @@ impl SpriteFs {
         host: HostId,
         stream: StreamId,
     ) -> FsResult<(Option<Frame>, SimTime)> {
-        let (file, server, mode, kind, _, offset) = self.stream_info(stream, host)?;
-        if !mode.reads() {
-            return Err(FsError::BadMode(stream));
-        }
-        if matches!(kind, FileKind::Pseudo { .. }) {
-            return Err(FsError::WrongKind(file));
-        }
-        let t = now + net.cost().local_kernel_call;
+        let (file, server, shadowed, offset) = self.data_stream(stream, host, OpenMode::reads)?;
+        let t = self.start_transfer(net, now, host, server, shadowed)?;
         let block = offset.div_ceil(PAGE_SIZE);
-        if block >= self.server_file_len(server, file).div_ceil(PAGE_SIZE) {
+        let (_, _, logical) = self.file_state(server, file);
+        if block >= logical.div_ceil(PAGE_SIZE) {
             return Ok((None, t));
         }
-        let extra = net.cost().cache_block_op + self.disk_penalty(net, server, file, block);
-        let t = self.charge_typed(net, RpcOp::CkptRestore, t, host, server, extra)?;
+        let op = RpcOp::CkptRestore;
+        let t = self.block_from_server(net, op, t, host, server, file, block)?;
         let frame = self
             .server_block_frame(server, file, block)
             .unwrap_or_else(|| Frame::from([]));
@@ -1381,24 +1348,13 @@ impl SpriteFs {
         page: u64,
         frame: &Frame,
     ) -> FsResult<SimTime> {
-        let home = self.backing_server(file)?;
-        let io = self.paging_server(file, page).unwrap_or(home);
-        let extra = net.cost().cache_block_op;
-        let mut t = self.charge_sized(
-            net,
-            RpcOp::VmPageFlush,
-            now,
-            host,
-            io,
-            frame.len() as u64 + CONTROL_BYTES,
-            CONTROL_BYTES,
-            extra,
-        )?;
+        let (home, io) = self.paging_route(file, page)?;
+        let (op, len) = (RpcOp::VmPageFlush, frame.len() as u64);
+        let mut t = self.block_to_server(net, op, now, host, io, file, page, len)?;
         // Paging writes bypass the open/close protocol, so any replica set
         // on the file (possible for a regular file that gets paged) is
         // dropped here rather than at a write-open.
         t = self.invalidate_replicas(net, t, file)?;
-        self.srv_mut(io).touch_block(file, page);
         self.srv_mut(home)
             .file_mut(file)
             .expect("backing file exists")
@@ -1418,10 +1374,9 @@ impl SpriteFs {
         file: FileId,
         page: u64,
     ) -> FsResult<(Frame, SimTime)> {
-        let home = self.backing_server(file)?;
-        let io = self.paging_server(file, page).unwrap_or(home);
-        let extra = net.cost().cache_block_op + self.disk_penalty(net, io, file, page);
-        let t = self.charge_typed(net, RpcOp::VmPageFetch, now, host, io, extra)?;
+        let (home, io) = self.paging_route(file, page)?;
+        let op = RpcOp::VmPageFetch;
+        let t = self.block_from_server(net, op, now, host, io, file, page)?;
         let frame = self
             .srv(home)
             .file(file)
@@ -1431,36 +1386,25 @@ impl SpriteFs {
         Ok((frame, t))
     }
 
-    fn backing_server(&self, file: FileId) -> FsResult<HostId> {
-        let server = self.home_of(file).ok_or(FsError::WrongKind(file))?;
-        let kind = self
-            .srv(server)
-            .file(file)
-            .ok_or(FsError::WrongKind(file))?
-            .kind;
-        match kind {
-            FileKind::Backing | FileKind::Regular => Ok(server),
-            FileKind::Pseudo { .. } => Err(FsError::WrongKind(file)),
+    /// Where `page` of a backing (or regular) file lives and is served:
+    /// `(home, io)`. The home server keeps the authoritative byte image.
+    /// In a striped domain, pages round-robin across the group by
+    /// `(file, page)` for service, so one large swap file saturates N
+    /// spindles instead of one; elsewhere `io` is the home.
+    fn paging_route(&self, file: FileId, page: u64) -> FsResult<(HostId, HostId)> {
+        let (home, gi) = self.placed(file).ok_or(FsError::WrongKind(file))?;
+        let kind = self.srv(home).file(file).map(|f| f.kind);
+        if !matches!(kind, Some(FileKind::Backing | FileKind::Regular)) {
+            return Err(FsError::WrongKind(file));
         }
-    }
-
-    /// For a backing file in a striped domain, the group member whose
-    /// disk and CPU serve `page`: pages round-robin across the group by
-    /// `(file, page)`, so one large swap file saturates N spindles instead
-    /// of one. Returns `None` in single-server domains. The home server
-    /// keeps the authoritative byte image; only service is striped.
-    fn paging_server(&self, file: FileId, page: u64) -> Option<HostId> {
-        let gi = self
-            .file_group
-            .get(file.raw() as usize)
-            .copied()
-            .flatten()?;
-        let g = self.shards.group(gi as usize)?;
-        if g.servers.len() < 2 {
-            return None;
-        }
-        let n = g.servers.len() as u64;
-        Some(g.servers[(file.raw().wrapping_add(page) % n) as usize])
+        let io = match self.shards.group(gi as usize) {
+            Some(g) if g.servers.len() > 1 => {
+                let n = g.servers.len() as u64;
+                g.servers[(file.raw().wrapping_add(page) % n) as usize]
+            }
+            _ => home,
+        };
+        Ok((home, io))
     }
 
     // ----- pseudo-devices -------------------------------------------------------
@@ -1531,8 +1475,45 @@ impl SpriteFs {
         ))
     }
 
-    fn server_file_version(&self, server: HostId, file: FileId) -> u64 {
-        self.srv(server).file(file).map(|f| f.version).unwrap_or(0)
+    /// The stream gate of every data transfer: `host` must hold `stream`,
+    /// its mode must `allow` the transfer (`OpenMode::reads` or
+    /// `OpenMode::writes`), and it must not be a pseudo-device. Returns the
+    /// stream's `(file, I/O server, shadowed, offset)`.
+    fn data_stream(
+        &self,
+        stream: StreamId,
+        host: HostId,
+        allows: fn(OpenMode) -> bool,
+    ) -> FsResult<(FileId, HostId, bool, u64)> {
+        let (file, server, mode, kind, shadowed, offset) = self.stream_info(stream, host)?;
+        if !allows(mode) {
+            return Err(FsError::BadMode(stream));
+        }
+        if matches!(kind, FileKind::Pseudo { .. }) {
+            return Err(FsError::WrongKind(file));
+        }
+        Ok((file, server, shadowed, offset))
+    }
+
+    /// The kernel call that starts a data transfer, plus, for a shadowed
+    /// stream, the round trip to the I/O server where its access position
+    /// lives.
+    fn start_transfer(
+        &mut self,
+        net: &mut Transport,
+        now: SimTime,
+        host: HostId,
+        server: HostId,
+        shadowed: bool,
+    ) -> FsResult<SimTime> {
+        let t = now + net.cost().local_kernel_call;
+        if !shadowed {
+            return Ok(t);
+        }
+        let op = RpcOp::FsShadowStream;
+        let t = self.charge_typed(net, op, t, host, server, SimDuration::ZERO)?;
+        self.stats.shadow_ops += 1;
+        Ok(t)
     }
 
     /// A server file's `(cacheable, version, logical size)` from one
@@ -1541,13 +1522,6 @@ impl SpriteFs {
         self.srv(server).file(file).map_or((false, 0, 0), |f| {
             (f.cacheable, f.version, f.logical_size())
         })
-    }
-
-    fn server_file_len(&self, server: HostId, file: FileId) -> u64 {
-        self.srv(server)
-            .file(file)
-            .map(|f| f.logical_size())
-            .unwrap_or(0)
     }
 
     fn server_block_frame(&self, server: HostId, file: FileId, block: u64) -> Option<Frame> {
@@ -1560,21 +1534,6 @@ impl SpriteFs {
             .and_then(|s| s.file_mut(file))
         {
             f.note_logical_size(end);
-        }
-    }
-
-    fn disk_penalty(
-        &mut self,
-        net: &Transport,
-        server: HostId,
-        file: FileId,
-        block: u64,
-    ) -> SimDuration {
-        let srv = self.srv_mut(server);
-        if srv.touch_block(file, block) {
-            SimDuration::ZERO
-        } else {
-            net.cost().disk_access
         }
     }
 
@@ -1599,13 +1558,13 @@ impl SpriteFs {
             Some(set) if host != server => set.servers[host.index() % set.servers.len()],
             _ => server,
         };
-        let t = if serve_from != server {
+        let mut t = if serve_from != server {
             self.stats.replica_hits += 1;
-            let extra = net.cost().cache_block_op + self.disk_penalty(net, serve_from, file, block);
-            self.charge_typed(net, RpcOp::FsReplicaRead, now, host, serve_from, extra)?
+            let op = RpcOp::FsReplicaRead;
+            self.block_from_server(net, op, now, host, serve_from, file, block)?
         } else {
-            let extra = net.cost().cache_block_op + self.disk_penalty(net, server, file, block);
-            let mut t = self.charge_typed(net, RpcOp::FsBlockRead, now, host, server, extra)?;
+            let op = RpcOp::FsBlockRead;
+            let mut t = self.block_from_server(net, op, now, host, server, file, block)?;
             if host != server {
                 let peers = self.group_peers(file, server);
                 if !peers.is_empty() && self.replicas.note_fetch(file, host) {
@@ -1621,12 +1580,9 @@ impl SpriteFs {
             .server_block_frame(server, file, block)
             .unwrap_or_else(|| Frame::from([]));
         let addr = BlockAddr { file, block };
-        if let Some((evicted, dirty)) = self.clients[host.index()].insert_clean(addr, version, data)
-        {
-            let t2 = self.write_back_block(net, t, host, evicted, dirty)?;
-            self.stats.block_fetches += 1;
-            return Ok(t2);
-        }
+        t = self.make_room(net, t, host, addr)?;
+        let evicted = self.clients[host.index()].insert_clean(addr, version, data);
+        debug_assert!(evicted.is_none(), "make_room wrote the victim back");
         self.stats.block_fetches += 1;
         Ok(t)
     }
@@ -2135,32 +2091,33 @@ mod tests {
 
     #[test]
     fn unlink_while_open_reads_eof() {
-        let (mut net, mut fs) = setup(2);
+        let (mut net, mut fs) = setup(3);
         let t0 = SimTime::ZERO;
-        fs.create(&mut net, t0, h(1), SpritePath::new("/u"))
-            .unwrap();
-        let (s, t1) = fs
-            .open(
-                &mut net,
-                t0,
-                h(1),
-                SpritePath::new("/u"),
-                OpenMode::ReadWrite,
-            )
-            .unwrap();
-        let t2 = fs.write(&mut net, t1, h(1), s, b"gone soon").unwrap();
-        let t3 = fs
-            .unlink(&mut net, t2, h(1), &SpritePath::new("/u"))
-            .unwrap();
-        fs.seek(s, 0).unwrap();
-        let mut data = Vec::new();
-        fs.read(&mut net, t3, h(1), s, 16, &mut data).unwrap();
-        assert!(
-            data.is_empty(),
-            "documented divergence: unlinked file reads EOF"
-        );
-        // Closing the orphaned stream must not error.
-        fs.close(&mut net, t3, h(1), s).unwrap();
+        let path = SpritePath::new("/u");
+        for unlinker in [h(1), h(2)] {
+            let (id, t1) = fs.create(&mut net, t0, h(1), path.clone()).unwrap();
+            let (s, t1) = fs
+                .open(&mut net, t1, h(1), path.clone(), OpenMode::ReadWrite)
+                .unwrap();
+            let t2 = fs.write(&mut net, t1, h(1), s, b"gone soon").unwrap();
+            // The unlink drops the writer's dirty block, wherever it runs.
+            let t3 = fs.unlink(&mut net, t2, unlinker, &path).unwrap();
+            assert_eq!(fs.client_cache(h(1)).dirty_block_count(id), 0);
+            fs.seek(s, 0).unwrap();
+            let mut data = Vec::new();
+            fs.read(&mut net, t3, h(1), s, 16, &mut data).unwrap();
+            assert!(
+                data.is_empty(),
+                "documented divergence: unlinked file reads EOF"
+            );
+            // Flushing, migrating and closing the orphaned stream must not
+            // error.
+            let t4 = fs.fsync(&mut net, t3, h(1), s).unwrap();
+            let (moved, t5) = fs.migrate_stream(&mut net, t4, s, h(1), h(2), 1).unwrap();
+            assert!(!moved.shadowed);
+            fs.close(&mut net, t5, h(2), s).unwrap();
+        }
+        assert!(fs.streams().is_empty());
     }
 
     #[test]
@@ -2399,7 +2356,7 @@ mod tests {
     /// Host `host`'s cached frame of `file`'s block `block`, under the
     /// file's current version.
     fn cached(fs: &mut SpriteFs, host: HostId, file: FileId, block: u64) -> Frame {
-        let version = fs.server_file_version(h(0), file);
+        let (_, version, _) = fs.file_state(h(0), file);
         fs.clients[host.index()]
             .lookup(BlockAddr { file, block }, version)
             .expect("block cached")

@@ -10,7 +10,6 @@
 //! FIFO is compacted once stale pairs outnumber live ones, which keeps it
 //! under about twice the live count.
 
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::hash::Hash;
 
@@ -64,17 +63,23 @@ impl<K: Copy + Eq + Hash> Recency<K> {
         self.stamps.retain(|k, _| keep(k));
     }
 
-    /// Removes and returns the least recently touched key.
-    pub(crate) fn pop_oldest(&mut self) -> Option<K> {
-        while let Some((stamp, key)) = self.fifo.pop_front() {
-            if let Entry::Occupied(live) = self.stamps.entry(key) {
-                if *live.get() == stamp {
-                    live.remove();
-                    return Some(key);
-                }
+    /// The least recently touched key, left in place.
+    pub(crate) fn oldest(&mut self) -> Option<K> {
+        while let Some(&(stamp, key)) = self.fifo.front() {
+            if self.stamps.get(&key) == Some(&stamp) {
+                return Some(key);
             }
+            self.fifo.pop_front();
         }
         None
+    }
+
+    /// Removes and returns the least recently touched key.
+    pub(crate) fn pop_oldest(&mut self) -> Option<K> {
+        let key = self.oldest()?;
+        self.fifo.pop_front();
+        self.stamps.remove(&key);
+        Some(key)
     }
 
     /// Number of live keys.

@@ -443,29 +443,6 @@ impl ServerState {
         actions
     }
 
-    /// Adds an open record for `host` during stream migration: no version
-    /// bump and no recall (the migration protocol already flushed the source
-    /// host), but concurrent write-sharing created by the move still
-    /// disables caching.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file does not exist.
-    pub fn open_for_migration(&mut self, id: FileId, host: HostId, mode: OpenMode) {
-        let file = self.files.get_mut(&id).expect("migrating unknown file");
-        file.add_open(host, mode);
-        if mode.writes() {
-            // A write stream arriving on a new host is a write-open for
-            // consistency purposes: bump the version so blocks cached
-            // elsewhere under the old version read as stale.
-            file.version += 1;
-            file.last_writer = Some(host);
-        }
-        if file.concurrently_write_shared() {
-            file.cacheable = false;
-        }
-    }
-
     /// Registers a close by `host`. Re-enables caching when the file is no
     /// longer concurrently write-shared. Returns false for a bogus close.
     pub fn close(&mut self, id: FileId, host: HostId, mode: OpenMode) -> bool {
@@ -479,20 +456,32 @@ impl ServerState {
         ok
     }
 
-    /// Transfers `host`'s open records for a migrating stream to `to`.
-    /// Part of the stream-migration protocol (Ch. 5.3): the I/O server is
-    /// the one place that atomically updates which host holds the stream.
-    pub fn move_open(&mut self, id: FileId, from: HostId, to: HostId, mode: OpenMode) -> bool {
+    /// Moves an open record of a migrating stream to `to`: from `from`
+    /// when the source host dropped its last reference, or as an added
+    /// record when the source keeps one (the stream is now shared). Part
+    /// of the stream-migration protocol (Ch. 5.3): the I/O server is the
+    /// one place that atomically updates which host holds the stream. No
+    /// recall runs (the protocol already flushed the source host). Returns
+    /// false, changing nothing, for a file the server does not store or a
+    /// `from` record it does not hold.
+    pub fn move_open(
+        &mut self,
+        id: FileId,
+        from: Option<HostId>,
+        to: HostId,
+        mode: OpenMode,
+    ) -> bool {
         let Some(file) = self.files.get_mut(&id) else {
             return false;
         };
-        if !file.remove_open(from, mode) {
+        if from.is_some_and(|from| !file.remove_open(from, mode)) {
             return false;
         }
         file.add_open(to, mode);
         if mode.writes() {
-            // Same rule as `open_for_migration`: the stream's arrival is a
-            // write-open, so stale copies elsewhere must version-miss.
+            // A write stream arriving on a new host is a write-open for
+            // consistency purposes: bump the version so blocks cached
+            // elsewhere under the old version read as stale.
             file.version += 1;
             file.last_writer = Some(to);
         }
@@ -615,12 +604,12 @@ mod tests {
         let mut s = server();
         s.create(SpritePath::new("/f"), FileId::new(1), FileKind::Regular);
         s.open(FileId::new(1), h(1), OpenMode::Write);
-        assert!(s.move_open(FileId::new(1), h(1), h(2), OpenMode::Write));
+        assert!(s.move_open(FileId::new(1), Some(h(1)), h(2), OpenMode::Write));
         let f = s.file(FileId::new(1)).unwrap();
         assert_eq!(f.open_hosts().collect::<Vec<_>>(), vec![h(2)]);
         assert_eq!(f.last_writer, Some(h(2)));
         assert!(f.cacheable);
-        assert!(!s.move_open(FileId::new(1), h(1), h(3), OpenMode::Write));
+        assert!(!s.move_open(FileId::new(1), Some(h(1)), h(3), OpenMode::Write));
     }
 
     #[test]
@@ -631,7 +620,7 @@ mod tests {
         s.open(FileId::new(1), h(2), OpenMode::Read);
         assert!(!s.file(FileId::new(1)).unwrap().cacheable);
         // The writer migrates to the reader's host: sharing collapses.
-        s.move_open(FileId::new(1), h(1), h(2), OpenMode::Write);
+        s.move_open(FileId::new(1), Some(h(1)), h(2), OpenMode::Write);
         assert!(s.file(FileId::new(1)).unwrap().cacheable);
     }
 

@@ -85,6 +85,10 @@ enum CacheOp {
         file: u8,
         block: u8,
     },
+    TakeVictim {
+        file: u8,
+        block: u8,
+    },
 }
 
 /// Inserts, lookups, recalls and invalidations; inserts and lookups under
@@ -115,15 +119,20 @@ fn cache_op(rng: &mut DetRng, version: u64) -> CacheOp {
 }
 
 /// The [`cache_op`] mix under one of three versions, so lookups discard
-/// stale blocks, plus re-stamps and re-marked dirty blocks.
+/// stale blocks, plus re-stamps, re-marked dirty blocks and the dirty
+/// victims an insert would evict.
 fn model_op(rng: &mut DetRng) -> CacheOp {
     let version = 1 + rng.uniform_u64(3);
-    match rng.pick_index(8) {
+    match rng.pick_index(9) {
         0 => CacheOp::Revalidate {
             file: rng.uniform_u64(3) as u8,
             version,
         },
         1 => CacheOp::MarkDirty {
+            file: rng.uniform_u64(3) as u8,
+            block: rng.uniform_u64(6) as u8,
+        },
+        2 => CacheOp::TakeVictim {
             file: rng.uniform_u64(3) as u8,
             block: rng.uniform_u64(6) as u8,
         },
@@ -236,7 +245,9 @@ fn dirty_data_is_never_lost() {
                         note_writeback(addr, &data, &files, &mut at_server);
                     }
                 }
-                CacheOp::Revalidate { .. } | CacheOp::MarkDirty { .. } => {
+                CacheOp::Revalidate { .. }
+                | CacheOp::MarkDirty { .. }
+                | CacheOp::TakeVictim { .. } => {
                     unreachable!("not in the dirty-data mix")
                 }
             }
@@ -372,6 +383,18 @@ impl FlatCache {
             }
             None => false,
         }
+    }
+
+    fn take_dirty_victim(&mut self, addr: BlockAddr) -> Option<(BlockAddr, Vec<u8>)> {
+        if self.blocks.len() < self.capacity || self.blocks.contains_key(&addr) {
+            return None;
+        }
+        let (&victim, block) = self.blocks.iter_mut().min_by_key(|(_, b)| b.touched)?;
+        if !block.dirty {
+            return None;
+        }
+        block.dirty = false;
+        Some((victim, block.data.clone()))
     }
 
     fn revalidate_file(&mut self, file: FileId, version: u64) {
@@ -522,6 +545,10 @@ fn block_cache_matches_the_flat_reference_exactly() {
                     CacheOp::MarkDirty { file, block } => (
                         Returned::Cached(cache.mark_dirty(at(file, block))),
                         Returned::Cached(flat.mark_dirty(at(file, block))),
+                    ),
+                    CacheOp::TakeVictim { file, block } => (
+                        Returned::Evicted(evicted(cache.take_dirty_victim(at(file, block)))),
+                        Returned::Evicted(flat.take_dirty_victim(at(file, block))),
                     ),
                 };
                 let ctx = format!("capacity {capacity} case {case} op {op_index} ({op:?})");

@@ -64,9 +64,12 @@ if ! grep -q '^## F1: migration outcomes under injected faults' "$tmp/faults1.tx
     exit 1
 fi
 # The faults block minus wall-clock timing (the only nondeterministic field).
+# A block followed by others closes with "}," instead of "}"; drop the comma.
+faults_block() {
+    sed -n '/"faults": {/,/^  }/p' "$1" | grep -v '"wall_seconds"' | sed '$ s/^  },$/  }/'
+}
 for j in f1 f4; do
-    sed -n '/"faults": {/,/^  }/p' "$tmp/$j/BENCH_experiments.json" \
-        | grep -v '"wall_seconds"' > "$tmp/$j.faults.json"
+    faults_block "$tmp/$j/BENCH_experiments.json" > "$tmp/$j.faults.json"
 done
 if ! grep -q '"fault_table"' "$tmp/f1.faults.json"; then
     echo "FAIL: --faults --json emitted no fault_table block" >&2
@@ -75,6 +78,14 @@ fi
 if ! cmp -s "$tmp/f1.faults.json" "$tmp/f4.faults.json"; then
     echo "FAIL: fault_table JSON diverged between --jobs 1 and --jobs 4" >&2
     diff "$tmp/f1.faults.json" "$tmp/f4.faults.json" | head -40 >&2 || true
+    exit 1
+fi
+# The same block as recorded in the checked-in baseline: a change that moves
+# F1 must re-record BENCH_experiments.json (full flag set) and say why.
+faults_block BENCH_experiments.json > "$tmp/baseline.faults.json"
+if ! cmp -s "$tmp/baseline.faults.json" "$tmp/f1.faults.json"; then
+    echo "FAIL: fault_table JSON diverged from the BENCH_experiments.json baseline" >&2
+    diff "$tmp/baseline.faults.json" "$tmp/f1.faults.json" | head -40 >&2 || true
     exit 1
 fi
 

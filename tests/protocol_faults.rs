@@ -1,4 +1,5 @@
-//! One fault at every send attempt of every migration entry point.
+//! One fault at every send attempt of every migration and file-system
+//! entry point.
 //!
 //! Each entry point first runs on a clean link, which counts its send
 //! attempts `N`. Then, for every `n` in `0..N`, it runs again with one
@@ -15,11 +16,18 @@
 //! `exit` is fail-stop local: the process exits whatever the fault, and
 //! the one send a fault costs (a stream close, a swap-file unlink or the
 //! home notification) counts exactly one `notify_losses`.
+//!
+//! The file-system entry points (`fsync`, the last `close`, an `open`
+//! that recalls dirty blocks, `migrate_stream`, and a `write` that evicts
+//! a dirty block) check the file's contents: once the fault clears and
+//! the writer flushes again, a reader on another host reads back every
+//! byte of every `write` that returned `Ok`, and a failed write leaves
+//! its block as it was.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
-use sprite::fs::{FileId, FsError, OpenMode, SpritePath, StreamId};
+use sprite::fs::{FileId, FsConfig, FsError, OpenMode, SpritePath, StreamId};
 use sprite::kernel::{Cluster, KernelError, ProcState, ProcessId};
 use sprite::migration::{
     checkpoint_move, image_path, restart_from_image, MigrationConfig, MigrationError,
@@ -96,7 +104,11 @@ impl LinkPolicy for OneFault {
 /// the evictions empty host 3, where both processes are guests;
 /// `RestartFromImage` rebuilds that process on host 5 from the image a
 /// clean checkpoint wrote; `Exit` ends that process on host 5, after a
-/// migration there paged its heap out.
+/// migration there paged its heap out. The rest drive the file system in
+/// [`fs_world`]: `Fsync` and `Close` flush the writer's stream on host 1,
+/// `RecallOpen` opens the file for reading on host 2, `MigrateStream`
+/// moves the writer's stream to host 2, and `EvictingWrite` writes one
+/// block into the writer's full cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Entry {
     Migrate,
@@ -106,11 +118,27 @@ enum Entry {
     CheckpointMove,
     RestartFromImage,
     Exit,
+    Fsync,
+    Close,
+    RecallOpen,
+    MigrateStream,
+    EvictingWrite,
 }
 
 impl Entry {
     fn evicts(self) -> bool {
         matches!(self, Entry::EvictAll | Entry::EvictReselecting)
+    }
+
+    fn drives_fs(self) -> bool {
+        matches!(
+            self,
+            Entry::Fsync
+                | Entry::Close
+                | Entry::RecallOpen
+                | Entry::MigrateStream
+                | Entry::EvictingWrite
+        )
     }
 }
 
@@ -227,7 +255,164 @@ fn run(entry: Entry, w: &mut World) -> Result<Vec<SimTime>, MigrationError> {
         }
         Entry::RestartFromImage => restart(c, t, pid).map(|(_, _, at)| vec![at]),
         Entry::Exit => c.exit(t, pid, 0).map(|at| vec![at]).map_err(Into::into),
+        Entry::Fsync
+        | Entry::Close
+        | Entry::RecallOpen
+        | Entry::MigrateStream
+        | Entry::EvictingWrite => unreachable!("fs_case runs the file-system entry points"),
     }
+}
+
+/// The file the file-system entry points work on.
+fn data_file() -> SpritePath {
+    SpritePath::new("/data/f")
+}
+
+struct FsWorld {
+    c: Cluster,
+    t: SimTime,
+    /// The writer's read-write stream, opened on host 1.
+    stream: StreamId,
+    /// What a reader must see: every byte of every write that returned
+    /// `Ok`, in file order.
+    expect: Vec<u8>,
+}
+
+/// Four hosts and a file server on host 0. A writer on host 1 holds a
+/// read-write stream on [`data_file`] and has written 3 whole blocks of
+/// distinct bytes, dirty in its cache. For `EvictingWrite` the writer's
+/// cache holds 2 blocks, so writing the third evicted and wrote back the
+/// first on the clean link, and the 2 dirty blocks fill the cache.
+fn fs_world(entry: Entry) -> FsWorld {
+    let mut config = FsConfig::default();
+    if entry == Entry::EvictingWrite {
+        config.client_cache_blocks = 2;
+    }
+    let mut c = Cluster::with_fs_config(CostModel::sun3(), 4, config);
+    c.add_file_server(h(0), SpritePath::new("/"));
+    let (_, t) =
+        c.fs.create(&mut c.net, SimTime::ZERO, h(1), data_file())
+            .unwrap();
+    let (stream, mut t) =
+        c.fs.open(&mut c.net, t, h(1), data_file(), OpenMode::ReadWrite)
+            .unwrap();
+    let mut expect = Vec::new();
+    for byte in [b'a', b'b', b'c'] {
+        let block = vec![byte; PAGE_SIZE as usize];
+        t = c.fs.write(&mut c.net, t, h(1), stream, &block).unwrap();
+        expect.extend_from_slice(&block);
+    }
+    FsWorld {
+        c,
+        t,
+        stream,
+        expect,
+    }
+}
+
+/// Runs a file-system entry point once: its completion time, or its error.
+fn run_fs(entry: Entry, w: &mut FsWorld) -> Result<SimTime, FsError> {
+    let FsWorld {
+        c,
+        t,
+        stream,
+        expect,
+    } = w;
+    let (fs, net, t, s) = (&mut c.fs, &mut c.net, *t, *stream);
+    match entry {
+        Entry::Fsync => fs.fsync(net, t, h(1), s),
+        Entry::Close => fs.close(net, t, h(1), s),
+        Entry::RecallOpen => fs
+            .open(net, t, h(2), data_file(), OpenMode::Read)
+            .map(|(_, at)| at),
+        Entry::MigrateStream => fs
+            .migrate_stream(net, t, s, h(1), h(2), 1)
+            .map(|(_, at)| at),
+        Entry::EvictingWrite => {
+            let block = vec![b'd'; PAGE_SIZE as usize];
+            let result = fs.write(net, t, h(1), s, &block);
+            if result.is_ok() {
+                expect.extend_from_slice(&block);
+            }
+            result
+        }
+        _ => unreachable!("case runs the migration entry points"),
+    }
+}
+
+/// After the fault clears: every host still holding the writer's stream
+/// fsyncs it, then a reader on host 3 opens the file, which recalls any
+/// blocks the last writer still holds dirty, and must read back exactly
+/// `expect`. Returns when the read completed.
+fn check_fs_contents(w: &mut FsWorld, at: SimTime, case: &str) -> SimTime {
+    w.c.net.set_policy(Box::new(OneFault::clean()));
+    let FsWorld {
+        c, stream, expect, ..
+    } = w;
+    let mut t = at;
+    for writer in [h(1), h(2)] {
+        if c.fs
+            .streams()
+            .get(*stream)
+            .is_some_and(|s| s.refs_on(writer) > 0)
+        {
+            t =
+                c.fs.fsync(&mut c.net, t, writer, *stream)
+                    .unwrap_or_else(|e| panic!("{case}: fsync on {writer:?}: {e}"));
+        }
+    }
+    let (r, t) =
+        c.fs.open(&mut c.net, t, h(3), data_file(), OpenMode::Read)
+            .unwrap_or_else(|e| panic!("{case}: reader's open: {e}"));
+    let mut got = Vec::new();
+    let t =
+        c.fs.read(&mut c.net, t, h(3), r, u64::MAX, &mut got)
+            .unwrap_or_else(|e| panic!("{case}: reader's read: {e}"));
+    let blocks = |bytes: &[u8]| -> Vec<String> {
+        bytes
+            .chunks(PAGE_SIZE as usize)
+            .map(|b| format!("{}x{}", b.len(), b[0] as char))
+            .collect()
+    };
+    assert!(
+        got == *expect,
+        "{case}: reader saw blocks {:?}, acknowledged writes were {:?}",
+        blocks(&got),
+        blocks(expect)
+    );
+    t
+}
+
+/// Runs one file-system case: returns the number of attempts the entry
+/// point made and folds its outcome, the cluster and the reader's
+/// completion into `d`.
+fn fs_case(entry: Entry, fault: Option<(u32, Fault)>, d: &mut StateDigest) -> u32 {
+    let label = format!("{entry:?} {fault:?}");
+    let mut w = fs_world(entry);
+    let policy = OneFault {
+        fault,
+        ..OneFault::clean()
+    };
+    let attempts = Rc::clone(&policy.attempts);
+    w.c.net.set_policy(Box::new(policy));
+    let result = run_fs(entry, &mut w);
+    let at = match &result {
+        Ok(done) => {
+            d.write_u64(done.as_micros());
+            *done
+        }
+        Err(e) => {
+            d.write_str(&e.to_string());
+            match e {
+                FsError::Rpc(rpc) => rpc.at(),
+                _ => w.t,
+            }
+        }
+    };
+    d.write_u64(w.c.digest());
+    let attempts = attempts.get();
+    d.write_u64(check_fs_contents(&mut w, at, &label).as_micros());
+    attempts
 }
 
 /// When a failed call gave up: the instant of the send that failed, or
@@ -367,6 +552,9 @@ fn check_exit(w: &World, before: &Before, hit: Option<RpcOp>, case: &str) {
 /// Runs one case: returns the number of attempts the run made and folds
 /// its outcome into `d`.
 fn case(entry: Entry, fault: Option<(u32, Fault)>, d: &mut StateDigest) -> u32 {
+    if entry.drives_fs() {
+        return fs_case(entry, fault, d);
+    }
     let label = format!("{entry:?} {fault:?}");
     let mut w = world(entry);
     let pcb = w.c.pcb(w.pids[0]).unwrap();
@@ -457,7 +645,7 @@ fn table(entry: Entry) -> (u32, u64) {
 /// first page-out and unlinked when the space is freed, not created at
 /// every spawn, fork and exec: that moved every digest, since each case's
 /// cluster stores fewer files and its setup made fewer lookups.
-const PINS: [(Entry, u32, u64); 7] = [
+const PINS: [(Entry, u32, u64); 12] = [
     // The flush is the heap's first page-out, so it creates the heap file
     // inside the freeze: one attempt more than the 7 made when spawn
     // created the swap files.
@@ -483,6 +671,17 @@ const PINS: [(Entry, u32, u64); 7] = [
     // The stream's close, the heap file's unlink and the home
     // notification: each is best-effort, so the process exits anyway.
     (Entry::Exit, 3, 0xbf7c_6459_0621_0dff),
+    // The three block write-backs.
+    (Entry::Fsync, 3, 0xda59_bc65_c496_3b1d),
+    // The write-backs, then the server's close.
+    (Entry::Close, 4, 0x8b96_8ba8_cd1e_a200),
+    // The open, the recall notice to host 1, its write-backs, and the
+    // cache-disable notices to hosts 1 and 2.
+    (Entry::RecallOpen, 7, 0xa76e_a14b_b119_f0c7),
+    // The source's write-backs, then the stream transfer.
+    (Entry::MigrateStream, 4, 0xa7f3_4727_2486_2605),
+    // The evicted block's write-back, before the insert.
+    (Entry::EvictingWrite, 1, 0x293e_2224_677d_1b70),
 ];
 
 #[test]
