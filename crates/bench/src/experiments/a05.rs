@@ -119,9 +119,9 @@ pub fn table() -> String {
     t.note("checkpoint/restart ships the image through the server twice and boots a");
     t.note("fresh process — and 'migration' this way loses the PID, the parent and");
     t.note("every open descriptor (the thesis's 'restricted' migration, Ch. 2.2);");
-    t.note("the image is block-aligned (index blocks, then one block per page), so");
-    t.note("the dump and the restore each make one block RPC per page: 2.2x at every");
-    t.note("size");
+    t.note("the image is block-aligned (index blocks, then one block per page), and");
+    t.note("the dump, the restore and the migration's flush each move runs of up to");
+    t.note("4 blocks, one RPC a run: 2.2x at every size");
     t.render()
 }
 

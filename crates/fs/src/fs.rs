@@ -496,8 +496,9 @@ impl SpriteFs {
     }
 
     /// Like [`SpriteFs::charge_typed`] but with caller-sized payloads, for
-    /// ops that move variable amounts of data: a block to a server (only
-    /// through [`SpriteFs::block_to_server`]) or a whole replica copy.
+    /// ops that move variable amounts of data: a run of blocks either way
+    /// (only through [`SpriteFs::block_to_server`] and
+    /// [`SpriteFs::block_from_server`]) or a whole replica copy.
     #[expect(clippy::too_many_arguments)]
     fn charge_sized(
         &mut self,
@@ -535,9 +536,11 @@ impl SpriteFs {
         }
     }
 
-    /// Carries `len` bytes of `file`'s block `block` from `host` to the
-    /// server `io` as one `op` RPC, then touches the block in `io`'s
-    /// memory cache. The caller stores the bytes.
+    /// Carries `len` bytes of the run of `blocks` consecutive blocks of
+    /// `file` from `first` on, from `host` to the server `io`, as one `op`
+    /// RPC served with one cache operation per block, then touches each
+    /// block in `io`'s memory cache. The caller stores the bytes, once
+    /// this returns `Ok`.
     #[expect(clippy::too_many_arguments)]
     fn block_to_server(
         &mut self,
@@ -547,19 +550,25 @@ impl SpriteFs {
         host: HostId,
         io: HostId,
         file: FileId,
-        block: u64,
+        first: u64,
+        blocks: u64,
         len: u64,
     ) -> FsResult<SimTime> {
-        let extra = net.cost().cache_block_op;
+        let extra = net.cost().cache_block_op * blocks;
         let reply = CONTROL_BYTES;
         let t = self.charge_sized(net, op, now, host, io, len + CONTROL_BYTES, reply, extra)?;
-        self.srv_mut(io).touch_block(file, block);
+        let srv = self.srv_mut(io);
+        for block in first..first + blocks {
+            srv.touch_block(file, block);
+        }
         Ok(t)
     }
 
-    /// Serves `file`'s block `block` from the server `io` to `host` as one
-    /// `op` RPC, paying a disk access when the block is not in `io`'s
-    /// memory cache. The caller takes the bytes.
+    /// Serves the run of `blocks` consecutive blocks of `file` from
+    /// `first` on, from the server `io` to `host`, as one `op` RPC: one
+    /// cache operation per block, plus a disk access for each block not
+    /// in `io`'s memory cache, and a page per block in the reply. The
+    /// caller takes the bytes.
     #[expect(clippy::too_many_arguments)]
     fn block_from_server(
         &mut self,
@@ -569,15 +578,17 @@ impl SpriteFs {
         host: HostId,
         io: HostId,
         file: FileId,
-        block: u64,
+        first: u64,
+        blocks: u64,
     ) -> FsResult<SimTime> {
-        let disk = if self.srv_mut(io).touch_block(file, block) {
-            SimDuration::ZERO
-        } else {
-            net.cost().disk_access
-        };
-        let extra = net.cost().cache_block_op + disk;
-        self.charge_typed(net, op, now, host, io, extra)
+        let srv = self.srv_mut(io);
+        let misses = (first..first + blocks)
+            .filter(|&block| !srv.touch_block(file, block))
+            .count() as u64;
+        let extra = net.cost().cache_block_op * blocks + net.cost().disk_access * misses;
+        let request = wire_size(op).request;
+        let reply = blocks * PAGE_SIZE + CONTROL_BYTES;
+        self.charge_sized(net, op, now, host, io, request, reply, extra)
     }
 
     /// Writes one dirty block of `host`'s cache back to the file's home
@@ -596,7 +607,7 @@ impl SpriteFs {
         let server = self.home_of(file).expect("file has a home");
         let len = data.len() as u64;
         let op = RpcOp::FsBlockWrite;
-        let done = match self.block_to_server(net, op, now, host, server, file, block, len) {
+        let done = match self.block_to_server(net, op, now, host, server, file, block, 1, len) {
             Ok(done) => done,
             Err(e) => {
                 self.clients[host.index()].mark_dirty(addr);
@@ -951,7 +962,11 @@ impl SpriteFs {
 
     // ----- stream operations ------------------------------------------------
 
-    /// Opens `path` from `host`, running the consistency protocol.
+    /// Opens `path` from `host`, running the consistency protocol. The
+    /// server grants the open, the recalls and invalidations it asks for
+    /// run, and only then does the server commit the open record (and, for
+    /// a write open, the version bump and the last writer), so an open
+    /// that fails part-way leaves the server's records as they were.
     pub fn open(
         &mut self,
         net: &mut Transport,
@@ -977,10 +992,10 @@ impl SpriteFs {
             return Err(FsError::NotFound(path));
         };
         let kind = srv.file(id).expect("looked-up file").kind;
-        let actions = srv.open(id, host, mode);
+        let actions = srv.grant_open(id, host, mode);
         if mode.writes() {
-            // The version just bumped: peer read replicas are now stale and
-            // must be dropped before the open completes.
+            // The commit bumps the version: peer read replicas will be
+            // stale and must be dropped before the open completes.
             t = self.invalidate_replicas(net, t, id)?;
         }
         for flush_host in &actions.flush_from {
@@ -998,6 +1013,7 @@ impl SpriteFs {
                 t = self.invalidate_on_host(net, t, *inv_host, id)?;
             }
         }
+        self.srv_mut(server).commit_open(id, host, mode);
         // Bring the opener's cache in line with the (possibly bumped)
         // version: still-current copies are re-stamped. Stale copies need
         // no action — block lookups are version-keyed, so a copy stamped
@@ -1082,7 +1098,7 @@ impl SpriteFs {
             } else {
                 self.stats.uncached_ops += 1;
                 let op = RpcOp::FsBlockRead;
-                t = self.block_from_server(net, op, t, host, server, file, block)?;
+                t = self.block_from_server(net, op, t, host, server, file, block, 1)?;
                 if let Some(f) = self.srv(server).file(file) {
                     f.read_into(pos, (take_to - take_from) as u64, buf);
                 }
@@ -1139,7 +1155,7 @@ impl SpriteFs {
             } else {
                 self.stats.uncached_ops += 1;
                 let (op, len) = (RpcOp::FsBlockWrite, chunk.len() as u64);
-                t = self.block_to_server(net, op, t, host, server, file, block, len)?;
+                t = self.block_to_server(net, op, t, host, server, file, block, 1, len)?;
                 if let Some(f) = self.srv_mut(server).file_mut(file) {
                     f.write_at(block_start + within as u64, chunk);
                 }
@@ -1260,71 +1276,95 @@ impl SpriteFs {
 
     // ----- checkpoint images ---------------------------------------------------
 
-    /// Writes `frame` as the next whole block of a checkpoint image, the
-    /// first block boundary at or after the stream's access position, and
-    /// moves the stream to the boundary after it. One
-    /// [`RpcOp::CkptWrite`] carries the block, sized by the frame, and the
-    /// server stores the frame itself, so no bytes are copied. Checkpoint
+    /// Writes `frames` as the next run of whole blocks of a checkpoint
+    /// image, from the first block boundary at or after the stream's
+    /// access position, and moves the stream to the boundary after the
+    /// run. One [`RpcOp::CkptWrite`] carries the run, sized by its frames,
+    /// and the server stores the frames themselves once it succeeds, so no
+    /// bytes are copied and a failed run stores nothing. Checkpoint
     /// streams are sequential bulk the client never re-reads, so they
     /// bypass the client cache; the op is typed so `--rpc-table` breaks
     /// checkpoint traffic out from regular file writes.
     ///
     /// # Panics
     ///
-    /// Panics if `frame` is longer than one block.
-    pub fn ckpt_write_block(
+    /// Panics if `frames` is empty or holds more than
+    /// [`CostModel::run_blocks`](sprite_net::CostModel::run_blocks)
+    /// blocks, or if a frame is longer than one block.
+    pub fn ckpt_write_blocks(
         &mut self,
         net: &mut Transport,
         now: SimTime,
         host: HostId,
         stream: StreamId,
-        frame: &Frame,
+        frames: &[Frame],
     ) -> FsResult<SimTime> {
         let (file, server, shadowed, offset) = self.data_stream(stream, host, OpenMode::writes)?;
-        let len = frame.len() as u64;
-        assert!(len <= PAGE_SIZE, "a checkpoint block holds at most a page");
-        let block = offset.div_ceil(PAGE_SIZE);
+        let blocks = frames.len() as u64;
+        let run = net.cost().run_blocks();
+        assert!((1..=run).contains(&blocks), "a run holds 1 to {run} blocks");
+        assert!(
+            frames.iter().all(|f| f.len() as u64 <= PAGE_SIZE),
+            "a checkpoint block holds at most a page"
+        );
+        let len = frames.iter().map(|f| f.len() as u64).sum();
+        let first = offset.div_ceil(PAGE_SIZE);
         let t = self.start_transfer(net, now, host, server, shadowed)?;
         let op = RpcOp::CkptWrite;
-        let t = self.block_to_server(net, op, t, host, server, file, block, len)?;
+        let t = self.block_to_server(net, op, t, host, server, file, first, blocks, len)?;
         if let Some(f) = self.srv_mut(server).file_mut(file) {
-            f.put_frame(block, Frame::clone(frame));
+            for (block, frame) in (first..).zip(frames) {
+                f.put_frame(block, Frame::clone(frame));
+            }
         }
-        self.end_ckpt_block(stream, block);
+        self.end_ckpt_block(stream, first + blocks - 1);
         self.stats.bytes_written += len;
         Ok(t)
     }
 
-    /// Reads the next whole block of a checkpoint image during
-    /// restart-elsewhere, the first block boundary at or after the
-    /// stream's access position, and moves the stream to the boundary
-    /// after it. One [`RpcOp::CkptRestore`] carries the block, and the
-    /// reply is the server's stored frame, shared rather than copied; a
-    /// short last block comes back as short as it was written. Returns
-    /// `None`, with no RPC, at or past the end of the file: an image that
-    /// ends early (a checkpoint died mid-write) must be discarded.
-    pub fn ckpt_read_block(
+    /// Reads the next run of up to `max` whole blocks of a checkpoint
+    /// image during restart-elsewhere, from the first block boundary at or
+    /// after the stream's access position, and moves the stream to the
+    /// boundary after the run. One [`RpcOp::CkptRestore`] carries the run,
+    /// and the reply is the server's stored frames, shared rather than
+    /// copied; a short last block comes back as short as it was written.
+    /// Near the end of the file the run is shorter, and at or past the end
+    /// it is empty, with no RPC: an image that ends early (a checkpoint
+    /// died mid-write) must be discarded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max` is 0 or more than
+    /// [`CostModel::run_blocks`](sprite_net::CostModel::run_blocks).
+    pub fn ckpt_read_blocks(
         &mut self,
         net: &mut Transport,
         now: SimTime,
         host: HostId,
         stream: StreamId,
-    ) -> FsResult<(Option<Frame>, SimTime)> {
+        max: u64,
+    ) -> FsResult<(Vec<Frame>, SimTime)> {
+        let run = net.cost().run_blocks();
+        assert!((1..=run).contains(&max), "a run holds 1 to {run} blocks");
         let (file, server, shadowed, offset) = self.data_stream(stream, host, OpenMode::reads)?;
         let t = self.start_transfer(net, now, host, server, shadowed)?;
-        let block = offset.div_ceil(PAGE_SIZE);
+        let first = offset.div_ceil(PAGE_SIZE);
         let (_, _, logical) = self.file_state(server, file);
-        if block >= logical.div_ceil(PAGE_SIZE) {
-            return Ok((None, t));
+        let blocks = logical.div_ceil(PAGE_SIZE).saturating_sub(first).min(max);
+        if blocks == 0 {
+            return Ok((Vec::new(), t));
         }
         let op = RpcOp::CkptRestore;
-        let t = self.block_from_server(net, op, t, host, server, file, block)?;
-        let frame = self
-            .server_block_frame(server, file, block)
-            .unwrap_or_else(|| Frame::from([]));
-        self.end_ckpt_block(stream, block);
-        self.stats.bytes_read += frame.len() as u64;
-        Ok((Some(frame), t))
+        let t = self.block_from_server(net, op, t, host, server, file, first, blocks)?;
+        let frames: Vec<Frame> = (first..first + blocks)
+            .map(|block| {
+                self.server_block_frame(server, file, block)
+                    .unwrap_or_else(|| Frame::from([]))
+            })
+            .collect();
+        self.end_ckpt_block(stream, first + blocks - 1);
+        self.stats.bytes_read += frames.iter().map(|f| f.len() as u64).sum::<u64>();
+        Ok((frames, t))
     }
 
     /// Moves a checkpoint stream to the block boundary after `block`.
@@ -1336,30 +1376,49 @@ impl SpriteFs {
 
     // ----- paging (backing files) ---------------------------------------------
 
-    /// Writes one page to a backing file (dirty-page flush during normal
-    /// paging or migration). Bypasses the client cache. The file keeps a
-    /// reference to `frame`; no bytes are copied.
+    /// Writes a run of pages to a backing file, `frames[i]` as page
+    /// `first + i` (dirty-page flush during normal paging or migration),
+    /// as one [`RpcOp::VmPageFlush`]. Bypasses the client cache. The file
+    /// keeps a reference to each frame, once the RPC succeeds; no bytes
+    /// are copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the run is 1 to
+    /// [`CostModel::run_blocks`](sprite_net::CostModel::run_blocks) pages
+    /// inside one stripe unit: the pages from a multiple of that count up
+    /// to the next.
     pub fn page_out(
         &mut self,
         net: &mut Transport,
         now: SimTime,
         host: HostId,
         file: FileId,
-        page: u64,
-        frame: &Frame,
+        first: u64,
+        frames: &[Frame],
     ) -> FsResult<SimTime> {
-        let (home, io) = self.paging_route(file, page)?;
-        let (op, len) = (RpcOp::VmPageFlush, frame.len() as u64);
-        let mut t = self.block_to_server(net, op, now, host, io, file, page, len)?;
+        let run = net.cost().run_blocks();
+        let pages = frames.len() as u64;
+        assert!(
+            pages > 0 && first / run == (first + pages - 1) / run,
+            "a page-out run lies inside one stripe unit"
+        );
+        let (home, io) = self.paging_route(file, first, run)?;
+        let op = RpcOp::VmPageFlush;
+        let len = frames.iter().map(|f| f.len() as u64).sum();
+        let mut t = self.block_to_server(net, op, now, host, io, file, first, pages, len)?;
         // Paging writes bypass the open/close protocol, so any replica set
         // on the file (possible for a regular file that gets paged) is
         // dropped here rather than at a write-open.
         t = self.invalidate_replicas(net, t, file)?;
-        self.srv_mut(home)
+        let stored = self
+            .srv_mut(home)
             .file_mut(file)
-            .expect("backing file exists")
-            .put_frame(page, Frame::clone(frame));
-        self.stats.pageouts += 1;
+            .expect("backing file exists");
+        for (page, frame) in (first..).zip(frames) {
+            stored.put_frame(page, Frame::clone(frame));
+        }
+        self.stats.pageouts += pages;
         Ok(t)
     }
 
@@ -1374,9 +1433,9 @@ impl SpriteFs {
         file: FileId,
         page: u64,
     ) -> FsResult<(Frame, SimTime)> {
-        let (home, io) = self.paging_route(file, page)?;
+        let (home, io) = self.paging_route(file, page, net.cost().run_blocks())?;
         let op = RpcOp::VmPageFetch;
-        let t = self.block_from_server(net, op, now, host, io, file, page)?;
+        let t = self.block_from_server(net, op, now, host, io, file, page, 1)?;
         let frame = self
             .srv(home)
             .file(file)
@@ -1388,10 +1447,12 @@ impl SpriteFs {
 
     /// Where `page` of a backing (or regular) file lives and is served:
     /// `(home, io)`. The home server keeps the authoritative byte image.
-    /// In a striped domain, pages round-robin across the group by
-    /// `(file, page)` for service, so one large swap file saturates N
-    /// spindles instead of one; elsewhere `io` is the home.
-    fn paging_route(&self, file: FileId, page: u64) -> FsResult<(HostId, HostId)> {
+    /// In a striped domain, stripe units of `run` pages (the most one
+    /// page-out carries) round-robin across the group by `(file, unit)`
+    /// for service, so one large swap file saturates N spindles instead
+    /// of one and a run never spans two servers; elsewhere `io` is the
+    /// home.
+    fn paging_route(&self, file: FileId, page: u64, run: u64) -> FsResult<(HostId, HostId)> {
         let (home, gi) = self.placed(file).ok_or(FsError::WrongKind(file))?;
         let kind = self.srv(home).file(file).map(|f| f.kind);
         if !matches!(kind, Some(FileKind::Backing | FileKind::Regular)) {
@@ -1400,7 +1461,7 @@ impl SpriteFs {
         let io = match self.shards.group(gi as usize) {
             Some(g) if g.servers.len() > 1 => {
                 let n = g.servers.len() as u64;
-                g.servers[(file.raw().wrapping_add(page) % n) as usize]
+                g.servers[(file.raw().wrapping_add(page / run) % n) as usize]
             }
             _ => home,
         };
@@ -1561,10 +1622,10 @@ impl SpriteFs {
         let mut t = if serve_from != server {
             self.stats.replica_hits += 1;
             let op = RpcOp::FsReplicaRead;
-            self.block_from_server(net, op, now, host, serve_from, file, block)?
+            self.block_from_server(net, op, now, host, serve_from, file, block, 1)?
         } else {
             let op = RpcOp::FsBlockRead;
-            let mut t = self.block_from_server(net, op, now, host, server, file, block)?;
+            let mut t = self.block_from_server(net, op, now, host, server, file, block, 1)?;
             if host != server {
                 let peers = self.group_peers(file, server);
                 if !peers.is_empty() && self.replicas.note_fetch(file, host) {
@@ -1591,7 +1652,7 @@ impl SpriteFs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sprite_net::CostModel;
+    use sprite_net::{CostModel, Ideal, LinkPolicy, LinkVerdict};
 
     fn setup(hosts: usize) -> (Transport, SpriteFs) {
         let net = Transport::new(CostModel::sun3(), hosts);
@@ -1781,7 +1842,9 @@ mod tests {
             .create_backing(&mut net, t0, h(1), SpritePath::new("/swap/p1"))
             .unwrap();
         let page = Frame::from(vec![0xabu8; PAGE_SIZE as usize]);
-        let t2 = fs.page_out(&mut net, t1, h(1), swap, 3, &page).unwrap();
+        let t2 = fs
+            .page_out(&mut net, t1, h(1), swap, 3, std::slice::from_ref(&page))
+            .unwrap();
         let (back, t3) = fs.page_in(&mut net, t2, h(1), swap, 3).unwrap();
         assert!(
             Frame::ptr_eq(&back, &page),
@@ -1792,6 +1855,121 @@ mod tests {
         assert_eq!(*zeros, [0u8; PAGE_SIZE as usize]);
         assert_eq!(fs.stats().pageouts, 1);
         assert_eq!(fs.stats().pageins, 2);
+    }
+
+    #[test]
+    fn a_page_out_run_is_one_round_trip_of_its_bytes() {
+        let (mut net, mut fs) = setup(2);
+        let (swap, t0) = fs
+            .create_backing(&mut net, SimTime::ZERO, h(1), SpritePath::new("/swap/run"))
+            .unwrap();
+        let cost = net.cost().clone();
+        // Client processing, the request on the wire, its latency, the
+        // server's processing and one cache operation per block, the
+        // reply on the wire, its latency.
+        let round_trip = |blocks: u64| {
+            cost.rpc_processing * 2
+                + cost.message_latency * 2
+                + cost.wire_time(blocks * PAGE_SIZE + CONTROL_BYTES)
+                + cost.wire_time(CONTROL_BYTES)
+                + cost.cache_block_op * blocks
+        };
+        let page = Frame::from(vec![0x3cu8; PAGE_SIZE as usize]);
+        let one = fs
+            .page_out(&mut net, t0, h(1), swap, 8, std::slice::from_ref(&page))
+            .unwrap()
+            .elapsed_since(t0);
+        assert_eq!(one, round_trip(1));
+        assert_eq!(
+            one,
+            SimDuration::from_micros(11_650),
+            "one block, as before runs"
+        );
+        let t1 = t0 + SimDuration::from_secs(1);
+        let run = vec![page; 4];
+        let four = fs
+            .page_out(&mut net, t1, h(1), swap, 0, &run)
+            .unwrap()
+            .elapsed_since(t1);
+        assert_eq!(four, round_trip(4));
+        assert_eq!(four, SimDuration::from_micros(38_000), "9.50 ms a block");
+        assert_eq!(net.rpc_table().get(RpcOp::VmPageFlush).calls, 2);
+        assert_eq!(fs.stats().pageouts, 5);
+        for p in (0..4).chain([8]) {
+            let stored = fs.srv(h(0)).file(swap).unwrap().frame(p);
+            assert!(Frame::ptr_eq(&stored, &run[0]), "page {p}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "inside one stripe unit")]
+    fn a_page_out_run_never_crosses_a_stripe_unit() {
+        let (mut net, mut fs) = setup(2);
+        let (swap, t) = fs
+            .create_backing(&mut net, SimTime::ZERO, h(1), SpritePath::new("/swap/x"))
+            .unwrap();
+        let page = Frame::from(vec![1u8; PAGE_SIZE as usize]);
+        let _ = fs.page_out(&mut net, t, h(1), swap, 3, &[page.clone(), page]);
+    }
+
+    /// Partitions every `fs-consistency` notice, so no recall or cache
+    /// invalidation reaches its host.
+    #[derive(Debug)]
+    struct NoticesPartitioned;
+
+    impl LinkPolicy for NoticesPartitioned {
+        fn verdict(&mut self, op: RpcOp, _: SimTime, _: HostId, _: Option<HostId>) -> LinkVerdict {
+            if op == RpcOp::FsConsistency {
+                LinkVerdict::Partitioned
+            } else {
+                LinkVerdict::Deliver
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_open_commits_nothing_at_the_server() {
+        let (mut net, mut fs) = setup(4);
+        let path = SpritePath::new("/f");
+        let (id, t) = fs
+            .create(&mut net, SimTime::ZERO, h(1), path.clone())
+            .unwrap();
+        let (w, mut t) = fs
+            .open(&mut net, t, h(1), path.clone(), OpenMode::ReadWrite)
+            .unwrap();
+        let mut expect = Vec::new();
+        for byte in [b'a', b'b', b'c'] {
+            let block = vec![byte; PAGE_SIZE as usize];
+            t = fs.write(&mut net, t, h(1), w, &block).unwrap();
+            expect.extend_from_slice(&block);
+        }
+        assert_eq!(fs.client_cache(h(1)).dirty_block_count(id), 3);
+        let version = fs.srv(h(0)).file(id).unwrap().version;
+        let check = |fs: &SpriteFs, what: &str| {
+            let f = fs.srv(h(0)).file(id).unwrap();
+            assert_eq!(f.opens.len(), 1, "{what}: only the writer's record");
+            assert_eq!(f.open_hosts().collect::<Vec<_>>(), [h(1)], "{what}");
+            assert!(f.cacheable, "{what}: caching stays on for the writer");
+            assert_eq!(f.version, version, "{what}");
+            assert_eq!(f.last_writer, Some(h(1)), "{what}");
+        };
+        // The recall notice to host 1 is lost: a reader's open and a
+        // writer's open on host 2 fail, and neither leaves a trace.
+        net.set_policy(Box::new(NoticesPartitioned));
+        for mode in [OpenMode::Read, OpenMode::Write] {
+            let err = fs.open(&mut net, t, h(2), path.clone(), mode);
+            assert!(matches!(err, Err(FsError::Rpc(_))), "{mode:?}");
+            check(&fs, &format!("{mode:?} open"));
+        }
+        assert_eq!(fs.client_cache(h(1)).dirty_block_count(id), 3);
+        // Once the link heals, an open on host 3 recalls host 1's blocks.
+        net.set_policy(Box::new(Ideal));
+        let (r, t) = fs.open(&mut net, t, h(3), path, OpenMode::Read).unwrap();
+        assert_eq!(fs.client_cache(h(1)).dirty_block_count(id), 0);
+        let mut got = Vec::new();
+        fs.read(&mut net, t, h(3), r, u64::MAX, &mut got).unwrap();
+        assert_eq!(got.len(), 12_288);
+        assert!(got == expect, "the reader sees every written byte");
     }
 
     #[test]
@@ -2083,7 +2261,7 @@ mod tests {
         // Paging traffic charges the swap server's CPU, not the root's.
         let before_root = fs.server(h(0)).unwrap().cpu.busy_time();
         let before_swap = fs.server(h(2)).unwrap().cpu.busy_time();
-        fs.page_out(&mut net, t, h(1), swap_file, 0, &Frame::from([1u8; 4096]))
+        fs.page_out(&mut net, t, h(1), swap_file, 0, &[Frame::from([1u8; 4096])])
             .unwrap();
         assert_eq!(fs.server(h(0)).unwrap().cpu.busy_time(), before_root);
         assert!(fs.server(h(2)).unwrap().cpu.busy_time() > before_swap);
@@ -2267,7 +2445,9 @@ mod tests {
         let page = Frame::from(vec![0x5au8; PAGE_SIZE as usize]);
         let mut t = t1;
         for p in 0..6 {
-            t = fs.page_out(&mut net, t, h(3), swap, p, &page).unwrap();
+            t = fs
+                .page_out(&mut net, t, h(3), swap, p, std::slice::from_ref(&page))
+                .unwrap();
         }
         for p in 0..6 {
             let (back, t2) = fs.page_in(&mut net, t, h(3), swap, p).unwrap();
@@ -2338,19 +2518,19 @@ mod tests {
             )
             .unwrap();
         let t4 = fs
-            .ckpt_write_block(&mut net, t3, h(1), img, &Frame::from(&b"abcdef"[..]))
+            .ckpt_write_blocks(&mut net, t3, h(1), img, &[Frame::from(&b"abcdef"[..])])
             .unwrap();
-        // A block read at the last block of the offset range: finding the
+        // A run read at the last block of the offset range: finding the
         // block must not overflow, and past the end it finds none, with
         // no RPC charged.
         fs.seek(img, u64::MAX).unwrap();
         let calls = net.rpc_table().get(RpcOp::CkptRestore).calls;
-        let (none, t5) = fs.ckpt_read_block(&mut net, t4, h(1), img).unwrap();
-        assert_eq!(none, None);
+        let (none, t5) = fs.ckpt_read_blocks(&mut net, t4, h(1), img, 4).unwrap();
+        assert!(none.is_empty());
         assert_eq!(net.rpc_table().get(RpcOp::CkptRestore).calls, calls);
         fs.seek(img, 0).unwrap();
-        let (image, _) = fs.ckpt_read_block(&mut net, t5, h(1), img).unwrap();
-        assert_eq!(image.as_deref(), Some(&b"abcdef"[..]));
+        let (image, _) = fs.ckpt_read_blocks(&mut net, t5, h(1), img, 4).unwrap();
+        assert_eq!(image, [Frame::from(&b"abcdef"[..])]);
     }
 
     /// Host `host`'s cached frame of `file`'s block `block`, under the

@@ -408,39 +408,61 @@ impl ServerState {
         self.block_ops
     }
 
-    /// Registers an open by `host` in `mode`, returning the consistency
-    /// actions the caller must carry out *before* granting the open.
+    /// The consistency actions an open by `host` in `mode` needs, computed
+    /// as if its open record were already added. The caller carries them
+    /// out and only then commits the open with
+    /// [`ServerState::commit_open`]; this changes nothing, so an open whose
+    /// actions fail leaves no record, version bump or last writer behind.
     ///
     /// # Panics
     ///
     /// Panics if the file does not exist (callers look up first).
-    pub fn open(&mut self, id: FileId, host: HostId, mode: OpenMode) -> ConsistencyActions {
-        let file = self.files.get_mut(&id).expect("open of unknown file");
-        let mut actions = ConsistencyActions {
-            cacheable: file.cacheable,
-            opener_cache_current: file.last_writer.is_none_or(|w| w == host),
-            ..ConsistencyActions::default()
-        };
+    pub fn grant_open(&self, id: FileId, host: HostId, mode: OpenMode) -> ConsistencyActions {
+        let file = self.files.get(&id).expect("open of unknown file");
         // Sequential write-sharing: a different host wrote this file last
         // and may hold dirty blocks; recall them so this open sees current
         // data [NWO88].
-        if let Some(w) = file.last_writer {
-            if w != host {
-                actions.flush_from.push(w);
+        let flush_from = file
+            .last_writer
+            .filter(|&w| w != host)
+            .into_iter()
+            .collect();
+        // Concurrent write-sharing once the record is added: caching is
+        // disabled for every host holding the file, the opener included.
+        let shared = file.opens.iter().any(|r| r.host != host)
+            && (mode.writes() || file.opens.iter().any(|r| r.mode.writes()));
+        let mut invalidate_on = Vec::new();
+        if shared && file.cacheable {
+            invalidate_on.extend(file.open_hosts());
+            if !invalidate_on.contains(&host) {
+                invalidate_on.push(host);
             }
         }
+        ConsistencyActions {
+            flush_from,
+            invalidate_on,
+            cacheable: file.cacheable && !shared,
+            opener_cache_current: file.last_writer.is_none_or(|w| w == host),
+        }
+    }
+
+    /// Commits an open [`ServerState::grant_open`] granted: adds `host`'s
+    /// record, and for a write open bumps the version and makes `host` the
+    /// last writer; concurrent write-sharing disables caching.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the file does not exist.
+    pub fn commit_open(&mut self, id: FileId, host: HostId, mode: OpenMode) {
+        let file = self.files.get_mut(&id).expect("open of unknown file");
         file.add_open(host, mode);
         if mode.writes() {
             file.version += 1;
             file.last_writer = Some(host);
         }
-        // Concurrent write-sharing: disable caching for everyone.
-        if file.concurrently_write_shared() && file.cacheable {
+        if file.concurrently_write_shared() {
             file.cacheable = false;
-            actions.invalidate_on = file.open_hosts().collect();
         }
-        actions.cacheable = file.cacheable;
-        actions
     }
 
     /// Registers a close by `host`. Re-enables caching when the file is no
@@ -514,6 +536,14 @@ mod tests {
         ServerState::new(HostId::new(0), 64)
     }
 
+    /// Grants and commits an open, as `SpriteFs::open` does when its
+    /// consistency actions succeed.
+    fn open(s: &mut ServerState, id: FileId, host: HostId, mode: OpenMode) -> ConsistencyActions {
+        let actions = s.grant_open(id, host, mode);
+        s.commit_open(id, host, mode);
+        actions
+    }
+
     fn h(i: u32) -> HostId {
         HostId::new(i)
     }
@@ -548,7 +578,7 @@ mod tests {
     fn single_host_open_is_cacheable_with_no_actions() {
         let mut s = server();
         s.create(SpritePath::new("/f"), FileId::new(1), FileKind::Regular);
-        let a = s.open(FileId::new(1), h(1), OpenMode::ReadWrite);
+        let a = open(&mut s, FileId::new(1), h(1), OpenMode::ReadWrite);
         assert!(a.cacheable);
         assert!(a.flush_from.is_empty());
         assert!(a.invalidate_on.is_empty());
@@ -558,9 +588,9 @@ mod tests {
     fn sequential_write_sharing_recalls_from_last_writer() {
         let mut s = server();
         s.create(SpritePath::new("/f"), FileId::new(1), FileKind::Regular);
-        s.open(FileId::new(1), h(1), OpenMode::Write);
+        open(&mut s, FileId::new(1), h(1), OpenMode::Write);
         s.close(FileId::new(1), h(1), OpenMode::Write);
-        let a = s.open(FileId::new(1), h(2), OpenMode::Read);
+        let a = open(&mut s, FileId::new(1), h(2), OpenMode::Read);
         assert_eq!(a.flush_from, vec![h(1)]);
         assert!(a.cacheable, "no concurrent sharing, still cacheable");
     }
@@ -570,9 +600,9 @@ mod tests {
         let mut s = server();
         s.create(SpritePath::new("/f"), FileId::new(1), FileKind::Regular);
         let v0 = s.file(FileId::new(1)).unwrap().version;
-        s.open(FileId::new(1), h(1), OpenMode::Write);
+        open(&mut s, FileId::new(1), h(1), OpenMode::Write);
         assert_eq!(s.file(FileId::new(1)).unwrap().version, v0 + 1);
-        s.open(FileId::new(1), h(1), OpenMode::Read);
+        open(&mut s, FileId::new(1), h(1), OpenMode::Read);
         assert_eq!(s.file(FileId::new(1)).unwrap().version, v0 + 1);
     }
 
@@ -580,8 +610,8 @@ mod tests {
     fn concurrent_write_sharing_disables_caching() {
         let mut s = server();
         s.create(SpritePath::new("/f"), FileId::new(1), FileKind::Regular);
-        s.open(FileId::new(1), h(1), OpenMode::Write);
-        let a = s.open(FileId::new(1), h(2), OpenMode::Read);
+        open(&mut s, FileId::new(1), h(1), OpenMode::Write);
+        let a = open(&mut s, FileId::new(1), h(2), OpenMode::Read);
         assert!(!a.cacheable);
         let mut inv = a.invalidate_on.clone();
         inv.sort();
@@ -592,8 +622,8 @@ mod tests {
     fn caching_reenabled_after_sharing_ends() {
         let mut s = server();
         s.create(SpritePath::new("/f"), FileId::new(1), FileKind::Regular);
-        s.open(FileId::new(1), h(1), OpenMode::Write);
-        s.open(FileId::new(1), h(2), OpenMode::Read);
+        open(&mut s, FileId::new(1), h(1), OpenMode::Write);
+        open(&mut s, FileId::new(1), h(2), OpenMode::Read);
         assert!(!s.file(FileId::new(1)).unwrap().cacheable);
         s.close(FileId::new(1), h(1), OpenMode::Write);
         assert!(s.file(FileId::new(1)).unwrap().cacheable);
@@ -603,7 +633,7 @@ mod tests {
     fn move_open_transfers_sharing() {
         let mut s = server();
         s.create(SpritePath::new("/f"), FileId::new(1), FileKind::Regular);
-        s.open(FileId::new(1), h(1), OpenMode::Write);
+        open(&mut s, FileId::new(1), h(1), OpenMode::Write);
         assert!(s.move_open(FileId::new(1), Some(h(1)), h(2), OpenMode::Write));
         let f = s.file(FileId::new(1)).unwrap();
         assert_eq!(f.open_hosts().collect::<Vec<_>>(), vec![h(2)]);
@@ -616,8 +646,8 @@ mod tests {
     fn migration_can_end_concurrent_sharing() {
         let mut s = server();
         s.create(SpritePath::new("/f"), FileId::new(1), FileKind::Regular);
-        s.open(FileId::new(1), h(1), OpenMode::Write);
-        s.open(FileId::new(1), h(2), OpenMode::Read);
+        open(&mut s, FileId::new(1), h(1), OpenMode::Write);
+        open(&mut s, FileId::new(1), h(2), OpenMode::Read);
         assert!(!s.file(FileId::new(1)).unwrap().cacheable);
         // The writer migrates to the reader's host: sharing collapses.
         s.move_open(FileId::new(1), Some(h(1)), h(2), OpenMode::Write);
@@ -707,7 +737,7 @@ mod tests {
     fn double_close_rejected() {
         let mut s = server();
         s.create(SpritePath::new("/f"), FileId::new(1), FileKind::Regular);
-        s.open(FileId::new(1), h(1), OpenMode::Read);
+        open(&mut s, FileId::new(1), h(1), OpenMode::Read);
         assert!(s.close(FileId::new(1), h(1), OpenMode::Read));
         assert!(!s.close(FileId::new(1), h(1), OpenMode::Read));
     }

@@ -143,7 +143,8 @@ rpc_ops! {
     FsConsistency => "fs-consistency", (CONTROL_BYTES, CONTROL_BYTES);
     /// Pseudo-device request/reply with a user-level server process.
     FsPseudo => "fs-pseudo", (0, 0);
-    /// Dirty VM page flushed to its backing swap file.
+    /// A run of up to [`CostModel::run_blocks`] consecutive dirty VM pages
+    /// flushed to their backing swap file. Caller-sized request.
     VmPageFlush => "vm-page-flush", (0, CONTROL_BYTES);
     /// VM page fetched from a backing file or the source host.
     VmPageFetch => "vm-page-fetch", (CONTROL_BYTES, PAGE_REPLY_BYTES);
@@ -172,12 +173,14 @@ rpc_ops! {
     /// Home-server notice dropping a peer's read replica after a
     /// write-open bumped the file version.
     FsReplicaInvalidate => "fs-replica-invalidate", (CONTROL_BYTES, CONTROL_BYTES);
-    /// Checkpoint image write: one record of a process's frozen state
-    /// streamed to its (sharded) image file. Caller-sized request.
-    // Caller-sized request: header + page records, sized per write.
+    /// Checkpoint image write: a run of up to [`CostModel::run_blocks`]
+    /// consecutive image blocks streamed to the (sharded) image file.
+    // Caller-sized request: the run's bytes, sized per write.
     CkptWrite => "ckpt-write", (0, CONTROL_BYTES);
     /// Checkpoint image read during restart-elsewhere: the reborn process
-    /// pulls one record back from the image file's shard server.
+    /// pulls a run of up to [`CostModel::run_blocks`] image blocks back
+    /// from the image file's shard server. The reply is a page per block
+    /// plus the header; the table holds the one-block size.
     CkptRestore => "ckpt-restore", (CONTROL_BYTES, PAGE_REPLY_BYTES);
 }
 

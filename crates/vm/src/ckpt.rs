@@ -22,34 +22,42 @@
 //! in whole 4 KB blocks, like CRIU's `pagemap` index beside its
 //! page-aligned `pages` image:
 //!
-//! 1. the header (magic, record count, heap and stack sizes, the frozen
-//!    kernel record), then one `(segment tag, page index)` entry per
-//!    captured page, padded to a block boundary;
+//! 1. the header (magic, record count, heap and stack sizes, a checksum,
+//!    the frozen kernel record), then one `(segment tag, page index)`
+//!    entry per captured page, padded to a block boundary;
 //! 2. one block per captured page, in index order;
 //! 3. the trailer block (magic and record count), written last.
 //!
-//! Each block is one [`SpriteFs::ckpt_write_block`] or
-//! [`SpriteFs::ckpt_read_block`] RPC, and the blocks are page frames
-//! moved by reference: the image shares the captured pages' frames and a
-//! restored space shares the image's, so neither side copies a page. A
-//! restore validates the header and every index entry before it reads a
-//! page, and the trailer after the last one, so an image cut short by a
-//! checkpoint that died mid-write (no trailer) or damaged in its header,
-//! index or trailer is discarded, never half-run — the property the chaos
-//! suite gates on.
+//! The image moves in runs: the checkpoint writes its blocks, index, pages
+//! and trailer alike, in runs of up to [`CostModel::run_blocks`] (4 on
+//! both calibrations), one [`SpriteFs::ckpt_write_blocks`] RPC each, and a
+//! restore reads them back a run at a time through a one-run read-ahead
+//! buffer, one [`SpriteFs::ckpt_read_blocks`] RPC each. The blocks are
+//! page frames moved by reference: the image shares the captured pages'
+//! frames and a restored space shares the image's, so neither side copies
+//! a page. The header's checksum (FNV-1a over the header, its own field
+//! read as zeros, and the index entries) catches any damage to either. A
+//! restore validates the header, the checksum and every index entry
+//! before it installs a page, and the trailer after the last one, so an
+//! image cut short by a checkpoint that died mid-write (no trailer) or
+//! damaged in its header, index or trailer is discarded, never half-run —
+//! the property the chaos suite gates on. Page blocks carry no checksum:
+//! a damaged page restores as damaged.
 //!
 //! [`VmStrategy`]: crate::VmStrategy
 //! [`transfer`]: crate::transfer
 //! [`RpcOp::CkptWrite`]: sprite_net::RpcOp::CkptWrite
 //! [`RpcOp::CkptRestore`]: sprite_net::RpcOp::CkptRestore
-//! [`SpriteFs::ckpt_write_block`]: sprite_fs::SpriteFs::ckpt_write_block
-//! [`SpriteFs::ckpt_read_block`]: sprite_fs::SpriteFs::ckpt_read_block
+//! [`CostModel::run_blocks`]: sprite_net::CostModel::run_blocks
+//! [`SpriteFs::ckpt_write_blocks`]: sprite_fs::SpriteFs::ckpt_write_blocks
+//! [`SpriteFs::ckpt_read_blocks`]: sprite_fs::SpriteFs::ckpt_read_blocks
 
+use std::collections::VecDeque;
 use std::fmt;
 
 use sprite_fs::{Frame, FsError, OpenMode, SpriteFs, SpritePath, StreamId};
 use sprite_net::{HostId, Transport, PAGE_SIZE};
-use sprite_sim::{SimDuration, SimTime};
+use sprite_sim::{SimDuration, SimTime, StateDigest};
 
 use crate::space::{AddressSpace, CkptPage, SegmentKind};
 
@@ -130,8 +138,12 @@ const TRAILER_MAGIC: [u8; 4] = *b"SEND";
 pub const CKPT_KERNEL_RECORD_BYTES: u64 = 256;
 
 /// Header length: magic + record count + heap/stack page counts + the
-/// kernel record.
-pub const CKPT_HEADER_BYTES: u64 = 4 + 4 + 8 + 8 + CKPT_KERNEL_RECORD_BYTES;
+/// checksum + the kernel record.
+pub const CKPT_HEADER_BYTES: u64 = 4 + 4 + 8 + 8 + 8 + CKPT_KERNEL_RECORD_BYTES;
+
+/// Where the header's checksum lies: after the magic, the record count
+/// and the two segment sizes.
+const CHECKSUM_AT: usize = 4 + 4 + 8 + 8;
 
 /// Index entry length: segment tag + page index.
 const INDEX_ENTRY_BYTES: u64 = 1 + 8;
@@ -148,6 +160,14 @@ fn index_blocks(pages: u64) -> u64 {
 /// the trailer.
 fn image_bytes(pages: u64) -> u64 {
     (index_blocks(pages) + pages) * PAGE_SIZE + TRAILER_BYTES as u64
+}
+
+/// The checksum of an image's header and index entries, `covered`,
+/// read with the checksum field zeroed: FNV-1a over those bytes.
+fn checksum(covered: &[u8]) -> u64 {
+    let mut d = StateDigest::new();
+    d.write_bytes(covered);
+    d.finish()
 }
 
 /// The trailer of a `count`-page image: the magic, then the count again.
@@ -253,13 +273,16 @@ pub fn checkpoint(
     let count = u32::try_from(pages.len()).expect("a checkpoint captures under 2^32 pages");
     let heap_pages = space.segment(SegmentKind::Heap).page_count();
     let stack_pages = space.segment(SegmentKind::Stack).page_count();
-    for block in index(&pages, count, heap_pages, stack_pages).chunks(PAGE_SIZE as usize) {
-        t = fs.ckpt_write_block(net, t, host, stream, &Frame::from(block))?;
+    let index = index(&pages, count, heap_pages, stack_pages);
+    let blocks: Vec<Frame> = index
+        .chunks(PAGE_SIZE as usize)
+        .map(Frame::from)
+        .chain(pages.into_iter().map(|p| p.data))
+        .chain([Frame::from(trailer(count))])
+        .collect();
+    for run in blocks.chunks(net.cost().run_blocks() as usize) {
+        t = fs.ckpt_write_blocks(net, t, host, stream, run)?;
     }
-    for p in &pages {
-        t = fs.ckpt_write_block(net, t, host, stream, &p.data)?;
-    }
-    t = fs.ckpt_write_block(net, t, host, stream, &Frame::from(trailer(count)))?;
     let t = fs.close(net, t, host, stream)?;
     let image_bytes = image_bytes(count.into());
     let image = CkptImage {
@@ -281,7 +304,7 @@ pub fn checkpoint(
 }
 
 /// The header and the index of an image of `pages` (`count` of them),
-/// zero-padded to whole blocks.
+/// checksummed and zero-padded to whole blocks.
 fn index(pages: &[CkptPage], count: u32, heap_pages: u64, stack_pages: u64) -> Vec<u8> {
     let len = (index_blocks(count.into()) * PAGE_SIZE) as usize;
     let mut index = Vec::with_capacity(len);
@@ -294,6 +317,8 @@ fn index(pages: &[CkptPage], count: u32, heap_pages: u64, stack_pages: u64) -> V
         index.push(seg_tag(p.segment));
         index.extend_from_slice(&p.page.to_le_bytes());
     }
+    let sum = checksum(&index);
+    index[CHECKSUM_AT..CHECKSUM_AT + 8].copy_from_slice(&sum.to_le_bytes());
     index.resize(len, 0);
     index
 }
@@ -304,13 +329,15 @@ fn index(pages: &[CkptPage], count: u32, heap_pages: u64, stack_pages: u64) -> V
 ///
 /// Opening `path` routes through the namespace's `ShardGroup` exactly like
 /// any other open: restart-elsewhere needs no knowledge of which server
-/// daemon holds the image. The header (magic, segment sizes, a record
-/// count the space can hold) and every index entry (segment tag, page
-/// range, strictly increasing order) are checked before any page is read,
-/// every block must be whole and the trailer must close the image with
-/// the header's record count; any mismatch returns
-/// [`CkptError::Corrupt`]. Each page is installed as the image block's
-/// frame, shared until either side writes.
+/// daemon holds the image. The image is read a run of blocks at a time,
+/// so page blocks may arrive with the index, but no page is installed
+/// until the header (magic, segment sizes, a record count the space can
+/// hold), its checksum over the header and index, and every index entry
+/// (segment tag, page range, strictly increasing order) check out; every
+/// block must be whole and the trailer must close the image with the
+/// header's record count; any mismatch returns [`CkptError::Corrupt`].
+/// Each page is installed as the image block's frame, shared until either
+/// side writes.
 ///
 /// # Errors
 ///
@@ -346,8 +373,9 @@ pub fn restore(
     }
 }
 
-/// Reads the image behind `stream` into `space`, moving `t` past each
-/// block read, and returns the pages restored.
+/// Reads the image behind `stream` into `space`, a run of blocks at a
+/// time through a one-run read-ahead buffer, moving `t` past each run
+/// read, and returns the pages restored.
 fn restore_pages(
     space: &mut AddressSpace,
     fs: &mut SpriteFs,
@@ -356,10 +384,15 @@ fn restore_pages(
     host: HostId,
     stream: StreamId,
 ) -> CkptResult<u64> {
-    let next = |fs: &mut SpriteFs, net: &mut Transport, t: &mut SimTime| {
-        let (block, t1) = fs.ckpt_read_block(net, *t, host, stream)?;
-        *t = t1;
-        Ok::<_, CkptError>(block)
+    let run = net.cost().run_blocks();
+    let mut ahead = VecDeque::with_capacity(run as usize);
+    let mut next = |fs: &mut SpriteFs, net: &mut Transport, t: &mut SimTime| {
+        if ahead.is_empty() {
+            let (blocks, t1) = fs.ckpt_read_blocks(net, *t, host, stream, run)?;
+            *t = t1;
+            ahead.extend(blocks);
+        }
+        Ok::<_, CkptError>(ahead.pop_front())
     };
     let corrupt = |detail| CkptError::Corrupt { detail };
     let whole = |block: Option<Frame>, detail| {
@@ -374,7 +407,7 @@ fn restore_pages(
     let count = u32::from_le_bytes(first[4..8].try_into().expect("4 bytes"));
     let pages = u64::from(count);
     let word = |at: usize| u64::from_le_bytes(first[at..at + 8].try_into().expect("8 bytes"));
-    let (heap_pages, stack_pages) = (word(8), word(16));
+    let (heap_pages, stack_pages, sum) = (word(8), word(16), word(CHECKSUM_AT));
     if heap_pages != space.segment(SegmentKind::Heap).page_count()
         || stack_pages != space.segment(SegmentKind::Stack).page_count()
     {
@@ -383,20 +416,23 @@ fn restore_pages(
     if pages > heap_pages + stack_pages {
         return Err(corrupt("more pages than the restart space holds"));
     }
-    let mut index = vec![first];
+    let mut index = first.to_vec();
     for _ in 1..index_blocks(pages) {
-        index.push(whole(next(fs, net, t)?, "truncated index")?);
+        index.extend_from_slice(&whole(next(fs, net, t)?, "truncated index")?);
     }
-    let byte = |at: u64| index[(at / PAGE_SIZE) as usize][(at % PAGE_SIZE) as usize];
+    index.truncate((CKPT_HEADER_BYTES + pages * INDEX_ENTRY_BYTES) as usize);
+    index[CHECKSUM_AT..CHECKSUM_AT + 8].fill(0);
+    if checksum(&index) != sum {
+        return Err(corrupt("header or index checksum mismatch"));
+    }
     let mut entries: Vec<(SegmentKind, u64)> = Vec::with_capacity(pages as usize);
-    for i in 0..pages {
-        let at = CKPT_HEADER_BYTES + i * INDEX_ENTRY_BYTES;
-        let (segment, limit) = match byte(at) {
+    for entry in index[CKPT_HEADER_BYTES as usize..].chunks(INDEX_ENTRY_BYTES as usize) {
+        let (segment, limit) = match entry[0] {
             1 => (SegmentKind::Heap, heap_pages),
             2 => (SegmentKind::Stack, stack_pages),
             _ => return Err(corrupt("bad segment tag")),
         };
-        let page = u64::from_le_bytes(std::array::from_fn(|k| byte(at + 1 + k as u64)));
+        let page = u64::from_le_bytes(entry[1..].try_into().expect("8 bytes"));
         if page >= limit {
             return Err(corrupt("page index out of range"));
         }
@@ -568,7 +604,8 @@ mod tests {
     #[test]
     fn checkpoint_traffic_is_typed() {
         // 3 pages fit the index in one block; 430 spill it into a second.
-        for (pages, blocks) in [(3, 5), (430, 433)] {
+        // Each way, one RPC carries a run of up to 4 blocks.
+        for (pages, blocks, runs) in [(3, 5, 2), (430, 433, 109)] {
             let (mut net, mut fs) = setup(3);
             let (mut s, t) = written_space(&mut fs, &mut net, "c2", pages);
             let path = SpritePath::new("/ckpt/c2.img");
@@ -589,14 +626,14 @@ mod tests {
             );
             assert_eq!(image.image_bytes, (blocks - 1) * PAGE_SIZE + 8);
             let writes = net.rpc_table().get(RpcOp::CkptWrite);
-            assert_eq!(writes.calls, blocks, "{pages} pages");
+            assert_eq!(writes.calls, runs, "{pages} pages");
             let (mut fresh, t2) =
                 fresh_space(&mut fs, &mut net, rep.completed_at, h(2), "c2r", pages);
             let rr = restore(&mut fresh, &mut fs, &mut net, t2, h(2), &path).unwrap();
             assert_eq!(rr.image_bytes, image.image_bytes);
             assert_eq!(
                 net.rpc_table().get(RpcOp::CkptRestore).calls,
-                blocks,
+                runs,
                 "{pages} pages"
             );
             assert_eq!(
@@ -721,10 +758,9 @@ mod tests {
             data: Frame::from([7u8; PAGE_SIZE as usize]),
         };
         let index = Frame::from(index(std::slice::from_ref(&page), 1, 32, 8));
-        let mut t1 = t1;
-        for block in [&index, &page.data] {
-            t1 = fs.ckpt_write_block(&mut net, t1, h(1), st, block).unwrap();
-        }
+        let t1 = fs
+            .ckpt_write_blocks(&mut net, t1, h(1), st, &[index, page.data])
+            .unwrap();
         let t1 = fs.close(&mut net, t1, h(1), st).unwrap();
         let (prog2, t2) = fs
             .create(&mut net, t1, h(2), SpritePath::new("/bin/c4r"))

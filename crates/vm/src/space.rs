@@ -627,10 +627,15 @@ impl AddressSpace {
 
     /// Flushes all dirty pages to backing files (Sprite's migration VM
     /// strategy, also used by eviction) and returns when the last page-out
-    /// completes. This is the only page-out: a segment's swap file is
-    /// created just before the segment's first page-out, and a dirty page
-    /// still owed by a copy-on-reference source is fetched first. Pages
-    /// stay resident but clean.
+    /// completes. This is the only page-out. Consecutive dirty pages go in
+    /// runs, one page-out RPC each, and a run never leaves its stripe unit
+    /// (the pages from a multiple of
+    /// [`CostModel::run_blocks`](sprite_net::CostModel::run_blocks) up to
+    /// the next). For each run, a page still owed by a copy-on-reference
+    /// source is fetched first, then the segment's swap file is created if
+    /// this is its first page-out, then the run is sent. A run's pages
+    /// turn clean once its page-out succeeds and stay resident; a failed
+    /// run leaves its pages, and every later one, dirty.
     pub fn flush_dirty(
         &mut self,
         fs: &mut SpriteFs,
@@ -638,13 +643,25 @@ impl AddressSpace {
         now: SimTime,
         host: HostId,
     ) -> FsResult<SimTime> {
+        let run = net.cost().run_blocks();
         let mut t = now;
+        let mut frames = Vec::with_capacity(run as usize);
         for kind in [SegmentKind::Heap, SegmentKind::Stack] {
-            for page in 0..self.segment(kind).page_count() {
-                if !self.segment(kind).pages[page as usize].dirty {
+            let count = self.segment(kind).page_count();
+            let dirty = |this: &Self, page: u64| this.segment(kind).pages[page as usize].dirty;
+            let mut first = 0;
+            while first < count {
+                if !dirty(self, first) {
+                    first += 1;
                     continue;
                 }
-                t = self.fault_in(fs, net, t, host, kind, page)?;
+                let unit_end = ((first / run + 1) * run).min(count);
+                let end = (first + 1..unit_end)
+                    .find(|&page| !dirty(self, page))
+                    .unwrap_or(unit_end);
+                for page in first..end {
+                    t = self.fault_in(fs, net, t, host, kind, page)?;
+                }
                 let file = match self.segment(kind).backing {
                     Some(file) => file,
                     None => {
@@ -655,10 +672,15 @@ impl AddressSpace {
                         file
                     }
                 };
-                let p = &mut self.segment_mut(kind).pages[page as usize];
-                t = fs.page_out(net, t, host, file, page, p.bytes())?;
-                p.dirty = false;
-                self.stats.pageouts += 1;
+                let pages = &mut self.segment_mut(kind).pages[first as usize..end as usize];
+                frames.clear();
+                frames.extend(pages.iter().map(|p| p.bytes().clone()));
+                t = fs.page_out(net, t, host, file, first, &frames)?;
+                for p in pages {
+                    p.dirty = false;
+                }
+                self.stats.pageouts += end - first;
+                first = end;
             }
         }
         Ok(t)
@@ -808,8 +830,9 @@ impl AddressSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sprite_fs::{FsConfig, SpritePath};
-    use sprite_net::CostModel;
+    use sprite_fs::{FsConfig, FsError, SpritePath};
+    use sprite_net::{CostModel, Ideal, LinkPolicy, LinkVerdict};
+    use sprite_sim::SimDuration;
 
     fn setup() -> (Transport, SpriteFs) {
         let net = Transport::new(CostModel::sun3(), 3);
@@ -1153,6 +1176,89 @@ mod tests {
         s.flush_dirty(&mut fs, &mut net, t, h(2)).unwrap();
         assert_eq!(fs.stats().lookups, lookups + 1);
         assert_eq!(s.stats().pageouts, 2);
+    }
+
+    /// A space whose first `pages` heap pages hold distinct bytes, all
+    /// dirty, and the bytes.
+    fn dirty_heap(
+        fs: &mut SpriteFs,
+        net: &mut Transport,
+        tag: &str,
+        pages: u64,
+    ) -> (AddressSpace, Vec<u8>, SimTime) {
+        let (prog, t) = fs
+            .create(
+                net,
+                SimTime::ZERO,
+                h(1),
+                SpritePath::new(format!("/bin/{tag}")),
+            )
+            .unwrap();
+        let mut s = AddressSpace::create(tag, prog, 4, pages, 4);
+        let heap: Vec<u8> = (0..pages * PAGE_SIZE).map(|i| (i % 253) as u8).collect();
+        let t = s
+            .write(fs, net, t, h(1), VirtAddr::new(SegmentKind::Heap, 0), &heap)
+            .unwrap();
+        (s, heap, t)
+    }
+
+    #[test]
+    fn a_flush_sends_one_page_out_per_run() {
+        let (mut net, mut fs) = setup();
+        let (mut s, _, t) = dirty_heap(&mut fs, &mut net, "mb", 256);
+        s.flush_dirty(&mut fs, &mut net, t, h(1)).unwrap();
+        assert_eq!(
+            net.rpc_table().get(RpcOp::VmPageFlush).calls,
+            64,
+            "1 MB in 16 KB runs"
+        );
+        assert_eq!(s.stats().pageouts, 256);
+        assert_eq!(fs.stats().pageouts, 256);
+    }
+
+    /// Partitions the `n`th attempt of `op`, counting from 1.
+    #[derive(Debug)]
+    struct LoseNth {
+        op: RpcOp,
+        n: u32,
+        seen: u32,
+    }
+
+    impl LinkPolicy for LoseNth {
+        fn verdict(&mut self, op: RpcOp, _: SimTime, _: HostId, _: Option<HostId>) -> LinkVerdict {
+            if op == self.op {
+                self.seen += 1;
+                if self.seen == self.n {
+                    return LinkVerdict::Partitioned;
+                }
+            }
+            LinkVerdict::Deliver
+        }
+    }
+
+    #[test]
+    fn a_failed_run_leaves_itself_and_every_later_page_dirty() {
+        let (mut net, mut fs) = setup();
+        let (mut s, heap, t) = dirty_heap(&mut fs, &mut net, "lost", 12);
+        let op = RpcOp::VmPageFlush;
+        net.set_policy(Box::new(LoseNth { op, n: 2, seen: 0 }));
+        let err = s.flush_dirty(&mut fs, &mut net, t, h(1)).unwrap_err();
+        assert!(matches!(err, FsError::Rpc(_)), "{err}");
+        let dirty: Vec<bool> = s.heap.pages.iter().map(|p| p.dirty).collect();
+        assert_eq!(dirty, [[false; 4], [true; 4], [true; 4]].concat());
+        // Once the link heals, the next flush sends the two runs left.
+        net.set_policy(Box::new(Ideal));
+        let before = net.rpc_table().get(op).calls;
+        let t = s
+            .flush_dirty(&mut fs, &mut net, t + SimDuration::from_secs(1), h(1))
+            .unwrap();
+        assert_eq!(net.rpc_table().get(op).calls - before, 2);
+        s.drop_residency();
+        let a = VirtAddr::new(SegmentKind::Heap, 0);
+        let (back, _) = s
+            .read(&mut fs, &mut net, t, h(2), a, heap.len() as u64)
+            .unwrap();
+        assert!(back == heap, "every byte reads back");
     }
 
     #[test]

@@ -4,6 +4,11 @@
 //! touches it next. This is the memory-integrity half of migration transparency,
 //! exercised harder than any single protocol run does.
 //!
+//! Each case runs twice: with the root on one server, and striped over two.
+//! Flushes page out in runs of up to four pages inside one stripe unit, so
+//! the 12 heap pages make three units, and on the striped root the runs of
+//! neighbouring units go to different servers.
+//!
 //! Cases come from [`DetRng`] with a fixed seed; `heavy-tests` multiplies
 //! the case count.
 
@@ -61,103 +66,122 @@ fn vm_op(rng: &mut DetRng) -> VmOp {
 #[test]
 fn memory_matches_flat_model_under_any_transfer_mix() {
     let mut rng = DetRng::seed_from(0x5BACE);
+    let mut striped_block_ops = [0; 2];
     for case in 0..cases(64) {
         let nops = 1 + rng.pick_index(39);
         let ops: Vec<VmOp> = (0..nops).map(|_| vm_op(&mut rng)).collect();
+        // The ops run on hosts 1 to 3; the servers are never one of them.
+        run_case(&format!("case {case} on one server"), &ops, &[0]);
+        let served = run_case(&format!("case {case} striped"), &ops, &[0, 4]);
+        for (total, ops) in striped_block_ops.iter_mut().zip(served) {
+            *total += ops;
+        }
+    }
+    assert!(
+        striped_block_ops.iter().all(|&ops| ops > 0),
+        "both striped servers serve paging: {striped_block_ops:?}"
+    );
+}
 
-        let mut net = Transport::new(CostModel::sun3(), 4);
-        let mut fs = SpriteFs::new(FsConfig::default(), 4);
-        fs.add_server(HostId::new(0), SpritePath::new("/"));
-        let (prog, t0) = fs
-            .create(
-                &mut net,
-                SimTime::ZERO,
-                HostId::new(1),
-                SpritePath::new("/bin/pm"),
-            )
-            .unwrap();
-        let mut space = AddressSpace::create("pm", prog, 2, HEAP_PAGES, 4);
-        let mut t = t0;
-        let mut model = vec![0u8; (HEAP_PAGES * PAGE_SIZE) as usize];
-        let mut host = HostId::new(1);
+/// Runs `ops` on a fresh address space whose root is exported by
+/// `servers`, checking every read against the flat model. Returns the
+/// block operations each server served.
+fn run_case(case: &str, ops: &[VmOp], servers: &[u32]) -> Vec<u64> {
+    let mut net = Transport::new(CostModel::sun3(), 5);
+    let mut fs = SpriteFs::new(FsConfig::default(), 5);
+    for &server in servers {
+        fs.add_server(HostId::new(server), SpritePath::new("/"));
+    }
+    let (prog, t0) = fs
+        .create(
+            &mut net,
+            SimTime::ZERO,
+            HostId::new(1),
+            SpritePath::new("/bin/pm"),
+        )
+        .unwrap();
+    let mut space = AddressSpace::create("pm", prog, 2, HEAP_PAGES, 4);
+    let mut t = t0;
+    let mut model = vec![0u8; (HEAP_PAGES * PAGE_SIZE) as usize];
+    let mut host = HostId::new(1);
 
-        for op in ops {
-            match op {
-                VmOp::Write {
-                    page,
-                    off,
-                    byte,
-                    len,
-                } => {
-                    let offset = page as u64 * PAGE_SIZE + off as u64;
-                    let len = (len as u64).min(HEAP_PAGES * PAGE_SIZE - offset);
-                    let data = vec![byte; len as usize];
-                    t = space
-                        .write(
-                            &mut fs,
-                            &mut net,
-                            t,
-                            host,
-                            VirtAddr::new(SegmentKind::Heap, offset),
-                            &data,
-                        )
-                        .unwrap();
-                    model[offset as usize..(offset + len) as usize].fill(byte);
-                }
-                VmOp::Read { page } => {
-                    // A read pulls a page home from wherever it is; it
-                    // must not make a written page look clean.
-                    let offset = page as u64 * PAGE_SIZE;
-                    let (got, t1) = space
-                        .read(
-                            &mut fs,
-                            &mut net,
-                            t,
-                            host,
-                            VirtAddr::new(SegmentKind::Heap, offset),
-                            PAGE_SIZE,
-                        )
-                        .unwrap();
-                    t = t1;
-                    let want = &model[offset as usize..(offset + PAGE_SIZE) as usize];
-                    assert_eq!(got, want, "case {case}: page {page}");
-                }
-                VmOp::FlushDirty => {
-                    t = space.flush_dirty(&mut fs, &mut net, t, host).unwrap();
-                }
-                VmOp::FlushAndDrop => {
-                    // A Sprite-flush migration: flush, drop, hop.
-                    t = space.flush_dirty(&mut fs, &mut net, t, host).unwrap();
-                    space.drop_residency();
-                    host = HostId::new(1 + (host.index() as u32) % 3);
-                }
-                VmOp::LeaveAtSource => {
-                    // Copy-on-reference migration away from `host`.
-                    // Dirty pages travel as COR pages too (Accent kept them
-                    // at the source); our model keeps bytes, so only the
-                    // location bookkeeping changes.
-                    let old = host;
-                    space.leave_at_source(old);
-                    host = HostId::new(1 + (host.index() as u32) % 3);
-                }
-                VmOp::HopHost => {
-                    // Full-copy-style migration: resident pages travel in
-                    // memory; nothing changes but the host.
-                    host = HostId::new(1 + (host.index() as u32) % 3);
-                }
+    for op in ops.iter().cloned() {
+        match op {
+            VmOp::Write {
+                page,
+                off,
+                byte,
+                len,
+            } => {
+                let offset = page as u64 * PAGE_SIZE + off as u64;
+                let len = (len as u64).min(HEAP_PAGES * PAGE_SIZE - offset);
+                let data = vec![byte; len as usize];
+                t = space
+                    .write(
+                        &mut fs,
+                        &mut net,
+                        t,
+                        host,
+                        VirtAddr::new(SegmentKind::Heap, offset),
+                        &data,
+                    )
+                    .unwrap();
+                model[offset as usize..(offset + len) as usize].fill(byte);
+            }
+            VmOp::Read { page } => {
+                // A read pulls a page home from wherever it is; it
+                // must not make a written page look clean.
+                let offset = page as u64 * PAGE_SIZE;
+                let (got, t1) = space
+                    .read(
+                        &mut fs,
+                        &mut net,
+                        t,
+                        host,
+                        VirtAddr::new(SegmentKind::Heap, offset),
+                        PAGE_SIZE,
+                    )
+                    .unwrap();
+                t = t1;
+                let want = &model[offset as usize..(offset + PAGE_SIZE) as usize];
+                assert_eq!(got, want, "{case}: page {page}");
+            }
+            VmOp::FlushDirty => {
+                t = space.flush_dirty(&mut fs, &mut net, t, host).unwrap();
+            }
+            VmOp::FlushAndDrop => {
+                // A Sprite-flush migration: flush, drop, hop.
+                t = space.flush_dirty(&mut fs, &mut net, t, host).unwrap();
+                space.drop_residency();
+                host = HostId::new(1 + (host.index() as u32) % 3);
+            }
+            VmOp::LeaveAtSource => {
+                // Copy-on-reference migration away from `host`.
+                // Dirty pages travel as COR pages too (Accent kept them
+                // at the source); our model keeps bytes, so only the
+                // location bookkeeping changes.
+                let old = host;
+                space.leave_at_source(old);
+                host = HostId::new(1 + (host.index() as u32) % 3);
+            }
+            VmOp::HopHost => {
+                // Full-copy-style migration: resident pages travel in
+                // memory; nothing changes but the host.
+                host = HostId::new(1 + (host.index() as u32) % 3);
             }
         }
-        // Final read-back of the whole heap from wherever we ended up.
-        let (mem, _) = space
-            .read(
-                &mut fs,
-                &mut net,
-                t,
-                host,
-                VirtAddr::new(SegmentKind::Heap, 0),
-                HEAP_PAGES * PAGE_SIZE,
-            )
-            .unwrap();
-        assert_eq!(mem, model, "case {case}");
     }
+    // Final read-back of the whole heap from wherever we ended up.
+    let (mem, _) = space
+        .read(
+            &mut fs,
+            &mut net,
+            t,
+            host,
+            VirtAddr::new(SegmentKind::Heap, 0),
+            HEAP_PAGES * PAGE_SIZE,
+        )
+        .unwrap();
+    assert_eq!(mem, model, "{case}");
+    fs.server_loads().iter().map(|l| l.block_ops).collect()
 }

@@ -171,11 +171,14 @@ echo "==> a 1 s run of each benchmark workload"
 # workloads that run a `Cluster` (month_in_life d00d11719a7aa120,
 # pmake_build d9b70ed44bfc63c0, migrate_evict be5df8739b6d1173);
 # `cell_month` runs `HostCell`s, which have no address spaces.
+# Page-out and checkpoint image RPCs carrying runs of up to 4 consecutive
+# blocks re-pinned `migrate_evict` alone (f7ab7baa1c021cad before): the
+# other three workloads never page out or checkpoint.
 declare -A pinned_digest=(
     [cell_month]=6fb99dc88353669a
     [month_in_life]=dbaa7b7dcf0e31f5
     [pmake_build]=3a69a566c5619bbc
-    [migrate_evict]=f7ab7baa1c021cad
+    [migrate_evict]=6c3639ca5cc18406
 )
 for w in cell_month month_in_life pmake_build migrate_evict; do
     output="$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml --bin benchmark -- \

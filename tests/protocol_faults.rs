@@ -644,40 +644,50 @@ fn table(entry: Entry) -> (u32, u64) {
 /// and says why in CHANGES.md. Swap files are created at a segment's
 /// first page-out and unlinked when the space is freed, not created at
 /// every spawn, fork and exec: that moved every digest, since each case's
-/// cluster stores fewer files and its setup made fewer lookups.
+/// cluster stores fewer files and its setup made fewer lookups. Page-outs
+/// and checkpoint image transfers move runs of up to 4 consecutive
+/// blocks, one RPC a run: that re-pinned every entry point that flushes
+/// pages or writes or reads an image, in its run or in its setup.
 const PINS: [(Entry, u32, u64); 12] = [
-    // The flush is the heap's first page-out, so it creates the heap file
-    // inside the freeze: one attempt more than the 7 made when spawn
-    // created the swap files.
-    (Entry::Migrate, 8, 0x4802_826c_07c6_e616),
+    // The heap file's create, inside the freeze (the flush is the heap's
+    // first page-out), and the 3 dirty heap pages as one run: 8 attempts
+    // when each page was its own page-out, 7 when spawn created the swap
+    // files.
+    (Entry::Migrate, 6, 0x11b8_ff1c_8aff_083c),
     // Attempts 4-6 are the exec's own I/O on the target (the header's
     // open, read and close), after the commit: a fault there kills the
     // process, whose old image is gone. The old image never paged out,
     // so freeing it sends nothing; 9 attempts when the exec created two
     // swap files.
     (Entry::ExecMigrate, 7, 0x4f59_62c3_3005_2e8b),
-    (Entry::EvictAll, 6, 0xc0c2_07e9_126b_0760),
+    // The setup's migrations to host 3 each flush 3 heap pages as one
+    // run, so the digest moved with the same attempt count.
+    (Entry::EvictAll, 6, 0x8ad3_a245_89ad_b785),
     // Attempts 0-3 move the first guest to host 5 (host 4 refuses);
     // 4-6 are the second guest's trip home, which retries a timeout.
-    (Entry::EvictReselecting, 7, 0x2346_a5e0_86e8_2738),
-    // Block-aligned images: one block RPC per image block each way (an
-    // index block, 3 page blocks and the trailer). The restore's spawn
-    // creates no swap files, which took 2 attempts of the 21 before; with
-    // 4,105-byte page records straddling blocks, the move made 27.
-    (Entry::CheckpointMove, 19, 0xe2ae_edc6_7b76_fdbc),
-    // The open, 5 block reads, the close; 9 attempts when the spawn
-    // created two swap files, 12 when page records straddled blocks.
-    (Entry::RestartFromImage, 7, 0x85db_0977_074a_e70d),
+    (Entry::EvictReselecting, 7, 0xc045_0e51_f382_4c45),
+    // The image's 5 blocks (an index block, 3 page blocks and the
+    // trailer) are 2 runs each way: 19 attempts when each block was its
+    // own RPC, 21 when the restore's spawn created two swap files, 27
+    // when 4,105-byte page records straddled blocks.
+    (Entry::CheckpointMove, 13, 0x384a_f97d_6613_e610),
+    // The open, 2 run reads, the close; 7 attempts when each block was
+    // its own read, 9 when the spawn created two swap files, 12 when page
+    // records straddled blocks.
+    (Entry::RestartFromImage, 4, 0x39b6_ff50_ba6a_8c23),
     // The stream's close, the heap file's unlink and the home
     // notification: each is best-effort, so the process exits anyway.
-    (Entry::Exit, 3, 0xbf7c_6459_0621_0dff),
+    // The setup's migration flushes one run, which moved the digest.
+    (Entry::Exit, 3, 0xb1fc_b9e0_e41c_39a7),
     // The three block write-backs.
     (Entry::Fsync, 3, 0xda59_bc65_c496_3b1d),
     // The write-backs, then the server's close.
     (Entry::Close, 4, 0x8b96_8ba8_cd1e_a200),
     // The open, the recall notice to host 1, its write-backs, and the
-    // cache-disable notices to hosts 1 and 2.
-    (Entry::RecallOpen, 7, 0xa76e_a14b_b119_f0c7),
+    // cache-disable notices to hosts 1 and 2. The server commits the
+    // reader's open only after all of them, so a fault at attempts 1-6
+    // leaves no open record behind and caching on for the writer.
+    (Entry::RecallOpen, 7, 0xbc56_261f_79cc_162f),
     // The source's write-backs, then the stream transfer.
     (Entry::MigrateStream, 4, 0xa7f3_4727_2486_2605),
     // The evicted block's write-back, before the insert.
