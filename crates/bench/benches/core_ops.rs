@@ -156,11 +156,11 @@ fn bench_fs_and_eviction() {
         black_box(migrator.evict_all(&mut cluster, t, h(1)).unwrap());
     });
     bench("simulated_hour_of_gossip", 100, || {
-        use sprite_hostsel::{AvailabilityPolicy, HostInfo, HostSelector, Probabilistic};
+        use sprite_hostsel::{AvailabilityPolicy, GossipDissemination, HostInfo, HostSelector};
         use sprite_net::{CostModel, HostId, Transport};
         let hosts = 50;
         let mut net = Transport::new(CostModel::sun3(), hosts);
-        let mut sel = Probabilistic::new(hosts, 4, AvailabilityPolicy::default(), 3);
+        let mut sel = GossipDissemination::mosix(hosts, 4, AvailabilityPolicy::default(), 3);
         let mut t = SimTime::ZERO;
         for _ in 0..60 {
             for i in 0..hosts as u32 {

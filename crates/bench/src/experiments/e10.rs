@@ -10,7 +10,7 @@
 
 use sprite_hostsel::{
     AvailabilityPolicy, CentralServer, GossipDissemination, HostInfo, HostSelector, MulticastQuery,
-    Probabilistic, SharedFileBoard,
+    SharedFileBoard,
 };
 use sprite_net::{CostModel, HostId, Transport};
 use sprite_sim::{DetRng, OnlineStats, SimDuration, SimTime};
@@ -45,8 +45,10 @@ pub struct ArchRow {
     pub wire_bytes: u64,
 }
 
-/// Drives one selector for `duration` over `hosts` hosts.
+/// Drives one selector for `duration` over `hosts` hosts; the row is
+/// labelled `name`.
 pub fn drive(
+    name: &'static str,
     selector: &mut dyn HostSelector,
     hosts: usize,
     duration: SimDuration,
@@ -144,7 +146,7 @@ pub fn drive(
     }
     let stats = selector.stats();
     ArchRow {
-        name: selector.name(),
+        name,
         hosts,
         requests: stats.requests,
         grant_rate: stats.granted as f64 / stats.requests.max(1) as f64,
@@ -164,7 +166,7 @@ pub enum ArchKind {
     Central,
     /// Shared-file bulletin board.
     SharedFile,
-    /// Probabilistic gossip.
+    /// MOSIX's probabilistic gossip ([`GossipDissemination::mosix`]).
     Probabilistic,
     /// Multicast query.
     Multicast,
@@ -172,6 +174,20 @@ pub enum ArchKind {
     Sharded,
     /// Batched load-vector gossip with local allocation-free selection.
     Gossip,
+}
+
+impl ArchKind {
+    /// The architecture's row label.
+    pub fn label(self) -> &'static str {
+        match self {
+            ArchKind::Central => "central-server",
+            ArchKind::SharedFile => "shared-file",
+            ArchKind::Probabilistic => "probabilistic",
+            ArchKind::Multicast => "multicast",
+            ArchKind::Sharded => "sharded",
+            ArchKind::Gossip => "gossip",
+        }
+    }
 }
 
 /// Canonical architecture order for the matrix.
@@ -208,7 +224,9 @@ pub fn drive_kind(kind: ArchKind, hosts: usize, duration: SimDuration, seed: u64
     let mut selector: Box<dyn HostSelector> = match kind {
         ArchKind::Central => Box::new(CentralServer::new(HostId::new(0), policy)),
         ArchKind::SharedFile => Box::new(SharedFileBoard::new(HostId::new(0), policy)),
-        ArchKind::Probabilistic => Box::new(Probabilistic::new(hosts, 4, policy, seed ^ 0x9e37)),
+        ArchKind::Probabilistic => {
+            Box::new(GossipDissemination::mosix(hosts, 4, policy, seed ^ 0x9e37))
+        }
         ArchKind::Multicast => Box::new(MulticastQuery::new(policy)),
         ArchKind::Sharded => Box::new(CentralServer::sharded(
             hosts,
@@ -217,7 +235,7 @@ pub fn drive_kind(kind: ArchKind, hosts: usize, duration: SimDuration, seed: u64
         )),
         ArchKind::Gossip => Box::new(gossip_selector(hosts, policy, seed)),
     };
-    drive(selector.as_mut(), hosts, duration, seed)
+    drive(kind.label(), selector.as_mut(), hosts, duration, seed)
 }
 
 /// Runs the full matrix serially.

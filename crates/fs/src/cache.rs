@@ -227,13 +227,17 @@ impl BlockCache {
         }
     }
 
-    /// Re-stamps every cached block of `file` with `version`: the server
-    /// confirmed at open time that this host's copies are still current
-    /// (it was the last writer), even though the version number advanced.
-    pub fn revalidate_file(&mut self, file: FileId, version: u64) {
+    /// Re-stamps the cached blocks of `file` stamped `replaced` with
+    /// `version`: the server confirmed at a write open that this host's
+    /// copies of the version the open replaced are still current (it was
+    /// the last writer). Copies stamped with any other version keep their
+    /// stamp, so a stale one stays stale.
+    pub fn revalidate_file(&mut self, file: FileId, replaced: u64, version: u64) {
         if let Some(blocks) = self.files.get_mut(&file) {
             for block in blocks.values_mut() {
-                block.version = version;
+                if block.version == replaced {
+                    block.version = version;
+                }
             }
         }
     }

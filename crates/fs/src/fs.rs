@@ -270,11 +270,6 @@ impl SpriteFs {
             .ok_or_else(|| FsError::NoDomain(path.clone()))
     }
 
-    /// The namespace partition table (diagnostics).
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.shards
-    }
-
     /// The widest server-group size — 1 means the namespace is unsharded.
     pub fn fs_shards(&self) -> usize {
         self.shards.max_group_size()
@@ -1013,20 +1008,23 @@ impl SpriteFs {
                 t = self.invalidate_on_host(net, t, *inv_host, id)?;
             }
         }
-        self.srv_mut(server).commit_open(id, host, mode);
-        // Bring the opener's cache in line with the (possibly bumped)
-        // version: still-current copies are re-stamped. Stale copies need
-        // no action — block lookups are version-keyed, so a copy stamped
-        // with an older version simply misses and refetches [NWO88]. (An
-        // eager drop here would throw away every cached block of a file
-        // whose *last* writer was another host, even when the opener's
-        // copies were fetched after that write and are perfectly current.)
-        if actions.cacheable
+        let replaced = self.srv_mut(server).commit_open(id, host, mode);
+        // Bring the opener's cache in line with a write open's version
+        // bump: the copies stamped with the version it replaced are still
+        // current and are re-stamped. Older copies are stale (another host
+        // wrote since) and stay as they are — block lookups are
+        // version-keyed, so they simply miss and refetch [NWO88]. A read
+        // open bumps nothing and re-stamps nothing. (An eager drop here
+        // would throw away every cached block of a file whose *last*
+        // writer was another host, even when the opener's copies were
+        // fetched after that write and are perfectly current.)
+        if mode.writes()
+            && actions.cacheable
             && !actions.invalidate_on.contains(&host)
             && actions.opener_cache_current
         {
             let (_, version, _) = self.file_state(server, id);
-            self.clients[host.index()].revalidate_file(id, version);
+            self.clients[host.index()].revalidate_file(id, replaced, version);
         }
         if self.config.client_name_caching {
             self.name_caches[host.index()].insert(path, id);
@@ -1970,6 +1968,44 @@ mod tests {
         fs.read(&mut net, t, h(3), r, u64::MAX, &mut got).unwrap();
         assert_eq!(got.len(), 12_288);
         assert!(got == expect, "the reader sees every written byte");
+    }
+
+    /// A host that wrote a file, lost it to another host's write and then
+    /// opens it twice must not revive its old copy: the first write open
+    /// makes it the last writer again, and the second open may re-stamp
+    /// only copies of the version the first one replaced.
+    #[test]
+    fn a_reopen_by_the_last_writer_keeps_stale_copies_stale() {
+        for second in [OpenMode::Read, OpenMode::ReadWrite] {
+            let (mut net, mut fs) = setup(4);
+            let path = SpritePath::new("/f");
+            let (_, t) = fs
+                .create(&mut net, SimTime::ZERO, h(3), path.clone())
+                .unwrap();
+            let (s, t) = fs
+                .open(&mut net, t, h(3), path.clone(), OpenMode::Write)
+                .unwrap();
+            let t = fs.write(&mut net, t, h(3), s, &[3; 4_690]).unwrap();
+            let t = fs.close(&mut net, t, h(3), s).unwrap();
+            let (s, t) = fs
+                .open(&mut net, t, h(1), path.clone(), OpenMode::Write)
+                .unwrap();
+            fs.seek(s, 4_690).unwrap();
+            let t = fs.write(&mut net, t, h(1), s, &[202; 967]).unwrap();
+            let t = fs.close(&mut net, t, h(1), s).unwrap();
+            let (_, t) = fs
+                .open(&mut net, t, h(3), path.clone(), OpenMode::Write)
+                .unwrap();
+            let (s, t) = fs.open(&mut net, t, h(3), path.clone(), second).unwrap();
+            let mut got = Vec::new();
+            fs.read(&mut net, t, h(3), s, u64::MAX, &mut got).unwrap();
+            assert_eq!(got.len(), 5_657, "{second:?}");
+            assert!(got[..4_690].iter().all(|&b| b == 3), "{second:?}");
+            assert!(
+                got[4_690..].iter().all(|&b| b == 202),
+                "{second:?}: host 1's bytes"
+            );
+        }
     }
 
     #[test]

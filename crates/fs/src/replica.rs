@@ -93,11 +93,6 @@ impl ReplicaTable {
         self.heat.remove(&file);
     }
 
-    /// Number of live replica sets.
-    pub fn live_sets(&self) -> usize {
-        self.sets.len()
-    }
-
     /// Folds the table into `d` in sorted-key order (determinism audit).
     pub fn digest_into(&self, d: &mut StateDigest) {
         let Self { sets, heat } = self;

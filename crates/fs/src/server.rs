@@ -448,13 +448,15 @@ impl ServerState {
 
     /// Commits an open [`ServerState::grant_open`] granted: adds `host`'s
     /// record, and for a write open bumps the version and makes `host` the
-    /// last writer; concurrent write-sharing disables caching.
+    /// last writer; concurrent write-sharing disables caching. Returns the
+    /// version the file had before the commit.
     ///
     /// # Panics
     ///
     /// Panics if the file does not exist.
-    pub fn commit_open(&mut self, id: FileId, host: HostId, mode: OpenMode) {
+    pub fn commit_open(&mut self, id: FileId, host: HostId, mode: OpenMode) -> u64 {
         let file = self.files.get_mut(&id).expect("open of unknown file");
+        let replaced = file.version;
         file.add_open(host, mode);
         if mode.writes() {
             file.version += 1;
@@ -463,6 +465,7 @@ impl ServerState {
         if file.concurrently_write_shared() {
             file.cacheable = false;
         }
+        replaced
     }
 
     /// Registers a close by `host`. Re-enables caching when the file is no

@@ -104,11 +104,6 @@ impl Stream {
             .unwrap_or(0)
     }
 
-    /// Hosts currently holding references.
-    pub fn holder_hosts(&self) -> impl Iterator<Item = HostId> + '_ {
-        self.holders.iter().map(|(h, _)| *h)
-    }
-
     /// True when references exist on more than one host: the access
     /// position must then be managed at the I/O server (shadow streams).
     pub fn is_shadowed(&self) -> bool {

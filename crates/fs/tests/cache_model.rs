@@ -79,6 +79,7 @@ enum CacheOp {
     },
     Revalidate {
         file: u8,
+        replaced: u64,
         version: u64,
     },
     MarkDirty {
@@ -126,6 +127,7 @@ fn model_op(rng: &mut DetRng) -> CacheOp {
     match rng.pick_index(9) {
         0 => CacheOp::Revalidate {
             file: rng.uniform_u64(3) as u8,
+            replaced: 1 + rng.uniform_u64(3),
             version,
         },
         1 => CacheOp::MarkDirty {
@@ -397,13 +399,13 @@ impl FlatCache {
         Some((victim, block.data.clone()))
     }
 
-    fn revalidate_file(&mut self, file: FileId, version: u64) {
+    fn revalidate_file(&mut self, file: FileId, replaced: u64, version: u64) {
         #[expect(
             clippy::iter_over_hash_type,
             reason = "every match gets the same update"
         )]
         for (addr, block) in self.blocks.iter_mut() {
-            if addr.file == file {
+            if addr.file == file && block.version == replaced {
                 block.version = version;
             }
         }
@@ -537,9 +539,13 @@ fn block_cache_matches_the_flat_reference_exactly() {
                         Returned::Flushed(flushed(cache.invalidate_file(files[file as usize]))),
                         Returned::Flushed(flat.invalidate_file(files[file as usize])),
                     ),
-                    CacheOp::Revalidate { file, version } => {
-                        cache.revalidate_file(files[file as usize], version);
-                        flat.revalidate_file(files[file as usize], version);
+                    CacheOp::Revalidate {
+                        file,
+                        replaced,
+                        version,
+                    } => {
+                        cache.revalidate_file(files[file as usize], replaced, version);
+                        flat.revalidate_file(files[file as usize], replaced, version);
                         (Returned::Nothing, Returned::Nothing)
                     }
                     CacheOp::MarkDirty { file, block } => (

@@ -22,6 +22,7 @@ use sprite_net::HostId;
 use sprite_sim::{SimDuration, SimTime};
 
 use crate::load::{AvailabilityPolicy, HostInfo};
+use crate::selectors::SelectorStats;
 
 /// One cached observation of a peer's load state.
 #[derive(Debug, Clone, Copy)]
@@ -286,6 +287,38 @@ impl Ranker {
             self.grows += 1;
         }
         &self.scratch
+    }
+
+    /// Ranks `candidates` as [`rank`](Self::rank) does, then walks the
+    /// ranking against ground truth: each candidate `truth` does not show
+    /// available counts one conflict in `stats` (the table said available
+    /// but the world moved on), and the first one it confirms is the pick,
+    /// its age at `now` recorded in `stats.info_age`.
+    #[expect(clippy::too_many_arguments)]
+    pub(crate) fn pick(
+        &mut self,
+        candidates: impl IntoIterator<Item = CacheEntry>,
+        now: SimTime,
+        max_age: Option<SimDuration>,
+        requester: HostId,
+        policy: &AvailabilityPolicy,
+        order: RankOrder,
+        truth: &[HostInfo],
+        stats: &mut SelectorStats,
+    ) -> Option<CacheEntry> {
+        let ranked = self.rank(candidates, now, max_age, requester, policy, order);
+        for e in ranked {
+            let confirmed = truth
+                .iter()
+                .find(|i| i.host == e.info.host)
+                .is_some_and(|i| policy.is_available(i));
+            if confirmed {
+                stats.info_age.record_duration(e.age(now));
+                return Some(*e);
+            }
+            stats.conflicts += 1;
+        }
+        None
     }
 }
 

@@ -1,11 +1,13 @@
 //! Decentralized gossip load dissemination (the MOSIX direction, grown
 //! up): batched pushes, bounded caches, allocation-free local selection.
 //!
-//! [`Probabilistic`](crate::Probabilistic) models the 1985 MOSIX scheme
-//! literally — one single-entry datagram per peer per report, an
-//! unbounded `BTreeMap` per host. Both choices sink at cluster scale:
-//! O(hosts) update traffic per interval and O(hosts²) cache memory.
-//! [`GossipDissemination`] is the production shape of the same idea:
+//! The 1985 MOSIX scheme \[BS85\] is one configuration of it,
+//! [`GossipDissemination::mosix`]: every report pushes a single-entry
+//! batch to each peer, every host caches the whole cluster, and selection
+//! trusts the freshest reports first. That shape sinks at cluster scale —
+//! O(hosts) update traffic per interval and O(hosts²) cache memory — so
+//! [`GossipDissemination::new`] builds the production shape of the same
+//! idea:
 //!
 //! * **batched**: one `hostsel-gossip` message carries the sender's own
 //!   entry and its `f − 1` freshest others ([`GOSSIP_ENTRY_BYTES`] each
@@ -31,7 +33,7 @@ use sprite_sim::{DetRng, SimDuration, SimTime};
 
 use crate::cache::{CacheEntry, LoadCache, RankOrder, Ranker};
 use crate::load::{AvailabilityPolicy, HostInfo};
-use crate::selectors::{truth_available, HostSelector, SelectorStats};
+use crate::selectors::{HostSelector, SelectorStats};
 
 /// Default bound on each host's load cache: enough for good placement at
 /// any cluster size without O(hosts²) memory.
@@ -49,6 +51,8 @@ pub struct GossipDissemination {
     refresh_every: u32,
     /// Entries older than this are distrusted at selection time.
     max_age: SimDuration,
+    /// How selection ranks the trusted entries.
+    rank_order: RankOrder,
     rng: DetRng,
     /// caches[h] = what host h believes about its peers (self included).
     caches: Vec<LoadCache>,
@@ -63,8 +67,9 @@ impl GossipDissemination {
     /// Creates the gossip fabric for `hosts` hosts: each push goes to
     /// `fanout` DetRng-chosen peers and carries the sender's own entry and
     /// its `batch − 1` freshest others. Defaults: gossip on every report
-    /// (`refresh_every` 1), trust entries up to 15 minutes old, cache
-    /// [`GOSSIP_CACHE_SLOTS`] entries per host.
+    /// (`refresh_every` 1), trust entries up to 15 minutes old, rank
+    /// [`RankOrder::IdlestFirst`], cache [`GOSSIP_CACHE_SLOTS`] entries per
+    /// host.
     pub fn new(
         hosts: usize,
         fanout: usize,
@@ -80,6 +85,7 @@ impl GossipDissemination {
             batch: batch.max(1),
             refresh_every: 1,
             max_age: SimDuration::from_secs(15 * 60),
+            rank_order: RankOrder::IdlestFirst,
             rng: DetRng::seed_from(seed),
             caches: vec![LoadCache::new(slots); hosts],
             last_gossiped_available: vec![None; hosts],
@@ -88,6 +94,19 @@ impl GossipDissemination {
             ranker: Ranker::with_capacity(slots),
             stats: SelectorStats::default(),
         }
+    }
+
+    /// MOSIX's load-vector gossip \[BS85\]: on every report each host
+    /// pushes its own entry alone to `fanout` random peers, every host can
+    /// cache the whole cluster, entries up to 20 s old are trusted, and
+    /// selection ranks [`RankOrder::FreshestFirst`] (aging weighs recent
+    /// reports more).
+    pub fn mosix(hosts: usize, fanout: usize, policy: AvailabilityPolicy, seed: u64) -> Self {
+        let mut g = Self::new(hosts, fanout, 1, policy, seed);
+        g.set_max_age(SimDuration::from_secs(20));
+        g.set_cache_capacity(hosts);
+        g.set_rank_order(RankOrder::FreshestFirst);
+        g
     }
 
     /// Gossip only every `ticks` reports when availability is unchanged
@@ -100,6 +119,11 @@ impl GossipDissemination {
     /// How old a cache entry may be and still be trusted at selection.
     pub fn set_max_age(&mut self, max_age: SimDuration) {
         self.max_age = max_age;
+    }
+
+    /// How selection ranks the entries young enough to trust.
+    pub fn set_rank_order(&mut self, order: RankOrder) {
+        self.rank_order = order;
     }
 
     /// Rebuilds every host's cache with `slots` slots (drops cached
@@ -179,55 +203,40 @@ impl HostSelector for GossipDissemination {
 
     fn select(
         &mut self,
-        net: &mut Transport,
+        _net: &mut Transport,
         now: SimTime,
         requester: HostId,
         truth: &[HostInfo],
     ) -> (Option<HostId>, SimTime) {
-        let _ = net; // selection is purely local
-        self.stats.requests += 1;
-        // A bounded in-memory scan, not a round trip: charge one table
-        // scan like the probabilistic selector.
+        // Selection is purely local, a bounded in-memory scan rather than a
+        // round trip: charge one table scan.
         let t = now + SimDuration::from_micros(200);
-        // Rank idlest-first among entries young enough to trust: staleness
-        // is bounded by `max_age`, and within that window the longest-idle
-        // host is the best bet, as for the server designs [ML87].
-        let ranked = self.ranker.rank(
-            self.caches[requester.index()].entries(),
-            now,
-            Some(self.max_age),
-            requester,
-            &self.policy,
-            RankOrder::IdlestFirst,
-        );
-        let mut chosen: Option<CacheEntry> = None;
-        for e in ranked {
-            if truth_available(truth, &self.policy, e.info.host) {
-                chosen = Some(*e);
-                break;
+        // Only entries young enough to trust are ranked, so staleness is
+        // bounded by `max_age`; within that window the longest-idle host is
+        // the best bet, as for the server designs [ML87], unless the rank
+        // order says freshest first.
+        let cache = &mut self.caches[requester.index()];
+        let picked = self
+            .ranker
+            .pick(
+                cache.entries(),
+                now,
+                Some(self.max_age),
+                requester,
+                &self.policy,
+                self.rank_order,
+                truth,
+                &mut self.stats,
+            )
+            .map(|e| e.info.host);
+        if let Some(host) = picked {
+            // Anticipate load locally so this requester will not dump its
+            // next process on the same host [BSW89].
+            if let Some(load) = cache.load_mut(host) {
+                *load += 1.0;
             }
-            self.stats.conflicts += 1;
         }
-        let picked = match chosen {
-            Some(e) => {
-                self.stats.granted += 1;
-                self.stats.info_age.record_duration(e.age(now));
-                // Anticipate load locally so this requester will not dump
-                // its next process on the same host [BSW89].
-                if let Some(load) = self.caches[requester.index()].load_mut(e.info.host) {
-                    *load += 1.0;
-                }
-                Some(e.info.host)
-            }
-            None => {
-                self.stats.denied += 1;
-                None
-            }
-        };
-        self.stats
-            .select_latency
-            .record_duration(t.elapsed_since(now));
-        (picked, t)
+        self.stats.book_select(now, picked, t)
     }
 
     fn release(
@@ -310,6 +319,51 @@ mod tests {
                 .any(|peer| s.caches[peer].get(h(sender as u32)).is_some());
             assert!(heard, "no peer heard of host {sender}");
         }
+    }
+
+    /// MOSIX's configuration pushes on every report, one single-entry
+    /// datagram per peer, and trusts the freshest report first where the
+    /// default configuration takes the idlest host.
+    #[test]
+    fn mosix_pushes_single_entries_on_every_report_and_ranks_freshest_first() {
+        let policy = AvailabilityPolicy::default();
+        let world = idle_world(10);
+        let mut s = GossipDissemination::mosix(10, 4, policy, 7);
+        let mut n = net(10);
+        let mut pushed = Vec::new();
+        for _ in 0..2 {
+            for info in &world {
+                s.report(&mut n, SimTime::ZERO, *info);
+            }
+            pushed.push(s.stats().messages);
+        }
+        assert!(pushed[1] > pushed[0], "an unchanged report still pushes");
+        let row = n.rpc_table().get(RpcOp::HostselGossip);
+        assert_eq!(row.calls, pushed[1]);
+        assert_eq!(row.bytes, row.calls * (CONTROL_BYTES + GOSSIP_ENTRY_BYTES));
+
+        let at = |secs| SimTime::ZERO + SimDuration::from_secs(secs);
+        let pick = |mut s: GossipDissemination| {
+            s.prime(
+                h(1),
+                HostInfo::idle_host(h(2), SimDuration::from_secs(600)),
+                at(10),
+            );
+            s.prime(
+                h(1),
+                HostInfo::idle_host(h(3), SimDuration::from_secs(100)),
+                at(15),
+            );
+            s.select(&mut net(4), at(20), h(1), &idle_world(4)).0
+        };
+        assert_eq!(
+            pick(GossipDissemination::mosix(4, 4, policy, 7)),
+            Some(h(3))
+        );
+        assert_eq!(
+            pick(GossipDissemination::new(4, 4, 1, policy, 7)),
+            Some(h(2))
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Load metrics and idle-host detection.
+//! Idle-host detection.
 //!
 //! Sprite considered a workstation *available* when its owner had not
 //! touched keyboard or mouse for a while and its runnable-process load was
@@ -6,69 +6,7 @@
 //! to stay idle — motivates ranking candidates by idle time.
 
 use sprite_net::HostId;
-use sprite_sim::{SimDuration, SimTime};
-
-/// An exponentially-decaying average of the runnable-process count, like the
-/// UNIX one-minute load average.
-///
-/// # Examples
-///
-/// ```
-/// use sprite_hostsel::LoadAverage;
-/// use sprite_sim::{SimDuration, SimTime};
-///
-/// let mut load = LoadAverage::new(SimDuration::from_secs(60));
-/// let mut t = SimTime::ZERO;
-/// for _ in 0..300 {
-///     t += SimDuration::from_secs(1);
-///     load.sample(t, 2.0);
-/// }
-/// assert!((load.value() - 2.0).abs() < 0.05);
-/// ```
-#[derive(Debug, Clone)]
-pub struct LoadAverage {
-    tau: f64,
-    value: f64,
-    last: Option<SimTime>,
-}
-
-impl LoadAverage {
-    /// Creates a load average with time constant `tau`.
-    pub fn new(tau: SimDuration) -> Self {
-        LoadAverage {
-            tau: tau.as_secs_f64().max(1e-9),
-            value: 0.0,
-            last: None,
-        }
-    }
-
-    /// Feeds one sample of the instantaneous runnable count.
-    pub fn sample(&mut self, now: SimTime, runnable: f64) {
-        match self.last {
-            None => {
-                self.value = runnable;
-            }
-            Some(prev) => {
-                let dt = now.saturating_elapsed_since(prev).as_secs_f64();
-                let alpha = (-dt / self.tau).exp();
-                self.value = self.value * alpha + runnable * (1.0 - alpha);
-            }
-        }
-        self.last = Some(now);
-    }
-
-    /// The current smoothed load.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// Adds anticipated load for processes about to arrive — MOSIX-style
-    /// flood prevention \[BSW89\]: a host that just accepted work reports
-    /// itself busier than it has yet become.
-    pub fn anticipate(&mut self, incoming: f64) {
-        self.value += incoming;
-    }
-}
+use sprite_sim::SimDuration;
 
 /// A snapshot of one host's availability-relevant state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,37 +81,6 @@ impl AvailabilityPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn t(secs: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::from_secs(secs)
-    }
-
-    #[test]
-    fn first_sample_initializes() {
-        let mut l = LoadAverage::new(SimDuration::from_secs(60));
-        l.sample(t(0), 3.0);
-        assert_eq!(l.value(), 3.0);
-    }
-
-    #[test]
-    fn decays_toward_new_level() {
-        let mut l = LoadAverage::new(SimDuration::from_secs(60));
-        l.sample(t(0), 4.0);
-        for s in 1..=60 {
-            l.sample(t(s), 0.0);
-        }
-        // After one time constant the old level should have decayed to ~37%.
-        assert!(l.value() < 4.0 * 0.45, "value {}", l.value());
-        assert!(l.value() > 4.0 * 0.25, "value {}", l.value());
-    }
-
-    #[test]
-    fn anticipation_raises_load_immediately() {
-        let mut l = LoadAverage::new(SimDuration::from_secs(60));
-        l.sample(t(0), 0.0);
-        l.anticipate(1.0);
-        assert!(l.value() >= 1.0);
-    }
 
     #[test]
     fn availability_policy_thresholds() {

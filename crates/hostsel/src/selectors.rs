@@ -13,21 +13,25 @@
 //!   on DECstation-era hardware \[DO91\]).
 //! * **probabilistic distributed** — MOSIX-style \[BS85\]: each host gossips
 //!   its load to a few random peers; selection is purely local but the
-//!   information is stale, so picks conflict.
+//!   information is stale, so picks conflict. It is one configuration of
+//!   [`GossipDissemination`](crate::GossipDissemination), built by
+//!   [`GossipDissemination::mosix`](crate::GossipDissemination::mosix).
 //! * **multicast** — Theimer/Lantz-style \[TL88\]: no state at all; ask the
 //!   network and take whoever answers. Cheap selections, but every idle
 //!   host answers every query, so traffic scales with cluster size.
 //!
 //! Every implementation counts its messages, its conflicts (picks that turn
 //! out stale against ground truth) and its selection latency; experiment
-//! E10 tabulates them side by side.
+//! E10 tabulates them side by side. Each books a select's outcome through
+//! [`SelectorStats`], and each that keeps a table picks through one
+//! [`Ranker`] walk.
 
 use std::collections::BTreeMap;
 
 use sprite_net::{
     wire_size, HostId, HostPartition, RpcError, RpcOp, Transport, CONTROL_BYTES, LOAD_REPORT_BYTES,
 };
-use sprite_sim::{DetRng, FcfsResource, OnlineStats, SimDuration, SimTime};
+use sprite_sim::{FcfsResource, OnlineStats, SimDuration, SimTime};
 
 use crate::cache::{CacheEntry, RankOrder, Ranker};
 use crate::load::{AvailabilityPolicy, HostInfo};
@@ -51,6 +55,28 @@ pub struct SelectorStats {
     /// the staleness the architecture acted on. Selectors without
     /// age-stamped state leave it empty.
     pub info_age: OnlineStats,
+}
+
+impl SelectorStats {
+    /// Books one select that began at `start` and answered `picked` at
+    /// `done` — a request, granted or denied, and its latency — and hands
+    /// the answer back for the selector to return.
+    pub(crate) fn book_select(
+        &mut self,
+        start: SimTime,
+        picked: Option<HostId>,
+        done: SimTime,
+    ) -> (Option<HostId>, SimTime) {
+        self.requests += 1;
+        if picked.is_some() {
+            self.granted += 1;
+        } else {
+            self.denied += 1;
+        }
+        self.select_latency
+            .record_duration(done.elapsed_since(start));
+        (picked, done)
+    }
 }
 
 /// A host-selection architecture.
@@ -110,18 +136,6 @@ pub trait HostSelector {
 
     /// Counters so far.
     fn stats(&self) -> &SelectorStats;
-}
-
-pub(crate) fn truth_available(
-    truth: &[HostInfo],
-    policy: &AvailabilityPolicy,
-    host: HostId,
-) -> bool {
-    truth
-        .iter()
-        .find(|i| i.host == host)
-        .map(|i| policy.is_available(i))
-        .unwrap_or(false)
 }
 
 // ---------------------------------------------------------------------------
@@ -286,25 +300,16 @@ impl CentralServer {
         truth: &[HostInfo],
     ) -> Option<HostId> {
         let own = self.table.iter().skip(shard).step_by(self.daemons.len());
-        let ranked = self.ranker.rank(
+        let e = self.ranker.pick(
             own.filter(|r| r.holder.is_none()).filter_map(|r| r.state),
             now,
             None,
             requester,
             &self.policy,
             RankOrder::IdlestFirst,
-        );
-        let mut chosen = None;
-        for e in ranked {
-            if truth_available(truth, &self.policy, e.info.host) {
-                chosen = Some(*e);
-                break;
-            }
-            // The daemon's table said available but the world moved on.
-            self.stats.conflicts += 1;
-        }
-        let e = chosen?;
-        self.stats.info_age.record_duration(e.age(now));
+            truth,
+            &mut self.stats,
+        )?;
         let record = &mut self.table[e.info.host.index()];
         record.holder = Some(requester);
         // Flood prevention: count the incoming process against the host's
@@ -367,7 +372,6 @@ impl HostSelector for CentralServer {
         requester: HostId,
         truth: &[HostInfo],
     ) -> (Option<HostId>, SimTime) {
-        self.stats.requests += 1;
         let home = self.part.shard_of(requester);
         let mut t = now;
         let mut picked = None;
@@ -394,15 +398,7 @@ impl HostSelector for CentralServer {
                 break;
             }
         }
-        if picked.is_some() {
-            self.stats.granted += 1;
-        } else {
-            self.stats.denied += 1;
-        }
-        self.stats
-            .select_latency
-            .record_duration(t.elapsed_since(now));
-        (picked, t)
+        self.stats.book_select(now, picked, t)
     }
 
     fn release(
@@ -529,22 +525,19 @@ impl SharedFileBoard {
             )?;
         }
         let assigned = &self.assigned;
-        let ranked = self.ranker.rank(
-            (self.entries.values().copied()).filter(|e| !assigned.contains_key(&e.info.host)),
-            now,
-            None,
-            requester,
-            &self.policy,
-            RankOrder::IdlestFirst,
-        );
-        let mut chosen = None;
-        for e in ranked {
-            if truth_available(truth, &self.policy, e.info.host) {
-                chosen = Some(e.info.host);
-                break;
-            }
-            self.stats.conflicts += 1;
-        }
+        let chosen = self
+            .ranker
+            .pick(
+                (self.entries.values().copied()).filter(|e| !assigned.contains_key(&e.info.host)),
+                now,
+                None,
+                requester,
+                &self.policy,
+                RankOrder::IdlestFirst,
+                truth,
+                &mut self.stats,
+            )
+            .map(|e| e.info.host);
         if let Some(host) = chosen {
             // Write the assignment entry, then unlock. The entry exists
             // only once the write reaches the board.
@@ -605,22 +598,13 @@ impl HostSelector for SharedFileBoard {
         requester: HostId,
         truth: &[HostInfo],
     ) -> (Option<HostId>, SimTime) {
-        self.stats.requests += 1;
         let (chosen, t) = match self.try_select(net, now, requester, truth) {
             Ok(r) => r,
             // Somewhere in the lock/read/write/unlock chain the file
             // server became unreachable: the selection is denied.
             Err(e) => (None, e.at()),
         };
-        if chosen.is_some() {
-            self.stats.granted += 1;
-        } else {
-            self.stats.denied += 1;
-        }
-        self.stats
-            .select_latency
-            .record_duration(t.elapsed_since(now));
-        (chosen, t)
+        self.stats.book_select(now, chosen, t)
     }
 
     fn release(
@@ -646,130 +630,6 @@ impl HostSelector for SharedFileBoard {
             // unselectable until a successful write clears the entry.
             Err(e) => e.at(),
         }
-    }
-
-    fn stats(&self) -> &SelectorStats {
-        &self.stats
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Probabilistic distributed (MOSIX)
-// ---------------------------------------------------------------------------
-
-/// MOSIX-style gossip: each host pushes its load to a few random peers and
-/// selects from its own (stale) table \[BS85\].
-#[derive(Debug)]
-pub struct Probabilistic {
-    policy: AvailabilityPolicy,
-    hosts: usize,
-    fanout: usize,
-    /// tables[h] = what host h believes about its peers.
-    tables: Vec<BTreeMap<HostId, CacheEntry>>,
-    rng: DetRng,
-    /// Entries older than this are distrusted entirely.
-    max_age: SimDuration,
-    ranker: Ranker,
-    stats: SelectorStats,
-}
-
-impl Probabilistic {
-    /// Creates the gossip fabric for `hosts` hosts, each updating `fanout`
-    /// random peers per report.
-    pub fn new(hosts: usize, fanout: usize, policy: AvailabilityPolicy, seed: u64) -> Self {
-        Probabilistic {
-            policy,
-            hosts,
-            fanout: fanout.max(1),
-            tables: vec![BTreeMap::new(); hosts],
-            rng: DetRng::seed_from(seed),
-            max_age: SimDuration::from_secs(20),
-            ranker: Ranker::default(),
-            stats: SelectorStats::default(),
-        }
-    }
-}
-
-impl HostSelector for Probabilistic {
-    fn name(&self) -> &'static str {
-        "probabilistic"
-    }
-
-    fn report(&mut self, net: &mut Transport, now: SimTime, info: HostInfo) -> SimTime {
-        let mut t = now;
-        for _ in 0..self.fanout {
-            let peer = HostId::new(self.rng.uniform_u64(self.hosts as u64) as u32);
-            if peer == info.host {
-                continue;
-            }
-            self.stats.messages += 1;
-            match net.send_datagram(RpcOp::HostselReport, t, info.host, peer, LOAD_REPORT_BYTES) {
-                Ok(d) => {
-                    t = d.done;
-                    self.tables[peer.index()].insert(info.host, CacheEntry { info, written: now });
-                }
-                // The gossip packet vanished: the peer keeps its old entry,
-                // which will age out if no later round gets through.
-                Err(e) => t = e.at(),
-            }
-        }
-        t
-    }
-
-    fn select(
-        &mut self,
-        net: &mut Transport,
-        now: SimTime,
-        requester: HostId,
-        truth: &[HostInfo],
-    ) -> (Option<HostId>, SimTime) {
-        let _ = net; // selection is purely local
-        self.stats.requests += 1;
-        let t = now + SimDuration::from_micros(200); // table scan
-                                                     // Prefer fresher data, then idler hosts: aging gives more weight to
-                                                     // recent reports, exactly as Barak and Shiloh describe [BS85].
-        let ranked = self.ranker.rank(
-            self.tables[requester.index()].values().copied(),
-            now,
-            Some(self.max_age),
-            requester,
-            &self.policy,
-            RankOrder::FreshestFirst,
-        );
-        for e in ranked {
-            if truth_available(truth, &self.policy, e.info.host) {
-                // Anticipate load locally so this requester will not dump
-                // its next process on the same host.
-                let host = e.info.host;
-                if let Some(e) = self.tables[requester.index()].get_mut(&host) {
-                    e.info.load += 1.0;
-                }
-                self.stats.granted += 1;
-                self.stats
-                    .select_latency
-                    .record_duration(t.elapsed_since(now));
-                return (Some(host), t);
-            }
-            self.stats.conflicts += 1;
-        }
-        self.stats.denied += 1;
-        self.stats
-            .select_latency
-            .record_duration(t.elapsed_since(now));
-        (None, t)
-    }
-
-    fn release(
-        &mut self,
-        _net: &mut Transport,
-        now: SimTime,
-        requester: HostId,
-        host: HostId,
-    ) -> SimTime {
-        if let Some(e) = self.tables[requester.index()].get_mut(&host) {
-            e.info.load = (e.info.load - 1.0).max(0.0);
-        }
-        now
     }
 
     fn stats(&self) -> &SelectorStats {
@@ -820,21 +680,13 @@ impl HostSelector for MulticastQuery {
         requester: HostId,
         truth: &[HostInfo],
     ) -> (Option<HostId>, SimTime) {
-        self.stats.requests += 1;
         // One query on the wire...
         self.stats.messages += 1;
         let mut t =
             match net.send_multicast(RpcOp::HostselMulticast, now, requester, LOAD_REPORT_BYTES) {
                 Ok(d) => d.done,
                 // Nobody heard the query: nobody answers.
-                Err(e) => {
-                    self.stats.denied += 1;
-                    let t = e.at();
-                    self.stats
-                        .select_latency
-                        .record_duration(t.elapsed_since(now));
-                    return (None, t);
-                }
+                Err(e) => return self.stats.book_select(now, None, e.at()),
             };
         // ...and every available host replies. This reply implosion is what
         // limits the design to a few hundred hosts [TL88].
@@ -862,17 +714,10 @@ impl HostSelector for MulticastQuery {
             }
         }
         let chosen = heard.first().copied();
-        match chosen {
-            Some(host) => {
-                self.claimed.insert(host, requester);
-                self.stats.granted += 1;
-            }
-            None => self.stats.denied += 1,
+        if let Some(host) = chosen {
+            self.claimed.insert(host, requester);
         }
-        self.stats
-            .select_latency
-            .record_duration(t.elapsed_since(now));
-        (chosen, t)
+        self.stats.book_select(now, chosen, t)
     }
 
     fn release(
@@ -944,7 +789,7 @@ mod tests {
         vec![
             Box::new(CentralServer::new(h(0), policy)),
             Box::new(SharedFileBoard::new(h(0), policy)),
-            Box::new(Probabilistic::new(n, 4, policy, 42)),
+            Box::new(crate::GossipDissemination::mosix(n, 4, policy, 42)),
             Box::new(MulticastQuery::new(policy)),
             Box::new(CentralServer::sharded(n, 2, policy)),
             Box::new(crate::GossipDissemination::new(n, 4, 8, policy, 42)),
@@ -1155,9 +1000,9 @@ mod tests {
     }
 
     #[test]
-    fn probabilistic_tables_age_out_stale_entries() {
+    fn mosix_tables_age_out_stale_entries() {
         let world = truth(6);
-        let mut s = Probabilistic::new(6, 5, AvailabilityPolicy::default(), 17);
+        let mut s = crate::GossipDissemination::mosix(6, 5, AvailabilityPolicy::default(), 17);
         let mut n = net(6);
         for _ in 0..8 {
             feed_reports(&mut s, &mut n, &world);

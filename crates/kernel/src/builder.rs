@@ -1,8 +1,9 @@
 //! Ergonomic cluster construction.
 //!
 //! Setting up an experiment takes four or five steps in a fixed order
-//! (cost model, file servers, programs); [`ClusterBuilder`] rolls them into
-//! one fluent expression and is what the examples and harnesses use.
+//! (file servers, programs, trace); [`ClusterBuilder`] rolls them into one
+//! fluent expression on the Sun-3 cost model and is what the examples and
+//! harnesses use.
 
 use sprite_fs::{FsConfig, SpritePath};
 use sprite_net::{CostModel, HostId};
@@ -39,7 +40,6 @@ use crate::{Cluster, KernelResult};
 #[derive(Debug)]
 pub struct ClusterBuilder {
     hosts: usize,
-    cost: CostModel,
     fs_config: FsConfig,
     servers: Vec<(HostId, String)>,
     programs: Vec<(String, u64)>,
@@ -52,18 +52,11 @@ impl ClusterBuilder {
     pub fn new(hosts: usize) -> Self {
         ClusterBuilder {
             hosts,
-            cost: CostModel::sun3(),
             fs_config: FsConfig::default(),
             servers: Vec::new(),
             programs: Vec::new(),
             trace_capacity: None,
         }
-    }
-
-    /// Uses a different hardware generation.
-    pub fn cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
     }
 
     /// Tunes the file system.
@@ -109,7 +102,7 @@ impl ClusterBuilder {
     /// Fails if program installation hits a file-system error (e.g. two
     /// programs at the same path).
     pub fn build(self) -> KernelResult<(Cluster, SimTime)> {
-        let mut cluster = Cluster::with_fs_config(self.cost, self.hosts, self.fs_config);
+        let mut cluster = Cluster::with_fs_config(CostModel::sun3(), self.hosts, self.fs_config);
         if self.servers.is_empty() {
             cluster.add_file_server(HostId::new(0), SpritePath::new("/"));
         } else {

@@ -303,11 +303,6 @@ impl Cluster {
         self.hosts[host.index()].set_speed(speed);
     }
 
-    /// `host`'s CPU-speed multiplier.
-    pub fn host_speed(&self, host: HostId) -> f64 {
-        self.hosts[host.index()].speed
-    }
-
     /// Extra kernel-state translation time a migration or checkpoint restart
     /// pays when it crosses hardware classes. Same-class moves are free; a
     /// cross-class move pays a fixed relink cost plus a per-page term on the

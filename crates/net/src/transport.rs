@@ -152,7 +152,8 @@ rpc_ops! {
     VmBulkImage => "vm-bulk-image", (0, CONTROL_BYTES);
     /// Host-selection request/release round trip with a selection service.
     HostselQuery => "hostsel-query", (HANDLE_BYTES, HANDLE_BYTES);
-    /// One-way load report to a selection service or gossip peer.
+    /// Load report to a selection service: a one-way datagram to the
+    /// central daemon, or a write of the host's entry in the shared file.
     HostselReport => "hostsel-report", (LOAD_REPORT_BYTES, 0);
     /// Broadcast query for idle hosts.
     HostselMulticast => "hostsel-multicast", (LOAD_REPORT_BYTES, 0);

@@ -89,11 +89,6 @@ impl StateDigest {
         self.fold_u64(v as u64);
     }
 
-    /// Folds an `i64` (two's-complement bits).
-    pub fn write_i64(&mut self, v: i64) {
-        self.fold_u64(v as u64);
-    }
-
     /// Folds a `usize` widened to 64 bits.
     pub fn write_usize(&mut self, v: usize) {
         self.fold_u64(v as u64);

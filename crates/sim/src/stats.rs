@@ -23,13 +23,19 @@ use crate::SimDuration;
 /// assert_eq!(s.mean(), 5.0);
 /// assert!((s.std_dev() - 2.138).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for OnlineStats {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl OnlineStats {
@@ -408,6 +414,20 @@ mod tests {
         let mut other2 = OnlineStats::new();
         other2.merge(&OnlineStats::new());
         assert_eq!(other2.count(), 0);
+    }
+
+    /// A Default-built accumulator of positive samples must report their
+    /// true minimum, directly and after a merge.
+    #[test]
+    fn a_default_accumulator_reports_the_true_minimum() {
+        let mut s = OnlineStats::default();
+        s.record(12.5);
+        s.record(9.0);
+        assert_eq!((s.min(), s.max()), (9.0, 12.5));
+        let mut other = OnlineStats::default();
+        other.record(38.0);
+        s.merge(&other);
+        assert_eq!((s.min(), s.max()), (9.0, 38.0));
     }
 
     #[test]

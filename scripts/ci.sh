@@ -140,12 +140,16 @@ echo "==> cargo test -q --test fault_properties"
 cargo test -q --test fault_properties
 
 echo "==> model suites at full size (heavy-tests)"
-# The differential models of the client block cache, the server block
-# table and the address space, at 8x their default case counts (a few
-# seconds in release).
-cargo test -q --release -p sprite-fs -p sprite-vm \
-    --features sprite-fs/heavy-tests,sprite-vm/heavy-tests \
-    --test cache_model --test server_file_model --test space_model
+# Every suite that reads the heavy-tests feature, at its heavy size: the
+# differential models of the client block cache, the server block table,
+# the address space and the load cache, the engine properties, and the
+# cross-crate properties (FS against a flat model, migrations, the
+# central server), about 25 s in release with their build.
+cargo test -q --release -p sprite -p sprite-sim -p sprite-fs -p sprite-vm -p sprite-hostsel \
+    --features sprite/heavy-tests,sprite-sim/heavy-tests,sprite-fs/heavy-tests \
+    --features sprite-vm/heavy-tests,sprite-hostsel/heavy-tests \
+    --test properties --test engine_properties --test cache_model \
+    --test server_file_model --test space_model --test load_cache_model
 
 echo "==> cargo fmt --check"
 cargo fmt --check

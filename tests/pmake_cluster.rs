@@ -4,7 +4,7 @@
 
 use sprite::fs::SpritePath;
 use sprite::hostsel::{
-    AvailabilityPolicy, CentralServer, HostInfo, HostSelector, MulticastQuery, Probabilistic,
+    AvailabilityPolicy, CentralServer, GossipDissemination, HostInfo, HostSelector, MulticastQuery,
     SharedFileBoard,
 };
 use sprite::kernel::Cluster;
@@ -50,7 +50,7 @@ fn build_products_are_complete_under_every_selection_architecture() {
     let selectors: Vec<Box<dyn HostSelector>> = vec![
         Box::new(CentralServer::new(h(0), policy)),
         Box::new(SharedFileBoard::new(h(0), policy)),
-        Box::new(Probabilistic::new(hosts, 4, policy, 11)),
+        Box::new(GossipDissemination::mosix(hosts, 4, policy, 11)),
         Box::new(MulticastQuery::new(policy)),
     ];
     for mut selector in selectors {
