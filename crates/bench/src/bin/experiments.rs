@@ -14,10 +14,18 @@
 //! Tables go to stdout and are byte-identical for every `--jobs` value
 //! (see `runner`'s determinism contract); wall-clock timings go to stderr
 //! and, with `--json`, to `BENCH_experiments.json`.
+//!
+//! `experiments_output.txt` at the repo root is the stdout of the run
+//! `scripts/bench_check.sh` gates; regenerate it after a deliberate change:
+//!
+//! ```text
+//! cargo run -p sprite-bench --release --bin experiments -- \
+//!     --jobs 1 --macro --faults 42:0.1 --audit --f02 > experiments_output.txt
+//! ```
 
 use std::time::Instant;
 
-use sprite_bench::experiments::{e05, e10, e11, f01, f02, m01, m02};
+use sprite_bench::experiments::{e10, e11, f01, f02, m01, m02};
 use sprite_bench::support::{fault_table_text, rpc_table_text};
 use sprite_bench::{audit, runner};
 use sprite_fs::SpritePath;
@@ -37,8 +45,7 @@ struct Options {
     /// in-process reference. Exits 1 on divergence.
     audit: bool,
     /// `--shards N` — logical shard count for the partitioned-parallel
-    /// macrobench (0 = auto-detect from the machine, like `--jobs 0`
-    /// would; default 1).
+    /// macrobench (0 = one per available core; default 1).
     shards: usize,
     /// `--m02[=HOSTS:DAYS]` — run the partitioned-parallel determinism
     /// macrobench after the suite (serial + sharded drives, stream
@@ -235,6 +242,26 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// The experiments `ids` name, in suite order (the whole suite when `ids`
+/// is empty), or every id that names none.
+fn select(
+    suite: Vec<runner::Experiment>,
+    ids: &[String],
+) -> Result<Vec<runner::Experiment>, Vec<String>> {
+    let unknown: Vec<String> = ids
+        .iter()
+        .filter(|id| !suite.iter().any(|exp| exp.id == id.as_str()))
+        .cloned()
+        .collect();
+    if !unknown.is_empty() {
+        return Err(unknown);
+    }
+    Ok(suite
+        .into_iter()
+        .filter(|exp| ids.is_empty() || ids.iter().any(|id| id == exp.id))
+        .collect())
+}
+
 fn main() {
     let opts = parse_args();
     let suite = sprite_bench::experiments::suite();
@@ -244,18 +271,15 @@ fn main() {
         }
         return;
     }
-    let selected: Vec<runner::Experiment> = if opts.ids.is_empty() {
-        suite
-    } else {
-        suite
-            .into_iter()
-            .filter(|exp| opts.ids.iter().any(|a| a == exp.id))
-            .collect()
+    let selected = match select(suite, &opts.ids) {
+        Ok(selected) => selected,
+        Err(unknown) => {
+            for id in unknown {
+                eprintln!("unknown experiment id {id:?}; try `list`");
+            }
+            std::process::exit(2);
+        }
     };
-    if selected.is_empty() {
-        eprintln!("no matching experiments; try `list`");
-        std::process::exit(1);
-    }
 
     let wall = Instant::now();
     let results = runner::run_suite(selected, opts.jobs);
@@ -328,69 +352,68 @@ fn main() {
         (report, started.elapsed().as_secs_f64())
     });
 
-    println!("# Sprite process migration — reproduction tables\n");
-    for r in &results {
-        println!("{}", r.rendered);
-        println!("  [{}: {}]\n", r.id, r.desc);
-    }
+    let mut out = runner::render_suite(&results);
+    let mut block = |table: &str, tag: &str| runner::push_block(&mut out, table, tag);
     if let Some((report, _)) = &macro_run {
-        println!("{}", m01::render(report));
-        println!("  [m01: cluster-scale data-plane macrobench]\n");
+        block(
+            &m01::render(report),
+            "m01: cluster-scale data-plane macrobench",
+        );
     }
     if let Some(report) = &rpc_run {
-        println!(
-            "{}",
-            rpc_table_text(
-                "Per-op RPC traffic (serial drive: E11 month, 8 hosts x 1 day)",
-                &report.rpc
-            )
-        );
-        println!(
-            "  [rpc-table: NetStats saw {} messages / {} bytes]\n",
-            report.net_messages, report.net_bytes
+        let title = "Per-op RPC traffic (serial drive: E11 month, 8 hosts x 1 day)";
+        block(
+            &rpc_table_text(title, &report.rpc),
+            &format!(
+                "rpc-table: NetStats saw {} messages / {} bytes",
+                report.net_messages, report.net_bytes
+            ),
         );
     }
     if let Some((report, _)) = &fault_run {
-        println!("{}", f01::render(report));
-        println!("  [f01: fault-injection sweep]\n");
-        println!(
-            "{}",
-            fault_table_text(
-                "Per-op fault events (merged across the sweep)",
-                &report.faults
-            )
-        );
-        println!(
-            "  [fault-table: {} drops, {} retries, {} giveups]\n",
-            report.faults.total_drops(),
-            report.faults.total_retries(),
-            report.faults.total_giveups()
+        block(&f01::render(report), "f01: fault-injection sweep");
+        let title = "Per-op fault events (merged across the sweep)";
+        block(
+            &fault_table_text(title, &report.faults),
+            &format!(
+                "fault-table: {} drops, {} retries, {} giveups",
+                report.faults.total_drops(),
+                report.faults.total_retries(),
+                report.faults.total_giveups()
+            ),
         );
     }
     if let Some((outcome, _)) = &audit_run {
-        println!("{}", audit::render(outcome));
-        println!(
-            "  [audit: {} checkpoints across {} replications]\n",
-            audit::total_checkpoints(&outcome.streams),
-            outcome.streams.len()
+        block(
+            &audit::render(outcome),
+            &format!(
+                "audit: {} checkpoints across {} replications",
+                audit::total_checkpoints(&outcome.streams),
+                outcome.streams.len()
+            ),
         );
     }
     if let Some((rows, _)) = &sweep_run {
-        println!("{}", e10::render_sweep(rows));
-        println!("  [e10-sweep: decentralized host selection at scale]\n");
+        block(
+            &e10::render_sweep(rows),
+            "e10-sweep: decentralized host selection at scale",
+        );
     }
     if let Some((cells, _)) = &f02_run {
         let mbs = &opts.f02.as_ref().expect("f02 ran").1;
-        println!("{}", f02::render(cells, mbs, f02::SEED));
-        println!("  [f02: checkpoint/restart vs live migration crossover]\n");
-    }
-    if let Some((report, _)) = &m02_run {
-        println!("{}", m02::render(report));
-        println!(
-            "  [m02: {} digest checkpoints, serial vs sharded]\n",
-            report.serial.audit.len()
+        block(
+            &f02::render(cells, mbs, f02::SEED),
+            "f02: checkpoint/restart vs live migration crossover",
         );
     }
+    if let Some((report, _)) = &m02_run {
+        let checkpoints = report.serial.audit.len();
+        block(
+            &m02::render(report),
+            &format!("m02: {checkpoints} digest checkpoints, serial vs sharded"),
+        );
+    }
+    print!("{out}");
     for r in &results {
         eprintln!(
             "[timing] {}: {:.2}s cpu across {} unit{}",
@@ -578,112 +601,6 @@ fn main() {
                     row.bytes,
                     row.rtt.mean() * 1e3,
                     if i + 1 == rows.len() { "" } else { "," }
-                ));
-            }
-            json.push_str("    ]\n");
-            json.push_str("  }");
-        }
-        {
-            // The sharded-FS speedup sweep is a pure function of its
-            // constants and cheap enough to recompute under --json, so the
-            // gate script always has the per-shard saturation crossover.
-            let sweeps = e05::run_table_sweep();
-            json.push_str(",\n  \"e05_sharding\": {\n");
-            json.push_str(
-                "    \"description\": \"pmake speedup vs hosts and FS shards; saturation crossover per shard count\",\n",
-            );
-            json.push_str(&format!("    \"files\": {},\n", e05::TABLE_FILES));
-            json.push_str(&format!("    \"seed\": {},\n", e05::TABLE_SEED));
-            json.push_str(&format!(
-                "    \"crossover_threshold\": {},\n",
-                e05::CROSSOVER_THRESHOLD
-            ));
-            json.push_str("    \"sweeps\": [\n");
-            for (i, rows) in sweeps.iter().enumerate() {
-                let shards = rows.first().map_or(0, |r| r.fs_shards);
-                json.push_str(&format!(
-                    "      {{\"fs_shards\": {}, \"crossover_hosts\": {}, \"rows\": [\n",
-                    shards,
-                    e05::crossover(rows, e05::CROSSOVER_THRESHOLD)
-                ));
-                for (j, r) in rows.iter().enumerate() {
-                    json.push_str(&format!(
-                        "        {{\"hosts\": {}, \"speedup\": {:.3}, \"worst_server_utilization\": {:.4}, \"server_busy_max_seconds\": {:.3}, \"replica_hits\": {}}}{}\n",
-                        r.hosts,
-                        r.speedup,
-                        r.server_utilization,
-                        r.server_busy_max.as_secs_f64(),
-                        r.replica_hits,
-                        if j + 1 == rows.len() { "" } else { "," }
-                    ));
-                }
-                json.push_str(&format!(
-                    "      ]}}{}\n",
-                    if i + 1 == sweeps.len() { "" } else { "," }
-                ));
-            }
-            json.push_str("    ]\n");
-            json.push_str("  }");
-        }
-        {
-            // The checkpoint-vs-migration crossover is a pure function of
-            // its default grid and seed; recomputing it under --json (cells
-            // fanned over --jobs, merged by index) means the gate script
-            // always has the per-image-size crossover, like e05's block.
-            let cells = match &f02_run {
-                Some((cells, _))
-                    if opts.f02.as_ref().map(|(m, b)| {
-                        m.as_slice() == f02::MTBFS_SECS && b.as_slice() == f02::IMAGE_MBS
-                    }) == Some(true) =>
-                {
-                    cells.clone()
-                }
-                _ => f02::run_grid(&f02::MTBFS_SECS, &f02::IMAGE_MBS, f02::SEED, opts.jobs),
-            };
-            json.push_str(",\n  \"f02_ckpt\": {\n");
-            json.push_str(
-                "    \"description\": \"checkpoint/restart vs live migration: makespan, bytes moved and work lost per (mtbf, image); crossover per image size\",\n",
-            );
-            json.push_str(&format!(
-                "    \"work_target_secs\": {},\n",
-                f02::WORK_TARGET_SECS
-            ));
-            json.push_str(&format!(
-                "    \"owner_return_secs\": {},\n",
-                f02::OWNER_RETURN_SECS
-            ));
-            json.push_str(&format!("    \"seed\": {},\n", f02::SEED));
-            json.push_str("    \"crossovers\": [\n");
-            let crossovers = f02::crossovers(&cells, &f02::IMAGE_MBS);
-            for (i, (mb, cross)) in crossovers.iter().enumerate() {
-                json.push_str(&format!(
-                    "      {{\"image_mb\": {mb:.2}, \"migration_wins_at_mtbf_secs\": {}}}{}\n",
-                    cross.map_or("null".to_string(), |m| m.to_string()),
-                    if i + 1 == crossovers.len() { "" } else { "," }
-                ));
-            }
-            json.push_str("    ],\n");
-            json.push_str("    \"rows\": [\n");
-            for (i, c) in cells.iter().enumerate() {
-                json.push_str(&format!(
-                    "      {{\"mtbf_secs\": {}, \"image_mb\": {:.2}, \"winner\": \"{}\", \"predicted\": \"{}\", \"ckpt_makespan_s\": {:.3}, \"mig_makespan_s\": {:.3}, \"ckpt_bytes\": {}, \"mig_bytes\": {}, \"ckpt_work_lost_s\": {:.3}, \"mig_work_lost_s\": {:.3}, \"ckpt_cost_s\": {:.4}, \"recovery_cost_s\": {:.4}, \"migrate_cost_s\": {:.4}, \"image_bytes\": {}, \"ckpt_capped\": {}, \"mig_capped\": {}}}{}\n",
-                    c.mtbf_secs,
-                    c.image_mb,
-                    c.winner.label(),
-                    c.predicted.label(),
-                    c.ckpt.makespan.as_secs_f64(),
-                    c.migration.makespan.as_secs_f64(),
-                    c.ckpt.bytes_moved,
-                    c.migration.bytes_moved,
-                    c.ckpt.work_lost.as_secs_f64(),
-                    c.migration.work_lost.as_secs_f64(),
-                    c.costs.ckpt_cost.as_secs_f64(),
-                    c.costs.recovery_cost.as_secs_f64(),
-                    c.costs.migrate_cost.as_secs_f64(),
-                    c.costs.image_bytes,
-                    c.ckpt.capped,
-                    c.migration.capped,
-                    if i + 1 == cells.len() { "" } else { "," }
                 ));
             }
             json.push_str("    ]\n");
@@ -918,5 +835,30 @@ fn main() {
         if !r.digest_match {
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::select;
+
+    fn ids(ids: &[&str]) -> Vec<String> {
+        ids.iter().map(|id| id.to_string()).collect()
+    }
+
+    #[test]
+    fn an_unknown_id_fails_the_selection_instead_of_being_dropped() {
+        let suite = sprite_bench::experiments::suite;
+        let unknown = select(suite(), &ids(&["e01", "e5", "m01"])).err();
+        assert_eq!(unknown, Some(ids(&["e5", "m01"])));
+        let picked = select(suite(), &ids(&["e05", "e01"])).expect("known ids");
+        assert_eq!(
+            picked.iter().map(|exp| exp.id).collect::<Vec<_>>(),
+            ["e01", "e05"]
+        );
+        assert_eq!(
+            select(suite(), &[]).expect("whole suite").len(),
+            suite().len()
+        );
     }
 }

@@ -16,9 +16,9 @@
 //! workload results; `experiments --macro --json` records them in the
 //! `macrobench` block of `BENCH_experiments.json`.
 //!
-//! Not part of the default suite: the golden `experiments_output.txt`
-//! covers E1-A7, and this table only prints when `--macro` (or the id
-//! `m01`) is requested.
+//! Not part of the suite: the table prints after it only under
+//! `--macro`. The gate run's stdout, `experiments_output.txt`, pins it
+//! byte for byte.
 
 use sprite_hostsel::{AvailabilityPolicy, GossipDissemination, HostSelector};
 use sprite_pmake::{prepare_sources, run_build, Action, DepGraph, PmakeConfig};

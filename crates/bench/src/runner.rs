@@ -188,6 +188,22 @@ pub fn run_suite(suite: Vec<Experiment>, jobs: usize) -> Vec<ExperimentResult> {
         .collect()
 }
 
+/// Appends one block of `experiments`' stdout to `out`: a rendered table,
+/// its `  [tag]` line and a blank line.
+pub fn push_block(out: &mut String, table: &str, tag: &str) {
+    out.push_str(&format!("{table}\n  [{tag}]\n\n"));
+}
+
+/// The suite's stdout: the title, then each table tagged `[id: desc]`.
+/// `experiments` appends the blocks of its extra flags after it.
+pub fn render_suite(results: &[ExperimentResult]) -> String {
+    let mut out = String::from("# Sprite process migration — reproduction tables\n\n");
+    for r in results {
+        push_block(&mut out, &r.rendered, &format!("{}: {}", r.id, r.desc));
+    }
+    out
+}
+
 /// Merge for single-unit experiments: unwrap the rendered table.
 pub fn merge_single(mut partials: Vec<Partial>) -> String {
     match partials.pop() {

@@ -80,22 +80,6 @@ if ! grep -q '^## E10 sweep: decentralized host selection' "$sweep_tmp/sweep1.tx
     exit 1
 fi
 
-echo "==> sharded-FS smoke (e05 striped servers, jobs 1 vs 4)"
-# The striped file-service sweep (1/2/4 server daemons) must render the
-# same bytes for any --jobs value, and the 2-shard series must report its
-# saturation crossover — the number the regression gate tracks.
-target/release/experiments e05 --jobs 1 > "$sweep_tmp/e05_1.txt"
-target/release/experiments e05 --jobs 4 > "$sweep_tmp/e05_4.txt"
-if ! cmp -s "$sweep_tmp/e05_1.txt" "$sweep_tmp/e05_4.txt"; then
-    echo "FAIL: e05 stdout diverged between --jobs 1 and --jobs 4" >&2
-    diff "$sweep_tmp/e05_1.txt" "$sweep_tmp/e05_4.txt" | head -40 >&2 || true
-    exit 1
-fi
-if ! grep -q 'saturation crossover at 2 shard' "$sweep_tmp/e05_1.txt"; then
-    echo "FAIL: e05 run printed no 2-shard saturation crossover" >&2
-    exit 1
-fi
-
 echo "==> f02 smoke (checkpoint vs migration, jobs 1 vs 4)"
 # The crossover grid fans its (mtbf, image) cells over worker threads and
 # merges by index; a small two-point grid must render the same bytes for
