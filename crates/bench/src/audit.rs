@@ -1,42 +1,53 @@
-//! The determinism auditor behind `experiments --audit`.
+//! The determinism auditor: the `audit` experiment of the default set.
 //!
 //! The suite's stdout is byte-identical for every `--jobs` value, but that
 //! only proves the *rendered tables* agree. The auditor checks something
 //! much stronger: it re-runs the E11 replications with the engine's state
 //! checkpoint hook armed, collecting a stream of whole-cluster digests
 //! (kernel + process table + file system + network) every N executed
-//! events — once across `jobs` worker threads and once serially in-process
-//! — and demands the streams match checkpoint for checkpoint. A scheduling
-//! leak that happens to cancel out in the final tables cannot cancel out
-//! in every intermediate digest.
+//! events — once as runner units on whichever workers run them, and once
+//! serially in-process in the merge — and demands the streams match
+//! checkpoint for checkpoint. A scheduling leak that happens to cancel out
+//! in the final tables cannot cancel out in every intermediate digest.
 //!
 //! On divergence the auditor bisects: it re-runs the offending replication
 //! pair at successively halved checkpoint intervals until the first
 //! disagreeing digest is bracketed by a one-event window, then names that
 //! window (`events (lo, hi]`, simulated time) in its report.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use sprite_sim::{Checkpoint, SimTime};
 
 use crate::experiments::e11;
+use crate::runner::{Experiment, Report};
+use crate::support::JsonObject;
 
-/// Checkpoint interval (executed events) for the audit drive. E11 executes
-/// roughly one event per simulated minute, so a multi-day replication
-/// yields a handful of checkpoints per day — enough stream to compare,
-/// cheap enough to hash.
-pub const AUDIT_EVERY: u64 = 1_000;
+/// The shape of an audited drive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AuditDrive {
+    /// Hosts per replication.
+    pub hosts: usize,
+    /// Simulated days per replication.
+    pub days: u64,
+    /// Master seed the replications' RNGs are forked from, serially.
+    pub seed: u64,
+    /// Audited replications.
+    pub reps: usize,
+    /// Checkpoint interval in executed events.
+    pub every: u64,
+}
 
-/// Hosts in the audit drive (smaller than the full table: the auditor runs
-/// the scenario twice, so it uses a reduced but still multi-day cluster).
-pub const AUDIT_HOSTS: usize = 8;
-/// Simulated days per audited replication.
-pub const AUDIT_DAYS: u64 = 2;
-/// Audited replications (forked serially from [`AUDIT_SEED`]).
-pub const AUDIT_REPS: usize = 4;
-/// Master seed for the audit drive.
-pub const AUDIT_SEED: u64 = 41;
+/// The drive `experiments` audits: smaller than E11's table, because the
+/// auditor runs every replication twice, but still multi-day. E11
+/// executes roughly one event per simulated minute, so checkpointing every
+/// 1,000 events yields a handful of checkpoints per day — enough stream to
+/// compare, cheap enough to hash.
+pub const AUDIT: AuditDrive = AuditDrive {
+    hosts: 8,
+    days: 2,
+    seed: 41,
+    reps: 4,
+    every: 1_000,
+};
 
 /// Where two checkpoint streams first disagree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,60 +64,42 @@ pub struct Divergence {
     pub at: Option<SimTime>,
 }
 
-/// Outcome of a full audit: the per-replication streams collected across
-/// worker threads, plus the verdict against the serial reference.
+/// Outcome of a full audit: the per-replication streams collected by the
+/// runner's units, plus the verdict against the serial reference.
 pub struct AuditOutcome {
-    /// Hosts per replication.
-    pub hosts: usize,
-    /// Days per replication.
-    pub days: u64,
-    /// Checkpoint interval in executed events.
-    pub every: u64,
+    /// The audited drive.
+    pub drive: AuditDrive,
     /// One digest stream per replication, in replication order.
     pub streams: Vec<Vec<Checkpoint>>,
-    /// First divergence between the threaded and serial streams, if any,
+    /// First divergence between the unit and serial streams, if any,
     /// bisected down to its tightest event window.
     pub divergence: Option<Divergence>,
 }
 
-/// Runs the audited replications across `jobs` worker threads (an atomic
-/// cursor over replication indices; results land in replication order, so
-/// the output is independent of which thread ran what).
-pub fn collect_streams(
-    hosts: usize,
-    days: u64,
-    seed: u64,
-    reps: usize,
-    every: u64,
-    jobs: usize,
-) -> Vec<Vec<Checkpoint>> {
-    let rngs = e11::replication_rngs(seed, reps);
-    if jobs <= 1 {
-        return rngs
-            .into_iter()
-            .map(|rng| e11::run_audited(hosts, days, rng, every).1)
-            .collect();
-    }
-    let results: Vec<Mutex<Option<Vec<Checkpoint>>>> =
-        (0..reps).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let workers = jobs.min(reps.max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= reps {
-                    break;
-                }
-                let stream = e11::run_audited(hosts, days, rngs[i].clone(), every).1;
-                *results[i].lock().unwrap() = Some(stream);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|cell| cell.into_inner().unwrap().expect("every replication ran"))
+/// One replication's digest stream at checkpoint interval `every`.
+fn stream(drive: AuditDrive, rep: usize, every: u64) -> Vec<Checkpoint> {
+    let rng = e11::replication_rngs(drive.seed, drive.reps).swap_remove(rep);
+    e11::run_audited(drive.hosts, drive.days, rng, every).1
+}
+
+/// Runs every replication of `drive` serially, in replication order.
+pub fn collect_streams(drive: AuditDrive) -> Vec<Vec<Checkpoint>> {
+    (0..drive.reps)
+        .map(|rep| stream(drive, rep, drive.every))
         .collect()
+}
+
+/// The audit as a runner experiment: one unit per replication, each
+/// collecting its digest stream on whichever worker runs it. The merge
+/// checks the streams against the serial reference.
+pub fn experiment(drive: AuditDrive) -> Experiment {
+    let units = (0..drive.reps).map(|rep| (100, move || stream(drive, rep, drive.every)));
+    Experiment::new(
+        "audit",
+        "state-digest determinism audit",
+        units,
+        move |streams: Vec<Vec<Checkpoint>>| report(&check(drive, streams)),
+    )
 }
 
 /// First index at which two checkpoint streams disagree (a length mismatch
@@ -165,35 +158,19 @@ where
     }
 }
 
-/// Runs the full audit: threaded collection, serial reference, comparison,
-/// and — on mismatch — a bisected divergence report.
-pub fn run(jobs: usize) -> AuditOutcome {
-    let threaded = collect_streams(
-        AUDIT_HOSTS,
-        AUDIT_DAYS,
-        AUDIT_SEED,
-        AUDIT_REPS,
-        AUDIT_EVERY,
-        jobs,
-    );
-    let serial = collect_streams(
-        AUDIT_HOSTS,
-        AUDIT_DAYS,
-        AUDIT_SEED,
-        AUDIT_REPS,
-        AUDIT_EVERY,
-        1,
-    );
-    let mut divergence = None;
-    for (rep, (t, s)) in threaded.iter().zip(&serial).enumerate() {
-        if first_mismatch(t, s).is_some() {
-            let rng = e11::replication_rngs(AUDIT_SEED, AUDIT_REPS)[rep].clone();
-            let rng2 = rng.clone();
-            let run_rep =
-                move |every: u64| e11::run_audited(AUDIT_HOSTS, AUDIT_DAYS, rng.clone(), every).1;
-            let run_rep2 =
-                move |every: u64| e11::run_audited(AUDIT_HOSTS, AUDIT_DAYS, rng2.clone(), every).1;
-            divergence = Some(match bisect_window(AUDIT_EVERY, run_rep, run_rep2) {
+/// Checks the streams the runner's units collected against a serial
+/// in-process run of the same replications and, on mismatch, bisects the
+/// first divergent replication down to its tightest event window.
+fn check(drive: AuditDrive, streams: Vec<Vec<Checkpoint>>) -> AuditOutcome {
+    let serial = collect_streams(drive);
+    let divergence = streams
+        .iter()
+        .zip(&serial)
+        .enumerate()
+        .find_map(|(rep, (t, s))| {
+            let idx = first_mismatch(t, s)? as u64;
+            let replay = |every| stream(drive, rep, every);
+            Some(match bisect_window(drive.every, replay, replay) {
                 Some((start, end, at)) => Divergence {
                     rep,
                     start_events: start,
@@ -204,32 +181,19 @@ pub fn run(jobs: usize) -> AuditOutcome {
                 // came from cross-thread interference, not from the
                 // replication's own event stream. Report the coarse window
                 // of the original mismatch.
-                None => {
-                    let (start, end) = first_window(t, s);
-                    Divergence {
-                        rep,
-                        start_events: start,
-                        end_events: end,
-                        at: None,
-                    }
-                }
-            });
-            break;
-        }
-    }
+                None => Divergence {
+                    rep,
+                    start_events: idx * drive.every,
+                    end_events: (idx + 1) * drive.every,
+                    at: None,
+                },
+            })
+        });
     AuditOutcome {
-        hosts: AUDIT_HOSTS,
-        days: AUDIT_DAYS,
-        every: AUDIT_EVERY,
-        streams: threaded,
+        drive,
+        streams,
         divergence,
     }
-}
-
-/// Coarse event window of the first mismatch between two streams.
-fn first_window(a: &[Checkpoint], b: &[Checkpoint]) -> (u64, u64) {
-    let idx = first_mismatch(a, b).unwrap_or(0) as u64;
-    (idx * AUDIT_EVERY, (idx + 1) * AUDIT_EVERY)
 }
 
 /// Total checkpoints across all streams.
@@ -244,10 +208,10 @@ pub fn render(outcome: &AuditOutcome) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "Determinism audit ({} hosts x {} days x {} replications, checkpoint every {} events)\n",
-        outcome.hosts,
-        outcome.days,
+        outcome.drive.hosts,
+        outcome.drive.days,
         outcome.streams.len(),
-        outcome.every
+        outcome.drive.every
     ));
     out.push_str("  rep  checkpoints  first-digest        last-digest\n");
     for (i, stream) in outcome.streams.iter().enumerate() {
@@ -280,24 +244,44 @@ pub fn render(outcome: &AuditOutcome) -> String {
     out
 }
 
-/// A small audited drive for tests: real E11 replications, tiny scale.
-#[cfg(test)]
-fn tiny_streams(jobs: usize) -> Vec<Vec<Checkpoint>> {
-    collect_streams(4, 1, 41, 3, 200, jobs)
+/// The audit's report: its block, tagged with the checkpoint count, its
+/// JSON block, and a failure when a stream diverged.
+fn report(outcome: &AuditOutcome) -> Report {
+    let checkpoints = total_checkpoints(&outcome.streams);
+    let reps = outcome.streams.len();
+    let json = JsonObject::new()
+        .text(
+            "description",
+            "state-digest determinism audit (threaded vs serial)",
+        )
+        .num("hosts", outcome.drive.hosts)
+        .num("days", outcome.drive.days)
+        .num("replications", reps)
+        .num("checkpoint_every_events", outcome.drive.every)
+        .num("checkpoints", checkpoints)
+        .num("divergent", outcome.divergence.is_some());
+    Report {
+        blocks: vec![(
+            render(outcome),
+            Some(format!(
+                "audit: {checkpoints} checkpoints across {reps} replications"
+            )),
+        )],
+        json: Some(("audit", json)),
+        stderr: Vec::new(),
+        failure: outcome.divergence.map(|d| {
+            format!(
+                "replication {} diverged in event window ({}, {}]",
+                d.rep, d.start_events, d.end_events
+            )
+        }),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sprite_sim::SimDuration;
-
-    #[test]
-    fn threaded_collection_matches_serial() {
-        let serial = tiny_streams(1);
-        let threaded = tiny_streams(4);
-        assert_eq!(serial, threaded);
-        assert!(total_checkpoints(&serial) > 0);
-    }
 
     #[test]
     fn first_mismatch_finds_index_and_length_skew() {
@@ -359,15 +343,21 @@ mod tests {
 
     #[test]
     fn render_is_deterministic_and_names_divergences() {
-        let outcome = AuditOutcome {
+        let drive = AuditDrive {
             hosts: 4,
             days: 1,
+            seed: 41,
+            reps: 3,
             every: 200,
-            streams: tiny_streams(1),
+        };
+        let outcome = AuditOutcome {
+            drive,
+            streams: collect_streams(drive),
             divergence: None,
         };
         let a = render(&outcome);
         assert!(a.contains("verdict: all"));
+        assert_eq!(report(&outcome).failure, None);
         let diverged = AuditOutcome {
             divergence: Some(Divergence {
                 rep: 2,
@@ -381,5 +371,9 @@ mod tests {
         assert!(b.contains("DIVERGENCE in replication 2"));
         assert!(b.contains("(137, 138]"));
         assert!(b.contains("t=5000000us"));
+        assert_eq!(
+            report(&diverged).failure.as_deref(),
+            Some("replication 2 diverged in event window (137, 138]")
+        );
     }
 }

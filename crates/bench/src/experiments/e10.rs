@@ -16,7 +16,8 @@ use sprite_net::{CostModel, HostId, Transport};
 use sprite_sim::{DetRng, OnlineStats, SimDuration, SimTime};
 use sprite_workloads::{ActivityModel, ActivityTrace};
 
-use crate::support::TableWriter;
+use crate::runner::{Experiment, Report};
+use crate::support::{JsonObject, TableWriter};
 
 /// One (architecture, cluster size) measurement.
 #[derive(Debug, Clone)]
@@ -240,13 +241,9 @@ pub fn drive_kind(kind: ArchKind, hosts: usize, duration: SimDuration, seed: u64
 
 /// Runs the full matrix serially.
 pub fn run(host_counts: &[usize], duration: SimDuration, seed: u64) -> Vec<ArchRow> {
-    let mut rows = Vec::new();
-    for &n in host_counts {
-        for kind in ARCHS {
-            rows.push(drive_kind(kind, n, duration, seed));
-        }
-    }
-    rows
+    cells(host_counts, &ARCHS, duration, seed)
+        .map(|(_, cell)| cell())
+        .collect()
 }
 
 /// Cluster sizes in the full table.
@@ -287,14 +284,31 @@ pub fn render(rows: &[ArchRow]) -> String {
     t.render()
 }
 
-/// Renders the table (serial path).
-pub fn table() -> String {
-    let rows = run(
-        &FULL_SIZES,
-        SimDuration::from_secs(FULL_DURATION_SECS),
-        FULL_SEED,
-    );
-    render(&rows)
+/// The `sizes × archs` cells as runner units, size-major, each costed by
+/// its host count.
+fn cells<'a>(
+    sizes: &'a [usize],
+    archs: &'static [ArchKind],
+    duration: SimDuration,
+    seed: u64,
+) -> impl Iterator<Item = (u64, impl FnOnce() -> ArchRow + Send + 'static)> + 'a {
+    sizes.iter().flat_map(move |&hosts| {
+        archs.iter().map(move |&kind| {
+            (hosts as u64, move || {
+                drive_kind(kind, hosts, duration, seed)
+            })
+        })
+    })
+}
+
+/// E10 as a runner experiment: one unit per `(size, architecture)` cell.
+pub fn experiment(sizes: &[usize], duration: SimDuration, seed: u64) -> Experiment {
+    Experiment::new(
+        "e10",
+        "host-selection architectures",
+        cells(sizes, &ARCHS, duration, seed),
+        |rows: Vec<ArchRow>| Report::table(render(&rows)),
+    )
 }
 
 /// Cluster sizes in the decentralization sweep (100 → 10 000 hosts).
@@ -307,41 +321,52 @@ pub const SWEEP_DURATION_SECS: u64 = 1800;
 /// Seed for the sweep.
 pub const SWEEP_SEED: u64 = 31;
 
-/// Runs the `sizes × SWEEP_ARCHS` sweep on up to `jobs` worker threads.
-///
-/// Cells are independent (each builds its own selector, transport and RNG
-/// from the seed), so workers pull cell indices from a shared cursor and
-/// write results back by index — the returned rows are in canonical order
-/// and byte-identical to a serial run regardless of `jobs`.
-pub fn run_sweep(sizes: &[usize], duration: SimDuration, seed: u64, jobs: usize) -> Vec<ArchRow> {
-    let cells: Vec<(usize, ArchKind)> = sizes
-        .iter()
-        .flat_map(|&n| SWEEP_ARCHS.iter().map(move |&k| (n, k)))
-        .collect();
-    let workers = jobs.max(1).min(cells.len().max(1));
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<ArchRow>>> =
-        cells.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&(hosts, kind)) = cells.get(i) else {
-                    break;
-                };
-                let row = drive_kind(kind, hosts, duration, seed);
-                *slots[i].lock().expect("sweep slot poisoned") = Some(row);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("sweep slot poisoned")
-                .expect("sweep cell not driven")
-        })
-        .collect()
+/// The sweep as a runner experiment, printed only when named
+/// (`e10-sweep[=SIZES]`): one unit per cell of `sizes × SWEEP_ARCHS`, each
+/// building its own selector, transport and RNG from `seed`.
+pub fn sweep_experiment(sizes: &[usize], duration: SimDuration, seed: u64) -> Experiment {
+    Experiment::new(
+        "e10-sweep",
+        "decentralized host selection at scale",
+        cells(sizes, &SWEEP_ARCHS, duration, seed),
+        move |rows: Vec<ArchRow>| Report {
+            json: Some(("e10_sweep", sweep_json(&rows, duration, seed))),
+            ..Report::table(render_sweep(&rows))
+        },
+    )
+}
+
+/// The sweep's block of `experiments --json`.
+fn sweep_json(rows: &[ArchRow], duration: SimDuration, seed: u64) -> JsonObject {
+    JsonObject::new()
+        .text(
+            "description",
+            "decentralized host selection at scale: central vs sharded vs gossip",
+        )
+        .num("duration_secs", duration.as_micros() / 1_000_000)
+        .num("seed", seed)
+        .rows(
+            "rows",
+            rows.iter().map(|r| {
+                JsonObject::new()
+                    .text("architecture", r.name)
+                    .num("hosts", r.hosts)
+                    .num("requests", r.requests)
+                    .num("grant_rate", format!("{:.4}", r.grant_rate))
+                    .num(
+                        "conflicts_per_request",
+                        format!("{:.4}", r.conflicts_per_request),
+                    )
+                    .num("staleness_s", format!("{:.3}", r.staleness_s))
+                    .num("quality_pct", format!("{:.1}", r.quality_pct))
+                    .num("mean_latency_ms", format!("{:.4}", r.mean_latency_ms))
+                    .num(
+                        "messages_per_request",
+                        format!("{:.2}", r.messages_per_request),
+                    )
+                    .num("wire_bytes", r.wire_bytes)
+            }),
+        )
 }
 
 /// Renders the sweep table: staleness vs. placement quality vs. latency vs.
@@ -470,14 +495,6 @@ mod tests {
             "gossip quality {}",
             gossip.quality_pct
         );
-    }
-
-    #[test]
-    fn sweep_rows_are_jobs_invariant() {
-        let d = SimDuration::from_secs(300);
-        let serial = run_sweep(&[50], d, 13, 1);
-        let par = run_sweep(&[50], d, 13, 4);
-        assert_eq!(render_sweep(&serial), render_sweep(&par));
     }
 
     #[test]

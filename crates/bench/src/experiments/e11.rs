@@ -28,7 +28,8 @@ use sprite_net::HostId;
 use sprite_sim::{Checkpoint, DetRng, Engine, SimDuration, SimTime};
 use sprite_workloads::{ActivityModel, ActivityTrace, DAY};
 
-use crate::support::{h, standard_cluster, standard_migrator, TableWriter};
+use crate::runner::{Experiment, Report};
+use crate::support::{h, rpc_table_text, standard_cluster, standard_migrator, TableWriter};
 
 /// Outcome of the month-long run (or of one replication of it).
 #[derive(Debug, Clone, Default)]
@@ -224,7 +225,7 @@ pub fn run_seeded_with(
 
 /// Runs one replication with the engine's audit hook armed: every `every`
 /// executed events the cluster's [`Cluster::digest`] is checkpointed. The
-/// returned stream is what `experiments --audit` compares across `--jobs`
+/// returned stream is what the `audit` experiment compares across `--jobs`
 /// values — identical replication, identical stream, regardless of which
 /// thread ran it.
 pub fn run_audited(
@@ -422,13 +423,40 @@ pub fn render(r: &MonthReport, reps: usize) -> String {
     t.render()
 }
 
-/// Renders the table (serial path: runs every replication in order).
-pub fn table() -> String {
-    let reports: Vec<MonthReport> = replication_rngs(FULL_SEED, FULL_REPS)
+/// E11 as a runner experiment: one unit per replication, its RNG forked
+/// serially from `seed`, merged into one month.
+pub fn experiment(hosts: usize, days: u64, seed: u64, reps: usize) -> Experiment {
+    let units = replication_rngs(seed, reps)
         .into_iter()
-        .map(|rng| run_seeded(FULL_HOSTS, FULL_REP_DAYS, rng))
-        .collect();
-    render(&merge(&reports), FULL_REPS)
+        .map(|rng| (5_000, move || run_seeded(hosts, days, rng)));
+    Experiment::new(
+        "e11",
+        "a month in the life",
+        units,
+        |reports: Vec<MonthReport>| Report::table(render(&merge(&reports), reports.len())),
+    )
+}
+
+/// The per-op RPC breakdown of one E11 day on 8 hosts, printed only when
+/// named (`rpc-table`).
+pub fn rpc_experiment() -> Experiment {
+    Experiment::single(
+        "rpc-table",
+        "per-op RPC traffic of one E11 day",
+        100,
+        || {
+            let r = run(8, 1, FULL_SEED);
+            let title = "Per-op RPC traffic (serial drive: E11 month, 8 hosts x 1 day)";
+            let tag = format!(
+                "rpc-table: NetStats saw {} messages / {} bytes",
+                r.net_messages, r.net_bytes
+            );
+            Report {
+                blocks: vec![(rpc_table_text(title, &r.rpc), Some(tag))],
+                ..Report::default()
+            }
+        },
+    )
 }
 
 #[cfg(test)]

@@ -10,12 +10,21 @@
 //! outcomes. The plan is seeded, so the whole sweep (including the rendered
 //! table and the per-op fault breakdown) is a pure function of
 //! `(seed, rate)` and replays byte-identically at any `--jobs` value.
+//! `experiments` prints the sweep of [`MAX_RATE`] from [`SEED`].
 
 use sprite_fs::SpritePath;
 use sprite_net::{FaultPlan, FaultStats, HostId};
 use sprite_sim::{SimDuration, SimTime};
 
-use crate::support::{h, pages_for_mb, standard_cluster, standard_migrator, TableWriter};
+use crate::runner::{Experiment, Report};
+use crate::support::{
+    fault_table_text, h, pages_for_mb, standard_cluster, standard_migrator, JsonObject, TableWriter,
+};
+
+/// Seed of every [`FaultPlan`] in the printed sweep.
+pub const SEED: u64 = 42;
+/// Top drop rate of the printed sweep.
+pub const MAX_RATE: f64 = 0.1;
 
 /// Hosts in the fault cluster (host 0 is the file server).
 pub const HOSTS: usize = 8;
@@ -229,13 +238,77 @@ pub fn render(report: &FaultSweepReport) -> String {
     t.render()
 }
 
+/// F1 as a runner experiment: one unit sweeping up to [`MAX_RATE`] from
+/// [`SEED`]. It prints the sweep, then the per-op fault table merged
+/// across it.
+pub fn experiment() -> Experiment {
+    Experiment::single("f01", "fault-injection sweep", 10, || {
+        let r = sweep(SEED, MAX_RATE);
+        let faults = &r.faults;
+        let tag = format!(
+            "fault-table: {} drops, {} retries, {} giveups",
+            faults.total_drops(),
+            faults.total_retries(),
+            faults.total_giveups()
+        );
+        let title = "Per-op fault events (merged across the sweep)";
+        Report {
+            blocks: vec![
+                (render(&r), None),
+                (fault_table_text(title, faults), Some(tag)),
+            ],
+            json: Some(("faults", json(&r))),
+            ..Report::default()
+        }
+    })
+}
+
+/// The sweep's block of `experiments --json`.
+fn json(r: &FaultSweepReport) -> JsonObject {
+    JsonObject::new()
+        .text("id", "f01")
+        .text(
+            "description",
+            "fault-injection sweep: migration outcomes vs drop rate",
+        )
+        .num("seed", r.seed)
+        .rows(
+            "rows",
+            r.rows.iter().map(|row| {
+                JsonObject::new()
+                    .num("rate", format!("{:.6}", row.rate))
+                    .num("attempts", row.attempts)
+                    .num("completed", row.completed)
+                    .num("aborts", row.aborts)
+                    .num("failures", row.failures)
+                    .num("drops", row.drops)
+                    .num("retries", row.retries)
+                    .num("giveups", row.giveups)
+                    .num("crash_kills", row.fault_kills)
+                    .num("survivors", row.survivors)
+            }),
+        )
+        .rows(
+            "fault_table",
+            r.faults.rows().map(|(op, row)| {
+                JsonObject::new()
+                    .text("op", op.label())
+                    .num("drops", row.drops)
+                    .num("partitions", row.partitions)
+                    .num("crashes", row.crashes)
+                    .num("retries", row.retries)
+                    .num("giveups", row.giveups)
+            }),
+        )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn zero_rate_is_fault_free_and_complete() {
-        let (row, faults) = run(42, 0.0);
+        let (row, faults) = run(SEED, 0.0);
         assert_eq!(row.attempts, ATTEMPTS as u64);
         assert_eq!(row.completed, row.attempts);
         assert_eq!((row.aborts, row.failures, row.fault_kills), (0, 0, 0));
@@ -251,7 +324,7 @@ mod tests {
 
     #[test]
     fn faults_show_up_at_nonzero_rates() {
-        let report = sweep(42, 0.1);
+        let report = sweep(SEED, MAX_RATE);
         let top = report.rows.last().unwrap();
         assert!(top.drops > 0, "10% drop rate must lose something");
         assert!(

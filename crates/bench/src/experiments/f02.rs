@@ -13,14 +13,16 @@
 //! restarts from its last image after each crash; the migration arm runs
 //! bare, pays a cheap live migration at every planned eviction, and
 //! respawns from scratch when a crash beats it. Every cell is a pure
-//! function of `(mtbf, image_mb, seed)`, so the grid fans out over
-//! `--jobs` workers and merges by index byte-identically.
+//! function of `(mtbf, image_mb, seed)`, so the grid's cells run as
+//! separate runner units on any worker and merge by index
+//! byte-identically.
 
 use sprite_core::{image_path, preferred_mechanism, restart_from_image, young_interval, Mechanism};
 use sprite_fs::SpritePath;
 use sprite_sim::{DetRng, SimDuration};
 use sprite_vm::CkptStrategy;
 
+use crate::runner::{Experiment, Report};
 use crate::support::{
     dirty_heap, h, pages_for_mb, sharded_cluster, standard_migrator, TableWriter,
 };
@@ -31,9 +33,9 @@ use crate::support::{
 pub const HOSTS: usize = 6;
 /// FS shards exporting `/` (and thus striping checkpoint images).
 pub const FS_SHARDS: usize = 2;
-/// Default MTBF grid, seconds.
+/// The printed grid's MTBFs, seconds.
 pub const MTBFS_SECS: [u64; 4] = [30, 120, 600, 3600];
-/// Default process-image grid, megabytes of dirty heap.
+/// The printed grid's process images, megabytes of dirty heap.
 pub const IMAGE_MBS: [f64; 3] = [0.25, 1.0, 4.0];
 /// Useful work each arm must complete, seconds.
 pub const WORK_TARGET_SECS: u64 = 240;
@@ -42,7 +44,7 @@ pub const OWNER_RETURN_SECS: u64 = 60;
 /// Makespan cap as a multiple of the work target; an arm that cannot
 /// finish by then is censored at the cap (low-MTBF migration, typically).
 pub const CAP_FACTOR: u64 = 50;
-/// Default seed for the walk's crash jitter.
+/// The printed grid's seed for the walk's crash jitter.
 pub const SEED: u64 = 42;
 
 /// Mechanism costs measured on the real cluster, per image size.
@@ -298,37 +300,35 @@ pub fn cell(mtbf_secs: u64, image_mb: f64, seed: u64) -> F02Cell {
     }
 }
 
-/// Runs the whole grid, fanning cells over `jobs` workers and merging by
-/// canonical index — the result is identical for every `jobs` value.
-pub fn run_grid(mtbfs: &[u64], image_mbs: &[f64], seed: u64, jobs: usize) -> Vec<F02Cell> {
-    let cells: Vec<(u64, f64)> = image_mbs
+/// The grid's `(mtbf, image_mb)` cells, image-major.
+fn grid(mtbfs: &[u64], image_mbs: &[f64]) -> Vec<(u64, f64)> {
+    image_mbs
         .iter()
         .flat_map(|&mb| mtbfs.iter().map(move |&m| (m, mb)))
-        .collect();
-    let workers = jobs.max(1).min(cells.len().max(1));
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<F02Cell>>> =
-        cells.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&(mtbf, mb)) = cells.get(i) else {
-                    break;
-                };
-                let out = cell(mtbf, mb, seed);
-                *slots[i].lock().expect("f02 slot poisoned") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("f02 slot poisoned")
-                .expect("f02 cell not driven")
-        })
         .collect()
+}
+
+/// Runs the whole grid serially, in the order the table prints it.
+pub fn run_grid(mtbfs: &[u64], image_mbs: &[f64], seed: u64) -> Vec<F02Cell> {
+    grid(mtbfs, image_mbs)
+        .into_iter()
+        .map(|(mtbf, mb)| cell(mtbf, mb, seed))
+        .collect()
+}
+
+/// F2 as a runner experiment: one unit per grid cell, rendered with the
+/// crossover summary.
+pub fn experiment(mtbfs: &[u64], image_mbs: &[f64], seed: u64) -> Experiment {
+    let units = grid(mtbfs, image_mbs)
+        .into_iter()
+        .map(|(mtbf, mb)| (10, move || cell(mtbf, mb, seed)));
+    let image_mbs = image_mbs.to_vec();
+    Experiment::new(
+        "f02",
+        "checkpoint/restart vs live migration crossover",
+        units,
+        move |cells: Vec<F02Cell>| Report::table(render(&cells, &image_mbs, seed)),
+    )
 }
 
 /// Per image size, the smallest swept MTBF at which live migration wins
@@ -430,17 +430,8 @@ mod tests {
     }
 
     #[test]
-    fn grid_is_jobs_invariant() {
-        let mtbfs = [30, 600];
-        let mbs = [0.25];
-        let serial = run_grid(&mtbfs, &mbs, SEED, 1);
-        let fanned = run_grid(&mtbfs, &mbs, SEED, 4);
-        assert_eq!(serial, fanned);
-    }
-
-    #[test]
     fn every_image_size_has_a_crossover_in_the_default_grid() {
-        let cells = run_grid(&MTBFS_SECS, &IMAGE_MBS, SEED, 4);
+        let cells = run_grid(&MTBFS_SECS, &IMAGE_MBS, SEED);
         for (mb, cross) in crossovers(&cells, &IMAGE_MBS) {
             assert!(
                 cross.is_some(),

@@ -13,21 +13,22 @@
 //! the generational PCB/stream slabs, the interned path table and the
 //! deterministic hash maps hard enough that their occupancy counters mean
 //! something. The table reports those data-plane counters next to the
-//! workload results; `experiments --macro --json` records them in the
+//! workload results; `experiments --json` records them in the
 //! `macrobench` block of `BENCH_experiments.json`.
 //!
-//! Not part of the suite: the table prints after it only under
-//! `--macro`. The gate run's stdout, `experiments_output.txt`, pins it
-//! byte for byte.
+//! The id `m01` is in the default set, after the 19 tables, so
+//! `experiments_output.txt` pins the table byte for byte.
 
+use sprite_fs::SpritePath;
 use sprite_hostsel::{AvailabilityPolicy, GossipDissemination, HostSelector};
 use sprite_pmake::{prepare_sources, run_build, Action, DepGraph, PmakeConfig};
 use sprite_sim::{DetRng, SimDuration};
 use sprite_workloads::simulation_batch;
 
 use crate::experiments::e11;
+use crate::runner::{hash_probes_total, Experiment, Report};
 use crate::support::{
-    h, secs, sharded_cluster, standard_migrator, warmed_sharded_selector, TableWriter,
+    h, secs, sharded_cluster, standard_migrator, warmed_sharded_selector, JsonObject, TableWriter,
 };
 
 /// Hosts in the macrobench cluster (the thesis cluster was ~50).
@@ -295,6 +296,67 @@ pub fn render(r: &MacroReport) -> String {
     t.note("high-water mark, not the process count; stale lookups must stay 0;");
     t.note("rpc totals equal the raw NetStats counters (every byte is typed)");
     t.render()
+}
+
+/// M1 as a runner experiment: one unit running both workloads. The merge
+/// also records the process-wide interned-path and hash-probe counts.
+pub fn experiment() -> Experiment {
+    Experiment::new(
+        "m01",
+        "cluster-scale data-plane macrobench",
+        [(10_000, run)],
+        |mut reports: Vec<MacroReport>| report(&reports.pop().expect("the unit ran")),
+    )
+}
+
+fn report(r: &MacroReport) -> Report {
+    let json = JsonObject::new()
+        .text("id", "m01")
+        .text(
+            "description",
+            "cluster-scale data-plane macrobench (month + 100 simulations)",
+        )
+        .num("hosts", r.hosts)
+        .num("proc_slab_high_water", r.proc_slab_high_water)
+        .num("stream_slab_high_water", r.stream_slab_high_water)
+        .num("stale_handle_lookups", r.stale_handle_lookups)
+        .num("interned_paths", SpritePath::interned_count())
+        .num("hash_probes", hash_probes_total())
+        .num("rpc_total_messages", r.rpc.total_messages())
+        .num("rpc_total_bytes", r.rpc.total_bytes())
+        .num("net_messages", r.net_messages)
+        .num("net_bytes", r.net_bytes)
+        .num("hostsel_requests", r.hostsel_requests)
+        .num(
+            "hostsel_select_mean_ms",
+            format!("{:.3}", r.hostsel_select_mean_ms),
+        )
+        .num("hostsel_bytes", r.hostsel_bytes)
+        .num("fs_shards", r.fs_shards)
+        .num("fs_replica_hits", r.fs_replica_hits)
+        .num(
+            "fs_server_busy_max_seconds",
+            format!("{:.3}", r.fs_server_busy_max.as_secs_f64()),
+        )
+        .rows(
+            "rpc_table",
+            r.rpc.rows().map(|(op, row)| {
+                JsonObject::new()
+                    .text("op", op.label())
+                    .num("calls", row.calls)
+                    .num("messages", row.messages)
+                    .num("bytes", row.bytes)
+                    .num("mean_rtt_ms", format!("{:.3}", row.rtt.mean() * 1e3))
+            }),
+        );
+    Report {
+        json: Some(("macrobench", json)),
+        stderr: vec![format!(
+            "[counters] m01 slabs: pcb high-water {}, stream high-water {}, stale lookups {}",
+            r.proc_slab_high_water, r.stream_slab_high_water, r.stale_handle_lookups
+        )],
+        ..Report::table(render(r))
+    }
 }
 
 #[cfg(test)]

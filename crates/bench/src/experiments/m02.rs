@@ -16,9 +16,9 @@
 //! *dependent* facts (per-shard effort, cross-shard message counts,
 //! barrier-stall time, wall seconds) go to stderr and the JSON sidecar.
 //!
-//! Like m01, this is not part of the default suite: it prints only when
-//! `--m02[=HOSTS:DAYS]` is requested, so the golden stdout of a plain run
-//! is untouched.
+//! Unlike m01, this is not in the default set: it prints only when the id
+//! `m02[=HOSTS:DAYS]` is named, after the default set's blocks, so the
+//! golden stdout of a plain run is untouched.
 
 use std::time::Instant;
 
@@ -29,7 +29,8 @@ use sprite_sim::{
     WorkerCounters,
 };
 
-use crate::support::TableWriter;
+use crate::runner::{Experiment, Report};
+use crate::support::{JsonObject, TableWriter};
 
 /// Hosts in the full m02 cluster.
 pub const FULL_HOSTS: u32 = 5_000;
@@ -266,6 +267,133 @@ pub fn worker_split(w: &WorkerCounters) -> String {
         w.merge_ns as f64 / 1e9,
         w.stall_ns as f64 / 1e9
     )
+}
+
+/// M2 as a runner experiment: one unit driving `params` serially and then
+/// on `shards` shards. It fails when the two digest streams differ.
+pub fn experiment(params: M02Params, shards: usize) -> Experiment {
+    Experiment::single(
+        "m02",
+        "partitioned-parallel determinism macrobench",
+        u64::from(params.hosts) * params.days,
+        move || report(&run(params, shards)),
+    )
+}
+
+fn report(r: &M02Report) -> Report {
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let (serial, sharded) = (&r.serial, &r.sharded);
+    let speedup = serial.wall_seconds / sharded.wall_seconds.max(1e-9);
+    let days = r.params.days as f64;
+    let stall_seconds = total_stall_ns(sharded) as f64 / 1e9;
+    let mut stderr = vec![
+        format!(
+            "[timing] m02: serial {:.2}s, sharded {:.2}s ({} shards on {} workers, {cores} cores), speedup {speedup:.2}x",
+            serial.wall_seconds, sharded.wall_seconds, sharded.shards, sharded.workers,
+        ),
+        format!(
+            "[timing] m02: wall per simulated day: serial {:.3}s, sharded {:.3}s; \
+             serial {:.0} ns and {:.2} key comparisons per event",
+            serial.wall_seconds / days,
+            sharded.wall_seconds / days,
+            serial.ns_per_event(),
+            serial.keys_compared_per_event(),
+        ),
+        format!(
+            "[counters] m02: {} cross-shard of {} messages, barrier stall {stall_seconds:.3}s across {} workers ({})",
+            sharded.cross_messages,
+            sharded.messages,
+            sharded.workers,
+            sharded.worker_stalls.iter().map(worker_split).collect::<Vec<_>>().join(", "),
+        ),
+    ];
+    stderr.extend(sharded.shard_counters.iter().map(|s| {
+        format!(
+            "[counters] m02 shard {}: {} cells, {} events, {} timers, {} sent, {} in",
+            s.shard, s.cells, s.events, s.timers_set, s.messages_sent, s.messages_in
+        )
+    }));
+    let json = JsonObject::new()
+        .text(
+            "description",
+            "partitioned-parallel determinism macrobench (sharded month)",
+        )
+        .num("hosts", r.params.hosts)
+        .num("days", r.params.days)
+        .num("seed", FULL_SEED)
+        .num("shards", sharded.shards)
+        .num("workers", sharded.workers)
+        .num("cores", cores)
+        .num("serial_wall_seconds", format!("{:.3}", serial.wall_seconds))
+        .num(
+            "sharded_wall_seconds",
+            format!("{:.3}", sharded.wall_seconds),
+        )
+        .num(
+            "serial_wall_per_sim_day_seconds",
+            format!("{:.4}", serial.wall_seconds / days),
+        )
+        .num(
+            "sharded_wall_per_sim_day_seconds",
+            format!("{:.4}", sharded.wall_seconds / days),
+        )
+        .num("speedup", format!("{speedup:.3}"))
+        .num(
+            "serial_ns_per_event",
+            format!("{:.1}", serial.ns_per_event()),
+        )
+        .num(
+            "serial_keys_compared_per_event",
+            format!("{:.3}", serial.keys_compared_per_event()),
+        )
+        .num("windows", serial.windows)
+        .num("events", serial.events)
+        .num("messages", serial.messages)
+        .num("cross_shard_messages", sharded.cross_messages)
+        .num("barrier_stall_seconds", format!("{stall_seconds:.3}"))
+        .num("jobs_spawned", serial.jobs.spawned)
+        .num("jobs_completed", serial.jobs.completed)
+        .num("jobs_migrated", serial.jobs.migrated)
+        .num("jobs_evicted", serial.jobs.evicted)
+        .num("digest_checkpoints", serial.audit.len())
+        .text(
+            "digest_stream",
+            &format!("{:016x}", stream_digest(&serial.audit)),
+        )
+        .num("digest_match", r.digest_match)
+        .rows(
+            "shard_counters",
+            sharded.shard_counters.iter().map(|s| {
+                JsonObject::new()
+                    .num("shard", s.shard)
+                    .num("cells", s.cells)
+                    .num("events", s.events)
+                    .num("timers_set", s.timers_set)
+                    .num("messages_sent", s.messages_sent)
+                    .num("messages_in", s.messages_in)
+            }),
+        )
+        .rows(
+            "worker_stalls",
+            sharded.worker_stalls.iter().map(|w| {
+                JsonObject::new()
+                    .num("worker", w.worker)
+                    .num("execute_ns", w.execute_ns)
+                    .num("merge_ns", w.merge_ns)
+                    .num("stall_ns", w.stall_ns)
+            }),
+        );
+    let tag = format!(
+        "m02: {} digest checkpoints, serial vs sharded",
+        serial.audit.len()
+    );
+    Report {
+        blocks: vec![(render(r), Some(tag))],
+        json: Some(("m02", json)),
+        stderr,
+        failure: (!r.digest_match)
+            .then(|| "sharded digest stream diverged from serial".to_string()),
+    }
 }
 
 #[cfg(test)]

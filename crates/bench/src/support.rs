@@ -256,6 +256,100 @@ pub fn fault_table_text(title: &str, table: &sprite_net::FaultStats) -> String {
     t.render()
 }
 
+/// A JSON object written field by field, as [`TableWriter`] writes a
+/// table: `experiments --json` writes its document and every experiment's
+/// block through it. Numbers and booleans go in already formatted.
+#[derive(Debug, Clone, Default)]
+pub struct JsonObject(Vec<(String, JsonValue)>);
+
+#[derive(Debug, Clone)]
+enum JsonValue {
+    Raw(String),
+    Object(JsonObject),
+    Rows(Vec<JsonObject>),
+}
+
+impl JsonObject {
+    /// An empty object.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds a number or boolean, written as its `Display` text.
+    pub fn num(mut self, key: &str, value: impl std::fmt::Display) -> Self {
+        self.0.push((key.into(), JsonValue::Raw(value.to_string())));
+        self
+    }
+
+    /// Adds a string, quoted and escaped.
+    pub fn text(self, key: &str, value: &str) -> Self {
+        self.num(key, json_string(value))
+    }
+
+    /// Adds a nested object, written over several lines.
+    pub fn object(mut self, key: &str, value: JsonObject) -> Self {
+        self.0.push((key.into(), JsonValue::Object(value)));
+        self
+    }
+
+    /// Adds an array of objects, written one object per line.
+    pub fn rows(mut self, key: &str, rows: impl IntoIterator<Item = JsonObject>) -> Self {
+        self.0
+            .push((key.into(), JsonValue::Rows(rows.into_iter().collect())));
+        self
+    }
+
+    /// The object over several lines, each nesting level indented two more
+    /// spaces; the objects of an array print one per line.
+    pub fn render(&self) -> String {
+        self.render_at(Some(0))
+    }
+
+    /// The object at `indent`, or on one line when `indent` is `None`.
+    fn render_at(&self, indent: Option<usize>) -> String {
+        // Joins `items` on one line, or one per line `depth` levels in.
+        let lines = |items: Vec<String>, depth: usize, open: &str, close: &str| match indent {
+            Some(i) if !items.is_empty() => {
+                let pad = " ".repeat(i + depth);
+                let items = items.join(&format!(",\n{pad}"));
+                format!("{open}\n{pad}{items}\n{}{close}", " ".repeat(i + depth - 2))
+            }
+            _ => format!("{open}{}{close}", items.join(", ")),
+        };
+        let fields = self.0.iter().map(|(key, value)| {
+            let value = match value {
+                JsonValue::Raw(text) => text.clone(),
+                JsonValue::Object(object) => object.render_at(indent.map(|i| i + 2)),
+                JsonValue::Rows(rows) => lines(
+                    rows.iter().map(|row| row.render_at(None)).collect(),
+                    4,
+                    "[",
+                    "]",
+                ),
+            };
+            format!("{}: {value}", json_string(key))
+        });
+        lines(fields.collect(), 2, "{", "}")
+    }
+}
+
+/// `s` as a quoted JSON string.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Formats a duration in milliseconds with two decimals.
 pub fn ms(d: SimDuration) -> String {
     format!("{:.2}", d.as_millis_f64())
@@ -280,6 +374,19 @@ mod tests {
         assert!(s.contains("## demo"));
         assert!(s.contains("note: a note"));
         assert!(s.lines().count() >= 6);
+    }
+
+    #[test]
+    fn json_object_nests_blocks_and_rows() {
+        let doc = JsonObject::new()
+            .num("jobs", 1)
+            .rows("rows", [JsonObject::new().text("id", "a\"b").num("n", 2)])
+            .object("block", JsonObject::new().num("ok", true).rows("none", []));
+        assert_eq!(
+            doc.render(),
+            "{\n  \"jobs\": 1,\n  \"rows\": [\n    {\"id\": \"a\\\"b\", \"n\": 2}\n  ],\n  \
+             \"block\": {\n    \"ok\": true,\n    \"none\": []\n  }\n}"
+        );
     }
 
     #[test]

@@ -6,13 +6,14 @@
 //! Three layers are swept:
 //!
 //! 1. the E10 decentralization sweep (central vs sharded vs gossip), whose
-//!    cells fan out over worker threads and merge by canonical index;
+//!    cells run as separate runner units and merge by canonical index;
 //! 2. the E11 month driven through [`GossipDissemination`] — the m01
 //!    macrobench's placement path — with the engine's audit hook armed;
 //! 3. the partitioned `HostCell` cluster, whose `HostMsg::Gossip` batches
 //!    must not perturb the sharded engine's digest stream.
 
 use sprite_bench::experiments::{e10, e11};
+use sprite_bench::runner::{render_suite, run_suite};
 use sprite_hostsel::{AvailabilityPolicy, GossipDissemination, HostSelector};
 use sprite_kernel::{build_cluster_cells, HostCellStats};
 use sprite_sim::{Checkpoint, DetRng, ShardedEngine, SimDuration, SimTime};
@@ -25,15 +26,19 @@ const SEEDS: [u64; 10] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89];
 #[test]
 fn e10_sweep_stdout_is_jobs_invariant_for_every_seed() {
     let d = SimDuration::from_secs(300);
-    // Two harness workers, each unit itself fanning out over 4 jobs: the
-    // invariance claim is tested under a busier thread schedule than a
-    // plain serial loop would give it.
+    // Two harness workers, each running its seed's sweep through the runner
+    // on 4 jobs: the invariance claim is tested under a busier thread
+    // schedule than a plain serial loop would give it.
     common::sweep(&SEEDS, 2, |&seed| {
-        let serial = e10::run_sweep(&[40], d, seed, 1);
-        let parallel = e10::run_sweep(&[40], d, seed, 4);
+        let stdout = |jobs| {
+            render_suite(&run_suite(
+                vec![e10::sweep_experiment(&[40], d, seed)],
+                jobs,
+            ))
+        };
         assert_eq!(
-            e10::render_sweep(&serial),
-            e10::render_sweep(&parallel),
+            stdout(1),
+            stdout(4),
             "seed {seed}: sweep table diverged between 1 and 4 jobs"
         );
     });

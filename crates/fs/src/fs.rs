@@ -1281,8 +1281,8 @@ impl SpriteFs {
     /// and the server stores the frames themselves once it succeeds, so no
     /// bytes are copied and a failed run stores nothing. Checkpoint
     /// streams are sequential bulk the client never re-reads, so they
-    /// bypass the client cache; the op is typed so `--rpc-table` breaks
-    /// checkpoint traffic out from regular file writes.
+    /// bypass the client cache; the op is typed so the per-op RPC tables
+    /// break checkpoint traffic out from regular file writes.
     ///
     /// # Panics
     ///

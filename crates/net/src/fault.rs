@@ -381,8 +381,8 @@ impl Partition {
     }
 }
 
-/// The fault policy behind `experiments --faults seed:rate` and the chaos
-/// suite: random message loss at `rate`, plus optional partition windows
+/// The fault policy behind the F1 fault sweep of `experiments` and the
+/// chaos suite: random message loss at `rate`, plus optional partition windows
 /// and fail-stop host crashes. Checked in severity order — a crashed peer
 /// reads as crashed even during a partition. At `rate` 0 with no windows
 /// or crashes it delivers everything, so timing is identical to

@@ -57,21 +57,6 @@ impl HostPartition {
         host.index() % self.nshards
     }
 
-    /// Whether two hosts execute on the same shard (their interactions
-    /// still cross a barrier — co-residence only affects effort, never
-    /// order).
-    pub fn colocated(&self, a: HostId, b: HostId) -> bool {
-        self.shard_of(a) == self.shard_of(b)
-    }
-
-    /// The hosts assigned to `shard`, in ascending ID order.
-    pub fn hosts_of(&self, shard: usize) -> impl Iterator<Item = HostId> + '_ {
-        assert!(shard < self.nshards, "shard {shard} out of range");
-        (shard..self.nhosts as usize)
-            .step_by(self.nshards)
-            .map(|i| HostId::new(i as u32))
-    }
-
     /// Hosts on each shard: `sizes()[s]` is shard `s`'s cell count. Shards
     /// differ by at most one host.
     pub fn sizes(&self) -> Vec<usize> {
@@ -105,33 +90,14 @@ mod tests {
     }
 
     #[test]
-    fn hosts_of_partitions_the_cluster() {
-        let p = HostPartition::new(10, 3);
-        let mut seen = Vec::new();
-        for s in 0..p.nshards() {
-            for h in p.hosts_of(s) {
-                assert_eq!(p.shard_of(h), s);
-                seen.push(h.index());
-            }
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn sizes_are_balanced() {
         let p = HostPartition::new(10, 4);
         let sizes = p.sizes();
         assert_eq!(sizes.iter().sum::<usize>(), 10);
         assert!(sizes.iter().all(|&s| s == 2 || s == 3));
-        let counted: Vec<usize> = (0..4).map(|s| p.hosts_of(s).count()).collect();
+        let counted: Vec<usize> = (0..4)
+            .map(|s| (0..10).filter(|&i| p.shard_of(HostId::new(i)) == s).count())
+            .collect();
         assert_eq!(sizes, counted);
-    }
-
-    #[test]
-    fn colocated_is_shard_equality() {
-        let p = HostPartition::new(8, 2);
-        assert!(p.colocated(HostId::new(0), HostId::new(2)));
-        assert!(!p.colocated(HostId::new(0), HostId::new(3)));
     }
 }

@@ -1337,8 +1337,9 @@ mod tests {
     /// The zero-fault regression gate: a [`FaultPlan`] with rate 0 must
     /// charge completion times identical to [`Ideal`] for every op, record
     /// zero fault events, and keep identical traffic counters — which is
-    /// what keeps the golden `experiments_output.txt` byte-stable under
-    /// `--faults SEED:0`.
+    /// what holds F1's rate-0 row (line 415 of the golden
+    /// `experiments_output.txt`), the drive `f01::run` makes under
+    /// `FaultPlan::new(seed, 0.0)`.
     #[test]
     fn drop_policy_at_rate_zero_matches_ideal_per_op() {
         let starts = [

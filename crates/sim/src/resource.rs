@@ -77,13 +77,6 @@ impl FcfsResource {
         }
         (self.busy_time.as_secs_f64() / now.as_secs_f64()).clamp(0.0, 1.0)
     }
-
-    /// Forgets accumulated accounting but keeps the busy horizon; used when a
-    /// measurement phase starts after warm-up.
-    pub fn reset_accounting(&mut self) {
-        self.busy_time = SimDuration::ZERO;
-        self.requests = 0;
-    }
 }
 
 /// A serial resource whose schedule is an explicit busy-interval calendar:
@@ -239,13 +232,6 @@ impl SlottedResource {
     pub fn requests(&self) -> u64 {
         self.requests
     }
-
-    /// Forgets accumulated accounting but keeps the schedule; used when a
-    /// measurement phase starts after warm-up.
-    pub fn reset_accounting(&mut self) {
-        self.busy_time = SimDuration::ZERO;
-        self.requests = 0;
-    }
 }
 
 #[cfg(test)]
@@ -295,16 +281,6 @@ mod tests {
         let u = r.utilization(SimTime::from_micros(4_000_000));
         assert!((u - 0.25).abs() < 1e-9);
         assert_eq!(r.utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn reset_accounting_keeps_horizon() {
-        let mut r = FcfsResource::new();
-        r.acquire(SimTime::ZERO, SimDuration::from_secs(2));
-        r.reset_accounting();
-        assert_eq!(r.busy_time(), SimDuration::ZERO);
-        assert_eq!(r.requests(), 0);
-        assert_eq!(r.busy_until(), SimTime::from_micros(2_000_000));
     }
 
     fn t(us: u64) -> SimTime {

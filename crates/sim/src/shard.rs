@@ -151,11 +151,6 @@ impl<M> CellCtx<'_, M> {
         self.queue.push(at.as_micros(), ev, self.counters);
     }
 
-    /// Arms a timer on this cell `delay` from now.
-    pub fn timer_in(&mut self, delay: SimDuration, token: u64) {
-        self.timer_at(self.now + delay, token);
-    }
-
     /// Sends `msg` to cell `to` with the minimum (lookahead) latency; it is
     /// delivered at `now + lookahead`, i.e. in the next barrier window.
     pub fn send(&mut self, to: CellId, msg: M) {
@@ -1046,12 +1041,12 @@ mod tests {
         }
         impl Cell for Tick {
             type Msg = u64;
-            fn on_timer(&mut self, _now: SimTime, token: u64, ctx: &mut CellCtx<'_, u64>) {
+            fn on_timer(&mut self, now: SimTime, token: u64, ctx: &mut CellCtx<'_, u64>) {
                 self.ticks += 1;
                 if (self.ticks + u64::from(self.id)).is_multiple_of(4) {
                     ctx.send((self.id + 1) % self.n, self.ticks);
                 }
-                ctx.timer_in(SimDuration::from_micros(MINUTE_US), token);
+                ctx.timer_at(now + SimDuration::from_micros(MINUTE_US), token);
             }
             fn on_message(&mut self, _n: SimTime, _f: CellId, _m: u64, _c: &mut CellCtx<'_, u64>) {
                 self.received += 1;

@@ -231,14 +231,6 @@ impl Samples {
         }
     }
 
-    /// Fraction of observations strictly below `threshold`.
-    pub fn fraction_below(&self, threshold: f64) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values.iter().filter(|&&v| v < threshold).count() as f64 / self.values.len() as f64
-    }
-
     /// A read-only view of the raw observations (unspecified order).
     pub fn values(&self) -> &[f64] {
         &self.values
@@ -448,18 +440,7 @@ mod tests {
         let mut s = Samples::new();
         assert_eq!(s.percentile(50.0), 0.0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.fraction_below(1.0), 0.0);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn fraction_below_counts_strictly() {
-        let mut s = Samples::new();
-        for x in [1.0, 2.0, 2.0, 3.0] {
-            s.record(x);
-        }
-        assert_eq!(s.fraction_below(2.0), 0.25);
-        assert_eq!(s.fraction_below(10.0), 1.0);
     }
 
     #[test]

@@ -53,12 +53,6 @@ impl SimDuration {
         }
     }
 
-    /// Creates a duration from fractional milliseconds, rounding to the
-    /// nearest microsecond. Negative values saturate to zero.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1e3)
-    }
-
     /// The duration in whole microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -287,7 +281,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(2), SimDuration::from_millis(2_000));
         assert_eq!(SimDuration::from_millis(3), SimDuration::from_micros(3_000));
         assert_eq!(SimDuration::from_secs_f64(0.5).as_micros(), 500_000);
-        assert_eq!(SimDuration::from_millis_f64(1.5).as_micros(), 1_500);
     }
 
     #[test]
@@ -304,7 +297,7 @@ mod tests {
         assert_eq!(b.saturating_sub(a), SimDuration::ZERO);
         assert_eq!(a * 3, SimDuration::from_millis(15));
         assert_eq!(a / 5, SimDuration::from_millis(1));
-        assert_eq!(a * 0.5, SimDuration::from_millis_f64(2.5));
+        assert_eq!(a * 0.5, SimDuration::from_micros(2_500));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! This module is the `CkptStrategy` seam beside [`VmStrategy`]: the same
 //! shape as [`transfer`] (a strategy enum, a report, pure functions over
 //! `AddressSpace` + `SpriteFs` + `Transport`), with the image traffic
-//! typed as [`RpcOp::CkptWrite`]/[`RpcOp::CkptRestore`] so `--rpc-table`
-//! accounts for it separately from regular file I/O.
+//! typed as [`RpcOp::CkptWrite`]/[`RpcOp::CkptRestore`] so the per-op RPC
+//! tables account for it separately from regular file I/O.
 //!
 //! The image is self-contained *in the simulated file system*, laid out
 //! in whole 4 KB blocks, like CRIU's `pagemap` index beside its

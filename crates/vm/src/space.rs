@@ -424,11 +424,6 @@ impl AddressSpace {
             .sum()
     }
 
-    /// Resident bytes (what a monolithic transfer must move).
-    pub fn resident_bytes(&self) -> u64 {
-        self.resident_pages() * PAGE_SIZE
-    }
-
     /// Ensures the page containing `addr` is resident, paying fault costs.
     fn fault_in(
         &mut self,
@@ -1277,6 +1272,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.resident_pages(), 2);
-        assert_eq!(s.resident_bytes(), 2 * PAGE_SIZE);
     }
 }

@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Benchmark regression gate: `scripts/bench_check.sh`, all offline.
 #
-#   1. stdout of the gate run, `experiments --jobs 1 --macro --faults 42:0.1
-#      --audit --f02`, is experiments_output.txt byte for byte: the suite,
-#      then the M1, F1, per-op fault, audit and F2 blocks, so every simulated
-#      number is pinned exactly (timing never touches stdout); the same run
-#      at --jobs 4 prints the same bytes (runner determinism contract);
+#   1. stdout of the default set, `experiments --jobs 1`, is
+#      experiments_output.txt byte for byte: the 19 tables, then the M1,
+#      F1, per-op fault, audit and F2 blocks, so every simulated number is
+#      pinned exactly (timing never touches stdout); the same run at
+#      --jobs 4 prints the same bytes (runner determinism contract);
 #   2. the m02 sharded drive prints the same bytes at --shards 1 and 4;
-#   3. two host-time numbers stay within 1.25x of a baseline: the gate
-#      run's total_wall_seconds against BENCH_experiments.json, and the m02
+#   3. two host-time numbers stay within 1.25x of a baseline: the default
+#      set's total_wall_seconds against BENCH_experiments.json, and the m02
 #      drive's serial ns per event against a constant below.
 #
 # A run that exits non-zero (the audit or m02 saw digest streams diverge,
@@ -19,7 +19,6 @@ cd "$(dirname "$0")/.."
 
 factor=1.25
 bin="$PWD/target/release/experiments"
-gate_flags=(--macro --faults 42:0.1 --audit --f02)
 
 echo "==> cargo build --release -p sprite-bench"
 cargo build --release -p sprite-bench
@@ -73,18 +72,18 @@ json_number() {
     sed -n "s/.*\"$1\": \([0-9.]*\).*/\1/p" "$2" | head -1
 }
 
-regen="cargo run -p sprite-bench --release --bin experiments -- --jobs 1 ${gate_flags[*]} > experiments_output.txt"
-run gate --jobs 1 "${gate_flags[@]}" --json
+regen="cargo run -p sprite-bench --release --bin experiments -- --jobs 1 > experiments_output.txt"
+run gate --jobs 1 --json
 same experiments_output.txt "$tmp/gate/out.txt" \
-    "gate run stdout diverged from experiments_output.txt; if the change is deliberate, regenerate it with \`$regen\` and explain every moved line"
-run gate4 --jobs 4 "${gate_flags[@]}"
+    "default-set stdout diverged from experiments_output.txt; if the change is deliberate, regenerate it with \`$regen\` and explain every moved line"
+run gate4 --jobs 4
 same experiments_output.txt "$tmp/gate4/out.txt" "--jobs 4 stdout diverged from the --jobs 1 golden"
 
 # The m02 drive compares its serial and sharded digest streams in-process
 # and exits 1 on divergence; its stdout prints only partition-invariant
 # facts, so the bytes must also match across --shards values.
-run m1 e01 --m02=2000:3 --shards 1
-run m4 e01 --m02=2000:3 --shards 4 --json
+run m1 m02=2000:3 --shards 1
+run m4 m02=2000:3 --shards 4 --json
 same "$tmp/m1/out.txt" "$tmp/m4/out.txt" "m02 stdout diverged between --shards 1 and --shards 4"
 if ! grep -q 'sharded stream identical  *yes' "$tmp/m4/out.txt"; then
     echo "FAIL: m02 table does not report an identical sharded stream" >&2
@@ -93,15 +92,15 @@ fi
 
 echo "==> host time vs baselines"
 # The engine's host cost per event in the serial (1 shard, 1 worker) pass
-# of the --m02=2000:3 drive above. The baseline is the slowest of 12 runs
-# of this same drive (`e01 --m02=2000:3 --shards 4 --json`, unpinned) on a
-# 2-vCPU VM, which read 88.8-110.5 ns per event, median 100.0. Runs of one
+# of the m02=2000:3 drive above. The baseline is the slowest of 12 runs of
+# this same drive (`m02=2000:3 --shards 4 --json`, unpinned) on a 2-vCPU
+# VM, which read 88.8-110.5 ns per event, median 100.0. Runs of one
 # build spread ~25%, so with the factor a per-event slowdown of about 1.5x
 # fails the gate and a smaller one can pass. The full 5000-host month in
 # BENCH_experiments.json runs ~40% more ns per event (a larger working
 # set), so it is recorded there but not compared with this run.
 within "m02 serial ns/event" "$(json_number serial_ns_per_event "$tmp/m4/BENCH_experiments.json")" 110.5
-within "suite total_wall_seconds" "$(json_number total_wall_seconds "$tmp/gate/BENCH_experiments.json")" \
+within "default set total_wall_seconds" "$(json_number total_wall_seconds "$tmp/gate/BENCH_experiments.json")" \
     "$(json_number total_wall_seconds BENCH_experiments.json)"
 
 echo "==> bench check OK"

@@ -1,7 +1,7 @@
 //! The replay auditor's foundation: cluster state digests.
 //!
 //! Two runs of the same seeded scenario must produce identical digest
-//! streams — that equivalence is what `experiments --audit` checks across
+//! streams — that equivalence is what the `audit` experiment checks across
 //! `--jobs` values. These tests pin the seam itself: digests are
 //! reproducible, sensitive to every layer of state they cover (kernel,
 //! network, file system), and sampled deterministically by the engine's

@@ -2,9 +2,10 @@
 //! migration.
 //!
 //! Two claims are on the line. First, determinism: an F2 grid cell is a
-//! pure function of `(mtbf, image_mb, seed)`, so the grid — and the exact
-//! table bytes rendered from it — must be identical whether the cells run
-//! serially or fanned over four workers, and identical again on a rerun.
+//! pure function of `(mtbf, image_mb, seed)`, so the exact table bytes the
+//! experiment renders must be identical whether the runner executes its
+//! cells on one worker or on four, and the grid identical again on a
+//! rerun.
 //! Second, the crossover itself: on a flaky host (low MTBF) the bounded
 //! work loss of periodic checkpointing must beat live migration's
 //! lose-everything crash recovery, while on a reliable host migration's
@@ -14,6 +15,7 @@
 use sprite::migration::{preferred_mechanism, Mechanism};
 use sprite::sim::SimDuration;
 use sprite_bench::experiments::f02;
+use sprite_bench::runner::{render_suite, run_suite};
 
 mod common;
 
@@ -25,26 +27,28 @@ const MBS: [f64; 2] = [0.25, 1.0];
 fn f02_grid_is_byte_identical_serial_and_fanned_for_every_seed() {
     let seeds = [f02::SEED, 7, 19];
     common::sweep(&seeds, 3, |&seed| {
-        let serial = f02::run_grid(&MTBFS, &MBS, seed, 1);
-        let fanned = f02::run_grid(&MTBFS, &MBS, seed, 4);
+        let stdout =
+            |jobs| render_suite(&run_suite(vec![f02::experiment(&MTBFS, &MBS, seed)], jobs));
+        let serial = stdout(1);
         assert_eq!(
-            serial, fanned,
-            "seed {seed}: the cell stream diverged between jobs=1 and jobs=4"
+            serial,
+            stdout(4),
+            "seed {seed}: the printed grid diverged between jobs=1 and jobs=4"
         );
-        // The rendered table — the bytes the experiments binary prints —
-        // must agree too, crossover notes included.
-        assert_eq!(
-            f02::render(&serial, &MBS, seed),
-            f02::render(&fanned, &MBS, seed),
-            "seed {seed}: rendered tables diverged"
+        // The runner's cells are the serial grid's, crossover notes
+        // included.
+        let table = f02::render(&f02::run_grid(&MTBFS, &MBS, seed), &MBS, seed);
+        assert!(
+            serial.contains(&table),
+            "seed {seed}: the runner's table is not the serial grid's"
         );
     });
 }
 
 #[test]
 fn f02_reruns_are_byte_identical() {
-    let first = f02::run_grid(&MTBFS, &MBS, f02::SEED, 4);
-    let second = f02::run_grid(&MTBFS, &MBS, f02::SEED, 4);
+    let first = f02::run_grid(&MTBFS, &MBS, f02::SEED);
+    let second = f02::run_grid(&MTBFS, &MBS, f02::SEED);
     assert_eq!(first, second, "rerun of the same grid diverged");
 }
 
