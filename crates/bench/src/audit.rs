@@ -10,10 +10,14 @@
 //! checkpoint for checkpoint. A scheduling leak that happens to cancel out
 //! in the final tables cannot cancel out in every intermediate digest.
 //!
-//! On divergence the auditor bisects: it re-runs the offending replication
-//! pair at successively halved checkpoint intervals until the first
-//! disagreeing digest is bracketed by a one-event window, then names that
-//! window (`events (lo, hi]`, simulated time) in its report.
+//! On divergence the auditor replays the offending replication once more
+//! in-process. If the replay agrees with the serial stream, the divergence
+//! came from the unit's run alone, and the report names the first
+//! disagreeing checkpoint window of the streams in hand and says the replay
+//! did not reproduce it. Otherwise it bisects: it re-runs the replication
+//! at successively halved checkpoint intervals until the first disagreeing
+//! digest is bracketed by a one-event window, then names that window
+//! (`events (lo, hi]`, simulated time).
 
 use sprite_sim::{Checkpoint, SimTime};
 
@@ -62,6 +66,10 @@ pub struct Divergence {
     /// Simulated time of the first disagreeing checkpoint, if either
     /// stream still had one there.
     pub at: Option<SimTime>,
+    /// Whether an in-process replay of the replication disagreed with the
+    /// serial stream too (the window is then bisected). When it agreed,
+    /// only the unit's run diverged and the window is the original one.
+    pub reproduced: bool,
 }
 
 /// Outcome of a full audit: the per-replication streams collected by the
@@ -159,34 +167,39 @@ where
 }
 
 /// Checks the streams the runner's units collected against a serial
-/// in-process run of the same replications and, on mismatch, bisects the
-/// first divergent replication down to its tightest event window.
+/// in-process run of the same replications. On mismatch it replays the
+/// first divergent replication once in-process: a replay that agrees with
+/// the serial stream leaves the original window, and one that disagrees
+/// is bisected down to its tightest event window.
 fn check(drive: AuditDrive, streams: Vec<Vec<Checkpoint>>) -> AuditOutcome {
     let serial = collect_streams(drive);
     let divergence = streams
         .iter()
         .zip(&serial)
         .enumerate()
-        .find_map(|(rep, (t, s))| {
-            let idx = first_mismatch(t, s)? as u64;
+        .find_map(|(rep, (unit, serial))| {
+            let idx = first_mismatch(unit, serial)?;
+            let window = Divergence {
+                rep,
+                start_events: idx as u64 * drive.every,
+                end_events: (idx as u64 + 1) * drive.every,
+                at: unit.get(idx).or_else(|| serial.get(idx)).map(|cp| cp.at),
+                reproduced: false,
+            };
             let replay = |every| stream(drive, rep, every);
-            Some(match bisect_window(drive.every, replay, replay) {
-                Some((start, end, at)) => Divergence {
-                    rep,
-                    start_events: start,
-                    end_events: end,
-                    at,
-                },
-                // The in-process replay agrees with itself: the divergence
-                // came from cross-thread interference, not from the
-                // replication's own event stream. Report the coarse window
-                // of the original mismatch.
-                None => Divergence {
-                    rep,
-                    start_events: idx * drive.every,
-                    end_events: (idx + 1) * drive.every,
-                    at: None,
-                },
+            if first_mismatch(&replay(drive.every), serial).is_none() {
+                return Some(window);
+            }
+            // The replication diverges in-process too. If a bisection pass
+            // happens to agree, keep the original window.
+            let (start_events, end_events, at) = bisect_window(drive.every, replay, replay)
+                .unwrap_or((window.start_events, window.end_events, window.at));
+            Some(Divergence {
+                rep,
+                start_events,
+                end_events,
+                at,
+                reproduced: true,
             })
         });
     AuditOutcome {
@@ -237,6 +250,9 @@ pub fn render(outcome: &AuditOutcome) -> String {
             ));
             if let Some(at) = d.at {
                 out.push_str(&format!(" at t={}us", at.as_micros()));
+            }
+            if !d.reproduced {
+                out.push_str("; the in-process replay did not reproduce it");
             }
             out.push('\n');
         }
@@ -364,16 +380,46 @@ mod tests {
                 start_events: 137,
                 end_events: 138,
                 at: Some(SimTime::ZERO + SimDuration::from_secs(5)),
+                reproduced: true,
             }),
             ..outcome
         };
         let b = render(&diverged);
         assert!(b.contains("DIVERGENCE in replication 2"));
         assert!(b.contains("(137, 138]"));
-        assert!(b.contains("t=5000000us"));
+        assert!(b.contains("t=5000000us\n"));
         assert_eq!(
             report(&diverged).failure.as_deref(),
             Some("replication 2 diverged in event window (137, 138]")
         );
+    }
+
+    #[test]
+    fn a_divergence_the_replay_does_not_reproduce_keeps_its_window_and_time() {
+        let drive = AuditDrive {
+            hosts: 4,
+            days: 1,
+            seed: 41,
+            reps: 3,
+            every: 200,
+        };
+        let mut streams = collect_streams(drive);
+        streams[1][2].digest ^= 1;
+        let at = streams[1][2].at;
+        let outcome = check(drive, streams);
+        assert_eq!(
+            outcome.divergence,
+            Some(Divergence {
+                rep: 1,
+                start_events: 400,
+                end_events: 600,
+                at: Some(at),
+                reproduced: false,
+            })
+        );
+        assert!(render(&outcome).contains(&format!(
+            "(400, 600] at t={}us; the in-process replay did not reproduce it\n",
+            at.as_micros()
+        )));
     }
 }

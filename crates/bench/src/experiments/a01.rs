@@ -13,7 +13,9 @@ use sprite_pmake::{prepare_sources, run_build, DepGraph, PmakeConfig};
 use sprite_sim::{DetRng, SimDuration};
 use sprite_workloads::CompileWorkload;
 
-use crate::support::{cluster_with, h, secs, standard_migrator, warmed_selector, TableWriter};
+use crate::support::{
+    cluster_with, h, secs, server_busy, standard_migrator, warmed_selector, TableWriter,
+};
 
 /// One configuration's build measurement.
 #[derive(Debug, Clone)]
@@ -54,6 +56,7 @@ fn one(hosts: usize, name_caching: bool, seed: u64) -> NameCacheRow {
     );
     let t = prepare_sources(&mut cluster, &graph, h(1), t0).expect("prepare");
     cluster.fs.reset_stats();
+    let busy_before = server_busy(&cluster, h(0));
     let report = run_build(
         &mut cluster,
         &mut migrator,
@@ -65,14 +68,14 @@ fn one(hosts: usize, name_caching: bool, seed: u64) -> NameCacheRow {
     )
     .expect("build");
     let stats = cluster.fs.stats();
-    let server = cluster.fs.server(h(0)).expect("server");
+    let build_busy = server_busy(&cluster, h(0)) - busy_before;
     NameCacheRow {
         name_caching,
         hosts,
         makespan: report.makespan,
         lookups: stats.lookups,
         cache_hits: stats.name_cache_hits,
-        server_utilization: server.cpu.busy_time().as_secs_f64() / report.makespan.as_secs_f64(),
+        server_utilization: build_busy.as_secs_f64() / report.makespan.as_secs_f64(),
     }
 }
 

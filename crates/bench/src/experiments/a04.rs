@@ -13,7 +13,9 @@ use sprite_pmake::{prepare_sources, run_build, DepGraph, PmakeConfig};
 use sprite_sim::{DetRng, SimDuration};
 use sprite_workloads::CompileWorkload;
 
-use crate::support::{h, secs, standard_cluster, standard_migrator, warmed_selector, TableWriter};
+use crate::support::{
+    h, secs, server_busy, standard_cluster, standard_migrator, warmed_selector, TableWriter,
+};
 
 /// One topology's measurement.
 #[derive(Debug, Clone)]
@@ -49,6 +51,8 @@ fn one(split_swap: bool, hosts: usize, seed: u64) -> ServerSplitRow {
         &mut DetRng::seed_from(seed),
     );
     let t = prepare_sources(&mut cluster, &graph, h(1), t0).expect("prepare");
+    let root_before = server_busy(&cluster, h(0));
+    let swap_before = server_busy(&cluster, swap_server);
     let report = run_build(
         &mut cluster,
         &mut migrator,
@@ -59,14 +63,9 @@ fn one(split_swap: bool, hosts: usize, seed: u64) -> ServerSplitRow {
         t,
     )
     .expect("build");
-    let root = cluster.fs.server(h(0)).expect("root server");
-    let root_util = root.cpu.busy_time().as_secs_f64() / report.makespan.as_secs_f64();
-    let swap_util = if split_swap {
-        let swap = cluster.fs.server(swap_server).expect("swap server");
-        swap.cpu.busy_time().as_secs_f64() / report.makespan.as_secs_f64()
-    } else {
-        0.0
-    };
+    let util = |busy: SimDuration| busy.as_secs_f64() / report.makespan.as_secs_f64();
+    let root_util = util(server_busy(&cluster, h(0)) - root_before);
+    let swap_util = util(server_busy(&cluster, swap_server) - swap_before);
     ServerSplitRow {
         topology: if split_swap {
             "root + swap server"

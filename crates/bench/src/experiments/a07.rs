@@ -81,7 +81,7 @@ pub fn run(foreign_jobs: usize) -> Vec<AutonomyRow> {
             let mean = responses.iter().copied().sum::<SimDuration>() / responses.len() as u64;
             (mean, responses.into_iter().max().unwrap())
         } else {
-            // Guests stay and the CPU round-robins (our FCFS resource
+            // Guests stay and the CPU round-robins (the CPU calendar
             // cannot preempt, so model timesharing analytically): each
             // burst stretches by the competing-job count, and in the worst
             // case also waits out a full guest scheduling quantum.

@@ -33,11 +33,12 @@ pub struct SpeedupRow {
     pub effective_parallelism: f64,
     /// Jobs that ran remotely.
     pub remote_builds: usize,
-    /// Worst-loaded server daemon's CPU utilization during the build.
+    /// Worst-loaded server daemon's CPU utilization during the build (its
+    /// busy time from the end of `prepare_sources` on, over the makespan).
     pub server_utilization: f64,
     /// Block fetches served by replica peers instead of the home server.
     pub replica_hits: u64,
-    /// Busy time of the worst-loaded server daemon.
+    /// Busy time of the worst-loaded server daemon during the build.
     pub server_busy_max: SimDuration,
 }
 
@@ -83,6 +84,7 @@ fn one_build(
     let mut selector = warmed_selector(&mut cluster, hosts, fs_shards as u32 + 1);
     let graph = DepGraph::from_workload(workload, &mut DetRng::seed_from(seed));
     let t = prepare_sources(&mut cluster, &graph, home, t0).expect("prepare");
+    let busy_before = cluster.fs.server_loads();
     let config = PmakeConfig {
         use_migration,
         ..PmakeConfig::default()
@@ -97,7 +99,14 @@ fn one_build(
         t,
     )
     .expect("build");
-    let busy_max = cluster.fs.server_busy_max();
+    let busy_max = cluster
+        .fs
+        .server_loads()
+        .iter()
+        .zip(&busy_before)
+        .map(|(after, before)| after.busy - before.busy)
+        .max()
+        .unwrap_or(SimDuration::ZERO);
     let util = busy_max.as_secs_f64() / report.makespan.as_secs_f64();
     (
         report.makespan,

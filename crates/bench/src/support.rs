@@ -57,6 +57,16 @@ pub fn sharded_cluster(hosts: usize, fs_shards: usize) -> (Cluster, SimTime) {
     (c, t)
 }
 
+/// CPU busy time so far of the file server on `host` (zero when `host`
+/// serves no files). Sampled around a build, it gives the server's load
+/// during that build alone.
+pub fn server_busy(cluster: &Cluster, host: HostId) -> SimDuration {
+    cluster
+        .fs
+        .server(host)
+        .map_or(SimDuration::ZERO, |s| s.cpu.busy_time())
+}
+
 /// A default migrator for `hosts`.
 pub fn standard_migrator(hosts: usize) -> Migrator {
     Migrator::new(MigrationConfig::default(), hosts)

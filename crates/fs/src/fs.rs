@@ -169,7 +169,7 @@ pub struct ServerLoad {
     pub host: HostId,
     /// Total CPU busy time.
     pub busy: SimDuration,
-    /// Total time requests spent queued behind the busy CPU.
+    /// Total time requests waited for the CPU after arriving.
     pub queue_wait: SimDuration,
     /// Requests serviced by the CPU.
     pub requests: u64,
@@ -365,7 +365,7 @@ impl SpriteFs {
         replicas.digest_into(d);
         for server in servers.iter().flatten() {
             d.write_usize(server.host.index());
-            d.write_u64(server.cpu.busy_until().as_micros());
+            d.write_u64(server.cpu.horizon().as_micros());
             d.write_usize(server.file_count());
             d.write_u64(server.disk_reads());
             d.write_u64(server.queue_wait().as_micros());
@@ -507,10 +507,6 @@ impl SpriteFs {
         extra: SimDuration,
     ) -> FsResult<SimTime> {
         let srv = self.srv_mut(server);
-        // Sampled at dispatch: how long this request sits behind earlier
-        // ones (per-server contention, reported by `server_loads`).
-        let wait = srv.cpu.wait_at(now);
-        srv.note_queue_wait(wait);
         if client == server {
             let local = net.cost().local_kernel_call;
             Ok(srv
@@ -1661,6 +1657,37 @@ mod tests {
 
     fn h(i: u32) -> HostId {
         HostId::new(i)
+    }
+
+    /// The file server serves requests in the order they arrive: an open
+    /// issued while another host's open is booked ten seconds ahead is not
+    /// queued behind it. It completes in its lookup and one `fs-open`
+    /// round trip, exactly as on a server with nothing booked, and no
+    /// request waits for the server's CPU.
+    #[test]
+    fn an_open_is_not_queued_behind_a_later_booked_open() {
+        let open_done = |book_later_open: bool| {
+            let (mut net, mut fs) = setup(4);
+            let path = SpritePath::new("/f");
+            let (_, ready) = fs
+                .create(&mut net, SimTime::ZERO, h(1), path.clone())
+                .unwrap();
+            let later = ready + SimDuration::from_secs(10);
+            if book_later_open {
+                fs.open(&mut net, later, h(3), path.clone(), OpenMode::Read)
+                    .unwrap();
+            }
+            let (_, done) = fs
+                .open(&mut net, ready, h(2), path, OpenMode::Read)
+                .unwrap();
+            assert!(done < later);
+            assert_eq!(fs.server(h(0)).unwrap().queue_wait(), SimDuration::ZERO);
+            let calls = |op| net.rpc_table().get(op).calls;
+            (done, calls(RpcOp::FsLookup), calls(RpcOp::FsOpen))
+        };
+        let (alone, lookups, opens) = open_done(false);
+        assert_eq!((lookups, opens), (1, 1), "the early open's lookup and open");
+        assert_eq!(open_done(true).0, alone);
     }
 
     #[test]

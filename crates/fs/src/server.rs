@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use sprite_net::{HostId, PAGE_SIZE};
-use sprite_sim::{DetHashMap, DetHashSet, FcfsResource, SimDuration};
+use sprite_sim::{DetHashMap, DetHashSet, SimDuration, SlottedResource};
 
 use crate::recency::Recency;
 use crate::{FileId, FileKind, OpenMode, SpritePath};
@@ -316,7 +316,7 @@ pub struct ServerState {
     /// The machine this server runs on.
     pub host: HostId,
     /// The server's CPU; lookups and block service queue here.
-    pub cpu: FcfsResource,
+    pub cpu: SlottedResource,
     namespace: DetHashMap<SpritePath, FileId>,
     files: DetHashMap<FileId, ServerFile>,
     /// Server main-memory block cache residency, in LRU order. Contents
@@ -325,7 +325,6 @@ pub struct ServerState {
     mem_cache: Recency<(FileId, u64)>,
     mem_capacity: usize,
     disk_reads: u64,
-    queue_wait: SimDuration,
     block_ops: u64,
 }
 
@@ -335,13 +334,12 @@ impl ServerState {
     pub fn new(host: HostId, mem_capacity: usize) -> Self {
         ServerState {
             host,
-            cpu: FcfsResource::new(),
+            cpu: SlottedResource::new(),
             namespace: DetHashMap::default(),
             files: DetHashMap::default(),
             mem_cache: Recency::new(),
             mem_capacity: mem_capacity.max(1),
             disk_reads: 0,
-            queue_wait: SimDuration::ZERO,
             block_ops: 0,
         }
     }
@@ -392,15 +390,10 @@ impl ServerState {
         self.disk_reads
     }
 
-    /// Total time requests spent queued behind this server's busy CPU,
-    /// sampled at dispatch (the e05 contention signal).
+    /// Total time requests waited for this server's CPU: each one's wait
+    /// from its arrival at the server to the start of its service.
     pub fn queue_wait(&self) -> SimDuration {
-        self.queue_wait
-    }
-
-    /// Records the queue delay one request observed at dispatch time.
-    pub fn note_queue_wait(&mut self, wait: SimDuration) {
-        self.queue_wait += wait;
+        self.cpu.wait_time()
     }
 
     /// Block touches served by this server (memory cache hits and misses).

@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use sprite_net::{
     wire_size, HostId, HostPartition, RpcError, RpcOp, Transport, CONTROL_BYTES, LOAD_REPORT_BYTES,
 };
-use sprite_sim::{FcfsResource, OnlineStats, SimDuration, SimTime};
+use sprite_sim::{OnlineStats, SimDuration, SimTime, SlottedResource};
 
 use crate::cache::{CacheEntry, RankOrder, Ranker};
 use crate::load::{AvailabilityPolicy, HostInfo};
@@ -146,7 +146,7 @@ pub trait HostSelector {
 #[derive(Debug)]
 struct Daemon {
     host: HostId,
-    cpu: FcfsResource,
+    cpu: SlottedResource,
 }
 
 /// What the daemons know about one host.
@@ -220,7 +220,7 @@ impl CentralServer {
                 .into_iter()
                 .map(|host| Daemon {
                     host,
-                    cpu: FcfsResource::new(),
+                    cpu: SlottedResource::new(),
                 })
                 .collect(),
             table: vec![HostRecord::default(); hosts],
@@ -442,7 +442,7 @@ pub struct SharedFileBoard {
     policy: AvailabilityPolicy,
     entries: BTreeMap<HostId, CacheEntry>,
     assigned: BTreeMap<HostId, HostId>,
-    server_cpu: FcfsResource,
+    server_cpu: SlottedResource,
     entry_bytes: u64,
     ranker: Ranker,
     stats: SelectorStats,
@@ -456,7 +456,7 @@ impl SharedFileBoard {
             policy,
             entries: BTreeMap::new(),
             assigned: BTreeMap::new(),
-            server_cpu: FcfsResource::new(),
+            server_cpu: SlottedResource::new(),
             entry_bytes: CONTROL_BYTES,
             ranker: Ranker::default(),
             stats: SelectorStats::default(),
@@ -843,6 +843,44 @@ mod tests {
                 assert_eq!(pick, Some(expect), "{}: {}", s.name(), label);
             }
         }
+    }
+
+    /// migd serves requests in the order they arrive: a release issued at
+    /// `t` is not queued behind a select the controller already booked for
+    /// `t + 1 s`, so it completes one `hostsel-query` round trip after `t`,
+    /// exactly as it does on a daemon with nothing booked.
+    #[test]
+    fn a_release_is_not_queued_behind_a_later_select() {
+        let world = truth(6);
+        let t = SimTime::from_micros(10_000_000);
+        let release_done = |book_later_select: bool| {
+            let mut s = CentralServer::new(h(0), AvailabilityPolicy::default());
+            let mut n = net(6);
+            feed_reports(&mut s, &mut n, &world);
+            let (held, _) = s.select(&mut n, SimTime::from_micros(5_000_000), h(1), &world);
+            if book_later_select {
+                let later = SimTime::from_micros(11_000_000);
+                let (other, done) = s.select(&mut n, later, h(1), &world);
+                assert!(other.is_some() && done > later);
+            }
+            s.release(&mut n, t, h(1), held.expect("a host was granted"))
+        };
+        let size = wire_size(RpcOp::HostselQuery);
+        let service = SimDuration::from_micros(500);
+        let Ok(round_trip) = net(6).send_sized(
+            RpcOp::HostselQuery,
+            t,
+            h(1),
+            h(0),
+            size.request,
+            size.reply,
+            service,
+            None,
+        ) else {
+            panic!("an ideal link delivers");
+        };
+        assert_eq!(release_done(false), round_trip.done);
+        assert_eq!(release_done(true), round_trip.done);
     }
 
     #[test]

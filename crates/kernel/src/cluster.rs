@@ -17,7 +17,7 @@
 
 use sprite_fs::{FileId, FsConfig, FsError, OpenMode, SpriteFs, SpritePath};
 use sprite_net::{CostModel, HostId, RpcError, RpcOp, SendError, Transport, PAGE_SIZE};
-use sprite_sim::{DetHashMap, FcfsResource, SimDuration, SimTime, StateDigest, Trace};
+use sprite_sim::{DetHashMap, SimDuration, SimTime, SlottedResource, StateDigest, Trace};
 use sprite_vm::AddressSpace;
 
 use crate::calls::{Disposition, KernelCall};
@@ -31,7 +31,7 @@ pub struct HostState {
     /// This host's identity.
     pub id: HostId,
     /// The host CPU; workload bursts and RPC service queue here.
-    pub cpu: FcfsResource,
+    pub cpu: SlottedResource,
     /// Whether the workstation's owner is at the console (drives idle-host
     /// detection and eviction policy).
     pub console_active: bool,
@@ -47,7 +47,7 @@ impl HostState {
     fn new(id: HostId) -> Self {
         HostState {
             id,
-            cpu: FcfsResource::new(),
+            cpu: SlottedResource::new(),
             console_active: false,
             speed: 1.0,
             resident: Vec::new(),
@@ -398,7 +398,7 @@ impl Cluster {
                 speed,
                 resident,
             } = host;
-            d.write_u64(cpu.busy_until().as_micros());
+            d.write_u64(cpu.horizon().as_micros());
             d.write_u64(cpu.requests());
             d.write_bool(*console_active);
             d.write_u64(speed.to_bits());
@@ -1043,7 +1043,9 @@ impl Cluster {
     }
 
     /// Runs `pid` on its current host's CPU for `demand`; returns when the
-    /// burst completes (queueing behind other work on that host).
+    /// burst completes (in the host's first idle slot from `now` that fits
+    /// it, so work booked for later on that host delays it only when the
+    /// gap before that work is too short).
     pub fn run_cpu(
         &mut self,
         now: SimTime,

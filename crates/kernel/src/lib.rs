@@ -255,6 +255,20 @@ mod tests {
     }
 
     #[test]
+    fn run_cpu_fills_the_gap_before_a_later_booking() {
+        let (mut c, t) = cluster();
+        let (a, t) = c.spawn(t, h(1), &SpritePath::new("/bin/sh"), 8, 4).unwrap();
+        let (b, t) = c.spawn(t, h(1), &SpritePath::new("/bin/sh"), 8, 4).unwrap();
+        // `b`'s burst is booked ten seconds ahead; `a`'s, issued now, fits
+        // in the idle gap before it and is not queued behind it.
+        let later = t + SimDuration::from_secs(10);
+        let done_b = c.run_cpu(later, b, SimDuration::from_secs(1)).unwrap();
+        let done_a = c.run_cpu(t, a, SimDuration::from_secs(2)).unwrap();
+        assert_eq!(done_a, t + SimDuration::from_secs(2));
+        assert_eq!(done_b, later + SimDuration::from_secs(1));
+    }
+
+    #[test]
     fn relocate_requires_frozen() {
         let (mut c, t) = cluster();
         let (pid, _t) = c.spawn(t, h(1), &SpritePath::new("/bin/sh"), 8, 4).unwrap();

@@ -32,9 +32,7 @@
 //! Canonical request/reply payloads live in the [`wire_size`] table next
 //! to the [`CostModel`].
 
-use sprite_sim::{
-    Counter, FcfsResource, OnlineStats, SimDuration, SimTime, SlottedResource, StateDigest, Trace,
-};
+use sprite_sim::{Counter, OnlineStats, SimDuration, SimTime, SlottedResource, StateDigest, Trace};
 
 use crate::fault::{
     backoff_after, FaultStats, LinkVerdict, RpcError, RpcFailure, SendError, MAX_SEND_ATTEMPTS,
@@ -638,7 +636,7 @@ impl Transport {
         now: SimTime,
         from: HostId,
         to: HostId,
-        server_cpu: Option<&mut FcfsResource>,
+        server_cpu: Option<&mut SlottedResource>,
     ) -> Result<Delivery, SendError> {
         let size = wire_size(op);
         debug_assert!(
@@ -660,11 +658,13 @@ impl Transport {
     /// A typed RPC round trip with caller-sized payloads — for ops whose
     /// payload varies (block writes, pseudo-device traffic, board pages).
     ///
-    /// If `server_cpu` is supplied, the callee's processing queues on it,
-    /// so a busy server delays the reply (this is how file-server
-    /// saturation limits pmake speedup). `extra_service` is server time
-    /// beyond the fixed RPC dispatch cost (a name lookup, a disk access).
-    /// A lost attempt charges its request on the wire.
+    /// If `server_cpu` is supplied, the callee's processing takes the
+    /// earliest idle slot on it at or after the request's arrival, so a
+    /// busy server delays the reply (this is how file-server saturation
+    /// limits pmake speedup) while work booked for later does not.
+    /// `extra_service` is server time beyond the fixed RPC dispatch cost
+    /// (a name lookup, a disk access). A lost attempt charges its request
+    /// on the wire.
     #[expect(clippy::too_many_arguments)]
     pub fn send_sized(
         &mut self,
@@ -675,7 +675,7 @@ impl Transport {
         request_bytes: u64,
         reply_bytes: u64,
         extra_service: SimDuration,
-        mut server_cpu: Option<&mut FcfsResource>,
+        mut server_cpu: Option<&mut SlottedResource>,
     ) -> Result<Delivery, SendError> {
         debug_assert!(from != to, "RPC to self: {from} -> {to}");
         self.attempt(op, now, from, Some(to), Some(request_bytes), |t, at| {
@@ -905,7 +905,7 @@ mod tests {
     #[test]
     fn busy_server_delays_reply() {
         let mut x = t(2);
-        let mut cpu = FcfsResource::new();
+        let mut cpu = SlottedResource::new();
         // Server busy for 50ms.
         cpu.acquire(SimTime::ZERO, SimDuration::from_millis(50));
         let d = ok(x.send(RpcOp::FsOpen, SimTime::ZERO, a(), b(), Some(&mut cpu)));

@@ -15,7 +15,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use sprite_sim::DetHashMap;
+use sprite_sim::{DetHashMap, DetHashSet};
 
 use sprite_core::{MigrationError, Migrator};
 use sprite_fs::{FsError, OpenMode, SpritePath};
@@ -130,7 +130,8 @@ pub fn cluster_truth(cluster: &Cluster, busy_threshold: usize) -> Vec<HostInfo> 
 }
 
 /// Creates the source tree and the compiler binary; run before the
-/// measured build.
+/// measured build. Each distinct input is written once, however many
+/// compiles include it: a shared header is created by its first includer.
 pub fn prepare_sources(
     cluster: &mut Cluster,
     graph: &DepGraph,
@@ -142,6 +143,7 @@ pub fn prepare_sources(
     if cluster.program(&cc).is_none() {
         t = cluster.install_program(t, cc, 48 * 1024)?;
     }
+    let mut written: DetHashSet<&str> = DetHashSet::default();
     let write_file = |cluster: &mut Cluster,
                       t: SimTime,
                       name: &str,
@@ -166,9 +168,13 @@ pub fn prepare_sources(
     };
     for i in 0..graph.len() {
         if let Action::Compile(job) = &graph.target(i).action {
-            t = write_file(cluster, t, &job.src, job.src_bytes)?;
-            for hdr in &job.headers {
-                t = write_file(cluster, t, hdr, 8 * 1024)?;
+            let inputs = [(&job.src, job.src_bytes)]
+                .into_iter()
+                .chain(job.headers.iter().map(|hdr| (hdr, 8 * 1024)));
+            for (name, bytes) in inputs {
+                if written.insert(name) {
+                    t = write_file(cluster, t, name, bytes)?;
+                }
             }
         }
     }

@@ -14,8 +14,9 @@
 //! * [`DetRng`] — a seeded RNG (in-repo xoshiro256++, no external
 //!   dependencies) plus the samplers the paper's workloads need
 //!   (exponential inter-arrivals, heavy-tailed process lifetimes);
-//! * [`FcfsResource`] — first-come-first-served service for modelling CPU and
-//!   network contention (what bends the pmake speedup curve);
+//! * [`SlottedResource`] — a serial resource that serves each demand in the
+//!   earliest idle gap at or after its arrival: every CPU and the wire, the
+//!   contention that bends the pmake speedup curve;
 //! * [`OnlineStats`] / [`Samples`] / [`Counter`] — the aggregates the
 //!   benchmark tables report;
 //! * [`DetHashMap`] / [`DetHashSet`] — hash tables keyed by an in-repo
@@ -46,19 +47,17 @@
 //! A tiny M/D/1-style simulation — exponential arrivals to a serial resource:
 //!
 //! ```
-//! use sprite_sim::{DetRng, Engine, FcfsResource, OnlineStats, SimDuration};
+//! use sprite_sim::{DetRng, Engine, SimDuration, SlottedResource};
 //!
 //! struct World {
 //!     rng: DetRng,
-//!     server: FcfsResource,
-//!     waits: OnlineStats,
+//!     server: SlottedResource,
 //! }
 //!
 //! fn arrival(world: &mut World, engine: &mut Engine<World>) {
 //!     let now = engine.now();
-//!     world.waits.record_duration(world.server.wait_at(now));
 //!     world.server.acquire(now, SimDuration::from_millis(5));
-//!     if world.waits.count() < 1000 {
+//!     if world.server.requests() < 1000 {
 //!         let gap = world.rng.exponential(SimDuration::from_millis(8));
 //!         engine.schedule_in(gap, arrival);
 //!     }
@@ -66,14 +65,14 @@
 //!
 //! let mut world = World {
 //!     rng: DetRng::seed_from(42),
-//!     server: FcfsResource::new(),
-//!     waits: OnlineStats::new(),
+//!     server: SlottedResource::new(),
 //! };
 //! let mut engine = Engine::new();
 //! engine.schedule_in(SimDuration::ZERO, arrival);
 //! engine.run(&mut world);
-//! assert_eq!(world.waits.count(), 1000);
-//! assert!(world.waits.mean() > 0.0); // 5/8 utilization => real queueing
+//! assert_eq!(world.server.requests(), 1000);
+//! // 5/8 utilization => real queueing
+//! assert!(world.server.wait_time() > SimDuration::ZERO);
 //! ```
 
 #![warn(missing_docs)]
@@ -92,7 +91,7 @@ mod trace;
 pub use detmap::{hash_probes, take_hash_probes, DetHashMap, DetHashSet, DetState, FxHasher};
 pub use digest::{Checkpoint, StateDigest};
 pub use event::{Engine, Handler, PeriodicHandler};
-pub use resource::{FcfsResource, SlottedResource, MAX_SLOTS};
+pub use resource::{SlottedResource, MAX_SLOTS};
 pub use rng::DetRng;
 pub use shard::{Cell, CellCtx, CellId, ShardCounters, ShardedEngine, StallClock, WorkerCounters};
 pub use stats::{Counter, EngineCounters, OnlineStats, Samples};

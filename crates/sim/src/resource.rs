@@ -2,99 +2,34 @@
 //!
 //! The evaluation's most important *shape* — the pmake speedup curve bending
 //! over as hosts are added (E5) — comes from contention for serial resources:
-//! the file server's CPU and the shared Ethernet. [`FcfsResource`] models a
-//! single server with first-come-first-served service: a request arriving at
-//! time `t` with demand `d` completes at `max(t, busy_until) + d`. That is
-//! exactly the queueing behaviour of a non-preemptive uniprocessor serving
-//! kernel RPCs, and it composes: each simulated host has one for its CPU, the
-//! network has one for the wire.
+//! the file server's CPU and the shared Ethernet. [`SlottedResource`] is the
+//! one model of all of them: each host's CPU, each file server's and migd's,
+//! and the wire. It is a non-preemptive single server whose schedule is a
+//! calendar of busy intervals, and it serves each demand in the earliest idle
+//! gap at or after the demand's arrival, so demands are served in the order
+//! they arrive even when the event loop books them out of order.
 
 use crate::{SimDuration, SimTime};
 
-/// A first-come-first-served serial resource (a CPU, a disk, the Ethernet).
+/// A serial resource (a CPU, a disk, the Ethernet) whose schedule is an
+/// explicit busy-interval calendar: a demand arriving at `now` is served in
+/// the earliest idle gap at or after `now`, even when later bookings
+/// already occupy the frontier.
 ///
-/// # Examples
-///
-/// ```
-/// use sprite_sim::{FcfsResource, SimDuration, SimTime};
-///
-/// let mut cpu = FcfsResource::new();
-/// let t0 = SimTime::ZERO;
-/// // Two 10ms demands arriving together serialize.
-/// let first = cpu.acquire(t0, SimDuration::from_millis(10));
-/// let second = cpu.acquire(t0, SimDuration::from_millis(10));
-/// assert_eq!(first.as_micros(), 10_000);
-/// assert_eq!(second.as_micros(), 20_000);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct FcfsResource {
-    busy_until: SimTime,
-    busy_time: SimDuration,
-    requests: u64,
-}
-
-impl FcfsResource {
-    /// Creates an idle resource.
-    pub fn new() -> Self {
-        FcfsResource::default()
-    }
-
-    /// Submits a demand of `d` at time `now`; returns the completion time.
-    pub fn acquire(&mut self, now: SimTime, d: SimDuration) -> SimTime {
-        let start = self.busy_until.max_of(now);
-        self.busy_until = start + d;
-        self.busy_time += d;
-        self.requests += 1;
-        self.busy_until
-    }
-
-    /// The time at which the resource next becomes free.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
-    /// Queueing delay a demand submitted at `now` would experience before
-    /// service starts.
-    pub fn wait_at(&self, now: SimTime) -> SimDuration {
-        self.busy_until.saturating_elapsed_since(now)
-    }
-
-    /// Total busy (service) time accumulated.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy_time
-    }
-
-    /// Number of demands served.
-    pub fn requests(&self) -> u64 {
-        self.requests
-    }
-
-    /// Utilization over the window ending at `now` (assumes the resource
-    /// existed since time zero). Clamped to `[0, 1]`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            return 0.0;
-        }
-        (self.busy_time.as_secs_f64() / now.as_secs_f64()).clamp(0.0, 1.0)
-    }
-}
-
-/// A serial resource whose schedule is an explicit busy-interval calendar:
-/// a demand arriving at `now` is served in the earliest idle gap at or
-/// after `now`, even when later transmissions already occupy the frontier.
-///
-/// The distinction from [`FcfsResource`] matters because the event loop
-/// executes causally-related RPC chains atomically: a request, its server
-/// service, and its reply all acquire resources within one event, at
-/// timestamps spread across the whole round trip. Under a pure busy-horizon
-/// model the *next* event's request — which arrives on the wire earlier in
-/// simulated time — queues behind the entire previous chain, so message
-/// latency and server time leak into wire occupancy and every chain
-/// serializes end to end. Gap-filling restores arrival-order service for
-/// the shared Ethernet: a message transmits in the idle window between two
-/// already-scheduled transmissions, exactly as a real CSMA wire would, and
-/// server-side parallelism (e.g. a striped file-service group) can then
-/// genuinely overlap service with wire transfers.
+/// Serving in the gap rather than after the last booking (a busy horizon)
+/// matters because the event loop executes causally-related RPC chains
+/// atomically: a request, its server service, and its reply all acquire
+/// resources within one event, at timestamps spread across the whole round
+/// trip. Under a busy-horizon model the *next* event's request — which
+/// arrives earlier in simulated time — queues behind the entire previous
+/// chain, so message latency and server time leak into occupancy and every
+/// chain serializes end to end. Gap-filling restores arrival-order service:
+/// a message transmits in the idle window between two already-scheduled
+/// transmissions, exactly as a real CSMA wire would; a file server or migd
+/// serves a request arriving at `t` before one a client booked for
+/// `t + 1 s`; and server-side parallelism (e.g. a striped file-service
+/// group) can genuinely overlap service with wire transfers. Given the same
+/// bookings, a demand never starts later than `max(now, horizon)`.
 ///
 /// The calendar keeps at most [`MAX_SLOTS`] intervals. Past the cap the two
 /// oldest merge into one, forfeiting the idle gap between them; that
@@ -127,6 +62,7 @@ pub struct SlottedResource {
     busy: Vec<(SimTime, SimTime)>,
     head: usize,
     busy_time: SimDuration,
+    wait_time: SimDuration,
     requests: u64,
 }
 
@@ -157,6 +93,7 @@ impl SlottedResource {
             start = start.max_of(e);
             i += 1;
         }
+        self.wait_time += start.elapsed_since(now);
         let end = start + d;
         let merge_prev = i > head && self.busy[i - 1].1 == start;
         let merge_next = i < self.busy.len() && self.busy[i].0 == end;
@@ -211,7 +148,7 @@ impl SlottedResource {
         i
     }
 
-    /// The end of the last scheduled transmission (the busy horizon).
+    /// The end of the last booking (the busy horizon).
     pub fn horizon(&self) -> SimTime {
         self.busy.last().map(|&(_, e)| e).unwrap_or(SimTime::ZERO)
     }
@@ -228,6 +165,12 @@ impl SlottedResource {
         self.busy_time
     }
 
+    /// Total queueing delay: the sum over demands of the wait from each
+    /// one's arrival to the start of its slot.
+    pub fn wait_time(&self) -> SimDuration {
+        self.wait_time
+    }
+
     /// Number of demands served.
     pub fn requests(&self) -> u64 {
         self.requests
@@ -238,57 +181,38 @@ impl SlottedResource {
 mod tests {
     use super::*;
 
-    #[test]
-    fn idle_resource_serves_immediately() {
-        let mut r = FcfsResource::new();
-        let t = SimTime::from_micros(5_000);
-        let done = r.acquire(t, SimDuration::from_millis(3));
-        assert_eq!(done, SimTime::from_micros(8_000));
-        assert_eq!(r.wait_at(SimTime::from_micros(8_000)), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn overlapping_demands_queue() {
-        let mut r = FcfsResource::new();
-        let t = SimTime::ZERO;
-        let a = r.acquire(t, SimDuration::from_millis(10));
-        assert_eq!(
-            r.wait_at(t + SimDuration::from_millis(4)),
-            SimDuration::from_millis(6)
-        );
-        let b = r.acquire(
-            t + SimDuration::from_millis(4),
-            SimDuration::from_millis(10),
-        );
-        assert_eq!(a.as_micros(), 10_000);
-        assert_eq!(b.as_micros(), 20_000);
-    }
-
-    #[test]
-    fn gaps_leave_the_resource_idle() {
-        let mut r = FcfsResource::new();
-        r.acquire(SimTime::ZERO, SimDuration::from_millis(1));
-        let done = r.acquire(SimTime::from_micros(100_000), SimDuration::from_millis(1));
-        assert_eq!(done.as_micros(), 101_000);
-        assert_eq!(r.busy_time(), SimDuration::from_millis(2));
-        assert_eq!(r.requests(), 2);
-    }
-
-    #[test]
-    fn utilization_accounts_busy_fraction() {
-        let mut r = FcfsResource::new();
-        r.acquire(SimTime::ZERO, SimDuration::from_secs(1));
-        let u = r.utilization(SimTime::from_micros(4_000_000));
-        assert!((u - 0.25).abs() < 1e-9);
-        assert_eq!(r.utilization(SimTime::ZERO), 0.0);
-    }
-
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
     }
 
     fn d(us: u64) -> SimDuration {
         SimDuration::from_micros(us)
+    }
+
+    #[test]
+    fn idle_resource_serves_immediately() {
+        let mut r = SlottedResource::new();
+        assert_eq!(r.acquire(t(5_000), d(3_000)), t(8_000));
+        assert_eq!(r.wait_time(), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn contended_demands_serialize() {
+        let mut r = SlottedResource::new();
+        assert_eq!(r.acquire(t(0), d(10_000)), t(10_000));
+        // Arrives mid-service: waits out the remaining 6ms.
+        assert_eq!(r.acquire(t(4_000), d(10_000)), t(20_000));
+        assert_eq!(r.acquire(t(0), d(10_000)), t(30_000));
+        assert_eq!(r.wait_time(), d(6_000 + 20_000));
+    }
+
+    #[test]
+    fn gaps_leave_the_resource_idle() {
+        let mut r = SlottedResource::new();
+        r.acquire(t(0), d(1_000));
+        assert_eq!(r.acquire(t(100_000), d(1_000)), t(101_000));
+        assert_eq!(r.busy_time(), d(2_000));
+        assert_eq!(r.requests(), 2);
     }
 
     #[test]
@@ -305,15 +229,6 @@ mod tests {
         assert_eq!(w.horizon(), t(9_000));
         assert_eq!(w.busy_time(), d(6_000));
         assert_eq!(w.requests(), 4);
-    }
-
-    #[test]
-    fn slotted_contended_demands_serialize_like_fcfs() {
-        let mut w = SlottedResource::new();
-        let a = w.acquire(SimTime::ZERO, d(10_000));
-        let b = w.acquire(SimTime::ZERO, d(10_000));
-        assert_eq!(a, t(10_000));
-        assert_eq!(b, t(20_000));
     }
 
     #[test]

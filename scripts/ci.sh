@@ -144,11 +144,16 @@ echo "==> a 1 s run of each benchmark workload"
 # Page-out and checkpoint image RPCs carrying runs of up to 4 consecutive
 # blocks re-pinned `migrate_evict` alone (f7ab7baa1c021cad before): the
 # other three workloads never page out or checkpoint.
+# Arrival-order CPUs (host, file-server and migd CPUs on the wire's
+# gap-filling calendar) and the file servers' exact queue wait re-pinned
+# `migrate_evict` (6c3639ca5cc18406 before) and, with `prepare_sources`
+# writing each input once, `pmake_build` (3a69a566c5619bbc before); the
+# schedules of `month_in_life` and `cell_month` did not move.
 declare -A pinned_digest=(
     [cell_month]=6fb99dc88353669a
     [month_in_life]=dbaa7b7dcf0e31f5
-    [pmake_build]=3a69a566c5619bbc
-    [migrate_evict]=6c3639ca5cc18406
+    [pmake_build]=8909e9728781acb2
+    [migrate_evict]=7926991adca7a0e3
 )
 for w in cell_month month_in_life pmake_build migrate_evict; do
     output="$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml --bin benchmark -- \

@@ -111,8 +111,13 @@ fn engine_checkpoints_cluster_digests_deterministically() {
 /// simulation unchanged. Creating swap files at a segment's first
 /// page-out, not at every spawn and fork, moved it from
 /// `0xd043_0fd7_6b9c_bd57`: the scenario never pages out, so it now
-/// makes no swap-file lookups and stores no swap files.
-const DRIVE3_DIGEST: u64 = 0x22a8_61f3_2646_5e47;
+/// makes no swap-file lookups and stores no swap files. Folding each file
+/// server's exact queue wait (the sum of each request's wait from its
+/// arrival to its CPU slot) instead of the busy horizon sampled at each
+/// dispatch moved it from `0x22a8_61f3_2646_5e47`: the scenario's open
+/// is issued while the create still holds the server, and its schedule
+/// is unchanged (folding the old sample kept the old value).
+const DRIVE3_DIGEST: u64 = 0x197e_fb85_d66f_3bce;
 
 #[test]
 fn cluster_digest_value_is_pinned() {

@@ -669,12 +669,16 @@ const PINS: [(Entry, u32, u64); 12] = [
     // The image's 5 blocks (an index block, 3 page blocks and the
     // trailer) are 2 runs each way: 19 attempts when each block was its
     // own RPC, 21 when the restore's spawn created two swap files, 27
-    // when 4,105-byte page records straddled blocks.
-    (Entry::CheckpointMove, 13, 0x384a_f97d_6613_e610),
+    // when 4,105-byte page records straddled blocks. Folding the file
+    // servers' exact queue wait instead of the busy horizon sampled at
+    // dispatch moved both image digests (this one from
+    // 0x384a_f97d_6613_e610) with no change in schedule.
+    (Entry::CheckpointMove, 13, 0x0e97_d082_5692_f36d),
     // The open, 2 run reads, the close; 7 attempts when each block was
     // its own read, 9 when the spawn created two swap files, 12 when page
-    // records straddled blocks.
-    (Entry::RestartFromImage, 4, 0x39b6_ff50_ba6a_8c23),
+    // records straddled blocks; 0x39b6_ff50_ba6a_8c23 before the exact
+    // queue wait.
+    (Entry::RestartFromImage, 4, 0xb0da_c15c_5729_d5c6),
     // The stream's close, the heap file's unlink and the home
     // notification: each is best-effort, so the process exits anyway.
     // The setup's migration flushes one run, which moved the digest.

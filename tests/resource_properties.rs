@@ -1,5 +1,5 @@
 //! Property tests for [`SlottedResource`], the gap-filling busy-interval
-//! calendar behind the shared Ethernet.
+//! calendar behind the shared Ethernet and every simulated CPU.
 //!
 //! The implementation keeps a sorted vector of busy intervals, places each
 //! demand with a search that gallops back from the newest interval plus a
@@ -19,11 +19,17 @@
 //! exactly tiling the calendar until the first coalesce — are asserted
 //! after every single acquire, and the coalescing path gets its own
 //! long-schedule sweep proving the calendar stays bounded without ever
-//! losing service time.
+//! losing service time. A host CPU, driven through `Cluster::run_cpu`
+//! under the same schedules, must place every burst where the reference
+//! does, and no placement may start later than `max(now, horizon)`: the
+//! calendar serves in arrival order and never worse than a busy horizon.
 //!
 //! [`SlottedResource`]: sprite::sim::SlottedResource
 //! [`MAX_SLOTS`]: sprite::sim::MAX_SLOTS
 
+use sprite::fs::SpritePath;
+use sprite::kernel::Cluster;
+use sprite::net::{CostModel, HostId};
 use sprite::sim::{DetRng, SimDuration, SimTime, SlottedResource, MAX_SLOTS};
 
 mod common;
@@ -174,8 +180,13 @@ fn slotted_placements_match_the_naive_reference_model() {
         let mut naive = NaiveCalendar::default();
         let mut total = SimDuration::ZERO;
         for (op, &(now, d)) in make(seed, COALESCE_OPS).iter().enumerate() {
+            let horizon = fast.horizon();
             let got = fast.acquire(now, d);
             let want = naive.acquire(now, d);
+            assert!(
+                got <= horizon.max_of(now) + d,
+                "{shape} seed {seed} op {op}: placed past max(now, horizon)"
+            );
             assert_eq!(
                 got, want,
                 "{shape} seed {seed} op {op}: placement diverged from the \
@@ -270,4 +281,34 @@ fn differential_runs_replay_byte_identically() {
         (ends, r.busy_intervals().to_vec(), r.busy_time())
     };
     assert_eq!(run(), run(), "seed 11: replay diverged");
+}
+
+#[test]
+fn host_cpu_bursts_land_in_the_reference_slot_never_past_the_horizon() {
+    let cases: Vec<(Shape, u64)> = SHAPES
+        .iter()
+        .flat_map(|&shape| (0..SEEDS / 4).map(move |seed| (shape, seed)))
+        .collect();
+    common::sweep(&cases, 4, |&((shape, make), seed)| {
+        let host = HostId::new(1);
+        let mut cluster = Cluster::new(CostModel::sun3(), 2);
+        cluster.add_file_server(HostId::new(0), SpritePath::new("/"));
+        let sh = SpritePath::new("/bin/sh");
+        let t = cluster
+            .install_program(SimTime::ZERO, sh.clone(), 8 * 1024)
+            .unwrap();
+        let (pid, _) = cluster.spawn(t, host, &sh, 8, 4).unwrap();
+        let mut naive = NaiveCalendar::default();
+        let mut horizon = SimTime::ZERO;
+        for (op, &(now, d)) in make(seed, COALESCE_OPS).iter().enumerate() {
+            let done = cluster.run_cpu(now, pid, d).unwrap();
+            let ctx = format!("{shape} seed {seed} op {op} (arrival {now}, demand {d})");
+            assert_eq!(done, naive.acquire(now, d), "{ctx}: not the reference slot");
+            assert!(
+                done <= horizon.max_of(now) + d,
+                "{ctx}: started past max(now, horizon)"
+            );
+            horizon = horizon.max_of(done);
+        }
+    });
 }
