@@ -45,7 +45,7 @@ pub struct AuditDrive {
 /// executes roughly one event per simulated minute, so checkpointing every
 /// 1,000 events yields a handful of checkpoints per day — enough stream to
 /// compare, cheap enough to hash.
-pub const AUDIT: AuditDrive = AuditDrive {
+pub(crate) const AUDIT: AuditDrive = AuditDrive {
     hosts: 8,
     days: 2,
     seed: 41,
@@ -91,7 +91,7 @@ fn stream(drive: AuditDrive, rep: usize, every: u64) -> Vec<Checkpoint> {
 }
 
 /// Runs every replication of `drive` serially, in replication order.
-pub fn collect_streams(drive: AuditDrive) -> Vec<Vec<Checkpoint>> {
+pub(crate) fn collect_streams(drive: AuditDrive) -> Vec<Vec<Checkpoint>> {
     (0..drive.reps)
         .map(|rep| stream(drive, rep, drive.every))
         .collect()
@@ -112,7 +112,7 @@ pub fn experiment(drive: AuditDrive) -> Experiment {
 
 /// First index at which two checkpoint streams disagree (a length mismatch
 /// counts as disagreement at the shorter length).
-pub fn first_mismatch(a: &[Checkpoint], b: &[Checkpoint]) -> Option<usize> {
+pub(crate) fn first_mismatch(a: &[Checkpoint], b: &[Checkpoint]) -> Option<usize> {
     let n = a.len().min(b.len());
     for i in 0..n {
         if a[i] != b[i] {
@@ -133,7 +133,7 @@ pub fn first_mismatch(a: &[Checkpoint], b: &[Checkpoint]) -> Option<usize> {
 /// and first disagree at `end_events`. If a refinement pass suddenly
 /// agrees (a non-reproducible divergence), the last disagreeing window is
 /// reported as-is.
-pub fn bisect_window<FA, FB>(
+pub(crate) fn bisect_window<FA, FB>(
     mut every: u64,
     run_a: FA,
     run_b: FB,
@@ -210,7 +210,7 @@ fn check(drive: AuditDrive, streams: Vec<Vec<Checkpoint>>) -> AuditOutcome {
 }
 
 /// Total checkpoints across all streams.
-pub fn total_checkpoints(streams: &[Vec<Checkpoint>]) -> usize {
+pub(crate) fn total_checkpoints(streams: &[Vec<Checkpoint>]) -> usize {
     streams.iter().map(Vec::len).sum()
 }
 

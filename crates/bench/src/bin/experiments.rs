@@ -31,7 +31,6 @@
 use std::time::Instant;
 
 use sprite_bench::{experiments, runner};
-use sprite_fs::SpritePath;
 
 #[derive(Debug, PartialEq)]
 struct Options {
@@ -133,11 +132,7 @@ fn main() {
     for line in results.iter().flat_map(|r| &r.report.stderr) {
         eprintln!("{line}");
     }
-    eprintln!(
-        "[counters] interned paths: {}, hash probes: {}",
-        SpritePath::interned_count(),
-        runner::hash_probes_total()
-    );
+    eprintln!("[counters] hash probes: {}", runner::hash_probes_total());
 
     if opts.json {
         let path = "BENCH_experiments.json";

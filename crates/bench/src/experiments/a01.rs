@@ -19,7 +19,7 @@ use crate::support::{
 
 /// One configuration's build measurement.
 #[derive(Debug, Clone)]
-pub struct NameCacheRow {
+pub(crate) struct NameCacheRow {
     /// Whether client name caching was on.
     pub name_caching: bool,
     /// Hosts in the cluster.

@@ -18,7 +18,7 @@ use crate::support::{
 
 /// Measurements for one hardware generation.
 #[derive(Debug, Clone)]
-pub struct GenerationRow {
+pub(crate) struct GenerationRow {
     /// Generation label.
     pub generation: &'static str,
     /// Trivial-process migration time.

@@ -15,7 +15,7 @@ use crate::support::{
 
 /// One dirty-rate measurement.
 #[derive(Debug, Clone, Copy)]
-pub struct PrecopyRow {
+pub(crate) struct PrecopyRow {
     /// Pages dirtied per second while pre-copy runs.
     pub dirty_rate: f64,
     /// Final freeze time.

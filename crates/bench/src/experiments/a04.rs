@@ -19,7 +19,7 @@ use crate::support::{
 
 /// One topology's measurement.
 #[derive(Debug, Clone)]
-pub struct ServerSplitRow {
+pub(crate) struct ServerSplitRow {
     /// Topology label.
     pub topology: &'static str,
     /// Build makespan.

@@ -18,7 +18,7 @@ use crate::support::{h, pages_for_mb, secs, standard_cluster, standard_migrator,
 
 /// One size point, both mechanisms.
 #[derive(Debug, Clone)]
-pub struct AlternativeRow {
+pub(crate) struct AlternativeRow {
     /// Image megabytes (dirty heap).
     pub image_mb: f64,
     /// True migration time.

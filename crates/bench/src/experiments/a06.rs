@@ -17,7 +17,7 @@ use crate::support::{
 
 /// One policy's outcome.
 #[derive(Debug, Clone)]
-pub struct EvictionPolicyRow {
+pub(crate) struct EvictionPolicyRow {
     /// Policy label.
     pub policy: &'static str,
     /// Time until the owner's machine is foreign-free.

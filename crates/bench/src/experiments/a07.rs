@@ -16,7 +16,7 @@ use crate::support::{h, ms, secs, standard_cluster, standard_migrator, TableWrit
 
 /// One policy's outcome for the returning owner.
 #[derive(Debug, Clone)]
-pub struct AutonomyRow {
+pub(crate) struct AutonomyRow {
     /// Policy label.
     pub policy: &'static str,
     /// Foreign jobs on the machine when the owner returns.

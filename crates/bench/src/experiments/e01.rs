@@ -91,7 +91,7 @@ pub fn run() -> Vec<BreakdownRow> {
 }
 
 /// Exec-time migration of an equivalent trivial process, for the last row.
-pub fn run_exec_row() -> sprite_core::MigrationReport {
+pub(crate) fn run_exec_row() -> sprite_core::MigrationReport {
     let (mut cluster, t) = standard_cluster(4);
     let mut migrator = standard_migrator(4);
     let (pid, t) = spawn_with_files(&mut cluster, t, 2, 1.0, 99);

@@ -18,7 +18,7 @@ use crate::support::{
 
 /// One (size, strategy) measurement.
 #[derive(Debug, Clone)]
-pub struct StrategyRow {
+pub(crate) struct StrategyRow {
     /// Resident image size in megabytes (a quarter of it dirty).
     pub dirty_mb: f64,
     /// Strategy used.
@@ -40,7 +40,7 @@ pub struct StrategyRow {
 /// long-running process has flushed most of its pages to the backing file
 /// already (Sprite's ordinary paging does this continuously); re-dirtying a
 /// quarter is the regime the thesis's flush argument assumes.
-pub const DIRTY_FRACTION: f64 = 0.25;
+pub(crate) const DIRTY_FRACTION: f64 = 0.25;
 
 /// Runs the sweep. `sizes_mb` is the *resident image* size; `DIRTY_FRACTION`
 /// of it is dirty.

@@ -13,7 +13,7 @@ use crate::support::{h, ms, standard_cluster, standard_migrator, TableWriter};
 
 /// One measurement.
 #[derive(Debug, Clone, Copy)]
-pub struct FilesRow {
+pub(crate) struct FilesRow {
     /// Open files at migration time.
     pub files: usize,
     /// Whether each file had a dirty cached block.

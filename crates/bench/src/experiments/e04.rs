@@ -16,7 +16,7 @@ use crate::support::{h, standard_cluster, standard_migrator, TableWriter};
 
 /// One call's measurement.
 #[derive(Debug, Clone, Copy)]
-pub struct CallRow {
+pub(crate) struct CallRow {
     /// The kernel call.
     pub call: KernelCall,
     /// Cost when the process is at home.

@@ -38,8 +38,6 @@ pub struct SpeedupRow {
     pub server_utilization: f64,
     /// Block fetches served by replica peers instead of the home server.
     pub replica_hits: u64,
-    /// Busy time of the worst-loaded server daemon during the build.
-    pub server_busy_max: SimDuration,
 }
 
 /// The classic workload: long compiles, compute-bound (the shape tests).
@@ -75,7 +73,7 @@ fn one_build(
     use_migration: bool,
     seed: u64,
     fs_shards: usize,
-) -> (SimDuration, f64, usize, u64, SimDuration) {
+) -> (SimDuration, f64, usize, u64) {
     let (mut cluster, t0) = sharded_cluster(hosts, fs_shards);
     let mut migrator = standard_migrator(hosts);
     // The server hosts plus the home host are busy; the rest are idle
@@ -113,14 +111,13 @@ fn one_build(
         util,
         report.remote_builds,
         cluster.fs.stats().replica_hits,
-        busy_max,
     )
 }
 
 /// Runs the sweep over host counts at `fs_shards` file-server daemons.
 /// `files` compilations per build. Host counts too small to fit the server
 /// group plus a distinct home host are skipped.
-pub fn run_sharded(
+pub(crate) fn run_sharded(
     host_counts: &[usize],
     workload: &CompileWorkload,
     seed: u64,
@@ -128,7 +125,7 @@ pub fn run_sharded(
 ) -> Vec<SpeedupRow> {
     // Baseline: everything on the home host of the classic one-server
     // layout, so speedups are comparable across shard counts.
-    let (serial, _, _, _, _) = one_build(3, workload, false, seed, 1);
+    let (serial, _, _, _) = one_build(3, workload, false, seed, 1);
     // Nominal compute demand, for the effective-parallelism column.
     let total_cpu =
         workload.files as f64 * workload.mean_cpu.as_secs_f64() + workload.link_cpu.as_secs_f64();
@@ -137,7 +134,7 @@ pub fn run_sharded(
         if hosts < fs_shards + 1 {
             continue;
         }
-        let (makespan, server_utilization, remote_builds, replica_hits, server_busy_max) =
+        let (makespan, server_utilization, remote_builds, replica_hits) =
             one_build(hosts, workload, true, seed, fs_shards);
         let speedup = serial.as_secs_f64() / makespan.as_secs_f64();
         rows.push(SpeedupRow {
@@ -149,7 +146,6 @@ pub fn run_sharded(
             remote_builds,
             server_utilization,
             replica_hits,
-            server_busy_max,
         });
     }
     rows
@@ -175,20 +171,20 @@ pub fn crossover(rows: &[SpeedupRow], threshold: f64) -> usize {
 }
 
 /// Marginal-speedup threshold defining the saturation crossover.
-pub const CROSSOVER_THRESHOLD: f64 = 0.15;
+pub(crate) const CROSSOVER_THRESHOLD: f64 = 0.15;
 
 /// Host counts and workload size the printed table sweeps.
-pub const TABLE_HOSTS: [usize; 8] = [2, 3, 4, 6, 8, 10, 12, 16];
+pub(crate) const TABLE_HOSTS: [usize; 8] = [2, 3, 4, 6, 8, 10, 12, 16];
 /// Shard counts the printed table sweeps.
-pub const TABLE_SHARDS: [usize; 3] = [1, 2, 4];
+pub(crate) const TABLE_SHARDS: [usize; 3] = [1, 2, 4];
 /// Compilations per build in the printed table.
-pub const TABLE_FILES: usize = 96;
+pub(crate) const TABLE_FILES: usize = 96;
 /// Workload seed for the printed table.
-pub const TABLE_SEED: u64 = 5;
+pub(crate) const TABLE_SEED: u64 = 5;
 
 /// Runs the full printed sweep: every shard count in [`TABLE_SHARDS`] over
 /// [`TABLE_HOSTS`], on the FS-heavy sweep workload.
-pub fn run_table_sweep() -> Vec<Vec<SpeedupRow>> {
+pub(crate) fn run_table_sweep() -> Vec<Vec<SpeedupRow>> {
     let workload = sweep_workload(TABLE_FILES);
     TABLE_SHARDS
         .iter()
@@ -276,11 +272,13 @@ mod tests {
         let w = sweep_workload(16);
         let flat = run_sharded(&[12], &w, 11, 1);
         let split = run_sharded(&[12], &w, 11, 2);
+        // The worst daemon's busy time: its utilization over the makespan.
+        let busy_max = |r: &SpeedupRow| r.server_utilization * r.makespan.as_secs_f64();
         assert!(
-            split[0].server_busy_max < flat[0].server_busy_max,
-            "2 shards should lighten the worst daemon: {} vs {}",
-            split[0].server_busy_max,
-            flat[0].server_busy_max,
+            busy_max(&split[0]) < busy_max(&flat[0]),
+            "2 shards should lighten the worst daemon: {:.3} s vs {:.3} s",
+            busy_max(&split[0]),
+            busy_max(&flat[0]),
         );
     }
 
@@ -295,7 +293,6 @@ mod tests {
             remote_builds: 0,
             server_utilization: 0.0,
             replica_hits: 0,
-            server_busy_max: SimDuration::ZERO,
         };
         let rows = vec![mk(2, 1.0), mk(4, 2.0), mk(8, 2.2), mk(16, 2.3)];
         assert_eq!(crossover(&rows, 0.15), 4);

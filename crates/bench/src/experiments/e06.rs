@@ -15,7 +15,7 @@ use crate::support::{h, secs, standard_cluster, standard_migrator, warmed_select
 
 /// One workload's measurement.
 #[derive(Debug, Clone)]
-pub struct UtilizationRow {
+pub(crate) struct UtilizationRow {
     /// Workload label.
     pub workload: &'static str,
     /// Jobs in the workload.

@@ -14,7 +14,7 @@ use crate::support::TableWriter;
 
 /// The experiment's aggregates.
 #[derive(Debug, Clone)]
-pub struct IdleStudy {
+pub(crate) struct IdleStudy {
     /// Idle fraction for each hour of a weekday (Wednesday).
     pub weekday_by_hour: Vec<f64>,
     /// Idle fraction for each hour of a Saturday.

@@ -15,7 +15,7 @@ use crate::support::{
 
 /// One eviction scenario's measurement.
 #[derive(Debug, Clone, Copy)]
-pub struct EvictionRow {
+pub(crate) struct EvictionRow {
     /// Foreign processes on the workstation.
     pub foreign: usize,
     /// Dirty megabytes per process.

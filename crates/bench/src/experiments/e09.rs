@@ -15,7 +15,7 @@ use crate::support::TableWriter;
 
 /// Lifetime distribution summary.
 #[derive(Debug, Clone, Copy)]
-pub struct LifetimeSummary {
+pub(crate) struct LifetimeSummary {
     /// Mean lifetime in seconds.
     pub mean: f64,
     /// Standard deviation in seconds.
@@ -30,7 +30,7 @@ pub struct LifetimeSummary {
 
 /// Policy evaluation: processes that gain from moving given an overhead.
 #[derive(Debug, Clone, Copy)]
-pub struct PolicyRow {
+pub(crate) struct PolicyRow {
     /// Cost paid to move the process.
     pub overhead: SimDuration,
     /// Fraction of processes whose remaining work amortizes the move

@@ -162,7 +162,7 @@ pub fn drive(
 
 /// The six architectures, in the table's canonical order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArchKind {
+pub(crate) enum ArchKind {
     /// Central availability server (Sprite's winner).
     Central,
     /// Shared-file bulletin board.
@@ -192,7 +192,7 @@ impl ArchKind {
 }
 
 /// Canonical architecture order for the matrix.
-pub const ARCHS: [ArchKind; 6] = [
+pub(crate) const ARCHS: [ArchKind; 6] = [
     ArchKind::Central,
     ArchKind::SharedFile,
     ArchKind::Probabilistic,
@@ -203,14 +203,18 @@ pub const ARCHS: [ArchKind; 6] = [
 
 /// Daemon count for a sharded cell: one per 64 hosts, at least two (so
 /// sharding actually happens), at most 64, never more than hosts.
-pub fn sharded_coordinators(hosts: usize) -> usize {
+pub(crate) fn sharded_coordinators(hosts: usize) -> usize {
     (hosts / 64).clamp(2, 64).min(hosts)
 }
 
 /// Builds the gossip selector an E10 cell drives: fanout 2, batches of 8,
 /// refresh floor every 6th report (reports arrive every 5 s, so an
 /// unchanged host still re-gossips at least twice a minute).
-pub fn gossip_selector(hosts: usize, policy: AvailabilityPolicy, seed: u64) -> GossipDissemination {
+pub(crate) fn gossip_selector(
+    hosts: usize,
+    policy: AvailabilityPolicy,
+    seed: u64,
+) -> GossipDissemination {
     let mut g = GossipDissemination::new(hosts, 2, 8, policy, seed ^ 0x71d3);
     g.set_refresh_every(6);
     g
@@ -220,7 +224,12 @@ pub fn gossip_selector(hosts: usize, policy: AvailabilityPolicy, seed: u64) -> G
 /// selector and network from the seed, so cells are independent — the
 /// parallel experiment runner executes them on separate threads and the
 /// result is identical to the serial sweep.
-pub fn drive_kind(kind: ArchKind, hosts: usize, duration: SimDuration, seed: u64) -> ArchRow {
+pub(crate) fn drive_kind(
+    kind: ArchKind,
+    hosts: usize,
+    duration: SimDuration,
+    seed: u64,
+) -> ArchRow {
     let policy = AvailabilityPolicy::default();
     let mut selector: Box<dyn HostSelector> = match kind {
         ArchKind::Central => Box::new(CentralServer::new(HostId::new(0), policy)),
@@ -247,9 +256,9 @@ pub fn run(host_counts: &[usize], duration: SimDuration, seed: u64) -> Vec<ArchR
 }
 
 /// Cluster sizes in the full table.
-pub const FULL_SIZES: [usize; 4] = [10, 50, 100, 200];
+pub(crate) const FULL_SIZES: [usize; 4] = [10, 50, 100, 200];
 /// Simulated duration of each cell in the full table.
-pub const FULL_DURATION_SECS: u64 = 1800;
+pub(crate) const FULL_DURATION_SECS: u64 = 1800;
 /// Seed for the full table.
 pub const FULL_SEED: u64 = 31;
 
@@ -312,14 +321,15 @@ pub fn experiment(sizes: &[usize], duration: SimDuration, seed: u64) -> Experime
 }
 
 /// Cluster sizes in the decentralization sweep (100 → 10 000 hosts).
-pub const SWEEP_SIZES: [usize; 3] = [100, 1000, 10_000];
+pub(crate) const SWEEP_SIZES: [usize; 3] = [100, 1000, 10_000];
 /// Architectures raced in the sweep: the thesis's winner against the two
 /// decentralized designs that replace it at scale.
-pub const SWEEP_ARCHS: [ArchKind; 3] = [ArchKind::Central, ArchKind::Sharded, ArchKind::Gossip];
+pub(crate) const SWEEP_ARCHS: [ArchKind; 3] =
+    [ArchKind::Central, ArchKind::Sharded, ArchKind::Gossip];
 /// Simulated duration of each sweep cell.
-pub const SWEEP_DURATION_SECS: u64 = 1800;
+pub(crate) const SWEEP_DURATION_SECS: u64 = 1800;
 /// Seed for the sweep.
-pub const SWEEP_SEED: u64 = 31;
+pub(crate) const SWEEP_SEED: u64 = 31;
 
 /// The sweep as a runner experiment, printed only when named
 /// (`e10-sweep[=SIZES]`): one unit per cell of `sizes × SWEEP_ARCHS`, each
@@ -372,7 +382,7 @@ fn sweep_json(rows: &[ArchRow], duration: SimDuration, seed: u64) -> JsonObject 
 /// Renders the sweep table: staleness vs. placement quality vs. latency vs.
 /// wire cost, the axes on which decentralization trades against the thesis's
 /// central server.
-pub fn render_sweep(rows: &[ArchRow]) -> String {
+pub(crate) fn render_sweep(rows: &[ArchRow]) -> String {
     let mut t = TableWriter::new(
         "E10 sweep: decentralized host selection at scale (30 simulated minutes each)",
         &[

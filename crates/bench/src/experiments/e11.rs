@@ -207,7 +207,7 @@ pub fn run_seeded(hosts: usize, days: u64, rng: DetRng) -> MonthReport {
 }
 
 /// The selector the golden month uses: the thesis's central server on host 0.
-pub fn default_selector() -> Box<dyn HostSelector> {
+pub(crate) fn default_selector() -> Box<dyn HostSelector> {
     Box::new(CentralServer::new(h(0), AvailabilityPolicy::default()))
 }
 
@@ -228,7 +228,7 @@ pub fn run_seeded_with(
 /// returned stream is what the `audit` experiment compares across `--jobs`
 /// values — identical replication, identical stream, regardless of which
 /// thread ran it.
-pub fn run_audited(
+pub(crate) fn run_audited(
     hosts: usize,
     days: u64,
     rng: DetRng,
@@ -237,7 +237,7 @@ pub fn run_audited(
     run_inner(hosts, days, rng, Some(every), default_selector())
 }
 
-/// [`run_audited`] through an arbitrary selection architecture.
+/// `run_audited` through an arbitrary selection architecture.
 pub fn run_audited_with(
     hosts: usize,
     days: u64,
@@ -382,11 +382,11 @@ pub fn merge(reports: &[MonthReport]) -> MonthReport {
 }
 
 /// Replication plan for the full table: 5 × 6 days = 30 simulated days.
-pub const FULL_HOSTS: usize = 50;
+pub(crate) const FULL_HOSTS: usize = 50;
 /// Days per replication in the full table.
-pub const FULL_REP_DAYS: u64 = 6;
+pub(crate) const FULL_REP_DAYS: u64 = 6;
 /// Replications in the full table.
-pub const FULL_REPS: usize = 5;
+pub(crate) const FULL_REPS: usize = 5;
 /// Master seed for the full table.
 pub const FULL_SEED: u64 = 41;
 
@@ -439,7 +439,7 @@ pub fn experiment(hosts: usize, days: u64, seed: u64, reps: usize) -> Experiment
 
 /// The per-op RPC breakdown of one E11 day on 8 hosts, printed only when
 /// named (`rpc-table`).
-pub fn rpc_experiment() -> Experiment {
+pub(crate) fn rpc_experiment() -> Experiment {
     Experiment::single(
         "rpc-table",
         "per-op RPC traffic of one E11 day",

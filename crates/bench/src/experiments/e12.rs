@@ -17,7 +17,7 @@ use crate::support::{h, standard_cluster, standard_migrator, TableWriter};
 
 /// One forwarded-fraction measurement.
 #[derive(Debug, Clone, Copy)]
-pub struct ResidualRow {
+pub(crate) struct ResidualRow {
     /// Fraction of kernel calls that forward home.
     pub forwarded_fraction: f64,
     /// Elapsed time for the call mix at home (µs).
@@ -28,7 +28,7 @@ pub struct ResidualRow {
 
 impl ResidualRow {
     /// Foreign/home slowdown.
-    pub fn slowdown(&self) -> f64 {
+    pub(crate) fn slowdown(&self) -> f64 {
         self.foreign_us as f64 / self.home_us.max(1) as f64
     }
 }

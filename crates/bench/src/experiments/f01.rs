@@ -10,7 +10,7 @@
 //! outcomes. The plan is seeded, so the whole sweep (including the rendered
 //! table and the per-op fault breakdown) is a pure function of
 //! `(seed, rate)` and replays byte-identically at any `--jobs` value.
-//! `experiments` prints the sweep of [`MAX_RATE`] from [`SEED`].
+//! `experiments` prints the sweep of `MAX_RATE` from [`SEED`].
 
 use sprite_fs::SpritePath;
 use sprite_net::{FaultPlan, FaultStats, HostId};
@@ -24,16 +24,16 @@ use crate::support::{
 /// Seed of every [`FaultPlan`] in the printed sweep.
 pub const SEED: u64 = 42;
 /// Top drop rate of the printed sweep.
-pub const MAX_RATE: f64 = 0.1;
+pub(crate) const MAX_RATE: f64 = 0.1;
 
 /// Hosts in the fault cluster (host 0 is the file server).
 pub const HOSTS: usize = 8;
 /// Migration attempts driven per sweep point.
-pub const ATTEMPTS: usize = 12;
+pub(crate) const ATTEMPTS: usize = 12;
 /// The host a nonzero-rate plan partitions away for a while.
-pub const PARTITIONED_HOST: u32 = 5;
+pub(crate) const PARTITIONED_HOST: u32 = 5;
 /// The host a nonzero-rate plan crashes mid-drive.
-pub const CRASHED_HOST: u32 = 7;
+pub(crate) const CRASHED_HOST: u32 = 7;
 
 /// One sweep point's outcome counts.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,8 +76,8 @@ pub struct FaultSweepReport {
 /// Drives the migration workload once under `FaultPlan::new(seed, rate)`.
 ///
 /// At `rate == 0` the plan is empty and every attempt must complete; at any
-/// nonzero rate the plan also partitions host [`PARTITIONED_HOST`] for four
-/// seconds and crashes host [`CRASHED_HOST`] mid-drive (the crash is applied
+/// nonzero rate the plan also partitions host `PARTITIONED_HOST` for four
+/// seconds and crashes host `CRASHED_HOST` mid-drive (the crash is applied
 /// to the cluster with [`Cluster::crash_host`] at its scheduled instant, the
 /// fail-stop model of Ch. 3.6).
 ///
@@ -238,7 +238,7 @@ pub fn render(report: &FaultSweepReport) -> String {
     t.render()
 }
 
-/// F1 as a runner experiment: one unit sweeping up to [`MAX_RATE`] from
+/// F1 as a runner experiment: one unit sweeping up to `MAX_RATE` from
 /// [`SEED`]. It prints the sweep, then the per-op fault table merged
 /// across it.
 pub fn experiment() -> Experiment {

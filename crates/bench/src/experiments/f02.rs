@@ -32,18 +32,18 @@ use crate::support::{
 /// image shard with it.
 pub const HOSTS: usize = 6;
 /// FS shards exporting `/` (and thus striping checkpoint images).
-pub const FS_SHARDS: usize = 2;
+pub(crate) const FS_SHARDS: usize = 2;
 /// The printed grid's MTBFs, seconds.
-pub const MTBFS_SECS: [u64; 4] = [30, 120, 600, 3600];
+pub(crate) const MTBFS_SECS: [u64; 4] = [30, 120, 600, 3600];
 /// The printed grid's process images, megabytes of dirty heap.
-pub const IMAGE_MBS: [f64; 3] = [0.25, 1.0, 4.0];
+pub(crate) const IMAGE_MBS: [f64; 3] = [0.25, 1.0, 4.0];
 /// Useful work each arm must complete, seconds.
-pub const WORK_TARGET_SECS: u64 = 240;
+pub(crate) const WORK_TARGET_SECS: u64 = 240;
 /// Planned evictions (returning owners) arrive this often, elapsed time.
-pub const OWNER_RETURN_SECS: u64 = 60;
+pub(crate) const OWNER_RETURN_SECS: u64 = 60;
 /// Makespan cap as a multiple of the work target; an arm that cannot
 /// finish by then is censored at the cap (low-MTBF migration, typically).
-pub const CAP_FACTOR: u64 = 50;
+pub(crate) const CAP_FACTOR: u64 = 50;
 /// The printed grid's seed for the walk's crash jitter.
 pub const SEED: u64 = 42;
 
@@ -333,7 +333,7 @@ pub fn experiment(mtbfs: &[u64], image_mbs: &[f64], seed: u64) -> Experiment {
 
 /// Per image size, the smallest swept MTBF at which live migration wins
 /// (`None` if checkpointing wins across the whole grid).
-pub fn crossovers(cells: &[F02Cell], image_mbs: &[f64]) -> Vec<(f64, Option<u64>)> {
+pub(crate) fn crossovers(cells: &[F02Cell], image_mbs: &[f64]) -> Vec<(f64, Option<u64>)> {
     image_mbs
         .iter()
         .map(|&mb| {

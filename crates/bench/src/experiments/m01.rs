@@ -10,16 +10,15 @@
 //!    the borrowed machines by the pmake engine.
 //!
 //! The point is scale: process and stream churn at 120 hosts exercises
-//! the generational PCB/stream slabs, the interned path table and the
-//! deterministic hash maps hard enough that their occupancy counters mean
-//! something. The table reports those data-plane counters next to the
-//! workload results; `experiments --json` records them in the
-//! `macrobench` block of `BENCH_experiments.json`.
+//! the generational PCB/stream slabs and the deterministic hash maps hard
+//! enough that their occupancy counters mean something. The table reports
+//! those data-plane counters next to the workload results; `experiments
+//! --json` records them in the `macrobench` block of
+//! `BENCH_experiments.json`.
 //!
 //! The id `m01` is in the default set, after the 19 tables, so
 //! `experiments_output.txt` pins the table byte for byte.
 
-use sprite_fs::SpritePath;
 use sprite_hostsel::{AvailabilityPolicy, GossipDissemination, HostSelector};
 use sprite_pmake::{prepare_sources, run_build, Action, DepGraph, PmakeConfig};
 use sprite_sim::{DetRng, SimDuration};
@@ -32,19 +31,19 @@ use crate::support::{
 };
 
 /// Hosts in the macrobench cluster (the thesis cluster was ~50).
-pub const MACRO_HOSTS: usize = 120;
+pub(crate) const MACRO_HOSTS: usize = 120;
 /// Days per month replication.
-pub const MACRO_REP_DAYS: u64 = 3;
+pub(crate) const MACRO_REP_DAYS: u64 = 3;
 /// Month replications.
-pub const MACRO_REPS: usize = 2;
+pub(crate) const MACRO_REPS: usize = 2;
 /// Independent simulations in the batch workload.
-pub const MACRO_SIM_JOBS: usize = 100;
+pub(crate) const MACRO_SIM_JOBS: usize = 100;
 /// Master seed.
-pub const MACRO_SEED: u64 = 47;
+pub(crate) const MACRO_SEED: u64 = 47;
 /// Host-selection daemons the batch workload spreads its hosts across.
-pub const MACRO_COORDINATORS: usize = 4;
+pub(crate) const MACRO_COORDINATORS: usize = 4;
 /// File-server daemons striping the batch workload's root domain.
-pub const MACRO_FS_SHARDS: usize = 2;
+pub(crate) const MACRO_FS_SHARDS: usize = 2;
 
 /// The month's selection architecture: gossip dissemination tuned for the
 /// driver's one-minute report cadence — fanout 1, batches of 4 entries, a
@@ -52,7 +51,7 @@ pub const MACRO_FS_SHARDS: usize = 2;
 /// twice an hour) and entries trusted for 45 minutes. This replaces the
 /// central server whose 500 µs service queue cost 615 ms per selection at
 /// 120 hosts.
-pub fn month_selector(rep: usize) -> Box<dyn HostSelector> {
+pub(crate) fn month_selector(rep: usize) -> Box<dyn HostSelector> {
     let mut g = GossipDissemination::new(
         MACRO_HOSTS,
         1,
@@ -299,7 +298,7 @@ pub fn render(r: &MacroReport) -> String {
 }
 
 /// M1 as a runner experiment: one unit running both workloads. The merge
-/// also records the process-wide interned-path and hash-probe counts.
+/// also records the process-wide hash-probe count.
 pub fn experiment() -> Experiment {
     Experiment::new(
         "m01",
@@ -320,7 +319,6 @@ fn report(r: &MacroReport) -> Report {
         .num("proc_slab_high_water", r.proc_slab_high_water)
         .num("stream_slab_high_water", r.stream_slab_high_water)
         .num("stale_handle_lookups", r.stale_handle_lookups)
-        .num("interned_paths", SpritePath::interned_count())
         .num("hash_probes", hash_probes_total())
         .num("rpc_total_messages", r.rpc.total_messages())
         .num("rpc_total_bytes", r.rpc.total_bytes())

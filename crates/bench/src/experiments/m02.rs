@@ -33,9 +33,9 @@ use crate::runner::{Experiment, Report};
 use crate::support::{JsonObject, TableWriter};
 
 /// Hosts in the full m02 cluster.
-pub const FULL_HOSTS: u32 = 5_000;
+pub(crate) const FULL_HOSTS: u32 = 5_000;
 /// Simulated days in the full run.
-pub const FULL_DAYS: u64 = 30;
+pub(crate) const FULL_DAYS: u64 = 30;
 /// Master seed.
 pub const FULL_SEED: u64 = 53;
 /// Checkpoint cadence in barrier windows (one window covers one simulated
@@ -107,12 +107,12 @@ pub struct M02Run {
 
 impl M02Run {
     /// Host nanoseconds per executed event.
-    pub fn ns_per_event(&self) -> f64 {
+    pub(crate) fn ns_per_event(&self) -> f64 {
         self.wall_seconds * 1e9 / self.events.max(1) as f64
     }
 
     /// Calendar key comparisons per executed event.
-    pub fn keys_compared_per_event(&self) -> f64 {
+    pub(crate) fn keys_compared_per_event(&self) -> f64 {
         self.queue.keys_compared as f64 / self.events.max(1) as f64
     }
 }
@@ -191,7 +191,7 @@ pub fn run(params: M02Params, shards: usize) -> M02Report {
 
 /// Folds a digest stream into one u64 so the table can print "the whole
 /// stream" in a line.
-pub fn stream_digest(audit: &[Checkpoint]) -> u64 {
+pub(crate) fn stream_digest(audit: &[Checkpoint]) -> u64 {
     let mut d = StateDigest::new();
     d.write_usize(audit.len());
     for c in audit {
@@ -253,13 +253,13 @@ pub fn render(r: &M02Report) -> String {
 }
 
 /// Total barrier-stall nanoseconds across a drive's workers.
-pub fn total_stall_ns(run: &M02Run) -> u64 {
+pub(crate) fn total_stall_ns(run: &M02Run) -> u64 {
     run.worker_stalls.iter().map(|w| w.stall_ns).sum()
 }
 
 /// One worker's time split, in seconds: "w0 exec 1.234s merge 0.123s wait
 /// 0.012s".
-pub fn worker_split(w: &WorkerCounters) -> String {
+pub(crate) fn worker_split(w: &WorkerCounters) -> String {
     format!(
         "w{} exec {:.3}s merge {:.3}s wait {:.3}s",
         w.worker,

@@ -5,25 +5,25 @@
 //! `experiments` prints, as runner experiments selected by id
 //! ([`select`]).
 
-pub mod a01;
-pub mod a02;
-pub mod a03;
-pub mod a04;
-pub mod a05;
-pub mod a06;
-pub mod a07;
+pub(crate) mod a01;
+pub(crate) mod a02;
+pub(crate) mod a03;
+pub(crate) mod a04;
+pub(crate) mod a05;
+pub(crate) mod a06;
+pub(crate) mod a07;
 pub mod e01;
-pub mod e02;
-pub mod e03;
-pub mod e04;
+pub(crate) mod e02;
+pub(crate) mod e03;
+pub(crate) mod e04;
 pub mod e05;
-pub mod e06;
-pub mod e07;
-pub mod e08;
-pub mod e09;
+pub(crate) mod e06;
+pub(crate) mod e07;
+pub(crate) mod e08;
+pub(crate) mod e09;
 pub mod e10;
 pub mod e11;
-pub mod e12;
+pub(crate) mod e12;
 pub mod f01;
 pub mod f02;
 pub mod m01;

@@ -22,7 +22,7 @@ pub fn standard_cluster(hosts: usize) -> (Cluster, SimTime) {
 
 /// Like [`standard_cluster`] but with an explicit hardware generation and
 /// file-system configuration — the ablations sweep these.
-pub fn cluster_with(
+pub(crate) fn cluster_with(
     cost: CostModel,
     hosts: usize,
     fs_config: sprite_fs::FsConfig,
@@ -43,7 +43,7 @@ pub fn cluster_with(
 /// `[1, hosts-1]`). At one shard this is exactly [`standard_cluster`]'s
 /// layout; at N the namespace, replica serving and paging stripes spread
 /// across N server CPUs.
-pub fn sharded_cluster(hosts: usize, fs_shards: usize) -> (Cluster, SimTime) {
+pub(crate) fn sharded_cluster(hosts: usize, fs_shards: usize) -> (Cluster, SimTime) {
     let shards = fs_shards.clamp(1, hosts.saturating_sub(1).max(1));
     let mut c = Cluster::with_fs_config(CostModel::sun3(), hosts, sprite_fs::FsConfig::default());
     let servers: Vec<HostId> = (0..shards as u32).map(h).collect();
@@ -60,7 +60,7 @@ pub fn sharded_cluster(hosts: usize, fs_shards: usize) -> (Cluster, SimTime) {
 /// CPU busy time so far of the file server on `host` (zero when `host`
 /// serves no files). Sampled around a build, it gives the server's load
 /// during that build alone.
-pub fn server_busy(cluster: &Cluster, host: HostId) -> SimDuration {
+pub(crate) fn server_busy(cluster: &Cluster, host: HostId) -> SimDuration {
     cluster
         .fs
         .server(host)
@@ -86,7 +86,7 @@ pub fn warmed_selector(cluster: &mut Cluster, hosts: usize, first: u32) -> Centr
 /// The central daemon spread over `daemons` hosts, warmed the same way as
 /// [`warmed_selector`]: hosts below `first` reported busy, the rest idle
 /// for an hour.
-pub fn warmed_sharded_selector(
+pub(crate) fn warmed_sharded_selector(
     cluster: &mut Cluster,
     hosts: usize,
     daemons: usize,
@@ -149,13 +149,13 @@ pub fn dirty_heap(
 }
 
 /// Pages needed for `megabytes` of heap (plus slack).
-pub fn pages_for_mb(megabytes: f64) -> u64 {
+pub(crate) fn pages_for_mb(megabytes: f64) -> u64 {
     ((megabytes * 1024.0 * 1024.0) as u64).div_ceil(PAGE_SIZE) + 4
 }
 
 /// Fixed-width table writer so every experiment prints the same way.
 #[derive(Debug, Clone)]
-pub struct TableWriter {
+pub(crate) struct TableWriter {
     title: String,
     header: Vec<String>,
     widths: Vec<usize>,
@@ -185,7 +185,7 @@ impl TableWriter {
     }
 
     /// Adds a footnote printed under the table.
-    pub fn note(&mut self, text: impl Into<String>) {
+    pub(crate) fn note(&mut self, text: impl Into<String>) {
         self.notes.push(text.into());
     }
 
@@ -222,7 +222,7 @@ impl TableWriter {
 /// counters because every wire byte is attributed to a typed op.
 ///
 /// [`NetStats`]: sprite_net::NetStats
-pub fn rpc_table_text(title: &str, table: &sprite_net::RpcTable) -> String {
+pub(crate) fn rpc_table_text(title: &str, table: &sprite_net::RpcTable) -> String {
     let mut t = TableWriter::new(title, &["op", "calls", "messages", "bytes", "mean rtt"]);
     for (op, row) in table.rows() {
         t.row(&[
@@ -245,7 +245,7 @@ pub fn rpc_table_text(title: &str, table: &sprite_net::RpcTable) -> String {
 
 /// Renders a per-op fault breakdown ([`sprite_net::FaultStats`]): only ops
 /// that saw at least one fault event appear, in table order.
-pub fn fault_table_text(title: &str, table: &sprite_net::FaultStats) -> String {
+pub(crate) fn fault_table_text(title: &str, table: &sprite_net::FaultStats) -> String {
     let mut t = TableWriter::new(
         title,
         &["op", "drops", "partitions", "crashes", "retries", "giveups"],
@@ -266,7 +266,7 @@ pub fn fault_table_text(title: &str, table: &sprite_net::FaultStats) -> String {
     t.render()
 }
 
-/// A JSON object written field by field, as [`TableWriter`] writes a
+/// A JSON object written field by field, as `TableWriter` writes a
 /// table: `experiments --json` writes its document and every experiment's
 /// block through it. Numbers and booleans go in already formatted.
 #[derive(Debug, Clone, Default)]

@@ -290,11 +290,6 @@ impl SpriteFs {
         self.servers.get(host.index()).and_then(|s| s.as_ref())
     }
 
-    /// Read access to a client cache.
-    pub fn client_cache(&self, host: HostId) -> &BlockCache {
-        &self.clients[host.index()]
-    }
-
     /// Read access to the stream table.
     pub fn streams(&self) -> &StreamTable {
         &self.streams
@@ -435,7 +430,7 @@ impl SpriteFs {
     }
 
     /// The server host storing `file`.
-    pub fn home_of(&self, file: FileId) -> Option<HostId> {
+    pub(crate) fn home_of(&self, file: FileId) -> Option<HostId> {
         self.placed(file).map(|(home, _)| home)
     }
 
@@ -710,22 +705,18 @@ impl SpriteFs {
         host: HostId,
         path: &SpritePath,
     ) -> FsResult<(u16, HostId, SimTime)> {
-        let (gi, prefix, anchor, owner, is_member, multi) = {
-            let (gi, g) = self
-                .shards
-                .group_of(path)
-                .ok_or_else(|| FsError::NoDomain(path.clone()))?;
-            (
-                gi as u16,
-                g.prefix.clone(),
-                g.servers[0],
-                g.owner_of(path),
-                g.servers.contains(&host),
-                g.servers.len() > 1,
-            )
-        };
+        let (gi, g) = self
+            .shards
+            .group_of(path)
+            .ok_or_else(|| FsError::NoDomain(path.clone()))?;
+        let (gi, anchor, owner) = (gi as u16, g.servers[0], g.owner_of(path));
+        // The group's prefix, when this is the host's first contact.
+        let first_contact = (g.servers.len() > 1
+            && !g.servers.contains(&host)
+            && !self.shard_known[host.index()].contains(&g.prefix))
+        .then(|| g.prefix.clone());
         let mut t = now;
-        if multi && !is_member && !self.shard_known[host.index()].contains(&prefix) {
+        if let Some(prefix) = first_contact {
             if host != anchor {
                 t = self.charge_typed(
                     net,
@@ -1746,7 +1737,7 @@ mod tests {
             .open(&mut net, t4, h(1), SpritePath::new("/f"), OpenMode::Write)
             .unwrap();
         let t6 = fs.write(&mut net, t5, h(1), s2, b"WRITTEN").unwrap();
-        assert!(fs.client_cache(h(1)).dirty_block_count(id) > 0);
+        assert!(fs.clients[h(1).index()].dirty_block_count(id) > 0);
         let t7 = fs.close(&mut net, t6, h(1), s2).unwrap();
         // Host 2 opens for read; any remaining dirty data must be recalled.
         let (s3, t8) = fs
@@ -1755,7 +1746,7 @@ mod tests {
         let mut data = Vec::new();
         fs.read(&mut net, t8, h(2), s3, 16, &mut data).unwrap();
         assert_eq!(&data, b"WRITTEN by host1");
-        assert_eq!(fs.client_cache(h(1)).dirty_block_count(id), 0);
+        assert_eq!(fs.clients[h(1).index()].dirty_block_count(id), 0);
     }
 
     #[test]
@@ -1847,9 +1838,9 @@ mod tests {
             .open(&mut net, t0, h(1), SpritePath::new("/f"), OpenMode::Write)
             .unwrap();
         let t2 = fs.write(&mut net, t1, h(1), s, &[7u8; 20_000]).unwrap();
-        assert!(fs.client_cache(h(1)).dirty_block_count(id) > 0);
+        assert!(fs.clients[h(1).index()].dirty_block_count(id) > 0);
         let (_, _t3) = fs.migrate_stream(&mut net, t2, s, h(1), h(2), 1).unwrap();
-        assert_eq!(fs.client_cache(h(1)).dirty_block_count(id), 0);
+        assert_eq!(fs.clients[h(1).index()].dirty_block_count(id), 0);
         let server_data = fs
             .server(h(0))
             .unwrap()
@@ -1968,7 +1959,7 @@ mod tests {
             t = fs.write(&mut net, t, h(1), w, &block).unwrap();
             expect.extend_from_slice(&block);
         }
-        assert_eq!(fs.client_cache(h(1)).dirty_block_count(id), 3);
+        assert_eq!(fs.clients[h(1).index()].dirty_block_count(id), 3);
         let version = fs.srv(h(0)).file(id).unwrap().version;
         let check = |fs: &SpriteFs, what: &str| {
             let f = fs.srv(h(0)).file(id).unwrap();
@@ -1986,11 +1977,11 @@ mod tests {
             assert!(matches!(err, Err(FsError::Rpc(_))), "{mode:?}");
             check(&fs, &format!("{mode:?} open"));
         }
-        assert_eq!(fs.client_cache(h(1)).dirty_block_count(id), 3);
+        assert_eq!(fs.clients[h(1).index()].dirty_block_count(id), 3);
         // Once the link heals, an open on host 3 recalls host 1's blocks.
         net.set_policy(Box::new(Ideal));
         let (r, t) = fs.open(&mut net, t, h(3), path, OpenMode::Read).unwrap();
-        assert_eq!(fs.client_cache(h(1)).dirty_block_count(id), 0);
+        assert_eq!(fs.clients[h(1).index()].dirty_block_count(id), 0);
         let mut got = Vec::new();
         fs.read(&mut net, t, h(3), r, u64::MAX, &mut got).unwrap();
         assert_eq!(got.len(), 12_288);
@@ -2204,7 +2195,7 @@ mod tests {
         fs.seek(s, 0).unwrap();
         fs.read(&mut net, t3, h(1), s, 8192, &mut buf).unwrap();
         assert_eq!(fs.stats().block_fetches, fetches_before);
-        let (hits, _) = fs.client_cache(h(1)).hit_stats();
+        let (hits, _) = fs.clients[h(1).index()].hit_stats();
         assert!(hits >= 4);
     }
 
@@ -2219,10 +2210,10 @@ mod tests {
             .open(&mut net, t0, h(1), SpritePath::new("/f"), OpenMode::Write)
             .unwrap();
         let t2 = fs.write(&mut net, t1, h(1), s, b"sync me").unwrap();
-        assert_eq!(fs.client_cache(h(1)).dirty_block_count(id), 1);
+        assert_eq!(fs.clients[h(1).index()].dirty_block_count(id), 1);
         let t3 = fs.fsync(&mut net, t2, h(1), s).unwrap();
         assert!(t3 > t2);
-        assert_eq!(fs.client_cache(h(1)).dirty_block_count(id), 0);
+        assert_eq!(fs.clients[h(1).index()].dirty_block_count(id), 0);
         assert_eq!(
             fs.server(h(0)).unwrap().file(id).unwrap().read_at(0, 7),
             b"sync me"
@@ -2343,7 +2334,7 @@ mod tests {
             let t2 = fs.write(&mut net, t1, h(1), s, b"gone soon").unwrap();
             // The unlink drops the writer's dirty block, wherever it runs.
             let t3 = fs.unlink(&mut net, t2, unlinker, &path).unwrap();
-            assert_eq!(fs.client_cache(h(1)).dirty_block_count(id), 0);
+            assert_eq!(fs.clients[h(1).index()].dirty_block_count(id), 0);
             fs.seek(s, 0).unwrap();
             let mut data = Vec::new();
             fs.read(&mut net, t3, h(1), s, 16, &mut data).unwrap();

@@ -55,7 +55,7 @@ impl ReplicaTable {
     /// true when the file's reader-switch count has crossed
     /// [`HOT_THRESHOLD`] and it has no live set — the caller should try to
     /// install replicas.
-    pub fn note_fetch(&mut self, file: FileId, host: HostId) -> bool {
+    pub(crate) fn note_fetch(&mut self, file: FileId, host: HostId) -> bool {
         let e = self.heat.entry(file).or_insert((host, 0));
         if e.0 != host {
             e.0 = host;
@@ -83,7 +83,7 @@ impl ReplicaTable {
     /// Drops the replica set for `file`, returning the peers that must be
     /// sent an invalidation notice. Heat is kept: a file that stays hot
     /// after the write closes can be re-replicated.
-    pub fn drop_set(&mut self, file: FileId) -> Option<Vec<HostId>> {
+    pub(crate) fn drop_set(&mut self, file: FileId) -> Option<Vec<HostId>> {
         self.sets.remove(&file).map(|s| s.servers)
     }
 

@@ -117,7 +117,7 @@ impl ServerFile {
     }
 
     /// Hosts with the file open at all.
-    pub fn open_hosts(&self) -> impl Iterator<Item = HostId> + '_ {
+    pub(crate) fn open_hosts(&self) -> impl Iterator<Item = HostId> + '_ {
         let mut seen = DetHashSet::default();
         self.opens
             .iter()
@@ -126,7 +126,7 @@ impl ServerFile {
     }
 
     /// Hosts with the file open for writing.
-    pub fn writer_hosts(&self) -> impl Iterator<Item = HostId> + '_ {
+    pub(crate) fn writer_hosts(&self) -> impl Iterator<Item = HostId> + '_ {
         let mut seen = DetHashSet::default();
         self.opens
             .iter()
@@ -137,7 +137,7 @@ impl ServerFile {
 
     /// True if distinct hosts share the file while at least one writes —
     /// the condition under which Sprite disables caching.
-    pub fn concurrently_write_shared(&self) -> bool {
+    pub(crate) fn concurrently_write_shared(&self) -> bool {
         let Some(first) = self.opens.first() else {
             return false;
         };
@@ -381,18 +381,18 @@ impl ServerState {
     }
 
     /// Number of files stored.
-    pub fn file_count(&self) -> usize {
+    pub(crate) fn file_count(&self) -> usize {
         self.files.len()
     }
 
     /// Total disk reads performed (server cache misses).
-    pub fn disk_reads(&self) -> u64 {
+    pub(crate) fn disk_reads(&self) -> u64 {
         self.disk_reads
     }
 
     /// Total time requests waited for this server's CPU: each one's wait
     /// from its arrival at the server to the start of its service.
-    pub fn queue_wait(&self) -> SimDuration {
+    pub(crate) fn queue_wait(&self) -> SimDuration {
         self.cpu.wait_time()
     }
 
@@ -410,7 +410,12 @@ impl ServerState {
     /// # Panics
     ///
     /// Panics if the file does not exist (callers look up first).
-    pub fn grant_open(&self, id: FileId, host: HostId, mode: OpenMode) -> ConsistencyActions {
+    pub(crate) fn grant_open(
+        &self,
+        id: FileId,
+        host: HostId,
+        mode: OpenMode,
+    ) -> ConsistencyActions {
         let file = self.files.get(&id).expect("open of unknown file");
         // Sequential write-sharing: a different host wrote this file last
         // and may hold dirty blocks; recall them so this open sees current
@@ -447,7 +452,7 @@ impl ServerState {
     /// # Panics
     ///
     /// Panics if the file does not exist.
-    pub fn commit_open(&mut self, id: FileId, host: HostId, mode: OpenMode) -> u64 {
+    pub(crate) fn commit_open(&mut self, id: FileId, host: HostId, mode: OpenMode) -> u64 {
         let file = self.files.get_mut(&id).expect("open of unknown file");
         let replaced = file.version;
         file.add_open(host, mode);
@@ -482,7 +487,7 @@ impl ServerState {
     /// recall runs (the protocol already flushed the source host). Returns
     /// false, changing nothing, for a file the server does not store or a
     /// `from` record it does not hold.
-    pub fn move_open(
+    pub(crate) fn move_open(
         &mut self,
         id: FileId,
         from: Option<HostId>,
@@ -510,7 +515,7 @@ impl ServerState {
 
     /// Touches a block in the server memory cache; returns true if it was
     /// resident (no disk access needed).
-    pub fn touch_block(&mut self, id: FileId, block: u64) -> bool {
+    pub(crate) fn touch_block(&mut self, id: FileId, block: u64) -> bool {
         self.block_ops += 1;
         // `block_ops` never resets, so it doubles as the recency stamp.
         if self.mem_cache.touch((id, block), self.block_ops) {

@@ -1,21 +1,13 @@
 //! Namespace sharding: the two-level prefix → server-group map.
 //!
-//! PR 8 splits the single-authority file service into N server daemons.
-//! The name space is still carved into domains by longest-prefix match
-//! (exactly as before), but a domain may now be exported by a *group* of
-//! servers instead of one: names inside a striped domain are spread across
-//! the group by hashing the path **text**. The hash feeds the same
-//! [`HostPartition`] round-robin the sharded simulation engine and the
-//! sharded host-selection daemon use, so every layer that partitions
-//! by ID agrees on the mapping.
-//!
-//! Determinism note: the hash is FNV-1a over [`SpritePath::as_str`], never
-//! over the interned symbol — symbol numbering depends on interning order,
-//! which differs between runs that create paths in different orders. The
-//! path text is the same in every run, so shard placement is a pure
-//! function of the name and the group size.
+//! The name space is carved into domains by longest-prefix match, and a
+//! domain may be exported by a *group* of servers instead of one: names
+//! inside a striped domain are spread across the group by the FNV-1a hash
+//! of the path text that every [`SpritePath`] carries, taken modulo the
+//! group size. The text is the same in every run, so shard placement is a
+//! pure function of the name and the group size.
 
-use sprite_net::{HostId, HostPartition};
+use sprite_net::HostId;
 
 use crate::SpritePath;
 
@@ -34,32 +26,15 @@ pub struct ShardGroup {
 }
 
 impl ShardGroup {
-    /// The member that owns `path`, by consistent hashing of the path
-    /// text through the canonical [`HostPartition`] mapping.
-    pub fn owner_of(&self, path: &SpritePath) -> HostId {
+    /// The member that owns `path`: the path's hash modulo the group size.
+    pub(crate) fn owner_of(&self, path: &SpritePath) -> HostId {
         self.servers[self.member_index(path)]
     }
 
     /// Index into `servers` for `path` (see [`ShardGroup::owner_of`]).
-    pub fn member_index(&self, path: &SpritePath) -> usize {
-        if self.servers.len() == 1 {
-            return 0;
-        }
-        let n = self.servers.len() as u32;
-        let key = (fnv1a64(path.as_str()) % n as u64) as u32;
-        HostPartition::new(n, self.servers.len()).shard_of(HostId::new(key))
+    pub(crate) fn member_index(&self, path: &SpritePath) -> usize {
+        (path.hash % self.servers.len() as u64) as usize
     }
-}
-
-/// FNV-1a over a name's bytes: stable across runs, platforms and
-/// interning order.
-pub fn fnv1a64(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The two-level resolution map: longest prefix picks a [`ShardGroup`],
@@ -100,7 +75,7 @@ impl ShardMap {
 
     /// The group exporting the domain containing `path`, with its index
     /// in the (stable) group table.
-    pub fn group_of(&self, path: &SpritePath) -> Option<(usize, &ShardGroup)> {
+    pub(crate) fn group_of(&self, path: &SpritePath) -> Option<(usize, &ShardGroup)> {
         self.groups
             .iter()
             .enumerate()
@@ -112,7 +87,7 @@ impl ShardMap {
         self.group_of(path).map(|(i, g)| (i, g.owner_of(path)))
     }
 
-    /// Group by index (the index [`ShardMap::group_of`] reported).
+    /// Group by index (the index `ShardMap::group_of` reported).
     pub fn group(&self, index: usize) -> Option<&ShardGroup> {
         self.groups.get(index)
     }
@@ -133,7 +108,7 @@ impl ShardMap {
     }
 
     /// The widest group size — 1 means the namespace is unsharded.
-    pub fn max_group_size(&self) -> usize {
+    pub(crate) fn max_group_size(&self) -> usize {
         self.groups
             .iter()
             .map(|g| g.servers.len())
@@ -202,12 +177,33 @@ mod tests {
     }
 
     #[test]
-    fn hash_is_over_text_not_symbol() {
-        // Interning two fresh paths in opposite orders must not change
-        // their placement: the hash reads the text.
-        let a = fnv1a64("/prop/shard-hash-a");
-        let b = fnv1a64("/prop/shard-hash-b");
-        assert_ne!(a, b);
-        assert_eq!(a, fnv1a64("/prop/shard-hash-a"));
+    fn placement_over_three_members_is_pinned() {
+        // E5, M1 and `pmake_build` place files by this map, so a change
+        // to the hash or its reduction must move none of these owners.
+        let g = ShardGroup {
+            prefix: SpritePath::new("/"),
+            servers: vec![h(0), h(3), h(5)],
+        };
+        let pinned = [
+            ("/", 0),
+            ("/src", 5),
+            ("/src/main.c", 5),
+            ("/src/main.o", 5),
+            ("/src/file0.c", 0),
+            ("/src/file1.c", 5),
+            ("/src/file17.c", 5),
+            ("/src/f63.dat", 3),
+            ("/bin/cc", 0),
+            ("/bin/sim", 0),
+            ("/swap/p1.heap", 3),
+            ("/swap/p1.stack", 5),
+            ("/ckpt/image.7", 3),
+            ("/users/douglis/thesis.tex", 3),
+            ("/data/e01.a.3", 0),
+            ("/prop/file9", 0),
+        ];
+        for (name, owner) in pinned {
+            assert_eq!(g.owner_of(&SpritePath::new(name)), h(owner), "{name}");
+        }
     }
 }

@@ -81,7 +81,7 @@ impl Stream {
     }
 
     /// Sets the access position (lseek).
-    pub fn set_offset(&mut self, offset: u64) {
+    pub(crate) fn set_offset(&mut self, offset: u64) {
         self.offset = offset;
     }
 
@@ -251,7 +251,7 @@ impl StreamTable {
 
     /// Adds a reference from `host` (fork duplicating a descriptor).
     /// Returns false for an unknown stream.
-    pub fn add_ref(&mut self, id: StreamId, host: HostId) -> bool {
+    pub(crate) fn add_ref(&mut self, id: StreamId, host: HostId) -> bool {
         match self.get_mut(id) {
             Some(s) => {
                 s.add_holder(host, 1);
@@ -284,7 +284,7 @@ impl StreamTable {
     /// Moves `n` references from `from` to `to` (process migration).
     /// Returns the stream's shadowing state after the move, or `None` if the
     /// stream or references do not exist.
-    pub fn move_refs(
+    pub(crate) fn move_refs(
         &mut self,
         id: StreamId,
         from: HostId,

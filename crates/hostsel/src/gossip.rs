@@ -122,7 +122,7 @@ impl GossipDissemination {
     }
 
     /// How selection ranks the entries young enough to trust.
-    pub fn set_rank_order(&mut self, order: RankOrder) {
+    pub(crate) fn set_rank_order(&mut self, order: RankOrder) {
         self.rank_order = order;
     }
 

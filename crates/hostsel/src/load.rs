@@ -37,17 +37,11 @@ impl HostInfo {
         }
     }
 
-    /// Same snapshot with the hardware class set (builder-style).
-    pub fn with_speed(mut self, speed: f64) -> Self {
-        self.speed = speed;
-        self
-    }
-
     /// Idle time weighted by hardware class: microseconds of input-idle
     /// time × CPU-speed multiplier. This is the ranking key the selectors
     /// maximize; at speed 1.0 everywhere it reduces to plain idle time, so
     /// homogeneous clusters order exactly as before.
-    pub fn effective_idle(&self) -> f64 {
+    pub(crate) fn effective_idle(&self) -> f64 {
         self.idle.as_micros() as f64 * self.speed
     }
 }

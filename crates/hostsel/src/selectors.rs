@@ -161,8 +161,6 @@ struct HostRecord {
     reported_available: Option<bool>,
     /// The requester the host is assigned to while it is out.
     holder: Option<HostId>,
-    /// Hosts this host holds as a requester (for fair allocation).
-    holding: u32,
 }
 
 /// The migration daemon `migd`, Sprite's final architecture: one daemon
@@ -185,8 +183,6 @@ pub struct CentralServer {
     daemons: Vec<Daemon>,
     /// `table[i]` describes host `i`; it grows as hosts appear.
     table: Vec<HostRecord>,
-    /// Cap on hosts one requester may hold at once, if fairness is on.
-    fair_share: Option<u32>,
     per_request_service: SimDuration,
     ranker: Ranker,
     stats: SelectorStats,
@@ -224,7 +220,6 @@ impl CentralServer {
                 })
                 .collect(),
             table: vec![HostRecord::default(); hosts],
-            fair_share: None,
             per_request_service: SimDuration::from_micros(500),
             ranker: Ranker::default(),
             stats: SelectorStats::default(),
@@ -234,18 +229,6 @@ impl CentralServer {
     /// Hosts currently assigned out.
     pub fn assigned_count(&self) -> usize {
         self.table.iter().filter(|r| r.holder.is_some()).count()
-    }
-
-    /// Caps how many hosts one requester may hold at once. The thesis's
-    /// `migd` allocated hosts fairly when demand exceeded supply, so one
-    /// user's 100-way pmake could not starve everyone else (Ch. 6).
-    pub fn set_fair_share(&mut self, limit: u32) {
-        self.fair_share = Some(limit);
-    }
-
-    /// Hosts `requester` currently holds.
-    pub fn held_by(&self, requester: HostId) -> u32 {
-        self.table.get(requester.index()).map_or(0, |r| r.holding)
     }
 
     fn record_mut(&mut self, host: HostId) -> &mut HostRecord {
@@ -317,7 +300,6 @@ impl CentralServer {
         if let Some(state) = &mut record.state {
             state.info.load += 1.0;
         }
-        self.record_mut(requester).holding += 1;
         Some(e.info.host)
     }
 }
@@ -385,14 +367,6 @@ impl HostSelector for CentralServer {
                     continue;
                 }
             }
-            // Fair allocation: a requester at its share gets denied before
-            // the daemon even searches.
-            if self
-                .fair_share
-                .is_some_and(|limit| self.held_by(requester) >= limit)
-            {
-                break;
-            }
             picked = self.grant(now, shard, requester, truth);
             if picked.is_some() {
                 break;
@@ -415,13 +389,9 @@ impl HostSelector for CentralServer {
             Err(e) => return e.at(),
         };
         let record = self.record_mut(host);
-        let holder = record.holder.take();
+        record.holder = None;
         if let Some(state) = &mut record.state {
             state.info.load = (state.info.load - 1.0).max(0.0);
-        }
-        if let Some(holder) = holder {
-            let held = &mut self.record_mut(holder).holding;
-            *held = held.saturating_sub(1);
         }
         t
     }
@@ -810,8 +780,10 @@ mod tests {
             (0..6u32)
                 .map(|i| match i {
                     2 => HostInfo::idle_host(h(2), SimDuration::from_secs(300)),
-                    4 => HostInfo::idle_host(h(4), SimDuration::from_secs(100))
-                        .with_speed(fast_speed),
+                    4 => HostInfo {
+                        speed: fast_speed,
+                        ..HostInfo::idle_host(h(4), SimDuration::from_secs(100))
+                    },
                     _ => HostInfo {
                         host: h(i),
                         load: 2.0,
@@ -1050,37 +1022,6 @@ mod tests {
         let much_later = SimTime::ZERO + SimDuration::from_secs(3600);
         let (pick, _) = s.select(&mut n, much_later, h(1), &world);
         assert_eq!(pick, None, "aged-out entries must not be trusted");
-    }
-
-    #[test]
-    fn fair_share_prevents_host_hogging() {
-        let world = truth(12); // 11 available hosts
-        for c in 1..=3 {
-            let mut s = CentralServer::sharded(12, c, AvailabilityPolicy::default());
-            s.set_fair_share(3);
-            let mut n = net(12);
-            feed_reports(&mut s, &mut n, &world);
-            let mut t = SimTime::ZERO;
-            let mut got = Vec::new();
-            // Requester h1 asks for everything.
-            for _ in 0..6 {
-                let (pick, t2) = s.select(&mut n, t, h(1), &world);
-                t = t2;
-                if let Some(p) = pick {
-                    got.push(p);
-                }
-            }
-            assert_eq!(got.len(), 3, "c = {c}: capped at the fair share");
-            assert_eq!(s.held_by(h(1)), 3, "c = {c}");
-            // A second requester is unaffected.
-            let (pick, t2) = s.select(&mut n, t, h(2), &world);
-            assert!(pick.is_some(), "c = {c}");
-            // Releasing makes room under the cap again.
-            let t3 = s.release(&mut n, t2, h(1), got[0]);
-            let (pick2, _) = s.select(&mut n, t3, h(1), &world);
-            assert!(pick2.is_some(), "c = {c}");
-            assert_eq!(s.held_by(h(1)), 3, "c = {c}");
-        }
     }
 
     /// A release is a round trip, as in `migd`: one that cannot reach the

@@ -19,6 +19,8 @@
 
 use std::fmt;
 
+use crate::appendix_a;
+
 /// How a kernel call is serviced for a migrated (foreign) process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Disposition {
@@ -61,14 +63,29 @@ pub enum KernelCall {
 }
 
 impl KernelCall {
-    /// Appendix-A disposition of this call.
-    pub fn disposition(self) -> Disposition {
-        use KernelCall::*;
+    /// The 4.3BSD call this stands for: its row of the Appendix-A table.
+    fn bsd_call(self) -> &'static str {
         match self {
-            GetPid | GetRusage | Sbrk | SigSetMask => Disposition::Local,
-            GetTimeOfDay | GetPgrp | SetPriority | SendSignal | Migrate => Disposition::ForwardHome,
-            FsName | FsData | FsPseudo => Disposition::FileSystem,
+            KernelCall::GetPid => "getpid",
+            KernelCall::GetRusage => "getrusage",
+            KernelCall::Sbrk => "sbrk",
+            KernelCall::SigSetMask => "sigsetmask",
+            KernelCall::GetTimeOfDay => "gettimeofday",
+            KernelCall::GetPgrp => "getpgrp",
+            KernelCall::SetPriority => "setpriority",
+            KernelCall::SendSignal => "kill",
+            KernelCall::Migrate => "mig_migrate",
+            KernelCall::FsName => "open",
+            KernelCall::FsData => "read",
+            KernelCall::FsPseudo => "select",
         }
+    }
+
+    /// Appendix-A disposition of this call: its row's disposition.
+    pub fn disposition(self) -> Disposition {
+        appendix_a::lookup(self.bsd_call())
+            .expect("every kernel call is an Appendix-A row")
+            .disposition
     }
 
     /// Calls in a deterministic order, for table generation.
@@ -90,21 +107,12 @@ impl KernelCall {
 
 impl fmt::Display for KernelCall {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            KernelCall::GetPid => "getpid",
-            KernelCall::GetRusage => "getrusage",
-            KernelCall::Sbrk => "sbrk",
-            KernelCall::SigSetMask => "sigsetmask",
-            KernelCall::GetTimeOfDay => "gettimeofday",
-            KernelCall::GetPgrp => "getpgrp",
-            KernelCall::SetPriority => "setpriority",
-            KernelCall::SendSignal => "kill",
-            KernelCall::Migrate => "mig_migrate",
+        f.write_str(match self {
             KernelCall::FsName => "open/stat",
             KernelCall::FsData => "read/write",
             KernelCall::FsPseudo => "pdev-request",
-        };
-        f.write_str(s)
+            call => call.bsd_call(),
+        })
     }
 }
 
@@ -126,6 +134,14 @@ mod tests {
         }
         assert!(local >= 3 && home >= 3 && fsys >= 3);
         assert_eq!(local + home + fsys, KernelCall::ALL.len());
+    }
+
+    #[test]
+    fn every_call_resolves_to_an_appendix_a_row() {
+        for c in KernelCall::ALL {
+            let row = appendix_a::lookup(c.bsd_call());
+            assert!(row.is_some(), "{c} names no Appendix-A row");
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ const PROBE_PER_ACTIVE_MINUTE: f64 = 0.1;
 /// two, so second-hand knowledge spreads at half the wire price.
 const GOSSIP_PER_ACTIVE_MINUTE: f64 = 0.05;
 /// Entries per gossip batch, own load included.
-pub const GOSSIP_BATCH: usize = 4;
+pub(crate) const GOSSIP_BATCH: usize = 4;
 /// Load-cache capacity: how many peers' last-known loads a host remembers.
 const LOAD_CACHE_SLOTS: usize = 8;
 

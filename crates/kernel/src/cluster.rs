@@ -62,7 +62,7 @@ impl HostState {
     /// Sets the host's hardware class as a CPU-speed multiplier, clamped
     /// to a sane positive range. Hosts sharing a multiplier form a class;
     /// migrating between classes pays a translation surcharge.
-    pub fn set_speed(&mut self, speed: f64) {
+    pub(crate) fn set_speed(&mut self, speed: f64) {
         self.speed = speed.clamp(0.05, 100.0);
     }
 
@@ -223,9 +223,6 @@ pub struct Cluster {
     programs: DetHashMap<SpritePath, Program>,
     stats: KernelStats,
     next_swap_tag: u64,
-    /// Reusable scratch for family-wide operations (kill_pgrp), so they do
-    /// not allocate a fresh member list per event.
-    scratch_pids: Vec<ProcessId>,
 }
 
 impl Cluster {
@@ -249,7 +246,6 @@ impl Cluster {
             programs: DetHashMap::default(),
             stats: KernelStats::default(),
             next_swap_tag: 0,
-            scratch_pids: Vec::new(),
         }
     }
 
@@ -381,7 +377,6 @@ impl Cluster {
             programs: _, // immutable program images registered before runs
             stats,
             next_swap_tag,
-            scratch_pids: _, // transient scratch, always drained before return
         } = self;
         let slab = procs.stats();
         d.write_usize(slab.live);
@@ -898,92 +893,6 @@ impl Cluster {
         self.stats.signals += 1;
         if signal == Signal::Kill {
             t = self.exit(t, target, 128 + 9)?;
-        }
-        Ok(t)
-    }
-
-    /// Sends `signal` to every live member of process group `pgrp` rooted
-    /// at `home`. The home kernel owns the family state, so delivery always
-    /// routes through it: one RPC to home, then one hop per remote member —
-    /// a process group scattered by migration still receives its signals
-    /// exactly once each.
-    pub fn kill_pgrp(
-        &mut self,
-        now: SimTime,
-        from_host: HostId,
-        home: HostId,
-        pgrp: u32,
-        signal: Signal,
-    ) -> KernelResult<SimTime> {
-        let mut t = now + self.net.cost().local_kernel_call;
-        if from_host != home {
-            // Losing the hop to home loses the whole group delivery (the
-            // home kernel is the fan-out point); best-effort, as in `kill`.
-            match self
-                .net
-                .send(RpcOp::SignalForward, t, from_host, home, None)
-            {
-                Ok(d) => t = d.done,
-                Err(e) => {
-                    self.stats.signal_losses += 1;
-                    self.trace
-                        .record(e.at(), "fault", || format!("pgrp {pgrp} signal lost: {e}"));
-                    return Ok(e.at());
-                }
-            }
-        }
-        // Collect the members into the reusable scratch list (delivery can
-        // reap processes, so the iteration must not borrow the table). The
-        // slab iterates in PID order, matching the old map's order.
-        let mut members = std::mem::take(&mut self.scratch_pids);
-        members.clear();
-        members.extend(
-            self.procs
-                .iter()
-                .filter(|p| p.pid.home() == home && p.pgrp == pgrp && p.state != ProcState::Zombie)
-                .map(|p| p.pid),
-        );
-        let mut failure = None;
-        for &pid in &members {
-            // An earlier member's exit may have cascade-reaped this one.
-            let Some(p) = self.procs.get_mut(pid) else {
-                continue;
-            };
-            let current = p.current;
-            // Deliver the remote hop before recording delivery: a lost hop
-            // means this member simply never sees the signal.
-            if current != home {
-                match self.net.send(RpcOp::SignalForward, t, home, current, None) {
-                    Ok(d) => t = d.done,
-                    Err(e) => {
-                        self.stats.signal_losses += 1;
-                        self.trace
-                            .record(e.at(), "fault", || format!("signal to {pid} lost: {e}"));
-                        t = e.at();
-                        continue;
-                    }
-                }
-            }
-            self.procs
-                .get_mut(pid)
-                .expect("member looked up above")
-                .pending_signals
-                .push(signal);
-            self.stats.signals += 1;
-            if signal == Signal::Kill {
-                match self.exit(t, pid, 128 + 9) {
-                    Ok(done) => t = done,
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-        }
-        members.clear();
-        self.scratch_pids = members;
-        if let Some(e) = failure {
-            return Err(e);
         }
         Ok(t)
     }

@@ -12,7 +12,7 @@
 
 #![warn(missing_docs)]
 
-pub mod appendix_a;
+pub(crate) mod appendix_a;
 mod builder;
 mod calls;
 mod cell;
@@ -167,50 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn process_groups_span_migration() {
-        let (mut c, t) = cluster();
-        let (leader, t) = c.spawn(t, h(1), &SpritePath::new("/bin/sh"), 8, 4).unwrap();
-        let (kid1, t) = c.fork(t, leader).unwrap();
-        let (kid2, t) = c.fork(t, leader).unwrap();
-        assert_eq!(c.pcb(kid1).unwrap().pgrp, c.pcb(leader).unwrap().pgrp);
-        // Scatter the group across the cluster.
-        for (pid, to) in [(kid1, h(2)), (kid2, h(3))] {
-            c.freeze(pid).unwrap();
-            c.relocate(pid, to).unwrap();
-            c.thaw(pid).unwrap();
-        }
-        let pgrp = c.pcb(leader).unwrap().pgrp;
-        let t2 = c.kill_pgrp(t, h(3), h(1), pgrp, Signal::Term).unwrap();
-        assert!(t2 > t);
-        for pid in [leader, kid1, kid2] {
-            assert_eq!(
-                c.take_signals(pid).collect::<Vec<_>>(),
-                vec![Signal::Term],
-                "{pid}"
-            );
-        }
-        // A process in a different group is untouched.
-        let (outsider, _t3) = c
-            .spawn(t2, h(1), &SpritePath::new("/bin/sh"), 8, 4)
-            .unwrap();
-        c.kill_pgrp(t2, h(1), h(1), pgrp, Signal::Usr1).unwrap();
-        assert!(c.take_signals(outsider).next().is_none());
-    }
-
-    #[test]
-    fn kill_pgrp_with_kill_terminates_the_family() {
-        let (mut c, t) = cluster();
-        let (leader, t) = c.spawn(t, h(1), &SpritePath::new("/bin/sh"), 8, 4).unwrap();
-        let (kid, t) = c.fork(t, leader).unwrap();
-        let pgrp = c.pcb(leader).unwrap().pgrp;
-        c.kill_pgrp(t, h(2), h(1), pgrp, Signal::Kill).unwrap();
-        // The leader had no parent so its zombie is reaped on the spot; the
-        // kid either fell with it (orphan reaping) or lingers as a zombie.
-        assert!(c.pcb(leader).is_none());
-        assert!(c.pcb(kid).is_none() || c.pcb(kid).unwrap().state == ProcState::Zombie);
-    }
-
-    #[test]
     fn kill_signal_terminates() {
         let (mut c, t) = cluster();
         let (parent, t) = c.spawn(t, h(1), &SpritePath::new("/bin/sh"), 8, 4).unwrap();
@@ -326,13 +282,6 @@ mod tests {
             c.kill(t, h(1), child, Signal::Usr1),
             Err(KernelError::BadState(_))
         ));
-    }
-
-    #[test]
-    fn appendix_a_is_reachable_through_the_crate_root() {
-        let (local, home, fsys) = appendix_a::census();
-        assert_eq!(local + home + fsys, appendix_a::APPENDIX_A.len());
-        assert!(appendix_a::lookup("fork").is_some());
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl Pcb {
     }
 
     /// Installs a stream in the lowest free descriptor slot; returns the fd.
-    pub fn install_fd(&mut self, stream: StreamId) -> usize {
+    pub(crate) fn install_fd(&mut self, stream: StreamId) -> usize {
         for (i, slot) in self.fds.iter_mut().enumerate() {
             if slot.is_none() {
                 *slot = Some(stream);
@@ -129,7 +129,7 @@ impl Pcb {
     }
 
     /// Clears a descriptor slot, returning the stream it held.
-    pub fn clear_fd(&mut self, fd: usize) -> Option<StreamId> {
+    pub(crate) fn clear_fd(&mut self, fd: usize) -> Option<StreamId> {
         self.fds.get_mut(fd).and_then(|slot| slot.take())
     }
 

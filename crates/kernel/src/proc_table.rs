@@ -230,15 +230,15 @@ mod tests {
         assert_eq!((s.live, s.high_water), (1, 3));
     }
 
-    /// Killing a scattered process group while the file server is
-    /// partitioned away must not leave a live slot holding a stale
-    /// forwarding entry. Before `exit` became fail-stop local, a member
-    /// whose stream close could not reach its server aborted `exit`
-    /// midway: the slot stayed `Active` and resident with `forwarded`
-    /// still set even though the kill had already been delivered — exactly
-    /// the dangling-entry aliasing this table exists to rule out.
+    /// Killing a migrated process while the file server is partitioned
+    /// away must not leave a live slot holding a stale forwarding entry.
+    /// Before `exit` became fail-stop local, a process whose stream close
+    /// could not reach its server aborted `exit` midway: the slot stayed
+    /// `Active` and resident with `forwarded` still set even though the
+    /// kill had already been delivered — exactly the dangling-entry
+    /// aliasing this table exists to rule out.
     #[test]
-    fn kill_pgrp_leaves_no_stale_forwarded_entry_when_the_server_is_unreachable() {
+    fn killing_a_migrated_process_leaves_no_stale_forwarded_entry_when_the_server_is_unreachable() {
         use crate::cluster::Cluster;
         use crate::proc::{ProcState, Signal};
         use sprite_fs::{OpenMode, SpritePath};
@@ -270,10 +270,11 @@ mod tests {
                 t,
                 t + SimDuration::from_secs(3600),
             )));
-        let pgrp = c.pcb(leader).unwrap().pgrp;
-        c.kill_pgrp(t, h(1), h(1), pgrp, Signal::Kill).expect(
-            "kill_pgrp is fail-stop local: the group dies even when closes cannot reach the server",
-        );
+        for pid in [member, leader] {
+            c.kill(t, h(1), pid, Signal::Kill).expect(
+                "exit is fail-stop local: the process dies even when closes cannot reach the server",
+            );
+        }
         for p in c.processes() {
             assert_ne!(p.state, ProcState::Active, "{} survived the kill", p.pid);
             assert_eq!(p.forwarded, None, "{} left a stale forwarded entry", p.pid);

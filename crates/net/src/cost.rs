@@ -112,7 +112,7 @@ impl CostModel {
     }
 
     /// Number of fragments a payload of `bytes` needs (at least one).
-    pub fn fragments_for(&self, bytes: u64) -> u64 {
+    pub(crate) fn fragments_for(&self, bytes: u64) -> u64 {
         bytes.div_ceil(self.fragment_bytes).max(1)
     }
 
@@ -135,7 +135,7 @@ impl CostModel {
     /// engine's lookahead — no partition of the cluster can observe another
     /// partition's actions sooner than this, so any barrier cadence at or
     /// above it is safe.
-    pub fn min_link_latency(&self) -> SimDuration {
+    pub(crate) fn min_link_latency(&self) -> SimDuration {
         self.message_latency
     }
 }

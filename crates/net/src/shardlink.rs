@@ -41,7 +41,7 @@ impl ShardLink {
     /// # Panics
     ///
     /// Panics if `cadence` is zero or below
-    /// [`CostModel::min_link_latency`].
+    /// `CostModel::min_link_latency`.
     pub fn new(cost: CostModel, cadence: SimDuration) -> Self {
         assert!(
             cadence > SimDuration::ZERO,
@@ -69,13 +69,13 @@ impl ShardLink {
     /// What the hardware would charge for a one-way message of `bytes`:
     /// wire latency plus serialization time. This is the floor the
     /// quantized latency inflates from.
-    pub fn raw_latency(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn raw_latency(&self, bytes: u64) -> SimDuration {
         self.cost.message_latency + self.cost.wire_time(bytes)
     }
 
     /// Number of whole cadence ticks a one-way message of `bytes` spans —
     /// always at least one.
-    pub fn ticks_for(&self, bytes: u64) -> u64 {
+    pub(crate) fn ticks_for(&self, bytes: u64) -> u64 {
         let raw = self.raw_latency(bytes).as_micros();
         let cadence = self.cadence.as_micros();
         raw.div_ceil(cadence).max(1)

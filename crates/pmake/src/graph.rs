@@ -133,7 +133,7 @@ impl DepGraph {
     /// Out-of-date analysis: a target is out of date if it has no recorded
     /// build time or any dependency was built after it. `built` maps target
     /// index to its last build completion.
-    pub fn out_of_date(&self, built: &DetHashMap<usize, SimTime>) -> DetHashSet<usize> {
+    pub(crate) fn out_of_date(&self, built: &DetHashMap<usize, SimTime>) -> DetHashSet<usize> {
         let mut stale = DetHashSet::default();
         // Index order is topological-enough because add order must respect
         // dependencies (enforced by add_target's index check).
@@ -178,7 +178,7 @@ impl DepGraph {
 
     /// Builds the standard two-level compile-then-link graph from a
     /// workload's jobs, which the compile targets take over.
-    pub fn from_compile_jobs(jobs: Vec<CompileJob>, link_cpu: SimDuration) -> Self {
+    pub(crate) fn from_compile_jobs(jobs: Vec<CompileJob>, link_cpu: SimDuration) -> Self {
         let mut g = DepGraph::new();
         let mut objs = Vec::with_capacity(jobs.len());
         let mut inputs = Vec::with_capacity(jobs.len());

@@ -55,7 +55,7 @@ pub fn take_hash_probes() -> u64 {
 /// rotate, xor, and multiply. Not collision-resistant against adversaries —
 /// exactly as strong as it needs to be for trusted simulation keys, and
 /// several times cheaper than SipHash on the small integer keys (PIDs, host
-/// IDs, interned path symbols) the data plane uses.
+/// IDs, paths' cached text hashes) the data plane uses.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FxHasher {
     hash: u64,

@@ -125,11 +125,6 @@ impl<M> CellCtx<'_, M> {
         self.me
     }
 
-    /// The number of cells in the simulation.
-    pub fn ncells(&self) -> u32 {
-        self.ncells
-    }
-
     /// The engine's lookahead: the minimum latency of any cross-cell send.
     pub fn lookahead(&self) -> SimDuration {
         self.lookahead
@@ -164,7 +159,7 @@ impl<M> CellCtx<'_, M> {
     /// Panics if `latency` is below the engine lookahead (the message would
     /// have to be delivered inside the current window, which would make the
     /// schedule depend on the partition) or if `to` is out of range.
-    pub fn send_latency(&mut self, to: CellId, latency: SimDuration, msg: M) {
+    pub(crate) fn send_latency(&mut self, to: CellId, latency: SimDuration, msg: M) {
         assert!(
             latency >= self.lookahead,
             "cross-cell latency {latency} below the lookahead bound {}",

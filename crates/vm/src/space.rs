@@ -724,26 +724,12 @@ impl AddressSpace {
         }
     }
 
-    /// Count of pages still owed to this space by a remote source.
-    pub fn pages_at_remote_source(&self) -> u64 {
-        SegmentKind::ALL
-            .iter()
-            .map(|&k| {
-                self.segment(k)
-                    .pages
-                    .iter()
-                    .filter(|p| matches!(p.home, PageHome::RemoteSource(_)))
-                    .count() as u64
-            })
-            .sum()
-    }
-
     /// True when some writable page's only current copy sits in a backing
     /// file (the process flushed and dropped residency earlier). A
     /// dirty-only checkpoint image restored into a *fresh* address space —
     /// which has no backing files — would lose those pages, so checkpoints
     /// must widen to a full image.
-    pub fn has_flushed_writable_pages(&self) -> bool {
+    pub(crate) fn has_flushed_writable_pages(&self) -> bool {
         [SegmentKind::Heap, SegmentKind::Stack].iter().any(|&k| {
             self.segment(k)
                 .pages
@@ -762,7 +748,7 @@ impl AddressSpace {
     /// for free. Code pages are excluded — any kernel can demand-page them
     /// from the executable, which is what made Sprite's flush strategy
     /// cheap in the first place (Ch. 3.2).
-    pub fn ckpt_snapshot(
+    pub(crate) fn ckpt_snapshot(
         &mut self,
         fs: &mut SpriteFs,
         net: &mut Transport,
@@ -930,13 +916,20 @@ mod tests {
             .write(&mut fs, &mut net, t, h(1), a, b"stackdata")
             .unwrap();
         s.leave_at_source(h(1));
+        let owed_by_source = |s: &AddressSpace| {
+            SegmentKind::ALL
+                .iter()
+                .flat_map(|&k| &s.segment(k).pages)
+                .filter(|p| p.home == PageHome::RemoteSource(h(1)))
+                .count()
+        };
         assert_eq!(s.resident_pages(), 0);
-        assert_eq!(s.pages_at_remote_source(), 1);
+        assert_eq!(owed_by_source(&s), 1);
         let (back, t2) = s.read(&mut fs, &mut net, t1, h(2), a, 9).unwrap();
         assert_eq!(back, b"stackdata");
         assert!(t2.elapsed_since(t1) >= net.cost().small_rpc_round_trip());
         assert_eq!(s.stats().remote_fetches, 1);
-        assert_eq!(s.pages_at_remote_source(), 0);
+        assert_eq!(owed_by_source(&s), 0);
     }
 
     #[test]

@@ -137,8 +137,16 @@ pub fn transfer(
     params: &TransferParams,
 ) -> FsResult<TransferReport> {
     match strategy {
-        VmStrategy::FullCopy => full_copy(space, fs, net, now, from, to),
-        VmStrategy::PreCopy => pre_copy(space, fs, net, now, from, to, params),
+        // A full copy is a pre-copy with no running rounds: its one frozen
+        // round ships the whole resident image.
+        VmStrategy::FullCopy => {
+            let frozen = TransferParams {
+                precopy_max_rounds: 0,
+                ..*params
+            };
+            pre_copy(space, net, now, from, to, &frozen).map(|r| TransferReport { strategy, ..r })
+        }
+        VmStrategy::PreCopy => pre_copy(space, net, now, from, to, params),
         VmStrategy::CopyOnReference => copy_on_reference(space, net, now, from, to),
         VmStrategy::SpriteFlush => sprite_flush(space, fs, net, now, from, to),
     }
@@ -149,45 +157,14 @@ fn page_table_bytes(space: &AddressSpace) -> u64 {
     space.total_pages() * 8
 }
 
-fn full_copy(
-    space: &mut AddressSpace,
-    fs: &mut SpriteFs,
-    net: &mut Transport,
-    now: SimTime,
-    from: HostId,
-    to: HostId,
-) -> FsResult<TransferReport> {
-    let _ = fs;
-    let pages = space.resident_pages();
-    let bytes = pages * PAGE_SIZE + page_table_bytes(space);
-    let copy_cpu = net.cost().copy_time(pages * PAGE_SIZE);
-    let done = net
-        .stream_bulk(RpcOp::VmBulkImage, now + copy_cpu, from, to, bytes)?
-        .done;
-    // Pages are now resident on the target; the in-memory representation
-    // already holds the bytes, so only the location bookkeeping changes.
-    let elapsed = done.elapsed_since(now);
-    Ok(TransferReport {
-        strategy: VmStrategy::FullCopy,
-        freeze_time: elapsed,
-        total_time: elapsed,
-        bytes_moved: bytes,
-        pages_moved: pages,
-        residual_source_dependency: false,
-        resumed_at: done,
-    })
-}
-
 fn pre_copy(
     space: &mut AddressSpace,
-    fs: &mut SpriteFs,
     net: &mut Transport,
     now: SimTime,
     from: HostId,
     to: HostId,
     params: &TransferParams,
 ) -> FsResult<TransferReport> {
-    let _ = fs;
     let mut to_move = space.resident_pages();
     let mut pages_moved = 0u64;
     let mut bytes_moved = 0u64;
@@ -441,7 +418,7 @@ mod tests {
         .unwrap();
         assert!(r.freeze_time < SimDuration::from_millis(50));
         assert!(r.residual_source_dependency);
-        assert_eq!(a.pages_at_remote_source(), 512);
+        assert_eq!(a.resident_pages(), 0, "every page stays at the source");
         // Touching memory on the target fetches from the source.
         let (data, _) = a
             .read(
@@ -455,6 +432,8 @@ mod tests {
             .unwrap();
         assert_eq!(data, vec![0x5a; 8]);
         assert_eq!(a.stats().remote_fetches, 1);
+        // The other 511 pages are still owed by the source.
+        assert_eq!(a.source_host_failed(h(1)), 511);
     }
 
     #[test]

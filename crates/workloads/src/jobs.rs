@@ -100,7 +100,7 @@ impl Default for CompileWorkload {
 
 impl CompileWorkload {
     /// Path of the `i`-th shared header.
-    pub fn header_path(i: usize) -> String {
+    pub(crate) fn header_path(i: usize) -> String {
         format!("/usr/include/sys/h{i}.h")
     }
 

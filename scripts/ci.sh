@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate for the Sprite migration reproduction.
 #
-#   scripts/ci.sh          # full gate: build, tests, clippy, rustdoc, smokes, examples, chaos suite, heavy model suites, fmt, perfbench runs, core_ops, engine_throughput, bench
+#   scripts/ci.sh          # full gate: build, tests, clippy, rustdoc, smokes, examples, heavy model suites, fmt, perfbench runs, core_ops, engine_throughput, bench
 #   scripts/ci.sh --quick  # build, tests (perfbench's too), clippy, rustdoc, the experiment smokes and the examples
 #
 # Everything runs offline: the workspace has zero external dependencies, so
@@ -24,6 +24,9 @@ echo "==> cargo build --release -p sprite-bench"
 cargo build --release -p sprite-bench
 
 echo "==> cargo test -q --workspace"
+# Includes the root package's integration suites, the deterministic chaos
+# suite (tests/fault_properties.rs: 50 fault seeds x 3 drop rates,
+# replayed) among them, so both modes run it.
 cargo test -q --workspace
 
 echo "==> cargo test -q --offline --manifest-path perfbench/Cargo.toml"
@@ -97,13 +100,9 @@ for example in examples/*.rs; do
 done
 
 if [[ "$quick" == 1 ]]; then
-    echo "==> quick gate OK (skipped chaos suite, heavy model suites, fmt, perfbench runs, core_ops, engine_throughput, bench_check)"
+    echo "==> quick gate OK (skipped heavy model suites, fmt, perfbench runs, core_ops, engine_throughput, bench_check)"
     exit 0
 fi
-
-echo "==> cargo test -q --test fault_properties"
-# The deterministic chaos suite: 50 fault seeds x 3 drop rates, replayed.
-cargo test -q --test fault_properties
 
 echo "==> model suites at full size (heavy-tests)"
 # Every suite that reads the heavy-tests feature, at its heavy size: the
