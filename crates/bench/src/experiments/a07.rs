@@ -7,7 +7,8 @@
 //! their (possibly hour-long) lives — "the owner may be adversely affected
 //! for a prolonged period of time" (Ch. 1). Sprite evicts instead. This
 //! experiment measures the owner's interactive response time under both
-//! policies.
+//! policies. Eviction is simulated; the squatting rows are a timesharing
+//! formula, because the CPU calendar cannot preempt, and the table says so.
 
 use sprite_fs::SpritePath;
 use sprite_sim::SimDuration;
@@ -130,6 +131,8 @@ pub fn table() -> String {
     }
     t.note("with eviction the owner types against an empty machine within a fraction");
     t.note("of a second; rsh-style squatters degrade every keystroke for their lifetime");
+    t.note("the squat rows are computed, not run (the CPU calendar cannot preempt):");
+    t.note("mean = 200 ms x (1 + guests); the worst adds a 100 ms quantum per guest");
     t.render()
 }
 

@@ -1407,36 +1407,55 @@ impl SpriteFs {
         Ok(t)
     }
 
-    /// Reads one page from a backing file (demand page-in). Returns the
-    /// file's stored frame, shared; only a page past the end of the file,
-    /// in a gap or in a short tail is built as a zero-filled copy.
+    /// Reads the run of `pages` pages of a backing file from `first` on
+    /// (demand page-in) as one [`RpcOp::VmPageFetch`], clipped to the
+    /// file's last block; a run that starts at or past the end reads one
+    /// zero page. Returns the file's stored frames, shared, one per page
+    /// read; only a page past the end of the file, in a gap or in a short
+    /// tail is built as a zero-filled copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the run is 1 to
+    /// [`CostModel::run_blocks`](sprite_net::CostModel::run_blocks) pages
+    /// inside one stripe unit, as [`SpriteFs::page_out`] requires.
     pub fn page_in(
         &mut self,
         net: &mut Transport,
         now: SimTime,
         host: HostId,
         file: FileId,
-        page: u64,
-    ) -> FsResult<(Frame, SimTime)> {
-        let (home, io) = self.paging_route(file, page, net.cost().run_blocks())?;
+        first: u64,
+        pages: u64,
+    ) -> FsResult<(Vec<Frame>, SimTime)> {
+        let run = net.cost().run_blocks();
+        assert!(
+            pages > 0 && first / run == (first + pages - 1) / run,
+            "a page-in run lies inside one stripe unit"
+        );
+        let (home, io) = self.paging_route(file, first, run)?;
+        let (_, _, logical) = self.file_state(home, file);
+        let pages = logical
+            .div_ceil(PAGE_SIZE)
+            .saturating_sub(first)
+            .clamp(1, pages);
         let op = RpcOp::VmPageFetch;
-        let t = self.block_from_server(net, op, now, host, io, file, page, 1)?;
-        let frame = self
-            .srv(home)
-            .file(file)
-            .expect("backing file exists")
-            .frame(page);
-        self.stats.pageins += 1;
-        Ok((frame, t))
+        let t = self.block_from_server(net, op, now, host, io, file, first, pages)?;
+        let stored = self.srv(home).file(file).expect("backing file exists");
+        let frames = (first..first + pages)
+            .map(|page| stored.frame(page))
+            .collect();
+        self.stats.pageins += pages;
+        Ok((frames, t))
     }
 
     /// Where `page` of a backing (or regular) file lives and is served:
     /// `(home, io)`. The home server keeps the authoritative byte image.
     /// In a striped domain, stripe units of `run` pages (the most one
-    /// page-out carries) round-robin across the group by `(file, unit)`
-    /// for service, so one large swap file saturates N spindles instead
-    /// of one and a run never spans two servers; elsewhere `io` is the
-    /// home.
+    /// page-out or page-in carries) round-robin across the group by
+    /// `(file, unit)` for service, so one large swap file saturates N
+    /// spindles instead of one and a run never spans two servers;
+    /// elsewhere `io` is the home.
     fn paging_route(&self, file: FileId, page: u64, run: u64) -> FsResult<(HostId, HostId)> {
         let (home, gi) = self.placed(file).ok_or(FsError::WrongKind(file))?;
         let kind = self.srv(home).file(file).map(|f| f.kind);
@@ -1861,14 +1880,14 @@ mod tests {
         let t2 = fs
             .page_out(&mut net, t1, h(1), swap, 3, std::slice::from_ref(&page))
             .unwrap();
-        let (back, t3) = fs.page_in(&mut net, t2, h(1), swap, 3).unwrap();
+        let (back, t3) = fs.page_in(&mut net, t2, h(1), swap, 3, 1).unwrap();
         assert!(
-            Frame::ptr_eq(&back, &page),
+            Frame::ptr_eq(&back[0], &page),
             "paging moves the frame, not bytes"
         );
         assert!(t3 > t2);
-        let (zeros, _) = fs.page_in(&mut net, t3, h(1), swap, 0).unwrap();
-        assert_eq!(*zeros, [0u8; PAGE_SIZE as usize]);
+        let (zeros, _) = fs.page_in(&mut net, t3, h(1), swap, 0, 1).unwrap();
+        assert_eq!(*zeros[0], [0u8; PAGE_SIZE as usize]);
         assert_eq!(fs.stats().pageouts, 1);
         assert_eq!(fs.stats().pageins, 2);
     }
@@ -1926,6 +1945,54 @@ mod tests {
             .unwrap();
         let page = Frame::from(vec![1u8; PAGE_SIZE as usize]);
         let _ = fs.page_out(&mut net, t, h(1), swap, 3, &[page.clone(), page]);
+    }
+
+    #[test]
+    fn a_page_in_run_is_one_round_trip_clipped_to_the_file() {
+        let (mut net, mut fs) = setup(2);
+        let (swap, t0) = fs
+            .create_backing(&mut net, SimTime::ZERO, h(1), SpritePath::new("/swap/in"))
+            .unwrap();
+        let run: Vec<Frame> = (0..4u8)
+            .map(|i| Frame::from(vec![i; PAGE_SIZE as usize]))
+            .collect();
+        let t = fs.page_out(&mut net, t0, h(1), swap, 0, &run).unwrap();
+        let tail = Frame::from(vec![9u8; PAGE_SIZE as usize]);
+        let t = fs
+            .page_out(&mut net, t, h(1), swap, 5, std::slice::from_ref(&tail))
+            .unwrap();
+        let t1 = t + SimDuration::from_secs(1);
+        let (back, t2) = fs.page_in(&mut net, t1, h(1), swap, 0, 4).unwrap();
+        assert_eq!(back.len(), 4);
+        for (got, stored) in back.iter().zip(&run) {
+            assert!(Frame::ptr_eq(got, stored), "the file's own frames");
+        }
+        assert_eq!(
+            t2.elapsed_since(t1),
+            SimDuration::from_micros(38_000),
+            "one 16 KB round trip, as a page-out run"
+        );
+        // The file ends at page 5: a run from 4 reads pages 4 and 5 only,
+        // and one past the end reads a single zero page.
+        let (end, t3) = fs.page_in(&mut net, t2, h(1), swap, 4, 4).unwrap();
+        assert_eq!(end.len(), 2);
+        assert_eq!(*end[0], [0u8; PAGE_SIZE as usize]);
+        assert!(Frame::ptr_eq(&end[1], &tail));
+        let (past, _) = fs.page_in(&mut net, t3, h(1), swap, 8, 4).unwrap();
+        assert_eq!(past.len(), 1);
+        assert_eq!(*past[0], [0u8; PAGE_SIZE as usize]);
+        assert_eq!(net.rpc_table().get(RpcOp::VmPageFetch).calls, 3);
+        assert_eq!(fs.stats().pageins, 4 + 2 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "inside one stripe unit")]
+    fn a_page_in_run_never_crosses_a_stripe_unit() {
+        let (mut net, mut fs) = setup(2);
+        let (swap, t) = fs
+            .create_backing(&mut net, SimTime::ZERO, h(1), SpritePath::new("/swap/y"))
+            .unwrap();
+        let _ = fs.page_in(&mut net, t, h(1), swap, 3, 2);
     }
 
     /// Partitions every `fs-consistency` notice, so no recall or cache
@@ -2504,8 +2571,8 @@ mod tests {
                 .unwrap();
         }
         for p in 0..6 {
-            let (back, t2) = fs.page_in(&mut net, t, h(3), swap, p).unwrap();
-            assert_eq!(back, page);
+            let (back, t2) = fs.page_in(&mut net, t, h(3), swap, p, 1).unwrap();
+            assert_eq!(back, std::slice::from_ref(&page));
             t = t2;
         }
         assert!(fs.server(h(0)).unwrap().cpu.busy_time() > SimDuration::ZERO);

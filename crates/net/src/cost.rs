@@ -16,7 +16,10 @@
 //! on the wire, so its fixed per-call cost is 26% of the transfer. A run of
 //! [`CostModel::run_blocks`] consecutive blocks (one 16 KB fragment) is one
 //! round trip of 38.0 ms: 16 KB per 38.0 ms, ≈ 431 KB/s of the 480 KB/s
-//! wire, against ≈ 352 KB/s for single blocks.
+//! wire, against ≈ 352 KB/s for single blocks. Page-outs, page-ins from
+//! backing files and checkpoint images move such runs, so an isolated
+//! page-in whose unit-mates are never touched pays up to 38.0 ms where one
+//! page would cost 11.65 ms.
 //!
 //! Keeping the constants in one passive struct makes the "what if the network
 //! were faster" sensitivity questions (Chapter 9 of the thesis) one-line
@@ -117,9 +120,10 @@ impl CostModel {
     }
 
     /// Blocks one block-run RPC carries: the whole pages one fragment
-    /// holds, at least one (4 on both calibrations). Page-outs and
-    /// checkpoint image transfers move consecutive blocks in runs of up to
-    /// this many, and a striped domain's stripe unit is one run.
+    /// holds, at least one (4 on both calibrations). Page-outs, page-ins
+    /// from backing files and checkpoint image transfers move consecutive
+    /// blocks in runs of up to this many, and a striped domain's stripe
+    /// unit is one run.
     pub fn run_blocks(&self) -> u64 {
         (self.fragment_bytes / PAGE_SIZE).max(1)
     }

@@ -144,7 +144,10 @@ rpc_ops! {
     /// A run of up to [`CostModel::run_blocks`] consecutive dirty VM pages
     /// flushed to their backing swap file. Caller-sized request.
     VmPageFlush => "vm-page-flush", (0, CONTROL_BYTES);
-    /// VM page fetched from a backing file or the source host.
+    /// Demand page-in: a run of up to [`CostModel::run_blocks`]
+    /// consecutive pages from a backing file, or one page from a
+    /// copy-on-reference source host. The reply is a page per block plus
+    /// the header; the table holds the one-page size.
     VmPageFetch => "vm-page-fetch", (CONTROL_BYTES, PAGE_REPLY_BYTES);
     /// Bulk address-space image transfer (pages and page tables).
     VmBulkImage => "vm-bulk-image", (0, CONTROL_BYTES);

@@ -696,39 +696,53 @@ mod tests {
 
     #[test]
     fn dirty_only_widens_after_a_flush() {
-        let (mut net, mut fs) = setup(3);
-        let (mut s, t) = space(&mut fs, &mut net, "c3");
-        let a = VirtAddr::new(SegmentKind::Heap, 0);
-        let t = s
-            .write(&mut fs, &mut net, t, h(1), a, &[3u8; 8192])
+        // After the flush, one more write: to a page never written (the
+        // first two pages stay only in the backing file), or to page 0,
+        // whose page-in reads page 1 too, resident and clean.
+        for (second, pages) in [(2, 3), (0, 2)] {
+            let (mut net, mut fs) = setup(3);
+            let (mut s, t) = space(&mut fs, &mut net, "c3");
+            let a = VirtAddr::new(SegmentKind::Heap, 0);
+            let t = s
+                .write(&mut fs, &mut net, t, h(1), a, &[3u8; 8192])
+                .unwrap();
+            // Flush + drop: the two pages now live only in the backing file.
+            let t = s.flush_dirty(&mut fs, &mut net, t, h(1)).unwrap();
+            s.drop_residency();
+            assert!(s.has_flushed_writable_pages());
+            // A literal dirty-only image would lose the flushed pages the
+            // write leaves clean.
+            let b = VirtAddr::new(SegmentKind::Heap, second * PAGE_SIZE);
+            let t = s.write(&mut fs, &mut net, t, h(1), b, &[5u8; 100]).unwrap();
+            assert!(s.has_flushed_writable_pages(), "page {second}");
+            let path = SpritePath::new("/ckpt/c3.img");
+            let (image, _) = checkpoint(
+                &mut s,
+                CkptStrategy::DirtyOnly,
+                &mut fs,
+                &mut net,
+                t,
+                h(1),
+                path.clone(),
+            )
             .unwrap();
-        // Flush + drop: the two pages now live only in the backing file.
-        let t = s.flush_dirty(&mut fs, &mut net, t, h(1)).unwrap();
-        s.drop_residency();
-        assert!(s.has_flushed_writable_pages());
-        // Dirty one more page; a literal dirty-only image would lose the
-        // first two.
-        let b = VirtAddr::new(SegmentKind::Heap, 2 * PAGE_SIZE);
-        let t = s.write(&mut fs, &mut net, t, h(1), b, &[5u8; 100]).unwrap();
-        let path = SpritePath::new("/ckpt/c3.img");
-        let (image, _) = checkpoint(
-            &mut s,
-            CkptStrategy::DirtyOnly,
-            &mut fs,
-            &mut net,
-            t,
-            h(1),
-            path.clone(),
-        )
-        .unwrap();
-        assert_eq!(image.pages, 3, "snapshot widened to the full image");
-        let (prog2, t2) = fs
-            .create(&mut net, t, h(2), SpritePath::new("/bin/c3r"))
-            .unwrap();
-        let mut fresh = AddressSpace::create("c3r", prog2, 4, 32, 8);
-        restore(&mut fresh, &mut fs, &mut net, t2, h(2), &path).unwrap();
-        let (back, _) = fresh.read(&mut fs, &mut net, t2, h(2), a, 8192).unwrap();
-        assert_eq!(back, vec![3u8; 8192], "flushed pages survived via widening");
+            assert_eq!(
+                image.pages, pages,
+                "page {second}: widened to the full image"
+            );
+            let (prog2, t2) = fs
+                .create(&mut net, t, h(2), SpritePath::new("/bin/c3r"))
+                .unwrap();
+            let mut fresh = AddressSpace::create("c3r", prog2, 4, 32, 8);
+            restore(&mut fresh, &mut fs, &mut net, t2, h(2), &path).unwrap();
+            let mut want = vec![3u8; 8192];
+            want.resize(3 * PAGE_SIZE as usize, 0);
+            want[(second * PAGE_SIZE) as usize..][..100].fill(5);
+            let (back, _) = fresh
+                .read(&mut fs, &mut net, t2, h(2), a, 3 * PAGE_SIZE)
+                .unwrap();
+            assert!(back == want, "page {second}: flushed pages survive");
+        }
     }
 
     #[test]

@@ -24,8 +24,13 @@
 //! in a segment that has no backing file yet is a zero page, and dropping
 //! its residency makes it zero-fill rather than page-in.
 //!
+//! Paging moves runs both ways: a flush writes the consecutive dirty pages
+//! of one stripe unit in one page-out, and a fault that pages in from the
+//! backing file reads the rest of its stripe unit that lives only in the
+//! file in the same round trip ([`AddressSpace::flush_dirty`]).
+//!
 //! A resident page is a shared, copy-on-write [`Frame`]. Flushing a page
-//! hands its frame to the backing file, a page-in takes the file's frame
+//! hands its frame to the backing file, a page-in takes the file's frames
 //! back, and a forked child and a checkpoint snapshot share the frames
 //! they copy; each moves a reference, not the page's bytes, and the
 //! simulated costs are charged exactly as if the bytes moved. A write to a
@@ -196,7 +201,8 @@ pub struct CkptPage {
 pub struct VmStats {
     /// Page faults taken.
     pub faults: u64,
-    /// Faults satisfied from a backing file.
+    /// Pages read in from a backing file: each such fault reads a run of
+    /// one or more.
     pub pageins: u64,
     /// Faults satisfied from a remote source host (copy-on-reference).
     pub remote_fetches: u64,
@@ -424,7 +430,14 @@ impl AddressSpace {
             .sum()
     }
 
-    /// Ensures the page containing `addr` is resident, paying fault costs.
+    /// Ensures `page` of `segment` is resident, paying fault costs. A
+    /// page-in from the backing file reads a run in one round trip: the
+    /// page and the following pages of its stripe unit (as in
+    /// [`AddressSpace::flush_dirty`]), stopping at the first page whose
+    /// bytes are not only in the file: resident, dirty, zero-fill or owed
+    /// by a copy-on-reference source. Every page the read returns turns
+    /// resident and clean; a failed read installs none. A
+    /// copy-on-reference fetch stays one page per fault.
     fn fault_in(
         &mut self,
         fs: &mut SpriteFs,
@@ -452,15 +465,22 @@ impl AddressSpace {
                 Ok(t)
             }
             PageHome::BackingFile => {
+                // The run: this page and the following pages of its stripe
+                // unit whose bytes live only in the backing file.
+                let count = seg.pages.len() as u64;
+                let end = unit_run_end(page, count, net.cost().run_blocks(), |p| {
+                    seg.pages[p as usize].home == PageHome::BackingFile
+                });
                 self.stats.faults += 1;
-                self.stats.pageins += 1;
                 let t = now + net.cost().context_switch;
                 let backing = backing.expect("a paged-out page has a backing file");
-                let (frame, t) = fs.page_in(net, t, host, backing, page)?;
+                let (frames, t) = fs.page_in(net, t, host, backing, page, end - page)?;
+                self.stats.pageins += frames.len() as u64;
                 let seg = self.segment_mut(segment);
-                let p = &mut seg.pages[page as usize];
-                p.frame = Some(frame);
-                p.home = PageHome::Resident;
+                for (p, frame) in seg.pages[page as usize..].iter_mut().zip(frames) {
+                    p.frame = Some(frame);
+                    p.home = PageHome::Resident;
+                }
                 Ok(t)
             }
             PageHome::RemoteSource(source) => {
@@ -650,10 +670,7 @@ impl AddressSpace {
                     first += 1;
                     continue;
                 }
-                let unit_end = ((first / run + 1) * run).min(count);
-                let end = (first + 1..unit_end)
-                    .find(|&page| !dirty(self, page))
-                    .unwrap_or(unit_end);
+                let end = unit_run_end(first, count, run, |page| dirty(self, page));
                 for page in first..end {
                     t = self.fault_in(fs, net, t, host, kind, page)?;
                 }
@@ -724,24 +741,28 @@ impl AddressSpace {
         }
     }
 
-    /// True when some writable page's only current copy sits in a backing
-    /// file (the process flushed and dropped residency earlier). A
-    /// dirty-only checkpoint image restored into a *fresh* address space —
-    /// which has no backing files — would lose those pages, so checkpoints
-    /// must widen to a full image.
+    /// True when some writable segment has a backing file and a clean page
+    /// that is not zero-fill: its bytes were flushed to the file, whether
+    /// they now live only there, were paged back in (a page-in reads its
+    /// unit-mates too) or stayed resident after the flush. A dirty-only
+    /// checkpoint image restored into a *fresh* address space — which has
+    /// no backing files — would lose those pages, so checkpoints must
+    /// widen to a full image.
     pub(crate) fn has_flushed_writable_pages(&self) -> bool {
         [SegmentKind::Heap, SegmentKind::Stack].iter().any(|&k| {
-            self.segment(k)
-                .pages
-                .iter()
-                .any(|p| p.home == PageHome::BackingFile)
+            let seg = self.segment(k);
+            seg.backing.is_some()
+                && seg
+                    .pages
+                    .iter()
+                    .any(|p| !p.dirty && p.home != PageHome::Zero)
         })
     }
 
     /// Captures the writable pages a checkpoint must save, paying fault
     /// costs to materialize any that are not resident. With `dirty_only`
     /// set, only pages dirtied since the last flush are captured — sound
-    /// exactly when [`AddressSpace::has_flushed_writable_pages`] is false
+    /// when [`AddressSpace::has_flushed_writable_pages`] is false
     /// (the capture widens to a full image automatically otherwise, so the
     /// snapshot is always restorable into a fresh space). Untouched
     /// zero-fill pages are never captured: a fresh space re-creates them
@@ -806,6 +827,17 @@ impl AddressSpace {
         }
         lost
     }
+}
+
+/// The end of the run that starts at page `first` of a `count`-page
+/// segment: the first later page that fails `keep`, or the end of
+/// `first`'s stripe unit (the `run` pages from a multiple of `run`),
+/// whichever comes first. Page-outs and page-ins both move such runs.
+fn unit_run_end(first: u64, count: u64, run: u64, keep: impl Fn(u64) -> bool) -> u64 {
+    let unit_end = ((first / run + 1) * run).min(count);
+    (first + 1..unit_end)
+        .find(|&page| !keep(page))
+        .unwrap_or(unit_end)
 }
 
 #[cfg(test)]
@@ -1018,8 +1050,8 @@ mod tests {
         assert!(!Arc::ptr_eq(&heap_frame(&s, 2), &backing_frame(&fs, &s, 2)));
         // What a page-in returns is still the flushed page.
         let file = s.segment(SegmentKind::Heap).backing().unwrap();
-        let (paged, _) = fs.page_in(&mut net, t, h(2), file, 2).unwrap();
-        assert_eq!(&paged[..7], b"flushed");
+        let (paged, _) = fs.page_in(&mut net, t, h(2), file, 2, 1).unwrap();
+        assert_eq!(&paged[0][..7], b"flushed");
         let (mine, _) = s.read(&mut fs, &mut net, t, h(1), a, 7).unwrap();
         assert_eq!(mine, b"changed");
     }
@@ -1247,6 +1279,208 @@ mod tests {
             .read(&mut fs, &mut net, t, h(2), a, heap.len() as u64)
             .unwrap();
         assert!(back == heap, "every byte reads back");
+    }
+
+    /// A space whose `pages` heap pages hold distinct bytes, except
+    /// `skip`, which is never written, flushed and dropped: every written
+    /// page lives only in the swap file. Returns the heap's bytes too.
+    fn flushed_heap(
+        fs: &mut SpriteFs,
+        net: &mut Transport,
+        tag: &str,
+        pages: u64,
+        skip: Option<u64>,
+    ) -> (AddressSpace, Vec<u8>, SimTime) {
+        let (prog, mut t) = fs
+            .create(
+                net,
+                SimTime::ZERO,
+                h(1),
+                SpritePath::new(format!("/bin/{tag}")),
+            )
+            .unwrap();
+        let mut s = AddressSpace::create(tag, prog, 4, pages, 4);
+        let mut heap: Vec<u8> = (0..pages * PAGE_SIZE).map(|i| (i % 253) as u8).collect();
+        for (page, bytes) in (0..).zip(heap.chunks_mut(PAGE_SIZE as usize)) {
+            if Some(page) == skip {
+                bytes.fill(0);
+            } else {
+                let a = VirtAddr::new(SegmentKind::Heap, page * PAGE_SIZE);
+                t = s.write(fs, net, t, h(1), a, bytes).unwrap();
+            }
+        }
+        let t = s.flush_dirty(fs, net, t, h(1)).unwrap();
+        s.drop_residency();
+        (s, heap, t)
+    }
+
+    fn page_fetches(net: &Transport) -> u64 {
+        net.rpc_table().get(RpcOp::VmPageFetch).calls
+    }
+
+    #[test]
+    fn a_sequential_read_pages_in_one_run_per_stripe_unit() {
+        for pages in 1..=9 {
+            let (mut net, mut fs) = setup();
+            let (mut s, heap, t) = flushed_heap(&mut fs, &mut net, "seq", pages, None);
+            let a = VirtAddr::new(SegmentKind::Heap, 0);
+            let faults = s.stats().faults;
+            let (back, _) = s
+                .read(&mut fs, &mut net, t, h(2), a, pages * PAGE_SIZE)
+                .unwrap();
+            assert!(back == heap, "{pages} pages read back");
+            assert_eq!(page_fetches(&net), pages.div_ceil(4), "{pages} pages");
+            assert_eq!(s.stats().faults - faults, pages.div_ceil(4));
+            assert_eq!(s.stats().pageins, pages);
+            assert_eq!(fs.stats().pageins, pages);
+            assert_eq!(s.dirty_pages(), 0, "paged-in pages are clean");
+        }
+    }
+
+    #[test]
+    fn a_page_in_run_stops_before_a_page_not_only_in_the_file() {
+        for blocker in ["resident", "dirty", "zero-fill", "copy-on-reference"] {
+            let (mut net, mut fs) = setup();
+            let skip = (blocker == "zero-fill").then_some(2);
+            let (mut s, mut heap, mut t) = flushed_heap(&mut fs, &mut net, blocker, 8, skip);
+            // Page 2 stops the run from page 0; touching it pages in 2 and 3.
+            let page2 = VirtAddr::new(SegmentKind::Heap, 2 * PAGE_SIZE);
+            match blocker {
+                "resident" => t = s.read(&mut fs, &mut net, t, h(2), page2, 1).unwrap().1,
+                "dirty" | "copy-on-reference" => {
+                    t = s.write(&mut fs, &mut net, t, h(1), page2, b"!").unwrap();
+                    heap[2 * PAGE_SIZE as usize] = b'!';
+                }
+                _ => {}
+            }
+            if blocker == "copy-on-reference" {
+                s.leave_at_source(h(1));
+            }
+            let before = s.heap.pages[2].clone();
+            let (fetches, pageins) = (page_fetches(&net), fs.stats().pageins);
+            let a = VirtAddr::new(SegmentKind::Heap, 0);
+            let (_, t) = s.read(&mut fs, &mut net, t, h(2), a, 1).unwrap();
+            assert_eq!(page_fetches(&net) - fetches, 1, "{blocker}");
+            assert_eq!(fs.stats().pageins - pageins, 2, "{blocker}: pages 0 and 1");
+            let after = &s.heap.pages[2];
+            assert_eq!((after.home, after.dirty), (before.home, before.dirty));
+            let same = match (&after.frame, &before.frame) {
+                (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+                (x, y) => x.is_none() && y.is_none(),
+            };
+            assert!(same, "{blocker}: page 2 untouched");
+            let (back, _) = s
+                .read(&mut fs, &mut net, t, h(2), a, heap.len() as u64)
+                .unwrap();
+            assert!(back == heap, "{blocker}: every byte reads back");
+        }
+    }
+
+    #[test]
+    fn a_striped_page_in_stays_in_its_unit_and_inside_the_file() {
+        let mut net = Transport::new(CostModel::sun3(), 4);
+        let mut fs = SpriteFs::new(FsConfig::default(), 4);
+        fs.add_server(h(0), SpritePath::new("/"));
+        fs.add_server(h(3), SpritePath::new("/"));
+        let (prog, t) = fs
+            .create(&mut net, SimTime::ZERO, h(1), SpritePath::new("/bin/st"))
+            .unwrap();
+        let mut s = AddressSpace::create("st", prog, 4, 12, 4);
+        // Pages 0-5 hold bytes; pages 6-11 are read as zeros, so they turn
+        // into page-ins from the file too, past its last block.
+        let written: Vec<u8> = (0..6 * PAGE_SIZE).map(|i| (i % 251) as u8).collect();
+        let a = VirtAddr::new(SegmentKind::Heap, 0);
+        let t = s.write(&mut fs, &mut net, t, h(1), a, &written).unwrap();
+        let tail = VirtAddr::new(SegmentKind::Heap, 6 * PAGE_SIZE);
+        let (_, t) = s
+            .read(&mut fs, &mut net, t, h(1), tail, 6 * PAGE_SIZE)
+            .unwrap();
+        let t = s.flush_dirty(&mut fs, &mut net, t, h(1)).unwrap();
+        s.drop_residency();
+        let requests = |fs: &SpriteFs| {
+            fs.server_loads()
+                .iter()
+                .map(|l| l.requests)
+                .collect::<Vec<_>>()
+        };
+        let served = requests(&fs);
+        // A fault mid-unit reads to the unit's end, not into the next one.
+        let mid = VirtAddr::new(SegmentKind::Heap, 2 * PAGE_SIZE);
+        let (_, t) = s.read(&mut fs, &mut net, t, h(2), mid, 1).unwrap();
+        assert_eq!((page_fetches(&net), fs.stats().pageins), (1, 2));
+        let (back, _) = s
+            .read(&mut fs, &mut net, t, h(2), a, 12 * PAGE_SIZE)
+            .unwrap();
+        assert!(back[..written.len()] == written);
+        assert!(back[written.len()..].iter().all(|&b| b == 0));
+        // Pages 0-1, then 4-5 (the file ends there), then one zero page
+        // for each fault past the end.
+        assert_eq!(page_fetches(&net), 1 + 1 + 1 + 6);
+        assert_eq!(fs.stats().pageins, 12);
+        let now = requests(&fs);
+        assert!(
+            served.iter().zip(&now).all(|(a, b)| b > a),
+            "both servers page in"
+        );
+    }
+
+    /// Drops every attempt of `op`, so each send of it gives up.
+    #[derive(Debug)]
+    struct DropEvery(RpcOp);
+
+    impl LinkPolicy for DropEvery {
+        fn verdict(&mut self, op: RpcOp, _: SimTime, _: HostId, _: Option<HostId>) -> LinkVerdict {
+            if op == self.0 {
+                LinkVerdict::Drop
+            } else {
+                LinkVerdict::Deliver
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_page_in_installs_none_of_its_run() {
+        let (mut net, mut fs) = setup();
+        let (mut s, heap, t) = flushed_heap(&mut fs, &mut net, "drop", 8, None);
+        net.set_policy(Box::new(DropEvery(RpcOp::VmPageFetch)));
+        let a = VirtAddr::new(SegmentKind::Heap, 0);
+        let len = heap.len() as u64;
+        let err = s.read(&mut fs, &mut net, t, h(2), a, len).unwrap_err();
+        assert!(matches!(err, FsError::Rpc(_)), "{err}");
+        assert!(s
+            .heap
+            .pages
+            .iter()
+            .all(|p| p.home == PageHome::BackingFile && p.frame.is_none()));
+        assert_eq!((s.stats().pageins, fs.stats().pageins), (0, 0));
+        net.set_policy(Box::new(Ideal));
+        let t = t + SimDuration::from_secs(60);
+        let (back, _) = s.read(&mut fs, &mut net, t, h(2), a, len).unwrap();
+        assert!(back == heap, "the retry reads the flushed bytes");
+        assert_eq!(s.stats().pageins, 8);
+    }
+
+    #[test]
+    fn an_isolated_fault_in_a_flushed_unit_pays_for_its_run() {
+        // What a unit at a time costs a process that touches one page: a
+        // one-byte read of a flushed unit moves all four pages, a 38.0 ms
+        // round trip on the Sun-3, where one page costs 11.65 ms (here the
+        // last page of a unit, which reads alone).
+        let (mut net, mut fs) = setup();
+        let (mut s, _, t) = flushed_heap(&mut fs, &mut net, "iso", 8, None);
+        let fault = net.cost().context_switch;
+        for (page, pages, wire_us) in [(0, 4, 38_000), (7, 1, 11_650)] {
+            let t0 = t + SimDuration::from_secs(1 + page);
+            let a = VirtAddr::new(SegmentKind::Heap, page * PAGE_SIZE);
+            let before = fs.stats().pageins;
+            let (_, t1) = s.read(&mut fs, &mut net, t0, h(2), a, 1).unwrap();
+            assert_eq!(fs.stats().pageins - before, pages, "page {page}");
+            assert_eq!(
+                t1.elapsed_since(t0),
+                fault + SimDuration::from_micros(wire_us),
+                "page {page}"
+            );
+        }
     }
 
     #[test]

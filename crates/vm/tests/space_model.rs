@@ -4,10 +4,12 @@
 //! touches it next. This is the memory-integrity half of migration transparency,
 //! exercised harder than any single protocol run does.
 //!
-//! Each case runs twice: with the root on one server, and striped over two.
-//! Flushes page out in runs of up to four pages inside one stripe unit, so
-//! the 12 heap pages make three units, and on the striped root the runs of
-//! neighbouring units go to different servers.
+//! Each case draws two op lists, any mix of the ops and touches of a
+//! flushed heap, and runs each twice: with the root on one server, and
+//! striped over two. Page-outs and page-ins move runs of up to four pages
+//! inside one stripe unit, so the 12 heap pages make three units, and on
+//! the striped root the runs of neighbouring units go to different
+//! servers.
 //!
 //! Cases come from [`DetRng`] with a fixed seed; `heavy-tests` multiplies
 //! the case count.
@@ -63,18 +65,64 @@ fn vm_op(rng: &mut DetRng) -> VmOp {
     }
 }
 
+/// Any mix of the ops above.
+fn transfer_mix(rng: &mut DetRng) -> Vec<VmOp> {
+    let nops = 1 + rng.pick_index(39);
+    (0..nops).map(|_| vm_op(rng)).collect()
+}
+
+/// Touches of a flushed heap: a random subset of the pages is written
+/// (the rest stay zero-fill, and some of those are read once, so they
+/// page in from the file as zeros), flushed and dropped, then read and
+/// written in a random order from hosts that hop at each flush-and-drop.
+/// A page-in reads ahead to the end of its stripe unit, so the touch
+/// order decides which runs go out.
+fn flushed_heap_touches(rng: &mut DetRng) -> Vec<VmOp> {
+    let mut ops = Vec::new();
+    for page in 0..HEAP_PAGES as u8 {
+        match rng.pick_index(4) {
+            0 => {}
+            1 => ops.push(VmOp::Read { page }),
+            _ => ops.push(VmOp::Write {
+                page,
+                off: 0,
+                byte: rng.uniform_u64(256) as u8,
+                len: 255,
+            }),
+        }
+    }
+    ops.push(VmOp::FlushAndDrop);
+    let touches = 1 + rng.pick_index(30);
+    ops.extend((0..touches).map(|_| match rng.pick_index(8) {
+        0..=4 => VmOp::Read {
+            page: rng.uniform_u64(HEAP_PAGES) as u8,
+        },
+        5 | 6 => VmOp::Write {
+            page: rng.uniform_u64(HEAP_PAGES) as u8,
+            off: rng.uniform_u64(4000) as u16,
+            byte: rng.uniform_u64(256) as u8,
+            len: 1 + rng.uniform_u64(199) as u8,
+        },
+        _ => VmOp::FlushAndDrop,
+    }));
+    ops
+}
+
 #[test]
 fn memory_matches_flat_model_under_any_transfer_mix() {
     let mut rng = DetRng::seed_from(0x5BACE);
     let mut striped_block_ops = [0; 2];
     for case in 0..cases(64) {
-        let nops = 1 + rng.pick_index(39);
-        let ops: Vec<VmOp> = (0..nops).map(|_| vm_op(&mut rng)).collect();
-        // The ops run on hosts 1 to 3; the servers are never one of them.
-        run_case(&format!("case {case} on one server"), &ops, &[0]);
-        let served = run_case(&format!("case {case} striped"), &ops, &[0, 4]);
-        for (total, ops) in striped_block_ops.iter_mut().zip(served) {
-            *total += ops;
+        for (mix, ops) in [
+            ("mix", transfer_mix(&mut rng)),
+            ("touches", flushed_heap_touches(&mut rng)),
+        ] {
+            // The ops run on hosts 1 to 3; the servers are never one of them.
+            run_case(&format!("{mix} case {case} on one server"), &ops, &[0]);
+            let served = run_case(&format!("{mix} case {case} striped"), &ops, &[0, 4]);
+            for (total, ops) in striped_block_ops.iter_mut().zip(served) {
+                *total += ops;
+            }
         }
     }
     assert!(
